@@ -3,9 +3,9 @@
 A number system is a pair (q, D): an expanding algebraic integer base q
 given by its monic minimal polynomial, and a complete residue digit set
 D in Z[q].  The package decides finiteness of expansions, measures
-carry propagation (automata, spectral constants, exhaustive censuses),
-rasterizes fundamental tiles, and runs Weyl-sum equidistribution
-experiments over length-bounded expansion sets.
+carry propagation (automata, spectral constants, censuses counted on
+the carry automaton), rasterizes fundamental tiles, and runs Weyl-sum
+equidistribution experiments over length-bounded expansion sets.
 """
 
 from .algebra import (

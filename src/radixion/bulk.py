@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra
 from .caps import ENUM_CAP, effective_cap
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded
 from .numeration import NumberSystem
 
 INT64_GUARD = 1 << 60
@@ -109,29 +109,6 @@ def _combine(ns: NumberSystem, low: DigitTable, high: DigitTable) -> DigitTable:
         np.tile(low.low_nz, n_high),
         np.repeat(high.top_nz, n_low),
     )
-
-
-def strip_residuals(ns: NumberSystem, values, steps: int) -> np.ndarray:
-    """Residual elements after `steps` backward division steps, row-wise.
-
-    Equivalent to digit_slice(., steps, infinity) applied to every row.
-    """
-    m = ns.poly
-    c0 = m.coeffs[0]
-    mu_t = u_matrix(m).T
-    cur = np.array(values, dtype=np.int64)
-    for _ in range(steps):
-        out = np.empty_like(cur)
-        done = np.zeros(len(cur), dtype=bool)
-        for b in ns.digits:
-            cand = (cur - np.array(b, dtype=np.int64)) @ mu_t
-            ok = (cand % c0 == 0).all(axis=1) & ~done
-            out[ok] = cand[ok] // c0
-            done |= ok
-        if not done.all():
-            raise DomainError("digit set failed to cover a residue class")
-        cur = out
-    return cur
 
 
 def ordered_map(fn, items, threads: int):

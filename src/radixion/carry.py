@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, bulk
+from . import algebra
 from .algebra import MinimalPolynomial
 from .caps import CARRY_SET_CAP, PAIR_CAP, effective_cap
 from .errors import CapExceeded, ConvergenceError, UsageError
@@ -68,18 +68,24 @@ class CnsCollapsedGraph:
     eta_bound: float
 
 
-def build_carry_set(ns: NumberSystem) -> CarrySet:
-    """Least fixed point of s -> (s + d1 + d2 - b)/q from {0}."""
+def _carry_closure(ns: NumberSystem):
+    """Least set of carries from {0} closed under s -> strip(s + a + b).
+
+    One BFS over states, digits a, then digits b.  Returns the states in
+    insertion order and the pair table nxt[i][a][b], the index of
+    strip(states[i] + a + b).
+    """
     cap = effective_cap(CARRY_SET_CAP)
     m = ns.poly
     states = [ns.zero]
     index = {ns.zero: 0}
-    head = 0
-    while head < len(states):
-        s = states[head]
-        head += 1
+    table = []
+    while len(table) < len(states):
+        s = states[len(table)]
+        rows = []
         for d1 in ns.digits:
             partial = algebra.add(m, s, d1)
+            row = []
             for d2 in ns.digits:
                 _, nxt = _strip_one(ns, algebra.add(m, partial, d2))
                 if nxt not in index:
@@ -89,24 +95,28 @@ def build_carry_set(ns: NumberSystem) -> CarrySet:
                         )
                     index[nxt] = len(states)
                     states.append(nxt)
-    return CarrySet(tuple(states))
+                row.append(index[nxt])
+            rows.append(tuple(row))
+        table.append(tuple(rows))
+    return tuple(states), tuple(table)
+
+
+def build_carry_set(ns: NumberSystem) -> CarrySet:
+    """Least fixed point of s -> (s + d1 + d2 - b)/q from {0}."""
+    return CarrySet(_carry_closure(ns)[0])
 
 
 def build_automaton(ns: NumberSystem) -> CarryAutomaton:
-    carry_set = build_carry_set(ns)
-    index = {s: i for i, s in enumerate(carry_set.states)}
-    n = len(carry_set.states)
+    """Transitions s -> strip(s + a), the zero-digit column of the closure."""
+    states, pairs = _carry_closure(ns)
+    zero = ns.digits.index(ns.zero)
+    n = len(states)
     adjacency = np.zeros((n, n), dtype=np.int64)
-    table = []
-    for i, s in enumerate(carry_set.states):
-        row = []
-        for a in ns.digits:
-            _, succ = _strip_one(ns, algebra.add(ns.poly, s, a))
-            j = index[succ]  # s + a + 0 is covered by the closure
-            row.append(j)
+    table = tuple(tuple(row[zero] for row in rows) for rows in pairs)
+    for i, row in enumerate(table):
+        for j in row:
             adjacency[i, j] += 1
-        table.append(tuple(row))
-    return CarryAutomaton(carry_set, tuple(table), adjacency)
+    return CarryAutomaton(CarrySet(states), table, adjacency)
 
 
 def transition(aut: CarryAutomaton, state: int, digit: int) -> int:
@@ -157,13 +167,17 @@ def carry_constant(ns: NumberSystem) -> CarryConstantReport:
     return CarryConstantReport(eta2, rho, len(aut.carry_set.states), iterations)
 
 
-def carry_census(
-    ns: NumberSystem, mu: int, nu: int, rho: int, threads: int = 1
-) -> int:
+def carry_census(ns: NumberSystem, mu: int, nu: int, rho: int) -> int:
     """#{m in N_mu : some n in N_{nu-rho} changes the digits of m+n past nu}.
 
-    Exhaustive over all (m, n) pairs; the digits past position nu are
-    compared through the residual after nu backward division steps.
+    Write m and n digit by digit, n padded with zeros.  After nu backward
+    division steps m+n leaves res(m) + c, where c is the carry reached
+    from 0 by s -> strip(s + a_j + b_j) over positions j < nu; so the
+    digits past nu change exactly when c != 0.  A dynamic program over
+    positions counts the prefixes a in D^nu for each set S of carries
+    that the choices of b reach (b free below nu - rho, zero above).
+    Every S holds 0 (from n = 0); the count is Q^(mu-nu) times the number
+    of prefixes whose S holds another carry, the top digits being free.
     """
     if not 0 <= rho <= nu <= mu:
         raise UsageError("census needs 0 <= rho <= nu <= mu")
@@ -171,25 +185,27 @@ def carry_census(
     cap = effective_cap(PAIR_CAP)
     if pairs > cap:
         raise CapExceeded("census over %d pairs exceeds cap %d" % (pairs, cap))
-    table = bulk.digit_table(ns, mu)
-    base = bulk.strip_residuals(ns, table.coords, nu)
-    adders = bulk.digit_table(ns, nu - rho).coords
-
-    def chunk_mask(chunk):
-        changed = np.zeros(len(base), dtype=bool)
-        for n in chunk:
-            if not n.any():
-                continue  # adding zero never perturbs digits
-            shifted = bulk.strip_residuals(ns, table.coords + n, nu)
-            changed |= (shifted != base).any(axis=1)
-        return changed
-
-    workers = max(1, threads or 1)
-    chunks = [c for c in np.array_split(adders, min(len(adders), workers * 4)) if len(c)]
-    changed = np.zeros(len(base), dtype=bool)
-    for mask in bulk.ordered_map(chunk_mask, chunks, workers):
-        changed |= mask
-    return int(changed.sum())
+    _, table = _carry_closure(ns)
+    zero = ns.digits.index(ns.zero)
+    # successor masks per state and digit a: over every b, or b = 0 only
+    free = [[sum({1 << j for j in row}) for row in rows] for rows in table]
+    pinned = [[1 << row[zero] for row in rows] for rows in table]
+    counts = {1: 1}  # bitmask of carry states -> number of prefixes
+    for j in range(nu):
+        step = free if j < nu - rho else pinned
+        nxt = {}
+        for mask, count in counts.items():
+            for a in range(ns.Q):
+                succ = 0
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    succ |= step[low.bit_length() - 1][a]
+                    rest ^= low
+                nxt[succ] = nxt.get(succ, 0) + count
+        counts = nxt
+    changed = sum(count for mask, count in counts.items() if mask != 1)
+    return ns.Q ** (mu - nu) * changed
 
 
 def _eta(c: tuple, subset_mask: int, d: int) -> int:

@@ -328,7 +328,7 @@ def _cmd_census(args) -> _Artifact:
     ns = _number_system(args)
     rows = []
     for rho in _parse_int_list(args.rho):
-        count = carry.carry_census(ns, args.mu, args.nu, rho, threads=args.threads)
+        count = carry.carry_census(ns, args.mu, args.nu, rho)
         rows.append({"rho": rho, "count": int(count)})
     payload = {"system": ns.encode(), "mu": args.mu, "nu": args.nu, "rows": rows}
     csv = (("rho", "count"), [(r["rho"], r["count"]) for r in rows])
@@ -622,7 +622,7 @@ _SUBCOMMANDS = (
     ("expand", "digit expansions, round trips, and N_lambda counts", _conf_expand, _cmd_expand),
     ("check-fns", "decide the finiteness property", _conf_check_fns, _cmd_check_fns),
     ("carry", "carry automaton and carry constant eta2", _conf_carry, _cmd_carry),
-    ("census", "exhaustive count of carry-affected digit windows", _conf_census, _cmd_census),
+    ("census", "count of carry-affected digit windows (automaton DP)", _conf_census, _cmd_census),
     ("cns-carry", "collapsed/subset carry bounds for CNS polynomials", _conf_cns_carry, _cmd_cns_carry),
     ("tile", "fundamental tile geometry: raster, area, radii, box dimension", _conf_tile, _cmd_tile),
     ("weyl", "exponential sums of digit functions over N_lambda", _conf_weyl, _cmd_weyl),

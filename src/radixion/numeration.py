@@ -78,6 +78,28 @@ class NumberSystem:
     def digit_is_nonzero(self) -> tuple:
         return tuple(any(b) for b in self.digits)
 
+    @cached_property
+    def residue_digit(self) -> tuple:
+        """Digit index of each residue class r = x[0] mod Q.
+
+        Z[q]/(q) is Z/Q, with x mapped to its coordinate x[0]; so the
+        digits form a complete residue system exactly when their first
+        coordinates are distinct mod Q.
+        """
+        lookup = [None] * self.Q
+        for t, b in enumerate(self.digits):
+            r = b[0] % self.Q
+            if lookup[r] is not None:
+                raise DomainError(
+                    "digits %s and %s lie in the same residue class mod q"
+                    % (
+                        algebra.format_element(self.digits[lookup[r]]),
+                        algebra.format_element(b),
+                    )
+                )
+            lookup[r] = t
+        return tuple(lookup)
+
 
 def validate_system(ns: NumberSystem):
     """Reject digit sets that cannot define a number system."""
@@ -95,17 +117,7 @@ def validate_system(ns: NumberSystem):
             "digit set has %d elements, a complete residue system needs %d"
             % (len(ns.digits), m.Q)
         )
-    for i in range(len(ns.digits)):
-        for j in range(i + 1, len(ns.digits)):
-            diff = algebra.sub(m, ns.digits[i], ns.digits[j])
-            if algebra.divide_exact_by_q(m, diff) is not None:
-                raise DomainError(
-                    "digits %s and %s lie in the same residue class mod q"
-                    % (
-                        algebra.format_element(ns.digits[i]),
-                        algebra.format_element(ns.digits[j]),
-                    )
-                )
+    ns.residue_digit  # rejects two digits in one residue class
     if (0,) * d not in ns.digits:
         raise DomainError("digit set must contain zero")
 
@@ -128,16 +140,17 @@ class FnsVerdict:
 
 
 def _strip_one(ns: NumberSystem, n: FieldElement):
-    """One backward division step: the unique digit index t and (n - b_t)/q."""
-    m = ns.poly
-    for t, b in enumerate(ns.digits):
-        quotient = algebra.divide_exact_by_q(m, algebra.sub(m, n, b))
-        if quotient is not None:
-            return t, quotient
-    raise DomainError(
-        "no digit matches %s; digit set is not a complete residue system"
-        % algebra.format_element(n)
-    )
+    """One backward division step: the unique digit index t and (n - b_t)/q.
+
+    With y = n - b_t, y/q = (y0/c0)*u + (y1, ..., y_{d-1}, 0), where
+    u = c0/q = -(c1, ..., c_{d-1}, 1) is the cofactor of q.
+    """
+    t = ns.residue_digit[n[0] % ns.Q]
+    y = [a - b for a, b in zip(n, ns.digits[t])]
+    c = ns.poly.coeffs
+    k = y[0] // c[0]
+    y.append(0)
+    return t, tuple(y[i + 1] - k * c[i + 1] for i in range(ns.degree))
 
 
 def expand(ns: NumberSystem, x: FieldElement) -> Expansion:
@@ -174,6 +187,7 @@ def digit_slice(ns: NumberSystem, x: FieldElement, nu: int, mu) -> FieldElement:
     """
     if nu < 0 or mu < nu:
         raise UsageError("digit window needs 0 <= nu <= mu")
+    algebra._check_arity(ns.poly, x)
     n = tuple(x)
     for _ in range(nu):
         _, n = _strip_one(ns, n)
@@ -186,20 +200,26 @@ def digit_slice(ns: NumberSystem, x: FieldElement, nu: int, mu) -> FieldElement:
     return evaluate(ns, Expansion(tuple(indices)))
 
 
-def _search_box(ns: NumberSystem) -> list:
-    """Per-coordinate bounds covering the attractor of the backward map."""
+def embedding_radii(ns: NumberSystem) -> tuple:
+    """Per-embedding attractor radii max_b |b^pi| / (|q^pi| - 1)."""
+    return tuple(
+        max(abs(_poly_eval(b, z)) for b in ns.digits) / (abs(z) - 1.0)
+        for z in ns.poly.embeddings().roots
+    )
+
+
+def coordinate_bound(ns: NumberSystem) -> list:
+    """Per-coordinate bound sum_p |V^-1[k, p]| r_p on the attractor.
+
+    V is the Vandermonde matrix of the embeddings and r the embedding
+    radii, so every coordinate k of an attractor point is at most this.
+    """
+    radii = embedding_radii(ns)
     roots = ns.poly.embeddings().roots
     d = ns.degree
-    radii = [
-        max(abs(_poly_eval(b, z)) for b in ns.digits) / (abs(z) - 1.0)
-        for z in roots
-    ]
     vandermonde = np.array([[z**k for k in range(d)] for z in roots])
     vinv = np.linalg.inv(vandermonde)
-    return [
-        int(math.floor(FNS_BOX_SLACK * sum(abs(vinv[k, p]) * radii[p] for p in range(d))))
-        for k in range(d)
-    ]
+    return [sum(abs(vinv[k, p]) * radii[p] for p in range(d)) for k in range(d)]
 
 
 def is_fns(ns: NumberSystem) -> FnsVerdict:
@@ -210,7 +230,7 @@ def is_fns(ns: NumberSystem) -> FnsVerdict:
     and each orbit is followed until it reaches zero, a state already
     known to be finite, or repeats (yielding a witness cycle).
     """
-    bounds = _search_box(ns)
+    bounds = [int(math.floor(FNS_BOX_SLACK * b)) for b in coordinate_bound(ns)]
     total = 1
     for b in bounds:
         total *= 2 * b + 1

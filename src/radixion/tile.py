@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, bulk, numeration
-from .algebra import _poly_eval
 from .caps import ENUM_CAP, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
-from .numeration import NumberSystem
+from .numeration import NumberSystem, coordinate_bound, embedding_radii
 
 SPACE_TAGS = ("coordinate", "embedding")
 LATTICE_BLOCK = 1 << 16  # cell centres rounded per vectorized step
@@ -150,33 +149,13 @@ def rasterize(cloud: TileCloud, resolution: int) -> Raster:
     )
 
 
-def embedding_radii(ns: NumberSystem) -> tuple:
-    """Per-embedding attractor radii max_b |b^pi| / (|q^pi| - 1)."""
-    return tuple(
-        max(abs(_poly_eval(b, z)) for b in ns.digits) / (abs(z) - 1.0)
-        for z in ns.poly.embeddings().roots
-    )
-
-
-def _coordinate_box(ns: NumberSystem) -> np.ndarray:
-    """Per-coordinate bound implied by the embedding radii."""
-    radii = embedding_radii(ns)
-    d = ns.degree
-    roots = ns.poly.embeddings().roots
-    vandermonde = np.array([[z**k for k in range(d)] for z in roots])
-    vinv = np.linalg.inv(vandermonde)
-    return np.array(
-        [sum(abs(vinv[k, p]) * radii[p] for p in range(d)) for k in range(d)]
-    )
-
-
 def tile_radii(ns: NumberSystem, raster: Raster) -> RadiiReport:
     """Outer radius from the digit geometry, inner radius from the raster."""
     if raster.resolution < 256:
         raise UsageError("radius estimation needs resolution >= 256")
     if raster.space_tag != "coordinate":
         raise UsageError("radius estimation needs a coordinate-space raster")
-    r_plus = float(np.linalg.norm(_coordinate_box(ns)))
+    r_plus = float(np.linalg.norm(coordinate_bound(ns)))
     return RadiiReport(r_plus, _inner_radius(raster), embedding_radii(ns))
 
 

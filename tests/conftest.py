@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from radixion import algebra
 from radixion.algebra import MinimalPolynomial
+from radixion.errors import RadixionError
 from radixion.numeration import NumberSystem
 
 # base -1+i, digits {0, 1}
@@ -21,6 +24,32 @@ FIVE_B = ("5,4,1", "0,0;-4,-2;2,0;3,0;4,0")
 
 def make_system(spec) -> NumberSystem:
     return NumberSystem.parse(*spec)
+
+
+def random_system(rng) -> NumberSystem:
+    """Seeded random quadratic system: an expanding monic base q and the
+    digits r + q*e for r = 0..Q-1, e small and random, 0 kept for r = 0,
+    in shuffled order.  Most such digit sets lack the finiteness property.
+    """
+    while True:
+        c0 = int(rng.integers(2, 8)) * int(rng.choice((-1, 1)))
+        try:
+            poly = MinimalPolynomial((c0, int(rng.integers(-4, 5)), 1))
+        except RadixionError:
+            continue  # reducible or not expanding
+        break
+    digits = [(0, 0)]
+    for r in range(1, poly.Q):
+        e = tuple(int(v) for v in rng.integers(-1, 2, size=2))
+        digits.append(algebra.add(poly, (r, 0), algebra.mul_by_q(poly, e)))
+    rng.shuffle(digits)
+    return NumberSystem(poly, tuple(digits))
+
+
+@pytest.fixture(scope="session")
+def random_systems() -> list:
+    rng = np.random.default_rng(2024)
+    return [random_system(rng) for _ in range(8)]
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -57,16 +55,6 @@ def test_digit_table_agrees_with_enumerate(knuth):
     table = bulk.digit_table(knuth, 8)
     stream = list(numeration.enumerate_N(knuth, 8))
     assert [tuple(row) for row in table.coords] == stream
-
-
-def test_strip_residuals_matches_digit_slice(knuth):
-    rng = np.random.default_rng(31)
-    coords = rng.integers(-20, 21, size=(300, 2))
-    for steps in range(5):
-        stripped = bulk.strip_residuals(knuth, coords, steps)
-        for row, out in zip(coords, stripped):
-            expected = numeration.digit_slice(knuth, tuple(int(v) for v in row), steps, math.inf)
-            assert tuple(out) == expected
 
 
 def test_q_power_matrix_is_multiplication(knuth_poly):

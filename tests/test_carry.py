@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def test_automaton_zero_state_is_absorbing(knuth):
     aut = carry.build_automaton(knuth)
     assert aut.carry_set.states[0] == knuth.zero
     assert aut.adjacency[0, 0] == knuth.Q
+
+
+def test_automaton_steps_are_strips(knuth, five_b, random_systems):
+    for ns in (knuth, five_b, *random_systems[:3]):
+        aut = carry.build_automaton(ns)
+        states = aut.carry_set.states
+        for i, s in enumerate(states):
+            for a, b in enumerate(ns.digits):
+                succ = numeration.digit_slice(ns, algebra.add(ns.poly, s, b), 1, math.inf)
+                assert states[aut.next[i][a]] == succ
+        assert aut.adjacency.sum(axis=1).tolist() == [ns.Q] * len(states)
 
 
 def test_negabinary_transitions(negabinary):
@@ -134,13 +146,29 @@ def test_census_matches_scalar_oracle(knuth, negabinary):
         )
 
 
+def test_census_matches_scalar_oracle_five(five_a, five_b):
+    for ns in (five_a, five_b):
+        for mu, nu, rho in ((4, 4, 1), (4, 3, 0), (5, 4, 2), (4, 4, 3)):
+            assert carry.carry_census(ns, mu, nu, rho) == census_scalar_oracle(ns, mu, nu, rho)
+
+
+def test_census_matches_scalar_oracle_random(random_systems):
+    for ns in random_systems:
+        for mu, nu, rho in ((3, 3, 1), (3, 2, 1), (4, 4, 3)):
+            assert carry.carry_census(ns, mu, nu, rho) == census_scalar_oracle(ns, mu, nu, rho)
+
+
 def test_census_knuth_frozen_golden(knuth):
-    assert carry.carry_census(knuth, 14, 12, 4, threads=2) == 15604
+    assert carry.carry_census(knuth, 14, 12, 4) == 15604
 
 
-def test_census_thread_invariance(knuth):
-    counts = {carry.carry_census(knuth, 8, 6, 2, threads=t) for t in (1, 2, 5)}
-    assert len(counts) == 1
+def test_census_deep_window_is_exact_and_fast(knuth, monkeypatch):
+    monkeypatch.setenv("RADIXION_CAP", str(2**350))  # pairs are 2^200 * 2^150
+    start = time.perf_counter()
+    count = carry.carry_census(knuth, 200, 190, 40)
+    assert time.perf_counter() - start < 1.0
+    assert type(count) is int
+    assert 0 < count < 2**200 and count % 2**10 == 0  # top 10 digits are free
 
 
 def test_census_validation(knuth, monkeypatch):

@@ -50,6 +50,23 @@ def test_encode_round_trip(knuth):
 # -------------------------------------------------------------- expansion
 
 
+def trial_strip(ns, n):
+    """Backward division by trying every digit with divide_exact_by_q."""
+    for t, b in enumerate(ns.digits):
+        quotient = algebra.divide_exact_by_q(ns.poly, algebra.sub(ns.poly, n, b))
+        if quotient is not None:
+            return t, quotient
+    raise AssertionError("no digit divides")
+
+
+def test_strip_matches_trial_division(knuth, negabinary, five_a, five_b, random_systems):
+    rng = np.random.default_rng(43)
+    for ns in (knuth, negabinary, five_a, five_b, *random_systems):
+        for row in rng.integers(-10**6, 10**6, size=(500, ns.degree)):
+            x = tuple(int(v) for v in row)
+            assert numeration._strip_one(ns, x) == trial_strip(ns, x)
+
+
 def test_expand_knuth_golden(knuth):
     assert numeration.expand(knuth, (-1, 0)).digit_indices == (1, 0, 1, 1, 1)
 
