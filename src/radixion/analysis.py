@@ -18,13 +18,20 @@ import numpy as np
 
 from . import algebra, bulk
 from .algebra import MinimalPolynomial
-from .errors import CapExceeded, UsageError
+from .caps import ENUM_CAP, effective_cap
+from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, enumerate_N
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_GRANULARITY = 64  # contiguous reduction blocks per sum
 PRIME_DIVISOR_CAP = 1 << 32
 LOG_FLOOR = 1e-300
+# Largest rounding bound, in turns, on one position phase of fourier_decay.
+# Under the default cap no golden system exceeds 2^-29 (negabinary at
+# lambda 24), so only a raised cap meets the guard; at 2^-20 the lambda
+# factors move S by at most 2 pi lambda 2^-20 Q^lambda, under 1e-3 of the
+# trivial bound Q^lambda for lambda below 160.
+PHASE_ERROR_LIMIT = 2.0**-20
 
 PRIME_KINDS = ("prime_split", "prime_inert")
 
@@ -280,19 +287,25 @@ def _integer_digit_values(ns: NumberSystem):
     return [b[0] for b in ns.digits]
 
 
-def _phase_values(ns: NumberSystem, fn: str, phase, table: bulk.DigitTable) -> np.ndarray:
-    """Real phase value per table row; e(h * value) is the summand."""
+def _digit_twist(ns: NumberSystem, fn: str, phase):
+    """(c, pair) with value(n) = <c, s(n)> + pair * r(n); s(n) is the
+    digit-sum element, r(n) the count of adjacent nonzero digit pairs."""
     if fn == "rs":
         if isinstance(phase, LinearForm):
             raise UsageError("pair counting takes a scalar coefficient, not a form")
-        return float(phase) * table.r.astype(np.float64)
+        return np.zeros(ns.degree), float(phase)
     if fn == "sod":
         if isinstance(phase, LinearForm):
-            w = phase_weights(phase, ns.poly)
-            return table.s_coords.astype(np.float64) @ w
+            return phase_weights(phase, ns.poly), 0.0
         _integer_digit_values(ns)
-        return float(phase) * table.s_coords[:, 0].astype(np.float64)
+        return float(phase) * np.eye(ns.degree)[0], 0.0
     raise UsageError("fn must be 'sod' or 'rs'")
+
+
+def _phase_values(ns: NumberSystem, fn: str, phase, table: bulk.DigitTable) -> np.ndarray:
+    """Real phase value per table row; e(h * value) is the summand."""
+    c, pair = _digit_twist(ns, fn, phase)
+    return table.s_coords.astype(np.float64) @ c + pair * table.r
 
 
 def weyl_sum(
@@ -302,15 +315,14 @@ def weyl_sum(
     h: int,
     lam: int,
     filter: str = "all",
-    threads: int = 1,
     granularity: int = DEFAULT_GRANULARITY,
     table: bulk.DigitTable | None = None,
 ) -> WeylRow:
     """S = sum of e(h * value) over N_lambda or its primes.
 
-    The sum is reduced over `granularity` contiguous row blocks merged
-    in ascending order, so results are bit-identical for any thread
-    count at fixed granularity.
+    The sum is reduced over `granularity` contiguous row blocks added in
+    ascending order, so the granularity fixes the summation order and
+    with it the bits of the result.
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
@@ -320,16 +332,10 @@ def weyl_sum(
     mask = prime_mask(ns, table.coords) if filter == "primes" else None
     phases = np.exp((TWO_PI * h) * 1j * values)
     count = len(values) if mask is None else int(mask.sum())
-    blocks = np.array_split(np.arange(len(values)), min(granularity, len(values)))
-
-    def block_sum(idx):
-        z = phases[idx] if mask is None else phases[idx][mask[idx]]
-        return complex(z.sum())
-
-    partials = bulk.ordered_map(block_sum, blocks, threads)
     total = 0j
-    for part in partials:  # ascending block order
-        total += part
+    for idx in np.array_split(np.arange(len(values)), min(granularity, len(values))):
+        z = phases[idx] if mask is None else phases[idx][mask[idx]]
+        total += complex(z.sum())
     normalized = abs(total) / count if count else 0.0
     return WeylRow(
         lam, h, filter, count, float(total.real), float(total.imag), float(normalized)
@@ -379,7 +385,6 @@ def fourier_decay(
     lam_max: int,
     t_samples: int,
     seed: int,
-    threads: int = 1,
 ) -> FourierDecayReport:
     """Empirical decay of sup_t |S(t)| with S(t) = sum f(v) e(<t, v>).
 
@@ -388,33 +393,48 @@ def fourier_decay(
     function.  Reported gamma_emp = lambda - max_t log_Q|S(t)| is a
     lower bound for the true decay exponent, so only bounds of the form
     "every sample stays below ..." are sound to check against it.
+
+    S is a product of per-position 2x2 transfer matrices (Gelfond; Mauduit-
+    Rivat for the pair count): per t, one pass over the positions carries the
+    sums over digit prefixes ending in a zero and in a nonzero digit.
     """
     if lam_max < 1:
         raise UsageError("lam_max must be at least 1")
     if t_samples < 0:
         raise UsageError("t_samples must be nonnegative")
+    c, pair = _digit_twist(ns, fn, phase)
+    if ns.Q**lam_max > effective_cap(ENUM_CAP):
+        raise CapExceeded("lam_max %d spans %d elements, above cap %d"
+                          % (lam_max, ns.Q**lam_max, effective_cap(ENUM_CAP)))
     d = ns.degree
     rng = np.random.default_rng(seed)
     t_rows = np.concatenate([np.zeros((1, d)), rng.random((t_samples, d))], axis=0)
     trace = np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
     weights = t_rows @ trace  # row-wise coordinate weights <t, v> = <w, coords(v)>
+    w_norm = float(np.abs(weights).sum(axis=1).max())
+    step = bulk.q_power_matrix(ns.poly, 1)
+    shifted = np.array(ns.digits, dtype=np.int64)  # q^j b per digit b
+    twist = shifted @ c
+    nonzero = np.array(ns.digit_is_nonzero)
+    pair_factor = cmath.exp(TWO_PI * 1j * pair)
+    ends_zero, ends_nonzero = np.ones(len(t_rows), complex), np.zeros(len(t_rows), complex)
     log_q = math.log(ns.Q)
     rows = []
     for lam in range(1, lam_max + 1):
-        table = bulk.digit_table(ns, lam)
-        values = _phase_values(ns, fn, phase, table)
-        coords = table.coords.astype(np.float64)
-        starts = range(0, len(weights), 32)
-
-        def block_max(start, coords=coords, values=values):
-            wblk = weights[start : start + 32]
-            ang = coords @ wblk.T
-            ang += values[:, None]
-            return float(np.abs(np.exp(TWO_PI * 1j * ang).sum(axis=0)).max())
-
-        best = max(bulk.ordered_map(block_max, starts, threads))
+        size = int(np.abs(shifted).sum(axis=1).max())
+        error = (d + 1) * 2.0**-53 * size * w_norm
+        # the second clause keeps the next q^j b inside int64
+        if error >= PHASE_ERROR_LIMIT or size * int(np.abs(step).max()) >= bulk.INT64_GUARD:
+            raise DomainError("at lambda %d, |q^%d b|_1 reaches %d and a position phase can"
+                              " err by %.3g turns" % (lam, lam - 1, size, error))
+        factors = np.exp(TWO_PI * 1j * (shifted @ weights.T + twist[:, None]))
+        into_zero, into_nonzero = factors[~nonzero].sum(axis=0), factors[nonzero].sum(axis=0)
+        ends_zero, ends_nonzero = ((ends_zero + ends_nonzero) * into_zero,
+                                   (ends_zero + pair_factor * ends_nonzero) * into_nonzero)
+        best = float(np.abs(ends_zero + ends_nonzero).max())
         max_logq = math.log(max(best, LOG_FLOOR)) / log_q
         rows.append(FourierDecayRow(lam, len(t_rows), max_logq, lam - max_logq))
+        shifted = shifted @ step.T
     mu_q = sum(ns.poly.coeffs)
     big_m_q = sum(cf * cf for cf in ns.poly.coeffs)
     digit_norm_sum = None

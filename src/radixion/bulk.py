@@ -10,7 +10,6 @@ adjacent nonzero pairs) without re-expanding any element.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +109,3 @@ def _combine(ns: NumberSystem, low: DigitTable, high: DigitTable) -> DigitTable:
         np.repeat(high.top_nz, n_low),
     )
 
-
-def ordered_map(fn, items, threads: int):
-    """Apply fn to items preserving order, optionally on a thread pool."""
-    items = list(items)
-    if threads and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]

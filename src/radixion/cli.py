@@ -388,10 +388,12 @@ def _cmd_tile(args) -> _Artifact:
         payload["r_minus"] = radii.r_minus_estimate
         payload["per_embedding_radii"] = list(radii.per_embedding)
     if args.boxdim is not None:
-        report = tile.boundary_boxdim(
-            ns, _parse_int_list(args.boxdim), args.depth,
-            cloud=cloud if args.space == "coordinate" else None,
-        )
+        resolutions = _parse_int_list(args.boxdim)
+        rasters = {args.resolution: raster} if args.space == "coordinate" else {}
+        box_cloud = cloud if args.space == "coordinate" else tile.tile_points(ns, args.depth)
+        for r in set(resolutions) - rasters.keys():
+            rasters[r] = tile.rasterize(box_cloud, r)
+        report = tile.boundary_boxdim([rasters[r] for r in resolutions])
         payload["boxdim"] = {
             "dimension": report.dimension,
             "residual": report.residual,
@@ -420,10 +422,8 @@ def _cmd_weyl(args) -> _Artifact:
         for lam in range(1, max(lams) + 1):
             table = bulk.digit_table(ns, lam)
             for a in alphas:
-                row = analysis.weyl_sum(
-                    ns, "sod", float(a), args.h, lam,
-                    threads=args.threads, granularity=args.granularity, table=table,
-                )
+                row = analysis.weyl_sum(ns, "sod", float(a), args.h, lam,
+                                        granularity=args.granularity, table=table)
                 ref = analysis.sod_factorization_reference(ns, float(a), args.h, lam)
                 err = abs(complex(row.re_sum, row.im_sum) - ref)
                 worst = max(worst, err)
@@ -454,12 +454,8 @@ def _cmd_weyl(args) -> _Artifact:
     payload["granularity"] = args.granularity
     rows = []
     for lam in lams:
-        rows.append(
-            analysis.weyl_sum(
-                ns, args.fn, phase, args.h, lam, args.filter,
-                threads=args.threads, granularity=args.granularity,
-            )
-        )
+        rows.append(analysis.weyl_sum(ns, args.fn, phase, args.h, lam, args.filter,
+                                      granularity=args.granularity))
     payload["rows"] = [
         {
             "lambda": r.lam,
@@ -483,10 +479,7 @@ def _cmd_fourier_decay(args) -> _Artifact:
     _require_format(args, ("json", "csv"))
     ns = _number_system(args)
     phase = _parse_phase(args)
-    report = analysis.fourier_decay(
-        ns, args.fn, phase, args.lam_max, args.t_samples, args.seed,
-        threads=args.threads,
-    )
+    report = analysis.fourier_decay(ns, args.fn, phase, args.lam_max, args.t_samples, args.seed)
     payload = {
         "system": ns.encode(),
         "fn": report.fn,
@@ -595,7 +588,7 @@ def _conf_weyl(p):
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated digit lengths")
     p.add_argument("--filter", choices=("all", "primes"), default="all")
     p.add_argument("--granularity", type=int, default=analysis.DEFAULT_GRANULARITY,
-                   help="reduction blocks per sum (fixed => thread-count invariant)")
+                   help="reduction blocks per sum; sets the summation order")
     p.add_argument("--identity-alphas", type=int,
                    help="check S_all against the digit-factorization identity for N seeded alphas")
 
@@ -635,7 +628,8 @@ _SUBCOMMANDS = (
 def _build_parser():
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size (results are thread-count invariant)")
+                        help="accepted; every computation runs on one thread, so results"
+                             " never depend on it")
     parent.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parent.add_argument("--out", help="artifact path (default stdout)")
     parent.add_argument("--format", choices=("json", "csv", "pgm", "dot"), default="json")

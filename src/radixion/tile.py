@@ -25,6 +25,7 @@ from .numeration import NumberSystem, coordinate_bound, embedding_radii
 
 SPACE_TAGS = ("coordinate", "embedding")
 LATTICE_BLOCK = 1 << 16  # cell centres rounded per vectorized step
+RASTER_BLOCK = 1 << 20  # cloud points binned per step; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,11 @@ def rasterize(cloud: TileCloud, resolution: int) -> Raster:
     flat = hi - lo <= 0.0
     lo = np.where(flat, lo - 0.5, lo)
     hi = np.where(flat, hi + 0.5, hi)
-    idx = (pts - lo) / (hi - lo) * resolution
-    idx = np.clip(idx.astype(np.int64), 0, resolution - 1)
     occupancy = np.zeros((resolution,) * pts.shape[1], dtype=bool)
-    occupancy[tuple(idx.T)] = True
+    for start in range(0, len(pts), RASTER_BLOCK):
+        idx = (pts[start : start + RASTER_BLOCK] - lo) / (hi - lo) * resolution
+        idx = np.clip(idx.astype(np.int64), 0, resolution - 1)
+        occupancy[tuple(idx.T)] = True
     return Raster(
         resolution,
         tuple((float(a), float(b)) for a, b in zip(lo, hi)),
@@ -348,22 +350,13 @@ def boundary_cell_count(raster: Raster) -> int:
     return int(boundary.sum())
 
 
-def boundary_boxdim(
-    ns: NumberSystem, resolutions, depth: int, cloud: TileCloud | None = None
-) -> BoxDimReport:
-    """Box-counting slope of the tile boundary across raster resolutions.
-
-    `cloud`, when given, is the coordinate-space cloud of this depth; it
-    is reused instead of being built again.
-    """
-    resolutions = sorted(int(r) for r in resolutions)
-    if len(resolutions) < 3:
+def boundary_boxdim(rasters) -> BoxDimReport:
+    """Box-counting slope of the tile boundary across rasters of one cloud."""
+    rasters = sorted(rasters, key=lambda r: r.resolution)
+    if len(rasters) < 3:
         raise UsageError("box dimension needs at least 3 resolutions")
-    if cloud is None:
-        cloud = tile_points(ns, depth)
-    elif cloud.depth != depth or cloud.space_tag != "coordinate":
-        raise UsageError("box dimension needs the coordinate cloud of depth %d" % depth)
-    counts = [boundary_cell_count(rasterize(cloud, r)) for r in resolutions]
+    resolutions = [r.resolution for r in rasters]
+    counts = [boundary_cell_count(r) for r in rasters]
     logs_r = np.log(np.array(resolutions, dtype=np.float64))
     logs_c = np.log(np.array(counts, dtype=np.float64))
     coeffs, residuals, *_ = np.polyfit(logs_r, logs_c, 1, full=True)

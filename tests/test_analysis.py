@@ -9,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radixion import analysis, bulk, numeration
+from radixion import algebra, analysis, bulk, numeration
 from radixion.analysis import LinearForm
-from radixion.errors import CapExceeded, UsageError
+from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
 
 GOLDEN_RATIO = 0.6180339887
@@ -195,12 +195,8 @@ def test_weyl_validation(knuth, five_b):
 
 def test_weyl_thread_and_table_invariance(knuth):
     table = bulk.digit_table(knuth, 10)
-    rows = [
-        analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10, threads=t, table=table)
-        for t in (1, 3)
-    ]
-    rows.append(analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10))
-    assert rows[0] == rows[1] == rows[2]
+    given = analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10, table=table)
+    assert given == analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10)
 
 
 def test_weyl_normalized_bounded(knuth):
@@ -223,8 +219,8 @@ def test_fourier_decay_degenerate_character(knuth):
 
 
 def test_fourier_decay_seed_reproducible(knuth):
-    a = analysis.fourier_decay(knuth, "rs", GOLDEN_RATIO, 5, 40, seed=7, threads=3)
-    b = analysis.fourier_decay(knuth, "rs", GOLDEN_RATIO, 5, 40, seed=7, threads=1)
+    a = analysis.fourier_decay(knuth, "rs", GOLDEN_RATIO, 5, 40, seed=7)
+    b = analysis.fourier_decay(knuth, "rs", GOLDEN_RATIO, 5, 40, seed=7)
     assert a.rows == b.rows
     assert a.rs_bound_slope == b.rs_bound_slope
 
@@ -234,6 +230,60 @@ def test_fourier_decay_validation(knuth):
         analysis.fourier_decay(knuth, "rs", 0.5, 0, 10, seed=0)
     with pytest.raises(UsageError):
         analysis.fourier_decay(knuth, "rs", 0.5, 3, -1, seed=0)
+
+
+def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
+    """max_t |S_lam(t)| for lam = 1..lam_max, summed over every row of N_lam."""
+    d = ns.degree
+    rng = np.random.default_rng(seed)
+    t_rows = np.concatenate([np.zeros((1, d)), rng.random((t_samples, d))], axis=0)
+    weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
+    best = []
+    for lam in range(1, lam_max + 1):
+        table = bulk.digit_table(ns, lam)
+        values = analysis._phase_values(ns, fn, phase, table)
+        angles = table.coords.astype(np.float64) @ weights.T + values[:, None]
+        best.append(float(np.abs(np.exp(2j * math.pi * angles).sum(axis=0)).max()))
+    return best
+
+
+def assert_matches_table_route(ns, fn, phase, lam_max):
+    report = analysis.fourier_decay(ns, fn, phase, lam_max, 16, seed=11)
+    oracle = fourier_table_oracle(ns, fn, phase, lam_max, 16, seed=11)
+    assert len(report.rows) == lam_max
+    for row, ref in zip(report.rows, oracle):
+        assert abs(float(ns.Q) ** row.max_logq - ref) <= 1e-9 * ref, (ns, fn, row.lam)
+
+
+def table_lam_max(ns):
+    """Largest lambda <= 10 whose table has at most 4096 rows."""
+    return min(10, int(math.log(4096) / math.log(ns.Q) + 1e-9))
+
+
+def test_fourier_decay_matches_table_route_golden(knuth, negabinary, five_a, five_b):
+    for ns in (knuth, negabinary, five_a, five_b):
+        form = LinearForm.parse(",".join(["1/3", "0.25"][: ns.degree]))
+        assert_matches_table_route(ns, "rs", GOLDEN_RATIO, table_lam_max(ns))
+        assert_matches_table_route(ns, "sod", form, table_lam_max(ns))
+        if ns is not five_b:  # scalar digit sums need digits in Z
+            assert_matches_table_route(ns, "sod", GOLDEN_RATIO, table_lam_max(ns))
+
+
+def test_fourier_decay_matches_table_route_random(random_systems):
+    form = LinearForm.parse("0.3,1/7")
+    for ns in random_systems:
+        assert_matches_table_route(ns, "rs", 0.5, table_lam_max(ns))
+        assert_matches_table_route(ns, "sod", form, table_lam_max(ns))
+
+
+def test_fourier_decay_guards(knuth, monkeypatch):
+    with pytest.raises(CapExceeded, match="lam_max 25"):
+        analysis.fourier_decay(knuth, "rs", 0.5, 25, 4, seed=0)
+    monkeypatch.setenv("RADIXION_CAP", str(2**120))
+    with pytest.raises(DomainError, match="lambda"):
+        analysis.fourier_decay(knuth, "rs", 0.5, 120, 4, seed=0)
+    with pytest.raises(DomainError, match="lambda"):  # t = 0 only: the int64 clause
+        analysis.fourier_decay(knuth, "rs", 0.5, 120, 0, seed=0)
 
 
 def test_rs_bound_slope_values():

@@ -78,8 +78,3 @@ def test_u_matrix_is_multiplication(knuth_poly):
     for x in ((1, 0), (0, 1), (3, -2)):
         assert tuple(np.array(x) @ mat.T) == algebra.mul(knuth_poly, u, x)
 
-
-def test_ordered_map_preserves_order():
-    items = list(range(40))
-    assert bulk.ordered_map(lambda v: v * v, items, threads=4) == [v * v for v in items]
-    assert bulk.ordered_map(lambda v: v + 1, items, threads=1) == [v + 1 for v in items]

@@ -56,6 +56,9 @@ def test_usage_errors_exit_two(capsysbinary):
 
 def test_caps_exit_three(capsysbinary, monkeypatch):
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "30")[0] == 3
+    code, _, err = run(capsysbinary, "fourier-decay", *KNUTH, "--fn", "rs", "--alpha",
+                       "0.5", "--lam-max", "120", "--t-samples", "4")
+    assert code == 3 and b"lam_max 120" in err
     monkeypatch.setenv("RADIXION_CAP", "10")
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
 

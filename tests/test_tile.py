@@ -102,7 +102,7 @@ def test_negabinary_tile_goldens(negabinary):
     assert radii.r_plus_bound == 1.0
     assert abs(radii.r_minus_estimate - 1.0 / 3.0) < 1e-3
     assert radii.r_minus_estimate <= radii.r_plus_bound
-    report = tile.boundary_boxdim(negabinary, (256, 512, 1024), 18)
+    report = tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 512, 1024)])
     assert report.counts == (2, 2, 2)
     assert abs(report.dimension) < 0.05
 
@@ -154,17 +154,9 @@ def test_knuth_lattice_area_is_one(knuth):
     assert tile.area_of(raster) < 0.85  # occupancy cannot saturate at 2^18 points
 
 
-def test_boxdim_reuses_given_cloud(knuth):
-    cloud = tile.tile_points(knuth, 12)
-    assert tile.boundary_boxdim(knuth, (32, 64, 128), 12, cloud=cloud) == (
-        tile.boundary_boxdim(knuth, (32, 64, 128), 12)
-    )
-    with pytest.raises(UsageError):
-        tile.boundary_boxdim(knuth, (32, 64, 128), 11, cloud=cloud)
-
-
 def test_knuth_boundary_dimension_band(knuth):
-    report = tile.boundary_boxdim(knuth, (64, 128, 256), 18)
+    cloud = tile.tile_points(knuth, 18)
+    report = tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 64, 128)])
     assert report.resolutions == (64, 128, 256)
     assert all(b > a for a, b in zip(report.counts, report.counts[1:]))
     assert 1.2 <= report.dimension <= 1.9
@@ -231,6 +223,15 @@ def test_rasterize_single_point(knuth):
         assert hi - lo == 1.0
 
 
+def test_rasterize_blocks_match_one_pass(knuth, monkeypatch):
+    cloud = tile.tile_points(knuth, 10)
+    whole = tile.rasterize(cloud, 64)
+    monkeypatch.setattr(tile, "RASTER_BLOCK", 100)  # 1024 points, ragged last block
+    blocked = tile.rasterize(cloud, 64)
+    assert blocked.bbox == whole.bbox
+    assert np.array_equal(blocked.occupancy, whole.occupancy)
+
+
 def test_rasterize_rejects_empty_cloud():
     empty = TileCloud(0, np.zeros((0, 2)), "coordinate")
     with pytest.raises(DomainError):
@@ -240,5 +241,6 @@ def test_rasterize_rejects_empty_cloud():
 
 
 def test_boxdim_needs_three_resolutions(knuth):
+    cloud = tile.tile_points(knuth, 10)
     with pytest.raises(UsageError):
-        tile.boundary_boxdim(knuth, (256, 512), 10)
+        tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 512)])
