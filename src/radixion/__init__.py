@@ -72,10 +72,12 @@ from .tile import (
     TileCloud,
     area_estimate,
     boundary_boxdim,
+    cloud_chunks,
     cover_fraction,
     rasterize,
     tile_points,
     tile_radii,
+    tile_rasters,
 )
 
 __version__ = "0.1.0"

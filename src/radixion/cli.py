@@ -365,8 +365,12 @@ def _cmd_cns_carry(args) -> _Artifact:
 def _cmd_tile(args) -> _Artifact:
     _require_format(args, ("json", "csv", "pgm"))
     ns = _number_system(args)
-    cloud = tile.tile_points(ns, args.depth, args.space)
-    raster = tile.rasterize(cloud, args.resolution)
+    boxdim = [] if args.boxdim is None else _parse_int_list(args.boxdim)
+    # one streamed pass; the box dimension is always fitted in coordinate space
+    rasters = tile.tile_rasters(
+        ns, args.depth, [(args.space, args.resolution)] + [("coordinate", r) for r in boxdim]
+    )
+    raster = rasters[args.space, args.resolution]
     area = tile.measure_area(ns, raster)
     payload = {
         "system": ns.encode(),
@@ -388,19 +392,15 @@ def _cmd_tile(args) -> _Artifact:
         payload["r_minus"] = radii.r_minus_estimate
         payload["per_embedding_radii"] = list(radii.per_embedding)
     if args.boxdim is not None:
-        resolutions = _parse_int_list(args.boxdim)
-        rasters = {args.resolution: raster} if args.space == "coordinate" else {}
-        box_cloud = cloud if args.space == "coordinate" else tile.tile_points(ns, args.depth)
-        for r in set(resolutions) - rasters.keys():
-            rasters[r] = tile.rasterize(box_cloud, r)
-        report = tile.boundary_boxdim([rasters[r] for r in resolutions])
+        report = tile.boundary_boxdim([rasters["coordinate", r] for r in boxdim])
         payload["boxdim"] = {
             "dimension": report.dimension,
             "residual": report.residual,
             "resolutions": list(report.resolutions),
             "counts": [int(c) for c in report.counts],
         }
-    csv = (None, (tuple(float(v) for v in row) for row in cloud.points))
+    points = tile.cloud_chunks(ns, args.depth, args.space)
+    csv = (None, (tuple(float(v) for v in row) for chunk in points for row in chunk))
     return _Artifact(payload, csv=csv, raster=raster, system_label=ns.encode())
 
 

@@ -8,6 +8,11 @@ space; when they tile it, as they do for every system with the
 finiteness property, the tile has Lebesgue measure exactly 1.  Other
 accepted digit sets give tiles of larger integer measure: base 3 with
 digits {0, 4, 8} gives the interval [0, 4].
+
+Clouds are streamed in chunks (cloud_chunks); tile_rasters bins them into
+every requested raster in one pass, over bounding boxes taken from the
+digits.  tile_points and rasterize, which hold a whole cloud, are the
+reference route.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .numeration import NumberSystem, coordinate_bound, embedding_radii
 
 SPACE_TAGS = ("coordinate", "embedding")
 LATTICE_BLOCK = 1 << 16  # cell centres rounded per vectorized step
-RASTER_BLOCK = 1 << 20  # cloud points binned per step; bounds the temporaries
+RASTER_BLOCK = 1 << 20  # cloud points per chunk or binning step; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,14 @@ def _embedding_matrix(ns: NumberSystem) -> np.ndarray:
     return np.array(rows)
 
 
-def tile_points(ns: NumberSystem, depth: int, space_tag: str = "coordinate") -> TileCloud:
-    """All Q^depth truncated tile points, in first-digit-major lexicographic order."""
+def _chart(ns: NumberSystem, space_tag: str):
+    """Right factor taking coordinate rows to space_tag rows (None: identity)."""
     if space_tag not in SPACE_TAGS:
         raise UsageError("space must be one of %s" % (SPACE_TAGS,))
+    return None if space_tag == "coordinate" else _embedding_matrix(ns).T
+
+
+def _check_cloud(ns: NumberSystem, depth: int) -> None:
     if depth < 0:
         raise UsageError("depth must be nonnegative")
     total = ns.Q**depth
@@ -106,19 +115,73 @@ def tile_points(ns: NumberSystem, depth: int, space_tag: str = "coordinate") -> 
         raise CapExceeded(
             "cloud of %d points exceeds cap %d" % (total, effective_cap(ENUM_CAP))
         )
-    d = ns.degree
+
+
+def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
+    """All Q^depth truncated tile points in first-digit-major order, streamed
+    in chunks of at most RASTER_BLOCK points; the cap is checked first.
+
+    The innermost digits form one base cloud; each chunk applies the outer
+    digits b_m, ..., b_1 to it in turn.  Each level is x -> M^{-1}(x + b)
+    on every row; x + b in Fortran order is faster and has the same bits.
+    """
+    chart = _chart(ns, space_tag)
+    _check_cloud(ns, depth)
     minv_t = _inverse_base_matrix(ns).T
     digits = np.array(ns.digits, dtype=np.float64)
-    pts = np.zeros((1, d))
+    inner = 0
+    while inner < depth and ns.Q ** (inner + 1) <= RASTER_BLOCK:
+        inner += 1
+    base = np.zeros((1, ns.degree))
+    for _ in range(inner):
+        base = np.concatenate([np.add(base, b, order="F") @ minv_t for b in digits])
+    for prefix in itertools.product(digits, repeat=depth - inner):
+        chunk = base
+        for b in reversed(prefix):
+            chunk = np.add(chunk, b, order="F") @ minv_t
+        yield chunk if chart is None else chunk @ chart
+
+
+def tile_points(ns: NumberSystem, depth: int, space_tag: str = "coordinate") -> TileCloud:
+    """All Q^depth truncated tile points, in first-digit-major lexicographic order."""
+    return TileCloud(depth, np.concatenate(list(cloud_chunks(ns, depth, space_tag))), space_tag)
+
+
+def _window(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Raster bbox ((lo, hi), ...); a degenerate axis is padded by half a unit."""
+    return tuple(
+        (a - 0.5, b + 0.5) if b - a <= 0.0 else (a, b) for a, b in zip(lo.tolist(), hi.tolist())
+    )
+
+
+def _cloud_window(ns: NumberSystem, depth: int, chart) -> tuple:
+    """Raster bbox of the depth-`depth` cloud from the digits alone: a point
+    is sum_j M^{-j} b_j with each b_j free, so an axis spans the sum over j
+    of [min_b, max_b] of that axis of (the charted) M^{-j} b.  Exact for
+    dyadic coordinates (c_0 = +-2), else within a few ulps of the cloud's
+    min and max; _bin clips a point beyond it into the edge cell.
+    """
+    minv_t = _inverse_base_matrix(ns).T
+    terms = np.array(ns.digits, dtype=np.float64)
+    lo = hi = np.zeros(ns.degree)
     for _ in range(depth):
-        n = len(pts)
-        out = np.empty((n * ns.Q, d))
-        for t in range(ns.Q):
-            np.matmul(pts + digits[t], minv_t, out=out[t * n : (t + 1) * n])
-        pts = out
-    if space_tag == "embedding":
-        pts = pts @ _embedding_matrix(ns).T
-    return TileCloud(depth, pts, space_tag)
+        terms = terms @ minv_t
+        axes = terms if chart is None else terms @ chart
+        lo, hi = lo + axes.min(axis=0), hi + axes.max(axis=0)
+    return _window(lo, hi)
+
+
+def _bin(points: np.ndarray, bbox: tuple, grids) -> None:
+    """Mark the cell clip(floor(v * res), 0, res - 1) of every point in each
+    grid, v = (y - lo) / (hi - lo).  Clipping before the truncation picks
+    the same cell and is cheaper; so is Fortran order for v."""
+    lo, hi = np.array(bbox).T
+    v = np.subtract(points, lo, order="F") / (hi - lo)
+    for occupancy in grids:
+        res = occupancy.shape[0]
+        scaled = v * res
+        np.clip(scaled, 0, res - 1, out=scaled)
+        occupancy[tuple(scaled.astype(np.int32 if res < 2**31 else np.int64).T)] = True
 
 
 def rasterize(cloud: TileCloud, resolution: int) -> Raster:
@@ -132,23 +195,28 @@ def rasterize(cloud: TileCloud, resolution: int) -> Raster:
     pts = cloud.points
     if len(pts) == 0:
         raise DomainError("cannot rasterize an empty cloud")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    flat = hi - lo <= 0.0
-    lo = np.where(flat, lo - 0.5, lo)
-    hi = np.where(flat, hi + 0.5, hi)
+    bbox = _window(pts.min(axis=0), pts.max(axis=0))
     occupancy = np.zeros((resolution,) * pts.shape[1], dtype=bool)
     for start in range(0, len(pts), RASTER_BLOCK):
-        idx = (pts[start : start + RASTER_BLOCK] - lo) / (hi - lo) * resolution
-        idx = np.clip(idx.astype(np.int64), 0, resolution - 1)
-        occupancy[tuple(idx.T)] = True
-    return Raster(
-        resolution,
-        tuple((float(a), float(b)) for a, b in zip(lo, hi)),
-        occupancy,
-        cloud.depth,
-        cloud.space_tag,
-    )
+        _bin(pts[start : start + RASTER_BLOCK], bbox, [occupancy])
+    return Raster(resolution, bbox, occupancy, cloud.depth, cloud.space_tag)
+
+
+def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
+    """Rasters of the depth-`depth` cloud for each (space_tag, resolution) in
+    `requests`, keyed by that pair: one streamed pass, bboxes from _cloud_window."""
+    requests = list(dict.fromkeys(requests))
+    charts = {space: _chart(ns, space) for space, _ in requests}
+    if any(res < 1 for _, res in requests):
+        raise UsageError("resolution must be positive")
+    _check_cloud(ns, depth)
+    bboxes = {space: _cloud_window(ns, depth, chart) for space, chart in charts.items()}
+    grids = {(space, res): np.zeros((res,) * ns.degree, dtype=bool) for space, res in requests}
+    for chunk in cloud_chunks(ns, depth):
+        for space, chart in charts.items():
+            _bin(chunk if chart is None else chunk @ chart, bboxes[space],
+                 [grid for key, grid in grids.items() if key[0] == space])
+    return {key: Raster(key[1], bboxes[key[0]], grid, depth, key[0]) for key, grid in grids.items()}
 
 
 def tile_radii(ns: NumberSystem, raster: Raster) -> RadiiReport:
@@ -198,7 +266,8 @@ def area_of(raster: Raster) -> float:
 
 def area_estimate(ns: NumberSystem, depth: int, resolution: int) -> float:
     """Occupied-cell area of the depth-truncated tile, coordinate units."""
-    return area_of(rasterize(tile_points(ns, depth), resolution))
+    key = ("coordinate", resolution)
+    return area_of(tile_rasters(ns, depth, [key])[key])
 
 
 def _lattice_bitmap(ns: NumberSystem, depth: int):
@@ -332,7 +401,8 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
 def unique_cover_fraction(
     ns: NumberSystem, depth: int, resolution: int, samples: int = 10**4, seed: int = 0
 ) -> float:
-    return cover_fraction(rasterize(tile_points(ns, depth), resolution), samples, seed)
+    key = ("coordinate", resolution)
+    return cover_fraction(tile_rasters(ns, depth, [key])[key], samples, seed)
 
 
 def boundary_cell_count(raster: Raster) -> int:

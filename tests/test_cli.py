@@ -7,11 +7,12 @@ import json
 
 import pytest
 
-from radixion import cli
+from radixion import cli, tile
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
 NEGABINARY = ("--poly", "2,1", "--digits", "0;1")
 ONE_PLUS_I = ("--poly", "2,-2,1", "--digits", "0,0;1,0")
+FIVE_A = ("--poly", "5,4,1", "--digits", "0,0;1,0;2,0;3,0;4,0")
 
 
 def run(capsysbinary, *argv):
@@ -61,6 +62,17 @@ def test_caps_exit_three(capsysbinary, monkeypatch):
     assert code == 3 and b"lam_max 120" in err
     monkeypatch.setenv("RADIXION_CAP", "10")
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
+
+
+def test_tile_cap_exits_three_before_streaming(capsysbinary, monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a chunk was generated")
+
+    monkeypatch.setattr(tile, "cloud_chunks", no_chunks)
+    monkeypatch.setenv("RADIXION_CAP", "1000")  # the cap stays in points
+    code, _, err = run(capsysbinary, "tile", *KNUTH, "--depth", "10")
+    assert code == 3
+    assert b"cloud of 1024 points exceeds cap 1000" in err
 
 
 def test_capped_fns_decision_keeps_tile_exit_zero(capsysbinary, monkeypatch):
@@ -149,6 +161,23 @@ def test_tile_pgm(capsysbinary):
     assert lines[2] == "# system 2,1|0;1"
     assert lines[3] == "64 1"
     assert pixels == b"\x00" * 64  # all cells occupied at this depth
+
+
+# sha256 of the whole `tile --depth 6 --format csv` artifact, one row per
+# point in first-digit-major order, as the one-array route wrote it
+TILE_CSV_SHA256 = {
+    KNUTH: "cc4c7646fadf8e6def559ce77cf7546ad23e6b5ac44c12ca54ebc97a89d659d9",
+    FIVE_A: "339a3b2891123860ca02b36db4916c02b00e0d675e8608cfb2d1b1ed4652f2e4",
+}
+
+
+@pytest.mark.parametrize("block", [tile.RASTER_BLOCK, 100])
+@pytest.mark.parametrize("system", list(TILE_CSV_SHA256))
+def test_tile_csv_golden(capsysbinary, monkeypatch, system, block):
+    monkeypatch.setattr(tile, "RASTER_BLOCK", block)  # 100: many streamed chunks
+    code, out, _ = run(capsysbinary, "tile", *system, "--depth", "6", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == TILE_CSV_SHA256[system]
 
 
 def test_primes_csv_rows(capsysbinary):

@@ -244,3 +244,135 @@ def test_boxdim_needs_three_resolutions(knuth):
     cloud = tile.tile_points(knuth, 10)
     with pytest.raises(UsageError):
         tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 512)])
+
+
+# -------------------------------------------------------- streamed clouds
+
+
+def doubling_cloud(ns, depth, space_tag="coordinate"):
+    """The whole cloud in one array, level by level: the one-pass route."""
+    minv_t = tile._inverse_base_matrix(ns).T
+    digits = np.array(ns.digits, dtype=np.float64)
+    pts = np.zeros((1, ns.degree))
+    for _ in range(depth):
+        pts = np.concatenate([(pts + b) @ minv_t for b in digits])
+    if space_tag == "embedding":
+        pts = pts @ tile._embedding_matrix(ns).T
+    return pts
+
+
+def cells_of(pts, lo, hi, resolution):
+    """Cell of every point, by the arithmetic rasterize has always used."""
+    idx = (pts - lo) / (hi - lo) * resolution
+    return np.clip(idx.astype(np.int64), 0, resolution - 1)
+
+
+def golden_and_random(request, names):
+    systems = [request.getfixturevalue(n) for n in names]
+    return systems + list(request.getfixturevalue("random_systems"))
+
+
+def stream_depth(ns):
+    """Smallest depth with 10^4 points or more."""
+    depth = 0
+    while ns.Q**depth < 10**4:
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("name,depth", [("five_a", 5), ("five_b", 5), ("knuth", 10)])
+@pytest.mark.parametrize("space", tile.SPACE_TAGS)
+def test_chunks_are_bit_identical_to_doubling(request, monkeypatch, name, depth, space):
+    ns = request.getfixturevalue(name)
+    whole = doubling_cloud(ns, depth, space)
+    monkeypatch.setattr(tile, "RASTER_BLOCK", 7)  # five-A: 625 chunks of 5 points
+    chunks = list(tile.cloud_chunks(ns, depth, space))
+    assert len(chunks) > 1 and max(len(c) for c in chunks) <= 7
+    assert np.array_equal(np.concatenate(chunks), whole)
+    assert np.array_equal(tile.tile_points(ns, depth, space).points, whole)
+
+
+@pytest.mark.parametrize("name", ["knuth", "negabinary"])
+@pytest.mark.parametrize("space", tile.SPACE_TAGS)
+def test_cloud_window_is_exact_on_dyadic_systems(request, name, space):
+    # c0 = +-2: every coordinate is dyadic, so the digit-wise sums are exact
+    ns = request.getfixturevalue(name)
+    chart = tile._chart(ns, space)
+    for depth in range(0, 13):
+        pts = tile.tile_points(ns, depth, space).points
+        bbox = tile._cloud_window(ns, depth, chart)
+        assert bbox == tile._window(pts.min(axis=0), pts.max(axis=0))
+
+
+def test_cloud_window_overshoot_lands_in_edge_cells(request):
+    overshoots = 0
+    for ns in golden_and_random(request, ["five_a", "five_b"]):
+        for space in tile.SPACE_TAGS:
+            chart = tile._chart(ns, space)
+            for depth in range(1, stream_depth(ns) + 1):
+                pts = tile.tile_points(ns, depth, space).points
+                lo, hi = np.array(tile._cloud_window(ns, depth, chart)).T
+                assert np.abs(lo - pts.min(axis=0)).max() <= 1e-12
+                assert np.abs(hi - pts.max(axis=0)).max() <= 1e-12
+                raster = tile.tile_rasters(ns, depth, [(space, 257)])[space, 257]
+                cells = cells_of(pts, lo, hi, 257)
+                low, high = pts < lo, pts > hi
+                assert (cells[low] == 0).all() and (cells[high] == 256).all()
+                assert raster.occupancy[tuple(cells[(low | high).any(axis=1)].T)].all()
+                overshoots += int(low.sum() + high.sum())
+    assert overshoots > 0  # the clause above is exercised
+
+
+@pytest.mark.parametrize("block", [tile.RASTER_BLOCK, 1000])
+def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block):
+    monkeypatch.setattr(tile, "RASTER_BLOCK", block)
+    resolutions = (1, 64, 100, 257)
+    for ns in golden_and_random(request, ["knuth", "negabinary", "five_a", "five_b"]):
+        exact = abs(ns.poly.coeffs[0]) == 2
+        depth = stream_depth(ns)
+        requests = [(s, r) for s in tile.SPACE_TAGS for r in resolutions]
+        streamed = tile.tile_rasters(ns, depth, requests)
+        assert set(streamed) == set(requests)
+        for space in tile.SPACE_TAGS:
+            pts = doubling_cloud(ns, depth, space)
+            for r in resolutions:
+                got, ref = streamed[space, r], tile.rasterize(TileCloud(depth, pts, space), r)
+                assert (got.resolution, got.depth, got.space_tag) == (r, depth, space)
+                # every point lands where the old arithmetic puts it in got's window
+                cells = np.zeros_like(got.occupancy)
+                cells[tuple(cells_of(pts, *np.array(got.bbox).T, r).T)] = True
+                assert np.array_equal(got.occupancy, cells)
+                if exact:
+                    assert got.bbox == ref.bbox
+                    assert np.array_equal(got.occupancy, ref.occupancy)
+                else:
+                    # a point on a cell edge, common with rational coordinates,
+                    # may change cell when the window moves by an ulp
+                    assert np.allclose(got.bbox, ref.bbox, rtol=0, atol=1e-12)
+                    n_got, n_ref = int(got.occupancy.sum()), int(ref.occupancy.sum())
+                    assert abs(n_got - n_ref) <= 1e-3 * n_ref
+
+
+def test_streamed_raster_of_depth_zero(knuth, negabinary):
+    for ns in (knuth, negabinary):
+        for space in tile.SPACE_TAGS:
+            got = tile.tile_rasters(ns, 0, [(space, 8)])[space, 8]
+            ref = tile.rasterize(tile.tile_points(ns, 0, space), 8)
+            assert got.bbox == ref.bbox == ((-0.5, 0.5),) * ns.degree
+            assert np.array_equal(got.occupancy, ref.occupancy)
+            assert int(got.occupancy.sum()) == 1
+
+
+def test_streamed_rasters_validate_before_streaming(knuth, monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a chunk was generated")
+
+    monkeypatch.setattr(tile, "cloud_chunks", no_chunks)
+    with pytest.raises(UsageError):
+        tile.tile_rasters(knuth, 4, [("polar", 8)])
+    with pytest.raises(UsageError):
+        tile.tile_rasters(knuth, 4, [("coordinate", 0)])
+    with pytest.raises(UsageError):
+        tile.tile_rasters(knuth, -1, [("coordinate", 8)])
+    with pytest.raises(CapExceeded, match="cloud of 1073741824 points"):
+        tile.tile_rasters(knuth, 30, [("coordinate", 8)])
