@@ -10,6 +10,7 @@ is the finite-scale signature of equidistribution modulo 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, bulk
-from .algebra import MinimalPolynomial
+from .algebra import MinimalPolynomial, _poly_eval
 from .caps import ENUM_CAP, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, enumerate_N
@@ -25,6 +26,7 @@ from .numeration import NumberSystem, enumerate_N
 TWO_PI = 2.0 * math.pi
 DEFAULT_GRANULARITY = 64  # contiguous reduction blocks per sum
 PRIME_DIVISOR_CAP = 1 << 32
+NORM_DIRECTIONS = 64  # support directions behind the sieve's norm bound
 LOG_FLOOR = 1e-300
 # Largest rounding bound, in turns, on one position phase of fourier_decay.
 # Under the default cap no golden system exceeds 2^-29 (negabinary at
@@ -64,6 +66,7 @@ def _is_prime_u64(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)  # prime_mask asks again for every row block
 def _poly_has_root_mod(coeffs, ell: int) -> bool:
     for r in range(ell):
         acc = 0
@@ -123,20 +126,65 @@ def _prime_sieve(n: int) -> np.ndarray:
     return sieve
 
 
-def prime_mask(ns: NumberSystem, coords) -> np.ndarray:
-    """Vectorized prime verdicts (split or inert) for rows of coordinates."""
+def _sieve(ns: NumberSystem, magnitudes, top, where: str) -> np.ndarray:
+    """Sieve up to `top` (None: the norm bound from `magnitudes`) for rows
+    with |coordinate k| <= magnitudes[k].  Checked before allocation: that
+    the int64 norm a^2 - c1 ab + c0 b^2 cannot wrap, and the sieve's bytes,
+    against the cap at the 8 * d bytes of a table row's coordinates."""
+    c, widest = ns.poly.coeffs, magnitudes[0]
+    if ns.degree == 2:
+        a, b = magnitudes
+        widest = a * a + abs(c[1]) * a * b + abs(c[0]) * b * b
+    if widest >= bulk.INT64_GUARD:
+        raise DomainError("norms over %s can reach %d, beyond the int64 budget" % (where, widest))
+    top = widest if top is None else top
+    if top + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
+        raise CapExceeded("prime sieve of %d bytes for %s exceeds the memory of a %d-element"
+                          " table" % (top + 1, where, effective_cap(ENUM_CAP)))
+    return _prime_sieve(top)
+
+
+def _norm_bound(ns: NumberSystem, lam: int) -> int:
+    """An upper bound on |N(n)| over N_lam, within 0.5% of the maximum for
+    a complex quadratic base.  |N(n)| is the product over the embeddings
+    sigma of |sigma(n)|; the largest |sigma(n)| is the support of
+    sigma(N_lam) in its best direction, the sum over positions j of the
+    best term sigma(q^j b).  K directions miss it by at most pi / K."""
+    directions = np.exp(-2j * math.pi * np.arange(NORM_DIRECTIONS) / NORM_DIRECTIONS)
+    bound = 1.0
+    for z in ns.poly.embeddings().roots:
+        terms = np.array([[_poly_eval(b, z) * z**j for b in ns.digits] for j in range(lam)])
+        support = (terms.reshape(lam, ns.Q, 1) * directions).real.max(axis=1).sum(axis=0)
+        bound *= max(float(support.max()), 0.0) / math.cos(math.pi / NORM_DIRECTIONS)
+    return int(bound * (1 + 1e-9)) + 1
+
+
+def prime_sieve(ns: NumberSystem, lam: int) -> np.ndarray:
+    """One sieve that serves prime_mask on every row of N_lam."""
+    if ns.degree > 2:
+        raise UsageError("prime enumeration supports degree <= 2 only")
+    lo, hi = bulk.coordinate_ranges(ns, lam)
+    magnitudes = [max(-a, b) for a, b in zip(lo, hi)]
+    return _sieve(ns, magnitudes, _norm_bound(ns, lam), "lambda %d" % lam)
+
+
+def prime_mask(ns: NumberSystem, coords, sieve: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized prime verdicts (split or inert) for rows of coordinates.
+    `sieve` (prime_sieve) must reach every |norm|; by default one is sized
+    from the largest coordinates of these rows."""
     m = ns.poly
     if m.degree > 2:
         raise UsageError("prime enumeration supports degree <= 2 only")
     c = m.coeffs
     coords = np.asarray(coords, dtype=np.int64)
+    if sieve is None:
+        sieve = _sieve(ns, [int(np.abs(v).max(initial=0)) for v in coords.T], None, "these rows")
     a = coords[:, 0]
     if m.degree == 1:
         absnorm = np.abs(a)
     else:
         b = coords[:, 1]
         absnorm = np.abs(a * a - c[1] * a * b + c[0] * b * b)
-    sieve = _prime_sieve(int(absnorm.max(initial=2)))
     mask = sieve[absnorm]
     if m.degree == 2:
         root = np.rint(np.sqrt(absnorm.astype(np.float64))).astype(np.int64)
@@ -150,6 +198,13 @@ def prime_mask(ns: NumberSystem, coords) -> np.ndarray:
                     inert &= root != ell
             mask |= inert
     return mask
+
+
+def prime_rows(ns: NumberSystem, lam: int) -> np.ndarray:
+    """The prime elements of N_lam in enumeration order, block by block."""
+    blocks = bulk.row_blocks(ns, lam)
+    sieve = prime_sieve(ns, lam)
+    return np.concatenate([b.coords[prime_mask(ns, b.coords, sieve=sieve)] for b in blocks])
 
 
 # ------------------------------------------------------------ linear forms
@@ -322,19 +377,29 @@ def weyl_sum(
 
     The sum is reduced over `granularity` contiguous row blocks added in
     ascending order, so the granularity fixes the summation order and
-    with it the bits of the result.
+    with it the bits of the result.  Each block is built, filtered and
+    summed on its own (bulk.row_blocks), or sliced from `table`.
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
-    if table is None or table.lam != lam:
-        table = bulk.digit_table(ns, lam)
-    values = _phase_values(ns, fn, phase, table)
-    mask = prime_mask(ns, table.coords) if filter == "primes" else None
-    phases = np.exp((TWO_PI * h) * 1j * values)
-    count = len(values) if mask is None else int(mask.sum())
-    total = 0j
-    for idx in np.array_split(np.arange(len(values)), min(granularity, len(values))):
-        z = phases[idx] if mask is None else phases[idx][mask[idx]]
+    total_rows = ns.Q ** max(lam, 0)  # row_blocks rejects lam < 0
+    parts = min(granularity, total_rows)  # np.array_split's ranges, without its index array
+    if parts < 1:
+        raise UsageError("granularity must be positive")
+    size, extra = divmod(total_rows, parts)
+    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    if table is not None and table.lam == lam:
+        blocks = (table.rows(start, stop) for start, stop in ranges)
+    else:
+        blocks = bulk.row_blocks(ns, lam, ranges)
+    sieve = prime_sieve(ns, lam) if filter == "primes" else None
+    count, total = 0, 0j
+    for block in blocks:
+        z = np.exp((TWO_PI * h) * 1j * _phase_values(ns, fn, phase, block))
+        if sieve is not None:
+            z = z[prime_mask(ns, block.coords, sieve=sieve)]
+        count += len(z)
         total += complex(z.sum())
     normalized = abs(total) / count if count else 0.0
     return WeylRow(

@@ -1,42 +1,39 @@
 """Vectorized tables over the length-bounded element sets N_lambda.
 
-Rows follow the canonical enumeration order of numeration.enumerate_N:
-row i holds the element whose digit index in position j is
+Row i of N_lambda holds the element whose digit index in position j is
 (i // Q^j) % Q, so a fixed block of top digits is one contiguous row
-range.  Tables are assembled by a meet-in-the-middle merge of two
-half-length tables, which also carries the digit statistics (digit sum,
-adjacent nonzero pairs) without re-expanding any element.
+range.  row_blocks is the one enumeration: it yields the rows of any
+[start, stop) ranges from one low table of the bottom positions (at most
+LOW_ROWS rows) plus q^low times the rows of the top positions.  That is
+exact integer arithmetic, so every split gives the same rows;
+digit_table is the one-block case.  The two tables are built by a
+meet-in-the-middle merge of shorter tables, which also carries the digit
+statistics (digit sum, adjacent nonzero pairs) without re-expanding any
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import algebra
 from .caps import ENUM_CAP, effective_cap
-from .errors import CapExceeded
-from .numeration import NumberSystem
+from .errors import CapExceeded, UsageError
+
+if TYPE_CHECKING:
+    from .numeration import NumberSystem
 
 INT64_GUARD = 1 << 60
-
-
-def _int_matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+LOW_ROWS = 1 << 16  # most rows in the low table behind row_blocks
+ROW_BLOCK = 1 << 16  # rows per block when N_lambda is streamed whole
 
 
 def q_power_matrix(m: algebra.MinimalPolynomial, k: int) -> np.ndarray:
     """Exact int64 matrix of multiplication by q^k over the power basis."""
-    d = m.degree
-    acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    base = [list(row) for row in algebra.mult_matrix(m, algebra.q_element(m))]
-    for _ in range(k):
-        acc = _int_matmul(acc, base)
+    acc = algebra.mult_matrix(m, algebra.q_power(m, k))
     if any(abs(v) >= INT64_GUARD for row in acc for v in row):
         raise CapExceeded("power matrix q^%d overflows the int64 budget" % k)
     return np.array(acc, dtype=np.int64)
@@ -47,25 +44,72 @@ def u_matrix(m: algebra.MinimalPolynomial) -> np.ndarray:
     return np.array(algebra.mult_matrix(m, algebra.u_element(m)), dtype=np.int64)
 
 
+def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
+    """Exact (lo, hi) lists per coordinate over N_lam: each position takes
+    every digit, so coordinate i spans the sum over positions j of
+    [min_b, max_b] of coordinate i of q^j b, both ends attained."""
+    lo, hi = [0] * ns.degree, [0] * ns.degree
+    layer = ns.digits
+    for _ in range(lam):
+        lo = [v + min(b[i] for b in layer) for i, v in enumerate(lo)]
+        hi = [v + max(b[i] for b in layer) for i, v in enumerate(hi)]
+        layer = [algebra.mul_by_q(ns.poly, b) for b in layer]
+    return lo, hi
+
+
+def block_ranges(total: int, size: int) -> list:
+    """[start, stop) ranges of at most `size` rows covering range(total)."""
+    return [(start, min(start + size, total)) for start in range(0, total, size)]
+
+
+def low_positions(ns: NumberSystem, lam: int) -> int:
+    """Positions in row_blocks' low table: the most, up to lam, within LOW_ROWS rows."""
+    low = 0
+    while low < lam and ns.Q ** (low + 1) <= LOW_ROWS:
+        low += 1
+    return low
+
+
 @dataclass(frozen=True)
 class DigitTable:
-    """Digit-string statistics for every element of N_lam, row-aligned."""
+    """Digit-string statistics for rows of N_lam, row-aligned."""
 
     lam: int
-    coords: np.ndarray  # (Q^lam, d) element values
-    s_coords: np.ndarray  # (Q^lam, d) digit-sum elements
-    r: np.ndarray  # (Q^lam,) adjacent nonzero-digit pair counts
-    low_nz: np.ndarray  # (Q^lam,) digit in position 0 is nonzero
-    top_nz: np.ndarray  # (Q^lam,) digit in position lam-1 is nonzero
+    coords: np.ndarray  # (rows, d) element values
+    s_coords: np.ndarray  # (rows, d) digit-sum elements
+    r: np.ndarray  # (rows,) adjacent nonzero-digit pair counts
+    low_nz: np.ndarray  # (rows,) digit in position 0 is nonzero
+    top_nz: np.ndarray  # (rows,) digit in position lam-1 is nonzero
+
+    def rows(self, start: int, stop: int) -> DigitTable:
+        return DigitTable(self.lam, self.coords[start:stop], self.s_coords[start:stop],
+                          self.r[start:stop], self.low_nz[start:stop], self.top_nz[start:stop])
 
 
-def digit_table(ns: NumberSystem, lam: int) -> DigitTable:
+def row_blocks(ns: NumberSystem, lam: int, ranges=None):
+    """The rows [start, stop) of N_lam for each range (default: blocks of
+    ROW_BLOCK rows in order), as a generator of DigitTables.  The cap (in
+    elements) and the int64 range of the coordinates are checked first."""
+    if lam < 0:
+        raise UsageError("expansion length must be nonnegative")
     total = ns.Q**lam
     if total > effective_cap(ENUM_CAP):
         raise CapExceeded(
             "table of %d elements exceeds cap %d" % (total, effective_cap(ENUM_CAP))
         )
-    return _build_table(ns, lam)
+    widest = max(max(-a, b) for a, b in zip(*coordinate_ranges(ns, lam)))
+    if widest >= INT64_GUARD:
+        raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
+    low = _build_table(ns, low_positions(ns, lam))
+    high = _build_table(ns, lam - low.lam)
+    offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
+    ranges = block_ranges(total, ROW_BLOCK) if ranges is None else ranges
+    return (_combine(low, high, offsets, start, stop) for start, stop in ranges)
+
+
+def digit_table(ns: NumberSystem, lam: int) -> DigitTable:
+    """All Q^lam rows of N_lam in one table."""
+    return next(row_blocks(ns, lam, [(0, ns.Q ** max(lam, 0))]))
 
 
 def _base_table(ns: NumberSystem, lam: int) -> DigitTable:
@@ -84,28 +128,44 @@ def _base_table(ns: NumberSystem, lam: int) -> DigitTable:
 def _build_table(ns: NumberSystem, lam: int) -> DigitTable:
     if lam <= 1:
         return _base_table(ns, lam)
-    low = _build_table(ns, lam // 2)
-    high = _build_table(ns, lam - lam // 2)
-    return _combine(ns, low, high)
+    low, high = _build_table(ns, lam - lam // 2), _build_table(ns, lam // 2)
+    offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
+    return _combine(low, high, offsets, 0, len(low.r) * len(high.r))
 
 
-def _combine(ns: NumberSystem, low: DigitTable, high: DigitTable) -> DigitTable:
-    shift = q_power_matrix(ns.poly, low.lam)
-    n_low = len(low.r)
-    n_high = len(high.r)
-    coords = np.repeat(high.coords @ shift.T, n_low, axis=0)
-    coords += np.tile(low.coords, (n_high, 1))
-    s_coords = np.repeat(high.s_coords, n_low, axis=0)
-    s_coords += np.tile(low.s_coords, (n_high, 1))
-    # the only new adjacent pair straddles the seam between the halves
-    seam = np.repeat(high.low_nz, n_low) & np.tile(low.top_nz, n_high)
-    r = np.repeat(high.r, n_low) + np.tile(low.r, n_high) + seam
-    return DigitTable(
-        low.lam + high.lam,
-        coords,
-        s_coords,
-        r,
-        np.tile(low.low_nz, n_high),
-        np.repeat(high.top_nz, n_low),
-    )
+def _combine(low: DigitTable, high: DigitTable, offsets, start: int, stop: int) -> DigitTable:
+    """Rows [start, stop) of high over low: row h * |low| + l is low row l
+    plus offsets[h], the value of high row h shifted up by low.lam."""
+    n_low, n = len(low.r), max(stop - start, 0)
+    coords = np.empty((n, low.coords.shape[1]), np.int64)
+    s_coords = np.empty_like(coords)
+    r = np.empty(n, np.int64)
+    low_nz, top_nz = np.empty(n, bool), np.empty(n, bool)
+    pos = 0
+    for h in range(start // n_low, -(-stop // n_low)):
+        a, b = max(start - h * n_low, 0), min(stop - h * n_low, n_low)
+        out, pos = slice(pos, pos + b - a), pos + b - a
+        for k in range(coords.shape[1]):  # column by column: a short row broadcasts slowly
+            np.add(low.coords[a:b, k], offsets[h, k], out=coords[out, k])
+            np.add(low.s_coords[a:b, k], high.s_coords[h, k], out=s_coords[out, k])
+        np.add(low.r[a:b], high.r[h], out=r[out])
+        if high.low_nz[h]:  # the only new adjacent pair straddles the seam
+            r[out] += low.top_nz[a:b]
+        low_nz[out] = low.low_nz[a:b] if low.lam else high.low_nz[h]
+        top_nz[out] = high.top_nz[h] if high.lam else low.top_nz[a:b]
+    return DigitTable(low.lam + high.lam, coords, s_coords, r, low_nz, top_nz)
 
+
+def count_rows(ns: NumberSystem, lam: int) -> tuple:
+    """(rows, distinct elements) of N_lam: each row is encoded as one int64
+    key over the box of its exact coordinate ranges, and the keys sorted."""
+    lo, hi = coordinate_ranges(ns, lam)
+    place = [1]
+    for a, b in zip(lo[:0:-1], hi[:0:-1]):
+        place.insert(0, place[0] * (b - a + 1))
+    span = place[0] * (hi[0] - lo[0] + 1)
+    if span >= INT64_GUARD:
+        raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
+    keys = np.concatenate([(b.coords - lo) @ place for b in row_blocks(ns, lam)])
+    keys.sort()
+    return len(keys), int(np.count_nonzero(np.diff(keys))) + 1

@@ -29,6 +29,8 @@ from .numeration import NumberSystem
 
 # ------------------------------------------------------- deterministic text
 
+CSV_ROWS = 1 << 16  # array rows rendered per step
+
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
@@ -108,13 +110,20 @@ def _cell(v) -> str:
 
 
 def _csv_bytes(csv_spec) -> bytes:
-    header, rows = csv_spec
-    lines = []
-    if header:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    """Header line, then every block of rows, CSV_ROWS at a time: a list of
+    row tuples cell by cell, a numeric array by one %-format per step (with
+    -0.0 written as 0.0, as _fmt_float does)."""
+    header, blocks = csv_spec
+    parts = [(",".join(header) + "\n").encode("ascii")] if header else []
+    for block in blocks:
+        for part in (block[i : i + CSV_ROWS] for i in range(0, len(block), CSV_ROWS)):
+            if isinstance(part, np.ndarray):
+                line = ",".join(["%.12f" if part.dtype.kind == "f" else "%d"] * part.shape[1])
+                text = ((line + "\n") * len(part)) % tuple((part + 0).ravel().tolist())
+            else:
+                text = "".join(",".join(_cell(v) for v in row) + "\n" for row in part)
+            parts.append(text.encode("ascii"))
+    return b"".join(parts) or b"\n"
 
 
 def _pgm_bytes(raster: tile.Raster, system_label: str) -> bytes:
@@ -157,7 +166,7 @@ class _Artifact:
     payload: dict | None
     exit_code: int = 0
     note: str | None = None  # human line for nonzero exits
-    csv: tuple | None = None  # (header tuple or None, row iterable)
+    csv: tuple | None = None  # (header tuple or None, blocks: row lists or arrays)
     raster: tile.Raster | None = None
     system_label: str | None = None
     dot: str | None = None
@@ -282,12 +291,8 @@ def _cmd_expand(args) -> _Artifact:
         }
     if args.enumerate is not None:
         acted = True
-        elems = list(numeration.enumerate_N(ns, args.enumerate))
-        payload["enumeration"] = {
-            "lambda": args.enumerate,
-            "count": len(elems),
-            "distinct": len(set(elems)),
-        }
+        count, distinct = bulk.count_rows(ns, args.enumerate)
+        payload["enumeration"] = {"lambda": args.enumerate, "count": count, "distinct": distinct}
     if not acted:
         raise UsageError("expand needs --element, --box, or --enumerate")
     return _Artifact(payload)
@@ -331,7 +336,7 @@ def _cmd_census(args) -> _Artifact:
         count = carry.carry_census(ns, args.mu, args.nu, rho)
         rows.append({"rho": rho, "count": int(count)})
     payload = {"system": ns.encode(), "mu": args.mu, "nu": args.nu, "rows": rows}
-    csv = (("rho", "count"), [(r["rho"], r["count"]) for r in rows])
+    csv = (("rho", "count"), [[(r["rho"], r["count"]) for r in rows]])
     return _Artifact(payload, csv=csv)
 
 
@@ -399,8 +404,7 @@ def _cmd_tile(args) -> _Artifact:
             "resolutions": list(report.resolutions),
             "counts": [int(c) for c in report.counts],
         }
-    points = tile.cloud_chunks(ns, args.depth, args.space)
-    csv = (None, (tuple(float(v) for v in row) for chunk in points for row in chunk))
+    csv = (None, tile.cloud_chunks(ns, args.depth, args.space))
     return _Artifact(payload, csv=csv, raster=raster, system_label=ns.encode())
 
 
@@ -470,7 +474,7 @@ def _cmd_weyl(args) -> _Artifact:
     ]
     csv = (
         ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized"),
-        [(r.lam, r.h, r.filter, r.count, r.re_sum, r.im_sum, r.normalized) for r in rows],
+        [[(r.lam, r.h, r.filter, r.count, r.re_sum, r.im_sum, r.normalized) for r in rows]],
     )
     return _Artifact(payload, csv=csv)
 
@@ -503,7 +507,7 @@ def _cmd_fourier_decay(args) -> _Artifact:
     }
     csv = (
         ("lambda", "samples", "max_logq", "gamma_emp"),
-        [(r.lam, r.samples, r.max_logq, r.gamma_emp) for r in report.rows],
+        [[(r.lam, r.samples, r.max_logq, r.gamma_emp) for r in report.rows]],
     )
     return _Artifact(payload, csv=csv)
 
@@ -511,11 +515,9 @@ def _cmd_fourier_decay(args) -> _Artifact:
 def _cmd_primes(args) -> _Artifact:
     _require_format(args, ("json", "csv"))
     ns = _number_system(args)
-    table = bulk.digit_table(ns, args.lam)
-    mask = analysis.prime_mask(ns, table.coords)
-    payload = {"system": ns.encode(), "lambda": args.lam, "count": int(mask.sum())}
-    csv = (None, (tuple(int(v) for v in row) for row in table.coords[mask]))
-    return _Artifact(payload, csv=csv)
+    primes = analysis.prime_rows(ns, args.lam)
+    payload = {"system": ns.encode(), "lambda": args.lam, "count": len(primes)}
+    return _Artifact(payload, csv=(None, [primes]))
 
 
 def _cmd_distortion(args) -> _Artifact:

@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import algebra
+from . import algebra, bulk
 from .algebra import FieldElement, MinimalPolynomial, _poly_eval
-from .caps import ENUM_CAP, FNS_BOX_CAP, effective_cap
+from .caps import FNS_BOX_CAP, effective_cap
 from .errors import CapExceeded, CycleDetected, DomainError, UsageError
 
 FNS_BOX_SLACK = 1.5  # coordinate box inflation over the attractor ball
@@ -258,49 +258,12 @@ def is_fns(ns: NumberSystem) -> FnsVerdict:
 
 
 def enumerate_N(ns: NumberSystem, lam: int):
-    """Stream the Q^lam values with expansions of length <= lam.
-
-    Element i carries digit index (i // Q^j) % Q in position j, so a
-    fixed top digit corresponds to one contiguous block of indices.
-    Runs in O(lam) memory via delta updates of an odometer.
-    """
-    if lam < 0:
-        raise UsageError("expansion length must be nonnegative")
-    total = ns.Q**lam
-    if total > effective_cap(ENUM_CAP):
-        raise CapExceeded(
-            "enumeration of %d elements exceeds cap %d"
-            % (total, effective_cap(ENUM_CAP))
-        )
-    return _enumerate_inner(ns, lam, total)
-
-
-def _enumerate_inner(ns: NumberSystem, lam: int, total: int):
-    m = ns.poly
-    d, big_q = ns.degree, ns.Q
-    # contrib[j][t] = coordinates of digit t shifted into position j
-    contrib = []
-    shifted = list(ns.digits)
-    for _ in range(lam):
-        contrib.append(tuple(shifted))
-        shifted = [algebra.mul_by_q(m, b) for b in shifted]
-    counters = [0] * lam
-    cur = [0] * d
-    for j in range(lam):
-        for k in range(d):
-            cur[k] += contrib[j][0][k]
-    yield tuple(cur)
-    for _ in range(total - 1):
-        j = 0
-        while counters[j] == big_q - 1:
-            for k in range(d):
-                cur[k] += contrib[j][0][k] - contrib[j][big_q - 1][k]
-            counters[j] = 0
-            j += 1
-        for k in range(d):
-            cur[k] += contrib[j][counters[j] + 1][k] - contrib[j][counters[j]][k]
-        counters[j] += 1
-        yield tuple(cur)
+    """Stream the Q^lam values with expansions of length <= lam, read from
+    bulk.row_blocks: element i carries digit index (i // Q^j) % Q in
+    position j, so a fixed top digit is one contiguous block of indices.
+    The length and the cap are checked when called."""
+    blocks = bulk.row_blocks(ns, lam)
+    return (tuple(row) for block in blocks for row in block.coords.tolist())
 
 
 def sum_of_digits(ns: NumberSystem, x: FieldElement) -> FieldElement:

@@ -9,10 +9,15 @@ finiteness property, the tile has Lebesgue measure exactly 1.  Other
 accepted digit sets give tiles of larger integer measure: base 3 with
 digits {0, 4, 8} gives the interval [0, 4].
 
-Clouds are streamed in chunks (cloud_chunks); tile_rasters bins them into
-every requested raster in one pass, over bounding boxes taken from the
-digits.  tile_points and rasterize, which hold a whole cloud, are the
-reference route.
+The depth-k point of the digit string b_1 ... b_k is q^{-k} n, n the
+element of N_k with top digit b_1, so clouds are streamed in chunks
+mapped from the integer row blocks of N_k (bulk.row_blocks) by one
+exact step: an integer numerator, exact in float64, and one correctly
+rounded division (cloud_chunks).  tile_rasters bins them into every
+requested raster in one pass, over bounding boxes taken from the digits.
+tile_points and rasterize, which hold a whole cloud, are the reference
+route.  The lattice area reads N_k from one bitmap built from the same
+row blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .numeration import NumberSystem, coordinate_bound, embedding_radii
 
 SPACE_TAGS = ("coordinate", "embedding")
 LATTICE_BLOCK = 1 << 16  # cell centres rounded per vectorized step
-RASTER_BLOCK = 1 << 20  # cloud points per chunk or binning step; bounds the temporaries
+RASTER_BLOCK = 1 << 20  # most cloud points per chunk or binning step; bounds the temporaries
+FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 
 
 @dataclass(frozen=True)
@@ -119,26 +125,31 @@ def _check_cloud(ns: NumberSystem, depth: int) -> None:
 
 def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
     """All Q^depth truncated tile points in first-digit-major order, streamed
-    in chunks of at most RASTER_BLOCK points; the cap is checked first.
+    in chunks of at most RASTER_BLOCK (and bulk.ROW_BLOCK) points; the cap
+    is checked first.
 
-    The innermost digits form one base cloud; each chunk applies the outer
-    digits b_m, ..., b_1 to it in turn.  Each level is x -> M^{-1}(x + b)
-    on every row; x + b in Fortran order is faster and has the same bits.
+    The point of the digit string b_1 ... b_k is sum_j q^{-j} b_j = q^{-k} n,
+    n the row of N_k with top digit b_1.  With u = c_0 / q that is
+    (n @ (U^k)^T) / c_0^k: an integer numerator and c_0^k, both checked to
+    be exact in float64, and one correctly rounded division.
     """
     chart = _chart(ns, space_tag)
     _check_cloud(ns, depth)
-    minv_t = _inverse_base_matrix(ns).T
-    digits = np.array(ns.digits, dtype=np.float64)
-    inner = 0
-    while inner < depth and ns.Q ** (inner + 1) <= RASTER_BLOCK:
-        inner += 1
-    base = np.zeros((1, ns.degree))
-    for _ in range(inner):
-        base = np.concatenate([np.add(base, b, order="F") @ minv_t for b in digits])
-    for prefix in itertools.product(digits, repeat=depth - inner):
-        chunk = base
-        for b in reversed(prefix):
-            chunk = np.add(chunk, b, order="F") @ minv_t
+    uk = algebra.q_power(ns.poly, 0)
+    for _ in range(depth):
+        uk = algebra.mul(ns.poly, uk, algebra.u_element(ns.poly))
+    power = algebra.mult_matrix(ns.poly, uk)
+    lo, hi = bulk.coordinate_ranges(ns, depth)
+    widest = max(sum(abs(u) * max(-a, b) for u, a, b in zip(row, lo, hi)) for row in power)
+    denom = ns.poly.coeffs[0] ** depth
+    if widest >= FLOAT_EXACT or float(denom) != denom:
+        raise DomainError("at depth %d the cloud numerators reach %d and c0^%d is %d; not exact"
+                          " in float64" % (depth, widest, depth, denom))
+    scale_t = np.array(power, dtype=np.float64).T
+    size = min(RASTER_BLOCK, bulk.ROW_BLOCK)
+    for block in bulk.row_blocks(ns, depth, bulk.block_ranges(ns.Q**depth, size)):
+        chunk = block.coords.astype(np.float64) @ scale_t  # integers, exact
+        chunk /= denom
         yield chunk if chart is None else chunk @ chart
 
 
@@ -274,40 +285,32 @@ def _lattice_bitmap(ns: NumberSystem, depth: int):
     """Indicator of N_depth over the box of its exact coordinate ranges.
 
     Returns (lo, bitmap) with bitmap[z - lo] true exactly when z lies in
-    N_depth.  Since N_{j+1} = N_j + q^j D, each level ORs Q shifted
-    copies of the previous bitmap.  The box is sized before anything is
-    allocated; its one byte per lattice point is charged against the
-    cloud cap at the 8 * d bytes a cloud point costs.
+    N_depth.  Rows sharing their digits above position m form translates
+    of N_m, so the bits of the first such block are set once and ORed in
+    at the first row of every other block.  The box is sized before
+    anything is allocated; its one byte per lattice point is charged
+    against the cloud cap at the 8 * d bytes a cloud point costs.
     """
-    d = ns.degree
-    layers = []
-    bounds = [((0,) * d, (0,) * d)]  # (lo, hi) of N_0, N_1, ...
-    layer = list(ns.digits)
-    for _ in range(depth):
-        lo, hi = bounds[-1]
-        bounds.append((
-            tuple(lo[i] + min(b[i] for b in layer) for i in range(d)),
-            tuple(hi[i] + max(b[i] for b in layer) for i in range(d)),
-        ))
-        layers.append(layer)
-        layer = [algebra.mul_by_q(ns.poly, b) for b in layer]
-    lo, hi = bounds[-1]
-    cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    if cells > effective_cap(ENUM_CAP) * 8 * d:
+    lo, hi = bulk.coordinate_ranges(ns, depth)
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    cells = math.prod(shape)
+    if cells > effective_cap(ENUM_CAP) * 8 * ns.degree:
         raise CapExceeded(
             "lattice bitmap of %d cells at depth %d exceeds the memory of a"
             " %d-point cloud" % (cells, depth, effective_cap(ENUM_CAP))
         )
-    bitmap = np.ones((1,) * d, dtype=bool)
-    for layer, (prev_lo, _), (lo, hi) in zip(layers, bounds, bounds[1:]):
-        out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=bool)
-        for b in layer:
-            out[tuple(
-                slice(p + c - l, p + c - l + n)
-                for p, c, l, n in zip(prev_lo, b, lo, bitmap.shape)
-            )] |= bitmap
-        bitmap = out
-    return np.array(lo, dtype=np.int64), bitmap
+    size = ns.Q ** bulk.low_positions(ns, depth)
+    ranges = [(0, size)] + [(h, h + 1) for h in range(size, ns.Q**depth, size)]
+    blocks = bulk.row_blocks(ns, depth, ranges)
+    first = next(blocks).coords
+    corner = first.min(axis=0)
+    block = np.zeros(tuple(first.max(axis=0) - corner + 1), dtype=bool)
+    block[tuple((first - corner).T)] = True
+    lo, bitmap = np.array(lo, dtype=np.int64), np.zeros(shape, dtype=bool)
+    for row in itertools.chain([first[0]], (b.coords[0] for b in blocks)):
+        at = row - first[0] + corner - lo
+        bitmap[tuple(slice(a, a + n) for a, n in zip(at, block.shape))] |= block
+    return lo, bitmap
 
 
 def lattice_area(ns: NumberSystem, raster: Raster) -> float:

@@ -69,6 +69,64 @@ def test_prime_mask_matches_scalar(knuth, five_a):
             assert bool(hit) == (kind in analysis.PRIME_KINDS)
 
 
+def test_prime_counts_at_lambda_22_and_24(knuth):
+    assert len(analysis.prime_rows(knuth, 22)) == 399222
+    assert len(analysis.prime_rows(knuth, 24)) == 1449036
+
+
+def test_prime_rows_match_one_mask(request, monkeypatch):
+    monkeypatch.setattr(bulk, "ROW_BLOCK", 100)
+    for ns in [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]:
+        lam = 1
+        while ns.Q ** (lam + 1) <= 3000:
+            lam += 1
+        coords = bulk.digit_table(ns, lam).coords
+        assert np.array_equal(analysis.prime_rows(ns, lam), coords[analysis.prime_mask(ns, coords)])
+
+
+def max_abs_norm(ns, lam):
+    coords = bulk.digit_table(ns, lam).coords.astype(object)
+    return max(abs(algebra.norm(ns.poly, tuple(row))) for row in coords.tolist())
+
+
+def test_norm_bound_covers_the_maximum(request, random_systems):
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    for ns in golden + list(random_systems):
+        for lam in (0, 1, 2, 5):
+            true = max_abs_norm(ns, lam)
+            bound = analysis._norm_bound(ns, lam)
+            assert true <= bound
+            if ns.degree == 2 and ns.poly.coeffs[1] ** 2 < 4 * ns.poly.coeffs[0]:
+                assert bound <= 1.01 * true + 1  # complex base: near the true maximum
+
+
+def test_sieve_size_at_lambda_22(knuth):
+    # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M
+    coords = bulk.digit_table(knuth, 22).coords
+    true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
+    assert true <= analysis._norm_bound(knuth, 22) <= 1.01 * true
+    assert len(analysis.prime_sieve(knuth, 22)) == analysis._norm_bound(knuth, 22) + 1
+
+
+def test_prime_sieve_guards(knuth, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sieve was allocated")
+
+    monkeypatch.setattr(analysis, "_prime_sieve", refuse)
+    # coordinates near 2^31: a^2 - c1 ab + c0 b^2 passes 2^62 and wraps int64
+    wide = NumberSystem(knuth.poly, ((0, 0), (2**31 + 1, 0)))
+    with pytest.raises(DomainError, match="norms over lambda 2 can reach"):
+        analysis.prime_sieve(wide, 2)
+    with pytest.raises(DomainError, match="norms over these rows"):
+        analysis.prime_mask(wide, [[2**31 + 1, 2**31 + 1]])
+    # the sieve's bytes are charged against the element cap, 64 * 16 here
+    monkeypatch.setenv("RADIXION_CAP", "64")
+    with pytest.raises(CapExceeded, match="prime sieve of [0-9]+ bytes for lambda 14"):
+        analysis.prime_sieve(knuth, 14)
+    with pytest.raises(CapExceeded, match="prime sieve of 10001 bytes for these rows"):
+        analysis.prime_mask(knuth, [[100, 0]])
+
+
 def test_prime_degree_limit(cubic):
     assert analysis.is_prime_element(cubic, (3, 0, 0)).kind == "unsupported_degree"
     with pytest.raises(UsageError):
@@ -197,6 +255,43 @@ def test_weyl_thread_and_table_invariance(knuth):
     table = bulk.digit_table(knuth, 10)
     given = analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10, table=table)
     assert given == analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10)
+
+
+def weyl_table_oracle(ns, fn, phase, h, lam, filter, granularity):
+    """The whole-table route: one table, one mask and one phase array,
+    summed over the array_split blocks in ascending order."""
+    table = bulk.digit_table(ns, lam)
+    values = analysis._phase_values(ns, fn, phase, table)
+    mask = analysis.prime_mask(ns, table.coords) if filter == "primes" else None
+    phases = np.exp((analysis.TWO_PI * h) * 1j * values)
+    count = len(values) if mask is None else int(mask.sum())
+    total = 0j
+    for idx in np.array_split(np.arange(len(values)), min(granularity, len(values))):
+        z = phases[idx] if mask is None else phases[idx][mask[idx]]
+        total += complex(z.sum())
+    return count, float(total.real), float(total.imag)
+
+
+def test_streamed_weyl_equals_table_oracle(request, monkeypatch):
+    monkeypatch.setattr(bulk, "LOW_ROWS", 16)  # blocks cross prefix boundaries
+    cases = [(request.getfixturevalue(n), fn, phase)
+             for n in ("knuth", "negabinary", "five_a")
+             for fn, phase in (("sod", GOLDEN_RATIO), ("rs", GOLDEN_RATIO))]
+    cases += [(ns, "rs", 0.3) for ns in request.getfixturevalue("random_systems")]
+    for ns, fn, phase in cases:
+        lam = 1
+        while ns.Q ** (lam + 1) <= 1500:
+            lam += 1
+        for filter in ("all", "primes"):
+            for granularity in (1, 7, 64, ns.Q**lam + 5):
+                row = analysis.weyl_sum(ns, fn, phase, 3, lam, filter, granularity)
+                ref = weyl_table_oracle(ns, fn, phase, 3, lam, filter, granularity)
+                assert (row.count, row.re_sum, row.im_sum) == ref
+    knuth = request.getfixturevalue("knuth")
+    with pytest.raises(UsageError, match="granularity"):
+        analysis.weyl_sum(knuth, "rs", 0.5, 1, 4, granularity=0)
+    with pytest.raises(UsageError, match="nonnegative"):
+        analysis.weyl_sum(knuth, "rs", 0.5, 1, -1, "primes")
 
 
 def test_weyl_normalized_bounded(knuth):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from radixion import algebra, bulk, numeration
-from radixion.errors import CapExceeded
+from radixion.errors import CapExceeded, UsageError
 from radixion.numeration import Expansion
 
 
@@ -78,3 +78,105 @@ def test_u_matrix_is_multiplication(knuth_poly):
     for x in ((1, 0), (0, 1), (3, -2)):
         assert tuple(np.array(x) @ mat.T) == algebra.mul(knuth_poly, u, x)
 
+
+
+# ------------------------------------------------------------- row blocks
+
+
+def golden_and_random(request):
+    names = ("knuth", "negabinary", "five_a", "five_b")
+    return [request.getfixturevalue(n) for n in names] + list(
+        request.getfixturevalue("random_systems")
+    )
+
+
+def oracle_depth(ns, rows=600):
+    """Largest lambda with at most `rows` rows."""
+    lam = 0
+    while ns.Q ** (lam + 1) <= rows:
+        lam += 1
+    return lam
+
+
+def test_row_blocks_are_slices_of_the_enumeration(request, monkeypatch):
+    rng = np.random.default_rng(11)
+    for ns in golden_and_random(request):
+        Q = ns.Q
+        for lam in (0, 1, oracle_depth(ns)):
+            total = Q**lam
+            stream = list(numeration.enumerate_N(ns, lam))
+            rows = [scalar_row(ns, i, lam) for i in range(total)]
+            cuts = sorted(rng.integers(0, total + 1, 5).tolist())
+            ranges = [(0, total), (total, total), (cuts[2], cuts[2])]
+            ranges += list(zip([0] + cuts, cuts + [total]))
+            ranges += [(min(Q - 1, total), min(Q + 1, total)), (1 % total, total)]
+            # prefixes of 1, Q and Q^2 rows make the ranges cross prefix boundaries
+            for low_rows in (1, Q, Q * Q + 1, bulk.LOW_ROWS):
+                monkeypatch.setattr(bulk, "LOW_ROWS", low_rows)
+                blocks = list(bulk.row_blocks(ns, lam, ranges))
+                assert len(blocks) == len(ranges)
+                for (start, stop), block in zip(ranges, blocks):
+                    ref = rows[start:stop]
+                    assert block.lam == lam
+                    assert [tuple(v) for v in block.coords.tolist()] == stream[start:stop]
+                    assert [tuple(v) for v in block.coords.tolist()] == [w[0] for w in ref]
+                    assert [tuple(v) for v in block.s_coords.tolist()] == [w[1] for w in ref]
+                    assert block.r.tolist() == [w[2] for w in ref]
+                    assert block.low_nz.tolist() == [w[3] for w in ref]
+                    assert block.top_nz.tolist() == [w[4] for w in ref]
+
+
+def test_digit_table_is_the_one_block_case(knuth, five_b, monkeypatch):
+    monkeypatch.setattr(bulk, "LOW_ROWS", 8)
+    monkeypatch.setattr(bulk, "ROW_BLOCK", 37)
+    for ns, lam in ((knuth, 9), (five_b, 4)):
+        table = bulk.digit_table(ns, lam)
+        blocks = list(bulk.row_blocks(ns, lam))
+        assert [len(b.r) for b in blocks[:-1]] == [37] * (len(blocks) - 1)
+        for field in ("coords", "s_coords", "r", "low_nz", "top_nz"):
+            assert np.array_equal(
+                np.concatenate([getattr(b, field) for b in blocks]), getattr(table, field)
+            )
+        assert np.array_equal(table.rows(5, 40).r, table.r[5:40])
+
+
+def test_coordinate_ranges_are_exact(request):
+    for ns in golden_and_random(request):
+        for lam in (0, 1, oracle_depth(ns)):
+            pts = np.array(list(numeration.enumerate_N(ns, lam)))
+            lo, hi = bulk.coordinate_ranges(ns, lam)
+            assert lo == pts.min(axis=0).tolist() and hi == pts.max(axis=0).tolist()
+
+
+def test_count_rows_matches_enumeration(request, monkeypatch):
+    monkeypatch.setattr(bulk, "ROW_BLOCK", 100)
+    for ns in golden_and_random(request):
+        lam = oracle_depth(ns, 2000)
+        stream = list(numeration.enumerate_N(ns, lam))
+        assert bulk.count_rows(ns, lam) == (len(stream), len(set(stream)))
+    assert bulk.count_rows(request.getfixturevalue("knuth"), 0) == (1, 1)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("built before the guard")
+
+
+def test_row_blocks_guard_before_building(knuth, monkeypatch):
+    monkeypatch.setattr(bulk, "_build_table", refuse)
+    with pytest.raises(CapExceeded, match="table of 1073741824 elements"):
+        bulk.row_blocks(knuth, 30)
+    with pytest.raises(UsageError):
+        bulk.row_blocks(knuth, -1)
+    # a digit near 2^61: rows of N_1 would pass the int64 budget
+    wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**61 + 1, 0)))
+    with pytest.raises(CapExceeded, match="coordinates of N_1 reach"):
+        bulk.row_blocks(wide, 1)
+
+
+def test_count_rows_key_guard(knuth, monkeypatch):
+    # both coordinates of N_2 span 2^40 + 2 values: a key over their box
+    # needs about 2^80 values and would wrap int64
+    wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**40 + 1, 0)))
+    monkeypatch.setattr(bulk, "row_blocks", refuse)
+    with pytest.raises(CapExceeded, match="row keys of N_2 span"):
+        bulk.count_rows(wide, 2)

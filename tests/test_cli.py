@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import radixion
 from radixion import cli, tile
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
@@ -62,6 +67,15 @@ def test_caps_exit_three(capsysbinary, monkeypatch):
     assert code == 3 and b"lam_max 120" in err
     monkeypatch.setenv("RADIXION_CAP", "10")
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
+
+
+def test_prime_sieve_cap_exits_three(capsysbinary):
+    # digits near 1000: norms on N_14 reach about 2e10, a sieve past the
+    # 2^24 * 16 bytes the default cap allows
+    code, _, err = run(capsysbinary, "primes", "--poly", "2,2,1", "--digits", "0,0;1001,0",
+                       "--lambda", "14")
+    assert code == 3
+    assert b"prime sieve of" in err and b"bytes for lambda 14" in err
 
 
 def test_tile_cap_exits_three_before_streaming(capsysbinary, monkeypatch):
@@ -185,6 +199,44 @@ def test_primes_csv_rows(capsysbinary):
     assert code == 0
     rows = out.decode().splitlines()
     assert rows == ["0,1", "-1,-2", "-2,-1"]
+
+
+def test_csv_blocks_render_like_cells(monkeypatch):
+    floats = np.array([[-0.0, 0.0], [1e-13, -1e-13], [np.nan, np.inf],
+                       [-np.inf, 123.4567890123456], [-2.5, 7.0]])
+    ints = np.array([[0, -1], [2**40, -(2**40)], [7, 3]])
+    rows = [("rho", 2), (0.5, -0.0)]
+    for step in (cli.CSV_ROWS, 2):
+        monkeypatch.setattr(cli, "CSV_ROWS", step)
+        expected = "h1,h2\n" + "".join(
+            ",".join(cli._cell(v) for v in row) + "\n"
+            for row in [*floats.tolist(), *ints.tolist(), *rows]
+        )
+        got = cli._csv_bytes((("h1", "h2"), [floats, ints[:0], ints, rows]))
+        assert got == expected.encode("ascii")
+    assert cli._csv_bytes((None, [ints[:0]])) == b"\n"
+
+
+# Runs argv[1:] and prints its exit code and peak RSS in kB.  A child's
+# ru_maxrss includes the RSS of the process it was forked from, so the
+# command is started from this small interpreter, not from the test run.
+PEAK_RSS = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+            "_, status, usage = os.wait4(p.pid, 0); p.returncode = 0; "
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def test_prime_sum_memory_fence(tmp_path):
+    """Criterion 7's rs run streams its row blocks: the child peaks at or
+    below 100 MB (it held the whole lambda=22 table at 386 MB)."""
+    src = os.path.dirname(os.path.dirname(radixion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "radixion.cli", "weyl",
+           *KNUTH, "--fn", "rs", "--alpha", "0.6180339887", "--lambda", "14,22",
+           "--filter", "primes", "--format", "csv", "--out", str(tmp_path / "rs.csv")]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = (int(v) for v in done.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 <= 100  # ru_maxrss is in kB on Linux
 
 
 def test_distortion_values_and_format_guard(capsysbinary):

@@ -173,6 +173,16 @@ def test_lattice_bitmap_is_N_depth(request, name, depth):
     assert members == set(enumerate_N(ns, depth))
 
 
+def test_lattice_bitmap_across_prefix_blocks(request, monkeypatch):
+    # low tables of at most 4 rows: the bitmap is ORed in from many blocks
+    monkeypatch.setattr(tile.bulk, "LOW_ROWS", 4)
+    for ns in golden_and_random(request, ["negabinary", "knuth", "five_b"]):
+        depth = stream_depth(ns) - 1
+        lo, bitmap = tile._lattice_bitmap(ns, depth)
+        members = {tuple(int(v) for v in z) for z in np.argwhere(bitmap) + lo}
+        assert members == set(enumerate_N(ns, depth))
+
+
 def test_negabinary_lattice_area(negabinary):
     raster = tile.rasterize(tile.tile_points(negabinary, 18), 1024)
     report = tile.measure_area(negabinary, raster)
@@ -280,16 +290,61 @@ def stream_depth(ns):
     return depth
 
 
-@pytest.mark.parametrize("name,depth", [("five_a", 5), ("five_b", 5), ("knuth", 10)])
+@pytest.mark.parametrize("name,depth", [("knuth", 10), ("negabinary", 12)])
 @pytest.mark.parametrize("space", tile.SPACE_TAGS)
 def test_chunks_are_bit_identical_to_doubling(request, monkeypatch, name, depth, space):
+    # c0 = +-2: the doubling loop is exact, so the integer-row route must match it
     ns = request.getfixturevalue(name)
     whole = doubling_cloud(ns, depth, space)
-    monkeypatch.setattr(tile, "RASTER_BLOCK", 7)  # five-A: 625 chunks of 5 points
+    monkeypatch.setattr(tile, "RASTER_BLOCK", 7)
     chunks = list(tile.cloud_chunks(ns, depth, space))
     assert len(chunks) > 1 and max(len(c) for c in chunks) <= 7
     assert np.array_equal(np.concatenate(chunks), whole)
     assert np.array_equal(tile.tile_points(ns, depth, space).points, whole)
+
+
+def assert_correctly_rounded(ns, depth, monkeypatch, block):
+    """Every coordinate of the streamed cloud is the float nearest to the
+    exact Fraction IFS point, i.e. within half an ulp of q^-k n."""
+    monkeypatch.setattr(tile, "RASTER_BLOCK", block)
+    chunks = list(tile.cloud_chunks(ns, depth))
+    assert len(chunks) > 1 and max(len(c) for c in chunks) <= block
+    got = np.concatenate(chunks)
+    exact = exact_cloud(ns, depth)
+    assert got.shape == (len(exact), ns.degree)
+    assert got.tolist() == [[float(v) for v in row] for row in exact]
+    return got
+
+
+@pytest.mark.parametrize("name,depth", [("five_a", 5), ("five_b", 5)])
+@pytest.mark.parametrize("space", tile.SPACE_TAGS)
+def test_chunks_are_correctly_rounded(request, monkeypatch, name, depth, space):
+    ns = request.getfixturevalue(name)
+    coords = assert_correctly_rounded(ns, depth, monkeypatch, 7)  # 447 chunks of up to 7 points
+    if space == "embedding":
+        chunks = list(tile.cloud_chunks(ns, depth, space))
+        assert np.array_equal(np.concatenate(chunks), coords @ tile._chart(ns, space))
+
+
+def test_random_system_chunks_are_correctly_rounded(random_systems, monkeypatch):
+    for ns in random_systems:
+        depth = 1
+        while ns.Q ** (depth + 1) <= 2000:
+            depth += 1
+        assert_correctly_rounded(ns, depth, monkeypatch, 100)
+
+
+def test_cloud_numerator_guard(knuth, five_a, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row block was built")
+
+    monkeypatch.setattr(tile.bulk, "row_blocks", no_rows)
+    monkeypatch.setenv("RADIXION_CAP", str(1 << 62))
+    # u^60 n reaches about 2^60 on Knuth; 5^23 is not a float64 integer
+    with pytest.raises(DomainError, match="at depth 60"):
+        next(tile.cloud_chunks(knuth, 60))
+    with pytest.raises(DomainError, match="at depth 23"):
+        next(tile.cloud_chunks(five_a, 23))
 
 
 @pytest.mark.parametrize("name", ["knuth", "negabinary"])
@@ -334,7 +389,7 @@ def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block):
         streamed = tile.tile_rasters(ns, depth, requests)
         assert set(streamed) == set(requests)
         for space in tile.SPACE_TAGS:
-            pts = doubling_cloud(ns, depth, space)
+            pts = tile.tile_points(ns, depth, space).points
             for r in resolutions:
                 got, ref = streamed[space, r], tile.rasterize(TileCloud(depth, pts, space), r)
                 assert (got.resolution, got.depth, got.space_tag) == (r, depth, space)
