@@ -126,24 +126,6 @@ def _prime_sieve(n: int) -> np.ndarray:
     return sieve
 
 
-def _sieve(ns: NumberSystem, magnitudes, top, where: str) -> np.ndarray:
-    """Sieve up to `top` (None: the norm bound from `magnitudes`) for rows
-    with |coordinate k| <= magnitudes[k].  Checked before allocation: that
-    the int64 norm a^2 - c1 ab + c0 b^2 cannot wrap, and the sieve's bytes,
-    against the cap at the 8 * d bytes of a table row's coordinates."""
-    c, widest = ns.poly.coeffs, magnitudes[0]
-    if ns.degree == 2:
-        a, b = magnitudes
-        widest = a * a + abs(c[1]) * a * b + abs(c[0]) * b * b
-    if widest >= bulk.INT64_GUARD:
-        raise DomainError("norms over %s can reach %d, beyond the int64 budget" % (where, widest))
-    top = widest if top is None else top
-    if top + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
-        raise CapExceeded("prime sieve of %d bytes for %s exceeds the memory of a %d-element"
-                          " table" % (top + 1, where, effective_cap(ENUM_CAP)))
-    return _prime_sieve(top)
-
-
 def _norm_bound(ns: NumberSystem, lam: int) -> int:
     """An upper bound on |N(n)| over N_lam, within 0.5% of the maximum for
     a complex quadratic base.  |N(n)| is the product over the embeddings
@@ -160,25 +142,35 @@ def _norm_bound(ns: NumberSystem, lam: int) -> int:
 
 
 def prime_sieve(ns: NumberSystem, lam: int) -> np.ndarray:
-    """One sieve that serves prime_mask on every row of N_lam."""
+    """One sieve that serves prime_mask on every row of N_lam.  Checked
+    before allocation: that the int64 norm a^2 - c1 ab + c0 b^2 cannot wrap
+    over the coordinate ranges of N_lam, and the sieve's bytes, against the
+    cap at the 8 * d bytes of a table row's coordinates."""
     if ns.degree > 2:
         raise UsageError("prime enumeration supports degree <= 2 only")
     lo, hi = bulk.coordinate_ranges(ns, lam)
-    magnitudes = [max(-a, b) for a, b in zip(lo, hi)]
-    return _sieve(ns, magnitudes, _norm_bound(ns, lam), "lambda %d" % lam)
+    widest = a = max(-lo[0], hi[0])
+    if ns.degree == 2:
+        c, b = ns.poly.coeffs, max(-lo[1], hi[1])
+        widest = a * a + abs(c[1]) * a * b + abs(c[0]) * b * b
+    if widest >= bulk.INT64_GUARD:
+        raise DomainError("norms over lambda %d can reach %d, beyond the int64 budget"
+                          % (lam, widest))
+    top = _norm_bound(ns, lam)
+    if top + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
+        raise CapExceeded("prime sieve of %d bytes for lambda %d exceeds the memory of a %d-element"
+                          " table" % (top + 1, lam, effective_cap(ENUM_CAP)))
+    return _prime_sieve(top)
 
 
-def prime_mask(ns: NumberSystem, coords, sieve: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized prime verdicts (split or inert) for rows of coordinates.
-    `sieve` (prime_sieve) must reach every |norm|; by default one is sized
-    from the largest coordinates of these rows."""
+def prime_mask(ns: NumberSystem, coords, sieve: np.ndarray) -> np.ndarray:
+    """Vectorized prime verdicts (split or inert) for rows of coordinates;
+    `sieve` (prime_sieve) must reach every |norm| of these rows."""
     m = ns.poly
     if m.degree > 2:
         raise UsageError("prime enumeration supports degree <= 2 only")
     c = m.coeffs
     coords = np.asarray(coords, dtype=np.int64)
-    if sieve is None:
-        sieve = _sieve(ns, [int(np.abs(v).max(initial=0)) for v in coords.T], None, "these rows")
     a = coords[:, 0]
     if m.degree == 1:
         absnorm = np.abs(a)
@@ -358,7 +350,8 @@ def _digit_twist(ns: NumberSystem, fn: str, phase):
 
 
 def _phase_values(ns: NumberSystem, fn: str, phase, table: bulk.DigitTable) -> np.ndarray:
-    """Real phase value per table row; e(h * value) is the summand."""
+    """Real phase value per table row; e(h * value) is the summand.
+    weyl_sum applies the same arithmetic with each twist checked once."""
     c, pair = _digit_twist(ns, fn, phase)
     return table.s_coords.astype(np.float64) @ c + pair * table.r
 
@@ -366,45 +359,42 @@ def _phase_values(ns: NumberSystem, fn: str, phase, table: bulk.DigitTable) -> n
 def weyl_sum(
     ns: NumberSystem,
     fn: str,
-    phase,
+    phases,
     h: int,
     lam: int,
     filter: str = "all",
     granularity: int = DEFAULT_GRANULARITY,
-    table: bulk.DigitTable | None = None,
-) -> WeylRow:
-    """S = sum of e(h * value) over N_lambda or its primes.
+) -> list:
+    """S = sum of e(h * value) over N_lambda or its primes, one WeylRow per
+    phase, in order.
 
     The sum is reduced over `granularity` contiguous row blocks added in
     ascending order, so the granularity fixes the summation order and
-    with it the bits of the result.  Each block is built, filtered and
-    summed on its own (bulk.row_blocks), or sliced from `table`.
+    with it the bits of the result.  Each block is built and masked once
+    (bulk.row_blocks) and summed for every phase; a row does not depend
+    on the other phases.
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
+    twists = [_digit_twist(ns, fn, phase) for phase in phases]
     total_rows = ns.Q ** max(lam, 0)  # row_blocks rejects lam < 0
     parts = min(granularity, total_rows)  # np.array_split's ranges, without its index array
     if parts < 1:
         raise UsageError("granularity must be positive")
     size, extra = divmod(total_rows, parts)
     bounds = [i * size + min(i, extra) for i in range(parts + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-    if table is not None and table.lam == lam:
-        blocks = (table.rows(start, stop) for start, stop in ranges)
-    else:
-        blocks = bulk.row_blocks(ns, lam, ranges)
+    blocks = bulk.row_blocks(ns, lam, list(zip(bounds, bounds[1:])))
     sieve = prime_sieve(ns, lam) if filter == "primes" else None
-    count, total = 0, 0j
+    count, totals = 0, [0j] * len(twists)
     for block in blocks:
-        z = np.exp((TWO_PI * h) * 1j * _phase_values(ns, fn, phase, block))
-        if sieve is not None:
-            z = z[prime_mask(ns, block.coords, sieve=sieve)]
-        count += len(z)
-        total += complex(z.sum())
-    normalized = abs(total) / count if count else 0.0
-    return WeylRow(
-        lam, h, filter, count, float(total.real), float(total.imag), float(normalized)
-    )
+        s_coords = block.s_coords.astype(np.float64)
+        mask = None if sieve is None else prime_mask(ns, block.coords, sieve=sieve)
+        count += len(block.r) if mask is None else int(mask.sum())
+        for i, (c, pair) in enumerate(twists):
+            z = np.exp((TWO_PI * h) * 1j * (s_coords @ c + pair * block.r))
+            totals[i] += complex((z if mask is None else z[mask]).sum())
+    return [WeylRow(lam, h, filter, count, float(total.real), float(total.imag),
+                    float(abs(total) / count if count else 0.0)) for total in totals]
 
 
 def sod_factorization_reference(ns: NumberSystem, alpha: float, h: int, lam: int) -> complex:

@@ -81,10 +81,6 @@ class DigitTable:
     low_nz: np.ndarray  # (rows,) digit in position 0 is nonzero
     top_nz: np.ndarray  # (rows,) digit in position lam-1 is nonzero
 
-    def rows(self, start: int, stop: int) -> DigitTable:
-        return DigitTable(self.lam, self.coords[start:stop], self.s_coords[start:stop],
-                          self.r[start:stop], self.low_nz[start:stop], self.top_nz[start:stop])
-
 
 def row_blocks(ns: NumberSystem, lam: int, ranges=None):
     """The rows [start, stop) of N_lam for each range (default: blocks of

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import __version__, algebra, analysis, bulk, carry, numeration, tile
 from .algebra import MinimalPolynomial
-from .errors import CycleDetected, RadixionError, UsageError
+from .caps import FNS_BOX_CAP, effective_cap
+from .errors import CapExceeded, CycleDetected, RadixionError, UsageError
 from .numeration import NumberSystem
 
 # ------------------------------------------------------- deterministic text
@@ -173,31 +175,14 @@ class _Artifact:
 
 
 def _render(fmt: str, art: _Artifact) -> bytes:
+    """The artifact in one of the formats its subcommand declares."""
     if fmt == "json":
-        if art.payload is None:
-            raise UsageError("this invocation has no JSON form")
         return (_json_text(art.payload) + "\n").encode("ascii")
     if fmt == "csv":
-        if art.csv is None:
-            raise UsageError("this invocation has no CSV form")
         return _csv_bytes(art.csv)
     if fmt == "pgm":
-        if art.raster is None:
-            raise UsageError("this invocation has no PGM form")
         return _pgm_bytes(art.raster, art.system_label or "")
-    if fmt == "dot":
-        if art.dot is None:
-            raise UsageError("this invocation has no DOT form")
-        return art.dot.encode("ascii")
-    raise UsageError("unknown format %r" % fmt)
-
-
-def _require_format(args, allowed) -> None:
-    if args.format not in allowed:
-        raise UsageError(
-            "%s supports formats %s, not %r"
-            % (args.subcommand, "/".join(allowed), args.format)
-        )
+    return art.dot.encode("ascii")
 
 
 # ----------------------------------------------------------------- parsing
@@ -218,8 +203,11 @@ def _parse_slice(text: str):
     toks = str(text).split(",")
     if len(toks) != 2:
         raise UsageError("--slice takes 'nu,mu' (mu may be 'inf')")
-    nu = int(toks[0])
-    mu = math.inf if toks[1].strip() == "inf" else int(toks[1])
+    try:
+        nu = int(toks[0])
+        mu = math.inf if toks[1].strip() == "inf" else int(toks[1])
+    except ValueError:
+        raise UsageError("--slice takes integers 'nu,mu', got %r" % text) from None
     return nu, mu
 
 
@@ -236,7 +224,6 @@ def _parse_phase(args):
 
 
 def _cmd_expand(args) -> _Artifact:
-    _require_format(args, ("json",))
     ns = _number_system(args)
     payload = {"system": ns.encode()}
     acted = False
@@ -266,14 +253,14 @@ def _cmd_expand(args) -> _Artifact:
         acted = True
         if args.box < 0:
             raise UsageError("--box takes a nonnegative radius")
+        elements = (2 * args.box + 1) ** ns.degree
+        if elements > effective_cap(FNS_BOX_CAP):
+            raise CapExceeded("box of %d elements exceeds cap %d"
+                              % (elements, effective_cap(FNS_BOX_CAP)))
         expanded = 0
         cycles = 0
         bad = 0
-        axis = range(-args.box, args.box + 1)
-        grid = [()]
-        for _ in range(ns.degree):
-            grid = [g + (v,) for g in grid for v in axis]
-        for x in grid:
+        for x in itertools.product(range(-args.box, args.box + 1), repeat=ns.degree):
             try:
                 exp = numeration.expand(ns, x)
             except CycleDetected:
@@ -284,7 +271,7 @@ def _cmd_expand(args) -> _Artifact:
                 bad += 1
         payload["box"] = {
             "radius": args.box,
-            "elements": len(grid),
+            "elements": elements,
             "expanded": expanded,
             "cycles": cycles,
             "roundtrip_failures": bad,
@@ -299,7 +286,6 @@ def _cmd_expand(args) -> _Artifact:
 
 
 def _cmd_check_fns(args) -> _Artifact:
-    _require_format(args, ("json",))
     ns = _number_system(args)
     verdict = numeration.is_fns(ns)
     cycle = verdict.witness_cycle
@@ -313,7 +299,6 @@ def _cmd_check_fns(args) -> _Artifact:
 
 
 def _cmd_carry(args) -> _Artifact:
-    _require_format(args, ("json", "dot"))
     ns = _number_system(args)
     if args.format == "dot":
         aut = carry.build_automaton(ns)
@@ -329,7 +314,6 @@ def _cmd_carry(args) -> _Artifact:
 
 
 def _cmd_census(args) -> _Artifact:
-    _require_format(args, ("json", "csv"))
     ns = _number_system(args)
     rows = []
     for rho in _parse_int_list(args.rho):
@@ -341,7 +325,6 @@ def _cmd_census(args) -> _Artifact:
 
 
 def _cmd_cns_carry(args) -> _Artifact:
-    _require_format(args, ("json",))
     if (args.m is None) == (args.poly is None):
         raise UsageError("cns-carry takes exactly one of --m or --poly")
     if args.m is not None:
@@ -368,7 +351,8 @@ def _cmd_cns_carry(args) -> _Artifact:
 
 
 def _cmd_tile(args) -> _Artifact:
-    _require_format(args, ("json", "csv", "pgm"))
+    if args.cover_samples < 1:
+        raise UsageError("--cover-samples takes a positive count")
     ns = _number_system(args)
     boxdim = [] if args.boxdim is None else _parse_int_list(args.boxdim)
     # one streamed pass; the box dimension is always fitted in coordinate space
@@ -409,7 +393,6 @@ def _cmd_tile(args) -> _Artifact:
 
 
 def _cmd_weyl(args) -> _Artifact:
-    _require_format(args, ("json", "csv"))
     ns = _number_system(args)
     lams = _parse_int_list(args.lam)
     if args.identity_alphas is not None:
@@ -419,16 +402,16 @@ def _cmd_weyl(args) -> _Artifact:
             raise UsageError("the factorization identity applies to fn=sod only")
         if args.alpha is not None or args.form is not None:
             raise UsageError("--identity-alphas draws its own coefficients")
+        if args.identity_alphas < 1:
+            raise UsageError("--identity-alphas takes a positive count")
         rng = np.random.default_rng(args.seed)
-        alphas = rng.random(args.identity_alphas)
+        alphas = rng.random(args.identity_alphas).tolist()
         worst = 0.0
         worst_scaled = 0.0
         for lam in range(1, max(lams) + 1):
-            table = bulk.digit_table(ns, lam)
-            for a in alphas:
-                row = analysis.weyl_sum(ns, "sod", float(a), args.h, lam,
-                                        granularity=args.granularity, table=table)
-                ref = analysis.sod_factorization_reference(ns, float(a), args.h, lam)
+            rows = analysis.weyl_sum(ns, "sod", alphas, args.h, lam, granularity=args.granularity)
+            for a, row in zip(alphas, rows):
+                ref = analysis.sod_factorization_reference(ns, a, args.h, lam)
                 err = abs(complex(row.re_sum, row.im_sum) - ref)
                 worst = max(worst, err)
                 worst_scaled = max(worst_scaled, err / float(ns.Q) ** lam)
@@ -456,10 +439,8 @@ def _cmd_weyl(args) -> _Artifact:
     payload["h"] = args.h
     payload["filter"] = args.filter
     payload["granularity"] = args.granularity
-    rows = []
-    for lam in lams:
-        rows.append(analysis.weyl_sum(ns, args.fn, phase, args.h, lam, args.filter,
-                                      granularity=args.granularity))
+    rows = [analysis.weyl_sum(ns, args.fn, [phase], args.h, lam, args.filter,
+                              granularity=args.granularity)[0] for lam in lams]
     payload["rows"] = [
         {
             "lambda": r.lam,
@@ -480,7 +461,6 @@ def _cmd_weyl(args) -> _Artifact:
 
 
 def _cmd_fourier_decay(args) -> _Artifact:
-    _require_format(args, ("json", "csv"))
     ns = _number_system(args)
     phase = _parse_phase(args)
     report = analysis.fourier_decay(ns, args.fn, phase, args.lam_max, args.t_samples, args.seed)
@@ -513,7 +493,6 @@ def _cmd_fourier_decay(args) -> _Artifact:
 
 
 def _cmd_primes(args) -> _Artifact:
-    _require_format(args, ("json", "csv"))
     ns = _number_system(args)
     primes = analysis.prime_rows(ns, args.lam)
     payload = {"system": ns.encode(), "lambda": args.lam, "count": len(primes)}
@@ -521,7 +500,6 @@ def _cmd_primes(args) -> _Artifact:
 
 
 def _cmd_distortion(args) -> _Artifact:
-    _require_format(args, ("json",))
     poly = MinimalPolynomial.parse(args.poly)
     report = algebra.distortion(poly)
     payload = {
@@ -613,17 +591,18 @@ def _conf_distortion(p):
     p.add_argument("--poly", required=True, help="base polynomial c0,c1,...,cd")
 
 
+# name, help, formats (the first is the default), flags, handler
 _SUBCOMMANDS = (
-    ("expand", "digit expansions, round trips, and N_lambda counts", _conf_expand, _cmd_expand),
-    ("check-fns", "decide the finiteness property", _conf_check_fns, _cmd_check_fns),
-    ("carry", "carry automaton and carry constant eta2", _conf_carry, _cmd_carry),
-    ("census", "count of carry-affected digit windows (automaton DP)", _conf_census, _cmd_census),
-    ("cns-carry", "collapsed/subset carry bounds for CNS polynomials", _conf_cns_carry, _cmd_cns_carry),
-    ("tile", "fundamental tile geometry: raster, area, radii, box dimension", _conf_tile, _cmd_tile),
-    ("weyl", "exponential sums of digit functions over N_lambda", _conf_weyl, _cmd_weyl),
-    ("fourier-decay", "empirical sup_t decay of twisted tile sums", _conf_fourier_decay, _cmd_fourier_decay),
-    ("primes", "count prime elements of N_lambda", _conf_primes, _cmd_primes),
-    ("distortion", "embedding moduli and distortion exponents", _conf_distortion, _cmd_distortion),
+    ("expand", "digit expansions, round trips, and N_lambda counts", ("json",), _conf_expand, _cmd_expand),
+    ("check-fns", "decide the finiteness property", ("json",), _conf_check_fns, _cmd_check_fns),
+    ("carry", "carry automaton and carry constant eta2", ("json", "dot"), _conf_carry, _cmd_carry),
+    ("census", "count of carry-affected digit windows (automaton DP)", ("json", "csv"), _conf_census, _cmd_census),
+    ("cns-carry", "collapsed/subset carry bounds for CNS polynomials", ("json",), _conf_cns_carry, _cmd_cns_carry),
+    ("tile", "fundamental tile geometry: raster, area, radii, box dimension", ("json", "csv", "pgm"), _conf_tile, _cmd_tile),
+    ("weyl", "exponential sums of digit functions over N_lambda", ("json", "csv"), _conf_weyl, _cmd_weyl),
+    ("fourier-decay", "empirical sup_t decay of twisted tile sums", ("json", "csv"), _conf_fourier_decay, _cmd_fourier_decay),
+    ("primes", "count prime elements of N_lambda", ("json", "csv"), _conf_primes, _cmd_primes),
+    ("distortion", "embedding moduli and distortion exponents", ("json",), _conf_distortion, _cmd_distortion),
 )
 
 
@@ -634,14 +613,14 @@ def _build_parser():
                              " never depend on it")
     parent.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parent.add_argument("--out", help="artifact path (default stdout)")
-    parent.add_argument("--format", choices=("json", "csv", "pgm", "dot"), default="json")
     parent.add_argument("--config", help="JSON file of flag values; command-line flags win")
     parser = argparse.ArgumentParser(prog="radixion", allow_abbrev=False,
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
     specs = {}
-    for name, help_text, configure, handler in _SUBCOMMANDS:
+    for name, help_text, formats, configure, handler in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text, parents=[parent], allow_abbrev=False)
+        p.add_argument("--format", choices=formats, default=formats[0])
         configure(p)
         p.set_defaults(handler=handler, subcommand=name)
         specs[name] = p

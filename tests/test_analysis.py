@@ -54,16 +54,15 @@ def test_prime_enumeration_small(knuth):
 
 
 def test_prime_counts_frozen(knuth):
-    t14 = bulk.digit_table(knuth, 14)
-    assert int(analysis.prime_mask(knuth, t14.coords).sum()) == 2717
-    t18 = bulk.digit_table(knuth, 18)
-    assert int(analysis.prime_mask(knuth, t18.coords).sum()) == 31060
+    for lam, count in ((14, 2717), (18, 31060)):
+        coords = bulk.digit_table(knuth, lam).coords
+        assert int(analysis.prime_mask(knuth, coords, analysis.prime_sieve(knuth, lam)).sum()) == count
 
 
 def test_prime_mask_matches_scalar(knuth, five_a):
     for ns, lam in ((knuth, 8), (five_a, 4)):
         coords = bulk.digit_table(ns, lam).coords
-        mask = analysis.prime_mask(ns, coords)
+        mask = analysis.prime_mask(ns, coords, analysis.prime_sieve(ns, lam))
         for row, hit in zip(coords, mask):
             kind = analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
             assert bool(hit) == (kind in analysis.PRIME_KINDS)
@@ -81,7 +80,8 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
         while ns.Q ** (lam + 1) <= 3000:
             lam += 1
         coords = bulk.digit_table(ns, lam).coords
-        assert np.array_equal(analysis.prime_rows(ns, lam), coords[analysis.prime_mask(ns, coords)])
+        mask = analysis.prime_mask(ns, coords, analysis.prime_sieve(ns, lam))
+        assert np.array_equal(analysis.prime_rows(ns, lam), coords[mask])
 
 
 def max_abs_norm(ns, lam):
@@ -117,14 +117,10 @@ def test_prime_sieve_guards(knuth, monkeypatch):
     wide = NumberSystem(knuth.poly, ((0, 0), (2**31 + 1, 0)))
     with pytest.raises(DomainError, match="norms over lambda 2 can reach"):
         analysis.prime_sieve(wide, 2)
-    with pytest.raises(DomainError, match="norms over these rows"):
-        analysis.prime_mask(wide, [[2**31 + 1, 2**31 + 1]])
     # the sieve's bytes are charged against the element cap, 64 * 16 here
     monkeypatch.setenv("RADIXION_CAP", "64")
     with pytest.raises(CapExceeded, match="prime sieve of [0-9]+ bytes for lambda 14"):
         analysis.prime_sieve(knuth, 14)
-    with pytest.raises(CapExceeded, match="prime sieve of 10001 bytes for these rows"):
-        analysis.prime_mask(knuth, [[100, 0]])
 
 
 def test_prime_degree_limit(cubic):
@@ -132,7 +128,9 @@ def test_prime_degree_limit(cubic):
     with pytest.raises(UsageError):
         analysis.enumerate_primes(cubic, 2)
     with pytest.raises(UsageError):
-        analysis.prime_mask(cubic, [[1, 0, 0]])
+        analysis.prime_sieve(cubic, 2)
+    with pytest.raises(UsageError):
+        analysis.prime_mask(cubic, [[1, 0, 0]], np.ones(2, dtype=bool))
 
 
 # ------------------------------------------------------------ linear forms
@@ -203,23 +201,22 @@ def test_sumdigit_constants(knuth, negabinary):
 
 def test_weyl_matches_factorization(negabinary):
     for lam in (1, 5, 10):
-        row = analysis.weyl_sum(negabinary, "sod", GOLDEN_RATIO, 1, lam)
+        [row] = analysis.weyl_sum(negabinary, "sod", [GOLDEN_RATIO], 1, lam)
         ref = analysis.sod_factorization_reference(negabinary, GOLDEN_RATIO, 1, lam)
         assert abs(complex(row.re_sum, row.im_sum) - ref) <= 1e-9 * 2**lam
         assert row.count == 2**lam
 
 
 def test_weyl_exact_cancellation_and_trivial_phase(knuth):
-    half = analysis.weyl_sum(knuth, "sod", 0.5, 1, 6)
+    half, zero = analysis.weyl_sum(knuth, "sod", [0.5, 0.0], 1, 6)
     assert abs(complex(half.re_sum, half.im_sum)) < 1e-9
-    zero = analysis.weyl_sum(knuth, "sod", 0.0, 1, 6)
     assert zero.re_sum == 64.0 and zero.im_sum == 0.0
     assert zero.normalized == 1.0
 
 
 def test_weyl_prime_filter_matches_scalar_loop(knuth):
     lam, alpha = 8, GOLDEN_RATIO
-    row = analysis.weyl_sum(knuth, "sod", alpha, 1, lam, filter="primes")
+    [row] = analysis.weyl_sum(knuth, "sod", [alpha], 1, lam, filter="primes")
     total, count = 0j, 0
     for n in numeration.enumerate_N(knuth, lam):
         if analysis.is_prime_element(knuth, n).kind in analysis.PRIME_KINDS:
@@ -232,7 +229,7 @@ def test_weyl_prime_filter_matches_scalar_loop(knuth):
 
 def test_weyl_rs_matches_scalar_loop(knuth):
     lam = 8
-    row = analysis.weyl_sum(knuth, "rs", 0.5, 1, lam)
+    [row] = analysis.weyl_sum(knuth, "rs", [0.5], 1, lam)
     total = sum(
         cmath.exp(1j * math.pi * numeration.rudin_shapiro(knuth, n))
         for n in numeration.enumerate_N(knuth, lam)
@@ -242,19 +239,21 @@ def test_weyl_rs_matches_scalar_loop(knuth):
 
 def test_weyl_validation(knuth, five_b):
     with pytest.raises(UsageError):
-        analysis.weyl_sum(five_b, "sod", 0.5, 1, 4)  # digits not in Z
+        analysis.weyl_sum(five_b, "sod", [0.5], 1, 4)  # digits not in Z
     with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, "rs", LinearForm.parse("1/2,0"), 1, 4)
+        analysis.weyl_sum(knuth, "rs", [LinearForm.parse("1/2,0")], 1, 4)
     with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, "sod", 0.5, 1, 4, filter="composite")
+        analysis.weyl_sum(knuth, "sod", [0.5], 1, 4, filter="composite")
     with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, "pair", 0.5, 1, 4)
+        analysis.weyl_sum(knuth, "pair", [0.5], 1, 4)
 
 
 def test_weyl_thread_and_table_invariance(knuth):
-    table = bulk.digit_table(knuth, 10)
-    given = analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10, table=table)
-    assert given == analysis.weyl_sum(knuth, "rs", GOLDEN_RATIO, 1, 10)
+    phases = [GOLDEN_RATIO, 0.5, 0.0, GOLDEN_RATIO]
+    rows = analysis.weyl_sum(knuth, "rs", phases, 1, 10)
+    assert rows == [analysis.weyl_sum(knuth, "rs", [p], 1, 10)[0] for p in phases]
+    assert rows[0] == rows[3]
+    assert analysis.weyl_sum(knuth, "rs", [], 1, 10) == []
 
 
 def weyl_table_oracle(ns, fn, phase, h, lam, filter, granularity):
@@ -262,7 +261,8 @@ def weyl_table_oracle(ns, fn, phase, h, lam, filter, granularity):
     summed over the array_split blocks in ascending order."""
     table = bulk.digit_table(ns, lam)
     values = analysis._phase_values(ns, fn, phase, table)
-    mask = analysis.prime_mask(ns, table.coords) if filter == "primes" else None
+    sieve = analysis.prime_sieve(ns, lam) if filter == "primes" else None
+    mask = analysis.prime_mask(ns, table.coords, sieve) if filter == "primes" else None
     phases = np.exp((analysis.TWO_PI * h) * 1j * values)
     count = len(values) if mask is None else int(mask.sum())
     total = 0j
@@ -284,19 +284,63 @@ def test_streamed_weyl_equals_table_oracle(request, monkeypatch):
             lam += 1
         for filter in ("all", "primes"):
             for granularity in (1, 7, 64, ns.Q**lam + 5):
-                row = analysis.weyl_sum(ns, fn, phase, 3, lam, filter, granularity)
+                [row] = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter, granularity)
                 ref = weyl_table_oracle(ns, fn, phase, 3, lam, filter, granularity)
                 assert (row.count, row.re_sum, row.im_sum) == ref
     knuth = request.getfixturevalue("knuth")
     with pytest.raises(UsageError, match="granularity"):
-        analysis.weyl_sum(knuth, "rs", 0.5, 1, 4, granularity=0)
+        analysis.weyl_sum(knuth, "rs", [0.5], 1, 4, granularity=0)
     with pytest.raises(UsageError, match="nonnegative"):
-        analysis.weyl_sum(knuth, "rs", 0.5, 1, -1, "primes")
+        analysis.weyl_sum(knuth, "rs", [0.5], 1, -1, "primes")
+
+
+def mixed_phases(ns, fn):
+    """Scalar and linear-form phases for fn on ns; scalar digit sums need digits in Z."""
+    if fn == "rs":
+        return [GOLDEN_RATIO, 0.5, 0.3]
+    forms = [LinearForm.parse(",".join(t[: ns.degree])) for t in (("1/3", "0.25"), ("0.7", "2"))]
+    if any(any(b[1:]) for b in ns.digits):
+        return forms
+    return [GOLDEN_RATIO, forms[0], 0.5, forms[1]]
+
+
+def test_multi_phase_rows_equal_one_phase_rows(request, monkeypatch):
+    monkeypatch.setattr(bulk, "LOW_ROWS", 16)  # blocks cross prefix boundaries
+    systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    for ns in systems + list(request.getfixturevalue("random_systems")):
+        lam = 1
+        while ns.Q ** (lam + 1) <= 300:
+            lam += 1
+        for fn in ("sod", "rs"):
+            phases = mixed_phases(ns, fn)
+            for filter in ("all", "primes"):
+                for granularity in (1, 7, 64, ns.Q**lam + 5):
+                    rows = analysis.weyl_sum(ns, fn, phases, 2, lam, filter, granularity)
+                    assert rows == [analysis.weyl_sum(ns, fn, [p], 2, lam, filter, granularity)[0]
+                                    for p in phases]
+
+
+def test_bad_phase_fails_before_any_block(knuth, five_b, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before every phase was checked")
+
+    monkeypatch.setattr(bulk, "row_blocks", refuse)
+    monkeypatch.setattr(analysis, "prime_sieve", refuse)
+    form = LinearForm.parse("1/3,0.25")
+    cases = (
+        (knuth, "rs", [0.5, 0.3, form]),  # pair counts take scalars only
+        (knuth, "sod", [form, 0.5, LinearForm.parse("1")]),  # wrong arity
+        (five_b, "sod", [form, form, 0.5]),  # scalar digit sums need digits in Z
+    )
+    for ns, fn, phases in cases:
+        for filter in ("all", "primes"):
+            with pytest.raises(UsageError):
+                analysis.weyl_sum(ns, fn, phases, 1, 6, filter)
 
 
 def test_weyl_normalized_bounded(knuth):
     for lam in (2, 5, 9):
-        row = analysis.weyl_sum(knuth, "sod", GOLDEN_RATIO, 1, lam)
+        [row] = analysis.weyl_sum(knuth, "sod", [GOLDEN_RATIO], 1, lam)
         assert 0.0 <= row.normalized <= 1.0 + 1e-9
 
 

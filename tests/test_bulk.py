@@ -137,7 +137,6 @@ def test_digit_table_is_the_one_block_case(knuth, five_b, monkeypatch):
             assert np.array_equal(
                 np.concatenate([getattr(b, field) for b in blocks]), getattr(table, field)
             )
-        assert np.array_equal(table.rows(5, 40).r, table.r[5:40])
 
 
 def test_coordinate_ranges_are_exact(request):

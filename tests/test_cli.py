@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import radixion
-from radixion import cli, tile
+from radixion import analysis, cli, numeration, tile
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
 NEGABINARY = ("--poly", "2,1", "--digits", "0;1")
@@ -58,6 +58,29 @@ def test_usage_errors_exit_two(capsysbinary):
     assert run(capsysbinary, "expand", *KNUTH, "--element=1")[0] == 2  # arity
     assert run(capsysbinary, "cns-carry")[0] == 2
     assert run(capsysbinary, "cns-carry", "--m", "10", "--poly", "101,20,1")[0] == 2
+    assert run(capsysbinary, "expand", *KNUTH, "--element=1,0", "--slice", "a,b")[0] == 2
+    for count in ("-1", "0"):  # 0: an identity checked at no alpha, a cover of no samples
+        assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", count,
+                   "--lambda", "3")[0] == 2
+        assert run(capsysbinary, "tile", *KNUTH, "--depth", "4", "--cover-samples", count)[0] == 2
+
+
+def test_undeclared_format_exits_two_before_work(capsysbinary, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started for an undeclared format")
+
+    monkeypatch.setattr(tile, "tile_rasters", no_work)
+    monkeypatch.setattr(analysis, "weyl_sum", no_work)
+    for argv in (("tile", *KNUTH, "--depth", "4", "--format", "dot"),
+                 ("weyl", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lambda", "2",
+                  "--format", "pgm"),
+                 ("carry", *KNUTH, "--format", "csv"),
+                 ("primes", *KNUTH, "--lambda", "2", "--format", "dot")):
+        code, _, err = run(capsysbinary, *argv)
+        assert code == 2 and b"invalid choice" in err
+    code, _, err = run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas",
+                       "3", "--lambda", "2", "--format", "csv")
+    assert code == 2 and b"the identity check has no CSV form" in err
 
 
 def test_caps_exit_three(capsysbinary, monkeypatch):
@@ -67,6 +90,16 @@ def test_caps_exit_three(capsysbinary, monkeypatch):
     assert code == 3 and b"lam_max 120" in err
     monkeypatch.setenv("RADIXION_CAP", "10")
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
+
+
+def test_box_cap_exits_three_before_expanding(capsysbinary, monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("an element was expanded")
+
+    monkeypatch.setattr(numeration, "expand", no_expansion)
+    code, _, err = run(capsysbinary, "expand", *KNUTH, "--box", "2000")
+    assert code == 3
+    assert b"box of 16008001 elements exceeds cap" in err
 
 
 def test_prime_sieve_cap_exits_three(capsysbinary):
@@ -225,18 +258,31 @@ PEAK_RSS = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
-def test_prime_sum_memory_fence(tmp_path):
-    """Criterion 7's rs run streams its row blocks: the child peaks at or
-    below 100 MB (it held the whole lambda=22 table at 386 MB)."""
+def peak_rss_mb(*argv) -> float:
+    """Run the CLI with argv in a child process; assert exit 0, return its peak RSS."""
     src = os.path.dirname(os.path.dirname(radixion.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    cmd = [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "radixion.cli", "weyl",
-           *KNUTH, "--fn", "rs", "--alpha", "0.6180339887", "--lambda", "14,22",
-           "--filter", "primes", "--format", "csv", "--out", str(tmp_path / "rs.csv")]
+    cmd = [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "radixion.cli", *argv]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     code, peak_kb = (int(v) for v in done.stdout.split())
     assert code == 0
-    assert peak_kb / 1024 <= 100  # ru_maxrss is in kB on Linux
+    return peak_kb / 1024  # ru_maxrss is in kB on Linux
+
+
+def test_prime_sum_memory_fence(tmp_path):
+    """Criterion 7's rs run streams its row blocks: the child peaks at or
+    below 100 MB (it held the whole lambda=22 table at 386 MB)."""
+    assert peak_rss_mb("weyl", *KNUTH, "--fn", "rs", "--alpha", "0.6180339887",
+                       "--lambda", "14,22", "--filter", "primes", "--format", "csv",
+                       "--out", str(tmp_path / "rs.csv")) <= 100
+
+
+def test_identity_sweep_memory_fence(tmp_path):
+    """Criterion 6 streams each lambda once for all 20 alphas: the child
+    peaks at or below 60 MB (it built the whole table per lambda at 79 MB)."""
+    lams = ",".join(str(lam) for lam in range(1, 21))
+    assert peak_rss_mb("weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "20",
+                       "--lambda", lams, "--seed", "0", "--out", str(tmp_path / "c6.json")) <= 60
 
 
 def test_distortion_values_and_format_guard(capsysbinary):
