@@ -62,14 +62,6 @@ def block_ranges(total: int, size: int) -> list:
     return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
-def low_positions(ns: NumberSystem, lam: int) -> int:
-    """Positions in row_blocks' low table: the most, up to lam, within LOW_ROWS rows."""
-    low = 0
-    while low < lam and ns.Q ** (low + 1) <= LOW_ROWS:
-        low += 1
-    return low
-
-
 @dataclass(frozen=True)
 class DigitTable:
     """Digit-string statistics for rows of N_lam, row-aligned."""
@@ -96,7 +88,10 @@ def row_blocks(ns: NumberSystem, lam: int, ranges=None):
     widest = max(max(-a, b) for a, b in zip(*coordinate_ranges(ns, lam)))
     if widest >= INT64_GUARD:
         raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
-    low = _build_table(ns, low_positions(ns, lam))
+    positions = 0  # in the low table: the most, up to lam, within LOW_ROWS rows
+    while positions < lam and ns.Q ** (positions + 1) <= LOW_ROWS:
+        positions += 1
+    low = _build_table(ns, positions)
     high = _build_table(ns, lam - low.lam)
     offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
     ranges = block_ranges(total, ROW_BLOCK) if ranges is None else ranges

@@ -225,6 +225,8 @@ def _parse_phase(args):
 
 def _cmd_expand(args) -> _Artifact:
     ns = _number_system(args)
+    if args.slice is not None and args.element is None:
+        raise UsageError("--slice needs --element")
     payload = {"system": ns.encode()}
     acted = False
     if args.element is not None:
@@ -402,6 +404,8 @@ def _cmd_weyl(args) -> _Artifact:
             raise UsageError("the factorization identity applies to fn=sod only")
         if args.alpha is not None or args.form is not None:
             raise UsageError("--identity-alphas draws its own coefficients")
+        if args.filter != "all":
+            raise UsageError("the factorization identity sums over all of N_lambda")
         if args.identity_alphas < 1:
             raise UsageError("--identity-alphas takes a positive count")
         rng = np.random.default_rng(args.seed)

@@ -153,6 +153,25 @@ def _strip_one(ns: NumberSystem, n: FieldElement):
     return t, tuple(y[i + 1] - k * c[i + 1] for i in range(ns.degree))
 
 
+def strip_columns(ns: NumberSystem, cols) -> list:
+    """Array form of _strip_one: the d int64 columns of (n - b)/q from those
+    of n.  With n_0 = Q s + r and b the digit of class r, y_0 / c_0 is
+    sign(c_0) (s + (r - b_0)/Q); digits (r, 0, ..., 0) need no residue."""
+    c, sign = ns.poly.coeffs, (1 if ns.poly.coeffs[0] > 0 else -1)
+    digits = np.array([ns.digits[t] for t in ns.residue_digit], dtype=np.int64)
+    offset = (np.arange(ns.Q) - digits[:, 0]) // ns.Q
+    s = cols[0] // ns.Q
+    if offset.any() or digits[:, 1:].any():
+        r = cols[0] - ns.Q * s  # np.divmod is many times slower than the two steps
+        s += offset[r]  # y_0 / Q
+    out = []
+    for i in range(1, ns.degree):
+        col = cols[i] - sign * c[i] * s if c[i] else cols[i]
+        out.append(col - digits[r, i] if digits[:, i].any() else col)
+    out.append(s if sign < 0 else -s)
+    return out
+
+
 def expand(ns: NumberSystem, x: FieldElement) -> Expansion:
     """Digit expansion of x, or CycleDetected when none terminates."""
     algebra._check_arity(ns.poly, x)

@@ -16,8 +16,9 @@ exact step: an integer numerator, exact in float64, and one correctly
 rounded division (cloud_chunks).  tile_rasters bins them into every
 requested raster in one pass, over bounding boxes taken from the digits.
 tile_points and rasterize, which hold a whole cloud, are the reference
-route.  The lattice area reads N_k from one bitmap built from the same
-row blocks.
+route.  The lattice area decides membership in N_k by backward division
+(numeration.strip_columns): n lies in N_k exactly when k strips take it
+to 0, since 0 is the digit of its own residue class.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, coordinate_bound, embedding_radii
 
 SPACE_TAGS = ("coordinate", "embedding")
-LATTICE_BLOCK = 1 << 16  # cell centres rounded per vectorized step
+LATTICE_BLOCK = 1 << 16  # cell centres rounded and stripped per vectorized step
 RASTER_BLOCK = 1 << 20  # most cloud points per chunk or binning step; bounds the temporaries
 FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 
@@ -281,41 +282,12 @@ def area_estimate(ns: NumberSystem, depth: int, resolution: int) -> float:
     return area_of(tile_rasters(ns, depth, [key])[key])
 
 
-def _lattice_bitmap(ns: NumberSystem, depth: int):
-    """Indicator of N_depth over the box of its exact coordinate ranges.
-
-    Returns (lo, bitmap) with bitmap[z - lo] true exactly when z lies in
-    N_depth.  Rows sharing their digits above position m form translates
-    of N_m, so the bits of the first such block are set once and ORed in
-    at the first row of every other block.  The box is sized before
-    anything is allocated; its one byte per lattice point is charged
-    against the cloud cap at the 8 * d bytes a cloud point costs.
-    """
-    lo, hi = bulk.coordinate_ranges(ns, depth)
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    cells = math.prod(shape)
-    if cells > effective_cap(ENUM_CAP) * 8 * ns.degree:
-        raise CapExceeded(
-            "lattice bitmap of %d cells at depth %d exceeds the memory of a"
-            " %d-point cloud" % (cells, depth, effective_cap(ENUM_CAP))
-        )
-    size = ns.Q ** bulk.low_positions(ns, depth)
-    ranges = [(0, size)] + [(h, h + 1) for h in range(size, ns.Q**depth, size)]
-    blocks = bulk.row_blocks(ns, depth, ranges)
-    first = next(blocks).coords
-    corner = first.min(axis=0)
-    block = np.zeros(tuple(first.max(axis=0) - corner + 1), dtype=bool)
-    block[tuple((first - corner).T)] = True
-    lo, bitmap = np.array(lo, dtype=np.int64), np.zeros(shape, dtype=bool)
-    for row in itertools.chain([first[0]], (b.coords[0] for b in blocks)):
-        at = row - first[0] + corner - lo
-        bitmap[tuple(slice(a, a + n) for a, n in zip(at, block.shape))] |= block
-    return lo, bitmap
-
-
 def lattice_area(ns: NumberSystem, raster: Raster) -> float:
     """Area of the cells whose centre c has rint(q^k c) in N_k, k = depth.
 
+    Centres outside the exact coordinate box of N_k are dropped; the rest
+    are in N_k when k strips take them to 0.  The work is done in blocks
+    of about LATTICE_BLOCK centres, so memory does not grow with N_k.
     The cells sample the union of the footprints q^{-k}(z + [-1/2,1/2)^d)
     over z in N_k: disjoint sets of total measure |N_k| / Q^k = 1.  When
     the integer translates of the tile tile the space, the union
@@ -336,8 +308,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
             "rounding q^%d c can err by %.3g, not below 1/2; depth %d is too deep"
             % (k, error, k)
         )
-    origin, bitmap = _lattice_bitmap(ns, k)
-    shape = np.array(bitmap.shape)
+    box_lo, box_hi = bulk.coordinate_ranges(ns, k)
     cell = (hi - lo) / res
     # the term of q^k c from axis a is the centre coordinate times column a
     terms = [np.outer(lo[a] + (np.arange(res) + 0.5) * cell[a], power[:, a]) for a in range(d)]
@@ -347,10 +318,18 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
     rows = max(1, LATTICE_BLOCK // len(tail))
     hits = 0
     for start in range(0, res, rows):
-        y = terms[0][start : start + rows, None, :] + tail[None, :, :]
-        z = np.rint(y.reshape(-1, d)).astype(np.int64) - origin
-        inside = ((z >= 0) & (z < shape)).all(axis=1)
-        hits += int(bitmap[tuple(z[inside].T)].sum())
+        cols = [np.rint(terms[0][start : start + rows, i, None] + tail[:, i]).astype(np.int64).ravel()
+                for i in range(d)]
+        inside = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(cols, box_lo, box_hi)])
+        cols = [col[inside] for col in cols]
+        # A rounded centre lies in N_k exactly when k strips take it to 0.
+        # They cannot wrap int64: the guard above keeps its coordinates
+        # below 2^52, and a strip never moves an embedding away from the
+        # attractor, so the coordinates stay within a system-dependent
+        # multiple of the larger of their start and the attractor's bound.
+        for _ in range(k):
+            cols = numeration.strip_columns(ns, cols)
+        hits += int(np.count_nonzero(~np.any(cols, axis=0)))
     return hits * cell_area(raster)
 
 

@@ -59,6 +59,9 @@ def test_usage_errors_exit_two(capsysbinary):
     assert run(capsysbinary, "cns-carry")[0] == 2
     assert run(capsysbinary, "cns-carry", "--m", "10", "--poly", "101,20,1")[0] == 2
     assert run(capsysbinary, "expand", *KNUTH, "--element=1,0", "--slice", "a,b")[0] == 2
+    assert run(capsysbinary, "expand", *KNUTH, "--box", "0", "--slice", "1,2")[0] == 2  # no element
+    assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "2",
+               "--lambda", "3", "--filter", "primes")[0] == 2  # the identity sums all of N_lambda
     for count in ("-1", "0"):  # 0: an identity checked at no alpha, a cover of no samples
         assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", count,
                    "--lambda", "3")[0] == 2
@@ -283,6 +286,15 @@ def test_identity_sweep_memory_fence(tmp_path):
     lams = ",".join(str(lam) for lam in range(1, 21))
     assert peak_rss_mb("weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "20",
                        "--lambda", lams, "--seed", "0", "--out", str(tmp_path / "c6.json")) <= 60
+
+
+def test_tile_memory_fence(tmp_path, monkeypatch):
+    """Criterion 5's depth-25 run decides lattice membership by stripping,
+    one block of cell centres at a time: the child peaks at or below 80 MB
+    (its one-byte-per-cell bitmap of N_25 held it at 131 MB)."""
+    monkeypatch.setenv("RADIXION_CAP", "34000000")
+    assert peak_rss_mb("tile", *KNUTH, "--depth", "25", "--resolution", "1024",
+                       "--boxdim", "256,512,1024", "--out", str(tmp_path / "c5.json")) <= 80
 
 
 def test_distortion_values_and_format_guard(capsysbinary):

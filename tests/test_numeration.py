@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from radixion import algebra, numeration
+from radixion import algebra, bulk, numeration
 from radixion.errors import CapExceeded, CycleDetected, DomainError, UsageError
 from radixion.numeration import Expansion, NumberSystem
 
@@ -65,6 +65,47 @@ def test_strip_matches_trial_division(knuth, negabinary, five_a, five_b, random_
         for row in rng.integers(-10**6, 10**6, size=(500, ns.degree)):
             x = tuple(int(v) for v in row)
             assert numeration._strip_one(ns, x) == trial_strip(ns, x)
+
+
+# c0 < 0 in degree 1; a degree-3 base; a digit off the first axis whose
+# residue needs no offset
+EXTRA_STRIP_SYSTEMS = (("-3,1", "0;4;8"), ("2,2,2,1", "0,0,0;1,0,0"), ("2,2,1", "0,0;1,1"))
+
+
+def box_columns(ns, depth, pad):
+    """int64 columns of the box coordinate_ranges(ns, depth) widened by pad."""
+    lo, hi = bulk.coordinate_ranges(ns, depth)
+    axes = [np.arange(a - pad, b + pad + 1) for a, b in zip(lo, hi)]
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
+def rows_of(cols):
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+def test_strip_columns_matches_strip_one(knuth, negabinary, five_a, five_b, random_systems):
+    rng = np.random.default_rng(44)
+    extra = [NumberSystem.parse(*spec) for spec in EXTRA_STRIP_SYSTEMS]
+    for ns in (knuth, negabinary, five_a, five_b, *random_systems, *extra):
+        far = rng.integers(-10**12, 10**12, size=(ns.degree, 500))
+        for cols in (box_columns(ns, 3, 2), list(far)):
+            stripped = rows_of(numeration.strip_columns(ns, cols))
+            assert stripped == [numeration._strip_one(ns, n)[1] for n in rows_of(cols)]
+
+
+def test_strips_to_zero_is_membership(knuth, negabinary, five_a, five_b, one_plus_i,
+                                      random_systems):
+    # n is in N_depth exactly when depth strips take it to 0
+    extra = [NumberSystem.parse(*spec) for spec in EXTRA_STRIP_SYSTEMS]
+    for ns in (knuth, negabinary, five_a, five_b, one_plus_i, *random_systems, *extra):
+        depth = max(lam for lam in range(12) if ns.Q**lam <= 600)
+        box = box_columns(ns, depth, 2)
+        cols = box
+        for _ in range(depth):
+            cols = numeration.strip_columns(ns, cols)
+        reached = ~np.any(cols, axis=0)
+        members = {n for n, hit in zip(rows_of(box), reached) if hit}
+        assert members == set(numeration.enumerate_N(ns, depth))
 
 
 def test_expand_knuth_golden(knuth):

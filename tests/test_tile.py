@@ -10,7 +10,7 @@ import pytest
 
 from radixion import tile
 from radixion.errors import CapExceeded, DomainError, UsageError
-from radixion.numeration import NumberSystem, enumerate_N
+from radixion.numeration import NumberSystem
 from radixion.tile import Raster, TileCloud
 
 
@@ -165,24 +165,6 @@ def test_knuth_boundary_dimension_band(knuth):
 # ------------------------------------------------------------ lattice area
 
 
-@pytest.mark.parametrize("name,depth", [("negabinary", 9), ("knuth", 8), ("five_b", 4)])
-def test_lattice_bitmap_is_N_depth(request, name, depth):
-    ns = request.getfixturevalue(name)
-    lo, bitmap = tile._lattice_bitmap(ns, depth)
-    members = {tuple(int(v) for v in z) for z in np.argwhere(bitmap) + lo}
-    assert members == set(enumerate_N(ns, depth))
-
-
-def test_lattice_bitmap_across_prefix_blocks(request, monkeypatch):
-    # low tables of at most 4 rows: the bitmap is ORed in from many blocks
-    monkeypatch.setattr(tile.bulk, "LOW_ROWS", 4)
-    for ns in golden_and_random(request, ["negabinary", "knuth", "five_b"]):
-        depth = stream_depth(ns) - 1
-        lo, bitmap = tile._lattice_bitmap(ns, depth)
-        members = {tuple(int(v) for v in z) for z in np.argwhere(bitmap) + lo}
-        assert members == set(enumerate_N(ns, depth))
-
-
 def test_negabinary_lattice_area(negabinary):
     raster = tile.rasterize(tile.tile_points(negabinary, 18), 1024)
     report = tile.measure_area(negabinary, raster)
@@ -212,15 +194,11 @@ def test_embedding_raster_keeps_occupancy_area(knuth):
         tile.lattice_area(knuth, raster)
 
 
-def test_lattice_area_guards(knuth, monkeypatch):
+def test_lattice_area_guards(knuth):
     window = ((-1.0, 1.0), (-1.0, 1.0))
     deep = Raster(4, window, np.ones((4, 4), dtype=bool), 100, "coordinate")
     with pytest.raises(DomainError, match="depth 100"):
         tile.lattice_area(knuth, deep)
-    raster = tile.rasterize(tile.tile_points(knuth, 12), 64)
-    monkeypatch.setenv("RADIXION_CAP", "64")
-    with pytest.raises(CapExceeded, match="lattice bitmap"):
-        tile.lattice_area(knuth, raster)
 
 
 # ------------------------------------------------------------- raster edges
