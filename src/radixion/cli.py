@@ -208,6 +208,8 @@ def _parse_slice(text: str):
         mu = math.inf if toks[1].strip() == "inf" else int(toks[1])
     except ValueError:
         raise UsageError("--slice takes integers 'nu,mu', got %r" % text) from None
+    if nu < 0 or mu < nu:
+        raise UsageError("digit window needs 0 <= nu <= mu")
     return nu, mu
 
 
@@ -227,6 +229,10 @@ def _cmd_expand(args) -> _Artifact:
     ns = _number_system(args)
     if args.slice is not None and args.element is None:
         raise UsageError("--slice needs --element")
+    # every flag is checked before an element is expanded: a cycle exits 1
+    window = None if args.slice is None else _parse_slice(args.slice)
+    if args.box is not None and args.box < 0:
+        raise UsageError("--box takes a nonnegative radius")
     payload = {"system": ns.encode()}
     acted = False
     if args.element is not None:
@@ -243,8 +249,8 @@ def _cmd_expand(args) -> _Artifact:
         payload["sum_of_digits"] = list(numeration.sum_of_digits(ns, x))
         if ns.is_binary:
             payload["adjacent_pairs"] = numeration.rudin_shapiro(ns, x)
-        if args.slice is not None:
-            nu, mu = _parse_slice(args.slice)
+        if window is not None:
+            nu, mu = window
             val = numeration.digit_slice(ns, x, nu, mu)
             payload["slice"] = {
                 "nu": nu,
@@ -253,8 +259,6 @@ def _cmd_expand(args) -> _Artifact:
             }
     if args.box is not None:
         acted = True
-        if args.box < 0:
-            raise UsageError("--box takes a nonnegative radius")
         elements = (2 * args.box + 1) ** ns.degree
         if elements > effective_cap(FNS_BOX_CAP):
             raise CapExceeded("box of %d elements exceeds cap %d"

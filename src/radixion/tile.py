@@ -13,12 +13,15 @@ The depth-k point of the digit string b_1 ... b_k is q^{-k} n, n the
 element of N_k with top digit b_1, so clouds are streamed in chunks
 mapped from the integer row blocks of N_k (bulk.row_blocks) by one
 exact step: an integer numerator, exact in float64, and one correctly
-rounded division (cloud_chunks).  tile_rasters bins them into every
-requested raster in one pass, over bounding boxes taken from the digits.
-tile_points and rasterize, which hold a whole cloud, are the reference
-route.  The lattice area decides membership in N_k by backward division
-(numeration.strip_columns): n lies in N_k exactly when k strips take it
-to 0, since 0 is the digit of its own residue class.
+rounded division (cloud_chunks).  tile_rasters bins them in one pass,
+over a bounding box per space taken from the digits.  A space's grids
+whose resolutions differ by powers of two form a chain: each point is
+marked, by its flat cell index, only in the finest grid of each chain,
+and the coarser grids are OR-pooled from it after the pass, exactly.  tile_points and rasterize,
+which hold a whole cloud, are the reference route.  The lattice area
+decides membership in N_k by backward division (numeration.strip_columns):
+n lies in N_k exactly when k strips take it to 0, since 0 is the digit of
+its own residue class.
 """
 
 from __future__ import annotations
@@ -185,15 +188,32 @@ def _cloud_window(ns: NumberSystem, depth: int, chart) -> tuple:
 
 def _bin(points: np.ndarray, bbox: tuple, grids) -> None:
     """Mark the cell clip(floor(v * res), 0, res - 1) of every point in each
-    grid, v = (y - lo) / (hi - lo).  Clipping before the truncation picks
-    the same cell and is cheaper; so is Fortran order for v."""
+    grid, v = (y - lo) / (hi - lo), by its flat (C-order) index in intp.
+    Clipping before the truncation picks the same cell and is cheaper; so
+    is Fortran order for v."""
     lo, hi = np.array(bbox).T
-    v = np.subtract(points, lo, order="F") / (hi - lo)
+    v = np.subtract(points, lo, order="F")
+    v /= hi - lo
     for occupancy in grids:
         res = occupancy.shape[0]
         scaled = v * res
         np.clip(scaled, 0, res - 1, out=scaled)
-        occupancy[tuple(scaled.astype(np.int32 if res < 2**31 else np.int64).T)] = True
+        cells = scaled.astype(np.intp)
+        flat = cells[:, 0]  # a view: the axis-0 column becomes the flat index
+        for axis in range(1, cells.shape[1]):
+            flat *= res
+            flat += cells[:, axis]
+        occupancy.reshape(-1)[flat] = True
+
+
+def _pool(fine: np.ndarray, res: int) -> np.ndarray:
+    """The res grid over fine's window, fine's resolution a power-of-two
+    multiple k of res: a coarse cell is occupied when one of its k^d fine
+    cells is.  Exact: v * res * k is v * (res * k) without rounding, the
+    floor of floor(x) / k is floor(x / k), and the clip at res * k - 1
+    lands in res - 1."""
+    k = fine.shape[0] // res
+    return fine.reshape((res, k) * fine.ndim).any(axis=tuple(range(1, 2 * fine.ndim, 2)))
 
 
 def rasterize(cloud: TileCloud, resolution: int) -> Raster:
@@ -214,21 +234,38 @@ def rasterize(cloud: TileCloud, resolution: int) -> Raster:
     return Raster(resolution, bbox, occupancy, cloud.depth, cloud.space_tag)
 
 
+def _pool_source(res: int, resolutions) -> int:
+    """Finest of `resolutions` that is res times a power of two (res itself
+    if no finer one is); that grid is binned and res is pooled from it."""
+    return max(r for r in resolutions if r % res == 0 and (r // res) & (r // res - 1) == 0)
+
+
 def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
     """Rasters of the depth-`depth` cloud for each (space_tag, resolution) in
-    `requests`, keyed by that pair: one streamed pass, bboxes from _cloud_window."""
+    `requests`, keyed by that pair: one streamed pass, bboxes from _cloud_window.
+
+    A space's grids share its bbox, so a grid whose resolution is a
+    power-of-two fraction of another's is pooled from the finer one after
+    the pass (_pool, exact); only the rest are binned, each point once per
+    binned grid."""
     requests = list(dict.fromkeys(requests))
     charts = {space: _chart(ns, space) for space, _ in requests}
     if any(res < 1 for _, res in requests):
         raise UsageError("resolution must be positive")
     _check_cloud(ns, depth)
     bboxes = {space: _cloud_window(ns, depth, chart) for space, chart in charts.items()}
-    grids = {(space, res): np.zeros((res,) * ns.degree, dtype=bool) for space, res in requests}
+    sources = {(space, res): (space, _pool_source(res, [r for s, r in requests if s == space]))
+               for space, res in requests}
+    grids = {key: np.zeros((key[1],) * ns.degree, dtype=bool)
+             for key in dict.fromkeys(sources.values())}
     for chunk in cloud_chunks(ns, depth):
         for space, chart in charts.items():
             _bin(chunk if chart is None else chunk @ chart, bboxes[space],
                  [grid for key, grid in grids.items() if key[0] == space])
-    return {key: Raster(key[1], bboxes[key[0]], grid, depth, key[0]) for key, grid in grids.items()}
+    for key, source in sources.items():
+        if key != source:
+            grids[key] = _pool(grids[source], key[1])
+    return {key: Raster(key[1], bboxes[key[0]], grids[key], depth, key[0]) for key in requests}
 
 
 def tile_radii(ns: NumberSystem, raster: Raster) -> RadiiReport:
@@ -405,9 +442,9 @@ def boundary_cell_count(raster: Raster) -> int:
 def boundary_boxdim(rasters) -> BoxDimReport:
     """Box-counting slope of the tile boundary across rasters of one cloud."""
     rasters = sorted(rasters, key=lambda r: r.resolution)
-    if len(rasters) < 3:
-        raise UsageError("box dimension needs at least 3 resolutions")
     resolutions = [r.resolution for r in rasters]
+    if len(set(resolutions)) < 3:
+        raise UsageError("box dimension needs at least 3 distinct resolutions")
     counts = [boundary_cell_count(r) for r in rasters]
     logs_r = np.log(np.array(resolutions, dtype=np.float64))
     logs_c = np.log(np.array(counts, dtype=np.float64))

@@ -60,6 +60,11 @@ def test_usage_errors_exit_two(capsysbinary):
     assert run(capsysbinary, "cns-carry", "--m", "10", "--poly", "101,20,1")[0] == 2
     assert run(capsysbinary, "expand", *KNUTH, "--element=1,0", "--slice", "a,b")[0] == 2
     assert run(capsysbinary, "expand", *KNUTH, "--box", "0", "--slice", "1,2")[0] == 2  # no element
+    # flags are checked before the element is expanded, so no cycle (exit 1) hides them
+    for bad in (("--slice", "a,b"), ("--slice", "3,1"), ("--box", "-1")):
+        assert run(capsysbinary, "expand", *ONE_PLUS_I, "--element=-1,1", *bad)[0] == 2
+    assert run(capsysbinary, "tile", *KNUTH, "--depth", "10", "--resolution", "64",
+               "--boxdim", "32,32,64")[0] == 2  # two distinct resolutions
     assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "2",
                "--lambda", "3", "--filter", "primes")[0] == 2  # the identity sums all of N_lambda
     for count in ("-1", "0"):  # 0: an identity checked at no alpha, a cover of no samples

@@ -232,6 +232,8 @@ def test_boxdim_needs_three_resolutions(knuth):
     cloud = tile.tile_points(knuth, 10)
     with pytest.raises(UsageError):
         tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 512)])
+    with pytest.raises(UsageError, match="distinct"):  # a repeated grid is not a third point
+        tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 256, 512)])
 
 
 # -------------------------------------------------------- streamed clouds
@@ -356,17 +358,39 @@ def test_cloud_window_overshoot_lands_in_edge_cells(request):
     assert overshoots > 0  # the clause above is exercised
 
 
-@pytest.mark.parametrize("block", [tile.RASTER_BLOCK, 1000])
-def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block):
+# 1, 64 and 128 are pooled from 512, 100 from 200; 257 shares no power of
+# two with another grid.  On the cubic system the grids are 3-D: 4 and 16
+# are pooled from 32, 12 is binned.
+STREAM_CASES = {
+    "quadratic": (("knuth", "negabinary", "five_a", "five_b"), (1, 64, 100, 128, 200, 257, 512)),
+    "cubic": (("cubic",), (4, 12, 16, 32)),
+}
+
+
+@pytest.fixture(scope="session")
+def cubic():
+    return NumberSystem.parse("2,2,2,1", "0,0,0;1,0,0")
+
+
+@pytest.mark.parametrize("case,block", [  # the quadratic cases keep their plain block ids
+    pytest.param(case, block, id=str(block) if case == "quadratic" else "%s-%d" % (case, block))
+    for case in STREAM_CASES for block in (tile.RASTER_BLOCK, 1000)
+])
+def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block, case):
     monkeypatch.setattr(tile, "RASTER_BLOCK", block)
-    resolutions = (1, 64, 100, 257)
-    for ns in golden_and_random(request, ["knuth", "negabinary", "five_a", "five_b"]):
-        exact = abs(ns.poly.coeffs[0]) == 2
+    names, resolutions = STREAM_CASES[case]
+    systems = [request.getfixturevalue(n) for n in names]
+    if case == "quadratic":
+        systems += list(request.getfixturevalue("random_systems"))
+    for ns in systems:
         depth = stream_depth(ns)
         requests = [(s, r) for s in tile.SPACE_TAGS for r in resolutions]
         streamed = tile.tile_rasters(ns, depth, requests)
         assert set(streamed) == set(requests)
         for space in tile.SPACE_TAGS:
+            # c0 = +-2 and an integer chart: every point is dyadic, the window exact
+            chart = tile._chart(ns, space)
+            exact = abs(ns.poly.coeffs[0]) == 2 and (chart is None or np.array_equal(chart, np.rint(chart)))
             pts = tile.tile_points(ns, depth, space).points
             for r in resolutions:
                 got, ref = streamed[space, r], tile.rasterize(TileCloud(depth, pts, space), r)
@@ -384,6 +408,25 @@ def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block):
                     assert np.allclose(got.bbox, ref.bbox, rtol=0, atol=1e-12)
                     n_got, n_ref = int(got.occupancy.sum()), int(ref.occupancy.sum())
                     assert abs(n_got - n_ref) <= 1e-3 * n_ref
+
+
+def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch):
+    monkeypatch.setattr(tile, "RASTER_BLOCK", 1000)
+    real_bin = tile._bin
+    marked = []
+
+    def recording_bin(points, bbox, grids):
+        marked.append(sorted(grid.shape[0] for grid in grids))
+        real_bin(points, bbox, grids)
+
+    monkeypatch.setattr(tile, "_bin", recording_bin)
+    chunks = len(list(tile.cloud_chunks(knuth, 12)))
+    # the criterion-5 request: the raster at 1024 and the box-counting grids
+    tile.tile_rasters(knuth, 12, [("coordinate", 1024)] + [("coordinate", r) for r in (256, 512, 1024)])
+    assert marked == [[1024]] * chunks
+    marked.clear()
+    tile.tile_rasters(knuth, 12, [("coordinate", r) for r in (100, 300)])
+    assert marked == [[100, 300]] * chunks
 
 
 def test_streamed_raster_of_depth_zero(knuth, negabinary):
