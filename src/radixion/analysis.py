@@ -5,6 +5,13 @@ length-bounded set N_lambda or its prime elements; value(n) is either a
 linear form in the traces of the digit-sum element or a scalar multiple
 of the adjacent-nonzero-pair count.  Decay of |S|/count as lambda grows
 is the finite-scale signature of equidistribution modulo 1.
+
+Both statistics take few values: s(n) lies in a box of prod_i
+(lambda * w_i + 1) points (w_i the digit spread in coordinate i), and r(n)
+in 0..lambda-1.  So weyl_sum counts the enumerated rows per value in an
+exact integer histogram and takes one exponential per occupied value; the
+counted sum is added exactly and rounded once, so it equals the math.fsum
+of the per-row summands and does not depend on how the rows are blocked.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, enumerate_N
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_GRANULARITY = 64  # contiguous reduction blocks per sum
+DEFAULT_GRANULARITY = 64  # row blocks per Weyl sum; the sum does not depend on it
 PRIME_DIVISOR_CAP = 1 << 32
 NORM_DIRECTIONS = 64  # support directions behind the sieve's norm bound
 LOG_FLOOR = 1e-300
@@ -349,11 +356,54 @@ def _digit_twist(ns: NumberSystem, fn: str, phase):
     raise UsageError("fn must be 'sod' or 'rs'")
 
 
-def _phase_values(ns: NumberSystem, fn: str, phase, table: bulk.DigitTable) -> np.ndarray:
-    """Real phase value per table row; e(h * value) is the summand.
-    weyl_sum applies the same arithmetic with each twist checked once."""
-    c, pair = _digit_twist(ns, fn, phase)
-    return table.s_coords.astype(np.float64) @ c + pair * table.r
+def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all",
+                     granularity: int = DEFAULT_GRANULARITY) -> tuple:
+    """Exact row counts of the statistic an fn-twist reads over N_lam or its
+    primes: (stats, r, counts) over the occupied values in ascending key
+    order, with stats the digit-sum elements s(n) (r zero) for 'sod' and r
+    the adjacent nonzero-pair counts (stats zero) for 'rs'.
+
+    The rows come from `granularity` row blocks of bulk.row_blocks.  The key
+    of a row is s(n) offset-encoded over its box, coordinate i spanning
+    lam * [min_b b_i, max_b b_i], or r in 0..lam-1; the bin count is checked
+    against the element cap before the sieve or any block is built.
+    """
+    if filter not in ("all", "primes"):
+        raise UsageError("filter must be 'all' or 'primes'")
+    span = max(lam, 0)  # row_blocks rejects lam < 0
+    digits = np.array(ns.digits, dtype=np.int64)
+    if fn == "sod":
+        lo = span * digits.min(axis=0)
+        dims = tuple(int(v) for v in span * (digits.max(axis=0) - digits.min(axis=0)) + 1)
+    elif fn == "rs":
+        dims = (max(span, 1),)
+    else:
+        raise UsageError("fn must be 'sod' or 'rs'")
+    bins = math.prod(dims)
+    if bins > effective_cap(ENUM_CAP):
+        raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
+                          % (bins, lam, effective_cap(ENUM_CAP)))
+    total_rows = ns.Q**span
+    parts = min(granularity, total_rows)  # np.array_split's ranges, without its index array
+    if parts < 1:
+        raise UsageError("granularity must be positive")
+    size, extra = divmod(total_rows, parts)
+    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
+    blocks = bulk.row_blocks(ns, lam, list(zip(bounds, bounds[1:])))
+    sieve = prime_sieve(ns, lam) if filter == "primes" else None
+    place = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))], dtype=np.int64)
+    hist = np.zeros(bins, np.int64)
+    for block in blocks:
+        stat = block.s_coords if fn == "sod" else block.r
+        if sieve is not None:
+            stat = stat[prime_mask(ns, block.coords, sieve=sieve)]
+        keys = np.einsum("ij,j->i", stat - lo, place) if fn == "sod" else stat
+        hist += np.bincount(keys, minlength=bins)
+    occupied = np.flatnonzero(hist)
+    if fn == "sod":
+        stats = np.stack(np.unravel_index(occupied, dims), axis=1) + lo
+        return stats, np.zeros(len(occupied), np.int64), hist[occupied]
+    return np.zeros((len(occupied), ns.degree), np.int64), occupied, hist[occupied]
 
 
 def weyl_sum(
@@ -368,33 +418,35 @@ def weyl_sum(
     """S = sum of e(h * value) over N_lambda or its primes, one WeylRow per
     phase, in order.
 
-    The sum is reduced over `granularity` contiguous row blocks added in
-    ascending order, so the granularity fixes the summation order and
-    with it the bits of the result.  Each block is built and masked once
-    (bulk.row_blocks) and summed for every phase; a row does not depend
-    on the other phases.
+    One streamed pass counts the rows per value of the digit statistic
+    exactly (_digit_histogram); each phase then takes one exponential per
+    occupied value, from the float expression a row would use, and adds
+    count * e(h * value) exactly, rounding once.  So re_sum and im_sum are
+    the math.fsum of the per-row summands, they depend neither on
+    `granularity` nor on how bulk.row_blocks splits its tables, and a row
+    does not depend on the other phases.
     """
-    if filter not in ("all", "primes"):
-        raise UsageError("filter must be 'all' or 'primes'")
     twists = [_digit_twist(ns, fn, phase) for phase in phases]
-    total_rows = ns.Q ** max(lam, 0)  # row_blocks rejects lam < 0
-    parts = min(granularity, total_rows)  # np.array_split's ranges, without its index array
-    if parts < 1:
-        raise UsageError("granularity must be positive")
-    size, extra = divmod(total_rows, parts)
-    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
-    blocks = bulk.row_blocks(ns, lam, list(zip(bounds, bounds[1:])))
-    sieve = prime_sieve(ns, lam) if filter == "primes" else None
-    count, totals = 0, [0j] * len(twists)
-    for block in blocks:
-        s_coords = block.s_coords.astype(np.float64)
-        mask = None if sieve is None else prime_mask(ns, block.coords, sieve=sieve)
-        count += len(block.r) if mask is None else int(mask.sum())
-        for i, (c, pair) in enumerate(twists):
-            z = np.exp((TWO_PI * h) * 1j * (s_coords @ c + pair * block.r))
-            totals[i] += complex((z if mask is None else z[mask]).sum())
-    return [WeylRow(lam, h, filter, count, float(total.real), float(total.imag),
-                    float(abs(total) / count if count else 0.0)) for total in totals]
+    stats, r, counts = _digit_histogram(ns, fn, lam, filter, granularity)
+    s_float, counts = stats.astype(np.float64), counts.tolist()
+    count = sum(counts)
+    rows = []
+    for c, pair in twists:
+        z = np.exp((TWO_PI * h) * 1j * (s_float @ c + pair * r))
+        total = complex(_exact_sum(counts, z.real), _exact_sum(counts, z.imag))
+        rows.append(WeylRow(lam, h, filter, count, total.real, total.imag,
+                            float(abs(total) / count if count else 0.0)))
+    return rows
+
+
+def _exact_sum(counts: list, x: np.ndarray) -> float:
+    """sum(counts[i] * x[i]) rounded once: each float is num / 2^k, so the
+    sum is one integer over the largest 2^k, and int / int rounds correctly."""
+    if not np.isfinite(x).all():  # a phase value past the float range
+        return math.nan
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    scale = max((den for _, den in ratios), default=1)
+    return sum(n * num * (scale // den) for n, (num, den) in zip(counts, ratios)) / scale
 
 
 def sod_factorization_reference(ns: NumberSystem, alpha: float, h: int, lam: int) -> complex:

@@ -361,6 +361,8 @@ def _cmd_tile(args) -> _Artifact:
         raise UsageError("--cover-samples takes a positive count")
     ns = _number_system(args)
     boxdim = [] if args.boxdim is None else _parse_int_list(args.boxdim)
+    if boxdim:
+        tile.check_boxdim(boxdim)  # before the streamed pass
     # one streamed pass; the box dimension is always fitted in coordinate space
     rasters = tile.tile_rasters(
         ns, args.depth, [(args.space, args.resolution)] + [("coordinate", r) for r in boxdim]
@@ -576,7 +578,7 @@ def _conf_weyl(p):
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated digit lengths")
     p.add_argument("--filter", choices=("all", "primes"), default="all")
     p.add_argument("--granularity", type=int, default=analysis.DEFAULT_GRANULARITY,
-                   help="reduction blocks per sum; sets the summation order")
+                   help="row blocks per sum; the result does not depend on it")
     p.add_argument("--identity-alphas", type=int,
                    help="check S_all against the digit-factorization identity for N seeded alphas")
 

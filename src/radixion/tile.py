@@ -439,12 +439,17 @@ def boundary_cell_count(raster: Raster) -> int:
     return int(boundary.sum())
 
 
+def check_boxdim(resolutions) -> None:
+    """The box-counting fit needs at least 3 distinct resolutions."""
+    if len(set(resolutions)) < 3:
+        raise UsageError("box dimension needs at least 3 distinct resolutions")
+
+
 def boundary_boxdim(rasters) -> BoxDimReport:
     """Box-counting slope of the tile boundary across rasters of one cloud."""
     rasters = sorted(rasters, key=lambda r: r.resolution)
     resolutions = [r.resolution for r in rasters]
-    if len(set(resolutions)) < 3:
-        raise UsageError("box dimension needs at least 3 distinct resolutions")
+    check_boxdim(resolutions)
     counts = [boundary_cell_count(r) for r in rasters]
     logs_r = np.log(np.array(resolutions, dtype=np.float64))
     logs_c = np.log(np.array(counts, dtype=np.float64))

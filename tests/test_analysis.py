@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 from fractions import Fraction
 
@@ -256,42 +257,101 @@ def test_weyl_thread_and_table_invariance(knuth):
     assert analysis.weyl_sum(knuth, "rs", [], 1, 10) == []
 
 
-def weyl_table_oracle(ns, fn, phase, h, lam, filter, granularity):
-    """The whole-table route: one table, one mask and one phase array,
-    summed over the array_split blocks in ascending order."""
+def _phase_values(ns, fn, phase, table):
+    """Real phase value per table row; e(h * value) is the summand."""
+    c, pair = analysis._digit_twist(ns, fn, phase)
+    return table.s_coords.astype(np.float64) @ c + pair * table.r
+
+
+def weyl_table_oracle(ns, fn, phase, h, lam, filter):
+    """The whole-table route: one table, one mask, one summand per row."""
     table = bulk.digit_table(ns, lam)
-    values = analysis._phase_values(ns, fn, phase, table)
-    sieve = analysis.prime_sieve(ns, lam) if filter == "primes" else None
-    mask = analysis.prime_mask(ns, table.coords, sieve) if filter == "primes" else None
-    phases = np.exp((analysis.TWO_PI * h) * 1j * values)
-    count = len(values) if mask is None else int(mask.sum())
-    total = 0j
-    for idx in np.array_split(np.arange(len(values)), min(granularity, len(values))):
-        z = phases[idx] if mask is None else phases[idx][mask[idx]]
-        total += complex(z.sum())
-    return count, float(total.real), float(total.imag)
+    z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, table))
+    if filter == "primes":
+        z = z[analysis.prime_mask(ns, table.coords, analysis.prime_sieve(ns, lam))]
+    return z
 
 
-def test_streamed_weyl_equals_table_oracle(request, monkeypatch):
-    monkeypatch.setattr(bulk, "LOW_ROWS", 16)  # blocks cross prefix boundaries
-    cases = [(request.getfixturevalue(n), fn, phase)
-             for n in ("knuth", "negabinary", "five_a")
-             for fn, phase in (("sod", GOLDEN_RATIO), ("rs", GOLDEN_RATIO))]
+def weyl_cases(request):
+    """(system, fn, phase, lambda) with Q^lambda <= 1500."""
+    cases = [(request.getfixturevalue(n), fn, GOLDEN_RATIO)
+             for n in ("knuth", "negabinary", "five_a") for fn in ("sod", "rs")]
     cases += [(ns, "rs", 0.3) for ns in request.getfixturevalue("random_systems")]
-    for ns, fn, phase in cases:
-        lam = 1
-        while ns.Q ** (lam + 1) <= 1500:
-            lam += 1
+    return [(ns, fn, phase, largest_lam(ns, 1500)) for ns, fn, phase in cases]
+
+
+def largest_lam(ns, rows):
+    lam = 1
+    while ns.Q ** (lam + 1) <= rows:
+        lam += 1
+    return lam
+
+
+def test_weyl_rows_do_not_depend_on_blocks(request, monkeypatch):
+    for ns, fn, phase, lam in weyl_cases(request):
         for filter in ("all", "primes"):
+            first = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter)
             for granularity in (1, 7, 64, ns.Q**lam + 5):
-                [row] = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter, granularity)
-                ref = weyl_table_oracle(ns, fn, phase, 3, lam, filter, granularity)
-                assert (row.count, row.re_sum, row.im_sum) == ref
+                assert analysis.weyl_sum(ns, fn, [phase], 3, lam, filter, granularity) == first
+            with monkeypatch.context() as m:
+                m.setattr(bulk, "LOW_ROWS", 16)  # blocks cross prefix boundaries
+                assert analysis.weyl_sum(ns, fn, [phase], 3, lam, filter, 7) == first
     knuth = request.getfixturevalue("knuth")
     with pytest.raises(UsageError, match="granularity"):
         analysis.weyl_sum(knuth, "rs", [0.5], 1, 4, granularity=0)
     with pytest.raises(UsageError, match="nonnegative"):
         analysis.weyl_sum(knuth, "rs", [0.5], 1, -1, "primes")
+
+
+def test_weyl_sum_is_fsum_of_row_summands(request):
+    # scalar sod and rs phases: the summand of a value is bit-identical to
+    # that of each of its rows, so the sum counted per value is the exact
+    # sum of the row summands, rounded once like math.fsum
+    for ns, fn, phase, lam in weyl_cases(request):
+        for filter in ("all", "primes"):
+            [row] = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter)
+            z = weyl_table_oracle(ns, fn, phase, 3, lam, filter)
+            assert row.count == len(z)
+            assert (row.re_sum, row.im_sum) == (math.fsum(z.real), math.fsum(z.imag)), (ns, fn)
+
+
+def test_exact_sum_rounds_once():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(50), [1e-17, -1e-17, 0.0, 0.1]])
+    counts = rng.integers(0, 2**40, size=len(x)).tolist()
+    exact = sum((Fraction(v) * n for v, n in zip(x.tolist(), counts)), Fraction(0))
+    assert analysis._exact_sum(counts, x) == float(exact)
+    assert analysis._exact_sum([1] * len(x), x) == math.fsum(x)
+    assert analysis._exact_sum([], np.zeros(0)) == 0.0
+    assert math.isnan(analysis._exact_sum([1, 2], np.array([0.5, math.nan])))
+
+
+def scalar_histogram(ns, fn, lam, filter):
+    """Counter of s(n) ('sod') or of the adjacent nonzero-pair count ('rs'),
+    one expansion per element of N_lam."""
+    counts = collections.Counter()
+    nonzero = ns.digit_is_nonzero
+    for n in numeration.enumerate_N(ns, lam):
+        if filter == "primes" and analysis.is_prime_element(ns, n).kind not in analysis.PRIME_KINDS:
+            continue
+        if fn == "sod":
+            counts[numeration.sum_of_digits(ns, n)] += 1
+        else:
+            idx = numeration.expand(ns, n).digit_indices
+            counts[sum(nonzero[a] and nonzero[b] for a, b in zip(idx, idx[1:]))] += 1
+    return counts
+
+
+def test_digit_histogram_matches_scalar_counter(request):
+    systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    for ns in systems + list(request.getfixturevalue("random_systems")):
+        lam = largest_lam(ns, 1500)
+        for fn in ("sod", "rs"):
+            for filter in ("all", "primes"):
+                stats, r, counts = analysis._digit_histogram(ns, fn, lam, filter)
+                keys = [tuple(s) for s in stats.tolist()] if fn == "sod" else r.tolist()
+                assert dict(zip(keys, counts.tolist())) == dict(scalar_histogram(ns, fn, lam, filter))
+                assert not (r if fn == "sod" else stats).any()
 
 
 def mixed_phases(ns, fn):
@@ -308,9 +368,7 @@ def test_multi_phase_rows_equal_one_phase_rows(request, monkeypatch):
     monkeypatch.setattr(bulk, "LOW_ROWS", 16)  # blocks cross prefix boundaries
     systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     for ns in systems + list(request.getfixturevalue("random_systems")):
-        lam = 1
-        while ns.Q ** (lam + 1) <= 300:
-            lam += 1
+        lam = largest_lam(ns, 300)
         for fn in ("sod", "rs"):
             phases = mixed_phases(ns, fn)
             for filter in ("all", "primes"):
@@ -336,6 +394,20 @@ def test_bad_phase_fails_before_any_block(knuth, five_b, monkeypatch):
         for filter in ("all", "primes"):
             with pytest.raises(UsageError):
                 analysis.weyl_sum(ns, fn, phases, 1, 6, filter)
+
+
+def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the histogram was sized")
+
+    monkeypatch.setattr(bulk, "row_blocks", refuse)
+    monkeypatch.setattr(analysis, "prime_sieve", refuse)
+    monkeypatch.setenv("RADIXION_CAP", "5")
+    form = LinearForm.parse("1/3,0.25")
+    for filter in ("all", "primes"):
+        # s(n) spans (8 + 1) * (2 + 1) = 27 values over the 5 rows of N_1
+        with pytest.raises(CapExceeded, match="histogram of 27 bins for lambda 1"):
+            analysis.weyl_sum(five_b, "sod", [form], 1, 1, filter)
 
 
 def test_weyl_normalized_bounded(knuth):
@@ -380,7 +452,7 @@ def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
     best = []
     for lam in range(1, lam_max + 1):
         table = bulk.digit_table(ns, lam)
-        values = analysis._phase_values(ns, fn, phase, table)
+        values = _phase_values(ns, fn, phase, table)
         angles = table.coords.astype(np.float64) @ weights.T + values[:, None]
         best.append(float(np.abs(np.exp(2j * math.pi * angles).sum(axis=0)).max()))
     return best

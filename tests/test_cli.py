@@ -91,6 +91,17 @@ def test_undeclared_format_exits_two_before_work(capsysbinary, monkeypatch):
     assert code == 2 and b"the identity check has no CSV form" in err
 
 
+def test_boxdim_checked_before_streaming(capsysbinary, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the cloud was streamed before --boxdim was checked")
+
+    monkeypatch.setattr(tile, "tile_rasters", no_work)
+    for boxdim in ("256,512", "256,256,512"):
+        code, _, err = run(capsysbinary, "tile", *KNUTH, "--depth", "25", "--resolution",
+                           "1024", "--boxdim", boxdim)
+        assert code == 2 and b"at least 3 distinct resolutions" in err
+
+
 def test_caps_exit_three(capsysbinary, monkeypatch):
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "30")[0] == 3
     code, _, err = run(capsysbinary, "fourier-decay", *KNUTH, "--fn", "rs", "--alpha",
@@ -369,6 +380,17 @@ def test_out_writes_artifact_and_manifest(capsysbinary, tmp_path):
     assert manifest["granularity"] == 64
     assert "wall_time_s" in manifest
     assert manifest["flags"]["lam"] == "2,4"
+
+
+def test_weyl_artifact_does_not_depend_on_granularity(capsysbinary):
+    payloads = []
+    for granularity in ("1", "64"):
+        code, payload, _ = run_json(capsysbinary, "weyl", *KNUTH, "--fn", "sod", "--alpha",
+                                    "0.6180339887", "--lambda", "4,8,11", "--filter", "primes",
+                                    "--granularity", granularity)
+        assert code == 0 and payload.pop("granularity") == int(granularity)
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_stdout_runs_emit_manifest_line(capsysbinary):
