@@ -187,15 +187,12 @@ def prime_mask(ns: NumberSystem, coords, sieve: np.ndarray) -> np.ndarray:
     mask = sieve[absnorm]
     if m.degree == 2:
         root = np.rint(np.sqrt(absnorm.astype(np.float64))).astype(np.int64)
-        inert = (root * root == absnorm) & (root >= 2)
-        if inert.any():
-            safe = np.where(inert, root, 1)
-            inert &= sieve[np.where(inert, root, 0)]
-            inert &= (a % safe == 0) & (b % safe == 0)
-            for ell in np.unique(root[inert]):
-                if _poly_has_root_mod(c, int(ell)):
-                    inert &= root != ell
-            mask |= inert
+        idx = np.flatnonzero((root * root == absnorm) & (root >= 2))  # the few inert candidates
+        ell = root[idx]
+        keep = sieve[ell] & (a[idx] % ell == 0) & (b[idx] % ell == 0)
+        idx, ell = idx[keep], ell[keep]
+        inert = np.array([not _poly_has_root_mod(c, e) for e in ell.tolist()], dtype=bool)
+        mask[idx[inert]] = True
     return mask
 
 

@@ -16,7 +16,7 @@ ENV_VAR = "RADIXION_CAP"
 
 ENUM_CAP = 1 << 24  # elements in a bulk enumeration or tile cloud
 PAIR_CAP = 1 << 30  # (m, n) pairs in a carry census
-FNS_BOX_CAP = 10**7  # candidate elements in a finiteness search box
+FNS_BOX_CAP = 10**7  # elements round-tripped by expand --box; bounds nothing else
 CARRY_SET_CAP = 10**6  # states in a carry-set closure
 
 

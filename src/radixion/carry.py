@@ -4,7 +4,8 @@ Adding a bounded perturbation to an element changes its high digits
 only along paths of the carry automaton on B_st, the least set with
 B_st + D + D inside D + q*B_st.  The decay exponent eta2 of that
 influence is read off the spectral radius of the automaton's adjacency
-matrix with the absorbing zero state removed.
+matrix with the absorbing zero state removed.  The closure itself,
+shared with the finiteness decision, lives in `numeration`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .algebra import MinimalPolynomial
-from .caps import CARRY_SET_CAP, PAIR_CAP, effective_cap
+from .caps import PAIR_CAP, effective_cap
 from .errors import CapExceeded, ConvergenceError, UsageError
-from .numeration import NumberSystem, _strip_one
+from .numeration import NumberSystem, _carry_closure
 
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10**5
@@ -66,39 +66,6 @@ class CnsCollapsedGraph:
     betas: tuple
     lam: float  # dominant root of the collapsed characteristic polynomial
     eta_bound: float
-
-
-def _carry_closure(ns: NumberSystem):
-    """Least set of carries from {0} closed under s -> strip(s + a + b).
-
-    One BFS over states, digits a, then digits b.  Returns the states in
-    insertion order and the pair table nxt[i][a][b], the index of
-    strip(states[i] + a + b).
-    """
-    cap = effective_cap(CARRY_SET_CAP)
-    m = ns.poly
-    states = [ns.zero]
-    index = {ns.zero: 0}
-    table = []
-    while len(table) < len(states):
-        s = states[len(table)]
-        rows = []
-        for d1 in ns.digits:
-            partial = algebra.add(m, s, d1)
-            row = []
-            for d2 in ns.digits:
-                _, nxt = _strip_one(ns, algebra.add(m, partial, d2))
-                if nxt not in index:
-                    if len(states) >= cap:
-                        raise CapExceeded(
-                            "carry set exceeded %d states; likely not an FNS" % cap
-                        )
-                    index[nxt] = len(states)
-                    states.append(nxt)
-                row.append(index[nxt])
-            rows.append(tuple(row))
-        table.append(tuple(rows))
-    return tuple(states), tuple(table)
 
 
 def build_carry_set(ns: NumberSystem) -> CarrySet:

@@ -9,7 +9,6 @@ digits read least significant first.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,10 +17,8 @@ import numpy as np
 
 from . import algebra, bulk
 from .algebra import FieldElement, MinimalPolynomial, _poly_eval
-from .caps import FNS_BOX_CAP, effective_cap
+from .caps import CARRY_SET_CAP, effective_cap
 from .errors import CapExceeded, CycleDetected, DomainError, UsageError
-
-FNS_BOX_SLACK = 1.5  # coordinate box inflation over the attractor ball
 
 INF = math.inf
 
@@ -153,6 +150,37 @@ def _strip_one(ns: NumberSystem, n: FieldElement):
     return t, tuple(y[i + 1] - k * c[i + 1] for i in range(ns.degree))
 
 
+def _carry_closure(ns: NumberSystem):
+    """Least set of carries from {0} closed under s -> strip(s + a + b).
+
+    One BFS over states, digits a, then digits b.  Returns the states in
+    insertion order and the pair table nxt[i][a][b], the index of
+    strip(states[i] + a + b).
+    """
+    cap = effective_cap(CARRY_SET_CAP)
+    m = ns.poly
+    states = [ns.zero]
+    index = {ns.zero: 0}
+    table = []
+    while len(table) < len(states):
+        s = states[len(table)]
+        rows = []
+        for d1 in ns.digits:
+            partial = algebra.add(m, s, d1)
+            row = []
+            for d2 in ns.digits:
+                _, nxt = _strip_one(ns, algebra.add(m, partial, d2))
+                if nxt not in index:
+                    if len(states) >= cap:
+                        raise CapExceeded("carry set exceeded the cap of %d states" % cap)
+                    index[nxt] = len(states)
+                    states.append(nxt)
+                row.append(index[nxt])
+            rows.append(tuple(row))
+        table.append(tuple(rows))
+    return tuple(states), tuple(table)
+
+
 def strip_columns(ns: NumberSystem, cols) -> list:
     """Array form of _strip_one: the d int64 columns of (n - b)/q from those
     of n.  With n_0 = Q s + r and b the digit of class r, y_0 / c_0 is
@@ -244,35 +272,35 @@ def coordinate_bound(ns: NumberSystem) -> list:
 def is_fns(ns: NumberSystem) -> FnsVerdict:
     """Decide whether every element of Z[q] has a finite expansion.
 
-    Finiteness only needs checking on the attractor ball of the backward
-    division map; a covering coordinate box is enumerated exhaustively
-    and each orbit is followed until it reaches zero, a state already
-    known to be finite, or repeats (yielding a witness cycle).
+    Every element is a sum of terms +-q^k, and adding two finite
+    expansions digit by digit leaves a carry of the carry closure; so
+    (q, D) is finite exactly when 1, -1 and every closure state expand
+    finitely (Brunotte's witness set).  As 0 is a digit, strip(s) is
+    strip(s + 0 + 0), so each state's orbit stays in the closure and is
+    read from its pair table without a further strip.  The witness is a
+    failing orbit's cycle, rotated to start at its least element.
     """
-    bounds = [int(math.floor(FNS_BOX_SLACK * b)) for b in coordinate_bound(ns)]
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
-    if total > effective_cap(FNS_BOX_CAP):
-        raise CapExceeded(
-            "finiteness search box holds %d candidates, cap is %d"
-            % (total, effective_cap(FNS_BOX_CAP))
-        )
-    known_finite = {ns.zero}
     examined = 0
-    for cand in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        examined += 1
-        position = {}
-        order = []
-        n = cand
-        while n not in known_finite:
-            if n in position:
-                cycle = tuple(order[position[n]:])
-                return FnsVerdict(False, cycle, examined)
-            position[n] = len(order)
-            order.append(n)
-            _, n = _strip_one(ns, n)
-        known_finite.update(order)
+    try:
+        for sign in (1, -1):
+            examined += 1
+            expand(ns, (sign,) + ns.zero[1:])
+        states, table = _carry_closure(ns)
+        zero = ns.digits.index(ns.zero)
+        finite = {0}
+        for s in range(len(states)):
+            examined += 1
+            path = []
+            while s not in finite:
+                if s in path:
+                    cycle = tuple(states[k] for k in path[path.index(s):])
+                    raise CycleDetected(states[path[0]], cycle)
+                path.append(s)
+                s = table[s][zero][zero]
+            finite.update(path)
+    except CycleDetected as err:
+        cycle = err.cycle
+        return FnsVerdict(False, min(cycle[i:] + cycle[:i] for i in range(len(cycle))), examined)
     return FnsVerdict(True, None, examined)
 
 

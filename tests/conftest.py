@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,10 +48,45 @@ def random_system(rng) -> NumberSystem:
     return NumberSystem(poly, tuple(digits))
 
 
+def cns_system(rng) -> tuple:
+    """Seeded random base with digits 0..c0-1, and its known finiteness answer.
+
+    Two draws in three are quadratics x^2 + Bx + C, finite exactly when
+    -1 <= B <= C and C >= 2 (Katai & Kovacs 1980); the rest are cubics and
+    quartics with c0 >= c1 >= ... >= 1, finite by Kovacs (1981).  Returns
+    (system, answer).
+    """
+    while True:
+        if rng.random() < 2 / 3:
+            c0 = int(rng.integers(2, 13))
+            coeffs = (c0, int(rng.integers(-3, c0 + 3)), 1)
+            answer = -1 <= coeffs[1] <= c0
+        else:
+            degree = int(rng.integers(3, 5))
+            top = 7 if degree == 3 else 3  # keeps the carry closure small
+            coeffs = tuple(sorted((int(c) for c in rng.integers(1, top + 1, degree)),
+                                  reverse=True)) + (1,)
+            answer = True  # c0 = 1 would be a unit, which is not expanding
+        try:
+            poly = MinimalPolynomial(coeffs)
+        except RadixionError:
+            continue  # reducible or not expanding
+        digits = tuple((r,) + (0,) * (poly.degree - 1) for r in range(coeffs[0]))
+        return NumberSystem(poly, digits), answer
+
+
 @pytest.fixture(scope="session")
 def random_systems() -> list:
     rng = np.random.default_rng(2024)
     return [random_system(rng) for _ in range(8)]
+
+
+@pytest.fixture(scope="session")
+def cns_systems() -> list:
+    rng = np.random.default_rng(1980)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quartic irreducibility is not checked
+        return [cns_system(rng) for _ in range(40)]
 
 
 @pytest.fixture(scope="session")

@@ -142,9 +142,9 @@ def test_tile_cap_exits_three_before_streaming(capsysbinary, monkeypatch):
 
 
 def test_capped_fns_decision_keeps_tile_exit_zero(capsysbinary, monkeypatch):
-    monkeypatch.setenv("RADIXION_CAP", "64")  # the finiteness box holds 77
+    monkeypatch.setenv("RADIXION_CAP", "8")  # 8 points; Knuth's carry closure holds 15 states
     code, payload, _ = run_json(
-        capsysbinary, "tile", *KNUTH, "--depth", "6", "--resolution", "64"
+        capsysbinary, "tile", *KNUTH, "--depth", "3", "--resolution", "64"
     )
     assert code == 0
     assert payload["area_method"] == "occupancy"
@@ -155,7 +155,7 @@ def test_non_fns_still_exits_zero(capsysbinary):
     assert code == 0
     assert payload["is_fns"] is False
     assert payload["witness_cycle"] == [[-1, 1]]
-    assert payload["candidates_examined"] == 1
+    assert payload["candidates_examined"] == 2  # 1 expands, -1 reaches the fixed point i
 
 
 # --------------------------------------------------------------- formats

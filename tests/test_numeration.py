@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from radixion import algebra, bulk, numeration
+from radixion.algebra import MinimalPolynomial
+from radixion.caps import FNS_BOX_CAP, effective_cap
 from radixion.errors import CapExceeded, CycleDetected, DomainError, UsageError
 from radixion.numeration import Expansion, NumberSystem
 
@@ -176,8 +179,94 @@ def test_is_fns_verdicts(knuth, one_plus_i, negabinary, five_a, five_b):
 
 
 def test_negabinary_search_box(negabinary):
-    # candidate box is exactly {-1, 0, 1}
-    assert numeration.is_fns(negabinary).candidates_examined == 3
+    # the seeds 1 and -1, then every state of the carry closure {0, 1, -1}
+    states, _ = numeration._carry_closure(negabinary)
+    assert len(states) == 3
+    assert numeration.is_fns(negabinary).candidates_examined == 2 + len(states)
+
+
+FNS_BOX_SLACK = 1.5  # coordinate box inflation over the attractor ball
+
+
+def box_fns_oracle(ns: NumberSystem) -> numeration.FnsVerdict:
+    """Decide whether every element of Z[q] has a finite expansion.
+
+    Finiteness only needs checking on the attractor ball of the backward
+    division map; a covering coordinate box is enumerated exhaustively
+    and each orbit is followed until it reaches zero, a state already
+    known to be finite, or repeats (yielding a witness cycle).
+    """
+    bounds = [int(math.floor(FNS_BOX_SLACK * b)) for b in numeration.coordinate_bound(ns)]
+    total = 1
+    for b in bounds:
+        total *= 2 * b + 1
+    if total > effective_cap(FNS_BOX_CAP):
+        raise CapExceeded(
+            "finiteness search box holds %d candidates, cap is %d"
+            % (total, effective_cap(FNS_BOX_CAP))
+        )
+    known_finite = {ns.zero}
+    examined = 0
+    for cand in itertools.product(*[range(-b, b + 1) for b in bounds]):
+        examined += 1
+        position = {}
+        order = []
+        n = cand
+        while n not in known_finite:
+            if n in position:
+                cycle = tuple(order[position[n]:])
+                return numeration.FnsVerdict(False, cycle, examined)
+            position[n] = len(order)
+            order.append(n)
+            _, n = numeration._strip_one(ns, n)
+        known_finite.update(order)
+    return numeration.FnsVerdict(True, None, examined)
+
+
+def assert_witness_is_cycle(ns, cycle):
+    assert cycle and ns.zero not in cycle
+    assert cycle[0] == min(cycle)
+    for n, successor in zip(cycle, cycle[1:] + cycle[:1]):
+        assert numeration._strip_one(ns, n)[1] == successor
+
+
+def test_is_fns_matches_box_oracle(knuth, negabinary, one_plus_i, five_a, five_b,
+                                   random_systems, cns_systems):
+    # 1 and -1 expand finitely in the last extra system; its carry state
+    # -1 + q is a fixed point
+    specs = EXTRA_STRIP_SYSTEMS[:2] + (("4,-2,1", "-2,1;3,0;0,0;1,0"),)
+    extra = [NumberSystem.parse(*spec) for spec in specs]
+    quadratic_cns = [ns for ns, _ in cns_systems if ns.degree == 2]
+    assert len(quadratic_cns) >= 20
+    systems = (knuth, negabinary, one_plus_i, five_a, five_b, *random_systems, *extra,
+               *quadratic_cns)
+    verdicts = set()
+    for ns in systems:
+        verdict = numeration.is_fns(ns)
+        assert verdict.is_fns == box_fns_oracle(ns).is_fns, ns.encode()
+        if not verdict.is_fns:
+            assert_witness_is_cycle(ns, verdict.witness_cycle)
+        verdicts.add(verdict.is_fns)
+    assert verdicts == {True, False}
+    assert numeration.is_fns(extra[-1]).candidates_examined > 2
+
+
+def test_is_fns_matches_known_cns_answer(cns_systems):
+    assert {ns.degree for ns, _ in cns_systems} == {2, 3, 4}
+    assert {answer for _, answer in cns_systems} == {True, False}
+    for ns, answer in cns_systems:
+        verdict = numeration.is_fns(ns)
+        assert verdict.is_fns == answer, ns.encode()
+        if not answer:
+            assert_witness_is_cycle(ns, verdict.witness_cycle)
+
+
+@pytest.mark.filterwarnings("ignore:irreducibility")
+def test_higher_degree_cns_decided_at_default_cap(monkeypatch):
+    monkeypatch.delenv("RADIXION_CAP", raising=False)
+    for coeffs in ((7, 7, 7, 1), (3, 3, 3, 3, 1)):
+        digits = tuple((r,) + (0,) * (len(coeffs) - 2) for r in range(coeffs[0]))
+        assert numeration.is_fns(NumberSystem(MinimalPolynomial(coeffs), digits)).is_fns
 
 
 def test_fns_verdict_stable_under_digit_reordering():

@@ -183,7 +183,7 @@ def test_non_tiling_system_keeps_occupancy_area():
 
 def test_area_falls_back_when_fns_decision_is_capped(knuth, monkeypatch):
     raster = tile.rasterize(tile.tile_points(knuth, 6), 64)
-    monkeypatch.setenv("RADIXION_CAP", "64")  # the finiteness box holds 77
+    monkeypatch.setenv("RADIXION_CAP", "8")  # Knuth's carry closure holds 15 states
     assert tile.measure_area(knuth, raster).method == "occupancy"
 
 
