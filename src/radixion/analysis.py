@@ -362,8 +362,12 @@ def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all",
 
     The rows come from `granularity` row blocks of bulk.row_blocks.  The key
     of a row is s(n) offset-encoded over its box, coordinate i spanning
-    lam * [min_b b_i, max_b b_i], or r in 0..lam-1; the bin count is checked
-    against the element cap before the sieve or any block is built.
+    lam * [min_b b_i, max_b b_i], or r in 0..lam-1, counted in a dense
+    histogram.  When the box of s(n) holds more values than N_lam has rows,
+    the rows are keyed by their sorted distinct values instead (np.unique
+    per block, merged), in the same ascending order.  Either way the bins,
+    at most min(box, Q^lam), are checked against the element cap before the
+    sieve or any block is built.
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
@@ -376,11 +380,12 @@ def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all",
         dims = (max(span, 1),)
     else:
         raise UsageError("fn must be 'sod' or 'rs'")
-    bins = math.prod(dims)
+    total_rows, box = ns.Q**span, math.prod(dims)
+    sparse = box > total_rows  # only for 'sod': r takes at most lam <= Q^lam values
+    bins = min(box, total_rows)
     if bins > effective_cap(ENUM_CAP):
         raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
                           % (bins, lam, effective_cap(ENUM_CAP)))
-    total_rows = ns.Q**span
     parts = min(granularity, total_rows)  # np.array_split's ranges, without its index array
     if parts < 1:
         raise UsageError("granularity must be positive")
@@ -388,14 +393,24 @@ def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all",
     bounds = [i * size + min(i, extra) for i in range(parts + 1)]
     blocks = bulk.row_blocks(ns, lam, list(zip(bounds, bounds[1:])))
     sieve = prime_sieve(ns, lam) if filter == "primes" else None
-    place = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))], dtype=np.int64)
-    hist = np.zeros(bins, np.int64)
+    hist, found = np.zeros(0 if sparse else bins, np.int64), []
+    place = None if sparse else np.array([math.prod(dims[i + 1:]) for i in range(len(dims))],
+                                         dtype=np.int64)
     for block in blocks:
         stat = block.s_coords if fn == "sod" else block.r
         if sieve is not None:
             stat = stat[prime_mask(ns, block.coords, sieve=sieve)]
+        if sparse:
+            found.append(np.unique(stat, axis=0, return_counts=True))
+            continue
         keys = np.einsum("ij,j->i", stat - lo, place) if fn == "sod" else stat
         hist += np.bincount(keys, minlength=bins)
+    if sparse:
+        stats, inverse = np.unique(np.concatenate([v for v, _ in found]), axis=0,
+                                   return_inverse=True)
+        counts = np.zeros(len(stats), np.int64)
+        np.add.at(counts, inverse.ravel(), np.concatenate([c for _, c in found]))
+        return stats, np.zeros(len(stats), np.int64), counts
     occupied = np.flatnonzero(hist)
     if fn == "sod":
         stats = np.stack(np.unravel_index(occupied, dims), axis=1) + lo

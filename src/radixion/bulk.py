@@ -6,7 +6,8 @@ range.  row_blocks is the one enumeration: it yields the rows of any
 [start, stop) ranges from one low table of the bottom positions (at most
 LOW_ROWS rows) plus q^low times the rows of the top positions.  That is
 exact integer arithmetic, so every split gives the same rows;
-digit_table is the one-block case.  The two tables are built by a
+digit_table is the one-block case; the tile cloud walks the same split
+(split_tables, row_segments).  The two tables are built by a
 meet-in-the-middle merge of shorter tables, which also carries the digit
 statistics (digit sum, adjacent nonzero pairs) without re-expanding any
 element.
@@ -78,6 +79,16 @@ def row_blocks(ns: NumberSystem, lam: int, ranges=None):
     """The rows [start, stop) of N_lam for each range (default: blocks of
     ROW_BLOCK rows in order), as a generator of DigitTables.  The cap (in
     elements) and the int64 range of the coordinates are checked first."""
+    low, high, offsets = split_tables(ns, lam)
+    ranges = block_ranges(ns.Q**lam, ROW_BLOCK) if ranges is None else ranges
+    return (_combine(low, high, offsets, start, stop) for start, stop in ranges)
+
+
+def split_tables(ns: NumberSystem, lam: int) -> tuple:
+    """(low, high, offsets) behind row_blocks: row h * |low| + l of N_lam is
+    low row l plus offsets[h], the value of high row h shifted up by low.lam
+    positions (see row_segments).  The cap (in elements) and the int64 range
+    of the coordinates are checked before either table is built."""
     if lam < 0:
         raise UsageError("expansion length must be nonnegative")
     total = ns.Q**lam
@@ -93,9 +104,18 @@ def row_blocks(ns: NumberSystem, lam: int, ranges=None):
         positions += 1
     low = _build_table(ns, positions)
     high = _build_table(ns, lam - low.lam)
-    offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
-    ranges = block_ranges(total, ROW_BLOCK) if ranges is None else ranges
-    return (_combine(low, high, offsets, start, stop) for start, stop in ranges)
+    return low, high, high.coords @ q_power_matrix(ns.poly, low.lam).T
+
+
+def row_segments(n_low: int, start: int, stop: int):
+    """(h, src, dst) per high row h met by the rows [start, stop) of a split
+    with n_low low rows: the rows h * n_low + l, l in the slice src, go to
+    the slice dst of a [start, stop) block."""
+    pos = 0
+    for h in range(start // n_low, -(-stop // n_low)):
+        a, b = max(start - h * n_low, 0), min(stop - h * n_low, n_low)
+        yield h, slice(a, b), slice(pos, pos + b - a)
+        pos += b - a
 
 
 def digit_table(ns: NumberSystem, lam: int) -> DigitTable:
@@ -125,25 +145,21 @@ def _build_table(ns: NumberSystem, lam: int) -> DigitTable:
 
 
 def _combine(low: DigitTable, high: DigitTable, offsets, start: int, stop: int) -> DigitTable:
-    """Rows [start, stop) of high over low: row h * |low| + l is low row l
-    plus offsets[h], the value of high row h shifted up by low.lam."""
-    n_low, n = len(low.r), max(stop - start, 0)
+    """Rows [start, stop) of high over low (row_segments)."""
+    n = max(stop - start, 0)
     coords = np.empty((n, low.coords.shape[1]), np.int64)
     s_coords = np.empty_like(coords)
     r = np.empty(n, np.int64)
     low_nz, top_nz = np.empty(n, bool), np.empty(n, bool)
-    pos = 0
-    for h in range(start // n_low, -(-stop // n_low)):
-        a, b = max(start - h * n_low, 0), min(stop - h * n_low, n_low)
-        out, pos = slice(pos, pos + b - a), pos + b - a
+    for h, src, out in row_segments(len(low.r), start, stop):
         for k in range(coords.shape[1]):  # column by column: a short row broadcasts slowly
-            np.add(low.coords[a:b, k], offsets[h, k], out=coords[out, k])
-            np.add(low.s_coords[a:b, k], high.s_coords[h, k], out=s_coords[out, k])
-        np.add(low.r[a:b], high.r[h], out=r[out])
+            np.add(low.coords[src, k], offsets[h, k], out=coords[out, k])
+            np.add(low.s_coords[src, k], high.s_coords[h, k], out=s_coords[out, k])
+        np.add(low.r[src], high.r[h], out=r[out])
         if high.low_nz[h]:  # the only new adjacent pair straddles the seam
-            r[out] += low.top_nz[a:b]
-        low_nz[out] = low.low_nz[a:b] if low.lam else high.low_nz[h]
-        top_nz[out] = high.top_nz[h] if high.lam else low.top_nz[a:b]
+            r[out] += low.top_nz[src]
+        low_nz[out] = low.low_nz[src] if low.lam else high.low_nz[h]
+        top_nz[out] = high.top_nz[h] if high.lam else low.top_nz[src]
     return DigitTable(low.lam + high.lam, coords, s_coords, r, low_nz, top_nz)
 
 

@@ -41,10 +41,11 @@ class ConvergenceError(RadixionError):
 class CycleDetected(DomainError):
     """Digit expansion revisited a state and can therefore never terminate.
 
-    ``element`` is the first revisited state; ``cycle`` is the full orbit
-    segment from its first occurrence, i.e. a genuine cycle of the
-    one-step expansion map.  A nonzero cycle certifies that the number
-    system lacks the finiteness property.
+    ``element`` is the element whose expansion was requested (the start of
+    the orbit); it need not lie on the cycle.  ``cycle`` is the orbit
+    segment that starts at the first revisited state and runs up to its
+    return, i.e. a genuine cycle of the one-step expansion map.  A nonzero
+    cycle certifies that the number system lacks the finiteness property.
     """
 
     def __init__(self, element, cycle):

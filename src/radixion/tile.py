@@ -10,18 +10,19 @@ accepted digit sets give tiles of larger integer measure: base 3 with
 digits {0, 4, 8} gives the interval [0, 4].
 
 The depth-k point of the digit string b_1 ... b_k is q^{-k} n, n the
-element of N_k with top digit b_1, so clouds are streamed in chunks
-mapped from the integer row blocks of N_k (bulk.row_blocks) by one
-exact step: an integer numerator, exact in float64, and one correctly
-rounded division (cloud_chunks).  tile_rasters bins them in one pass,
-over a bounding box per space taken from the digits.  A space's grids
+element of N_k with top digit b_1.  Over the split of N_k into low rows
+and offsets (bulk.split_tables) that is (low_num[l] + off_num[h]) / c_0^k,
+from two numerator tables built once and checked below 2^53: the add is
+exact and the division the one rounding (cloud_chunks).  tile_rasters
+bins the points in one pass, over a bounding box per space taken from
+the digits, through buffers allocated once per pass.  A space's grids
 whose resolutions differ by powers of two form a chain: each point is
 marked, by its flat cell index, only in the finest grid of each chain,
-and the coarser grids are OR-pooled from it after the pass, exactly.  tile_points and rasterize,
-which hold a whole cloud, are the reference route.  The lattice area
-decides membership in N_k by backward division (numeration.strip_columns):
-n lies in N_k exactly when k strips take it to 0, since 0 is the digit of
-its own residue class.
+and the coarser grids are OR-pooled from it after the pass, exactly.
+tile_points and rasterize, which hold a whole cloud, are the reference
+route.  The lattice area decides membership in N_k by backward division
+(numeration.strip_columns): n lies in N_k exactly when k strips take it
+to 0, since 0 is the digit of its own residue class.
 """
 
 from __future__ import annotations
@@ -117,28 +118,21 @@ def _chart(ns: NumberSystem, space_tag: str):
     return None if space_tag == "coordinate" else _embedding_matrix(ns).T
 
 
-def _check_cloud(ns: NumberSystem, depth: int) -> None:
+def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
+    """(low_num, off_num, c_0^depth), the point of row h * |low| + l of
+    N_depth (bulk.split_tables) being (low_num[l] + off_num[h]) / c_0^depth.
+    The cap and the float exactness are checked before any table is built.
+
+    The point of b_1 ... b_k is sum_j q^{-j} b_j = q^{-k} n, n the row of
+    N_k with top digit b_1; with u = c_0 / q that is (n @ (U^k)^T) / c_0^k.
+    Low rows and offsets lie in N_k too (0 is a digit), so every numerator,
+    and the sum of two, is within `widest`: below 2^53 all are exact.
+    """
     if depth < 0:
         raise UsageError("depth must be nonnegative")
-    total = ns.Q**depth
-    if total > effective_cap(ENUM_CAP):
-        raise CapExceeded(
-            "cloud of %d points exceeds cap %d" % (total, effective_cap(ENUM_CAP))
-        )
-
-
-def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
-    """All Q^depth truncated tile points in first-digit-major order, streamed
-    in chunks of at most RASTER_BLOCK (and bulk.ROW_BLOCK) points; the cap
-    is checked first.
-
-    The point of the digit string b_1 ... b_k is sum_j q^{-j} b_j = q^{-k} n,
-    n the row of N_k with top digit b_1.  With u = c_0 / q that is
-    (n @ (U^k)^T) / c_0^k: an integer numerator and c_0^k, both checked to
-    be exact in float64, and one correctly rounded division.
-    """
-    chart = _chart(ns, space_tag)
-    _check_cloud(ns, depth)
+    if ns.Q**depth > effective_cap(ENUM_CAP):
+        raise CapExceeded("cloud of %d points exceeds cap %d"
+                          % (ns.Q**depth, effective_cap(ENUM_CAP)))
     uk = algebra.q_power(ns.poly, 0)
     for _ in range(depth):
         uk = algebra.mul(ns.poly, uk, algebra.u_element(ns.poly))
@@ -149,12 +143,37 @@ def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
     if widest >= FLOAT_EXACT or float(denom) != denom:
         raise DomainError("at depth %d the cloud numerators reach %d and c0^%d is %d; not exact"
                           " in float64" % (depth, widest, depth, denom))
+    low, _, offsets = bulk.split_tables(ns, depth)
     scale_t = np.array(power, dtype=np.float64).T
-    size = min(RASTER_BLOCK, bulk.ROW_BLOCK)
-    for block in bulk.row_blocks(ns, depth, bulk.block_ranges(ns.Q**depth, size)):
-        chunk = block.coords.astype(np.float64) @ scale_t  # integers, exact
-        chunk /= denom
-        yield chunk if chart is None else chunk @ chart
+    return np.asfortranarray(low.coords @ scale_t), offsets @ scale_t, denom
+
+
+def _chunk_rows(ns: NumberSystem, depth: int) -> int:
+    return min(RASTER_BLOCK, bulk.ROW_BLOCK, ns.Q**depth)
+
+
+def _chunks(ns: NumberSystem, depth: int, numerators: tuple):
+    """The cloud in order, in chunks of _chunk_rows points (the last may be
+    shorter), each written over the last in one buffer."""
+    low_num, off_num, denom = numerators
+    buf = np.empty((_chunk_rows(ns, depth), ns.degree), order="F")
+    for start, stop in bulk.block_ranges(ns.Q**depth, len(buf)):
+        out = buf[: stop - start]
+        for h, src, dst in bulk.row_segments(len(low_num), start, stop):
+            for k in range(ns.degree):  # column by column: a short row broadcasts slowly
+                np.add(low_num[src, k], off_num[h, k], out=out[dst, k])
+        out /= denom
+        yield out
+
+
+def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
+    """All Q^depth truncated tile points in first-digit-major order, streamed
+    as independent arrays; the cap and the float exactness are checked first.
+    A chunk is one exact add per column of the two numerator tables and one
+    correctly rounded division by c_0^k (_cloud_numerators, _chunks)."""
+    chart = _chart(ns, space_tag)
+    for chunk in _chunks(ns, depth, _cloud_numerators(ns, depth)):
+        yield chunk.copy() if chart is None else chunk @ chart
 
 
 def tile_points(ns: NumberSystem, depth: int, space_tag: str = "coordinate") -> TileCloud:
@@ -186,19 +205,27 @@ def _cloud_window(ns: NumberSystem, depth: int, chart) -> tuple:
     return _window(lo, hi)
 
 
-def _bin(points: np.ndarray, bbox: tuple, grids) -> None:
+def _bin_buffers(rows: int, d: int) -> tuple:
+    """_bin's buffers for up to `rows` points: v, scaled, cells."""
+    return (np.empty((rows, d), order="F"), np.empty((rows, d), order="F"),
+            np.empty((rows, d), np.intp, order="F"))
+
+
+def _bin(points: np.ndarray, bbox: tuple, grids, buffers: tuple) -> None:
     """Mark the cell clip(floor(v * res), 0, res - 1) of every point in each
     grid, v = (y - lo) / (hi - lo), by its flat (C-order) index in intp.
     Clipping before the truncation picks the same cell and is cheaper; so
-    is Fortran order for v."""
-    lo, hi = np.array(bbox).T
-    v = np.subtract(points, lo, order="F")
-    v /= hi - lo
+    is Fortran order for v.  The temporaries live in reused _bin_buffers
+    arrays: fresh chunk-sized ones are page-faulted in anew each time."""
+    v, scaled, cells = (buf[: len(points)] for buf in buffers)
+    for k, (lo, hi) in enumerate(bbox):  # column by column, as in _chunks
+        np.subtract(points[:, k], lo, out=v[:, k])
+        v[:, k] /= hi - lo
     for occupancy in grids:
         res = occupancy.shape[0]
-        scaled = v * res
+        np.multiply(v, res, out=scaled)
         np.clip(scaled, 0, res - 1, out=scaled)
-        cells = scaled.astype(np.intp)
+        np.copyto(cells, scaled, casting="unsafe")  # truncation toward zero
         flat = cells[:, 0]  # a view: the axis-0 column becomes the flat index
         for axis in range(1, cells.shape[1]):
             flat *= res
@@ -229,8 +256,9 @@ def rasterize(cloud: TileCloud, resolution: int) -> Raster:
         raise DomainError("cannot rasterize an empty cloud")
     bbox = _window(pts.min(axis=0), pts.max(axis=0))
     occupancy = np.zeros((resolution,) * pts.shape[1], dtype=bool)
+    buffers = _bin_buffers(min(len(pts), RASTER_BLOCK), pts.shape[1])
     for start in range(0, len(pts), RASTER_BLOCK):
-        _bin(pts[start : start + RASTER_BLOCK], bbox, [occupancy])
+        _bin(pts[start : start + RASTER_BLOCK], bbox, [occupancy], buffers)
     return Raster(resolution, bbox, occupancy, cloud.depth, cloud.space_tag)
 
 
@@ -244,24 +272,28 @@ def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
     """Rasters of the depth-`depth` cloud for each (space_tag, resolution) in
     `requests`, keyed by that pair: one streamed pass, bboxes from _cloud_window.
 
-    A space's grids share its bbox, so a grid whose resolution is a
-    power-of-two fraction of another's is pooled from the finer one after
-    the pass (_pool, exact); only the rest are binned, each point once per
-    binned grid."""
+    The points are those of cloud_chunks, bit for bit, but go through
+    buffers allocated once, after the cap and exactness checks.  A space's
+    grids share its bbox, so a grid whose resolution is a power-of-two
+    fraction of another's is pooled from the finer one after the pass
+    (_pool, exact); only the rest are binned, each point once per binned
+    grid."""
     requests = list(dict.fromkeys(requests))
     charts = {space: _chart(ns, space) for space, _ in requests}
     if any(res < 1 for _, res in requests):
         raise UsageError("resolution must be positive")
-    _check_cloud(ns, depth)
+    numerators = _cloud_numerators(ns, depth)
     bboxes = {space: _cloud_window(ns, depth, chart) for space, chart in charts.items()}
     sources = {(space, res): (space, _pool_source(res, [r for s, r in requests if s == space]))
                for space, res in requests}
     grids = {key: np.zeros((key[1],) * ns.degree, dtype=bool)
              for key in dict.fromkeys(sources.values())}
-    for chunk in cloud_chunks(ns, depth):
+    rows = _chunk_rows(ns, depth)
+    buffers, charted = _bin_buffers(rows, ns.degree), np.empty((rows, ns.degree), order="F")
+    for points in _chunks(ns, depth, numerators):
         for space, chart in charts.items():
-            _bin(chunk if chart is None else chunk @ chart, bboxes[space],
-                 [grid for key, grid in grids.items() if key[0] == space])
+            ys = points if chart is None else np.matmul(points, chart, out=charted[: len(points)])
+            _bin(ys, bboxes[space], [grid for key, grid in grids.items() if key[0] == space], buffers)
     for key, source in sources.items():
         if key != source:
             grids[key] = _pool(grids[source], key[1])
@@ -296,11 +328,8 @@ def _inner_radius(raster: Raster) -> float:
         shape = [1] * d
         shape[k] = res
         dist2 = dist2 + (dk * dk).reshape(shape)
-    empty = ~occ
-    if empty.any():
-        nearest = math.sqrt(float(dist2[empty].min()))
-    else:
-        nearest = math.inf
+    np.putmask(dist2, occ, math.inf)  # in place: dist2[~occ] would copy 8 bytes per cell
+    nearest = math.sqrt(float(dist2.min()))
     return float(min(nearest, edge))
 
 

@@ -354,6 +354,25 @@ def test_digit_histogram_matches_scalar_counter(request):
                 assert not (r if fn == "sod" else stats).any()
 
 
+def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch):
+    # boxes of s(n) wider than N_lam: the rows are keyed by sorted distinct values
+    wide = NumberSystem.parse("2,2,1", "0,0;16777217,0")  # a dense box of 16777218 bins at lam 1
+    cases = [(wide, lam, "all") for lam in (1, 2, 6)]
+    cases += [(five_b, lam, f) for lam in (1, 2, 3) for f in ("all", "primes")]
+    cases += [(ns, 1, f) for ns in request.getfixturevalue("random_systems") for f in ("all", "primes")]
+    for ns, lam, filter in cases:
+        assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # sparse
+        for granularity in (1, 7):
+            stats, r, counts = analysis._digit_histogram(ns, "sod", lam, filter, granularity)
+            keys = [tuple(v) for v in stats.tolist()]
+            assert keys == sorted(keys)  # ascending, as the dense keys are
+            assert dict(zip(keys, counts.tolist())) == dict(scalar_histogram(ns, "sod", lam, filter))
+            assert not r.any()
+    monkeypatch.setenv("RADIXION_CAP", "5")  # 27 values of s(n) over the 5 rows of N_1 fit
+    stats, _, counts = analysis._digit_histogram(five_b, "sod", 1)
+    assert len(stats) == 5 and counts.tolist() == [1] * 5
+
+
 def mixed_phases(ns, fn):
     """Scalar and linear-form phases for fn on ns; scalar digit sums need digits in Z."""
     if fn == "rs":
@@ -402,12 +421,16 @@ def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
 
     monkeypatch.setattr(bulk, "row_blocks", refuse)
     monkeypatch.setattr(analysis, "prime_sieve", refuse)
-    monkeypatch.setenv("RADIXION_CAP", "5")
     form = LinearForm.parse("1/3,0.25")
-    for filter in ("all", "primes"):
-        # s(n) spans (8 + 1) * (2 + 1) = 27 values over the 5 rows of N_1
-        with pytest.raises(CapExceeded, match="histogram of 27 bins for lambda 1"):
-            analysis.weyl_sum(five_b, "sod", [form], 1, 1, filter)
+    cases = (
+        (200, 4, 297),  # dense: s(n) spans (32 + 1) * (8 + 1) = 297 values over 625 rows
+        (4, 1, 5),  # sparse: s(n) spans (8 + 1) * (2 + 1) = 27 values over the 5 rows of N_1
+    )
+    for cap, lam, bins in cases:
+        monkeypatch.setenv("RADIXION_CAP", str(cap))
+        for filter in ("all", "primes"):
+            with pytest.raises(CapExceeded, match="histogram of %d bins for lambda %d" % (bins, lam)):
+                analysis.weyl_sum(five_b, "sod", [form], 1, lam, filter)
 
 
 def test_weyl_normalized_bounded(knuth):

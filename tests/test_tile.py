@@ -262,10 +262,10 @@ def golden_and_random(request, names):
     return systems + list(request.getfixturevalue("random_systems"))
 
 
-def stream_depth(ns):
-    """Smallest depth with 10^4 points or more."""
+def stream_depth(ns, points=10**4):
+    """Smallest depth with `points` points or more."""
     depth = 0
-    while ns.Q**depth < 10**4:
+    while ns.Q**depth < points:
         depth += 1
     return depth
 
@@ -315,16 +315,23 @@ def test_random_system_chunks_are_correctly_rounded(random_systems, monkeypatch)
 
 
 def test_cloud_numerator_guard(knuth, five_a, monkeypatch):
-    def no_rows(*args):
-        raise AssertionError("a row block was built")
+    def no_tables(*args):
+        raise AssertionError("a numerator table was built")
 
-    monkeypatch.setattr(tile.bulk, "row_blocks", no_rows)
+    monkeypatch.setattr(tile.bulk, "split_tables", no_tables)
+    monkeypatch.setattr(tile.bulk, "_build_table", no_tables)
+    routes = (lambda ns, depth: next(tile.cloud_chunks(ns, depth)),
+              lambda ns, depth: tile.tile_rasters(ns, depth, [("coordinate", 8)]))
+    for route in routes:
+        with pytest.raises(CapExceeded, match="cloud of 1073741824 points"):
+            route(knuth, 30)
     monkeypatch.setenv("RADIXION_CAP", str(1 << 62))
-    # u^60 n reaches about 2^60 on Knuth; 5^23 is not a float64 integer
-    with pytest.raises(DomainError, match="at depth 60"):
-        next(tile.cloud_chunks(knuth, 60))
-    with pytest.raises(DomainError, match="at depth 23"):
-        next(tile.cloud_chunks(five_a, 23))
+    for route in routes:
+        # u^60 n reaches about 2^60 on Knuth; 5^23 is not a float64 integer
+        with pytest.raises(DomainError, match="at depth 60"):
+            route(knuth, 60)
+        with pytest.raises(DomainError, match="at depth 23"):
+            route(five_a, 23)
 
 
 @pytest.mark.parametrize("name", ["knuth", "negabinary"])
@@ -415,9 +422,9 @@ def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch):
     real_bin = tile._bin
     marked = []
 
-    def recording_bin(points, bbox, grids):
+    def recording_bin(points, bbox, grids, buffers):
         marked.append(sorted(grid.shape[0] for grid in grids))
-        real_bin(points, bbox, grids)
+        real_bin(points, bbox, grids, buffers)
 
     monkeypatch.setattr(tile, "_bin", recording_bin)
     chunks = len(list(tile.cloud_chunks(knuth, 12)))
@@ -444,6 +451,7 @@ def test_streamed_rasters_validate_before_streaming(knuth, monkeypatch):
         raise AssertionError("a chunk was generated")
 
     monkeypatch.setattr(tile, "cloud_chunks", no_chunks)
+    monkeypatch.setattr(tile.bulk, "split_tables", no_chunks)
     with pytest.raises(UsageError):
         tile.tile_rasters(knuth, 4, [("polar", 8)])
     with pytest.raises(UsageError):
@@ -452,3 +460,35 @@ def test_streamed_rasters_validate_before_streaming(knuth, monkeypatch):
         tile.tile_rasters(knuth, -1, [("coordinate", 8)])
     with pytest.raises(CapExceeded, match="cloud of 1073741824 points"):
         tile.tile_rasters(knuth, 30, [("coordinate", 8)])
+
+
+@pytest.mark.parametrize("low_rows", ["1", "Q", "Q^2+1", "default"])
+def test_cloud_route_matches_reference_across_splits(request, monkeypatch, low_rows):
+    # chunks straddle the seams between the high rows of bulk.split_tables
+    systems = golden_and_random(request, ["knuth", "negabinary", "five_a", "five_b"])
+    cases = [(ns, (1, 64, 100, 128, 257)) for ns in systems]
+    cases.append((request.getfixturevalue("cubic"), (4, 12, 16)))
+    default_rows, default_block = tile.bulk.LOW_ROWS, tile.RASTER_BLOCK
+    for ns, resolutions in cases:
+        depth = stream_depth(ns, 1000)
+        rows = {"1": 1, "Q": ns.Q, "Q^2+1": ns.Q**2 + 1, "default": default_rows}[low_rows]
+        requests = [(space, r) for space in tile.SPACE_TAGS for r in resolutions]
+        for block in (7, 1000, default_block):
+            monkeypatch.setattr(tile, "RASTER_BLOCK", block)
+            # the reference is the default split at the same chunk length: the
+            # last bits of the embedding chart's matrix product may depend on it
+            monkeypatch.setattr(tile.bulk, "LOW_ROWS", default_rows)
+            ref = {space: tile.tile_points(ns, depth, space).points for space in tile.SPACE_TAGS}
+            monkeypatch.setattr(tile.bulk, "LOW_ROWS", rows)
+            streamed = tile.tile_rasters(ns, depth, requests)
+            for space in tile.SPACE_TAGS:
+                chunks = list(tile.cloud_chunks(ns, depth, space))
+                assert max(len(c) for c in chunks) <= block
+                assert np.array_equal(np.concatenate(chunks), ref[space])
+                bbox = tile._cloud_window(ns, depth, tile._chart(ns, space))
+                for r in resolutions:
+                    got = streamed[space, r]
+                    assert got.bbox == bbox
+                    cells = np.zeros_like(got.occupancy)
+                    cells[tuple(cells_of(ref[space], *np.array(bbox).T, r).T)] = True
+                    assert np.array_equal(got.occupancy, cells)
