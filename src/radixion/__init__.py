@@ -13,8 +13,6 @@ from .algebra import (
     EmbeddingSet,
     MinimalPolynomial,
     distortion,
-    divide_exact_by_q,
-    embeddings,
     norm,
     power_sums,
     trace_matrix,
@@ -26,7 +24,6 @@ from .analysis import (
     PrimeVerdict,
     SumDigitConstants,
     WeylRow,
-    enumerate_primes,
     equidist_condition,
     fourier_decay,
     is_prime_element,
@@ -39,7 +36,6 @@ from .carry import (
     CnsCollapsedGraph,
     CnsSubsetGraph,
     build_automaton,
-    build_carry_set,
     carry_census,
     carry_constant,
     cns_collapsed,
@@ -69,13 +65,9 @@ from .numeration import (
 from .tile import (
     BoxDimReport,
     Raster,
-    TileCloud,
-    area_estimate,
     boundary_boxdim,
     cloud_chunks,
     cover_fraction,
-    rasterize,
-    tile_points,
     tile_radii,
     tile_rasters,
 )

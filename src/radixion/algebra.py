@@ -325,24 +325,6 @@ def trace_matrix(m: MinimalPolynomial, size: int | None = None) -> tuple:
     return tuple(tuple(p[k + j] for j in range(n)) for k in range(n))
 
 
-def divide_exact_by_q(m: MinimalPolynomial, x: FieldElement):
-    """x/q when q divides x in Z[q], else None.
-
-    Uses the cofactor u with q*u = c_0: x/q = (x*u)/c_0, which lies in
-    Z[q] exactly when every coordinate of x*u is divisible by c_0.
-    """
-    _check_arity(m, x)
-    w = mul(m, x, u_element(m))
-    c0 = m.coeffs[0]
-    if any(c % c0 for c in w):
-        return None
-    return tuple(c // c0 for c in w)
-
-
-def embeddings(m: MinimalPolynomial) -> EmbeddingSet:
-    return m.embeddings()
-
-
 def distortion(m: MinimalPolynomial) -> Distortion:
     """Spread of the embedding moduli on a logarithmic scale.
 

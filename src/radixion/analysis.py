@@ -28,10 +28,9 @@ from . import algebra, bulk
 from .algebra import MinimalPolynomial, _poly_eval
 from .caps import ENUM_CAP, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
-from .numeration import NumberSystem, enumerate_N
+from .numeration import NumberSystem
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_GRANULARITY = 64  # row blocks per Weyl sum; the sum does not depend on it
 PRIME_DIVISOR_CAP = 1 << 32
 NORM_DIRECTIONS = 64  # support directions behind the sieve's norm bound
 LOG_FLOOR = 1e-300
@@ -114,14 +113,6 @@ def is_prime_element(ns: NumberSystem, n) -> PrimeVerdict:
     if m.degree == 1:
         return PrimeVerdict("composite", nm)
     return PrimeVerdict("unsupported_degree", nm)
-
-
-def enumerate_primes(ns: NumberSystem, lam: int):
-    """Stream the prime elements of N_lambda in enumeration order."""
-    if ns.degree > 2:
-        raise UsageError("prime enumeration supports degree <= 2 only")
-    stream = enumerate_N(ns, lam)
-    return (v for v in stream if is_prime_element(ns, v).kind in PRIME_KINDS)
 
 
 def _prime_sieve(n: int) -> np.ndarray:
@@ -353,14 +344,13 @@ def _digit_twist(ns: NumberSystem, fn: str, phase):
     raise UsageError("fn must be 'sod' or 'rs'")
 
 
-def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all",
-                     granularity: int = DEFAULT_GRANULARITY) -> tuple:
+def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all") -> tuple:
     """Exact row counts of the statistic an fn-twist reads over N_lam or its
     primes: (stats, r, counts) over the occupied values in ascending key
     order, with stats the digit-sum elements s(n) (r zero) for 'sod' and r
     the adjacent nonzero-pair counts (stats zero) for 'rs'.
 
-    The rows come from `granularity` row blocks of bulk.row_blocks.  The key
+    The rows come block by block from bulk.row_blocks.  The key
     of a row is s(n) offset-encoded over its box, coordinate i spanning
     lam * [min_b b_i, max_b b_i], or r in 0..lam-1, counted in a dense
     histogram.  When the box of s(n) holds more values than N_lam has rows,
@@ -386,12 +376,7 @@ def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all",
     if bins > effective_cap(ENUM_CAP):
         raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
                           % (bins, lam, effective_cap(ENUM_CAP)))
-    parts = min(granularity, total_rows)  # np.array_split's ranges, without its index array
-    if parts < 1:
-        raise UsageError("granularity must be positive")
-    size, extra = divmod(total_rows, parts)
-    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
-    blocks = bulk.row_blocks(ns, lam, list(zip(bounds, bounds[1:])))
+    blocks = bulk.row_blocks(ns, lam)
     sieve = prime_sieve(ns, lam) if filter == "primes" else None
     hist, found = np.zeros(0 if sparse else bins, np.int64), []
     place = None if sparse else np.array([math.prod(dims[i + 1:]) for i in range(len(dims))],
@@ -425,7 +410,6 @@ def weyl_sum(
     h: int,
     lam: int,
     filter: str = "all",
-    granularity: int = DEFAULT_GRANULARITY,
 ) -> list:
     """S = sum of e(h * value) over N_lambda or its primes, one WeylRow per
     phase, in order.
@@ -434,12 +418,12 @@ def weyl_sum(
     exactly (_digit_histogram); each phase then takes one exponential per
     occupied value, from the float expression a row would use, and adds
     count * e(h * value) exactly, rounding once.  So re_sum and im_sum are
-    the math.fsum of the per-row summands, they depend neither on
-    `granularity` nor on how bulk.row_blocks splits its tables, and a row
-    does not depend on the other phases.
+    the math.fsum of the per-row summands, they do not depend on how
+    bulk.row_blocks blocks the rows or splits its tables, and a row does
+    not depend on the other phases.
     """
     twists = [_digit_twist(ns, fn, phase) for phase in phases]
-    stats, r, counts = _digit_histogram(ns, fn, lam, filter, granularity)
+    stats, r, counts = _digit_histogram(ns, fn, lam, filter)
     s_float, counts = stats.astype(np.float64), counts.tolist()
     count = sum(counts)
     rows = []

@@ -2,15 +2,14 @@
 
 Row i of N_lambda holds the element whose digit index in position j is
 (i // Q^j) % Q, so a fixed block of top digits is one contiguous row
-range.  row_blocks is the one enumeration: it yields the rows of any
-[start, stop) ranges from one low table of the bottom positions (at most
+range.  row_blocks is the one enumeration: it yields the rows in blocks
+of ROW_BLOCK from one low table of the bottom positions (at most
 LOW_ROWS rows) plus q^low times the rows of the top positions.  That is
-exact integer arithmetic, so every split gives the same rows;
-digit_table is the one-block case; the tile cloud walks the same split
-(split_tables, row_segments).  The two tables are built by a
-meet-in-the-middle merge of shorter tables, which also carries the digit
-statistics (digit sum, adjacent nonzero pairs) without re-expanding any
-element.
+exact integer arithmetic, so every split gives the same rows; the tile
+cloud walks the same split (split_tables, row_segments).  The two tables
+are built by a meet-in-the-middle merge of shorter tables, which also
+carries the digit statistics (digit sum, adjacent nonzero pairs) without
+re-expanding any element.
 """
 
 from __future__ import annotations
@@ -75,13 +74,13 @@ class DigitTable:
     top_nz: np.ndarray  # (rows,) digit in position lam-1 is nonzero
 
 
-def row_blocks(ns: NumberSystem, lam: int, ranges=None):
-    """The rows [start, stop) of N_lam for each range (default: blocks of
-    ROW_BLOCK rows in order), as a generator of DigitTables.  The cap (in
-    elements) and the int64 range of the coordinates are checked first."""
+def row_blocks(ns: NumberSystem, lam: int):
+    """The rows of N_lam in order, in blocks of ROW_BLOCK rows (the last may
+    be shorter), as a generator of DigitTables.  The cap (in elements) and
+    the int64 range of the coordinates are checked first."""
     low, high, offsets = split_tables(ns, lam)
-    ranges = block_ranges(ns.Q**lam, ROW_BLOCK) if ranges is None else ranges
-    return (_combine(low, high, offsets, start, stop) for start, stop in ranges)
+    return (_combine(low, high, offsets, start, stop)
+            for start, stop in block_ranges(ns.Q**lam, ROW_BLOCK))
 
 
 def split_tables(ns: NumberSystem, lam: int) -> tuple:
@@ -116,11 +115,6 @@ def row_segments(n_low: int, start: int, stop: int):
         a, b = max(start - h * n_low, 0), min(stop - h * n_low, n_low)
         yield h, slice(a, b), slice(pos, pos + b - a)
         pos += b - a
-
-
-def digit_table(ns: NumberSystem, lam: int) -> DigitTable:
-    """All Q^lam rows of N_lam in one table."""
-    return next(row_blocks(ns, lam, [(0, ns.Q ** max(lam, 0))]))
 
 
 def _base_table(ns: NumberSystem, lam: int) -> DigitTable:

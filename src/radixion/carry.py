@@ -68,11 +68,6 @@ class CnsCollapsedGraph:
     eta_bound: float
 
 
-def build_carry_set(ns: NumberSystem) -> CarrySet:
-    """Least fixed point of s -> (s + d1 + d2 - b)/q from {0}."""
-    return CarrySet(_carry_closure(ns)[0])
-
-
 def build_automaton(ns: NumberSystem) -> CarryAutomaton:
     """Transitions s -> strip(s + a), the zero-digit column of the closure."""
     states, pairs = _carry_closure(ns)
@@ -84,10 +79,6 @@ def build_automaton(ns: NumberSystem) -> CarryAutomaton:
         for j in row:
             adjacency[i, j] += 1
     return CarryAutomaton(CarrySet(states), table, adjacency)
-
-
-def transition(aut: CarryAutomaton, state: int, digit: int) -> int:
-    return aut.next[state][digit]
 
 
 def dominant_eigenvalue(matrix) -> tuple:

@@ -130,8 +130,6 @@ def _csv_bytes(csv_spec) -> bytes:
 
 def _pgm_bytes(raster: tile.Raster, system_label: str) -> bytes:
     occ = raster.occupancy
-    if occ.ndim > 2:
-        raise UsageError("PGM output needs a 1- or 2-dimensional raster")
     bbox_txt = " ".join(_fmt_float(v) for pair in raster.bbox for v in pair)
     grid = occ[None, :] if occ.ndim == 1 else occ.T[::-1]  # rows top-to-bottom
     img = np.where(grid, 0, 255).astype(np.uint8)
@@ -360,9 +358,12 @@ def _cmd_tile(args) -> _Artifact:
     if args.cover_samples < 1:
         raise UsageError("--cover-samples takes a positive count")
     ns = _number_system(args)
+    # every usage check comes before the streamed pass
+    if args.format == "pgm" and ns.degree > 2:
+        raise UsageError("PGM output needs a 1- or 2-dimensional raster")
     boxdim = [] if args.boxdim is None else _parse_int_list(args.boxdim)
     if boxdim:
-        tile.check_boxdim(boxdim)  # before the streamed pass
+        tile.check_boxdim(boxdim)
     # one streamed pass; the box dimension is always fitted in coordinate space
     rasters = tile.tile_rasters(
         ns, args.depth, [(args.space, args.resolution)] + [("coordinate", r) for r in boxdim]
@@ -419,7 +420,7 @@ def _cmd_weyl(args) -> _Artifact:
         worst = 0.0
         worst_scaled = 0.0
         for lam in range(1, max(lams) + 1):
-            rows = analysis.weyl_sum(ns, "sod", alphas, args.h, lam, granularity=args.granularity)
+            rows = analysis.weyl_sum(ns, "sod", alphas, args.h, lam)
             for a, row in zip(alphas, rows):
                 ref = analysis.sod_factorization_reference(ns, a, args.h, lam)
                 err = abs(complex(row.re_sum, row.im_sum) - ref)
@@ -448,9 +449,7 @@ def _cmd_weyl(args) -> _Artifact:
         payload["alpha"] = phase
     payload["h"] = args.h
     payload["filter"] = args.filter
-    payload["granularity"] = args.granularity
-    rows = [analysis.weyl_sum(ns, args.fn, [phase], args.h, lam, args.filter,
-                              granularity=args.granularity)[0] for lam in lams]
+    rows = [analysis.weyl_sum(ns, args.fn, [phase], args.h, lam, args.filter)[0] for lam in lams]
     payload["rows"] = [
         {
             "lambda": r.lam,
@@ -516,7 +515,7 @@ def _cmd_distortion(args) -> _Artifact:
         "poly": str(poly),
         "theta_max": report.theta_max,
         "theta_min": report.theta_min,
-        "embedding_moduli": [float(v) for v in algebra.embeddings(poly).moduli],
+        "embedding_moduli": [float(v) for v in poly.embeddings().moduli],
     }
     return _Artifact(payload)
 
@@ -577,8 +576,6 @@ def _conf_weyl(p):
     p.add_argument("--h", type=int, default=1, help="integer harmonic")
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated digit lengths")
     p.add_argument("--filter", choices=("all", "primes"), default="all")
-    p.add_argument("--granularity", type=int, default=analysis.DEFAULT_GRANULARITY,
-                   help="row blocks per sum; the result does not depend on it")
     p.add_argument("--identity-alphas", type=int,
                    help="check S_all against the digit-factorization identity for N seeded alphas")
 
@@ -706,7 +703,6 @@ def _manifest(args, elapsed: float, digest: str) -> dict:
         "subcommand": args.subcommand,
         "flags": flags,
         "seed": args.seed,
-        "granularity": getattr(args, "granularity", None),
         "wall_time_s": elapsed,
         "result_digest": "sha256:" + digest,
     }

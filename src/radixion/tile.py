@@ -19,8 +19,7 @@ the digits, through buffers allocated once per pass.  A space's grids
 whose resolutions differ by powers of two form a chain: each point is
 marked, by its flat cell index, only in the finest grid of each chain,
 and the coarser grids are OR-pooled from it after the pass, exactly.
-tile_points and rasterize, which hold a whole cloud, are the reference
-route.  The lattice area decides membership in N_k by backward division
+The lattice area decides membership in N_k by backward division
 (numeration.strip_columns): n lies in N_k exactly when k strips take it
 to 0, since 0 is the digit of its own residue class.
 """
@@ -42,13 +41,6 @@ SPACE_TAGS = ("coordinate", "embedding")
 LATTICE_BLOCK = 1 << 16  # cell centres rounded and stripped per vectorized step
 RASTER_BLOCK = 1 << 20  # most cloud points per chunk or binning step; bounds the temporaries
 FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
-
-
-@dataclass(frozen=True)
-class TileCloud:
-    depth: int
-    points: np.ndarray  # (Q^depth, d) float64
-    space_tag: str
 
 
 @dataclass(frozen=True)
@@ -176,11 +168,6 @@ def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
         yield chunk.copy() if chart is None else chunk @ chart
 
 
-def tile_points(ns: NumberSystem, depth: int, space_tag: str = "coordinate") -> TileCloud:
-    """All Q^depth truncated tile points, in first-digit-major lexicographic order."""
-    return TileCloud(depth, np.concatenate(list(cloud_chunks(ns, depth, space_tag))), space_tag)
-
-
 def _window(lo: np.ndarray, hi: np.ndarray) -> tuple:
     """Raster bbox ((lo, hi), ...); a degenerate axis is padded by half a unit."""
     return tuple(
@@ -243,25 +230,6 @@ def _pool(fine: np.ndarray, res: int) -> np.ndarray:
     return fine.reshape((res, k) * fine.ndim).any(axis=tuple(range(1, 2 * fine.ndim, 2)))
 
 
-def rasterize(cloud: TileCloud, resolution: int) -> Raster:
-    """Occupancy grid over the tight bounding box of the cloud.
-
-    Degenerate axes (all points equal) are padded by half a unit so a
-    single point still lands in exactly one cell.
-    """
-    if resolution < 1:
-        raise UsageError("resolution must be positive")
-    pts = cloud.points
-    if len(pts) == 0:
-        raise DomainError("cannot rasterize an empty cloud")
-    bbox = _window(pts.min(axis=0), pts.max(axis=0))
-    occupancy = np.zeros((resolution,) * pts.shape[1], dtype=bool)
-    buffers = _bin_buffers(min(len(pts), RASTER_BLOCK), pts.shape[1])
-    for start in range(0, len(pts), RASTER_BLOCK):
-        _bin(pts[start : start + RASTER_BLOCK], bbox, [occupancy], buffers)
-    return Raster(resolution, bbox, occupancy, cloud.depth, cloud.space_tag)
-
-
 def _pool_source(res: int, resolutions) -> int:
     """Finest of `resolutions` that is res times a power of two (res itself
     if no finer one is); that grid is binned and res is pooled from it."""
@@ -311,7 +279,14 @@ def tile_radii(ns: NumberSystem, raster: Raster) -> RadiiReport:
 
 
 def _inner_radius(raster: Raster) -> float:
-    """Radius of the largest origin ball fully covered by occupied cells."""
+    """Radius of the largest origin ball fully covered by occupied cells.
+
+    The squared distance of a cell is h + b, h the sum of the per-axis
+    squares over all axes but the last and b the last axis's square.  Float
+    addition is monotone, so over the empty cells of a row its least value
+    is h plus the least b of an empty cell: taking the last axis in order
+    of b, that is the row's first empty cell, and no per-cell distance grid
+    is built."""
     occ = raster.occupancy
     d = occ.ndim
     res = raster.resolution
@@ -321,14 +296,20 @@ def _inner_radius(raster: Raster) -> float:
     if edge <= 0.0:
         return 0.0  # origin not interior to the raster window
     cell = (hi - lo) / res
-    dist2 = np.zeros((1,) * d)
+    squares = []
     for k in range(d):
         starts = lo[k] + np.arange(res) * cell[k]
         dk = np.maximum(np.maximum(starts, -(starts + cell[k])), 0.0)
-        shape = [1] * d
+        squares.append(dk * dk)
+    head = np.zeros((1,) * (d - 1))
+    for k, square in enumerate(squares[:-1]):
+        shape = [1] * (d - 1)
         shape[k] = res
-        dist2 = dist2 + (dk * dk).reshape(shape)
-    np.putmask(dist2, occ, math.inf)  # in place: dist2[~occ] would copy 8 bytes per cell
+        head = head + square.reshape(shape)
+    order = np.argsort(squares[-1], kind="stable")
+    permuted = occ[..., order]  # one byte per cell
+    first = permuted.argmin(axis=-1)  # a row's empty cell of least b, if it has one
+    dist2 = np.where(permuted.all(axis=-1), math.inf, head + squares[-1][order][first])
     nearest = math.sqrt(float(dist2.min()))
     return float(min(nearest, edge))
 
@@ -340,12 +321,6 @@ def cell_area(raster: Raster) -> float:
 
 def area_of(raster: Raster) -> float:
     return float(raster.occupancy.sum()) * cell_area(raster)
-
-
-def area_estimate(ns: NumberSystem, depth: int, resolution: int) -> float:
-    """Occupied-cell area of the depth-truncated tile, coordinate units."""
-    key = ("coordinate", resolution)
-    return area_of(tile_rasters(ns, depth, [key])[key])
 
 
 def lattice_area(ns: NumberSystem, raster: Raster) -> float:
@@ -444,13 +419,6 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
         hit[inside] = occ[sel]
         claims += hit
     return float((claims == 1).mean())
-
-
-def unique_cover_fraction(
-    ns: NumberSystem, depth: int, resolution: int, samples: int = 10**4, seed: int = 0
-) -> float:
-    key = ("coordinate", resolution)
-    return cover_fraction(tile_rasters(ns, depth, [key])[key], samples, seed)
 
 
 def boundary_cell_count(raster: Raster) -> int:

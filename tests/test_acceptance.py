@@ -220,10 +220,11 @@ def coprime_average(lam, alpha):
     q - 1 divides n exactly when a + b = 0 mod 5, since q = 1 in
     Z[q]/(q-1) = Z/5.
     """
-    table = bulk.digit_table(NumberSystem.parse("2,2,1", "0,0;1,0"), lam)
-    a, b = table.coords[:, 0], table.coords[:, 1]
+    blocks = list(bulk.row_blocks(NumberSystem.parse("2,2,1", "0,0;1,0"), lam))
+    coords, s = (np.concatenate([getattr(b, f) for b in blocks]) for f in ("coords", "s_coords"))
+    a, b = coords[:, 0], coords[:, 1]
     keep = (a % 2 == 1) & ((a + b) % 5 != 0)
-    return complex(np.exp(2j * math.pi * alpha * table.s_coords[keep, 0]).mean())
+    return complex(np.exp(2j * math.pi * alpha * s[keep, 0]).mean())
 
 
 def test_criterion_07_prime_equidistribution(runner):

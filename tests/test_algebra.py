@@ -178,30 +178,6 @@ def test_trace_is_linear():
         algebra.trace_pow(GAUSS_TWO, (1, 0), -1)
 
 
-# ------------------------------------------------------- exact division
-
-
-def test_divide_exact_by_q_examples():
-    assert algebra.divide_exact_by_q(GAUSS_TWO, (2, 0)) == (-2, -1)
-    assert algebra.divide_exact_by_q(GAUSS_TWO, (-2, -2)) == (0, 1)
-    assert algebra.divide_exact_by_q(GAUSS_TWO, (1, 0)) is None
-
-
-def test_divide_inverts_multiplication_by_q():
-    q = algebra.q_element(GAUSS_TWO)
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            x = (a, b)
-            assert algebra.divide_exact_by_q(GAUSS_TWO, algebra.mul(GAUSS_TWO, q, x)) == x
-
-
-def test_divide_exact_with_negative_constant_term():
-    # base q = 2 from x - 2: halving is division by q
-    m = MinimalPolynomial((-2, 1))
-    assert algebra.divide_exact_by_q(m, (6,)) == (3,)
-    assert algebra.divide_exact_by_q(m, (7,)) is None
-
-
 # -------------------------------------------------------------- embeddings
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,6 +17,25 @@ from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
 
 GOLDEN_RATIO = 0.6180339887
+# (ROW_BLOCK, LOW_ROWS) of bulk.row_blocks: one-row blocks, ragged blocks
+# that cross the seams between the high rows of the split, and the default
+BLOCKINGS = ((1, 1), (7, 16), (100, 3), (bulk.ROW_BLOCK, bulk.LOW_ROWS))
+
+
+def each_blocking(monkeypatch):
+    """Run a loop body once under each of BLOCKINGS."""
+    for row_block, low_rows in BLOCKINGS:
+        with monkeypatch.context() as m:
+            m.setattr(bulk, "ROW_BLOCK", row_block)
+            m.setattr(bulk, "LOW_ROWS", low_rows)
+            yield
+
+
+def whole_table(ns, lam):
+    """All rows of N_lam in one DigitTable: the row blocks, concatenated."""
+    blocks = list(bulk.row_blocks(ns, lam))
+    return bulk.DigitTable(lam, *(np.concatenate([getattr(b, f.name) for b in blocks])
+                                  for f in dataclasses.fields(bulk.DigitTable)[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +70,19 @@ def test_prime_verdict_degree_cap(knuth):
 
 
 def test_prime_enumeration_small(knuth):
-    assert list(analysis.enumerate_primes(knuth, 1)) == []
-    assert list(analysis.enumerate_primes(knuth, 3)) == [(0, 1), (-1, -2), (-2, -1)]
+    assert analysis.prime_rows(knuth, 1).tolist() == []
+    assert analysis.prime_rows(knuth, 3).tolist() == [[0, 1], [-1, -2], [-2, -1]]
 
 
 def test_prime_counts_frozen(knuth):
     for lam, count in ((14, 2717), (18, 31060)):
-        coords = bulk.digit_table(knuth, lam).coords
+        coords = whole_table(knuth, lam).coords
         assert int(analysis.prime_mask(knuth, coords, analysis.prime_sieve(knuth, lam)).sum()) == count
 
 
 def test_prime_mask_matches_scalar(knuth, five_a):
     for ns, lam in ((knuth, 8), (five_a, 4)):
-        coords = bulk.digit_table(ns, lam).coords
+        coords = whole_table(ns, lam).coords
         mask = analysis.prime_mask(ns, coords, analysis.prime_sieve(ns, lam))
         for row, hit in zip(coords, mask):
             kind = analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
@@ -80,13 +100,13 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
         lam = 1
         while ns.Q ** (lam + 1) <= 3000:
             lam += 1
-        coords = bulk.digit_table(ns, lam).coords
+        coords = whole_table(ns, lam).coords
         mask = analysis.prime_mask(ns, coords, analysis.prime_sieve(ns, lam))
         assert np.array_equal(analysis.prime_rows(ns, lam), coords[mask])
 
 
 def max_abs_norm(ns, lam):
-    coords = bulk.digit_table(ns, lam).coords.astype(object)
+    coords = whole_table(ns, lam).coords.astype(object)
     return max(abs(algebra.norm(ns.poly, tuple(row))) for row in coords.tolist())
 
 
@@ -103,7 +123,7 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
 
 def test_sieve_size_at_lambda_22(knuth):
     # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M
-    coords = bulk.digit_table(knuth, 22).coords
+    coords = whole_table(knuth, 22).coords
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= analysis._norm_bound(knuth, 22) <= 1.01 * true
     assert len(analysis.prime_sieve(knuth, 22)) == analysis._norm_bound(knuth, 22) + 1
@@ -127,7 +147,7 @@ def test_prime_sieve_guards(knuth, monkeypatch):
 def test_prime_degree_limit(cubic):
     assert analysis.is_prime_element(cubic, (3, 0, 0)).kind == "unsupported_degree"
     with pytest.raises(UsageError):
-        analysis.enumerate_primes(cubic, 2)
+        analysis.prime_rows(cubic, 2)
     with pytest.raises(UsageError):
         analysis.prime_sieve(cubic, 2)
     with pytest.raises(UsageError):
@@ -265,7 +285,7 @@ def _phase_values(ns, fn, phase, table):
 
 def weyl_table_oracle(ns, fn, phase, h, lam, filter):
     """The whole-table route: one table, one mask, one summand per row."""
-    table = bulk.digit_table(ns, lam)
+    table = whole_table(ns, lam)
     z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, table))
     if filter == "primes":
         z = z[analysis.prime_mask(ns, table.coords, analysis.prime_sieve(ns, lam))]
@@ -291,14 +311,9 @@ def test_weyl_rows_do_not_depend_on_blocks(request, monkeypatch):
     for ns, fn, phase, lam in weyl_cases(request):
         for filter in ("all", "primes"):
             first = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter)
-            for granularity in (1, 7, 64, ns.Q**lam + 5):
-                assert analysis.weyl_sum(ns, fn, [phase], 3, lam, filter, granularity) == first
-            with monkeypatch.context() as m:
-                m.setattr(bulk, "LOW_ROWS", 16)  # blocks cross prefix boundaries
-                assert analysis.weyl_sum(ns, fn, [phase], 3, lam, filter, 7) == first
+            for _ in each_blocking(monkeypatch):
+                assert analysis.weyl_sum(ns, fn, [phase], 3, lam, filter) == first
     knuth = request.getfixturevalue("knuth")
-    with pytest.raises(UsageError, match="granularity"):
-        analysis.weyl_sum(knuth, "rs", [0.5], 1, 4, granularity=0)
     with pytest.raises(UsageError, match="nonnegative"):
         analysis.weyl_sum(knuth, "rs", [0.5], 1, -1, "primes")
 
@@ -354,6 +369,22 @@ def test_digit_histogram_matches_scalar_counter(request):
                 assert not (r if fn == "sod" else stats).any()
 
 
+def test_digit_histogram_does_not_depend_on_blocks(request, monkeypatch):
+    systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    cases = [(ns, fn, largest_lam(ns, 300), ("all", "primes"))
+             for ns in systems + list(request.getfixturevalue("random_systems"))
+             for fn in ("sod", "rs")]
+    # sparse keys: the box of s(n) holds more values than N_lambda has rows
+    cases += [(systems[3], "sod", 3, ("all", "primes")),
+              (NumberSystem.parse("2,2,1", "0,0;16777217,0"), "sod", 9, ("all",))]
+    for ns, fn, lam, filters in cases:
+        for filter in filters:
+            first = analysis._digit_histogram(ns, fn, lam, filter)
+            for _ in each_blocking(monkeypatch):
+                again = analysis._digit_histogram(ns, fn, lam, filter)
+                assert all(np.array_equal(a, b) for a, b in zip(again, first)), (ns, fn, filter)
+
+
 def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch):
     # boxes of s(n) wider than N_lam: the rows are keyed by sorted distinct values
     wide = NumberSystem.parse("2,2,1", "0,0;16777217,0")  # a dense box of 16777218 bins at lam 1
@@ -362,11 +393,12 @@ def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch):
     cases += [(ns, 1, f) for ns in request.getfixturevalue("random_systems") for f in ("all", "primes")]
     for ns, lam, filter in cases:
         assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # sparse
-        for granularity in (1, 7):
-            stats, r, counts = analysis._digit_histogram(ns, "sod", lam, filter, granularity)
+        expected = dict(scalar_histogram(ns, "sod", lam, filter))
+        for _ in each_blocking(monkeypatch):
+            stats, r, counts = analysis._digit_histogram(ns, "sod", lam, filter)
             keys = [tuple(v) for v in stats.tolist()]
             assert keys == sorted(keys)  # ascending, as the dense keys are
-            assert dict(zip(keys, counts.tolist())) == dict(scalar_histogram(ns, "sod", lam, filter))
+            assert dict(zip(keys, counts.tolist())) == expected
             assert not r.any()
     monkeypatch.setenv("RADIXION_CAP", "5")  # 27 values of s(n) over the 5 rows of N_1 fit
     stats, _, counts = analysis._digit_histogram(five_b, "sod", 1)
@@ -384,16 +416,15 @@ def mixed_phases(ns, fn):
 
 
 def test_multi_phase_rows_equal_one_phase_rows(request, monkeypatch):
-    monkeypatch.setattr(bulk, "LOW_ROWS", 16)  # blocks cross prefix boundaries
     systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     for ns in systems + list(request.getfixturevalue("random_systems")):
         lam = largest_lam(ns, 300)
         for fn in ("sod", "rs"):
             phases = mixed_phases(ns, fn)
             for filter in ("all", "primes"):
-                for granularity in (1, 7, 64, ns.Q**lam + 5):
-                    rows = analysis.weyl_sum(ns, fn, phases, 2, lam, filter, granularity)
-                    assert rows == [analysis.weyl_sum(ns, fn, [p], 2, lam, filter, granularity)[0]
+                for _ in each_blocking(monkeypatch):
+                    rows = analysis.weyl_sum(ns, fn, phases, 2, lam, filter)
+                    assert rows == [analysis.weyl_sum(ns, fn, [p], 2, lam, filter)[0]
                                     for p in phases]
 
 
@@ -474,7 +505,7 @@ def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
     weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
     best = []
     for lam in range(1, lam_max + 1):
-        table = bulk.digit_table(ns, lam)
+        table = whole_table(ns, lam)
         values = _phase_values(ns, fn, phase, table)
         angles = table.coords.astype(np.float64) @ weights.T + values[:, None]
         best.append(float(np.abs(np.exp(2j * math.pi * angles).sum(axis=0)).max()))

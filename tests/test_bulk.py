@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,16 @@ def scalar_row(ns, index, lam):
     return value, s, r, low_nz, top_nz
 
 
+def whole_table(ns, lam):
+    """All rows of N_lam in one DigitTable: the row blocks, concatenated."""
+    blocks = list(bulk.row_blocks(ns, lam))
+    return bulk.DigitTable(lam, *(np.concatenate([getattr(b, f.name) for b in blocks])
+                                  for f in dataclasses.fields(bulk.DigitTable)[1:]))
+
+
 @pytest.mark.parametrize("lam", [0, 1, 2, 5])
 def test_digit_table_matches_scalar_route(knuth, lam):
-    table = bulk.digit_table(knuth, lam)
+    table = whole_table(knuth, lam)
     assert len(table.coords) == 2**lam
     for i in range(2**lam):
         value, s, r, low_nz, top_nz = scalar_row(knuth, i, lam)
@@ -43,7 +52,7 @@ def test_digit_table_matches_scalar_route(knuth, lam):
 
 def test_digit_table_matches_scalar_route_nonbinary(five_b):
     lam = 3
-    table = bulk.digit_table(five_b, lam)
+    table = whole_table(five_b, lam)
     for i in range(5**lam):
         value, s, r, low_nz, top_nz = scalar_row(five_b, i, lam)
         assert tuple(table.coords[i]) == value
@@ -52,7 +61,7 @@ def test_digit_table_matches_scalar_route_nonbinary(five_b):
 
 
 def test_digit_table_agrees_with_enumerate(knuth):
-    table = bulk.digit_table(knuth, 8)
+    table = whole_table(knuth, 8)
     stream = list(numeration.enumerate_N(knuth, 8))
     assert [tuple(row) for row in table.coords] == stream
 
@@ -99,44 +108,30 @@ def oracle_depth(ns, rows=600):
 
 
 def test_row_blocks_are_slices_of_the_enumeration(request, monkeypatch):
-    rng = np.random.default_rng(11)
     for ns in golden_and_random(request):
         Q = ns.Q
         for lam in (0, 1, oracle_depth(ns)):
             total = Q**lam
             stream = list(numeration.enumerate_N(ns, lam))
             rows = [scalar_row(ns, i, lam) for i in range(total)]
-            cuts = sorted(rng.integers(0, total + 1, 5).tolist())
-            ranges = [(0, total), (total, total), (cuts[2], cuts[2])]
-            ranges += list(zip([0] + cuts, cuts + [total]))
-            ranges += [(min(Q - 1, total), min(Q + 1, total)), (1 % total, total)]
-            # prefixes of 1, Q and Q^2 rows make the ranges cross prefix boundaries
+            # prefixes of 1, Q and Q^2 rows, and blocks of 1, 37 and Q + 1
+            # rows, make the blocks ragged and cross prefix boundaries
             for low_rows in (1, Q, Q * Q + 1, bulk.LOW_ROWS):
                 monkeypatch.setattr(bulk, "LOW_ROWS", low_rows)
-                blocks = list(bulk.row_blocks(ns, lam, ranges))
-                assert len(blocks) == len(ranges)
-                for (start, stop), block in zip(ranges, blocks):
-                    ref = rows[start:stop]
-                    assert block.lam == lam
-                    assert [tuple(v) for v in block.coords.tolist()] == stream[start:stop]
-                    assert [tuple(v) for v in block.coords.tolist()] == [w[0] for w in ref]
-                    assert [tuple(v) for v in block.s_coords.tolist()] == [w[1] for w in ref]
-                    assert block.r.tolist() == [w[2] for w in ref]
-                    assert block.low_nz.tolist() == [w[3] for w in ref]
-                    assert block.top_nz.tolist() == [w[4] for w in ref]
-
-
-def test_digit_table_is_the_one_block_case(knuth, five_b, monkeypatch):
-    monkeypatch.setattr(bulk, "LOW_ROWS", 8)
-    monkeypatch.setattr(bulk, "ROW_BLOCK", 37)
-    for ns, lam in ((knuth, 9), (five_b, 4)):
-        table = bulk.digit_table(ns, lam)
-        blocks = list(bulk.row_blocks(ns, lam))
-        assert [len(b.r) for b in blocks[:-1]] == [37] * (len(blocks) - 1)
-        for field in ("coords", "s_coords", "r", "low_nz", "top_nz"):
-            assert np.array_equal(
-                np.concatenate([getattr(b, field) for b in blocks]), getattr(table, field)
-            )
+                for size in (1, 37, Q + 1, bulk.ROW_BLOCK):
+                    monkeypatch.setattr(bulk, "ROW_BLOCK", size)
+                    starts = range(0, total, size)
+                    blocks = list(bulk.row_blocks(ns, lam))
+                    assert [len(b.r) for b in blocks] == [min(size, total - a) for a in starts]
+                    for a, block in zip(starts, blocks):
+                        ref = rows[a : a + size]
+                        assert block.lam == lam
+                        assert [tuple(v) for v in block.coords.tolist()] == stream[a : a + size]
+                        assert [tuple(v) for v in block.coords.tolist()] == [w[0] for w in ref]
+                        assert [tuple(v) for v in block.s_coords.tolist()] == [w[1] for w in ref]
+                        assert block.r.tolist() == [w[2] for w in ref]
+                        assert block.low_nz.tolist() == [w[3] for w in ref]
+                        assert block.top_nz.tolist() == [w[4] for w in ref]
 
 
 def test_coordinate_ranges_are_exact(request):

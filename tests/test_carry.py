@@ -19,25 +19,29 @@ CNS_DEMO = MinimalPolynomial((101, 20, 1))
 # -------------------------------------------------------------- carry sets
 
 
+def carry_states(ns):
+    return carry.build_automaton(ns).carry_set.states
+
+
 def test_carry_set_negabinary_order(negabinary):
-    assert carry.build_carry_set(negabinary).states == ((0,), (-1,), (1,))
+    assert carry_states(negabinary) == ((0,), (-1,), (1,))
 
 
 def test_carry_set_sizes(knuth, five_a, five_b, negabinary):
-    assert len(carry.build_carry_set(knuth).states) == 15
-    assert len(carry.build_carry_set(five_a).states) == 14
-    assert len(carry.build_carry_set(five_b).states) == 44
-    assert len(carry.build_carry_set(negabinary).states) == 3
+    assert len(carry_states(knuth)) == 15
+    assert len(carry_states(five_a)) == 14
+    assert len(carry_states(five_b)) == 44
+    assert len(carry_states(negabinary)) == 3
 
 
 def test_carry_set_contains_minus_one_minus_i(knuth):
-    assert (-2, -1) in carry.build_carry_set(knuth).states
+    assert (-2, -1) in carry_states(knuth)
 
 
 def test_carry_set_respects_cap(knuth, monkeypatch):
     monkeypatch.setenv("RADIXION_CAP", "4")
     with pytest.raises(CapExceeded):
-        carry.build_carry_set(knuth)
+        carry_states(knuth)
 
 
 # --------------------------------------------------------------- automaton
@@ -70,10 +74,8 @@ def test_negabinary_transitions(negabinary):
     aut = carry.build_automaton(negabinary)
     states = aut.carry_set.states
     i_neg, i_pos = states.index((-1,)), states.index((1,))
-    assert carry.transition(aut, i_neg, 0) == i_pos
-    assert carry.transition(aut, i_neg, 1) == 0
-    assert carry.transition(aut, i_pos, 0) == 0
-    assert carry.transition(aut, i_pos, 1) == i_neg
+    assert aut.next[i_neg] == (i_pos, 0)
+    assert aut.next[i_pos] == (0, i_neg)
     sub = aut.adjacency[1:, 1:]
     assert sub.tolist() == [[0, 1], [1, 0]]
 

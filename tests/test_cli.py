@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import radixion
-from radixion import analysis, cli, numeration, tile
+from radixion import analysis, bulk, cli, numeration, tile
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
 NEGABINARY = ("--poly", "2,1", "--digits", "0;1")
@@ -100,6 +100,16 @@ def test_boxdim_checked_before_streaming(capsysbinary, monkeypatch):
         code, _, err = run(capsysbinary, "tile", *KNUTH, "--depth", "25", "--resolution",
                            "1024", "--boxdim", boxdim)
         assert code == 2 and b"at least 3 distinct resolutions" in err
+
+
+def test_pgm_degree_checked_before_streaming(capsysbinary, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the cloud was streamed before --format pgm was checked")
+
+    monkeypatch.setattr(tile, "tile_rasters", no_work)
+    code, _, err = run(capsysbinary, "tile", "--poly", "2,2,2,1", "--digits", "0,0,0;1,0,0",
+                       "--depth", "18", "--resolution", "256", "--format", "pgm")
+    assert code == 2 and b"PGM output needs a 1- or 2-dimensional raster" in err
 
 
 def test_caps_exit_three(capsysbinary, monkeypatch):
@@ -377,20 +387,22 @@ def test_out_writes_artifact_and_manifest(capsysbinary, tmp_path):
     manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
     assert manifest["result_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
     assert manifest["subcommand"] == "weyl"
-    assert manifest["granularity"] == 64
+    assert "granularity" not in manifest
     assert "wall_time_s" in manifest
     assert manifest["flags"]["lam"] == "2,4"
 
 
-def test_weyl_artifact_does_not_depend_on_granularity(capsysbinary):
-    payloads = []
-    for granularity in ("1", "64"):
-        code, payload, _ = run_json(capsysbinary, "weyl", *KNUTH, "--fn", "sod", "--alpha",
-                                    "0.6180339887", "--lambda", "4,8,11", "--filter", "primes",
-                                    "--granularity", granularity)
-        assert code == 0 and payload.pop("granularity") == int(granularity)
-        payloads.append(payload)
-    assert payloads[0] == payloads[1]
+def test_weyl_artifact_does_not_depend_on_blocks(capsysbinary, monkeypatch):
+    argv = ("weyl", *KNUTH, "--fn", "sod", "--alpha", "0.6180339887", "--lambda", "4,8,11",
+            "--filter", "primes")
+    code, first, _ = run(capsysbinary, *argv)
+    assert code == 0 and "granularity" not in json.loads(first.decode())
+    for row_block, low_rows in ((7, 16), (100, 3), (1, 1)):  # ragged blocks across seams
+        monkeypatch.setattr(bulk, "ROW_BLOCK", row_block)
+        monkeypatch.setattr(bulk, "LOW_ROWS", low_rows)
+        code, out, _ = run(capsysbinary, *argv)
+        assert code == 0 and out == first
+    assert run(capsysbinary, *argv, "--granularity", "8")[0] == 2  # the knob is gone
 
 
 def test_stdout_runs_emit_manifest_line(capsysbinary):

@@ -53,10 +53,42 @@ def test_encode_round_trip(knuth):
 # -------------------------------------------------------------- expansion
 
 
+def divide_exact_by_q(m, x):
+    """x/q when q divides x in Z[q], else None.
+
+    Uses the cofactor u with q*u = c_0: x/q = (x*u)/c_0, which lies in
+    Z[q] exactly when every coordinate of x*u is divisible by c_0.
+    """
+    w = algebra.mul(m, x, algebra.u_element(m))
+    c0 = m.coeffs[0]
+    if any(c % c0 for c in w):
+        return None
+    return tuple(c // c0 for c in w)
+
+
+def test_divide_exact_by_q_examples(knuth_poly):
+    assert divide_exact_by_q(knuth_poly, (2, 0)) == (-2, -1)
+    assert divide_exact_by_q(knuth_poly, (-2, -2)) == (0, 1)
+    assert divide_exact_by_q(knuth_poly, (1, 0)) is None
+
+
+def test_divide_inverts_multiplication_by_q(knuth_poly):
+    q = algebra.q_element(knuth_poly)
+    for x in itertools.product(range(-3, 4), repeat=2):
+        assert divide_exact_by_q(knuth_poly, algebra.mul(knuth_poly, q, x)) == x
+
+
+def test_divide_exact_with_negative_constant_term():
+    # base q = 2 from x - 2: halving is division by q
+    m = MinimalPolynomial((-2, 1))
+    assert divide_exact_by_q(m, (6,)) == (3,)
+    assert divide_exact_by_q(m, (7,)) is None
+
+
 def trial_strip(ns, n):
     """Backward division by trying every digit with divide_exact_by_q."""
     for t, b in enumerate(ns.digits):
-        quotient = algebra.divide_exact_by_q(ns.poly, algebra.sub(ns.poly, n, b))
+        quotient = divide_exact_by_q(ns.poly, algebra.sub(ns.poly, n, b))
         if quotient is not None:
             return t, quotient
     raise AssertionError("no digit divides")

@@ -11,7 +11,18 @@ import pytest
 from radixion import tile
 from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
-from radixion.tile import Raster, TileCloud
+from radixion.tile import Raster
+
+
+def whole_cloud(ns, depth, space_tag="coordinate"):
+    """The whole depth-`depth` cloud in one array: the streamed chunks, concatenated."""
+    return np.concatenate(list(tile.cloud_chunks(ns, depth, space_tag)))
+
+
+def raster_of(ns, depth, resolution, space_tag="coordinate"):
+    """The one raster of a tile_rasters pass, the CLI's route."""
+    key = (space_tag, resolution)
+    return tile.tile_rasters(ns, depth, [key])[key]
 
 
 def exact_cloud(ns, depth):
@@ -55,42 +66,40 @@ def exact_cloud(ns, depth):
 @pytest.mark.parametrize("name,depth", [("negabinary", 8), ("knuth", 6), ("five_a", 3)])
 def test_points_match_exact_fraction_ifs(request, name, depth):
     ns = request.getfixturevalue(name)
-    cloud = tile.tile_points(ns, depth)
+    cloud = whole_cloud(ns, depth)
     exact = exact_cloud(ns, depth)
-    assert cloud.points.shape == (ns.Q**depth, ns.degree)
-    for row, ref in zip(cloud.points, exact):
+    assert cloud.shape == (ns.Q**depth, ns.degree)
+    for row, ref in zip(cloud, exact):
         for v, r in zip(row, ref):
             assert abs(v - float(r)) < 1e-9
 
 
 def test_cloud_validation(knuth):
-    assert tile.tile_points(knuth, 0).points.tolist() == [[0.0, 0.0]]
+    assert whole_cloud(knuth, 0).tolist() == [[0.0, 0.0]]
     with pytest.raises(UsageError):
-        tile.tile_points(knuth, 3, space_tag="polar")
+        whole_cloud(knuth, 3, space_tag="polar")
     with pytest.raises(UsageError):
-        tile.tile_points(knuth, -1)
+        whole_cloud(knuth, -1)
     with pytest.raises(CapExceeded):
-        tile.tile_points(knuth, 30)
+        whole_cloud(knuth, 30)
 
 
 def test_embedding_space_is_linear_image(knuth, negabinary):
-    coord = tile.tile_points(knuth, 6)
-    emb = tile.tile_points(knuth, 6, space_tag="embedding")
+    coord = whole_cloud(knuth, 6)
+    emb = whole_cloud(knuth, 6, space_tag="embedding")
     e = tile._embedding_matrix(knuth)
-    assert np.allclose(coord.points @ e.T, emb.points, atol=1e-12)
+    assert np.allclose(coord @ e.T, emb, atol=1e-12)
     # degree one: the embedding chart is the coordinate chart
-    assert np.allclose(
-        tile.tile_points(negabinary, 5, space_tag="embedding").points,
-        tile.tile_points(negabinary, 5).points,
-    )
+    assert np.allclose(whole_cloud(negabinary, 5, space_tag="embedding"),
+                       whole_cloud(negabinary, 5))
 
 
 # ------------------------------------------------------------- negabinary
 
 
 def test_negabinary_tile_goldens(negabinary):
-    cloud = tile.tile_points(negabinary, 18)
-    raster = tile.rasterize(cloud, 1024)
+    rasters = tile.tile_rasters(negabinary, 18, [("coordinate", r) for r in (256, 512, 1024)])
+    raster = rasters["coordinate", 1024]
     (lo, hi) = raster.bbox[0]
     cell = (hi - lo) / 1024
     assert abs(lo - (-2.0 / 3.0)) <= cell + 1e-12
@@ -102,20 +111,20 @@ def test_negabinary_tile_goldens(negabinary):
     assert radii.r_plus_bound == 1.0
     assert abs(radii.r_minus_estimate - 1.0 / 3.0) < 1e-3
     assert radii.r_minus_estimate <= radii.r_plus_bound
-    report = tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 512, 1024)])
+    report = tile.boundary_boxdim(list(rasters.values()))
     assert report.counts == (2, 2, 2)
     assert abs(report.dimension) < 0.05
 
 
 def test_negabinary_cover_is_full(negabinary):
-    assert tile.unique_cover_fraction(negabinary, 18, 1024) >= 0.98
+    assert tile.cover_fraction(raster_of(negabinary, 18, 1024)) >= 0.98
 
 
 # ------------------------------------------------------------------ knuth
 
 
 def test_knuth_radii(knuth):
-    raster = tile.rasterize(tile.tile_points(knuth, 10), 256)
+    raster = raster_of(knuth, 10, 256)
     radii = tile.tile_radii(knuth, raster)
     assert abs(radii.r_plus_bound - 4.181540550352) < 1e-9
     silver = 1.0 + math.sqrt(2.0)
@@ -125,14 +134,15 @@ def test_knuth_radii(knuth):
 
 def test_radii_preconditions(knuth):
     with pytest.raises(UsageError):
-        tile.tile_radii(knuth, tile.rasterize(tile.tile_points(knuth, 6), 128))
-    emb = tile.rasterize(tile.tile_points(knuth, 6, space_tag="embedding"), 256)
+        tile.tile_radii(knuth, raster_of(knuth, 6, 128))
+    emb = raster_of(knuth, 6, 256, space_tag="embedding")
     with pytest.raises(UsageError):
         tile.tile_radii(knuth, emb)
 
 
 def test_knuth_area_error_shrinks_with_depth(knuth):
-    errors = [abs(tile.area_estimate(knuth, depth, 512) - 1.0) for depth in (10, 12, 14, 16, 18)]
+    errors = [abs(tile.area_of(raster_of(knuth, depth, 512)) - 1.0)
+              for depth in (10, 12, 14, 16, 18)]
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < 0.2
 
@@ -143,11 +153,11 @@ def test_knuth_area_error_shrinks_with_depth(knuth):
     " target needs more points per cell",
 )
 def test_knuth_cover_saturates(knuth):
-    assert tile.unique_cover_fraction(knuth, 18, 1024) >= 0.98
+    assert tile.cover_fraction(raster_of(knuth, 18, 1024)) >= 0.98
 
 
 def test_knuth_lattice_area_is_one(knuth):
-    raster = tile.rasterize(tile.tile_points(knuth, 18), 1024)
+    raster = raster_of(knuth, 18, 1024)
     report = tile.measure_area(knuth, raster)
     assert report.method == "lattice"
     assert abs(report.area - 1.0) < 0.03
@@ -155,8 +165,8 @@ def test_knuth_lattice_area_is_one(knuth):
 
 
 def test_knuth_boundary_dimension_band(knuth):
-    cloud = tile.tile_points(knuth, 18)
-    report = tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 64, 128)])
+    rasters = tile.tile_rasters(knuth, 18, [("coordinate", r) for r in (256, 64, 128)])
+    report = tile.boundary_boxdim(list(rasters.values()))
     assert report.resolutions == (64, 128, 256)
     assert all(b > a for a, b in zip(report.counts, report.counts[1:]))
     assert 1.2 <= report.dimension <= 1.9
@@ -166,7 +176,7 @@ def test_knuth_boundary_dimension_band(knuth):
 
 
 def test_negabinary_lattice_area(negabinary):
-    raster = tile.rasterize(tile.tile_points(negabinary, 18), 1024)
+    raster = raster_of(negabinary, 18, 1024)
     report = tile.measure_area(negabinary, raster)
     assert report.method == "lattice"
     assert abs(report.area - 1.0) < 1e-5
@@ -175,20 +185,20 @@ def test_negabinary_lattice_area(negabinary):
 def test_non_tiling_system_keeps_occupancy_area():
     # base 3 with digits {0, 4, 8}: the tile is [0, 4], covered four times
     ns = NumberSystem.parse("-3,1", "0;4;8")
-    raster = tile.rasterize(tile.tile_points(ns, 10), 1024)
+    raster = raster_of(ns, 10, 1024)
     report = tile.measure_area(ns, raster)
     assert report == tile.AreaReport(tile.area_of(raster), "occupancy")
     assert abs(report.area - 4.0) < 0.01
 
 
 def test_area_falls_back_when_fns_decision_is_capped(knuth, monkeypatch):
-    raster = tile.rasterize(tile.tile_points(knuth, 6), 64)
+    raster = raster_of(knuth, 6, 64)
     monkeypatch.setenv("RADIXION_CAP", "8")  # Knuth's carry closure holds 15 states
     assert tile.measure_area(knuth, raster).method == "occupancy"
 
 
 def test_embedding_raster_keeps_occupancy_area(knuth):
-    raster = tile.rasterize(tile.tile_points(knuth, 8, space_tag="embedding"), 64)
+    raster = raster_of(knuth, 8, 64, space_tag="embedding")
     assert tile.measure_area(knuth, raster).method == "occupancy"
     with pytest.raises(UsageError):
         tile.lattice_area(knuth, raster)
@@ -204,36 +214,67 @@ def test_lattice_area_guards(knuth):
 # ------------------------------------------------------------- raster edges
 
 
-def test_rasterize_single_point(knuth):
-    raster = tile.rasterize(tile.tile_points(knuth, 0), 8)
-    assert int(raster.occupancy.sum()) == 1
-    for lo, hi in raster.bbox:
-        assert hi - lo == 1.0
-
-
 def test_rasterize_blocks_match_one_pass(knuth, monkeypatch):
-    cloud = tile.tile_points(knuth, 10)
-    whole = tile.rasterize(cloud, 64)
+    whole = raster_of(knuth, 10, 64)
     monkeypatch.setattr(tile, "RASTER_BLOCK", 100)  # 1024 points, ragged last block
-    blocked = tile.rasterize(cloud, 64)
+    blocked = raster_of(knuth, 10, 64)
     assert blocked.bbox == whole.bbox
     assert np.array_equal(blocked.occupancy, whole.occupancy)
 
 
-def test_rasterize_rejects_empty_cloud():
-    empty = TileCloud(0, np.zeros((0, 2)), "coordinate")
-    with pytest.raises(DomainError):
-        tile.rasterize(empty, 16)
-    with pytest.raises(UsageError):
-        tile.rasterize(TileCloud(0, np.zeros((1, 2)), "coordinate"), 0)
-
-
 def test_boxdim_needs_three_resolutions(knuth):
-    cloud = tile.tile_points(knuth, 10)
+    rasters = tile.tile_rasters(knuth, 10, [("coordinate", r) for r in (256, 512)])
     with pytest.raises(UsageError):
-        tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 512)])
+        tile.boundary_boxdim(list(rasters.values()))
     with pytest.raises(UsageError, match="distinct"):  # a repeated grid is not a third point
-        tile.boundary_boxdim([tile.rasterize(cloud, r) for r in (256, 256, 512)])
+        tile.boundary_boxdim([rasters["coordinate", r] for r in (256, 256, 512)])
+
+
+def full_grid_inner_radius(raster):
+    """The inner radius from a float grid of every cell's squared distance."""
+    occ = raster.occupancy
+    d, res = occ.ndim, raster.resolution
+    lo, hi = np.array(raster.bbox).T
+    edge = min(min(-lo[k], hi[k]) for k in range(d))
+    if edge <= 0.0:
+        return 0.0
+    cell = (hi - lo) / res
+    dist2 = np.zeros((1,) * d)
+    for k in range(d):
+        starts = lo[k] + np.arange(res) * cell[k]
+        dk = np.maximum(np.maximum(starts, -(starts + cell[k])), 0.0)
+        shape = [1] * d
+        shape[k] = res
+        dist2 = dist2 + (dk * dk).reshape(shape)
+    dist2[occ] = math.inf
+    return float(min(math.sqrt(float(dist2.min())), edge))
+
+
+@pytest.fixture(scope="session")
+def cubic():
+    return NumberSystem.parse("2,2,2,1", "0,0,0;1,0,0")
+
+
+def test_inner_radius_matches_full_grid_oracle(request, cubic):
+    rasters = [raster_of(request.getfixturevalue(n), depth, r)
+               for n, depth, r in (("knuth", 12, 256), ("negabinary", 12, 1024), ("five_a", 6, 300))]
+    rasters.append(raster_of(cubic, 12, 40))
+    rng = np.random.default_rng(29)
+    for d, res in ((1, 257), (2, 64), (3, 20)):
+        windows = (((-1.0, 2.0),) * d, ((-2.5, 0.75),) * d,
+                   ((0.25, 2.0),) + ((-1.0, 1.0),) * (d - 1))  # the origin outside
+        for bbox in windows:
+            lo, hi = np.array(bbox).T
+            axes = np.meshgrid(*[lo[k] + (np.arange(res) + 0.5) * (hi[k] - lo[k]) / res
+                                 for k in range(d)], indexing="ij")
+            centre = np.sqrt(sum(a * a for a in axes))
+            for ball, fill in ((0.0, 0.3), (0.6, 0.0), (0.6, 0.8), (9.0, 0.0)):  # 9: all occupied
+                occ = (centre < ball) | (rng.random(centre.shape) < fill)
+                rasters.append(Raster(res, bbox, occ, 0, "coordinate"))
+    radii = [tile._inner_radius(raster) for raster in rasters]
+    assert radii == [full_grid_inner_radius(raster) for raster in rasters]
+    assert sum(0.0 < r < 0.25 for r in radii) and sum(r >= 0.5 for r in radii)
+    assert radii[-1] == 0.0  # the origin outside the window
 
 
 # -------------------------------------------------------- streamed clouds
@@ -252,7 +293,7 @@ def doubling_cloud(ns, depth, space_tag="coordinate"):
 
 
 def cells_of(pts, lo, hi, resolution):
-    """Cell of every point, by the arithmetic rasterize has always used."""
+    """Cell of every point over the window [lo, hi], in plain arithmetic."""
     idx = (pts - lo) / (hi - lo) * resolution
     return np.clip(idx.astype(np.int64), 0, resolution - 1)
 
@@ -280,7 +321,6 @@ def test_chunks_are_bit_identical_to_doubling(request, monkeypatch, name, depth,
     chunks = list(tile.cloud_chunks(ns, depth, space))
     assert len(chunks) > 1 and max(len(c) for c in chunks) <= 7
     assert np.array_equal(np.concatenate(chunks), whole)
-    assert np.array_equal(tile.tile_points(ns, depth, space).points, whole)
 
 
 def assert_correctly_rounded(ns, depth, monkeypatch, block):
@@ -341,7 +381,7 @@ def test_cloud_window_is_exact_on_dyadic_systems(request, name, space):
     ns = request.getfixturevalue(name)
     chart = tile._chart(ns, space)
     for depth in range(0, 13):
-        pts = tile.tile_points(ns, depth, space).points
+        pts = whole_cloud(ns, depth, space)
         bbox = tile._cloud_window(ns, depth, chart)
         assert bbox == tile._window(pts.min(axis=0), pts.max(axis=0))
 
@@ -352,7 +392,7 @@ def test_cloud_window_overshoot_lands_in_edge_cells(request):
         for space in tile.SPACE_TAGS:
             chart = tile._chart(ns, space)
             for depth in range(1, stream_depth(ns) + 1):
-                pts = tile.tile_points(ns, depth, space).points
+                pts = whole_cloud(ns, depth, space)
                 lo, hi = np.array(tile._cloud_window(ns, depth, chart)).T
                 assert np.abs(lo - pts.min(axis=0)).max() <= 1e-12
                 assert np.abs(hi - pts.max(axis=0)).max() <= 1e-12
@@ -374,9 +414,11 @@ STREAM_CASES = {
 }
 
 
-@pytest.fixture(scope="session")
-def cubic():
-    return NumberSystem.parse("2,2,2,1", "0,0,0;1,0,0")
+def occupancy_of(pts, bbox, resolution):
+    """The grid marked at cells_of every point over the window bbox."""
+    grid = np.zeros((resolution,) * pts.shape[1], dtype=bool)
+    grid[tuple(cells_of(pts, *np.array(bbox).T, resolution).T)] = True
+    return grid
 
 
 @pytest.mark.parametrize("case,block", [  # the quadratic cases keep their plain block ids
@@ -395,25 +437,25 @@ def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block, case)
         streamed = tile.tile_rasters(ns, depth, requests)
         assert set(streamed) == set(requests)
         for space in tile.SPACE_TAGS:
-            # c0 = +-2 and an integer chart: every point is dyadic, the window exact
+            # c0 = +-2 and an integer chart: every point is dyadic, the window
+            # exact, and the one-array doubling loop exact too
             chart = tile._chart(ns, space)
             exact = abs(ns.poly.coeffs[0]) == 2 and (chart is None or np.array_equal(chart, np.rint(chart)))
-            pts = tile.tile_points(ns, depth, space).points
+            pts = doubling_cloud(ns, depth, space) if exact else whole_cloud(ns, depth, space)
+            tight = tile._window(pts.min(axis=0), pts.max(axis=0))  # the cloud's own bbox
             for r in resolutions:
-                got, ref = streamed[space, r], tile.rasterize(TileCloud(depth, pts, space), r)
+                got, ref = streamed[space, r], occupancy_of(pts, tight, r)
                 assert (got.resolution, got.depth, got.space_tag) == (r, depth, space)
-                # every point lands where the old arithmetic puts it in got's window
-                cells = np.zeros_like(got.occupancy)
-                cells[tuple(cells_of(pts, *np.array(got.bbox).T, r).T)] = True
-                assert np.array_equal(got.occupancy, cells)
+                # every point lands where plain arithmetic puts it in got's window
+                assert np.array_equal(got.occupancy, occupancy_of(pts, got.bbox, r))
                 if exact:
-                    assert got.bbox == ref.bbox
-                    assert np.array_equal(got.occupancy, ref.occupancy)
+                    assert got.bbox == tight
+                    assert np.array_equal(got.occupancy, ref)
                 else:
                     # a point on a cell edge, common with rational coordinates,
                     # may change cell when the window moves by an ulp
-                    assert np.allclose(got.bbox, ref.bbox, rtol=0, atol=1e-12)
-                    n_got, n_ref = int(got.occupancy.sum()), int(ref.occupancy.sum())
+                    assert np.allclose(got.bbox, tight, rtol=0, atol=1e-12)
+                    n_got, n_ref = int(got.occupancy.sum()), int(ref.sum())
                     assert abs(n_got - n_ref) <= 1e-3 * n_ref
 
 
@@ -439,11 +481,10 @@ def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch):
 def test_streamed_raster_of_depth_zero(knuth, negabinary):
     for ns in (knuth, negabinary):
         for space in tile.SPACE_TAGS:
-            got = tile.tile_rasters(ns, 0, [(space, 8)])[space, 8]
-            ref = tile.rasterize(tile.tile_points(ns, 0, space), 8)
-            assert got.bbox == ref.bbox == ((-0.5, 0.5),) * ns.degree
-            assert np.array_equal(got.occupancy, ref.occupancy)
-            assert int(got.occupancy.sum()) == 1
+            got = raster_of(ns, 0, 8, space)
+            # the one point, 0, pads each axis by half a unit and lands in the centre cell
+            assert got.bbox == ((-0.5, 0.5),) * ns.degree
+            assert int(got.occupancy.sum()) == 1 and got.occupancy[(4,) * ns.degree]
 
 
 def test_streamed_rasters_validate_before_streaming(knuth, monkeypatch):
@@ -478,7 +519,7 @@ def test_cloud_route_matches_reference_across_splits(request, monkeypatch, low_r
             # the reference is the default split at the same chunk length: the
             # last bits of the embedding chart's matrix product may depend on it
             monkeypatch.setattr(tile.bulk, "LOW_ROWS", default_rows)
-            ref = {space: tile.tile_points(ns, depth, space).points for space in tile.SPACE_TAGS}
+            ref = {space: whole_cloud(ns, depth, space) for space in tile.SPACE_TAGS}
             monkeypatch.setattr(tile.bulk, "LOW_ROWS", rows)
             streamed = tile.tile_rasters(ns, depth, requests)
             for space in tile.SPACE_TAGS:
