@@ -187,11 +187,11 @@ def prime_mask(ns: NumberSystem, coords, sieve: np.ndarray) -> np.ndarray:
     return mask
 
 
-def prime_rows(ns: NumberSystem, lam: int) -> np.ndarray:
-    """The prime elements of N_lam in enumeration order, block by block."""
+def prime_rows(ns: NumberSystem, lam: int) -> list:
+    """The prime elements of N_lam in enumeration order, one array per row block."""
     blocks = bulk.row_blocks(ns, lam)
     sieve = prime_sieve(ns, lam)
-    return np.concatenate([b.coords[prime_mask(ns, b.coords, sieve=sieve)] for b in blocks])
+    return [b.coords[prime_mask(ns, b.coords, sieve=sieve)] for b in blocks]
 
 
 # ------------------------------------------------------------ linear forms

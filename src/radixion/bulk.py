@@ -4,12 +4,13 @@ Row i of N_lambda holds the element whose digit index in position j is
 (i // Q^j) % Q, so a fixed block of top digits is one contiguous row
 range.  row_blocks is the one enumeration: it yields the rows in blocks
 of ROW_BLOCK from one low table of the bottom positions (at most
-LOW_ROWS rows) plus q^low times the rows of the top positions.  That is
+ROW_BLOCK rows) plus q^low times the rows of the top positions.  That is
 exact integer arithmetic, so every split gives the same rows; the tile
-cloud walks the same split (split_tables, row_segments).  The two tables
-are built by a meet-in-the-middle merge of shorter tables, which also
-carries the digit statistics (digit sum, adjacent nonzero pairs) without
-re-expanding any element.
+cloud walks the same split (split_tables, row_segments).  ROW_BLOCK is the
+one block size of every streamed stage, and no artifact depends on it.
+The two tables are built by a meet-in-the-middle merge of shorter tables,
+which also carries the digit statistics (digit sum, adjacent nonzero
+pairs) without re-expanding any element.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ if TYPE_CHECKING:
     from .numeration import NumberSystem
 
 INT64_GUARD = 1 << 60
-LOW_ROWS = 1 << 16  # most rows in the low table behind row_blocks
-ROW_BLOCK = 1 << 16  # rows per block when N_lambda is streamed whole
+ROW_BLOCK = 1 << 16  # rows per streamed block, and most rows in the low table
 
 
 def q_power_matrix(m: algebra.MinimalPolynomial, k: int) -> np.ndarray:
@@ -98,8 +98,8 @@ def split_tables(ns: NumberSystem, lam: int) -> tuple:
     widest = max(max(-a, b) for a, b in zip(*coordinate_ranges(ns, lam)))
     if widest >= INT64_GUARD:
         raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
-    positions = 0  # in the low table: the most, up to lam, within LOW_ROWS rows
-    while positions < lam and ns.Q ** (positions + 1) <= LOW_ROWS:
+    positions = 0  # in the low table: the most, up to lam, within ROW_BLOCK rows
+    while positions < lam and ns.Q ** (positions + 1) <= ROW_BLOCK:
         positions += 1
     low = _build_table(ns, positions)
     high = _build_table(ns, lam - low.lam)

@@ -31,8 +31,6 @@ from .numeration import NumberSystem
 
 # ------------------------------------------------------- deterministic text
 
-CSV_ROWS = 1 << 16  # array rows rendered per step
-
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
@@ -112,33 +110,26 @@ def _cell(v) -> str:
 
 
 def _csv_bytes(csv_spec) -> bytes:
-    """Header line, then every block of rows, CSV_ROWS at a time: a list of
-    row tuples cell by cell, a numeric array by one %-format per step (with
-    -0.0 written as 0.0, as _fmt_float does)."""
+    """Header line, then each block as yielded (at most bulk.ROW_BLOCK rows):
+    row tuples cell by cell, an array by one %-format (-0.0 written as 0.0)."""
     header, blocks = csv_spec
     parts = [(",".join(header) + "\n").encode("ascii")] if header else []
     for block in blocks:
-        for part in (block[i : i + CSV_ROWS] for i in range(0, len(block), CSV_ROWS)):
-            if isinstance(part, np.ndarray):
-                line = ",".join(["%.12f" if part.dtype.kind == "f" else "%d"] * part.shape[1])
-                text = ((line + "\n") * len(part)) % tuple((part + 0).ravel().tolist())
-            else:
-                text = "".join(",".join(_cell(v) for v in row) + "\n" for row in part)
-            parts.append(text.encode("ascii"))
+        if isinstance(block, np.ndarray):
+            line = ",".join(["%.12f" if block.dtype.kind == "f" else "%d"] * block.shape[1])
+            text = ((line + "\n") * len(block)) % tuple((block + 0).ravel().tolist())
+        else:
+            text = "".join(",".join(_cell(v) for v in row) + "\n" for row in block)
+        parts.append(text.encode("ascii"))
     return b"".join(parts) or b"\n"
 
 
-def _pgm_bytes(raster: tile.Raster, system_label: str) -> bytes:
+def _pgm_bytes(raster: tile.Raster, system: str) -> bytes:
     occ = raster.occupancy
     bbox_txt = " ".join(_fmt_float(v) for pair in raster.bbox for v in pair)
     grid = occ[None, :] if occ.ndim == 1 else occ.T[::-1]  # rows top-to-bottom
     img = np.where(grid, 0, 255).astype(np.uint8)
-    header = "P5\n# bbox %s\n# system %s\n%d %d\n255\n" % (
-        bbox_txt,
-        system_label,
-        img.shape[1],
-        img.shape[0],
-    )
+    header = "P5\n# bbox %s\n# system %s\n%d %d\n255\n" % (bbox_txt, system, *img.shape[::-1])
     return header.encode("ascii") + img.tobytes()
 
 
@@ -168,7 +159,6 @@ class _Artifact:
     note: str | None = None  # human line for nonzero exits
     csv: tuple | None = None  # (header tuple or None, blocks: row lists or arrays)
     raster: tile.Raster | None = None
-    system_label: str | None = None
     dot: str | None = None
 
 
@@ -179,7 +169,7 @@ def _render(fmt: str, art: _Artifact) -> bytes:
     if fmt == "csv":
         return _csv_bytes(art.csv)
     if fmt == "pgm":
-        return _pgm_bytes(art.raster, art.system_label or "")
+        return _pgm_bytes(art.raster, art.payload["system"])
     return art.dot.encode("ascii")
 
 
@@ -195,6 +185,12 @@ def _parse_int_list(text: str) -> list:
         return [int(tok) for tok in str(text).split(",")]
     except ValueError:
         raise UsageError("expected comma-separated integers, got %r" % text) from None
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+    return int(text)
 
 
 def _parse_slice(text: str):
@@ -229,8 +225,6 @@ def _cmd_expand(args) -> _Artifact:
         raise UsageError("--slice needs --element")
     # every flag is checked before an element is expanded: a cycle exits 1
     window = None if args.slice is None else _parse_slice(args.slice)
-    if args.box is not None and args.box < 0:
-        raise UsageError("--box takes a nonnegative radius")
     payload = {"system": ns.encode()}
     acted = False
     if args.element is not None:
@@ -398,7 +392,7 @@ def _cmd_tile(args) -> _Artifact:
             "counts": [int(c) for c in report.counts],
         }
     csv = (None, tile.cloud_chunks(ns, args.depth, args.space))
-    return _Artifact(payload, csv=csv, raster=raster, system_label=ns.encode())
+    return _Artifact(payload, csv=csv, raster=raster)
 
 
 def _cmd_weyl(args) -> _Artifact:
@@ -503,9 +497,9 @@ def _cmd_fourier_decay(args) -> _Artifact:
 
 def _cmd_primes(args) -> _Artifact:
     ns = _number_system(args)
-    primes = analysis.prime_rows(ns, args.lam)
-    payload = {"system": ns.encode(), "lambda": args.lam, "count": len(primes)}
-    return _Artifact(payload, csv=(None, [primes]))
+    blocks = analysis.prime_rows(ns, args.lam)
+    payload = {"system": ns.encode(), "lambda": args.lam, "count": sum(map(len, blocks))}
+    return _Artifact(payload, csv=(None, blocks))
 
 
 def _cmd_distortion(args) -> _Artifact:
@@ -532,7 +526,7 @@ def _conf_expand(p):
     _add_system_flags(p)
     p.add_argument("--element", help="element to expand, d comma-separated coordinates")
     p.add_argument("--slice", help="nu,mu digit window of --element (mu may be 'inf')")
-    p.add_argument("--box", type=int, help="round-trip every element with coordinates in [-B,B]")
+    p.add_argument("--box", type=_nonnegative_int, help="round-trip every element with coordinates in [-B,B]")
     p.add_argument("--enumerate", type=int, help="enumerate N_lambda and count distinct elements")
 
 
@@ -618,7 +612,7 @@ def _build_parser():
     parent.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="accepted; every computation runs on one thread, so results"
                              " never depend on it")
-    parent.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    parent.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for all randomness")
     parent.add_argument("--out", help="artifact path (default stdout)")
     parent.add_argument("--config", help="JSON file of flag values; command-line flags win")
     parser = argparse.ArgumentParser(prog="radixion", allow_abbrev=False,
@@ -718,6 +712,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise UsageError("no directory to write %s into" % args.out)
         artifact = args.handler(args)
         data = _render(args.format, artifact)
     except RadixionError as exc:

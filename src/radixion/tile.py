@@ -13,15 +13,16 @@ The depth-k point of the digit string b_1 ... b_k is q^{-k} n, n the
 element of N_k with top digit b_1.  Over the split of N_k into low rows
 and offsets (bulk.split_tables) that is (low_num[l] + off_num[h]) / c_0^k,
 from two numerator tables built once and checked below 2^53: the add is
-exact and the division the one rounding (cloud_chunks).  tile_rasters
-bins the points in one pass, over a bounding box per space taken from
-the digits, through buffers allocated once per pass.  A space's grids
-whose resolutions differ by powers of two form a chain: each point is
-marked, by its flat cell index, only in the finest grid of each chain,
-and the coarser grids are OR-pooled from it after the pass, exactly.
-The lattice area decides membership in N_k by backward division
-(numeration.strip_columns): n lies in N_k exactly when k strips take it
-to 0, since 0 is the digit of its own residue class.
+exact and the division the one rounding (cloud_chunks); the chart adds its
+terms in a fixed order (_charted), so no point depends on its chunk of
+bulk.ROW_BLOCK points.  tile_rasters bins the points in one pass, over a
+bounding box per space taken from the digits, through buffers allocated
+once per pass.  A space's grids whose resolutions differ by powers of two
+form a chain: each point is marked, by its flat cell index, only in the
+finest grid of each chain, and the coarser grids are OR-pooled from it
+after the pass, exactly.  The lattice area decides membership in N_k by
+backward division (numeration.strip_columns): n lies in N_k exactly when k
+strips take it to 0, since 0 is the digit of its own residue class.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, coordinate_bound, embedding_radii
 
 SPACE_TAGS = ("coordinate", "embedding")
-LATTICE_BLOCK = 1 << 16  # cell centres rounded and stripped per vectorized step
-RASTER_BLOCK = 1 << 20  # most cloud points per chunk or binning step; bounds the temporaries
 FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 
 
@@ -140,15 +139,11 @@ def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
     return np.asfortranarray(low.coords @ scale_t), offsets @ scale_t, denom
 
 
-def _chunk_rows(ns: NumberSystem, depth: int) -> int:
-    return min(RASTER_BLOCK, bulk.ROW_BLOCK, ns.Q**depth)
-
-
 def _chunks(ns: NumberSystem, depth: int, numerators: tuple):
-    """The cloud in order, in chunks of _chunk_rows points (the last may be
-    shorter), each written over the last in one buffer."""
+    """The cloud in order, in chunks of bulk.ROW_BLOCK points (the last may
+    be shorter), each written over the last in one buffer."""
     low_num, off_num, denom = numerators
-    buf = np.empty((_chunk_rows(ns, depth), ns.degree), order="F")
+    buf = np.empty((bulk.ROW_BLOCK, ns.degree), order="F")
     for start, stop in bulk.block_ranges(ns.Q**depth, len(buf)):
         out = buf[: stop - start]
         for h, src, dst in bulk.row_segments(len(low_num), start, stop):
@@ -158,14 +153,23 @@ def _chunks(ns: NumberSystem, depth: int, numerators: tuple):
         yield out
 
 
+def _charted(points: np.ndarray, chart: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """points @ chart into out, each entry's terms added in the row order of chart."""
+    for j in range(chart.shape[1]):
+        np.multiply(points[:, 0], chart[0, j], out=out[:, j])
+        for k in range(1, len(chart)):
+            out[:, j] += points[:, k] * chart[k, j]
+    return out
+
+
 def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
     """All Q^depth truncated tile points in first-digit-major order, streamed
     as independent arrays; the cap and the float exactness are checked first.
-    A chunk is one exact add per column of the two numerator tables and one
-    correctly rounded division by c_0^k (_cloud_numerators, _chunks)."""
+    A chunk is one exact add per column of the two numerator tables, one
+    correctly rounded division by c_0^k and the chart (_chunks, _charted)."""
     chart = _chart(ns, space_tag)
     for chunk in _chunks(ns, depth, _cloud_numerators(ns, depth)):
-        yield chunk.copy() if chart is None else chunk @ chart
+        yield chunk.copy() if chart is None else _charted(chunk, chart, np.empty_like(chunk))
 
 
 def _window(lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -256,11 +260,11 @@ def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
                for space, res in requests}
     grids = {key: np.zeros((key[1],) * ns.degree, dtype=bool)
              for key in dict.fromkeys(sources.values())}
-    rows = _chunk_rows(ns, depth)
-    buffers, charted = _bin_buffers(rows, ns.degree), np.empty((rows, ns.degree), order="F")
+    buffers = _bin_buffers(bulk.ROW_BLOCK, ns.degree)
+    charted = np.empty((bulk.ROW_BLOCK, ns.degree), order="F")
     for points in _chunks(ns, depth, numerators):
         for space, chart in charts.items():
-            ys = points if chart is None else np.matmul(points, chart, out=charted[: len(points)])
+            ys = points if chart is None else _charted(points, chart, charted[: len(points)])
             _bin(ys, bboxes[space], [grid for key, grid in grids.items() if key[0] == space], buffers)
     for key, source in sources.items():
         if key != source:
@@ -328,7 +332,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
 
     Centres outside the exact coordinate box of N_k are dropped; the rest
     are in N_k when k strips take them to 0.  The work is done in blocks
-    of about LATTICE_BLOCK centres, so memory does not grow with N_k.
+    of about bulk.ROW_BLOCK centres, so memory does not grow with N_k.
     The cells sample the union of the footprints q^{-k}(z + [-1/2,1/2)^d)
     over z in N_k: disjoint sets of total measure |N_k| / Q^k = 1.  When
     the integer translates of the tile tile the space, the union
@@ -356,7 +360,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
     tail = np.zeros((1, d))
     for t in terms[1:]:
         tail = (tail[:, None, :] + t[None, :, :]).reshape(-1, d)
-    rows = max(1, LATTICE_BLOCK // len(tail))
+    rows = max(1, bulk.ROW_BLOCK // len(tail))
     hits = 0
     for start in range(0, res, rows):
         cols = [np.rint(terms[0][start : start + rows, i, None] + tail[:, i]).astype(np.int64).ravel()

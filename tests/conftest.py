@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from radixion import algebra
+from radixion import algebra, bulk
 from radixion.algebra import MinimalPolynomial
 from radixion.errors import RadixionError
 from radixion.numeration import NumberSystem
@@ -22,6 +22,26 @@ ONE_PLUS_I = ("2,-2,1", "0,0;1,0")
 FIVE_A = ("5,4,1", "0,0;1,0;2,0;3,0;4,0")
 # base -2+i, digits {0, -2i, 2, 3, 4}; -2i = -4 - 2q
 FIVE_B = ("5,4,1", "0,0;-4,-2;2,0;3,0;4,0")
+
+
+# bulk.ROW_BLOCK values: one-row blocks, ragged blocks that cross the seams
+# between the high rows of the low/high split, and the default
+ROW_BLOCKS = (1, 7, 100, bulk.ROW_BLOCK)
+
+
+@pytest.fixture
+def each_row_block(monkeypatch):
+    """each_row_block(*sizes) iterates once per size (default ROW_BLOCKS)
+    with bulk.ROW_BLOCK set to it, yielding the size.  The default is back
+    after the loop, and after the test however it ends."""
+    default = bulk.ROW_BLOCK
+
+    def sizes(*values):
+        for size in values or ROW_BLOCKS:
+            monkeypatch.setattr(bulk, "ROW_BLOCK", size)
+            yield size
+        monkeypatch.setattr(bulk, "ROW_BLOCK", default)
+    return sizes
 
 
 def make_system(spec) -> NumberSystem:

@@ -17,18 +17,6 @@ from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
 
 GOLDEN_RATIO = 0.6180339887
-# (ROW_BLOCK, LOW_ROWS) of bulk.row_blocks: one-row blocks, ragged blocks
-# that cross the seams between the high rows of the split, and the default
-BLOCKINGS = ((1, 1), (7, 16), (100, 3), (bulk.ROW_BLOCK, bulk.LOW_ROWS))
-
-
-def each_blocking(monkeypatch):
-    """Run a loop body once under each of BLOCKINGS."""
-    for row_block, low_rows in BLOCKINGS:
-        with monkeypatch.context() as m:
-            m.setattr(bulk, "ROW_BLOCK", row_block)
-            m.setattr(bulk, "LOW_ROWS", low_rows)
-            yield
 
 
 def whole_table(ns, lam):
@@ -70,8 +58,8 @@ def test_prime_verdict_degree_cap(knuth):
 
 
 def test_prime_enumeration_small(knuth):
-    assert analysis.prime_rows(knuth, 1).tolist() == []
-    assert analysis.prime_rows(knuth, 3).tolist() == [[0, 1], [-1, -2], [-2, -1]]
+    assert np.concatenate(analysis.prime_rows(knuth, 1)).tolist() == []
+    assert np.concatenate(analysis.prime_rows(knuth, 3)).tolist() == [[0, 1], [-1, -2], [-2, -1]]
 
 
 def test_prime_counts_frozen(knuth):
@@ -90,8 +78,8 @@ def test_prime_mask_matches_scalar(knuth, five_a):
 
 
 def test_prime_counts_at_lambda_22_and_24(knuth):
-    assert len(analysis.prime_rows(knuth, 22)) == 399222
-    assert len(analysis.prime_rows(knuth, 24)) == 1449036
+    assert sum(map(len, analysis.prime_rows(knuth, 22))) == 399222
+    assert sum(map(len, analysis.prime_rows(knuth, 24))) == 1449036
 
 
 def test_prime_rows_match_one_mask(request, monkeypatch):
@@ -102,7 +90,10 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
             lam += 1
         coords = whole_table(ns, lam).coords
         mask = analysis.prime_mask(ns, coords, analysis.prime_sieve(ns, lam))
-        assert np.array_equal(analysis.prime_rows(ns, lam), coords[mask])
+        blocks = analysis.prime_rows(ns, lam)
+        per_block = np.split(mask, range(100, len(mask), 100))  # blocks of 100 rows
+        assert [len(b) for b in blocks] == [int(m.sum()) for m in per_block]
+        assert np.array_equal(np.concatenate(blocks), coords[mask])
 
 
 def max_abs_norm(ns, lam):
@@ -307,11 +298,11 @@ def largest_lam(ns, rows):
     return lam
 
 
-def test_weyl_rows_do_not_depend_on_blocks(request, monkeypatch):
+def test_weyl_rows_do_not_depend_on_blocks(request, each_row_block):
     for ns, fn, phase, lam in weyl_cases(request):
         for filter in ("all", "primes"):
             first = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter)
-            for _ in each_blocking(monkeypatch):
+            for _ in each_row_block():
                 assert analysis.weyl_sum(ns, fn, [phase], 3, lam, filter) == first
     knuth = request.getfixturevalue("knuth")
     with pytest.raises(UsageError, match="nonnegative"):
@@ -369,7 +360,7 @@ def test_digit_histogram_matches_scalar_counter(request):
                 assert not (r if fn == "sod" else stats).any()
 
 
-def test_digit_histogram_does_not_depend_on_blocks(request, monkeypatch):
+def test_digit_histogram_does_not_depend_on_blocks(request, each_row_block):
     systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     cases = [(ns, fn, largest_lam(ns, 300), ("all", "primes"))
              for ns in systems + list(request.getfixturevalue("random_systems"))
@@ -380,12 +371,12 @@ def test_digit_histogram_does_not_depend_on_blocks(request, monkeypatch):
     for ns, fn, lam, filters in cases:
         for filter in filters:
             first = analysis._digit_histogram(ns, fn, lam, filter)
-            for _ in each_blocking(monkeypatch):
+            for _ in each_row_block():
                 again = analysis._digit_histogram(ns, fn, lam, filter)
                 assert all(np.array_equal(a, b) for a, b in zip(again, first)), (ns, fn, filter)
 
 
-def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch):
+def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch, each_row_block):
     # boxes of s(n) wider than N_lam: the rows are keyed by sorted distinct values
     wide = NumberSystem.parse("2,2,1", "0,0;16777217,0")  # a dense box of 16777218 bins at lam 1
     cases = [(wide, lam, "all") for lam in (1, 2, 6)]
@@ -394,7 +385,7 @@ def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch):
     for ns, lam, filter in cases:
         assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # sparse
         expected = dict(scalar_histogram(ns, "sod", lam, filter))
-        for _ in each_blocking(monkeypatch):
+        for _ in each_row_block():
             stats, r, counts = analysis._digit_histogram(ns, "sod", lam, filter)
             keys = [tuple(v) for v in stats.tolist()]
             assert keys == sorted(keys)  # ascending, as the dense keys are
@@ -415,14 +406,14 @@ def mixed_phases(ns, fn):
     return [GOLDEN_RATIO, forms[0], 0.5, forms[1]]
 
 
-def test_multi_phase_rows_equal_one_phase_rows(request, monkeypatch):
+def test_multi_phase_rows_equal_one_phase_rows(request, each_row_block):
     systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     for ns in systems + list(request.getfixturevalue("random_systems")):
         lam = largest_lam(ns, 300)
         for fn in ("sod", "rs"):
             phases = mixed_phases(ns, fn)
             for filter in ("all", "primes"):
-                for _ in each_blocking(monkeypatch):
+                for _ in each_row_block():
                     rows = analysis.weyl_sum(ns, fn, phases, 2, lam, filter)
                     assert rows == [analysis.weyl_sum(ns, fn, [p], 2, lam, filter)[0]
                                     for p in phases]

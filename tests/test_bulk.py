@@ -107,31 +107,30 @@ def oracle_depth(ns, rows=600):
     return lam
 
 
-def test_row_blocks_are_slices_of_the_enumeration(request, monkeypatch):
+def test_row_blocks_are_slices_of_the_enumeration(request, each_row_block):
     for ns in golden_and_random(request):
         Q = ns.Q
         for lam in (0, 1, oracle_depth(ns)):
             total = Q**lam
             stream = list(numeration.enumerate_N(ns, lam))
             rows = [scalar_row(ns, i, lam) for i in range(total)]
-            # prefixes of 1, Q and Q^2 rows, and blocks of 1, 37 and Q + 1
-            # rows, make the blocks ragged and cross prefix boundaries
-            for low_rows in (1, Q, Q * Q + 1, bulk.LOW_ROWS):
-                monkeypatch.setattr(bulk, "LOW_ROWS", low_rows)
-                for size in (1, 37, Q + 1, bulk.ROW_BLOCK):
-                    monkeypatch.setattr(bulk, "ROW_BLOCK", size)
-                    starts = range(0, total, size)
-                    blocks = list(bulk.row_blocks(ns, lam))
-                    assert [len(b.r) for b in blocks] == [min(size, total - a) for a in starts]
-                    for a, block in zip(starts, blocks):
-                        ref = rows[a : a + size]
-                        assert block.lam == lam
-                        assert [tuple(v) for v in block.coords.tolist()] == stream[a : a + size]
-                        assert [tuple(v) for v in block.coords.tolist()] == [w[0] for w in ref]
-                        assert [tuple(v) for v in block.s_coords.tolist()] == [w[1] for w in ref]
-                        assert block.r.tolist() == [w[2] for w in ref]
-                        assert block.low_nz.tolist() == [w[3] for w in ref]
-                        assert block.top_nz.tolist() == [w[4] for w in ref]
+            # low tables of 1, Q and Q^2 rows under blocks of 1, Q, Q + 1,
+            # Q^2 + 1, 7, 37 and 100 rows: blocks ragged and across seams
+            for size in each_row_block(1, Q, Q + 1, Q * Q + 1, 7, 37, 100, bulk.ROW_BLOCK):
+                n_low = len(bulk.split_tables(ns, lam)[0].r)  # the most Q^j rows within size
+                assert n_low <= size and (n_low == total or n_low * Q > size)
+                starts = range(0, total, size)
+                blocks = list(bulk.row_blocks(ns, lam))
+                assert [len(b.r) for b in blocks] == [min(size, total - a) for a in starts]
+                for a, block in zip(starts, blocks):
+                    ref = rows[a : a + size]
+                    assert block.lam == lam
+                    assert [tuple(v) for v in block.coords.tolist()] == stream[a : a + size]
+                    assert [tuple(v) for v in block.coords.tolist()] == [w[0] for w in ref]
+                    assert [tuple(v) for v in block.s_coords.tolist()] == [w[1] for w in ref]
+                    assert block.r.tolist() == [w[2] for w in ref]
+                    assert block.low_nz.tolist() == [w[3] for w in ref]
+                    assert block.top_nz.tolist() == [w[4] for w in ref]
 
 
 def test_coordinate_ranges_are_exact(request):

@@ -18,6 +18,8 @@ KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
 NEGABINARY = ("--poly", "2,1", "--digits", "0;1")
 ONE_PLUS_I = ("--poly", "2,-2,1", "--digits", "0,0;1,0")
 FIVE_A = ("--poly", "5,4,1", "--digits", "0,0;1,0;2,0;3,0;4,0")
+# base (-3 + i sqrt 3) / 2, digits {0, 1, 2}: its embedding chart is not integral
+EISENSTEIN = ("--poly", "3,3,1", "--digits", "0,0;1,0;2,0")
 
 
 def run(capsysbinary, *argv):
@@ -230,13 +232,8 @@ def test_tile_pgm(capsysbinary):
         "--format", "pgm",
     )
     assert code == 0
-    header, pixels = out.split(b"255\n", 1)
-    lines = header.decode().splitlines()
-    assert lines[0] == "P5"
-    assert lines[1].startswith("# bbox ")
-    assert lines[2] == "# system 2,1|0;1"
-    assert lines[3] == "64 1"
-    assert pixels == b"\x00" * 64  # all cells occupied at this depth
+    header = b"P5\n# bbox -0.664062500000 0.332031250000\n# system 2,1|0;1\n64 1\n255\n"
+    assert out == header + b"\x00" * 64  # all cells occupied at this depth
 
 
 # sha256 of the whole `tile --depth 6 --format csv` artifact, one row per
@@ -247,10 +244,10 @@ TILE_CSV_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("block", [tile.RASTER_BLOCK, 100])
+@pytest.mark.parametrize("block", [bulk.ROW_BLOCK, 100], ids=["default", "100"])
 @pytest.mark.parametrize("system", list(TILE_CSV_SHA256))
 def test_tile_csv_golden(capsysbinary, monkeypatch, system, block):
-    monkeypatch.setattr(tile, "RASTER_BLOCK", block)  # 100: many streamed chunks
+    monkeypatch.setattr(bulk, "ROW_BLOCK", block)  # 100: many streamed chunks
     code, out, _ = run(capsysbinary, "tile", *system, "--depth", "6", "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == TILE_CSV_SHA256[system]
@@ -263,19 +260,18 @@ def test_primes_csv_rows(capsysbinary):
     assert rows == ["0,1", "-1,-2", "-2,-1"]
 
 
-def test_csv_blocks_render_like_cells(monkeypatch):
+def test_csv_blocks_render_like_cells():
     floats = np.array([[-0.0, 0.0], [1e-13, -1e-13], [np.nan, np.inf],
                        [-np.inf, 123.4567890123456], [-2.5, 7.0]])
     ints = np.array([[0, -1], [2**40, -(2**40)], [7, 3]])
     rows = [("rho", 2), (0.5, -0.0)]
-    for step in (cli.CSV_ROWS, 2):
-        monkeypatch.setattr(cli, "CSV_ROWS", step)
-        expected = "h1,h2\n" + "".join(
-            ",".join(cli._cell(v) for v in row) + "\n"
-            for row in [*floats.tolist(), *ints.tolist(), *rows]
-        )
-        got = cli._csv_bytes((("h1", "h2"), [floats, ints[:0], ints, rows]))
-        assert got == expected.encode("ascii")
+    expected = "h1,h2\n" + "".join(
+        ",".join(cli._cell(v) for v in row) + "\n"
+        for row in [*floats.tolist(), *ints.tolist(), *rows]
+    )
+    for blocks in ([floats, ints[:0], ints, rows],  # whole blocks, and blocks of 1 or 2 rows
+                   [floats[:2], floats[2:4], floats[4:], ints[:1], ints[1:], rows[:1], rows[1:]]):
+        assert cli._csv_bytes((("h1", "h2"), blocks)) == expected.encode("ascii")
     assert cli._csv_bytes((None, [ints[:0]])) == b"\n"
 
 
@@ -392,17 +388,66 @@ def test_out_writes_artifact_and_manifest(capsysbinary, tmp_path):
     assert manifest["flags"]["lam"] == "2,4"
 
 
-def test_weyl_artifact_does_not_depend_on_blocks(capsysbinary, monkeypatch):
-    argv = ("weyl", *KNUTH, "--fn", "sod", "--alpha", "0.6180339887", "--lambda", "4,8,11",
-            "--filter", "primes")
-    code, first, _ = run(capsysbinary, *argv)
-    assert code == 0 and "granularity" not in json.loads(first.decode())
-    for row_block, low_rows in ((7, 16), (100, 3), (1, 1)):  # ragged blocks across seams
-        monkeypatch.setattr(bulk, "ROW_BLOCK", row_block)
-        monkeypatch.setattr(bulk, "LOW_ROWS", low_rows)
-        code, out, _ = run(capsysbinary, *argv)
-        assert code == 0 and out == first
-    assert run(capsysbinary, *argv, "--granularity", "8")[0] == 2  # the knob is gone
+# one run per streamed artifact: the tile in both spaces and every format,
+# prime-filtered weyl sums of both digit functions, primes, the N_lambda count
+BLOCK_RUNS = [("tile", *EISENSTEIN, "--depth", "6", "--resolution", "64", "--space", space,
+               "--format", fmt) for space in tile.SPACE_TAGS for fmt in ("json", "csv", "pgm")] + [
+    ("weyl", *KNUTH, "--fn", fn, "--alpha", "0.6180339887", "--lambda", "4,8,11",
+     "--filter", "primes") for fn in ("sod", "rs")] + [
+    ("primes", *KNUTH, "--lambda", "11", "--format", "csv"),
+    ("expand", *KNUTH, "--enumerate", "11"),
+]
+
+
+def test_artifacts_do_not_depend_on_blocks(capsysbinary, each_row_block):
+    """Every artifact is byte-identical under each bulk.ROW_BLOCK, the
+    embedding cloud included: its chart adds terms in a fixed order."""
+    for argv in BLOCK_RUNS:
+        code, first, _ = run(capsysbinary, *argv)
+        assert code == 0
+        for size in each_row_block():
+            assert run(capsysbinary, *argv)[:2] == (0, first), (argv, size)
+    weyl = next(argv for argv in BLOCK_RUNS if argv[0] == "weyl")
+    assert "granularity" not in json.loads(run(capsysbinary, *weyl)[1].decode())
+    assert run(capsysbinary, *weyl, "--granularity", "8")[0] == 2  # the knob is gone
+
+
+# a valid run of every subcommand
+ONE_RUN_EACH = (
+    ("expand", *KNUTH, "--element=1,0"),
+    ("check-fns", *KNUTH),
+    ("carry", *KNUTH),
+    ("census", *KNUTH, "--mu", "4", "--nu", "3", "--rho", "0"),
+    ("cns-carry", "--m", "10"),
+    ("tile", *KNUTH, "--depth", "4"),
+    ("weyl", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lambda", "2"),
+    ("weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "2", "--lambda", "2"),
+    ("fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lam-max", "3", "--t-samples", "4"),
+    ("primes", *KNUTH, "--lambda", "2"),
+    ("distortion", "--poly", "7,-6,1"),
+)
+
+
+def test_bad_seed_or_out_exits_two_before_work(capsysbinary, monkeypatch, tmp_path):
+    def no_work(args):
+        raise AssertionError("work started")
+
+    handlers_refused = tuple(spec[:4] + (no_work,) for spec in cli._SUBCOMMANDS)
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", handlers_refused)
+    assert {argv[0] for argv in ONE_RUN_EACH} == {spec[0] for spec in cli._SUBCOMMANDS}
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    missing = str(tmp_path / "missing" / "out.json")
+    for argv in ONE_RUN_EACH:
+        with pytest.raises(AssertionError, match="work started"):
+            cli.main(list(argv))
+        for bad, message in ((("--seed", "-1"), b"nonnegative integer"),
+                             (("--seed=x",), b"nonnegative integer"),
+                             (("--config", str(config)), b"nonnegative integer"),
+                             (("--out", missing), b"no directory")):
+            code, _, err = run(capsysbinary, *argv, *bad)
+            assert code == 2 and message in err, (argv, bad)
+    assert not os.path.exists(os.path.dirname(missing))
 
 
 def test_stdout_runs_emit_manifest_line(capsysbinary):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radixion import tile
+from radixion import bulk, tile
 from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
 from radixion.tile import Raster
@@ -214,12 +214,12 @@ def test_lattice_area_guards(knuth):
 # ------------------------------------------------------------- raster edges
 
 
-def test_rasterize_blocks_match_one_pass(knuth, monkeypatch):
+def test_rasterize_blocks_match_one_pass(knuth, each_row_block):
     whole = raster_of(knuth, 10, 64)
-    monkeypatch.setattr(tile, "RASTER_BLOCK", 100)  # 1024 points, ragged last block
-    blocked = raster_of(knuth, 10, 64)
-    assert blocked.bbox == whole.bbox
-    assert np.array_equal(blocked.occupancy, whole.occupancy)
+    for _ in each_row_block():  # 1024 points: ragged last blocks at 7 and 100
+        blocked = raster_of(knuth, 10, 64)
+        assert blocked.bbox == whole.bbox
+        assert np.array_equal(blocked.occupancy, whole.occupancy)
 
 
 def test_boxdim_needs_three_resolutions(knuth):
@@ -280,6 +280,13 @@ def test_inner_radius_matches_full_grid_oracle(request, cubic):
 # -------------------------------------------------------- streamed clouds
 
 
+def fixed_order_chart(pts, chart):
+    """pts @ chart, each entry the sum of its terms in row order of chart."""
+    columns = [sum((pts[:, k] * chart[k, j] for k in range(1, len(chart))), pts[:, 0] * chart[0, j])
+               for j in range(chart.shape[1])]
+    return np.stack(columns, axis=1)
+
+
 def doubling_cloud(ns, depth, space_tag="coordinate"):
     """The whole cloud in one array, level by level: the one-pass route."""
     minv_t = tile._inverse_base_matrix(ns).T
@@ -288,7 +295,7 @@ def doubling_cloud(ns, depth, space_tag="coordinate"):
     for _ in range(depth):
         pts = np.concatenate([(pts + b) @ minv_t for b in digits])
     if space_tag == "embedding":
-        pts = pts @ tile._embedding_matrix(ns).T
+        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
     return pts
 
 
@@ -313,45 +320,47 @@ def stream_depth(ns, points=10**4):
 
 @pytest.mark.parametrize("name,depth", [("knuth", 10), ("negabinary", 12)])
 @pytest.mark.parametrize("space", tile.SPACE_TAGS)
-def test_chunks_are_bit_identical_to_doubling(request, monkeypatch, name, depth, space):
+def test_chunks_are_bit_identical_to_doubling(request, each_row_block, name, depth, space):
     # c0 = +-2: the doubling loop is exact, so the integer-row route must match it
     ns = request.getfixturevalue(name)
     whole = doubling_cloud(ns, depth, space)
-    monkeypatch.setattr(tile, "RASTER_BLOCK", 7)
-    chunks = list(tile.cloud_chunks(ns, depth, space))
-    assert len(chunks) > 1 and max(len(c) for c in chunks) <= 7
-    assert np.array_equal(np.concatenate(chunks), whole)
+    for size in each_row_block():
+        chunks = list(tile.cloud_chunks(ns, depth, space))
+        starts = range(0, len(whole), size)
+        assert [len(c) for c in chunks] == [min(size, len(whole) - a) for a in starts]
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
-def assert_correctly_rounded(ns, depth, monkeypatch, block):
-    """Every coordinate of the streamed cloud is the float nearest to the
-    exact Fraction IFS point, i.e. within half an ulp of q^-k n."""
-    monkeypatch.setattr(tile, "RASTER_BLOCK", block)
-    chunks = list(tile.cloud_chunks(ns, depth))
-    assert len(chunks) > 1 and max(len(c) for c in chunks) <= block
-    got = np.concatenate(chunks)
-    exact = exact_cloud(ns, depth)
-    assert got.shape == (len(exact), ns.degree)
-    assert got.tolist() == [[float(v) for v in row] for row in exact]
-    return got
+def assert_correctly_rounded(ns, depth, each_row_block):
+    """Under each bulk.ROW_BLOCK, every coordinate of the streamed cloud is
+    the float nearest to the exact Fraction IFS point, i.e. within half an
+    ulp of q^-k n."""
+    exact = [[float(v) for v in row] for row in exact_cloud(ns, depth)]
+    for size in each_row_block():
+        chunks = list(tile.cloud_chunks(ns, depth))
+        assert max(len(c) for c in chunks) <= size
+        assert np.concatenate(chunks).tolist() == exact
+    return np.array(exact)
 
 
 @pytest.mark.parametrize("name,depth", [("five_a", 5), ("five_b", 5)])
 @pytest.mark.parametrize("space", tile.SPACE_TAGS)
-def test_chunks_are_correctly_rounded(request, monkeypatch, name, depth, space):
+def test_chunks_are_correctly_rounded(request, each_row_block, name, depth, space):
     ns = request.getfixturevalue(name)
-    coords = assert_correctly_rounded(ns, depth, monkeypatch, 7)  # 447 chunks of up to 7 points
+    coords = assert_correctly_rounded(ns, depth, each_row_block)
     if space == "embedding":
-        chunks = list(tile.cloud_chunks(ns, depth, space))
-        assert np.array_equal(np.concatenate(chunks), coords @ tile._chart(ns, space))
+        # the chart of a point does not depend on the chunk it came in
+        charted = fixed_order_chart(coords, tile._chart(ns, space))
+        for _ in each_row_block():
+            assert np.array_equal(whole_cloud(ns, depth, space), charted)
 
 
-def test_random_system_chunks_are_correctly_rounded(random_systems, monkeypatch):
+def test_random_system_chunks_are_correctly_rounded(random_systems, each_row_block):
     for ns in random_systems:
         depth = 1
         while ns.Q ** (depth + 1) <= 2000:
             depth += 1
-        assert_correctly_rounded(ns, depth, monkeypatch, 100)
+        assert_correctly_rounded(ns, depth, each_row_block)
 
 
 def test_cloud_numerator_guard(knuth, five_a, monkeypatch):
@@ -422,11 +431,11 @@ def occupancy_of(pts, bbox, resolution):
 
 
 @pytest.mark.parametrize("case,block", [  # the quadratic cases keep their plain block ids
-    pytest.param(case, block, id=str(block) if case == "quadratic" else "%s-%d" % (case, block))
-    for case in STREAM_CASES for block in (tile.RASTER_BLOCK, 1000)
+    pytest.param(case, block, id=name if case == "quadratic" else "%s-%s" % (case, name))
+    for case in STREAM_CASES for block, name in ((bulk.ROW_BLOCK, "default"), (1000, "1000"))
 ])
 def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block, case):
-    monkeypatch.setattr(tile, "RASTER_BLOCK", block)
+    monkeypatch.setattr(bulk, "ROW_BLOCK", block)
     names, resolutions = STREAM_CASES[case]
     systems = [request.getfixturevalue(n) for n in names]
     if case == "quadratic":
@@ -459,8 +468,7 @@ def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block, case)
                     assert abs(n_got - n_ref) <= 1e-3 * n_ref
 
 
-def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch):
-    monkeypatch.setattr(tile, "RASTER_BLOCK", 1000)
+def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch, each_row_block):
     real_bin = tile._bin
     marked = []
 
@@ -469,13 +477,15 @@ def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch):
         real_bin(points, bbox, grids, buffers)
 
     monkeypatch.setattr(tile, "_bin", recording_bin)
-    chunks = len(list(tile.cloud_chunks(knuth, 12)))
-    # the criterion-5 request: the raster at 1024 and the box-counting grids
-    tile.tile_rasters(knuth, 12, [("coordinate", 1024)] + [("coordinate", r) for r in (256, 512, 1024)])
-    assert marked == [[1024]] * chunks
-    marked.clear()
-    tile.tile_rasters(knuth, 12, [("coordinate", r) for r in (100, 300)])
-    assert marked == [[100, 300]] * chunks
+    for _ in each_row_block(7, 1000, bulk.ROW_BLOCK):
+        chunks = len(list(tile.cloud_chunks(knuth, 12)))
+        marked.clear()
+        # the criterion-5 request: the raster at 1024 and the box-counting grids
+        tile.tile_rasters(knuth, 12, [("coordinate", 1024)] + [("coordinate", r) for r in (256, 512, 1024)])
+        assert marked == [[1024]] * chunks
+        marked.clear()
+        tile.tile_rasters(knuth, 12, [("coordinate", r) for r in (100, 300)])
+        assert marked == [[100, 300]] * chunks
 
 
 def test_streamed_raster_of_depth_zero(knuth, negabinary):
@@ -503,28 +513,23 @@ def test_streamed_rasters_validate_before_streaming(knuth, monkeypatch):
         tile.tile_rasters(knuth, 30, [("coordinate", 8)])
 
 
-@pytest.mark.parametrize("low_rows", ["1", "Q", "Q^2+1", "default"])
-def test_cloud_route_matches_reference_across_splits(request, monkeypatch, low_rows):
-    # chunks straddle the seams between the high rows of bulk.split_tables
+@pytest.mark.parametrize("row_block", ["1", "Q", "Q^2+1", "default"])
+def test_cloud_route_matches_reference_across_splits(request, each_row_block, row_block):
+    # chunks of Q^2 + 1 points straddle the seams between the high rows of
+    # bulk.split_tables; the reference is the one-chunk cloud of the default
     systems = golden_and_random(request, ["knuth", "negabinary", "five_a", "five_b"])
     cases = [(ns, (1, 64, 100, 128, 257)) for ns in systems]
     cases.append((request.getfixturevalue("cubic"), (4, 12, 16)))
-    default_rows, default_block = tile.bulk.LOW_ROWS, tile.RASTER_BLOCK
     for ns, resolutions in cases:
         depth = stream_depth(ns, 1000)
-        rows = {"1": 1, "Q": ns.Q, "Q^2+1": ns.Q**2 + 1, "default": default_rows}[low_rows]
+        size = {"1": 1, "Q": ns.Q, "Q^2+1": ns.Q**2 + 1, "default": bulk.ROW_BLOCK}[row_block]
         requests = [(space, r) for space in tile.SPACE_TAGS for r in resolutions]
-        for block in (7, 1000, default_block):
-            monkeypatch.setattr(tile, "RASTER_BLOCK", block)
-            # the reference is the default split at the same chunk length: the
-            # last bits of the embedding chart's matrix product may depend on it
-            monkeypatch.setattr(tile.bulk, "LOW_ROWS", default_rows)
-            ref = {space: whole_cloud(ns, depth, space) for space in tile.SPACE_TAGS}
-            monkeypatch.setattr(tile.bulk, "LOW_ROWS", rows)
+        ref = {space: whole_cloud(ns, depth, space) for space in tile.SPACE_TAGS}
+        for _ in each_row_block(size):
             streamed = tile.tile_rasters(ns, depth, requests)
             for space in tile.SPACE_TAGS:
                 chunks = list(tile.cloud_chunks(ns, depth, space))
-                assert max(len(c) for c in chunks) <= block
+                assert max(len(c) for c in chunks) <= size
                 assert np.array_equal(np.concatenate(chunks), ref[space])
                 bbox = tile._cloud_window(ns, depth, tile._chart(ns, space))
                 for r in resolutions:
