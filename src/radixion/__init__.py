@@ -6,72 +6,40 @@ D in Z[q].  The package decides finiteness of expansions, measures
 carry propagation (automata, spectral constants, censuses counted on
 the carry automaton), rasterizes fundamental tiles, and runs Weyl-sum
 equidistribution experiments over length-bounded expansion sets.
+
+Each export is imported from its module on first use (PEP 562), so
+importing the package loads no module, and numpy is loaded only with
+the modules that build arrays (bulk, analysis, tile).
 """
 
-from .algebra import (
-    Distortion,
-    EmbeddingSet,
-    MinimalPolynomial,
-    distortion,
-    norm,
-    power_sums,
-    trace_matrix,
-    trace_pow,
-)
-from .analysis import (
-    FourierDecayReport,
-    LinearForm,
-    PrimeVerdict,
-    SumDigitConstants,
-    WeylRow,
-    equidist_condition,
-    fourier_decay,
-    is_prime_element,
-    sumdigit_fourier_constants,
-    weyl_sum,
-)
-from .carry import (
-    CarryAutomaton,
-    CarryConstantReport,
-    CnsCollapsedGraph,
-    CnsSubsetGraph,
-    build_automaton,
-    carry_census,
-    carry_constant,
-    cns_collapsed,
-    cns_subset_graph,
-    gaussian_family,
-)
-from .errors import (
-    CapExceeded,
-    ConvergenceError,
-    CycleDetected,
-    DomainError,
-    RadixionError,
-    UsageError,
-)
-from .numeration import (
-    Expansion,
-    FnsVerdict,
-    NumberSystem,
-    digit_slice,
-    enumerate_N,
-    evaluate,
-    expand,
-    is_fns,
-    rudin_shapiro,
-    sum_of_digits,
-)
-from .tile import (
-    BoxDimReport,
-    Raster,
-    boundary_boxdim,
-    cloud_chunks,
-    cover_fraction,
-    tile_radii,
-    tile_rasters,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "algebra": ("Distortion", "EmbeddingSet", "MinimalPolynomial", "distortion", "norm",
+                "power_sums", "trace_matrix", "trace_pow"),
+    "analysis": ("FourierDecayReport", "LinearForm", "PrimeVerdict", "SumDigitConstants",
+                 "WeylRow", "equidist_condition", "fourier_decay", "is_prime_element",
+                 "sumdigit_fourier_constants", "weyl_sum"),
+    "carry": ("CarryAutomaton", "CarryConstantReport", "CnsCollapsedGraph", "CnsSubsetGraph",
+              "build_automaton", "carry_census", "carry_constant", "cns_collapsed",
+              "cns_subset_graph", "gaussian_family"),
+    "errors": ("CapExceeded", "ConvergenceError", "CycleDetected", "DomainError",
+               "RadixionError", "UsageError"),
+    "numeration": ("Expansion", "FnsVerdict", "NumberSystem", "digit_slice", "enumerate_N",
+                   "evaluate", "expand", "is_fns", "rudin_shapiro", "sum_of_digits"),
+    "tile": ("BoxDimReport", "Raster", "boundary_boxdim", "cloud_chunks", "cover_fraction",
+             "tile_radii", "tile_rasters"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = ("algebra", "analysis", "bulk", "caps", "carry", "errors", "numeration", "tile")
+
+__all__ = sorted([*_HOME, *_MODULES])
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = importlib.import_module("." + _HOME.get(name, name), __name__)
+    return module if name in _MODULES else getattr(module, name)

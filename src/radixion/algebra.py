@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, UsageError
 
 # d integer coordinates over the power basis 1, q, ..., q^{d-1}
@@ -22,6 +20,9 @@ FieldElement = tuple
 
 RESIDUAL_TOL = 1e-10
 PRODUCT_TOL = 1e-9
+
+# charts of the tile: power-basis coordinates, or the embeddings (re, im)
+SPACE_TAGS = ("coordinate", "embedding")
 
 
 def _poly_eval(coeffs, z: complex) -> complex:
@@ -38,9 +39,23 @@ def _poly_eval_deriv(coeffs, z: complex) -> complex:
     return acc
 
 
+def _is_expanding(coeffs) -> bool:
+    """Whether every root of c_0 + ... + c_d x^d lies outside the unit circle, by
+    the exact Schur-Cohn recursion (A. Cohn, Math. Z. 14, 1922) on the reversal
+    a, whose roots are the inverses: a has all its roots inside the circle iff
+    |a_0| < |a_n| and (a_n a(x) - a_0 x^n a(1/x)) / x has (Rouche on |x| = 1)."""
+    a = list(coeffs[::-1])  # a_k = c_{d-k}
+    while len(a) > 1:
+        if abs(a[0]) >= abs(a[-1]):
+            return False
+        a = [a[-1] * a[k] - a[0] * a[-1 - k] for k in range(1, len(a))]
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _embedding_roots(coeffs: tuple) -> tuple:
     """Polished, validated, (re, im)-sorted roots of the base polynomial."""
+    import numpy as np  # the one float route, taken on first use of the embeddings
     d = len(coeffs) - 1
     raw = np.roots(coeffs[::-1])  # np.roots wants the leading coefficient first
     polished = []
@@ -112,7 +127,8 @@ class MinimalPolynomial:
         if abs(coeffs[0]) < 2:
             raise DomainError("constant term must have absolute value >= 2")
         self._check_irreducible()
-        _embedding_roots(coeffs)  # rejects non-expanding bases eagerly
+        if not _is_expanding(coeffs):
+            raise DomainError("base is not expanding: some conjugate has modulus <= 1")
 
     def _check_irreducible(self):
         d = self.degree

@@ -170,20 +170,23 @@ def prime_mask(ns: NumberSystem, coords, sieve: np.ndarray) -> np.ndarray:
     c = m.coeffs
     coords = np.asarray(coords, dtype=np.int64)
     a = coords[:, 0]
+    absnorm = np.abs(a)
     if m.degree == 1:
-        absnorm = np.abs(a)
-    else:
-        b = coords[:, 1]
-        absnorm = np.abs(a * a - c[1] * a * b + c[0] * b * b)
+        return sieve[absnorm]
+    b = coords[:, 1]
+    absnorm *= absnorm  # |a^2 - c1 ab + c0 b^2|, in place
+    absnorm -= c[1] * a * b
+    absnorm += c[0] * b * b
+    np.abs(absnorm, out=absnorm)
     mask = sieve[absnorm]
-    if m.degree == 2:
-        root = np.rint(np.sqrt(absnorm.astype(np.float64))).astype(np.int64)
-        idx = np.flatnonzero((root * root == absnorm) & (root >= 2))  # the few inert candidates
-        ell = root[idx]
-        keep = sieve[ell] & (a[idx] % ell == 0) & (b[idx] % ell == 0)
-        idx, ell = idx[keep], ell[keep]
-        inert = np.array([not _poly_has_root_mod(c, e) for e in ell.tolist()], dtype=bool)
-        mask[idx[inert]] = True
+    root = np.sqrt(absnorm)
+    root = np.rint(root, out=root).astype(np.int64)
+    idx = np.flatnonzero((root * root == absnorm) & (root >= 2))  # the few inert candidates
+    ell = root[idx]
+    keep = sieve[ell] & (a[idx] % ell == 0) & (b[idx] % ell == 0)
+    idx, ell = idx[keep], ell[keep]
+    inert = np.array([not _poly_has_root_mod(c, e) for e in ell.tolist()], dtype=bool)
+    mask[idx[inert]] = True
     return mask
 
 
@@ -191,7 +194,11 @@ def prime_rows(ns: NumberSystem, lam: int) -> list:
     """The prime elements of N_lam in enumeration order, one array per row block."""
     blocks = bulk.row_blocks(ns, lam)
     sieve = prime_sieve(ns, lam)
-    return [b.coords[prime_mask(ns, b.coords, sieve=sieve)] for b in blocks]
+    primes = []
+    for block in blocks:
+        primes.append(block.coords[prime_mask(ns, block.coords, sieve=sieve)])
+        del block  # freed before the generator builds the next
+    return primes
 
 
 # ------------------------------------------------------------ linear forms

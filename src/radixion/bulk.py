@@ -10,7 +10,8 @@ cloud walks the same split (split_tables, row_segments).  ROW_BLOCK is the
 one block size of every streamed stage, and no artifact depends on it.
 The two tables are built by a meet-in-the-middle merge of shorter tables,
 which also carries the digit statistics (digit sum, adjacent nonzero
-pairs) without re-expanding any element.
+pairs) without re-expanding any element.  strip_columns is backward
+division on whole int64 coordinate columns.
 """
 
 from __future__ import annotations
@@ -42,6 +43,25 @@ def q_power_matrix(m: algebra.MinimalPolynomial, k: int) -> np.ndarray:
 def u_matrix(m: algebra.MinimalPolynomial) -> np.ndarray:
     """int64 matrix of multiplication by the cofactor u (q*u = c_0)."""
     return np.array(algebra.mult_matrix(m, algebra.u_element(m)), dtype=np.int64)
+
+
+def strip_columns(ns: NumberSystem, cols) -> list:
+    """Array form of numeration._strip_one: the d int64 columns of (n - b)/q
+    from those of n.  With n_0 = Q s + r and b the digit of class r, y_0 / c_0
+    is sign(c_0) (s + (r - b_0)/Q); digits (r, 0, ..., 0) need no residue."""
+    c, sign = ns.poly.coeffs, (1 if ns.poly.coeffs[0] > 0 else -1)
+    digits = np.array([ns.digits[t] for t in ns.residue_digit], dtype=np.int64)
+    offset = (np.arange(ns.Q) - digits[:, 0]) // ns.Q
+    s = cols[0] // ns.Q
+    if offset.any() or digits[:, 1:].any():
+        r = cols[0] - ns.Q * s  # np.divmod is many times slower than the two steps
+        s += offset[r]  # y_0 / Q
+    out = []
+    for i in range(1, ns.degree):
+        col = cols[i] - sign * c[i] * s if c[i] else cols[i]
+        out.append(col - digits[r, i] if digits[:, i].any() else col)
+    out.append(s if sign < 0 else -s)
+    return out
 
 
 def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
@@ -167,6 +187,10 @@ def count_rows(ns: NumberSystem, lam: int) -> tuple:
     span = place[0] * (hi[0] - lo[0] + 1)
     if span >= INT64_GUARD:
         raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
-    keys = np.concatenate([(b.coords - lo) @ place for b in row_blocks(ns, lam)])
+    keys = []
+    for block in row_blocks(ns, lam):
+        keys.append((block.coords - lo) @ place)
+        del block  # freed before the generator builds the next
+    keys = np.concatenate(keys)
     keys.sort()
     return len(keys), int(np.count_nonzero(np.diff(keys))) + 1

@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import MinimalPolynomial
 from .caps import PAIR_CAP, effective_cap
 from .errors import CapExceeded, ConvergenceError, UsageError
 from .numeration import NumberSystem, _carry_closure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10**5
@@ -70,6 +72,7 @@ class CnsCollapsedGraph:
 
 def build_automaton(ns: NumberSystem) -> CarryAutomaton:
     """Transitions s -> strip(s + a), the zero-digit column of the closure."""
+    import numpy as np
     states, pairs = _carry_closure(ns)
     zero = ns.digits.index(ns.zero)
     n = len(states)
@@ -88,6 +91,7 @@ def dominant_eigenvalue(matrix) -> tuple:
     so convergence is declared on the geometric mean of two consecutive
     quotients (exact for a pure two-cycle).  Returns (radius, iterations).
     """
+    import numpy as np
     a = np.asarray(matrix, dtype=np.float64)
     n = a.shape[0]
     if n == 0:
@@ -184,6 +188,7 @@ def cns_subset_graph(m: MinimalPolynomial) -> CnsSubsetGraph:
     shifted subset I+1 and the rest to (I+1) xor {0,1}; the absorbing
     states (empty set and {0}) are removed together with edges into them.
     """
+    import numpy as np
     c = m.coeffs
     d = m.degree
     big_q = m.Q

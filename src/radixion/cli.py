@@ -20,14 +20,16 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, algebra, analysis, bulk, carry, numeration, tile
-from .algebra import MinimalPolynomial
+from . import __version__, algebra, carry, numeration
+from .algebra import SPACE_TAGS, MinimalPolynomial
 from .caps import FNS_BOX_CAP, effective_cap
 from .errors import CapExceeded, CycleDetected, RadixionError, UsageError
 from .numeration import NumberSystem
+
+if TYPE_CHECKING:
+    from . import tile
 
 # ------------------------------------------------------- deterministic text
 
@@ -42,51 +44,40 @@ def _fmt_float(x: float) -> str:
     return "%.12f" % x
 
 
+def _plain(obj):
+    """numpy scalars and arrays as Python values, without importing numpy."""
+    np = sys.modules.get("numpy")
+    return obj.tolist() if np and isinstance(obj, (np.generic, np.ndarray)) else obj
+
+
 def _write_json(obj, parts, indent, level):
+    obj = _plain(obj)
     if obj is None:
         parts.append("null")
-    elif obj is True or (isinstance(obj, np.bool_) and obj):
-        parts.append("true")
-    elif obj is False or isinstance(obj, np.bool_):
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        parts.append(_fmt_float(x) if math.isfinite(x) else json.dumps(_fmt_float(x)))
+    elif isinstance(obj, float):
+        parts.append(_fmt_float(obj) if math.isfinite(obj) else json.dumps(_fmt_float(obj)))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{")
-        for j, (k, v) in enumerate(obj.items()):
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        brackets = "{}" if keyed else "[]"
+        parts.append(brackets[0])
+        for j, item in enumerate(obj.items() if keyed else obj):
             if j:
                 parts.append(",")
             if indent:
                 parts.append("\n" + " " * (indent * (level + 1)))
-            parts.append(json.dumps(str(k)))
-            parts.append(": " if indent else ":")
-            _write_json(v, parts, indent, level + 1)
-        if indent:
+            if keyed:
+                parts.append(json.dumps(str(item[0])) + (": " if indent else ":"))
+                item = item[1]
+            _write_json(item, parts, indent, level + 1)
+        if indent and obj:
             parts.append("\n" + " " * (indent * level))
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            parts.append("[]")
-            return
-        parts.append("[")
-        for j, v in enumerate(seq):
-            if j:
-                parts.append(",")
-            if indent:
-                parts.append("\n" + " " * (indent * (level + 1)))
-            _write_json(v, parts, indent, level + 1)
-        if indent:
-            parts.append("\n" + " " * (indent * level))
-        parts.append("]")
+        parts.append(brackets[1])
     else:
         raise TypeError("cannot serialize %r" % (obj,))
 
@@ -98,15 +89,10 @@ def _json_text(obj, indent=2) -> str:
 
 
 def _cell(v) -> str:
-    if v is True or (isinstance(v, np.bool_) and v):
-        return "true"
-    if v is False or isinstance(v, np.bool_):
-        return "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    return str(v)
+    v = _plain(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _fmt_float(v) if isinstance(v, float) else str(v)
 
 
 def _csv_bytes(csv_spec) -> bytes:
@@ -115,7 +101,7 @@ def _csv_bytes(csv_spec) -> bytes:
     header, blocks = csv_spec
     parts = [(",".join(header) + "\n").encode("ascii")] if header else []
     for block in blocks:
-        if isinstance(block, np.ndarray):
+        if hasattr(block, "dtype"):  # a numpy array
             line = ",".join(["%.12f" if block.dtype.kind == "f" else "%d"] * block.shape[1])
             text = ((line + "\n") * len(block)) % tuple((block + 0).ravel().tolist())
         else:
@@ -125,6 +111,7 @@ def _csv_bytes(csv_spec) -> bytes:
 
 
 def _pgm_bytes(raster: tile.Raster, system: str) -> bytes:
+    import numpy as np
     occ = raster.occupancy
     bbox_txt = " ".join(_fmt_float(v) for pair in raster.bbox for v in pair)
     grid = occ[None, :] if occ.ndim == 1 else occ.T[::-1]  # rows top-to-bottom
@@ -213,7 +200,8 @@ def _parse_phase(args):
         raise UsageError("pass exactly one of --alpha or --form")
     if args.alpha is not None:
         return float(args.alpha)
-    return analysis.LinearForm.parse(args.form)
+    from .analysis import LinearForm
+    return LinearForm.parse(args.form)
 
 
 # ------------------------------------------------------------- subcommands
@@ -275,6 +263,7 @@ def _cmd_expand(args) -> _Artifact:
             "roundtrip_failures": bad,
         }
     if args.enumerate is not None:
+        from . import bulk
         acted = True
         count, distinct = bulk.count_rows(ns, args.enumerate)
         payload["enumeration"] = {"lambda": args.enumerate, "count": count, "distinct": distinct}
@@ -349,6 +338,7 @@ def _cmd_cns_carry(args) -> _Artifact:
 
 
 def _cmd_tile(args) -> _Artifact:
+    from . import tile
     if args.cover_samples < 1:
         raise UsageError("--cover-samples takes a positive count")
     ns = _number_system(args)
@@ -396,6 +386,8 @@ def _cmd_tile(args) -> _Artifact:
 
 
 def _cmd_weyl(args) -> _Artifact:
+    import numpy as np
+    from . import analysis
     ns = _number_system(args)
     lams = _parse_int_list(args.lam)
     if args.identity_alphas is not None:
@@ -444,29 +436,19 @@ def _cmd_weyl(args) -> _Artifact:
     payload["h"] = args.h
     payload["filter"] = args.filter
     rows = [analysis.weyl_sum(ns, args.fn, [phase], args.h, lam, args.filter)[0] for lam in lams]
-    payload["rows"] = [
-        {
-            "lambda": r.lam,
-            "h": r.h,
-            "filter": r.filter,
-            "count": r.count,
-            "re_sum": r.re_sum,
-            "im_sum": r.im_sum,
-            "normalized": r.normalized,
-        }
-        for r in rows
-    ]
-    csv = (
-        ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized"),
-        [[(r.lam, r.h, r.filter, r.count, r.re_sum, r.im_sum, r.normalized) for r in rows]],
-    )
-    return _Artifact(payload, csv=csv)
+    header = ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized")
+    table = [(r.lam, r.h, r.filter, r.count, r.re_sum, r.im_sum, r.normalized) for r in rows]
+    payload["rows"] = [dict(zip(header, row)) for row in table]
+    return _Artifact(payload, csv=(header, [table]))
 
 
 def _cmd_fourier_decay(args) -> _Artifact:
+    from . import analysis
     ns = _number_system(args)
     phase = _parse_phase(args)
     report = analysis.fourier_decay(ns, args.fn, phase, args.lam_max, args.t_samples, args.seed)
+    header = ("lambda", "samples", "max_logq", "gamma_emp")
+    table = [(r.lam, r.samples, r.max_logq, r.gamma_emp) for r in report.rows]
     payload = {
         "system": ns.encode(),
         "fn": report.fn,
@@ -478,24 +460,13 @@ def _cmd_fourier_decay(args) -> _Artifact:
         "big_m_q": report.big_m_q,
         "digit_norm_sum": report.digit_norm_sum,
         "rs_bound_slope": report.rs_bound_slope,
-        "rows": [
-            {
-                "lambda": r.lam,
-                "samples": r.samples,
-                "max_logq": r.max_logq,
-                "gamma_emp": r.gamma_emp,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(header, row)) for row in table],
     }
-    csv = (
-        ("lambda", "samples", "max_logq", "gamma_emp"),
-        [[(r.lam, r.samples, r.max_logq, r.gamma_emp) for r in report.rows]],
-    )
-    return _Artifact(payload, csv=csv)
+    return _Artifact(payload, csv=(header, [table]))
 
 
 def _cmd_primes(args) -> _Artifact:
+    from . import analysis
     ns = _number_system(args)
     blocks = analysis.prime_rows(ns, args.lam)
     payload = {"system": ns.encode(), "lambda": args.lam, "count": sum(map(len, blocks))}
@@ -556,7 +527,7 @@ def _conf_tile(p):
     _add_system_flags(p)
     p.add_argument("--depth", type=int, required=True, help="IFS iteration depth")
     p.add_argument("--resolution", type=int, default=512, help="raster cells per axis")
-    p.add_argument("--space", choices=tile.SPACE_TAGS, default="coordinate")
+    p.add_argument("--space", choices=SPACE_TAGS, default="coordinate")
     p.add_argument("--boxdim", help="comma-separated resolutions for the boundary box-dimension fit")
     p.add_argument("--cover-samples", type=int, default=10**4,
                    help="random points for the translation-cover estimate")
@@ -714,6 +685,8 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise UsageError("no directory to write %s into" % args.out)
+        if args.out and os.path.isdir(args.out):
+            raise UsageError("--out %s is a directory" % args.out)
         artifact = args.handler(args)
         data = _render(args.format, artifact)
     except RadixionError as exc:

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from . import algebra, bulk
+from . import algebra
 from .algebra import FieldElement, MinimalPolynomial, _poly_eval
 from .caps import CARRY_SET_CAP, effective_cap
 from .errors import CapExceeded, CycleDetected, DomainError, UsageError
@@ -108,7 +106,6 @@ def validate_system(ns: NumberSystem):
                 "digit %s has %d coordinates, base has degree %d"
                 % (algebra.format_element(b), len(b), d)
             )
-    m.embeddings()  # re-raises for non-expanding bases
     if len(ns.digits) != m.Q:
         raise DomainError(
             "digit set has %d elements, a complete residue system needs %d"
@@ -181,25 +178,6 @@ def _carry_closure(ns: NumberSystem):
     return tuple(states), tuple(table)
 
 
-def strip_columns(ns: NumberSystem, cols) -> list:
-    """Array form of _strip_one: the d int64 columns of (n - b)/q from those
-    of n.  With n_0 = Q s + r and b the digit of class r, y_0 / c_0 is
-    sign(c_0) (s + (r - b_0)/Q); digits (r, 0, ..., 0) need no residue."""
-    c, sign = ns.poly.coeffs, (1 if ns.poly.coeffs[0] > 0 else -1)
-    digits = np.array([ns.digits[t] for t in ns.residue_digit], dtype=np.int64)
-    offset = (np.arange(ns.Q) - digits[:, 0]) // ns.Q
-    s = cols[0] // ns.Q
-    if offset.any() or digits[:, 1:].any():
-        r = cols[0] - ns.Q * s  # np.divmod is many times slower than the two steps
-        s += offset[r]  # y_0 / Q
-    out = []
-    for i in range(1, ns.degree):
-        col = cols[i] - sign * c[i] * s if c[i] else cols[i]
-        out.append(col - digits[r, i] if digits[:, i].any() else col)
-    out.append(s if sign < 0 else -s)
-    return out
-
-
 def expand(ns: NumberSystem, x: FieldElement) -> Expansion:
     """Digit expansion of x, or CycleDetected when none terminates."""
     algebra._check_arity(ns.poly, x)
@@ -255,20 +233,6 @@ def embedding_radii(ns: NumberSystem) -> tuple:
     )
 
 
-def coordinate_bound(ns: NumberSystem) -> list:
-    """Per-coordinate bound sum_p |V^-1[k, p]| r_p on the attractor.
-
-    V is the Vandermonde matrix of the embeddings and r the embedding
-    radii, so every coordinate k of an attractor point is at most this.
-    """
-    radii = embedding_radii(ns)
-    roots = ns.poly.embeddings().roots
-    d = ns.degree
-    vandermonde = np.array([[z**k for k in range(d)] for z in roots])
-    vinv = np.linalg.inv(vandermonde)
-    return [sum(abs(vinv[k, p]) * radii[p] for p in range(d)) for k in range(d)]
-
-
 def is_fns(ns: NumberSystem) -> FnsVerdict:
     """Decide whether every element of Z[q] has a finite expansion.
 
@@ -309,6 +273,7 @@ def enumerate_N(ns: NumberSystem, lam: int):
     bulk.row_blocks: element i carries digit index (i // Q^j) % Q in
     position j, so a fixed top digit is one contiguous block of indices.
     The length and the cap are checked when called."""
+    from . import bulk
     blocks = bulk.row_blocks(ns, lam)
     return (tuple(row) for block in blocks for row in block.coords.tolist())
 

@@ -21,7 +21,7 @@ once per pass.  A space's grids whose resolutions differ by powers of two
 form a chain: each point is marked, by its flat cell index, only in the
 finest grid of each chain, and the coarser grids are OR-pooled from it
 after the pass, exactly.  The lattice area decides membership in N_k by
-backward division (numeration.strip_columns): n lies in N_k exactly when k
+backward division (bulk.strip_columns): n lies in N_k exactly when k
 strips take it to 0, since 0 is the digit of its own residue class.
 """
 
@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, bulk, numeration
+from .algebra import SPACE_TAGS
 from .caps import ENUM_CAP, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
-from .numeration import NumberSystem, coordinate_bound, embedding_radii
+from .numeration import NumberSystem, embedding_radii
 
-SPACE_TAGS = ("coordinate", "embedding")
 FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 
 
@@ -254,22 +254,43 @@ def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
     charts = {space: _chart(ns, space) for space, _ in requests}
     if any(res < 1 for _, res in requests):
         raise UsageError("resolution must be positive")
-    numerators = _cloud_numerators(ns, depth)
-    bboxes = {space: _cloud_window(ns, depth, chart) for space, chart in charts.items()}
     sources = {(space, res): (space, _pool_source(res, [r for s, r in requests if s == space]))
                for space, res in requests}
-    grids = {key: np.zeros((key[1],) * ns.degree, dtype=bool)
-             for key in dict.fromkeys(sources.values())}
+    bboxes, grids = _binned(ns, depth, charts, dict.fromkeys(sources.values()))
+    for key, source in sources.items():
+        if key != source:
+            grids[key] = _pool(grids[source], key[1])
+    return {key: Raster(key[1], bboxes[key[0]], grids[key], depth, key[0]) for key in requests}
+
+
+def _binned(ns: NumberSystem, depth: int, charts: dict, keys) -> tuple:
+    """(bboxes, grids): tile_rasters' streamed pass into one grid per (space,
+    resolution) key.  Its buffers are freed on return, before any grid is
+    pooled, so no long-lived pooled grid is allocated above them on the heap."""
+    numerators = _cloud_numerators(ns, depth)
+    bboxes = {space: _cloud_window(ns, depth, chart) for space, chart in charts.items()}
+    grids = {key: np.zeros((key[1],) * ns.degree, dtype=bool) for key in keys}
     buffers = _bin_buffers(bulk.ROW_BLOCK, ns.degree)
     charted = np.empty((bulk.ROW_BLOCK, ns.degree), order="F")
     for points in _chunks(ns, depth, numerators):
         for space, chart in charts.items():
             ys = points if chart is None else _charted(points, chart, charted[: len(points)])
             _bin(ys, bboxes[space], [grid for key, grid in grids.items() if key[0] == space], buffers)
-    for key, source in sources.items():
-        if key != source:
-            grids[key] = _pool(grids[source], key[1])
-    return {key: Raster(key[1], bboxes[key[0]], grids[key], depth, key[0]) for key in requests}
+    return bboxes, grids
+
+
+def coordinate_bound(ns: NumberSystem) -> list:
+    """Per-coordinate bound sum_p |V^-1[k, p]| r_p on the attractor.
+
+    V is the Vandermonde matrix of the embeddings and r the embedding
+    radii, so every coordinate k of an attractor point is at most this.
+    """
+    radii = embedding_radii(ns)
+    roots = ns.poly.embeddings().roots
+    d = ns.degree
+    vandermonde = np.array([[z**k for k in range(d)] for z in roots])
+    vinv = np.linalg.inv(vandermonde)
+    return [sum(abs(vinv[k, p]) * radii[p] for p in range(d)) for k in range(d)]
 
 
 def tile_radii(ns: NumberSystem, raster: Raster) -> RadiiReport:
@@ -373,7 +394,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
         # attractor, so the coordinates stay within a system-dependent
         # multiple of the larger of their start and the attractor's bound.
         for _ in range(k):
-            cols = numeration.strip_columns(ns, cols)
+            cols = bulk.strip_columns(ns, cols)
         hits += int(np.count_nonzero(~np.any(cols, axis=0)))
     return hits * cell_area(raster)
 
@@ -426,18 +447,20 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
 
 
 def boundary_cell_count(raster: Raster) -> int:
-    """Occupied cells with an unoccupied 2d-neighbor (outside counts as empty)."""
+    """Occupied cells with an unoccupied 2d-neighbor (outside counts as empty):
+    the occupied cells less the interior ones, whose 2d neighbours are all
+    occupied, found by one in-place AND over the shifted grids."""
     occ = raster.occupancy
     d = occ.ndim
     padded = np.pad(occ, 1, constant_values=False)
     core = tuple(slice(1, -1) for _ in range(d))
-    boundary = np.zeros_like(occ)
+    interior = occ.copy()
     for k in range(d):
         for step in (1, -1):
             sl = list(core)
             sl[k] = slice(1 + step, padded.shape[k] - 1 + step)
-            boundary |= occ & ~padded[tuple(sl)]
-    return int(boundary.sum())
+            interior &= padded[tuple(sl)]
+    return int(np.count_nonzero(occ)) - int(np.count_nonzero(interior))
 
 
 def check_boxdim(resolutions) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +42,54 @@ def test_construction_rejects_non_expanding():
     # x^2 - 4x + 2 is irreducible but has the root 2 - sqrt(2) < 1
     with pytest.raises(DomainError):
         MinimalPolynomial((2, -4, 1))
+
+
+def has_integer_root(coeffs) -> bool:
+    """Any integer root divides c_0 (c_0 != 0)."""
+    c0 = abs(coeffs[0])
+    return any(sum(c * r**k for k, c in enumerate(coeffs)) == 0
+               for r in range(-c0, c0 + 1) if r and c0 % r == 0)
+
+
+def test_exact_expanding_test_agrees_with_root_moduli(random_systems, cns_systems):
+    # every irreducible monic polynomial of degree 1-3 with |c_i| <= 6,
+    # |c_0| >= 2 and no root within 1e-9 of the unit circle
+    polys = [(c0, *rest, 1) for d in (1, 2, 3) for c0 in range(-6, 7) if abs(c0) >= 2
+             for rest in itertools.product(range(-6, 7), repeat=d - 1)]
+    checked = 0
+    for coeffs in polys:
+        if len(coeffs) > 2 and has_integer_root(coeffs):
+            continue  # reducible
+        if any(abs(abs(z) - 1.0) <= 1e-9 for z in np.roots(coeffs[::-1])):
+            continue
+        try:
+            expanding = min(abs(z) for z in algebra._embedding_roots(coeffs)) > 1.0
+        except DomainError:
+            expanding = False
+        assert algebra._is_expanding(coeffs) == expanding, coeffs
+        try:
+            MinimalPolynomial(coeffs)
+        except DomainError:
+            assert not expanding, coeffs
+        else:
+            assert expanding, coeffs
+        checked += 1
+    assert checked > 1500
+    golden = ("2,2,1", "2,1", "2,-2,1", "5,4,1", "7,-6,1", "2,0,0,1")
+    systems = [MinimalPolynomial.parse(text) for text in golden]
+    systems += [ns.poly for ns in random_systems] + [ns.poly for ns, _ in cns_systems]
+    for m in systems:
+        assert algebra._is_expanding(m.coeffs)
+        assert min(m.embeddings().moduli) > 1.0
+
+
+@pytest.mark.parametrize("text", ["2,0,3,0,1", "2,2,3,1,1"])
+def test_roots_on_the_unit_circle_are_not_expanding(text):
+    # (x^2 + 1)(x^2 + 2) and (x^2 + x + 1)(x^2 + 2): roots of modulus exactly 1
+    coeffs = tuple(int(c) for c in text.split(","))
+    assert not algebra._is_expanding(coeffs)
+    with pytest.warns(UserWarning), pytest.raises(DomainError, match="not expanding"):
+        MinimalPolynomial.parse(text)
 
 
 def test_degree_four_warns_and_is_accepted():

@@ -444,10 +444,51 @@ def test_bad_seed_or_out_exits_two_before_work(capsysbinary, monkeypatch, tmp_pa
         for bad, message in ((("--seed", "-1"), b"nonnegative integer"),
                              (("--seed=x",), b"nonnegative integer"),
                              (("--config", str(config)), b"nonnegative integer"),
-                             (("--out", missing), b"no directory")):
+                             (("--out", missing), b"no directory"),
+                             (("--out", str(tmp_path)), b"is a directory")):
             code, _, err = run(capsysbinary, *argv, *bad)
             assert code == 2 and message in err, (argv, bad)
     assert not os.path.exists(os.path.dirname(missing))
+
+
+# Runs through cli.main in one fresh interpreter: the integer subcommands,
+# then the benchmark's set-up probe (import radixion.cli, build the parser,
+# NumberSystem.parse); none of them may load numpy.
+NUMPY_FREE = """
+import sys
+from radixion import cli
+from radixion.numeration import NumberSystem
+out = sys.argv[1]
+for argv in %r:
+    assert cli.main([*argv, "--out", out]) == 0, argv
+cli.main(["census", "--help"])
+NumberSystem.parse("5,4,1", "0,0;1,0;2,0;3,0;4,0")
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+""" % ([
+    ["check-fns", *KNUTH],
+    ["census", *KNUTH, "--mu", "6", "--nu", "4", "--rho", "2,3", "--format", "csv"],
+    ["expand", *KNUTH, "--element", "7,3", "--slice", "1,inf"],
+    ["expand", *FIVE_A, "--box", "2"],
+    ["cns-carry", "--m", "10,100"],
+],)
+
+
+def test_integer_subcommands_start_without_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(radixion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE, str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_every_export_resolves():
+    for name in radixion.__all__:
+        assert getattr(radixion, name) is not None, name
+    namespace = {}
+    exec("from radixion import *", namespace)
+    assert set(radixion.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        radixion.no_such_name
 
 
 def test_stdout_runs_emit_manifest_line(capsysbinary):

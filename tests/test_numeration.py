@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from radixion import algebra, bulk, numeration
+from radixion import algebra, bulk, numeration, tile
 from radixion.algebra import MinimalPolynomial
 from radixion.caps import FNS_BOX_CAP, effective_cap
 from radixion.errors import CapExceeded, CycleDetected, DomainError, UsageError
@@ -124,7 +124,7 @@ def test_strip_columns_matches_strip_one(knuth, negabinary, five_a, five_b, rand
     for ns in (knuth, negabinary, five_a, five_b, *random_systems, *extra):
         far = rng.integers(-10**12, 10**12, size=(ns.degree, 500))
         for cols in (box_columns(ns, 3, 2), list(far)):
-            stripped = rows_of(numeration.strip_columns(ns, cols))
+            stripped = rows_of(bulk.strip_columns(ns, cols))
             assert stripped == [numeration._strip_one(ns, n)[1] for n in rows_of(cols)]
 
 
@@ -137,7 +137,7 @@ def test_strips_to_zero_is_membership(knuth, negabinary, five_a, five_b, one_plu
         box = box_columns(ns, depth, 2)
         cols = box
         for _ in range(depth):
-            cols = numeration.strip_columns(ns, cols)
+            cols = bulk.strip_columns(ns, cols)
         reached = ~np.any(cols, axis=0)
         members = {n for n, hit in zip(rows_of(box), reached) if hit}
         assert members == set(numeration.enumerate_N(ns, depth))
@@ -228,7 +228,7 @@ def box_fns_oracle(ns: NumberSystem) -> numeration.FnsVerdict:
     and each orbit is followed until it reaches zero, a state already
     known to be finite, or repeats (yielding a witness cycle).
     """
-    bounds = [int(math.floor(FNS_BOX_SLACK * b)) for b in numeration.coordinate_bound(ns)]
+    bounds = [int(math.floor(FNS_BOX_SLACK * b)) for b in tile.coordinate_bound(ns)]
     total = 1
     for b in bounds:
         total *= 2 * b + 1
