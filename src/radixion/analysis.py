@@ -194,11 +194,7 @@ def prime_rows(ns: NumberSystem, lam: int) -> list:
     """The prime elements of N_lam in enumeration order, one array per row block."""
     blocks = bulk.row_blocks(ns, lam)
     sieve = prime_sieve(ns, lam)
-    primes = []
-    for block in blocks:
-        primes.append(block.coords[prime_mask(ns, block.coords, sieve=sieve)])
-        del block  # freed before the generator builds the next
-    return primes
+    return [b.coords[prime_mask(ns, b.coords, sieve=sieve)] for b in blocks]
 
 
 # ------------------------------------------------------------ linear forms

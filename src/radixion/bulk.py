@@ -187,10 +187,6 @@ def count_rows(ns: NumberSystem, lam: int) -> tuple:
     span = place[0] * (hi[0] - lo[0] + 1)
     if span >= INT64_GUARD:
         raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
-    keys = []
-    for block in row_blocks(ns, lam):
-        keys.append((block.coords - lo) @ place)
-        del block  # freed before the generator builds the next
-    keys = np.concatenate(keys)
+    keys = np.concatenate([(b.coords - lo) @ place for b in row_blocks(ns, lam)])
     keys.sort()
     return len(keys), int(np.count_nonzero(np.diff(keys))) + 1

@@ -54,30 +54,48 @@ def _write_json(obj, parts, indent, level):
     obj = _plain(obj)
     if obj is None:
         parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
     elif isinstance(obj, int):
         parts.append(str(int(obj)))
     elif isinstance(obj, float):
-        parts.append(_fmt_float(obj) if math.isfinite(obj) else json.dumps(_fmt_float(obj)))
+        x = float(obj)
+        parts.append(_fmt_float(x) if math.isfinite(x) else json.dumps(_fmt_float(x)))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, (dict, list, tuple)):
-        keyed = isinstance(obj, dict)
-        brackets = "{}" if keyed else "[]"
-        parts.append(brackets[0])
-        for j, item in enumerate(obj.items() if keyed else obj):
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        parts.append("{")
+        for j, (k, v) in enumerate(obj.items()):
             if j:
                 parts.append(",")
             if indent:
                 parts.append("\n" + " " * (indent * (level + 1)))
-            if keyed:
-                parts.append(json.dumps(str(item[0])) + (": " if indent else ":"))
-                item = item[1]
-            _write_json(item, parts, indent, level + 1)
-        if indent and obj:
+            parts.append(json.dumps(str(k)))
+            parts.append(": " if indent else ":")
+            _write_json(v, parts, indent, level + 1)
+        if indent:
             parts.append("\n" + " " * (indent * level))
-        parts.append(brackets[1])
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            parts.append("[]")
+            return
+        parts.append("[")
+        for j, v in enumerate(seq):
+            if j:
+                parts.append(",")
+            if indent:
+                parts.append("\n" + " " * (indent * (level + 1)))
+            _write_json(v, parts, indent, level + 1)
+        if indent:
+            parts.append("\n" + " " * (indent * level))
+        parts.append("]")
     else:
         raise TypeError("cannot serialize %r" % (obj,))
 
@@ -90,9 +108,15 @@ def _json_text(obj, indent=2) -> str:
 
 def _cell(v) -> str:
     v = _plain(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return _fmt_float(v) if isinstance(v, float) else str(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return str(int(v))
+    if isinstance(v, float):
+        return _fmt_float(float(v))
+    return str(v)
 
 
 def _csv_bytes(csv_spec) -> bytes:
@@ -436,10 +460,23 @@ def _cmd_weyl(args) -> _Artifact:
     payload["h"] = args.h
     payload["filter"] = args.filter
     rows = [analysis.weyl_sum(ns, args.fn, [phase], args.h, lam, args.filter)[0] for lam in lams]
-    header = ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized")
-    table = [(r.lam, r.h, r.filter, r.count, r.re_sum, r.im_sum, r.normalized) for r in rows]
-    payload["rows"] = [dict(zip(header, row)) for row in table]
-    return _Artifact(payload, csv=(header, [table]))
+    payload["rows"] = [
+        {
+            "lambda": r.lam,
+            "h": r.h,
+            "filter": r.filter,
+            "count": r.count,
+            "re_sum": r.re_sum,
+            "im_sum": r.im_sum,
+            "normalized": r.normalized,
+        }
+        for r in rows
+    ]
+    csv = (
+        ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized"),
+        [[(r.lam, r.h, r.filter, r.count, r.re_sum, r.im_sum, r.normalized) for r in rows]],
+    )
+    return _Artifact(payload, csv=csv)
 
 
 def _cmd_fourier_decay(args) -> _Artifact:
@@ -447,8 +484,6 @@ def _cmd_fourier_decay(args) -> _Artifact:
     ns = _number_system(args)
     phase = _parse_phase(args)
     report = analysis.fourier_decay(ns, args.fn, phase, args.lam_max, args.t_samples, args.seed)
-    header = ("lambda", "samples", "max_logq", "gamma_emp")
-    table = [(r.lam, r.samples, r.max_logq, r.gamma_emp) for r in report.rows]
     payload = {
         "system": ns.encode(),
         "fn": report.fn,
@@ -460,9 +495,21 @@ def _cmd_fourier_decay(args) -> _Artifact:
         "big_m_q": report.big_m_q,
         "digit_norm_sum": report.digit_norm_sum,
         "rs_bound_slope": report.rs_bound_slope,
-        "rows": [dict(zip(header, row)) for row in table],
+        "rows": [
+            {
+                "lambda": r.lam,
+                "samples": r.samples,
+                "max_logq": r.max_logq,
+                "gamma_emp": r.gamma_emp,
+            }
+            for r in report.rows
+        ],
     }
-    return _Artifact(payload, csv=(header, [table]))
+    csv = (
+        ("lambda", "samples", "max_logq", "gamma_emp"),
+        [[(r.lam, r.samples, r.max_logq, r.gamma_emp) for r in report.rows]],
+    )
+    return _Artifact(payload, csv=csv)
 
 
 def _cmd_primes(args) -> _Artifact:
