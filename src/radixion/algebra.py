@@ -213,11 +213,6 @@ def add(m: MinimalPolynomial, x: FieldElement, y: FieldElement) -> FieldElement:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def neg(m: MinimalPolynomial, x: FieldElement) -> FieldElement:
-    _check_arity(m, x)
-    return tuple(-a for a in x)
-
-
 def sub(m: MinimalPolynomial, x: FieldElement, y: FieldElement) -> FieldElement:
     _check_arity(m, x, y)
     return tuple(a - b for a, b in zip(x, y))
@@ -247,13 +242,6 @@ def mul_by_q(m: MinimalPolynomial, x: FieldElement) -> FieldElement:
     d = m.degree
     top = x[d - 1]
     return tuple((x[k - 1] if k else 0) - m.coeffs[k] * top for k in range(d))
-
-
-def q_element(m: MinimalPolynomial) -> FieldElement:
-    """Coordinates of the base q itself."""
-    if m.degree == 1:
-        return (-m.coeffs[0],)
-    return (0, 1) + (0,) * (m.degree - 2)
 
 
 def q_power(m: MinimalPolynomial, k: int) -> FieldElement:
@@ -306,10 +294,6 @@ def norm(m: MinimalPolynomial, x: FieldElement) -> int:
     """Field norm of x, the determinant of multiplication by x."""
     _check_arity(m, x)
     return _det_bareiss(mult_matrix(m, x))
-
-
-def is_unit(m: MinimalPolynomial, x: FieldElement) -> bool:
-    return abs(norm(m, x)) == 1
 
 
 def power_sums(m: MinimalPolynomial, upto: int) -> list:

@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .algebra import MinimalPolynomial
 from .caps import PAIR_CAP, effective_cap
-from .errors import CapExceeded, ConvergenceError, UsageError
+from .errors import CapExceeded, ConvergenceError, DomainError, UsageError
 from .numeration import NumberSystem, _carry_closure
 
-if TYPE_CHECKING:
-    import numpy as np
-
-POWER_TOL = 1e-10
 POWER_MAX_ITER = 10**5
-ROOT_TOL = 1e-10
+BRACKET_WIDTH = 4e-16  # relative width at which a Collatz-Wielandt bracket is closed
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,6 @@ class CarrySet:
 class CarryAutomaton:
     carry_set: CarrySet
     next: tuple  # next[state][digit] = successor state index
-    adjacency: np.ndarray  # A[s][s'] = #{digits a : s ->a s'}
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,10 @@ class CnsSubsetGraph:
     """Digit-counting transducer on subsets of {0..d}, absorbing states removed."""
 
     states: tuple  # frozensets in ascending bitmask order
-    weights: np.ndarray  # (n, n) int64 edge multiplicities
+    successors: tuple  # successors[i] = ((j, edge multiplicity), ...)
 
     def dominant_eigenvalue(self) -> float:
-        rho, _ = dominant_eigenvalue(self.weights)
-        return rho
+        return perron_radius(self.successors)[0]
 
 
 @dataclass(frozen=True)
@@ -72,56 +66,95 @@ class CnsCollapsedGraph:
 
 def build_automaton(ns: NumberSystem) -> CarryAutomaton:
     """Transitions s -> strip(s + a), the zero-digit column of the closure."""
-    import numpy as np
     states, pairs = _carry_closure(ns)
     zero = ns.digits.index(ns.zero)
-    n = len(states)
-    adjacency = np.zeros((n, n), dtype=np.int64)
     table = tuple(tuple(row[zero] for row in rows) for rows in pairs)
-    for i, row in enumerate(table):
-        for j in row:
-            adjacency[i, j] += 1
-    return CarryAutomaton(CarrySet(states), table, adjacency)
+    return CarryAutomaton(CarrySet(states), table)
 
 
-def dominant_eigenvalue(matrix) -> tuple:
-    """Spectral radius of a nonnegative matrix by L1 power iteration.
+def _components(successors) -> list:
+    """Strongly connected components of the graph, by Tarjan's search
+    with an explicit stack; each component is a list of states."""
+    n = len(successors)
+    index = [-1] * n  # order of first visit; n once the state's component is out
+    low = [0] * n
+    stack, components = [], []
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            if index[v] < 0:  # first visit
+                index[v] = low[v] = visited
+                visited += 1
+                stack.append(v)
+            for j, _ in edges:
+                if index[j] < 0:
+                    work.append((j, iter(successors[j])))
+                    break
+                low[v] = min(low[v], index[j])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = stack[stack.index(v):]
+                    del stack[-len(component):]
+                    for w in component:
+                        index[w] = n
+                    components.append(component)
+    return components
 
-    Periodic graphs make the raw quotients oscillate around the radius,
-    so convergence is declared on the geometric mean of two consecutive
-    quotients (exact for a pure two-cycle).  Returns (radius, iterations).
+
+def perron_radius(successors) -> tuple:
+    """Spectral radius of a nonnegative matrix given by weighted successor
+    lists, successors[i] = ((j, A[i][j]), ...) with each A[i][j] > 0.
+
+    The radius is the largest over the strongly connected components.  On
+    each component with an edge, M = A + I is primitive, so iterating it
+    on a positive v closes the Collatz-Wielandt bracket
+    min (Mv)_i/v_i <= rho(M) <= max (Mv)_i/v_i, and rho(A) = rho(M) - 1.
+    Each (Mv)_i is summed exactly rounded (fsum), so that rounding does
+    not hold the bracket open.  A component closes when the bracket's
+    relative width is at most BRACKET_WIDTH; its radius is the midpoint
+    minus 1.  Returns (radius, iterations of the component with the
+    largest radius); a graph without cycles has radius 0 after 0
+    iterations.
     """
-    import numpy as np
-    a = np.asarray(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if n == 0:
-        return 0.0, 0
-    v = np.full(n, 1.0 / n)
-    prev_quotient = None
-    prev_avg = None
-    for it in range(1, POWER_MAX_ITER + 1):
-        w = a @ v
-        total = w.sum()
-        if total == 0.0:
-            return 0.0, it  # iterate fell into the kernel: nilpotent part only
-        quotient = total  # v is L1-normalized
-        v = w / total
-        if prev_quotient is not None:
-            avg = math.sqrt(prev_quotient * quotient)
-            if prev_avg is not None and abs(avg - prev_avg) <= POWER_TOL * avg:
-                return avg, it
-            prev_avg = avg
-        prev_quotient = quotient
-    raise ConvergenceError(
-        "power iteration did not converge in %d iterations" % POWER_MAX_ITER
-    )
+    best = (0.0, 0)
+    for component in _components(successors):
+        local = {v: k for k, v in enumerate(component)}
+        rows = [[(local[j], a) for j, a in successors[v] if j in local] for v in component]
+        if not rows[0]:
+            continue  # a lone state without a loop
+        v = [1.0] * len(rows)
+        for iterations in range(1, POWER_MAX_ITER + 1):
+            w = [math.fsum([x, *(a * v[j] for j, a in row)]) for x, row in zip(v, rows)]
+            ratios = [y / x for x, y in zip(v, w)]
+            lo, hi = min(ratios), max(ratios)
+            if hi - lo <= BRACKET_WIDTH * hi:
+                break
+            top = max(w)
+            v = [y / top for y in w]
+        else:
+            raise ConvergenceError(
+                "Collatz-Wielandt bracket [%r, %r] still open after %d iterations"
+                % (lo - 1.0, hi - 1.0, POWER_MAX_ITER)
+            )
+        radius = 0.5 * (lo + hi) - 1.0
+        if radius > best[0]:
+            best = (radius, iterations)
+    return best
 
 
 def carry_constant(ns: NumberSystem) -> CarryConstantReport:
     """eta2 = 1 - ln(rho)/ln(Q) from the automaton without its zero state."""
     aut = build_automaton(ns)
-    restricted = aut.adjacency[1:, 1:]
-    rho, iterations = dominant_eigenvalue(restricted)
+    successors = [Counter(j - 1 for j in row if j).items() for row in aut.next[1:]]
+    rho, iterations = perron_radius(successors)
     if rho == 0.0:
         eta2 = math.inf  # nilpotent: carries die out after finitely many steps
     else:
@@ -188,7 +221,6 @@ def cns_subset_graph(m: MinimalPolynomial) -> CnsSubsetGraph:
     shifted subset I+1 and the rest to (I+1) xor {0,1}; the absorbing
     states (empty set and {0}) are removed together with edges into them.
     """
-    import numpy as np
     c = m.coeffs
     d = m.degree
     big_q = m.Q
@@ -201,19 +233,20 @@ def cns_subset_graph(m: MinimalPolynomial) -> CnsSubsetGraph:
     full = (1 << (d + 1)) - 1
     masks = [mask for mask in range(2, full + 1)]
     position = {mask: i for i, mask in enumerate(masks)}
-    n = len(masks)
-    weights = np.zeros((n, n), dtype=np.int64)
+    successors = []
     for mask in masks:
         k1 = min(max(c[0] - _eta(c, mask, d), 0), big_q)
         j1 = (mask << 1) & full
         j2 = j1 ^ 0b11
-        for target, weight in ((j1, k1), (j2, big_q - k1)):
-            if weight and target not in (0, 1):  # skip absorbing states
-                weights[position[mask], position[target]] += weight
+        successors.append(tuple(
+            (position[target], weight)
+            for target, weight in ((j1, k1), (j2, big_q - k1))
+            if weight and target not in (0, 1)  # skip absorbing states
+        ))
     states = tuple(
         frozenset(i for i in range(d + 1) if mask >> i & 1) for mask in masks
     )
-    return CnsSubsetGraph(states, weights)
+    return CnsSubsetGraph(states, tuple(successors))
 
 
 def cns_collapsed(m: MinimalPolynomial) -> CnsCollapsedGraph:
@@ -239,44 +272,22 @@ def cns_collapsed(m: MinimalPolynomial) -> CnsCollapsedGraph:
     for k in range(1, d + 1):
         weights.append(prefix * betas[k - 1])
         prefix *= alphas[k - 1]
-    lam = _perron_root(weights)
+    for k, w in enumerate(weights, 1):
+        if w < 0:
+            raise DomainError(
+                "collapsed weight w_%d = %d of %s is negative; its Perron root "
+                "needs every weight >= 0" % (k, w, m)
+            )
+    # companion matrix of x^d - sum_k w_k x^{d-k}: w in the first row,
+    # ones below the diagonal
+    companion = [[(k, w) for k, w in enumerate(weights) if w]]
+    companion += [[(i - 1, 1)] for i in range(1, d)]
+    lam = perron_radius(companion)[0]
     if lam == 0.0:
         eta_bound = math.inf
     else:
         eta_bound = 1.0 - math.log(lam) / math.log(m.Q)
     return CnsCollapsedGraph(alphas, betas, lam, eta_bound)
-
-
-def _perron_root(weights) -> float:
-    """Positive dominant root of x^d - sum_k w_k x^{d-k}, w_k >= 0."""
-    d = len(weights)
-    if all(w == 0 for w in weights):
-        return 0.0
-
-    def value_and_slope(x: float):
-        p, dp = 1.0, 0.0
-        for w in weights:
-            dp = dp * x + p
-            p = p * x - float(w)
-        return p, dp
-
-    lo, hi = 0.0, max(1.0, float(sum(weights)))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if value_and_slope(mid)[0] < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        p, dp = value_and_slope(x)
-        if dp == 0.0:
-            break
-        step = p / dp
-        x -= step
-        if abs(step) <= ROOT_TOL * abs(x):
-            break
-    return x
 
 
 def gaussian_family(m_value: int) -> MinimalPolynomial:

@@ -191,12 +191,6 @@ def test_norm_matches_numpy_determinant():
             assert abs(exact - approx) < 1e-6 * (1 + abs(approx))
 
 
-def test_is_unit():
-    assert algebra.is_unit(GAUSS_TWO, (1, 1))
-    assert not algebra.is_unit(GAUSS_TWO, (0, 1))
-    assert not algebra.is_unit(GAUSS_TWO, (0, 0))
-
-
 def test_power_sums_knuth_prefix():
     assert algebra.power_sums(GAUSS_TWO, 3) == [2, -2, 0, 4]
 

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from radixion import algebra, carry, numeration
 from radixion.algebra import MinimalPolynomial
-from radixion.errors import CapExceeded, UsageError
+from radixion.errors import CapExceeded, ConvergenceError, DomainError, UsageError
 from radixion.numeration import NumberSystem
 
 CNS_DEMO = MinimalPolynomial((101, 20, 1))
@@ -47,16 +49,26 @@ def test_carry_set_respects_cap(knuth, monkeypatch):
 # --------------------------------------------------------------- automaton
 
 
+def adjacency(aut):
+    """A[s][s'] = #{digits a : s ->a s'}, counted from the transition table."""
+    n = len(aut.next)
+    a = np.zeros((n, n), dtype=np.int64)
+    for i, row in enumerate(aut.next):
+        for j in row:
+            a[i, j] += 1
+    return a
+
+
 def test_automaton_rows_sum_to_digit_count(knuth, five_b):
     for ns in (knuth, five_b):
         aut = carry.build_automaton(ns)
-        assert aut.adjacency.sum(axis=1).tolist() == [ns.Q] * len(aut.carry_set.states)
+        assert adjacency(aut).sum(axis=1).tolist() == [ns.Q] * len(aut.carry_set.states)
 
 
 def test_automaton_zero_state_is_absorbing(knuth):
     aut = carry.build_automaton(knuth)
     assert aut.carry_set.states[0] == knuth.zero
-    assert aut.adjacency[0, 0] == knuth.Q
+    assert adjacency(aut)[0, 0] == knuth.Q
 
 
 def test_automaton_steps_are_strips(knuth, five_b, random_systems):
@@ -67,7 +79,7 @@ def test_automaton_steps_are_strips(knuth, five_b, random_systems):
             for a, b in enumerate(ns.digits):
                 succ = numeration.digit_slice(ns, algebra.add(ns.poly, s, b), 1, math.inf)
                 assert states[aut.next[i][a]] == succ
-        assert aut.adjacency.sum(axis=1).tolist() == [ns.Q] * len(states)
+        assert adjacency(aut).sum(axis=1).tolist() == [ns.Q] * len(states)
 
 
 def test_negabinary_transitions(negabinary):
@@ -76,7 +88,7 @@ def test_negabinary_transitions(negabinary):
     i_neg, i_pos = states.index((-1,)), states.index((1,))
     assert aut.next[i_neg] == (i_pos, 0)
     assert aut.next[i_pos] == (0, i_neg)
-    sub = aut.adjacency[1:, 1:]
+    sub = adjacency(aut)[1:, 1:]
     assert sub.tolist() == [[0, 1], [1, 0]]
 
 
@@ -97,24 +109,35 @@ def test_carry_constant_invariant_under_digit_relabeling():
     assert base.automaton_size == flipped.automaton_size
 
 
-def test_dominant_eigenvalue_known_matrices():
-    rho, _ = carry.dominant_eigenvalue(np.array([[3]], dtype=float))
-    assert abs(rho - 3.0) < 1e-9
-    rho, _ = carry.dominant_eigenvalue(np.array([[0, 1], [1, 0]], dtype=float))
-    assert abs(rho - 1.0) < 1e-9
-    rho, _ = carry.dominant_eigenvalue(np.array([[0, 1], [0, 0]], dtype=float))
-    assert rho == 0.0
-    rho, _ = carry.dominant_eigenvalue(np.zeros((0, 0)))
-    assert rho == 0.0
+def successor_lists(a):
+    """Weighted successor lists of a nonnegative integer matrix."""
+    return [[(j, int(w)) for j, w in enumerate(row) if w] for row in a]
 
 
-def test_dominant_eigenvalue_matches_numpy():
+def test_perron_radius_known_graphs():
+    assert carry.perron_radius([[(0, 3)]]) == (3.0, 1)
+    rho, _ = carry.perron_radius([[(1, 1)], [(0, 1)]])  # a 2-cycle: periodic
+    assert rho == 1.0
+    assert carry.perron_radius([[(1, 1)], []]) == (0.0, 0)  # nilpotent
+    assert carry.perron_radius([]) == (0.0, 0)
+    # reducible: on the whole graph the bracket would stay at [1, 2]
+    rho, _ = carry.perron_radius([[(0, 2), (1, 1)], [(1, 1)]])
+    assert rho == 2.0
+
+
+def test_perron_radius_names_an_open_bracket(monkeypatch):
+    monkeypatch.setattr(carry, "POWER_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match=r"\[.*, .*\] still open"):
+        carry.perron_radius(successor_lists([[1, 2], [3, 1]]))
+
+
+def test_perron_radius_matches_numpy():
     rng = np.random.default_rng(41)
     for _ in range(20):
-        a = rng.integers(0, 5, size=(6, 6)).astype(float)
-        rho, _ = carry.dominant_eigenvalue(a)
-        expected = max(abs(np.linalg.eigvals(a)))
-        assert abs(rho - expected) < 1e-6 * (1 + expected)
+        a = rng.integers(0, 5, size=(6, 6))
+        rho, _ = carry.perron_radius(successor_lists(a))
+        expected = max(abs(np.linalg.eigvals(a.astype(float))))
+        assert abs(rho - expected) < 1e-12 * (1 + expected)
 
 
 # ------------------------------------------------------------------ census
@@ -207,10 +230,8 @@ def test_subset_graph_hand_computed_table():
     }
     actual = {}
     for i, src in enumerate(graph.states):
-        for j, dst in enumerate(graph.states):
-            w = int(graph.weights[i, j])
-            if w:
-                actual[(frozenset(src), frozenset(dst))] = w
+        for j, w in graph.successors[i]:
+            actual[(frozenset(src), frozenset(graph.states[j]))] = w
     assert actual == expected_edges
 
 
@@ -252,6 +273,113 @@ def test_subset_dominant_below_collapsed_root():
         assert carry.cns_subset_graph(poly).dominant_eigenvalue() <= (
             carry.cns_collapsed(poly).lam + 1e-6
         )
+
+
+# ------------------------------------------------------------ exact oracle
+
+
+def charpoly(successors) -> list:
+    """det(xI - A) with integer coefficients, leading first, by
+    Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k)/k, M_{k+1} = A M_k + c_{n-k} I."""
+    n = len(successors)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a * m[j][col] for j, a in row) for col in range(n)] for row in successors]
+        trace = sum(m[i][i] for i in range(n))
+        assert trace % k == 0
+        coeffs.append(-trace // k)
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+    return coeffs
+
+
+def sign_at(p, x: Fraction) -> int:
+    """Sign of p(x): the integer d^deg p(n/d) has it, as d > 0."""
+    acc, scale = 0, 1
+    for c in p:
+        acc = acc * x.numerator + c * scale
+        scale *= x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def sturm_chain(p) -> list:
+    """p, p', then -rem(p_{k-1}, p_k) up to positive factors, each primitive."""
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r, steps = list(a), 0
+        while len(r) >= len(b):  # pseudo-division: r <- lc(b) r - r_0 x^k b
+            r = [b[0] * x - r[0] * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
+            steps += 1
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            break
+        sign = -1 if b[0] > 0 or steps % 2 == 0 else 1  # -rem, times lc(b)^-steps
+        content = math.gcd(*r)
+        chain.append([sign * c // content for c in r])
+    return chain
+
+
+def largest_real_root(p, rel=Fraction(1, 10**15)) -> Fraction:
+    """Bisection on the Sturm count of the roots above a point, in Fractions;
+    p is monic with a real root in [0, 1 + max |c|] (a Perron root)."""
+    chain = sturm_chain(p)
+
+    def changes(x):
+        signs = [s for s in (sign_at(q, x) for q in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    lo, hi = Fraction(0), Fraction(1 + max(abs(c) for c in p[1:]))
+    above_hi = changes(hi)  # every root lies at or below hi
+    while hi - lo > rel * hi:
+        mid = (lo + hi) / 2
+        if sign_at(p, mid) == 0 or changes(mid) > above_hi:
+            lo = mid  # a root at or above mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def automaton_successors(ns) -> list:
+    """The automaton without its zero state, as weighted successor lists."""
+    aut = carry.build_automaton(ns)
+    return [sorted(Counter(j - 1 for j in row if j).items()) for row in aut.next[1:]]
+
+
+def test_oracle_on_knuth(knuth):
+    # det(xI - A) = x^8 (x^3 - x^2 - 2)(x^3 + x^2 - 2)
+    assert charpoly(automaton_successors(knuth)) == [1, 0, -1, -4, 0, 0, 4] + [0] * 8
+    root = largest_real_root([1, -1, 0, -2])
+    assert abs(root - Fraction("1.695620769559862")) < 1e-15
+
+
+def test_carry_constant_matches_exact_oracle(knuth, five_a, five_b, one_plus_i):
+    for ns in (knuth, five_a, five_b, one_plus_i):
+        exact = float(largest_real_root(charpoly(automaton_successors(ns))))
+        report = carry.carry_constant(ns)
+        assert abs(report.spectral_radius - exact) <= 1e-12 * exact
+        assert abs(report.eta2 - (1 - math.log(exact) / math.log(ns.Q))) <= 1e-12
+
+
+def test_cns_roots_match_exact_oracle():
+    for m in (5, 10, 20):
+        graph = carry.cns_subset_graph(carry.gaussian_family(m))
+        exact = float(largest_real_root(charpoly(graph.successors)))
+        assert abs(graph.dominant_eigenvalue() - exact) <= 1e-12 * exact
+    for m in (5, 10, 20, 100, 1000, 10000):
+        col = carry.cns_collapsed(carry.gaussian_family(m))
+        weights = (col.betas[0], col.alphas[0] * col.betas[1])
+        exact = float(largest_real_root([1, -weights[0], -weights[1]]))
+        assert abs(col.lam - exact) <= 1e-12 * exact
+
+
+def test_carry_constant_matches_numpy(random_systems, cns_systems):
+    for ns in [*random_systems, *(ns for ns, _ in cns_systems)]:
+        a = adjacency(carry.build_automaton(ns))[1:, 1:].astype(float)
+        expected = max(abs(np.linalg.eigvals(a)), default=0.0)
+        assert abs(carry.carry_constant(ns).spectral_radius - expected) <= 1e-12 * expected
 
 
 # ------------------------------------------------------------ CNS family

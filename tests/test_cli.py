@@ -53,6 +53,13 @@ def test_expand_cycle_exits_one_with_witness(capsysbinary):
     assert b"error:" in err
 
 
+def test_cns_carry_negative_weight_exits_one(capsysbinary):
+    # x^2 - x + 2 has beta_1 = -6: its collapsed polynomial has no Perron root
+    code, _, err = run(capsysbinary, "cns-carry", "--poly", "2,-1,1")
+    assert code == 1
+    assert b"w_1 = -6" in err
+
+
 def test_usage_errors_exit_two(capsysbinary):
     assert run(capsysbinary, "expand", *KNUTH, "--bogus")[0] == 2
     assert run(capsysbinary, "expand", "--element=1,0")[0] == 2  # missing system
@@ -179,8 +186,8 @@ def test_carry_json_key_order(capsysbinary):
     payload = json.loads(out.decode())
     assert list(payload) == ["states", "spectral_radius", "eta2", "iterations"]
     assert payload["states"] == 15
-    assert abs(payload["eta2"] - 0.238186456672) < 1e-12
-    assert b"0.238186456672" in out
+    assert abs(payload["eta2"] - 0.238186456899) < 1e-12
+    assert b"0.238186456899" in out
 
 
 def test_carry_dot_automaton(capsysbinary):
@@ -451,8 +458,9 @@ def test_bad_seed_or_out_exits_two_before_work(capsysbinary, monkeypatch, tmp_pa
     assert not os.path.exists(os.path.dirname(missing))
 
 
-# Runs through cli.main in one fresh interpreter: the integer subcommands,
-# then the benchmark's set-up probe (import radixion.cli, build the parser,
+# Runs through cli.main in one fresh interpreter: the subcommands that build
+# no arrays (the carry automaton and its Perron root are pure Python), then
+# the benchmark's set-up probe (import radixion.cli, build the parser,
 # NumberSystem.parse); none of them may load numpy.
 NUMPY_FREE = """
 import sys
@@ -470,6 +478,9 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
     ["expand", *KNUTH, "--element", "7,3", "--slice", "1,inf"],
     ["expand", *FIVE_A, "--box", "2"],
     ["cns-carry", "--m", "10,100"],
+    ["carry", *KNUTH],
+    ["carry", *KNUTH, "--format", "dot"],
+    ["cns-carry", "--m", "5", "--subset-graph"],
 ],)
 
 
