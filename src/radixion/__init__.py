@@ -9,7 +9,8 @@ equidistribution experiments over length-bounded expansion sets.
 
 Each export is imported from its module on first use (PEP 562), so
 importing the package loads no module, and numpy is loaded only with
-the modules that build arrays (bulk, analysis, tile).
+the modules that build arrays, bulk and tile (and by algebra, on the
+first use of the embeddings).
 """
 
 import importlib

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, UsageError
 
@@ -23,6 +23,8 @@ PRODUCT_TOL = 1e-9
 
 # charts of the tile: power-basis coordinates, or the embeddings (re, im)
 SPACE_TAGS = ("coordinate", "embedding")
+
+SAMPLE_BITS = 53  # a seeded sample is m / 2^53 (dyadic_samples)
 
 
 def _poly_eval(coeffs, z: complex) -> complex:
@@ -89,8 +91,7 @@ def _embedding_roots(coeffs: tuple) -> tuple:
     return tuple(sorted(polished, key=lambda z: (z.real, z.imag)))
 
 
-@dataclass(frozen=True)
-class EmbeddingSet:
+class EmbeddingSet(NamedTuple):
     """Complex embeddings q -> C, sorted by (real, imaginary) part."""
 
     roots: tuple
@@ -100,26 +101,24 @@ class EmbeddingSet:
         return tuple(abs(z) for z in self.roots)
 
 
-@dataclass(frozen=True)
-class Distortion:
+class Distortion(NamedTuple):
     """Extremal logarithmic weights d*ln|q^pi| / ln Q over the embeddings."""
 
     theta_max: float
     theta_min: float
 
 
-@dataclass(frozen=True)
 class MinimalPolynomial:
     """Monic integer polynomial defining the base q, coefficients c_0..c_d."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs):
         try:
-            coeffs = tuple(int(c) for c in self.coeffs)
+            coeffs = tuple(int(c) for c in coeffs)
         except (TypeError, ValueError):
             raise UsageError("polynomial coefficients must be integers") from None
-        object.__setattr__(self, "coeffs", coeffs)
+        self.coeffs = coeffs
         if len(coeffs) < 2:
             raise DomainError("polynomial must have degree at least 1")
         if coeffs[-1] != 1:
@@ -168,6 +167,17 @@ class MinimalPolynomial:
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
 
+    def __repr__(self):
+        return "MinimalPolynomial(coeffs=%r)" % (self.coeffs,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -179,6 +189,16 @@ class MinimalPolynomial:
 
     def embeddings(self) -> EmbeddingSet:
         return EmbeddingSet(_embedding_roots(self.coeffs))
+
+
+def dyadic_samples(seed: int, count: int) -> list:
+    """`count` integers m in [0, 2^53) from random.Random(seed), the one
+    generator behind every seeded draw: m / 2^53 is a uniform sample in
+    [0, 1), an exact float and a dyadic rational.  For an integer seed the
+    stream is the same in every Python version."""
+    import random
+    rng = random.Random(seed)
+    return [rng.getrandbits(SAMPLE_BITS) for _ in range(count)]
 
 
 def parse_element(text: str, degree: int) -> FieldElement:

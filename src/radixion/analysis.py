@@ -8,38 +8,31 @@ is the finite-scale signature of equidistribution modulo 1.
 
 Both statistics take few values: s(n) lies in a box of prod_i
 (lambda * w_i + 1) points (w_i the digit spread in coordinate i), and r(n)
-in 0..lambda-1.  So weyl_sum counts the enumerated rows per value in an
-exact integer histogram and takes one exponential per occupied value; the
-counted sum is added exactly and rounded once, so it equals the math.fsum
-of the per-row summands and does not depend on how the rows are blocked.
+in 0..lambda-1.  So weyl_sum counts the rows per value in an exact integer
+histogram and takes one exponential per occupied value; the counted sum is
+added exactly and rounded once, so it equals the math.fsum of the per-row
+summands.  Over all of N_lambda the histogram has a closed form (the
+lambda-fold convolution of the digit multiset for s(n), Gelfond; a
+two-state recursion on the last digit for r(n)); over the primes it is
+counted from the one streamed pass of bulk.prime_blocks.  This module
+imports no numpy: only that prime pass builds arrays.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
-import numpy as np
-
-from . import algebra, bulk
-from .algebra import MinimalPolynomial, _poly_eval
+from . import algebra
+from .algebra import MinimalPolynomial
 from .caps import ENUM_CAP, effective_cap
-from .errors import CapExceeded, DomainError, UsageError
+from .errors import CapExceeded, UsageError
 from .numeration import NumberSystem
 
 TWO_PI = 2.0 * math.pi
 PRIME_DIVISOR_CAP = 1 << 32
-NORM_DIRECTIONS = 64  # support directions behind the sieve's norm bound
 LOG_FLOOR = 1e-300
-# Largest rounding bound, in turns, on one position phase of fourier_decay.
-# Under the default cap no golden system exceeds 2^-29 (negabinary at
-# lambda 24), so only a raised cap meets the guard; at 2^-20 the lambda
-# factors move S by at most 2 pi lambda 2^-20 Q^lambda, under 1e-3 of the
-# trivial bound Q^lambda for lambda below 160.
-PHASE_ERROR_LIMIT = 2.0**-20
 
 PRIME_KINDS = ("prime_split", "prime_inert")
 
@@ -47,8 +40,7 @@ PRIME_KINDS = ("prime_split", "prime_inert")
 # ---------------------------------------------------------------- primes
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
+class PrimeVerdict(NamedTuple):
     kind: str  # zero | unit | prime_split | prime_inert | composite | unsupported_degree
     norm: int
 
@@ -72,7 +64,6 @@ def _is_prime_u64(n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)  # prime_mask asks again for every row block
 def _poly_has_root_mod(coeffs, ell: int) -> bool:
     for r in range(ell):
         acc = 0
@@ -115,93 +106,10 @@ def is_prime_element(ns: NumberSystem, n) -> PrimeVerdict:
     return PrimeVerdict("unsupported_degree", nm)
 
 
-def _prime_sieve(n: int) -> np.ndarray:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[: min(2, n + 1)] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return sieve
-
-
-def _norm_bound(ns: NumberSystem, lam: int) -> int:
-    """An upper bound on |N(n)| over N_lam, within 0.5% of the maximum for
-    a complex quadratic base.  |N(n)| is the product over the embeddings
-    sigma of |sigma(n)|; the largest |sigma(n)| is the support of
-    sigma(N_lam) in its best direction, the sum over positions j of the
-    best term sigma(q^j b).  K directions miss it by at most pi / K."""
-    directions = np.exp(-2j * math.pi * np.arange(NORM_DIRECTIONS) / NORM_DIRECTIONS)
-    bound = 1.0
-    for z in ns.poly.embeddings().roots:
-        terms = np.array([[_poly_eval(b, z) * z**j for b in ns.digits] for j in range(lam)])
-        support = (terms.reshape(lam, ns.Q, 1) * directions).real.max(axis=1).sum(axis=0)
-        bound *= max(float(support.max()), 0.0) / math.cos(math.pi / NORM_DIRECTIONS)
-    return int(bound * (1 + 1e-9)) + 1
-
-
-def prime_sieve(ns: NumberSystem, lam: int) -> np.ndarray:
-    """One sieve that serves prime_mask on every row of N_lam.  Checked
-    before allocation: that the int64 norm a^2 - c1 ab + c0 b^2 cannot wrap
-    over the coordinate ranges of N_lam, and the sieve's bytes, against the
-    cap at the 8 * d bytes of a table row's coordinates."""
-    if ns.degree > 2:
-        raise UsageError("prime enumeration supports degree <= 2 only")
-    lo, hi = bulk.coordinate_ranges(ns, lam)
-    widest = a = max(-lo[0], hi[0])
-    if ns.degree == 2:
-        c, b = ns.poly.coeffs, max(-lo[1], hi[1])
-        widest = a * a + abs(c[1]) * a * b + abs(c[0]) * b * b
-    if widest >= bulk.INT64_GUARD:
-        raise DomainError("norms over lambda %d can reach %d, beyond the int64 budget"
-                          % (lam, widest))
-    top = _norm_bound(ns, lam)
-    if top + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
-        raise CapExceeded("prime sieve of %d bytes for lambda %d exceeds the memory of a %d-element"
-                          " table" % (top + 1, lam, effective_cap(ENUM_CAP)))
-    return _prime_sieve(top)
-
-
-def prime_mask(ns: NumberSystem, coords, sieve: np.ndarray) -> np.ndarray:
-    """Vectorized prime verdicts (split or inert) for rows of coordinates;
-    `sieve` (prime_sieve) must reach every |norm| of these rows."""
-    m = ns.poly
-    if m.degree > 2:
-        raise UsageError("prime enumeration supports degree <= 2 only")
-    c = m.coeffs
-    coords = np.asarray(coords, dtype=np.int64)
-    a = coords[:, 0]
-    absnorm = np.abs(a)
-    if m.degree == 1:
-        return sieve[absnorm]
-    b = coords[:, 1]
-    absnorm *= absnorm  # |a^2 - c1 ab + c0 b^2|, in place
-    absnorm -= c[1] * a * b
-    absnorm += c[0] * b * b
-    np.abs(absnorm, out=absnorm)
-    mask = sieve[absnorm]
-    root = np.sqrt(absnorm)
-    root = np.rint(root, out=root).astype(np.int64)
-    idx = np.flatnonzero((root * root == absnorm) & (root >= 2))  # the few inert candidates
-    ell = root[idx]
-    keep = sieve[ell] & (a[idx] % ell == 0) & (b[idx] % ell == 0)
-    idx, ell = idx[keep], ell[keep]
-    inert = np.array([not _poly_has_root_mod(c, e) for e in ell.tolist()], dtype=bool)
-    mask[idx[inert]] = True
-    return mask
-
-
-def prime_rows(ns: NumberSystem, lam: int) -> list:
-    """The prime elements of N_lam in enumeration order, one array per row block."""
-    blocks = bulk.row_blocks(ns, lam)
-    sieve = prime_sieve(ns, lam)
-    return [b.coords[prime_mask(ns, b.coords, sieve=sieve)] for b in blocks]
-
-
 # ------------------------------------------------------------ linear forms
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """Coefficients t_0..t_{d-1} of phi(x) = sum_k t_k Tr(q^k x).
 
     Rational-tagged coefficients are kept exactly; floating inputs can
@@ -215,6 +123,7 @@ class LinearForm:
     def parse(cls, text: str) -> "LinearForm":
         """Comma-separated coefficients: "p/q" and bare integers are
         rational-tagged; decimal or exponent literals are irrational."""
+        from fractions import Fraction
         values, rationals = [], []
         for tok in text.split(","):
             tok = tok.strip()
@@ -231,15 +140,13 @@ class LinearForm:
         return cls(tuple(values), tuple(rationals))
 
 
-def phase_weights(form: LinearForm, m: MinimalPolynomial) -> np.ndarray:
+def phase_weights(form: LinearForm, m: MinimalPolynomial) -> tuple:
     """Coordinate weights w with phi(x) = <w, x>, via w_j = sum_k t_k Tr(q^{k+j})."""
     d = m.degree
     if len(form.values) != d:
         raise UsageError("linear form needs %d coefficients, got %d" % (d, len(form.values)))
     p = algebra.power_sums(m, 2 * d - 2)
-    return np.array(
-        [sum(form.values[k] * p[k + j] for k in range(d)) for j in range(d)]
-    )
+    return tuple(sum(form.values[k] * p[k + j] for k in range(d)) for j in range(d))
 
 
 def phi_is_irrational(form: LinearForm, m: MinimalPolynomial, x) -> bool:
@@ -251,12 +158,12 @@ def phi_is_irrational(form: LinearForm, m: MinimalPolynomial, x) -> bool:
 
 
 def phi_exact(form: LinearForm, m: MinimalPolynomial, x):
-    """Exact Fraction value of phi(x), or None when an irrational term contributes."""
+    """Exact rational value of phi(x), or None when an irrational term contributes."""
     if phi_is_irrational(form, m, x):
         return None
     return sum(
-        (form.rationals[k] * algebra.trace_pow(m, x, k) for k in range(len(form.values)) if form.rationals[k] is not None),
-        Fraction(0),
+        form.rationals[k] * algebra.trace_pow(m, x, k)
+        for k in range(len(form.values)) if form.rationals[k] is not None
     )
 
 
@@ -274,8 +181,7 @@ def equidist_condition(ns: NumberSystem, form: LinearForm) -> bool:
 # ------------------------------------------------- sum-of-digits constants
 
 
-@dataclass(frozen=True)
-class SumDigitConstants:
+class SumDigitConstants(NamedTuple):
     mu_q: int
     big_m_q: int
     digit_trace_norms: tuple  # per digit: ||phi(mu_q b)||^2 mod 1
@@ -313,8 +219,7 @@ def sumdigit_fourier_constants(ns: NumberSystem, form: LinearForm) -> SumDigitCo
 # -------------------------------------------------------------- Weyl sums
 
 
-@dataclass(frozen=True)
-class WeylRow:
+class WeylRow(NamedTuple):
     lam: int
     h: int
     filter: str
@@ -338,72 +243,80 @@ def _digit_twist(ns: NumberSystem, fn: str, phase):
     if fn == "rs":
         if isinstance(phase, LinearForm):
             raise UsageError("pair counting takes a scalar coefficient, not a form")
-        return np.zeros(ns.degree), float(phase)
+        return (0.0,) * ns.degree, float(phase)
     if fn == "sod":
         if isinstance(phase, LinearForm):
             return phase_weights(phase, ns.poly), 0.0
         _integer_digit_values(ns)
-        return float(phase) * np.eye(ns.degree)[0], 0.0
+        return (float(phase),) + (0.0,) * (ns.degree - 1), 0.0
     raise UsageError("fn must be 'sod' or 'rs'")
 
 
-def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all") -> tuple:
+def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all") -> dict:
     """Exact row counts of the statistic an fn-twist reads over N_lam or its
-    primes: (stats, r, counts) over the occupied values in ascending key
-    order, with stats the digit-sum elements s(n) (r zero) for 'sod' and r
-    the adjacent nonzero-pair counts (stats zero) for 'rs'.
+    primes, {value: count} over the occupied values in ascending order: the
+    digit-sum element s(n), a tuple, for 'sod'; the adjacent nonzero-pair
+    count r(n) for 'rs'.
 
-    The rows come block by block from bulk.row_blocks.  The key
-    of a row is s(n) offset-encoded over its box, coordinate i spanning
-    lam * [min_b b_i, max_b b_i], or r in 0..lam-1, counted in a dense
-    histogram.  When the box of s(n) holds more values than N_lam has rows,
-    the rows are keyed by their sorted distinct values instead (np.unique
-    per block, merged), in the same ascending order.  Either way the bins,
-    at most min(box, Q^lam), are checked against the element cap before the
-    sieve or any block is built.
+    s(n) lies in a box, coordinate i spanning lam * [min_b b_i, max_b b_i],
+    and r(n) in 0..lam-1; the bins, at most min(box, Q^lam), are checked
+    against the element cap before any work.  Over all of N_lam the counts
+    come in closed form (_closed_histogram), and the Q^lam rows they count
+    are still held to the element cap; over the primes they are counted
+    from the streamed pass (bulk.prime_histogram).
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
-    span = max(lam, 0)  # row_blocks rejects lam < 0
-    digits = np.array(ns.digits, dtype=np.int64)
+    span = max(lam, 0)  # the enumeration rejects lam < 0
     if fn == "sod":
-        lo = span * digits.min(axis=0)
-        dims = tuple(int(v) for v in span * (digits.max(axis=0) - digits.min(axis=0)) + 1)
+        lo = tuple(span * min(b[i] for b in ns.digits) for i in range(ns.degree))
+        dims = tuple(span * (max(b[i] for b in ns.digits) - min(b[i] for b in ns.digits)) + 1
+                     for i in range(ns.degree))
     elif fn == "rs":
-        dims = (max(span, 1),)
+        lo, dims = (0,), (max(span, 1),)
     else:
         raise UsageError("fn must be 'sod' or 'rs'")
-    total_rows, box = ns.Q**span, math.prod(dims)
-    sparse = box > total_rows  # only for 'sod': r takes at most lam <= Q^lam values
-    bins = min(box, total_rows)
+    bins = min(math.prod(dims), ns.Q**span)
     if bins > effective_cap(ENUM_CAP):
         raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
                           % (bins, lam, effective_cap(ENUM_CAP)))
-    blocks = bulk.row_blocks(ns, lam)
-    sieve = prime_sieve(ns, lam) if filter == "primes" else None
-    hist, found = np.zeros(0 if sparse else bins, np.int64), []
-    place = None if sparse else np.array([math.prod(dims[i + 1:]) for i in range(len(dims))],
-                                         dtype=np.int64)
-    for block in blocks:
-        stat = block.s_coords if fn == "sod" else block.r
-        if sieve is not None:
-            stat = stat[prime_mask(ns, block.coords, sieve=sieve)]
-        if sparse:
-            found.append(np.unique(stat, axis=0, return_counts=True))
-            continue
-        keys = np.einsum("ij,j->i", stat - lo, place) if fn == "sod" else stat
-        hist += np.bincount(keys, minlength=bins)
-    if sparse:
-        stats, inverse = np.unique(np.concatenate([v for v, _ in found]), axis=0,
-                                   return_inverse=True)
-        counts = np.zeros(len(stats), np.int64)
-        np.add.at(counts, inverse.ravel(), np.concatenate([c for _, c in found]))
-        return stats, np.zeros(len(stats), np.int64), counts
-    occupied = np.flatnonzero(hist)
+    if filter == "primes":
+        from . import bulk
+        return bulk.prime_histogram(ns, fn, lam, lo, dims)
+    if lam < 0:
+        raise UsageError("expansion length must be nonnegative")
+    if ns.Q**lam > effective_cap(ENUM_CAP):
+        raise CapExceeded("table of %d elements exceeds cap %d"
+                          % (ns.Q**lam, effective_cap(ENUM_CAP)))
+    return _closed_histogram(ns, fn, lam)
+
+
+def _closed_histogram(ns: NumberSystem, fn: str, lam: int) -> dict:
+    """The row counts of _digit_histogram over all of N_lam, in O(lam * Q *
+    bins).  A row is a digit string of length lam.  Its digit sum is a sum
+    of lam independent digits, so the counts of s(n) are the lam-fold
+    convolution of the digit multiset (Gelfond's factorization).  Its pair
+    count grows by one exactly when a nonzero digit follows a nonzero one,
+    so the counts of r(n) follow from the counts of the strings ending in a
+    zero and in a nonzero digit, by r (Mauduit-Rivat's transfer product)."""
     if fn == "sod":
-        stats = np.stack(np.unravel_index(occupied, dims), axis=1) + lo
-        return stats, np.zeros(len(occupied), np.int64), hist[occupied]
-    return np.zeros((len(occupied), ns.degree), np.int64), occupied, hist[occupied]
+        counts = {ns.zero: 1}
+        for _ in range(lam):
+            step = {}
+            for s, n in counts.items():
+                for b in ns.digits:
+                    key = tuple(x + y for x, y in zip(s, b))
+                    step[key] = step.get(key, 0) + n
+            counts = step
+        return dict(sorted(counts.items()))
+    nonzero = sum(ns.digit_is_nonzero)
+    zero = ns.Q - nonzero
+    ends_zero, ends_nonzero = [1], [0]  # the empty string, by pair count
+    for _ in range(lam):
+        ends_zero, ends_nonzero = (
+            [zero * (a + b) for a, b in zip(ends_zero + [0], ends_nonzero + [0])],
+            [nonzero * (a + b) for a, b in zip(ends_zero + [0], [0] + ends_nonzero)])
+    return {r: a + b for r, (a, b) in enumerate(zip(ends_zero, ends_nonzero)) if a + b}
 
 
 def weyl_sum(
@@ -417,33 +330,40 @@ def weyl_sum(
     """S = sum of e(h * value) over N_lambda or its primes, one WeylRow per
     phase, in order.
 
-    One streamed pass counts the rows per value of the digit statistic
-    exactly (_digit_histogram); each phase then takes one exponential per
-    occupied value, from the float expression a row would use, and adds
+    The rows are counted per value of the digit statistic exactly
+    (_digit_histogram); each phase then takes one exponential per occupied
+    value, from the float expression a row would use, and adds
     count * e(h * value) exactly, rounding once.  So re_sum and im_sum are
-    the math.fsum of the per-row summands, they do not depend on how
-    bulk.row_blocks blocks the rows or splits its tables, and a row does
-    not depend on the other phases.
+    the math.fsum of the per-row summands, they do not depend on how the
+    prime pass blocks the rows, and a row does not depend on the other
+    phases.
     """
     twists = [_digit_twist(ns, fn, phase) for phase in phases]
-    stats, r, counts = _digit_histogram(ns, fn, lam, filter)
-    s_float, counts = stats.astype(np.float64), counts.tolist()
+    hist = _digit_histogram(ns, fn, lam, filter)
+    counts = list(hist.values())
     count = sum(counts)
+    scale = TWO_PI * h
     rows = []
     for c, pair in twists:
-        z = np.exp((TWO_PI * h) * 1j * (s_float @ c + pair * r))
-        total = complex(_exact_sum(counts, z.real), _exact_sum(counts, z.imag))
+        if fn == "sod":
+            values = [sum(x * w for x, w in zip(s, c)) for s in hist]
+        else:
+            values = [pair * r for r in hist]
+        z = [cmath.exp(complex(0.0, scale * v)) for v in values]
+        total = complex(_exact_sum(counts, [w.real for w in z]),
+                        _exact_sum(counts, [w.imag for w in z]))
         rows.append(WeylRow(lam, h, filter, count, total.real, total.imag,
                             float(abs(total) / count if count else 0.0)))
     return rows
 
 
-def _exact_sum(counts: list, x: np.ndarray) -> float:
+def _exact_sum(counts: list, x) -> float:
     """sum(counts[i] * x[i]) rounded once: each float is num / 2^k, so the
     sum is one integer over the largest 2^k, and int / int rounds correctly."""
-    if not np.isfinite(x).all():  # a phase value past the float range
+    x = [float(v) for v in x]
+    if not all(map(math.isfinite, x)):  # a phase value past the float range
         return math.nan
-    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    ratios = [v.as_integer_ratio() for v in x]
     scale = max((den for _, den in ratios), default=1)
     return sum(n * num * (scale // den) for n, (num, den) in zip(counts, ratios)) / scale
 
@@ -457,16 +377,14 @@ def sod_factorization_reference(ns: NumberSystem, alpha: float, h: int, lam: int
 # ----------------------------------------------------------- Fourier decay
 
 
-@dataclass(frozen=True)
-class FourierDecayRow:
+class FourierDecayRow(NamedTuple):
     lam: int
     samples: int
     max_logq: float
     gamma_emp: float
 
 
-@dataclass(frozen=True)
-class FourierDecayReport:
+class FourierDecayReport(NamedTuple):
     fn: str
     lam_max: int
     t_samples: int
@@ -502,7 +420,11 @@ def fourier_decay(
 
     S is a product of per-position 2x2 transfer matrices (Gelfond; Mauduit-
     Rivat for the pair count): per t, one pass over the positions carries the
-    sums over digit prefixes ending in a zero and in a nonzero digit.
+    sums over digit prefixes ending in a zero and in a nonzero digit.  Every
+    t_k is m_k / 2^53 and the digit twist <c, b> of a float c is a dyadic
+    rational, so the phase of digit b at position j, sum_k t_k Tr(q^(k+j) b)
+    + <c, b> mod 1, is one integer mod 2^E, exact at every lambda and
+    rounded once to a float.
     """
     if lam_max < 1:
         raise UsageError("lam_max must be at least 1")
@@ -512,35 +434,43 @@ def fourier_decay(
     if ns.Q**lam_max > effective_cap(ENUM_CAP):
         raise CapExceeded("lam_max %d spans %d elements, above cap %d"
                           % (lam_max, ns.Q**lam_max, effective_cap(ENUM_CAP)))
-    d = ns.degree
-    rng = np.random.default_rng(seed)
-    t_rows = np.concatenate([np.zeros((1, d)), rng.random((t_samples, d))], axis=0)
-    trace = np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
-    weights = t_rows @ trace  # row-wise coordinate weights <t, v> = <w, coords(v)>
-    w_norm = float(np.abs(weights).sum(axis=1).max())
-    step = bulk.q_power_matrix(ns.poly, 1)
-    shifted = np.array(ns.digits, dtype=np.int64)  # q^j b per digit b
-    twist = shifted @ c
-    nonzero = np.array(ns.digit_is_nonzero)
+    d, m = ns.degree, ns.poly
+    draws = algebra.dyadic_samples(seed, t_samples * d)  # t_k = m_k / 2^53, row by row
+    samples = [(0,) * d] + [tuple(draws[i : i + d]) for i in range(0, len(draws), d)]
+    # <c, b> = twist[b] / 2^bits exactly, with bits >= 53, the bits of each t_k
+    ratios = [w.as_integer_ratio() for w in c]
+    bits = max([algebra.SAMPLE_BITS] + [den.bit_length() - 1 for _, den in ratios])
+    modulus = 1 << bits
+    twist = [sum(num * (modulus // den) * x for (num, den), x in zip(ratios, b))
+             for b in ns.digits]
+    lift = 1 << (bits - algebra.SAMPLE_BITS)  # t_k = m_k * lift / 2^bits
+    power = algebra.power_sums(m, 2 * d - 2)
+    zero_digits = [i for i, nz in enumerate(ns.digit_is_nonzero) if not nz]
+    nonzero_digits = [i for i, nz in enumerate(ns.digit_is_nonzero) if nz]
     pair_factor = cmath.exp(TWO_PI * 1j * pair)
-    ends_zero, ends_nonzero = np.ones(len(t_rows), complex), np.zeros(len(t_rows), complex)
+    columns = list(zip(*samples))  # m_k over the samples, per k
+    ends_zero, ends_nonzero = [1.0 + 0j] * len(samples), [0j] * len(samples)
     log_q = math.log(ns.Q)
+    shifted = list(ns.digits)  # q^j b per digit b, exact
     rows = []
     for lam in range(1, lam_max + 1):
-        size = int(np.abs(shifted).sum(axis=1).max())
-        error = (d + 1) * 2.0**-53 * size * w_norm
-        # the second clause keeps the next q^j b inside int64
-        if error >= PHASE_ERROR_LIMIT or size * int(np.abs(step).max()) >= bulk.INT64_GUARD:
-            raise DomainError("at lambda %d, |q^%d b|_1 reaches %d and a position phase can"
-                              " err by %.3g turns" % (lam, lam - 1, size, error))
-        factors = np.exp(TWO_PI * 1j * (shifted @ weights.T + twist[:, None]))
-        into_zero, into_nonzero = factors[~nonzero].sum(axis=0), factors[nonzero].sum(axis=0)
-        ends_zero, ends_nonzero = ((ends_zero + ends_nonzero) * into_zero,
-                                   (ends_zero + pair_factor * ends_nonzero) * into_nonzero)
-        best = float(np.abs(ends_zero + ends_nonzero).max())
+        factors = []
+        for x, tw in zip(shifted, twist):
+            # Tr(q^k x) = sum_i x_i Tr(q^(k+i)); the phase of x at t, times 2^bits
+            acc = [tw] * len(samples)
+            for k in range(d):
+                tr = sum(x[i] * power[k + i] for i in range(d)) * lift % modulus
+                acc = [a + mk * tr for a, mk in zip(acc, columns[k])]
+            factors.append([cmath.rect(1.0, a % modulus / modulus * TWO_PI) for a in acc])
+        into_zero = [sum(f) for f in zip(*(factors[k] for k in zero_digits))]
+        into_nonzero = [sum(f) for f in zip(*(factors[k] for k in nonzero_digits))]
+        ends_zero, ends_nonzero = (
+            [(a + b) * f for a, b, f in zip(ends_zero, ends_nonzero, into_zero)],
+            [(a + pair_factor * b) * f for a, b, f in zip(ends_zero, ends_nonzero, into_nonzero)])
+        best = max(abs(a + b) for a, b in zip(ends_zero, ends_nonzero))
         max_logq = math.log(max(best, LOG_FLOOR)) / log_q
-        rows.append(FourierDecayRow(lam, len(t_rows), max_logq, lam - max_logq))
-        shifted = shifted @ step.T
+        rows.append(FourierDecayRow(lam, len(samples), max_logq, lam - max_logq))
+        shifted = [algebra.mul_by_q(m, x) for x in shifted]
     mu_q = sum(ns.poly.coeffs)
     big_m_q = sum(cf * cf for cf in ns.poly.coeffs)
     digit_norm_sum = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import MinimalPolynomial
 from .caps import PAIR_CAP, effective_cap
@@ -24,29 +24,25 @@ POWER_MAX_ITER = 10**5
 BRACKET_WIDTH = 4e-16  # relative width at which a Collatz-Wielandt bracket is closed
 
 
-@dataclass(frozen=True)
-class CarrySet:
+class CarrySet(NamedTuple):
     """States of the carry automaton, zero first, in BFS insertion order."""
 
     states: tuple
 
 
-@dataclass(frozen=True)
-class CarryAutomaton:
+class CarryAutomaton(NamedTuple):
     carry_set: CarrySet
     next: tuple  # next[state][digit] = successor state index
 
 
-@dataclass(frozen=True)
-class CarryConstantReport:
+class CarryConstantReport(NamedTuple):
     eta2: float
     spectral_radius: float
     automaton_size: int
     iterations: int
 
 
-@dataclass(frozen=True)
-class CnsSubsetGraph:
+class CnsSubsetGraph(NamedTuple):
     """Digit-counting transducer on subsets of {0..d}, absorbing states removed."""
 
     states: tuple  # frozensets in ascending bitmask order
@@ -56,8 +52,7 @@ class CnsSubsetGraph:
         return perron_radius(self.successors)[0]
 
 
-@dataclass(frozen=True)
-class CnsCollapsedGraph:
+class CnsCollapsedGraph(NamedTuple):
     alphas: tuple
     betas: tuple
     lam: float  # dominant root of the collapsed characteristic polynomial

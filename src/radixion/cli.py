@@ -19,17 +19,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import __version__, algebra, carry, numeration
+from . import __version__, algebra, numeration
 from .algebra import SPACE_TAGS, MinimalPolynomial
 from .caps import FNS_BOX_CAP, effective_cap
 from .errors import CapExceeded, CycleDetected, RadixionError, UsageError
 from .numeration import NumberSystem
 
 if TYPE_CHECKING:
-    from . import tile
+    from . import carry, tile
 
 # ------------------------------------------------------- deterministic text
 
@@ -163,8 +162,7 @@ def _dot_automaton(ns: NumberSystem, aut: carry.CarryAutomaton) -> str:
 # --------------------------------------------------------------- artifacts
 
 
-@dataclass
-class _Artifact:
+class _Artifact(NamedTuple):
     payload: dict | None
     exit_code: int = 0
     note: str | None = None  # human line for nonzero exits
@@ -310,6 +308,7 @@ def _cmd_check_fns(args) -> _Artifact:
 
 
 def _cmd_carry(args) -> _Artifact:
+    from . import carry
     ns = _number_system(args)
     if args.format == "dot":
         aut = carry.build_automaton(ns)
@@ -325,6 +324,7 @@ def _cmd_carry(args) -> _Artifact:
 
 
 def _cmd_census(args) -> _Artifact:
+    from . import carry
     ns = _number_system(args)
     rows = []
     for rho in _parse_int_list(args.rho):
@@ -336,6 +336,7 @@ def _cmd_census(args) -> _Artifact:
 
 
 def _cmd_cns_carry(args) -> _Artifact:
+    from . import carry
     if (args.m is None) == (args.poly is None):
         raise UsageError("cns-carry takes exactly one of --m or --poly")
     if args.m is not None:
@@ -410,7 +411,6 @@ def _cmd_tile(args) -> _Artifact:
 
 
 def _cmd_weyl(args) -> _Artifact:
-    import numpy as np
     from . import analysis
     ns = _number_system(args)
     lams = _parse_int_list(args.lam)
@@ -425,8 +425,8 @@ def _cmd_weyl(args) -> _Artifact:
             raise UsageError("the factorization identity sums over all of N_lambda")
         if args.identity_alphas < 1:
             raise UsageError("--identity-alphas takes a positive count")
-        rng = np.random.default_rng(args.seed)
-        alphas = rng.random(args.identity_alphas).tolist()
+        alphas = [m / 2**algebra.SAMPLE_BITS
+                  for m in algebra.dyadic_samples(args.seed, args.identity_alphas)]
         worst = 0.0
         worst_scaled = 0.0
         for lam in range(1, max(lams) + 1):
@@ -513,9 +513,9 @@ def _cmd_fourier_decay(args) -> _Artifact:
 
 
 def _cmd_primes(args) -> _Artifact:
-    from . import analysis
+    from . import bulk
     ns = _number_system(args)
-    blocks = analysis.prime_rows(ns, args.lam)
+    blocks = bulk.prime_rows(ns, args.lam)
     payload = {"system": ns.encode(), "lambda": args.lam, "count": sum(map(len, blocks))}
     return _Artifact(payload, csv=(None, blocks))
 

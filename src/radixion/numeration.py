@@ -10,8 +10,8 @@ digits read least significant first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import algebra
 from .algebra import FieldElement, MinimalPolynomial, _poly_eval
@@ -30,20 +30,28 @@ def format_digits(digits) -> str:
     return ";".join(algebra.format_element(b) for b in digits)
 
 
-@dataclass(frozen=True)
 class NumberSystem:
     """An expanding base with a digit set; validated on construction."""
 
-    poly: MinimalPolynomial
-    digits: tuple
-
-    def __post_init__(self):
+    def __init__(self, poly: MinimalPolynomial, digits):
         try:
-            digits = tuple(tuple(int(c) for c in b) for b in self.digits)
+            digits = tuple(tuple(int(c) for c in b) for b in digits)
         except (TypeError, ValueError):
             raise UsageError("digits must be integer coordinate vectors") from None
-        object.__setattr__(self, "digits", digits)
+        self.poly = poly
+        self.digits = digits
         validate_system(self)
+
+    def __repr__(self):
+        return "NumberSystem(poly=%r, digits=%r)" % (self.poly, self.digits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poly, self.digits) == (other.poly, other.digits)
+
+    def __hash__(self):
+        return hash((self.poly, self.digits))
 
     @classmethod
     def parse(cls, poly_text: str, digits_text: str) -> "NumberSystem":
@@ -116,18 +124,16 @@ def validate_system(ns: NumberSystem):
         raise DomainError("digit set must contain zero")
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Digit indices of a finite expansion, least significant first."""
 
     digit_indices: tuple
 
-    def __len__(self):
+    def __len__(self):  # the number of digits, not of fields
         return len(self.digit_indices)
 
 
-@dataclass(frozen=True)
-class FnsVerdict:
+class FnsVerdict(NamedTuple):
     is_fns: bool
     witness_cycle: tuple | None
     candidates_examined: int
@@ -274,7 +280,7 @@ def enumerate_N(ns: NumberSystem, lam: int):
     position j, so a fixed top digit is one contiguous block of indices.
     The length and the cap are checked when called."""
     from . import bulk
-    blocks = bulk.row_blocks(ns, lam)
+    blocks = bulk.row_blocks(ns, lam, ())
     return (tuple(row) for block in blocks for row in block.coords.tolist())
 
 

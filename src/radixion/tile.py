@@ -134,7 +134,7 @@ def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
     if widest >= FLOAT_EXACT or float(denom) != denom:
         raise DomainError("at depth %d the cloud numerators reach %d and c0^%d is %d; not exact"
                           " in float64" % (depth, widest, depth, denom))
-    low, _, offsets = bulk.split_tables(ns, depth)
+    low, _, offsets = bulk.split_tables(ns, depth, ())
     scale_t = np.array(power, dtype=np.float64).T
     return np.asfortranarray(low.coords @ scale_t), offsets @ scale_t, denom
 
@@ -430,8 +430,8 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
     lo = np.array([b[0] for b in raster.bbox])
     hi = np.array([b[1] for b in raster.bbox])
     cell = (hi - lo) / res
-    rng = np.random.default_rng(seed)
-    pts = rng.random((samples, d))
+    draws = algebra.dyadic_samples(seed, samples * d)  # a sample is m / 2^53
+    pts = np.array(draws, dtype=np.float64).reshape(samples, d) / 2.0**algebra.SAMPLE_BITS
     claims = np.zeros(samples, dtype=np.int64)
     ranges = [
         range(math.ceil(-hi[k]), math.floor(1.0 - lo[k]) + 1) for k in range(d)

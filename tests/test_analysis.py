@@ -58,28 +58,28 @@ def test_prime_verdict_degree_cap(knuth):
 
 
 def test_prime_enumeration_small(knuth):
-    assert np.concatenate(analysis.prime_rows(knuth, 1)).tolist() == []
-    assert np.concatenate(analysis.prime_rows(knuth, 3)).tolist() == [[0, 1], [-1, -2], [-2, -1]]
+    assert np.concatenate(bulk.prime_rows(knuth, 1)).tolist() == []
+    assert np.concatenate(bulk.prime_rows(knuth, 3)).tolist() == [[0, 1], [-1, -2], [-2, -1]]
 
 
 def test_prime_counts_frozen(knuth):
     for lam, count in ((14, 2717), (18, 31060)):
         coords = whole_table(knuth, lam).coords
-        assert int(analysis.prime_mask(knuth, coords, analysis.prime_sieve(knuth, lam)).sum()) == count
+        assert int(bulk.prime_mask(knuth, coords, bulk.norm_table(knuth, lam)).sum()) == count
 
 
 def test_prime_mask_matches_scalar(knuth, five_a):
     for ns, lam in ((knuth, 8), (five_a, 4)):
         coords = whole_table(ns, lam).coords
-        mask = analysis.prime_mask(ns, coords, analysis.prime_sieve(ns, lam))
+        mask = bulk.prime_mask(ns, coords, bulk.norm_table(ns, lam))
         for row, hit in zip(coords, mask):
             kind = analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
             assert bool(hit) == (kind in analysis.PRIME_KINDS)
 
 
 def test_prime_counts_at_lambda_22_and_24(knuth):
-    assert sum(map(len, analysis.prime_rows(knuth, 22))) == 399222
-    assert sum(map(len, analysis.prime_rows(knuth, 24))) == 1449036
+    assert sum(map(len, bulk.prime_rows(knuth, 22))) == 399222
+    assert sum(map(len, bulk.prime_rows(knuth, 24))) == 1449036
 
 
 def test_prime_rows_match_one_mask(request, monkeypatch):
@@ -89,8 +89,8 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
         while ns.Q ** (lam + 1) <= 3000:
             lam += 1
         coords = whole_table(ns, lam).coords
-        mask = analysis.prime_mask(ns, coords, analysis.prime_sieve(ns, lam))
-        blocks = analysis.prime_rows(ns, lam)
+        mask = bulk.prime_mask(ns, coords, bulk.norm_table(ns, lam))
+        blocks = bulk.prime_rows(ns, lam)
         per_block = np.split(mask, range(100, len(mask), 100))  # blocks of 100 rows
         assert [len(b) for b in blocks] == [int(m.sum()) for m in per_block]
         assert np.array_equal(np.concatenate(blocks), coords[mask])
@@ -106,7 +106,7 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
     for ns in golden + list(random_systems):
         for lam in (0, 1, 2, 5):
             true = max_abs_norm(ns, lam)
-            bound = analysis._norm_bound(ns, lam)
+            bound = bulk._norm_bound(ns, lam)
             assert true <= bound
             if ns.degree == 2 and ns.poly.coeffs[1] ** 2 < 4 * ns.poly.coeffs[0]:
                 assert bound <= 1.01 * true + 1  # complex base: near the true maximum
@@ -116,33 +116,73 @@ def test_sieve_size_at_lambda_22(knuth):
     # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M
     coords = whole_table(knuth, 22).coords
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
-    assert true <= analysis._norm_bound(knuth, 22) <= 1.01 * true
-    assert len(analysis.prime_sieve(knuth, 22)) == analysis._norm_bound(knuth, 22) + 1
+    assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
+    assert len(bulk.norm_table(knuth, 22)) == bulk._norm_bound(knuth, 22) + 1
 
 
 def test_prime_sieve_guards(knuth, monkeypatch):
     def refuse(*args):
         raise AssertionError("a sieve was allocated")
 
-    monkeypatch.setattr(analysis, "_prime_sieve", refuse)
+    monkeypatch.setattr(bulk, "_prime_sieve", refuse)
     # coordinates near 2^31: a^2 - c1 ab + c0 b^2 passes 2^62 and wraps int64
     wide = NumberSystem(knuth.poly, ((0, 0), (2**31 + 1, 0)))
     with pytest.raises(DomainError, match="norms over lambda 2 can reach"):
-        analysis.prime_sieve(wide, 2)
+        bulk.norm_table(wide, 2)
     # the sieve's bytes are charged against the element cap, 64 * 16 here
     monkeypatch.setenv("RADIXION_CAP", "64")
     with pytest.raises(CapExceeded, match="prime sieve of [0-9]+ bytes for lambda 14"):
-        analysis.prime_sieve(knuth, 14)
+        bulk.norm_table(knuth, 14)
+
+
+def small_primes(limit):
+    return [p for p in range(2, limit) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+
+
+def test_norm_table_inert_marks_match_root_scan(request, random_systems):
+    # every prime below 5000, including 2 and the primes dividing the
+    # discriminant, against the O(ell) root scan of is_prime_element
+    primes = small_primes(5000)
+    sieve = bulk._prime_sieve(primes[-1] ** 2)
+    assert np.flatnonzero(sieve).tolist()[: len(primes)] == primes
+    golden = [request.getfixturevalue(n) for n in ("knuth", "five_a", "five_b")]
+    polys = {ns.poly.coeffs for ns in golden + list(random_systems)}
+    ramified = set()
+    for coeffs in sorted(polys):
+        c0, c1 = coeffs[:2]
+        table = sieve.copy()
+        bulk._mark_inert(table, c0, c1)
+        for ell in primes:
+            inert = not analysis._poly_has_root_mod(coeffs, ell)
+            assert (table[ell * ell] == bulk.INERT) == inert, (coeffs, ell)
+            if (c1 * c1 - 4 * c0) % ell == 0:
+                ramified.add(ell)
+        assert np.array_equal(table == bulk.PRIME, sieve == bulk.PRIME)
+    assert 2 in ramified and len(ramified) > 1
+
+
+def test_norm_table_marks_at_lambda(request, random_systems):
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    for ns in golden + list(random_systems):
+        table = bulk.norm_table(ns, largest_lam(ns, 3000))
+        primes = small_primes(len(table))
+        expected = np.zeros(len(table), np.uint8)
+        expected[primes] = bulk.PRIME
+        if ns.degree == 2:
+            for ell in primes:
+                if ell * ell < len(table) and not analysis._poly_has_root_mod(ns.poly.coeffs, ell):
+                    expected[ell * ell] = bulk.INERT
+        assert np.array_equal(table, expected), ns
 
 
 def test_prime_degree_limit(cubic):
     assert analysis.is_prime_element(cubic, (3, 0, 0)).kind == "unsupported_degree"
     with pytest.raises(UsageError):
-        analysis.prime_rows(cubic, 2)
+        bulk.prime_rows(cubic, 2)
     with pytest.raises(UsageError):
-        analysis.prime_sieve(cubic, 2)
+        bulk.norm_table(cubic, 2)
     with pytest.raises(UsageError):
-        analysis.prime_mask(cubic, [[1, 0, 0]], np.ones(2, dtype=bool))
+        bulk.prime_mask(cubic, [[1, 0, 0]], np.ones(2, dtype=np.uint8))
 
 
 # ------------------------------------------------------------ linear forms
@@ -279,7 +319,7 @@ def weyl_table_oracle(ns, fn, phase, h, lam, filter):
     table = whole_table(ns, lam)
     z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, table))
     if filter == "primes":
-        z = z[analysis.prime_mask(ns, table.coords, analysis.prime_sieve(ns, lam))]
+        z = z[bulk.prime_mask(ns, table.coords, bulk.norm_table(ns, lam))]
     return z
 
 
@@ -354,10 +394,31 @@ def test_digit_histogram_matches_scalar_counter(request):
         lam = largest_lam(ns, 1500)
         for fn in ("sod", "rs"):
             for filter in ("all", "primes"):
-                stats, r, counts = analysis._digit_histogram(ns, fn, lam, filter)
-                keys = [tuple(s) for s in stats.tolist()] if fn == "sod" else r.tolist()
-                assert dict(zip(keys, counts.tolist())) == dict(scalar_histogram(ns, fn, lam, filter))
-                assert not (r if fn == "sod" else stats).any()
+                hist = analysis._digit_histogram(ns, fn, lam, filter)
+                assert list(hist) == sorted(hist)  # ascending keys
+                assert hist == dict(scalar_histogram(ns, fn, lam, filter))
+
+
+def enumerated_histogram(ns, fn, lam):
+    """Counter of s(n) ('sod') or r(n) ('rs') over every row of N_lam."""
+    counts = collections.Counter()
+    for block in bulk.row_blocks(ns, lam):
+        counts.update(map(tuple, block.s_coords.tolist()) if fn == "sod" else block.r.tolist())
+    return counts
+
+
+def test_closed_histogram_matches_enumeration(request):
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    systems = golden + list(request.getfixturevalue("random_systems"))
+    systems += [ns for ns, _ in request.getfixturevalue("cns_systems")]
+    systems.append(NumberSystem.parse("2,2,1", "0,0;16777217,0"))  # a sparse box of s(n)
+    for ns in systems:
+        top = largest_lam(ns, 2**16)
+        for lam in sorted({0, 1, 2, top}):
+            for fn in ("sod", "rs"):
+                hist = analysis._closed_histogram(ns, fn, lam)
+                assert list(hist) == sorted(hist), (ns, fn, lam)
+                assert hist == dict(enumerated_histogram(ns, fn, lam)), (ns, fn, lam)
 
 
 def test_digit_histogram_does_not_depend_on_blocks(request, each_row_block):
@@ -373,7 +434,7 @@ def test_digit_histogram_does_not_depend_on_blocks(request, each_row_block):
             first = analysis._digit_histogram(ns, fn, lam, filter)
             for _ in each_row_block():
                 again = analysis._digit_histogram(ns, fn, lam, filter)
-                assert all(np.array_equal(a, b) for a, b in zip(again, first)), (ns, fn, filter)
+                assert list(again.items()) == list(first.items()), (ns, fn, filter)
 
 
 def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch, each_row_block):
@@ -386,14 +447,13 @@ def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch, e
         assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # sparse
         expected = dict(scalar_histogram(ns, "sod", lam, filter))
         for _ in each_row_block():
-            stats, r, counts = analysis._digit_histogram(ns, "sod", lam, filter)
-            keys = [tuple(v) for v in stats.tolist()]
+            hist = analysis._digit_histogram(ns, "sod", lam, filter)
+            keys = list(hist)
             assert keys == sorted(keys)  # ascending, as the dense keys are
-            assert dict(zip(keys, counts.tolist())) == expected
-            assert not r.any()
+            assert hist == expected
     monkeypatch.setenv("RADIXION_CAP", "5")  # 27 values of s(n) over the 5 rows of N_1 fit
-    stats, _, counts = analysis._digit_histogram(five_b, "sod", 1)
-    assert len(stats) == 5 and counts.tolist() == [1] * 5
+    hist = analysis._digit_histogram(five_b, "sod", 1)
+    assert len(hist) == 5 and list(hist.values()) == [1] * 5
 
 
 def mixed_phases(ns, fn):
@@ -423,8 +483,9 @@ def test_bad_phase_fails_before_any_block(knuth, five_b, monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before every phase was checked")
 
-    monkeypatch.setattr(bulk, "row_blocks", refuse)
-    monkeypatch.setattr(analysis, "prime_sieve", refuse)
+    monkeypatch.setattr(analysis, "_closed_histogram", refuse)
+    monkeypatch.setattr(bulk, "split_tables", refuse)
+    monkeypatch.setattr(bulk, "norm_table", refuse)
     form = LinearForm.parse("1/3,0.25")
     cases = (
         (knuth, "rs", [0.5, 0.3, form]),  # pair counts take scalars only
@@ -441,8 +502,9 @@ def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the histogram was sized")
 
-    monkeypatch.setattr(bulk, "row_blocks", refuse)
-    monkeypatch.setattr(analysis, "prime_sieve", refuse)
+    monkeypatch.setattr(analysis, "_closed_histogram", refuse)
+    monkeypatch.setattr(bulk, "split_tables", refuse)
+    monkeypatch.setattr(bulk, "norm_table", refuse)
     form = LinearForm.parse("1/3,0.25")
     cases = (
         (200, 4, 297),  # dense: s(n) spans (32 + 1) * (8 + 1) = 297 values over 625 rows
@@ -489,10 +551,11 @@ def test_fourier_decay_validation(knuth):
 
 
 def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
-    """max_t |S_lam(t)| for lam = 1..lam_max, summed over every row of N_lam."""
+    """max_t |S_lam(t)| for lam = 1..lam_max, summed over every row of N_lam,
+    at t = 0 and the t_samples draws t = m / 2^53 of algebra.dyadic_samples."""
     d = ns.degree
-    rng = np.random.default_rng(seed)
-    t_rows = np.concatenate([np.zeros((1, d)), rng.random((t_samples, d))], axis=0)
+    draws = np.array(algebra.dyadic_samples(seed, t_samples * d), dtype=np.float64)
+    t_rows = np.concatenate([np.zeros((1, d)), draws.reshape(t_samples, d) / 2.0**53], axis=0)
     weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
     best = []
     for lam in range(1, lam_max + 1):
@@ -532,14 +595,9 @@ def test_fourier_decay_matches_table_route_random(random_systems):
         assert_matches_table_route(ns, "sod", form, table_lam_max(ns))
 
 
-def test_fourier_decay_guards(knuth, monkeypatch):
+def test_fourier_decay_guards(knuth):
     with pytest.raises(CapExceeded, match="lam_max 25"):
         analysis.fourier_decay(knuth, "rs", 0.5, 25, 4, seed=0)
-    monkeypatch.setenv("RADIXION_CAP", str(2**120))
-    with pytest.raises(DomainError, match="lambda"):
-        analysis.fourier_decay(knuth, "rs", 0.5, 120, 4, seed=0)
-    with pytest.raises(DomainError, match="lambda"):  # t = 0 only: the int64 clause
-        analysis.fourier_decay(knuth, "rs", 0.5, 120, 0, seed=0)
 
 
 def test_rs_bound_slope_values():

@@ -133,6 +133,34 @@ def test_row_blocks_are_slices_of_the_enumeration(request, each_row_block):
                     assert block.top_nz.tolist() == [w[4] for w in ref]
 
 
+def test_blocks_carry_only_the_asked_columns(request, each_row_block):
+    columns = ("coords", "s_coords", "r", "low_nz", "top_nz")
+    carried = {(): ("coords",), ("sod",): ("coords", "s_coords"),
+               ("rs",): ("coords", "r", "low_nz", "top_nz")}
+    for ns in golden_and_random(request):
+        lam = oracle_depth(ns)
+        for _ in each_row_block(7, bulk.ROW_BLOCK):
+            full = list(bulk.row_blocks(ns, lam))
+            for stats, kept in carried.items():
+                blocks = list(bulk.row_blocks(ns, lam, stats))
+                assert len(blocks) == len(full)
+                for block, ref in zip(blocks, full):
+                    for name in columns:
+                        if name in kept:
+                            assert np.array_equal(getattr(block, name), getattr(ref, name))
+                        else:
+                            assert getattr(block, name) is None
+            # the prime pass: views of buffers reused from block to block
+            table = bulk.norm_table(ns, lam)
+            seen = 0
+            for (block, mask), ref in zip(bulk.prime_blocks(ns, lam, ("sod",)), full):
+                assert np.array_equal(block.coords, ref.coords)
+                assert np.array_equal(block.s_coords, ref.s_coords) and block.r is None
+                assert np.array_equal(mask, bulk.prime_mask(ns, ref.coords, table))
+                seen += 1
+            assert seen == len(full)
+
+
 def test_coordinate_ranges_are_exact(request):
     for ns in golden_and_random(request):
         for lam in (0, 1, oracle_depth(ns)):

@@ -467,20 +467,31 @@ import sys
 from radixion import cli
 from radixion.numeration import NumberSystem
 out = sys.argv[1]
-for argv in %r:
-    assert cli.main([*argv, "--out", out]) == 0, argv
+for group in %r:
+    for argv in group:
+        assert cli.main([*argv, "--out", out]) == 0, argv
+    if group[0][0] == "check-fns":
+        assert "radixion.carry" not in sys.modules, "check-fns or expand imported carry"
 cli.main(["census", "--help"])
 NumberSystem.parse("5,4,1", "0,0;1,0;2,0;3,0;4,0")
-print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "dataclasses")))
 """ % ([
-    ["check-fns", *KNUTH],
-    ["census", *KNUTH, "--mu", "6", "--nu", "4", "--rho", "2,3", "--format", "csv"],
-    ["expand", *KNUTH, "--element", "7,3", "--slice", "1,inf"],
-    ["expand", *FIVE_A, "--box", "2"],
-    ["cns-carry", "--m", "10,100"],
-    ["carry", *KNUTH],
-    ["carry", *KNUTH, "--format", "dot"],
-    ["cns-carry", "--m", "5", "--subset-graph"],
+    [
+        ["check-fns", *KNUTH],
+        ["expand", *KNUTH, "--element", "7,3", "--slice", "1,inf"],
+        ["expand", *FIVE_A, "--box", "2"],
+    ],
+    [
+        ["fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lam-max", "6",
+         "--t-samples", "20"],
+        ["weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "3", "--lambda", "1,2,8"],
+        ["weyl", *FIVE_A, "--fn", "rs", "--alpha", "0.3", "--lambda", "3,6", "--filter", "all"],
+        ["census", *KNUTH, "--mu", "6", "--nu", "4", "--rho", "2,3", "--format", "csv"],
+        ["cns-carry", "--m", "10,100"],
+        ["carry", *KNUTH],
+        ["carry", *KNUTH, "--format", "dot"],
+        ["cns-carry", "--m", "5", "--subset-graph"],
+    ],
 ],)
 
 
@@ -490,6 +501,20 @@ def test_integer_subcommands_start_without_numpy(tmp_path):
     done = subprocess.run([sys.executable, "-c", NUMPY_FREE, str(tmp_path / "out.json")],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_fourier_decay_runs_to_lambda_60(tmp_path, monkeypatch):
+    # exact phases: no float or int64 limit on the positions, only the cap
+    monkeypatch.setenv("RADIXION_CAP", str(10**50))
+    rows = {}
+    for lam_max in ("60", "8"):
+        path = tmp_path / lam_max
+        argv = ["fourier-decay", *FIVE_A, "--fn", "rs", "--alpha", "0.3", "--lam-max", lam_max,
+                "--t-samples", "50", "--out", str(path)]
+        assert cli.main(argv) == 0
+        rows[lam_max] = json.loads(path.read_text())["rows"]
+    assert len(rows["60"]) == 60 and rows["60"][:8] == rows["8"]
+    assert all(row["max_logq"] <= row["lambda"] for row in rows["60"])
 
 
 def test_every_export_resolves():
