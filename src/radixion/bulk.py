@@ -12,7 +12,8 @@ The two tables are built by a meet-in-the-middle merge of shorter tables,
 which also carries the digit statistics a caller asks for (digit sum,
 adjacent nonzero pairs) without re-expanding any element.  The prime
 pass (prime_blocks) streams the same blocks through buffers allocated
-once and classifies each row by one lookup of its norm in norm_table.
+once and classifies each row by one lookup of its norm in norm_table, or,
+when that table would outweigh the rows, by its own primality test.
 strip_columns is backward division on whole int64 coordinate columns.
 """
 
@@ -253,14 +254,10 @@ def _is_inert(c0: int, c1: int, ell: int) -> bool:
     return pow(c1 * c1 - 4 * c0, (ell - 1) // 2, ell) == ell - 1
 
 
-def norm_table(ns: NumberSystem, lam: int) -> np.ndarray:
-    """One uint8 table over 0..max |N(n)| on N_lam that classifies every row:
-    PRIME at a prime norm (a prime element), INERT at ell^2 for each prime ell
-    inert in a quadratic ring (an element of norm ell^2 is then ell times a
-    unit, so prime), 0 elsewhere.  Checked before allocation: that the int64
-    norm a^2 - c1 ab + c0 b^2 cannot wrap over the coordinate ranges of
-    N_lam, and the table's bytes, against the cap at the 8 * d bytes of a
-    table row's coordinates."""
+def _norm_top(ns: NumberSystem, lam: int) -> int:
+    """The top of norm_table, a bound on |N(n)| over N_lam, once the degree
+    is supported and the int64 norm a^2 - c1 ab + c0 b^2 cannot wrap over
+    the coordinate ranges of N_lam."""
     if ns.degree > 2:
         raise UsageError("prime enumeration supports degree <= 2 only")
     lo, hi = coordinate_ranges(ns, lam)
@@ -271,7 +268,17 @@ def norm_table(ns: NumberSystem, lam: int) -> np.ndarray:
     if widest >= INT64_GUARD:
         raise DomainError("norms over lambda %d can reach %d, beyond the int64 budget"
                           % (lam, widest))
-    top = _norm_bound(ns, lam)
+    return _norm_bound(ns, lam)
+
+
+def norm_table(ns: NumberSystem, lam: int) -> np.ndarray:
+    """One uint8 table over 0.._norm_top that classifies every row of N_lam:
+    PRIME at a prime norm (a prime element), INERT at ell^2 for each prime ell
+    inert in a quadratic ring (an element of norm ell^2 is then ell times a
+    unit, so prime), 0 elsewhere.  Checked before allocation: the int64 norm
+    (_norm_top), and the table's bytes, against the cap at the 8 * d bytes of
+    a table row's coordinates."""
+    top = _norm_top(ns, lam)
     if top + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
         raise CapExceeded("prime sieve of %d bytes for lambda %d exceeds the memory of a %d-element"
                           " table" % (top + 1, lam, effective_cap(ENUM_CAP)))
@@ -289,10 +296,11 @@ def _mark_inert(table: np.ndarray, c0: int, c1: int) -> None:
             table[ell * ell] = INERT
 
 
-def prime_mask(ns: NumberSystem, coords, table: np.ndarray, work=None) -> np.ndarray:
+def prime_mask(ns: NumberSystem, coords, table: np.ndarray | None, work=None) -> np.ndarray:
     """Prime verdicts (split or inert) for rows of int64 coordinates: one
     lookup of |N(n)| in `table` (norm_table), which must reach every norm of
-    these rows.  `work` is an optional (int64, int64, uint8, bool) tuple of
+    these rows, or with table None the scalar analysis.is_prime_element of
+    each row.  `work` is an optional (int64, int64, uint8, bool) tuple of
     buffers of len(coords) rows; the mask is the last of them."""
     if ns.degree > 2:
         raise UsageError("prime enumeration supports degree <= 2 only")
@@ -300,6 +308,10 @@ def prime_mask(ns: NumberSystem, coords, table: np.ndarray, work=None) -> np.nda
     n = len(coords)
     norm, tmp, marks, mask = work or (np.empty(n, np.int64), np.empty(n, np.int64),
                                       np.empty(n, np.uint8), np.empty(n, bool))
+    if table is None:
+        from .analysis import PRIME_KINDS, is_prime_element
+        mask[:] = [is_prime_element(ns, row).kind in PRIME_KINDS for row in coords.tolist()]
+        return mask
     a = coords[:, 0]
     if ns.degree == 1:
         np.abs(a, out=norm)
@@ -322,9 +334,12 @@ def prime_blocks(ns: NumberSystem, lam: int, stats=()):
     """(block, mask) per row block of N_lam, in order: the DigitTable of the
     block, carrying `stats`, and its prime rows.  Both are views of buffers
     allocated once for the pass, overwritten by the next block.  The element
-    cap, the coordinate range and the norm table are checked when called."""
+    cap, the coordinate range and the norm bound are checked when called.
+    A norm table that would take more bytes than the 8 * d of each row's
+    coordinates is not built: each row is then classified by its own
+    primality test (prime_mask with table None)."""
     low, high, offsets = split_tables(ns, lam, stats)
-    table = norm_table(ns, lam)
+    table = norm_table(ns, lam) if _norm_top(ns, lam) + 1 <= 8 * ns.degree * ns.Q**lam else None
     return _prime_pass(ns, lam, stats, low, high, offsets, table)
 
 

@@ -15,21 +15,36 @@ and offsets (bulk.split_tables) that is (low_num[l] + off_num[h]) / c_0^k,
 from two numerator tables built once and checked below 2^53: the add is
 exact and the division the one rounding (cloud_chunks); the chart adds its
 terms in a fixed order (_charted), so no point depends on its chunk of
-bulk.ROW_BLOCK points.  tile_rasters bins the points in one pass, over a
+bulk.ROW_BLOCK points.  tile_rasters bins the cloud in one pass, over a
 bounding box per space taken from the digits, through buffers allocated
 once per pass.  A space's grids whose resolutions differ by powers of two
-form a chain: each point is marked, by its flat cell index, only in the
-finest grid of each chain, and the coarser grids are OR-pooled from it
-after the pass, exactly.  The lattice area decides membership in N_k by
-backward division (bulk.strip_columns): n lies in N_k exactly when k
-strips take it to 0, since 0 is the digit of its own residue class.
+form a chain: only the finest grid of each chain is binned, and the
+coarser grids are OR-pooled from it after the pass, exactly.
+
+In coordinate space the pass streams the Q^(k-m) corners of a coarse
+cloud, not the Q^k points (T_k = T_{k-m} + q^{-(k-m)} T_m).  A point's
+cell on an axis is a monotone step function of its integer numerator N,
+so each binned grid has integer cell edges (breakpoints) B[c], found by
+the binning's own float arithmetic.  m is the largest depth at which each
+axis of the fine cloud F spans fewer integers than the narrowest interior
+cell, so each translate of F crosses at most one edge per axis.  A corner
+(the coarse point plus the least numerator of F) is binned, the distance
+to its next edge ranked among F's sorted numerators, and the crossing
+patterns that F realises at those ranks, precomputed once, give the cells
+of its Q^m points: the same bits as binning each point.  A pass with an
+embedding-space grid, or fewer points than the finest grid has cells, has
+m = 0 and bins each point, by its flat cell index.
+
+The lattice area decides membership in N_k by backward division
+(bulk.strip_columns): n lies in N_k exactly when k strips take it to 0,
+since 0 is the digit of its own residue class.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +55,7 @@ from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, embedding_radii
 
 FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
+PATTERN_CAP = 1 << 16  # entries of a fine cloud's pattern tables, over all 2^d deltas
 
 
 @dataclass(frozen=True)
@@ -109,15 +125,15 @@ def _chart(ns: NumberSystem, space_tag: str):
     return None if space_tag == "coordinate" else _embedding_matrix(ns).T
 
 
-def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
-    """(low_num, off_num, c_0^depth), the point of row h * |low| + l of
-    N_depth (bulk.split_tables) being (low_num[l] + off_num[h]) / c_0^depth.
-    The cap and the float exactness are checked before any table is built.
+def _cloud_power(ns: NumberSystem, depth: int) -> tuple:
+    """(power, c_0^depth): power the integer rows of U^depth, the point of n
+    in N_depth being (n @ power^T) / c_0^depth.  The cap (in points) and the
+    float exactness are checked here, before any table is built.
 
     The point of b_1 ... b_k is sum_j q^{-j} b_j = q^{-k} n, n the row of
     N_k with top digit b_1; with u = c_0 / q that is (n @ (U^k)^T) / c_0^k.
-    Low rows and offsets lie in N_k too (0 is a digit), so every numerator,
-    and the sum of two, is within `widest`: below 2^53 all are exact.
+    Every numerator of N_k, and every partial sum of one, is within
+    `widest`: below 2^53 all are exact.
     """
     if depth < 0:
         raise UsageError("depth must be nonnegative")
@@ -134,22 +150,30 @@ def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
     if widest >= FLOAT_EXACT or float(denom) != denom:
         raise DomainError("at depth %d the cloud numerators reach %d and c0^%d is %d; not exact"
                           " in float64" % (depth, widest, depth, denom))
+    return power, denom
+
+
+def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
+    """(low_num, off_num, c_0^depth), the point of row h * |low| + l of
+    N_depth (bulk.split_tables) being (low_num[l] + off_num[h]) / c_0^depth.
+    Low rows and offsets lie in N_depth too (0 is a digit), so every
+    numerator, and the sum of two, is exact (_cloud_power)."""
+    power, denom = _cloud_power(ns, depth)
     low, _, offsets = bulk.split_tables(ns, depth, ())
     scale_t = np.array(power, dtype=np.float64).T
     return np.asfortranarray(low.coords @ scale_t), offsets @ scale_t, denom
 
 
-def _chunks(ns: NumberSystem, depth: int, numerators: tuple):
-    """The cloud in order, in chunks of bulk.ROW_BLOCK points (the last may
-    be shorter), each written over the last in one buffer."""
-    low_num, off_num, denom = numerators
-    buf = np.empty((bulk.ROW_BLOCK, ns.degree), order="F")
-    for start, stop in bulk.block_ranges(ns.Q**depth, len(buf)):
+def _sums(low_num: np.ndarray, off_num: np.ndarray):
+    """low_num[l] + off_num[h] over the rows h * len(low_num) + l in order
+    (bulk.row_segments), in chunks of bulk.ROW_BLOCK rows (the last may be
+    shorter), each written over the last in one buffer."""
+    buf = np.empty((bulk.ROW_BLOCK, low_num.shape[1]), order="F")
+    for start, stop in bulk.block_ranges(len(low_num) * len(off_num), len(buf)):
         out = buf[: stop - start]
         for h, src, dst in bulk.row_segments(len(low_num), start, stop):
-            for k in range(ns.degree):  # column by column: a short row broadcasts slowly
+            for k in range(out.shape[1]):  # column by column: a short row broadcasts slowly
                 np.add(low_num[src, k], off_num[h, k], out=out[dst, k])
-        out /= denom
         yield out
 
 
@@ -166,9 +190,11 @@ def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
     """All Q^depth truncated tile points in first-digit-major order, streamed
     as independent arrays; the cap and the float exactness are checked first.
     A chunk is one exact add per column of the two numerator tables, one
-    correctly rounded division by c_0^k and the chart (_chunks, _charted)."""
+    correctly rounded division by c_0^k and the chart (_sums, _charted)."""
     chart = _chart(ns, space_tag)
-    for chunk in _chunks(ns, depth, _cloud_numerators(ns, depth)):
+    low_num, off_num, denom = _cloud_numerators(ns, depth)
+    for chunk in _sums(low_num, off_num):
+        chunk /= denom
         yield chunk.copy() if chart is None else _charted(chunk, chart, np.empty_like(chunk))
 
 
@@ -184,7 +210,7 @@ def _cloud_window(ns: NumberSystem, depth: int, chart) -> tuple:
     is sum_j M^{-j} b_j with each b_j free, so an axis spans the sum over j
     of [min_b, max_b] of that axis of (the charted) M^{-j} b.  Exact for
     dyadic coordinates (c_0 = +-2), else within a few ulps of the cloud's
-    min and max; _bin clips a point beyond it into the edge cell.
+    min and max; _cells clips a point beyond it into the edge cell.
     """
     minv_t = _inverse_base_matrix(ns).T
     terms = np.array(ns.digits, dtype=np.float64)
@@ -196,32 +222,166 @@ def _cloud_window(ns: NumberSystem, depth: int, chart) -> tuple:
     return _window(lo, hi)
 
 
-def _bin_buffers(rows: int, d: int) -> tuple:
-    """_bin's buffers for up to `rows` points: v, scaled, cells."""
-    return (np.empty((rows, d), order="F"), np.empty((rows, d), order="F"),
-            np.empty((rows, d), np.intp, order="F"))
-
-
-def _bin(points: np.ndarray, bbox: tuple, grids, buffers: tuple) -> None:
-    """Mark the cell clip(floor(v * res), 0, res - 1) of every point in each
-    grid, v = (y - lo) / (hi - lo), by its flat (C-order) index in intp.
-    Clipping before the truncation picks the same cell and is cheaper; so
-    is Fortran order for v.  The temporaries live in reused _bin_buffers
-    arrays: fresh chunk-sized ones are page-faulted in anew each time."""
-    v, scaled, cells = (buf[: len(points)] for buf in buffers)
-    for k, (lo, hi) in enumerate(bbox):  # column by column, as in _chunks
-        np.subtract(points[:, k], lo, out=v[:, k])
+def _to_window(ys: np.ndarray, bbox: tuple, v: np.ndarray) -> np.ndarray:
+    """v = (y - lo) / (hi - lo) per axis of bbox, column by column (as in _sums)."""
+    for k, (lo, hi) in enumerate(bbox):
+        np.subtract(ys[:, k], lo, out=v[:, k])
         v[:, k] /= hi - lo
-    for occupancy in grids:
+    return v
+
+
+def _cells(v: np.ndarray, res: int, scaled: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The cell clip(floor(v * res), 0, res - 1) of every entry, in intp.
+    Clipping before the truncation picks the same cell and is cheaper."""
+    np.multiply(v, res, out=scaled)
+    np.clip(scaled, 0, res - 1, out=scaled)
+    np.copyto(cells, scaled, casting="unsafe")  # truncation toward zero
+    return cells
+
+
+@dataclass(frozen=True)
+class _Fine:
+    """The fine cloud F of a pass: the depth-k points are the translates of
+    F, the depth-m cloud shrunk by q^{-(k-m)}, by the Q^{k-m} coarse points
+    (T_k = T_{k-m} + q^{-(k-m)} T_m).  On each coordinate axis a point is
+    N / |c_0^k|, N its numerator with the sign of c_0^k taken in (exact).
+    A corner is a coarse numerator plus `lo`, the least numerator of F per
+    axis.  Over one interior cell each axis of F spans fewer integers than
+    the cell holds, so a translate crosses at most one cell edge per axis:
+    the points of the translate of corner N lie in cell(N) + delta for the
+    deltas of patterns[key], key the ranks of the distances to the next
+    cell edges among `values` (len(values[a]) + 1 ranks on axis a, in C
+    order).  _Fine() is the pass without a fine cloud (m = 0): each corner
+    is a point."""
+
+    depth: int = 0  # m
+    lo: tuple = ()  # per axis: least numerator of F
+    values: tuple = ()  # per axis: sorted distinct numerators of F less lo, float64
+    patterns: tuple = ()  # (delta, table): table[key] when a point of F crosses on the axes of delta
+    edges: dict = field(default_factory=dict)  # res -> per axis: B[c + 1] at cell c, inf at the last
+
+
+def _edges(denom: int, window: tuple, res: int) -> np.ndarray:
+    """B[c] for c = 1 .. res - 1: the least integer numerator N whose point
+    N / denom lands in cell c or above of the axis window (lo, hi) at res
+    cells, by the arithmetic of _mark itself.  Each step of it is monotone,
+    so the cell is a step function of N: a guess from the window is
+    corrected by a bracket and a bisection on that step function."""
+    lo, hi = window
+    c = np.arange(1, res)
+
+    def cell(n):  # _mark's chain on one axis
+        v = _to_window((n / denom)[:, None], (window,), np.empty((len(n), 1)))
+        return _cells(v, res, np.empty_like(v), np.empty(v.shape, np.intp))[:, 0]
+
+    up = np.ceil(denom * (lo + c * ((hi - lo) / res)))  # within a few units of B
+    low = up - 1
+    step = 1.0
+    while (short := cell(up) < c).any():  # widen to low < B <= up
+        up[short] += step
+        step *= 2
+    step = 1.0
+    while (far := cell(low) >= c).any():
+        low[far] -= step
+        step *= 2
+    while (wide := up - low > 1).any():
+        mid = low + np.floor((up - low) / 2)
+        above = cell(mid) >= c
+        up[wide & above] = mid[wide & above]
+        low[wide & ~above] = mid[wide & ~above]
+    return up
+
+
+def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, resolutions) -> _Fine:
+    """The fine cloud of a coordinate-space pass binning the grids of
+    `resolutions` over bbox: the largest depth m at which each axis of F
+    spans fewer integers than every interior cell of every grid, and whose
+    pattern tables stay within PATTERN_CAP.  m = 0 (no fine cloud) when
+    the cloud has fewer points than the finest grid has cells, or when an
+    edge near the window may not be an exact float64 integer."""
+    d, denom = ns.degree, abs(ns.poly.coeffs[0] ** depth)
+    if (ns.Q**depth < max(resolutions) ** d
+            or any(denom * (max(-lo, hi) + 1) >= FLOAT_EXACT / 2 for lo, hi in bbox)):
+        return _Fine()
+    edges = {res: [_edges(denom, window, res) for window in bbox] for res in resolutions}
+    gaps = [min(float(np.diff(edges[res][a]).min()) if res > 2 else math.inf for res in resolutions)
+            for a in range(d)]
+    m, spans, layer = 0, [0] * d, ns.digits  # layer: q^m times the digits
+    while m < depth and 2**d * (ns.Q ** (m + 1) + 1) ** d <= PATTERN_CAP:
+        terms = [[sum(u * x for u, x in zip(row, b)) for b in layer] for row in power]
+        spans = [w + max(t) - min(t) for w, t in zip(spans, terms)]
+        if any(w >= g for w, g in zip(spans, gaps)):
+            break
+        m += 1
+        layer = [algebra.mul_by_q(ns.poly, b) for b in layer]
+    if m == 0:
+        return _Fine()
+    sign = 1 if ns.poly.coeffs[0] ** depth > 0 else -1
+    rows = np.concatenate([block.coords for block in bulk.row_blocks(ns, m, ())])
+    cloud = rows @ (sign * np.array(power, dtype=np.float64)).T  # exact, as in _cloud_numerators
+    lo = cloud.min(axis=0)
+    cloud -= lo  # exact: F spans less than a cell
+    values = tuple(np.array(sorted(set(col.tolist()))) for col in cloud.T)  # np.unique loads numpy.ma
+    index = np.stack([np.searchsorted(v, col) for v, col in zip(values, cloud.T)], axis=1)
+    shape = tuple(len(v) + 1 for v in values)
+    patterns = []
+    for delta in itertools.product((0, 1), repeat=d):
+        # f crosses on the axes of delta alone when rank_a <= index_a(f) on
+        # them and rank_a > index_a(f) on the others: an orthant of keys
+        # from the corner marked here, filled by a running OR on each axis
+        table = np.zeros(shape, dtype=bool)
+        table[tuple((index + 1 - np.array(delta)).T)] = True
+        for a, up in enumerate(delta):
+            table = (np.flip(np.logical_or.accumulate(np.flip(table, a), axis=a), a) if up
+                     else np.logical_or.accumulate(table, axis=a))
+        if table.any():
+            patterns.append((delta, table.ravel()))
+    nexts = {res: [np.append(e, math.inf) for e in axes] for res, axes in edges.items()}
+    return _Fine(m, tuple(lo.tolist()), values, tuple(patterns), nexts)
+
+
+def _bin_buffers(rows: int, d: int) -> tuple:
+    """_mark's buffers for up to `rows` corners: v, scaled, index (d intp
+    columns, at least 2) and select."""
+    return (np.empty((rows, d), order="F"), np.empty((rows, d), order="F"),
+            np.empty((rows, max(d, 2)), np.intp, order="F"), np.empty(rows, bool))
+
+
+def _mark(corners: np.ndarray, denom: int, chart, bbox: tuple, grids, fine: _Fine,
+          buffers: tuple) -> None:
+    """Mark in each grid the cells of the points that the corner numerators
+    stand for.  With fine.depth 0 each corner is one point, N / denom
+    through the chart, marked at its cell (_cells) over bbox by its flat
+    (C-order) index.  Else the translate of the fine cloud at each corner is
+    marked at the corner's cell plus each crossing pattern of its key
+    (_Fine).  The temporaries live in reused _bin_buffers arrays: fresh
+    chunk-sized ones are page-faulted in anew each time."""
+    v, scaled, index, select = (buf[: len(corners)] for buf in buffers)
+    d = corners.shape[1]
+    cells, flat, key = index[:, :d], index[:, 0], index[:, 1]  # views
+    points = np.divide(corners, denom, out=v)
+    _to_window(points if chart is None else _charted(points, chart, scaled), bbox, v)
+    for i, occupancy in enumerate(grids):
         res = occupancy.shape[0]
-        np.multiply(v, res, out=scaled)
-        np.clip(scaled, 0, res - 1, out=scaled)
-        np.copyto(cells, scaled, casting="unsafe")  # truncation toward zero
-        flat = cells[:, 0]  # a view: the axis-0 column becomes the flat index
-        for axis in range(1, cells.shape[1]):
+        work = scaled if i + 1 < len(grids) else v  # the last grid scales v in place
+        _cells(v, res, work, cells)
+        for axis, nexts in enumerate(fine.edges.get(res, ())):
+            gap = np.take(nexts, cells[:, axis], out=work[:, axis])
+            gap -= corners[:, axis]  # integers from the corner to the next cell edge
+        for axis in range(1, d):  # the cells become the flat index in column 0
             flat *= res
             flat += cells[:, axis]
-        occupancy.reshape(-1)[flat] = True
+        if not fine.depth:
+            occupancy.reshape(-1)[flat] = True
+            continue
+        key[:] = np.searchsorted(fine.values[0], work[:, 0])  # column 1 is free now
+        for axis in range(1, d):
+            key *= len(fine.values[axis]) + 1
+            key += np.searchsorted(fine.values[axis], work[:, axis])
+        for delta, table in fine.patterns:
+            marked = flat[np.take(table, key, out=select)]
+            marked += sum(s * res**a for a, s in enumerate(delta[::-1]))
+            occupancy.reshape(-1)[marked] = True
 
 
 def _pool(fine: np.ndarray, res: int) -> np.ndarray:
@@ -248,8 +408,8 @@ def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
     buffers allocated once, after the cap and exactness checks.  A space's
     grids share its bbox, so a grid whose resolution is a power-of-two
     fraction of another's is pooled from the finer one after the pass
-    (_pool, exact); only the rest are binned, each point once per binned
-    grid."""
+    (_pool, exact); only the rest are binned, from the corners of the
+    coarse cloud in coordinate space (_binned)."""
     requests = list(dict.fromkeys(requests))
     charts = {space: _chart(ns, space) for space, _ in requests}
     if any(res < 1 for _, res in requests):
@@ -265,17 +425,29 @@ def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
 
 def _binned(ns: NumberSystem, depth: int, charts: dict, keys) -> tuple:
     """(bboxes, grids): tile_rasters' streamed pass into one grid per (space,
-    resolution) key.  Its buffers are freed on return, before any grid is
-    pooled, so no long-lived pooled grid is allocated above them on the heap."""
-    numerators = _cloud_numerators(ns, depth)
+    resolution) key.  A pass in coordinate space alone streams the corners
+    of its fine cloud (_fine_cloud), any other pass every point.  Its
+    buffers are freed on return, before any grid is pooled, so no long-lived
+    pooled grid is allocated above them on the heap."""
+    power, denom = _cloud_power(ns, depth)
     bboxes = {space: _cloud_window(ns, depth, chart) for space, chart in charts.items()}
     grids = {key: np.zeros((key[1],) * ns.degree, dtype=bool) for key in keys}
+    fine = (_fine_cloud(ns, depth, power, bboxes["coordinate"], [res for _, res in grids])
+            if list(charts) == ["coordinate"] else _Fine())
+    low_num, off_num, _ = _cloud_numerators(ns, depth - fine.depth)
+    # the coarse numerators over c_0^k are c_0^m times those over c_0^(k-m),
+    # signed to leave the denominator |c_0^k|: N / c_0^k is (-N) / |c_0^k| exactly
+    scale = ns.poly.coeffs[0] ** fine.depth * (1 if denom > 0 else -1)
+    if scale != 1:
+        low_num *= scale
+        off_num *= scale
+    if fine.depth:
+        low_num += fine.lo  # a numerator of a depth-k point on each axis: exact
     buffers = _bin_buffers(bulk.ROW_BLOCK, ns.degree)
-    charted = np.empty((bulk.ROW_BLOCK, ns.degree), order="F")
-    for points in _chunks(ns, depth, numerators):
+    for corners in _sums(low_num, off_num):
         for space, chart in charts.items():
-            ys = points if chart is None else _charted(points, chart, charted[: len(points)])
-            _bin(ys, bboxes[space], [grid for key, grid in grids.items() if key[0] == space], buffers)
+            _mark(corners, abs(denom), chart, bboxes[space],
+                  [grid for key, grid in grids.items() if key[0] == space], fine, buffers)
     return bboxes, grids
 
 

@@ -135,6 +135,27 @@ def test_prime_sieve_guards(knuth, monkeypatch):
         bulk.norm_table(knuth, 14)
 
 
+def test_wide_digits_classify_rows_without_a_table(knuth, negabinary, five_a, monkeypatch):
+    # digit 104 = 4 mod 5 widens the norms: a table over them would take
+    # 8.7 MB for the 50 KB of coordinates of N_5, so each row is tested alone
+    wide = NumberSystem(five_a.poly, ((0, 0), (1, 0), (2, 0), (3, 0), (104, 0)))
+    coords = whole_table(wide, 5).coords
+    expected = coords[bulk.prime_mask(wide, coords, bulk.norm_table(wide, 5))]
+
+    def refuse(*args):
+        raise AssertionError("a sieve was allocated")
+
+    monkeypatch.setattr(bulk, "_prime_sieve", refuse)
+    got = np.concatenate(bulk.prime_rows(wide, 5))
+    assert got.tolist() == expected.tolist() and len(got) == 440
+    monkeypatch.undo()
+    # criterion 7's systems keep the table: no row is tested alone
+    monkeypatch.setattr(analysis, "is_prime_element", refuse)
+    assert len(np.concatenate(bulk.prime_rows(knuth, 12))) == 798
+    for ns in (knuth, negabinary):
+        bulk.prime_rows(ns, 14)
+
+
 def small_primes(limit):
     return [p for p in range(2, limit) if all(p % f for f in range(2, math.isqrt(p) + 1))]
 

@@ -140,13 +140,18 @@ def test_box_cap_exits_three_before_expanding(capsysbinary, monkeypatch):
     assert b"box of 16008001 elements exceeds cap" in err
 
 
-def test_prime_sieve_cap_exits_three(capsysbinary):
-    # digits near 1000: norms on N_14 reach about 2e10, a sieve past the
-    # 2^24 * 16 bytes the default cap allows
-    code, _, err = run(capsysbinary, "primes", "--poly", "2,2,1", "--digits", "0,0;1001,0",
-                       "--lambda", "14")
-    assert code == 3
-    assert b"prime sieve of" in err and b"bytes for lambda 14" in err
+def test_wide_digit_primes_classify_each_row(capsysbinary):
+    # norms reach about 2.8e14 over the 2 rows of N_1 and 2e10 over the 16384
+    # rows of N_14, tables far past the rows' own bytes: no table is built,
+    # and each row is classified alone.  Every element is a multiple of the
+    # composite digit (16777217 = 97 * 257 * 673, 1001 = 7 * 11 * 13).
+    for digits, lam in (("0,0;16777217,0", "1"), ("0,0;1001,0", "14")):
+        code, payload, _ = run_json(capsysbinary, "primes", "--poly", "2,2,1", "--digits", digits,
+                                    "--lambda", lam)
+        assert (code, payload["count"]) == (0, 0)
+    code, payload, _ = run_json(capsysbinary, "weyl", "--poly", "2,2,1", "--digits", "0,0;16777217,0",
+                                "--fn", "sod", "--alpha", "0.5", "--lambda", "1", "--filter", "primes")
+    assert (code, payload["rows"][0]["count"]) == (0, 0)
 
 
 def test_tile_cap_exits_three_before_streaming(capsysbinary, monkeypatch):

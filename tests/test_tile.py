@@ -468,24 +468,32 @@ def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block, case)
                     assert abs(n_got - n_ref) <= 1e-3 * n_ref
 
 
+def recorded_marks(monkeypatch):
+    """A list that gets (corners, m, binned resolutions) for every tile._mark call."""
+    real_mark = tile._mark
+    marks = []
+
+    def recording_mark(corners, denom, chart, bbox, grids, fine, buffers):
+        marks.append((len(corners), fine.depth, sorted(grid.shape[0] for grid in grids)))
+        real_mark(corners, denom, chart, bbox, grids, fine, buffers)
+
+    monkeypatch.setattr(tile, "_mark", recording_mark)
+    return marks
+
+
 def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch, each_row_block):
-    real_bin = tile._bin
-    marked = []
-
-    def recording_bin(points, bbox, grids, buffers):
-        marked.append(sorted(grid.shape[0] for grid in grids))
-        real_bin(points, bbox, grids, buffers)
-
-    monkeypatch.setattr(tile, "_bin", recording_bin)
-    for _ in each_row_block(7, 1000, bulk.ROW_BLOCK):
-        chunks = len(list(tile.cloud_chunks(knuth, 12)))
-        marked.clear()
-        # the criterion-5 request: the raster at 1024 and the box-counting grids
-        tile.tile_rasters(knuth, 12, [("coordinate", 1024)] + [("coordinate", r) for r in (256, 512, 1024)])
-        assert marked == [[1024]] * chunks
-        marked.clear()
-        tile.tile_rasters(knuth, 12, [("coordinate", r) for r in (100, 300)])
-        assert marked == [[100, 300]] * chunks
+    marks = recorded_marks(monkeypatch)
+    # (raster, box-counting grids, binned grids, m): the criterion-5 request,
+    # the same request at 64 (4 points a corner), and two grids binned alike
+    cases = [(1024, (256, 512, 1024), [1024], 0), (64, (16, 32, 64), [64], 2),
+             (100, (300,), [100, 300], 0)]
+    for size in each_row_block(7, 1000, bulk.ROW_BLOCK):
+        for raster, boxdim, binned, m in cases:
+            marks.clear()
+            tile.tile_rasters(knuth, 12, [("coordinate", raster)] + [("coordinate", r) for r in boxdim])
+            corners = knuth.Q ** (12 - m)  # one call per chunk of corners
+            assert [n for n, _, _ in marks] == [min(size, corners - a) for a in range(0, corners, size)]
+            assert all(entry[1:] == (m, binned) for entry in marks)
 
 
 def test_streamed_raster_of_depth_zero(knuth, negabinary):
@@ -538,3 +546,83 @@ def test_cloud_route_matches_reference_across_splits(request, each_row_block, ro
                     cells = np.zeros_like(got.occupancy)
                     cells[tuple(cells_of(ref[space], *np.array(bbox).T, r).T)] = True
                     assert np.array_equal(got.occupancy, cells)
+
+
+# ------------------------------------------------------------ corner rasters
+
+
+def assert_corner_raster(ns, depth, resolution, marks):
+    """The coordinate raster binned from the corners of a coarse cloud is
+    the per-point oracle's, and a fine cloud (m > 0) was used; returns m."""
+    marks.clear()
+    got = raster_of(ns, depth, resolution)
+    depths = {m for _, m, _ in marks}
+    assert len(depths) == 1 and min(depths) > 0
+    assert np.array_equal(got.occupancy, occupancy_of(whole_cloud(ns, depth), got.bbox, resolution))
+    return min(depths)
+
+
+@pytest.fixture(scope="session")
+def odd_negative():
+    """Bases with c0 < 0, so c0^k < 0 at odd depth: x^2 - 3 and x^2 - 4x - 6."""
+    return (NumberSystem.parse("-3,0,1", "0,0;1,0;2,0"),
+            NumberSystem.parse("-6,-4,1", ";".join("%d,0" % r for r in range(6))))
+
+
+@pytest.mark.parametrize("name,depth,resolutions", [
+    ("knuth", 16, (64, 100, 128)), ("negabinary", 14, (100, 257, 1024)),
+    ("five_a", 7, (32, 100, 257)), ("five_b", 7, (32, 64, 128)), ("cubic", 14, (8, 16)),
+])
+def test_corner_rasters_match_points(request, monkeypatch, name, depth, resolutions):
+    marks = recorded_marks(monkeypatch)
+    ns = request.getfixturevalue(name)
+    for r in resolutions:
+        assert_corner_raster(ns, depth, r, marks)
+
+
+def test_corner_rasters_with_negative_denominator(odd_negative, monkeypatch):
+    marks = recorded_marks(monkeypatch)
+    minus_three, minus_six = odd_negative
+    for ns, depth, resolutions in ((minus_three, 11, (32, 100, 257)), (minus_six, 7, (2, 8))):
+        assert ns.poly.coeffs[0] ** depth < 0
+        for r in resolutions:
+            assert_corner_raster(ns, depth, r, marks)
+
+
+def test_corner_rasters_on_random_systems(random_systems, cns_systems, monkeypatch):
+    # at 2^14 points or more on 4^d cells: quadratics, cubics and quartics
+    marks = recorded_marks(monkeypatch)
+    systems = list(random_systems) + [ns for ns, _ in cns_systems]
+    assert {ns.degree for ns in systems} == {2, 3, 4}
+    for ns in systems:
+        assert_corner_raster(ns, stream_depth(ns, 1 << 14), 4, marks)
+
+
+def test_one_crossing_rule_sets_the_fine_depth(knuth, monkeypatch):
+    marks = recorded_marks(monkeypatch)
+    depths = {r: assert_corner_raster(knuth, 16, r, marks) for r in (64, 100)}
+    assert depths == {64: 4, 100: 3}
+    marks.clear()
+    both = tile.tile_rasters(knuth, 16, [("coordinate", 64), ("coordinate", 100)])
+    assert {m for _, m, _ in marks} == {3}  # the finer cells set m for the pass
+    power, _ = tile._cloud_power(knuth, 16)
+    for r, m in depths.items():
+        assert np.array_equal(both["coordinate", r].occupancy, raster_of(knuth, 16, r).occupancy)
+        fine = tile._fine_cloud(knuth, 16, power, both["coordinate", r].bbox, [r])
+        assert fine.depth == m < 16 and 4 * (2 ** (m + 1) + 1) ** 2 <= tile.PATTERN_CAP
+        # F spans fewer integers than the narrowest interior cell on each axis
+        for values, nexts in zip(fine.values, fine.edges[r]):
+            assert values[-1] < np.diff(nexts[:-1]).min()
+
+
+def test_corner_raster_window_overshoot(request, monkeypatch, each_row_block):
+    marks = recorded_marks(monkeypatch)
+    overshoots = 0
+    for ns in golden_and_random(request, ["five_a", "five_b"]):
+        depth = stream_depth(ns, 5000)
+        pts = whole_cloud(ns, depth)
+        lo, hi = np.array(tile._cloud_window(ns, depth, None)).T
+        for _ in each_row_block(7, 1000, bulk.ROW_BLOCK):
+            assert_corner_raster(ns, depth, 4, marks)
+        overshoots += int((pts < lo).sum() + (pts > hi).sum())
+    assert overshoots > 0  # points beyond the window, binned from corners into the edge cells
