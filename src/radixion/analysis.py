@@ -31,10 +31,11 @@ from .errors import CapExceeded, UsageError
 from .numeration import NumberSystem
 
 TWO_PI = 2.0 * math.pi
-PRIME_DIVISOR_CAP = 1 << 32
 LOG_FLOOR = 1e-300
 
 PRIME_KINDS = ("prime_split", "prime_inert")
+SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+SPRP_LIMIT = 318665857834031151167461  # the least strong pseudoprime to all of SPRP_BASES
 
 
 # ---------------------------------------------------------------- primes
@@ -45,65 +46,71 @@ class PrimeVerdict(NamedTuple):
     norm: int
 
 
-def _is_prime_u64(n: int) -> bool:
-    """Deterministic trial division; divisors are capped at 2^32."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    limit = math.isqrt(n)
-    if limit > PRIME_DIVISOR_CAP:
-        raise CapExceeded("primality test for %d needs divisors beyond 2^32" % n)
-    f = 3
-    while f <= limit:
-        if n % f == 0:
+def _is_prime(n: int) -> bool:
+    """Primality of n: trial division by the primes 2..37, then strong
+    probable-prime tests to those twelve bases, which no composite below
+    SPRP_LIMIT passes (Sorenson & Webster, Math. Comp. 86, 2017)."""
+    for p in SPRP_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:  # no factor up to 37, so none up to its square root
+        return n > 1
+    if n >= SPRP_LIMIT:
+        raise CapExceeded("primality of the norm %d is undecided by the twelve-base test, "
+                          "exact below %d" % (n, SPRP_LIMIT))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for a in SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-def _poly_has_root_mod(coeffs, ell: int) -> bool:
-    for r in range(ell):
-        acc = 0
-        for cf in reversed(coeffs):
-            acc = (acc * r + cf) % ell
-        if acc == 0:
-            return True
-    return False
+def _is_inert(c0: int, c1: int, ell: int) -> bool:
+    """Whether x^2 + c1 x + c0 has no root mod the prime ell: for odd ell, by
+    Euler's criterion on the discriminant (a root exists exactly when it is
+    a square mod ell, zero included); for ell = 2, when c0 and c1 are odd."""
+    if ell == 2:
+        return c0 % 2 == 1 and c1 % 2 == 1
+    return pow(c1 * c1 - 4 * c0, (ell - 1) // 2, ell) == ell - 1
 
 
-def is_prime_element(ns: NumberSystem, n) -> PrimeVerdict:
-    """Classify n as zero, unit, prime, or composite via its norm.
+def norm_verdict(m: MinimalPolynomial, nm: int) -> PrimeVerdict:
+    """The verdict of is_prime_element for every element of norm nm.
 
-    A prime rational norm always means a prime element; in quadratic
-    rings, norm ell^2 with n an associate of the inert rational prime
-    ell (both coordinates divisible, no root of the base polynomial
-    mod ell) is the remaining prime case.
+    A prime rational norm always means a prime element.  In a quadratic
+    ring the other prime case is norm ell^2 with ell inert (the base
+    polynomial has no root mod ell): then ell divides no discriminant, so
+    ell is inert in the maximal order too, the element generates the ideal
+    of norm ell^2, ell times a unit, and is prime.
     """
-    m = ns.poly
-    nm = algebra.norm(m, tuple(n))
     size = abs(nm)
     if size == 0:
         return PrimeVerdict("zero", nm)
     if size == 1:
         return PrimeVerdict("unit", nm)
-    if _is_prime_u64(size):
+    if _is_prime(size):
         return PrimeVerdict("prime_split", nm)
     if m.degree == 2:
         ell = math.isqrt(size)
-        if (
-            ell * ell == size
-            and _is_prime_u64(ell)
-            and all(c % ell == 0 for c in n)
-            and not _poly_has_root_mod(m.coeffs, ell)
-        ):
+        if ell * ell == size and _is_prime(ell) and _is_inert(*m.coeffs[:2], ell):
             return PrimeVerdict("prime_inert", nm)
         return PrimeVerdict("composite", nm)
     if m.degree == 1:
         return PrimeVerdict("composite", nm)
     return PrimeVerdict("unsupported_degree", nm)
+
+
+def is_prime_element(ns: NumberSystem, n) -> PrimeVerdict:
+    """Classify n as zero, unit, prime, or composite via its norm (norm_verdict)."""
+    return norm_verdict(ns.poly, algebra.norm(ns.poly, tuple(n)))
 
 
 # ------------------------------------------------------------ linear forms

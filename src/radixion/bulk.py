@@ -11,9 +11,11 @@ one block size of every streamed stage, and no artifact depends on it.
 The two tables are built by a meet-in-the-middle merge of shorter tables,
 which also carries the digit statistics a caller asks for (digit sum,
 adjacent nonzero pairs) without re-expanding any element.  The prime
-pass (prime_blocks) streams the same blocks through buffers allocated
-once and classifies each row by one lookup of its norm in norm_table, or,
-when that table would outweigh the rows, by its own primality test.
+pass (prime_blocks) reads the split itself and builds no row: per high
+row, the norms of its rows are a binary quadratic form over vectors
+derived once from the low table, each verdict is one bit of norm_table
+(or, when that table would outweigh the rows, the norm's own primality
+test), and the digit statistics add over the split.
 strip_columns is backward division on whole int64 coordinate columns.
 """
 
@@ -145,10 +147,10 @@ def row_segments(n_low: int, start: int, stop: int):
         pos += b - a
 
 
-def _empty_table(lam: int, rows: int, d: int, stats, order: str = "C") -> DigitTable:
+def _empty_table(lam: int, rows: int, d: int, stats) -> DigitTable:
     sod, rs = "sod" in stats, "rs" in stats
-    return DigitTable(lam, np.empty((rows, d), np.int64, order=order),
-                      np.empty((rows, d), np.int64, order=order) if sod else None,
+    return DigitTable(lam, np.empty((rows, d), np.int64),
+                      np.empty((rows, d), np.int64) if sod else None,
                       np.empty(rows, np.int64) if rs else None,
                       np.empty(rows, bool) if rs else None,
                       np.empty(rows, bool) if rs else None)
@@ -173,17 +175,13 @@ def _build_table(ns: NumberSystem, lam: int, stats) -> DigitTable:
     return _combine(low, high, offsets, 0, len(low.coords) * len(high.coords))
 
 
-def _combine(low: DigitTable, high: DigitTable, offsets, start: int, stop: int,
-             out: DigitTable | None = None) -> DigitTable:
+def _combine(low: DigitTable, high: DigitTable, offsets, start: int, stop: int) -> DigitTable:
     """Rows [start, stop) of high over low (row_segments), with the columns
-    low carries: new arrays, or views of the first rows of `out`."""
-    n = max(stop - start, 0)
-    if out is None:
-        stats = [k for k, col in (("sod", low.s_coords), ("rs", low.r)) if col is not None]
-        out = _empty_table(0, n, low.coords.shape[1], stats)
-    coords, s_coords, r, low_nz, top_nz = (
-        None if col is None else col[:n]
-        for col in (out.coords, out.s_coords, out.r, out.low_nz, out.top_nz))
+    low carries."""
+    stats = [k for k, col in (("sod", low.s_coords), ("rs", low.r)) if col is not None]
+    out = _empty_table(low.lam + high.lam, max(stop - start, 0), low.coords.shape[1], stats)
+    coords, s_coords, r, low_nz, top_nz = (out.coords, out.s_coords, out.r, out.low_nz,
+                                           out.top_nz)
     for h, src, dst in row_segments(len(low.coords), start, stop):
         for k in range(coords.shape[1]):  # column by column: a short row broadcasts slowly
             np.add(low.coords[src, k], offsets[h, k], out=coords[dst, k])
@@ -195,12 +193,15 @@ def _combine(low: DigitTable, high: DigitTable, offsets, start: int, stop: int,
                 r[dst] += low.top_nz[src]
             low_nz[dst] = low.low_nz[src] if low.lam else high.low_nz[h]
             top_nz[dst] = high.top_nz[h] if high.lam else low.top_nz[src]
-    return DigitTable(low.lam + high.lam, coords, s_coords, r, low_nz, top_nz)
+    return out
 
 
 def count_rows(ns: NumberSystem, lam: int) -> tuple:
     """(rows, distinct elements) of N_lam: each row is encoded as one int64
-    key over the box of its exact coordinate ranges, and the keys sorted."""
+    key over the box of its exact coordinate ranges, and the keys sorted.
+    The key is linear, so the key of l + offsets[h] over the split is that
+    of the low row l plus that of the offset, the key of the row offsets[h]
+    minus that of the zero row (each row lies in the box, zero among them)."""
     lo, hi = coordinate_ranges(ns, lam)
     place = [1]
     for a, b in zip(lo[:0:-1], hi[:0:-1]):
@@ -208,15 +209,17 @@ def count_rows(ns: NumberSystem, lam: int) -> tuple:
     span = place[0] * (hi[0] - lo[0] + 1)
     if span >= INT64_GUARD:
         raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
-    keys = np.concatenate([(b.coords - lo) @ place for b in row_blocks(ns, lam, ())])
+    low, _, offsets = split_tables(ns, lam, ())
+    shifts = [sum(v * p for v, p in zip(row, place)) for row in offsets.tolist()]  # exact
+    keys = np.add.outer(np.array(shifts, dtype=np.int64), (low.coords - lo) @ place).ravel()
     keys.sort()
-    return len(keys), int(np.count_nonzero(np.diff(keys))) + 1
+    return len(keys), int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 # ------------------------------------------------------------ the prime pass
 
 NORM_DIRECTIONS = 64  # support directions behind the norm table's bound
-PRIME, INERT = 1, 2  # marks of norm_table
+SIEVE_SEGMENT = 1 << 18  # integers per segment of the norm table's sieve (a multiple of 16)
 
 
 def _norm_bound(ns: NumberSystem, lam: int) -> int:
@@ -235,29 +238,14 @@ def _norm_bound(ns: NumberSystem, lam: int) -> int:
     return int(bound * (1 + 1e-9)) + 1
 
 
-def _prime_sieve(n: int) -> np.ndarray:
-    """uint8 table over 0..n: PRIME at the primes, 0 elsewhere."""
-    sieve = np.ones(n + 1, dtype=np.uint8)
-    sieve[: min(2, n + 1)] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = 0
-    return sieve
-
-
-def _is_inert(c0: int, c1: int, ell: int) -> bool:
-    """Whether x^2 + c1 x + c0 has no root mod the prime ell: for odd ell, by
-    Euler's criterion on the discriminant (a root exists exactly when it is
-    a square mod ell, zero included); for ell = 2, when c0 and c1 are odd."""
-    if ell == 2:
-        return c0 % 2 == 1 and c1 % 2 == 1
-    return pow(c1 * c1 - 4 * c0, (ell - 1) // 2, ell) == ell - 1
-
-
 def _norm_top(ns: NumberSystem, lam: int) -> int:
     """The top of norm_table, a bound on |N(n)| over N_lam, once the degree
-    is supported and the int64 norm a^2 - c1 ab + c0 b^2 cannot wrap over
-    the coordinate ranges of N_lam."""
+    is supported and no int64 norm of the split pass can wrap: with A and B
+    the widest |a| and |b| over N_lam (which holds every low row and every
+    offset), each term of N(l) + alpha a_l + beta b_l + N(o) (_split_norms)
+    is at most twice the widest form A^2 + |c1| A B + |c0| B^2, so every
+    partial sum is at most six times it: the guard keeps the form below 2^60
+    and every sum below 2^63."""
     if ns.degree > 2:
         raise UsageError("prime enumeration supports degree <= 2 only")
     lo, hi = coordinate_ranges(ns, lam)
@@ -272,119 +260,165 @@ def _norm_top(ns: NumberSystem, lam: int) -> int:
 
 
 def norm_table(ns: NumberSystem, lam: int) -> np.ndarray:
-    """One uint8 table over 0.._norm_top that classifies every row of N_lam:
-    PRIME at a prime norm (a prime element), INERT at ell^2 for each prime ell
-    inert in a quadratic ring (an element of norm ell^2 is then ell times a
-    unit, so prime), 0 elsewhere.  Checked before allocation: the int64 norm
-    (_norm_top), and the table's bytes, against the cap at the 8 * d bytes of
-    a table row's coordinates."""
+    """The prime verdict of every norm of N_lam, one bit per integer
+    0.._norm_top (_norm_bits).  Checked before allocation: the int64 norm
+    (_norm_top), and the table's bytes, against the cap at the 8 * d bytes
+    of a table row's coordinates."""
     top = _norm_top(ns, lam)
-    if top + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
+    if top // 8 + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
         raise CapExceeded("prime sieve of %d bytes for lambda %d exceeds the memory of a %d-element"
-                          " table" % (top + 1, lam, effective_cap(ENUM_CAP)))
-    table = _prime_sieve(top)
-    if ns.degree == 2:
-        _mark_inert(table, *ns.poly.coeffs[:2])
+                          " table" % (top // 8 + 1, lam, effective_cap(ENUM_CAP)))
+    return _norm_bits(top, ns.poly.coeffs[:2] if ns.degree == 2 else None)
+
+
+def _norm_bits(top: int, quadratic=None) -> np.ndarray:
+    """Bits over 0..top, packed little-endian (integer n is bit n & 7 of byte
+    n >> 3): set at the primes and, for the ring of x^2 + c1 x + c0 with
+    `quadratic` = (c0, c1), at ell^2 for each prime ell inert in it (an
+    element of norm ell^2 is then prime, analysis.norm_verdict), clear
+    elsewhere.  An odd-only sieve of Eratosthenes over segments of at most
+    SIEVE_SEGMENT integers, each packed straight into its bytes, by the
+    primes up to sqrt(top), which the same sieve finds first."""
+    from .analysis import _is_inert
+    root = math.isqrt(top)
+    roots = [] if root < 2 else np.flatnonzero(
+        np.unpackbits(_norm_bits(root), count=root + 1, bitorder="little")).tolist()
+    table = np.zeros(top // 8 + 1, dtype=np.uint8)
+    span = min(SIEVE_SEGMENT, top // 16 * 16 + 16)
+    odd = np.empty(span // 2, dtype=bool)  # odd[i]: the integer start + 2i + 1
+    segment = np.zeros(span, dtype=bool)
+    for start in range(0, top + 1, span):
+        stop = min(start + span, top + 1)
+        odd[:] = True
+        odd[(stop - start) // 2 :] = False  # past top
+        for p in roots[1:]:
+            if p * p >= stop:
+                break
+            first = max(p * p, -(-start // p) * p)
+            first += p * (first % 2 == 0)  # the first odd multiple: odd ones are 2p apart
+            odd[(first - start - 1) // 2 :: p] = False
+        if start == 0:
+            odd[0] = False  # 1
+        segment[1::2] = odd
+        packed = np.packbits(segment, bitorder="little")
+        table[start // 8 : start // 8 + len(packed)] = packed[: len(table) - start // 8]
+    if top >= 2:
+        table[0] |= 1 << 2
+    for ell in roots if quadratic is not None else ():
+        if _is_inert(*quadratic, ell):
+            table[ell * ell >> 3] |= 1 << (ell * ell & 7)
     return table
 
 
-def _mark_inert(table: np.ndarray, c0: int, c1: int) -> None:
-    """Set INERT at ell^2 in a _prime_sieve table, for each prime ell with
-    ell^2 in range at which x^2 + c1 x + c0 has no root."""
-    for ell in np.flatnonzero(table[: math.isqrt(len(table) - 1) + 1]).tolist():
-        if _is_inert(c0, c1, ell):
-            table[ell * ell] = INERT
-
-
-def prime_mask(ns: NumberSystem, coords, table: np.ndarray | None, work=None) -> np.ndarray:
-    """Prime verdicts (split or inert) for rows of int64 coordinates: one
-    lookup of |N(n)| in `table` (norm_table), which must reach every norm of
-    these rows, or with table None the scalar analysis.is_prime_element of
-    each row.  `work` is an optional (int64, int64, uint8, bool) tuple of
-    buffers of len(coords) rows; the mask is the last of them."""
-    if ns.degree > 2:
-        raise UsageError("prime enumeration supports degree <= 2 only")
-    coords = np.asarray(coords, dtype=np.int64)
-    n = len(coords)
-    norm, tmp, marks, mask = work or (np.empty(n, np.int64), np.empty(n, np.int64),
-                                      np.empty(n, np.uint8), np.empty(n, bool))
+def prime_mask(ns: NumberSystem, norms: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """Prime verdicts for elements of absolute norms `norms` (int64): bit
+    |N| of `table` (norm_table), which must reach every norm, or with table
+    None the scalar analysis.norm_verdict of each."""
     if table is None:
-        from .analysis import PRIME_KINDS, is_prime_element
-        mask[:] = [is_prime_element(ns, row).kind in PRIME_KINDS for row in coords.tolist()]
-        return mask
-    a = coords[:, 0]
+        from .analysis import PRIME_KINDS, norm_verdict
+        return np.array([norm_verdict(ns.poly, v).kind in PRIME_KINDS for v in norms.tolist()],
+                        dtype=bool)
+    bits = np.take(table, norms >> 3)
+    bits >>= (norms & 7).astype(np.uint8)
+    bits &= 1
+    return bits.view(bool)
+
+
+def _split_norms(ns: NumberSystem, low: DigitTable, offsets: np.ndarray):
+    """(h, |N(l + offsets[h])| over the low rows l) per high row h, in order,
+    the norms an int64 buffer overwritten by the next row.  With l = a + b q
+    and o = a_o + b_o q, the norm a^2 - c1 ab + c0 b^2 is a binary quadratic
+    form, so N(l + o) = N(l) + alpha a + beta b + N(o) with alpha = 2 a_o -
+    c1 b_o and beta = 2 c0 b_o - c1 a_o: five vector operations over vectors
+    derived once from the low table (_norm_top bounds every partial sum).  In
+    degree 1 the norm is |a + a_o|."""
+    a = np.ascontiguousarray(low.coords[:, 0])
+    norm = np.empty_like(a)
     if ns.degree == 1:
-        np.abs(a, out=norm)
-    else:
-        b, (c0, c1) = coords[:, 1], ns.poly.coeffs[:2]
-        np.multiply(a, a, out=norm)  # |a^2 - c1 ab + c0 b^2|
-        if c1:
-            np.multiply(a, b, out=tmp)
-            tmp *= c1
-            norm -= tmp
-        np.multiply(b, b, out=tmp)
-        tmp *= c0
-        norm += tmp
-        np.abs(norm, out=norm)
-    np.take(table, norm, out=marks)
-    return np.not_equal(marks, 0, out=mask)
+        for h, (a_o,) in enumerate(offsets.tolist()):
+            np.add(a, a_o, out=norm)
+            yield h, np.abs(norm, out=norm)
+        return
+    c0, c1 = ns.poly.coeffs[:2]
+    b = np.ascontiguousarray(low.coords[:, 1])
+    n_low = a * a - c1 * a * b + c0 * b * b
+    term = np.empty_like(a)
+    definite = c1 * c1 < 4 * c0  # a complex quadratic ring: no norm is negative
+    for h, (a_o, b_o) in enumerate(offsets.tolist()):
+        np.multiply(a, 2 * a_o - c1 * b_o, out=norm)
+        norm += n_low
+        np.multiply(b, 2 * c0 * b_o - c1 * a_o, out=term)
+        norm += term
+        norm += a_o * a_o - c1 * a_o * b_o + c0 * b_o * b_o
+        yield h, norm if definite else np.abs(norm, out=norm)
 
 
-def prime_blocks(ns: NumberSystem, lam: int, stats=()):
-    """(block, mask) per row block of N_lam, in order: the DigitTable of the
-    block, carrying `stats`, and its prime rows.  Both are views of buffers
-    allocated once for the pass, overwritten by the next block.  The element
-    cap, the coordinate range and the norm bound are checked when called.
-    A norm table that would take more bytes than the 8 * d of each row's
-    coordinates is not built: each row is then classified by its own
-    primality test (prime_mask with table None)."""
+def prime_blocks(ns: NumberSystem, lam: int, stats=()) -> tuple:
+    """(low, high, offsets, masks): the split of N_lam (split_tables), whose
+    tables carry `stats`, and a generator of (h, mask) per high row h, in
+    order, mask marking the low rows l at which the row l + offsets[h] is
+    prime.  The element cap, the coordinate range and the norm bound are
+    checked when called.  Each norm comes from _split_norms and its verdict
+    from prime_mask; a norm table that would take more bytes than the 8 * d
+    of each row's coordinates is not built, and each norm is then tested
+    alone."""
     low, high, offsets = split_tables(ns, lam, stats)
-    table = norm_table(ns, lam) if _norm_top(ns, lam) + 1 <= 8 * ns.degree * ns.Q**lam else None
-    return _prime_pass(ns, lam, stats, low, high, offsets, table)
-
-
-def _prime_pass(ns, lam, stats, low, high, offsets, table):
-    total = ns.Q**lam
-    rows = min(ROW_BLOCK, total)
-    buf = _empty_table(lam, rows, ns.degree, stats, order="F")  # contiguous columns
-    work = (np.empty(rows, np.int64), np.empty(rows, np.int64), np.empty(rows, np.uint8),
-            np.empty(rows, bool))
-    for start, stop in block_ranges(total, ROW_BLOCK):
-        block = _combine(low, high, offsets, start, stop, out=buf)
-        n = stop - start
-        yield block, prime_mask(ns, block.coords, table, tuple(w[:n] for w in work))
+    table = None
+    if _norm_top(ns, lam) // 8 + 1 <= 8 * ns.degree * ns.Q**lam:
+        table = norm_table(ns, lam)
+    masks = ((h, prime_mask(ns, norm, table)) for h, norm in _split_norms(ns, low, offsets))
+    return low, high, offsets, masks
 
 
 def prime_rows(ns: NumberSystem, lam: int) -> list:
-    """The prime elements of N_lam in enumeration order, one array per row block."""
-    return [block.coords[mask] for block, mask in prime_blocks(ns, lam)]
+    """The prime elements of N_lam in enumeration order, one array per high row."""
+    low, _, offsets, masks = prime_blocks(ns, lam)
+    return [low.coords[mask] + offsets[h] for h, mask in masks]
 
 
 def prime_histogram(ns: NumberSystem, fn: str, lam: int, lo: tuple, dims: tuple) -> dict:
     """Exact counts of the prime rows of N_lam per value of the statistic of
     fn, {value: count} in ascending order: s(n) as a tuple ('sod') or r(n)
-    ('rs').  The values lie in the box of `dims` values from `lo`; when it
-    holds more values than N_lam has rows, the rows are keyed by their
-    sorted distinct values (np.unique per block, merged), else counted in a
-    dense histogram over the box."""
-    sparse = math.prod(dims) > ns.Q**lam
-    place = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))], dtype=np.int64)
-    hist, found = np.zeros(0 if sparse else math.prod(dims), np.int64), []
-    for block, mask in prime_blocks(ns, lam, (fn,)):
-        stat = block.s_coords[mask] if fn == "sod" else block.r[mask]
+    ('rs').  Both add over the split: s(l + o_h) = s(l) + s(h), and r(l +
+    o_h) = r(l) + r(h) + 1 when the top digit of l and the lowest of h are
+    nonzero.  So each high row adds the counts of the statistic over its
+    prime low rows, shifted by its own.  The values lie in the box of `dims`
+    values from `lo`; when it holds more values than N_lam has rows, they
+    are kept as the sorted distinct values of the low table plus those of
+    each high row, merged, else counted in a dense histogram over the box."""
+    low, high, _, masks = prime_blocks(ns, lam, (fn,))
+    size, found = math.prod(dims), []
+    sparse = fn == "sod" and size > ns.Q**lam
+    if fn == "rs":  # r(l) with the seam pair, or without it, by the lowest digit of h
+        keys = low.r + low.top_nz
+        slices = [(r, keys if nz else low.r)
+                  for r, nz in zip(high.r.tolist(), high.low_nz.tolist())]
+    elif sparse:
+        values, keys = np.unique(low.s_coords, axis=0, return_inverse=True)
+        keys = keys.ravel()
+    else:
+        place = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))], dtype=np.int64)
+        keys = low.s_coords @ place
+        least = int(keys.min())
+        keys -= least
+        slices = [(shift, keys) for shift in ((high.s_coords - lo) @ place + least).tolist()]
+    width = int(keys.max()) + 1
+    hist = np.zeros(0 if sparse else size + width, np.int64)  # room for a whole last slice
+    for h, mask in masks:
         if sparse:
-            found.append(np.unique(stat, axis=0, return_counts=True))
-        elif fn == "sod":
-            hist += np.bincount((stat - lo) @ place, minlength=len(hist))
+            counts = np.bincount(keys[mask], minlength=width)
+            occupied = np.flatnonzero(counts)
+            found.append((values[occupied] + high.s_coords[h], counts[occupied]))
         else:
-            hist += np.bincount(stat, minlength=len(hist))
+            shift, low_keys = slices[h]
+            hist[shift : shift + width] += np.bincount(low_keys[mask], minlength=width)
     if sparse:
         values, inverse = np.unique(np.concatenate([v for v, _ in found]), axis=0,
                                     return_inverse=True)
         counts = np.zeros(len(values), np.int64)
         np.add.at(counts, inverse.ravel(), np.concatenate([c for _, c in found]))
         return dict(zip(map(tuple, values.tolist()), counts.tolist()))
-    occupied = np.flatnonzero(hist)
+    occupied = np.flatnonzero(hist[:size])
     keys = occupied.tolist()
     if fn == "sod":
         keys = map(tuple, (np.stack(np.unravel_index(occupied, dims), axis=1) + lo).tolist())

@@ -389,9 +389,16 @@ def _pool(fine: np.ndarray, res: int) -> np.ndarray:
     multiple k of res: a coarse cell is occupied when one of its k^d fine
     cells is.  Exact: v * res * k is v * (res * k) without rounding, the
     floor of floor(x) / k is floor(x / k), and the clip at res * k - 1
-    lands in res - 1."""
-    k = fine.shape[0] // res
-    return fine.reshape((res, k) * fine.ndim).any(axis=tuple(range(1, 2 * fine.ndim, 2)))
+    lands in res - 1.  Each halving ORs the 2^d strided views of the cells of
+    one parity per axis into the grid of half the resolution."""
+    while fine.shape[0] > res:
+        views = [fine[tuple(slice(p, None, 2) for p in parity)]
+                 for parity in itertools.product((0, 1), repeat=fine.ndim)]
+        coarse = views[0].copy()
+        for view in views[1:]:
+            coarse |= view
+        fine = coarse
+    return fine
 
 
 def _pool_source(res: int, resolutions) -> int:

@@ -53,8 +53,70 @@ def test_prime_verdict_degree_one(negabinary):
 
 
 def test_prime_verdict_degree_cap(knuth):
-    with pytest.raises(CapExceeded):
-        analysis.is_prime_element(knuth, (2**33 + 1, 0))
+    # (2^33 + 1)^2 ~ 7.4e19 is decided (2^33 + 1 = 3 * 2863311531); (2^40 + 1)^2
+    # ~ 1.2e24 has no factor up to 37 and lies past the twelve-base bound
+    assert analysis.is_prime_element(knuth, (2**33 + 1, 0)).kind == "composite"
+    with pytest.raises(CapExceeded, match="primality of the norm %d" % (2**40 + 1) ** 2):
+        analysis.is_prime_element(knuth, (2**40 + 1, 0))
+
+
+# ----------------------------------------------------- oracles of the prime pass
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division, unbounded."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def poly_has_root_mod(coeffs, ell):
+    """Whether the polynomial of `coeffs` (c_0 first) has a root mod ell, by scanning all residues."""
+    for r in range(ell):
+        acc = 0
+        for cf in reversed(coeffs):
+            acc = (acc * r + cf) % ell
+        if acc == 0:
+            return True
+    return False
+
+
+PRIME, INERT = 1, 2
+
+
+def uint8_norm_sieve(top, coeffs=None):
+    """One byte per integer 0..top: PRIME at the primes, INERT at ell^2 for
+    each prime ell at which the quadratic of `coeffs` has no root, else 0."""
+    sieve = np.ones(top + 1, dtype=np.uint8)
+    sieve[: min(2, top + 1)] = 0
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = 0
+    if coeffs is not None:
+        for ell in np.flatnonzero(sieve[: math.isqrt(top) + 1]).tolist():
+            if not poly_has_root_mod(coeffs, ell):
+                sieve[ell * ell] = INERT
+    return sieve
+
+
+def abs_norms(ns, coords):
+    """|N(n)| per row of int64 coordinates, a^2 - c1 ab + c0 b^2 in degree 2."""
+    a = coords[:, 0].astype(object)
+    if ns.degree == 1:
+        return np.abs(a)
+    b, (c0, c1) = coords[:, 1].astype(object), ns.poly.coeffs[:2]
+    return np.abs(a * a - c1 * a * b + c0 * b * b)
+
+
+def oracle_mask(ns, coords):
+    """Prime rows by one lookup of |N| per row in the uint8 sieve."""
+    norms = abs_norms(ns, coords).astype(np.int64)
+    sieve = uint8_norm_sieve(int(norms.max(initial=0)), ns.poly.coeffs if ns.degree == 2 else None)
+    return sieve[norms] != 0
+
+
+def pass_mask(ns, lam):
+    """The prime pass's masks, concatenated in row order."""
+    _, _, _, masks = bulk.prime_blocks(ns, lam)
+    return np.concatenate([mask.copy() for _, mask in masks])
 
 
 def test_prime_enumeration_small(knuth):
@@ -64,17 +126,17 @@ def test_prime_enumeration_small(knuth):
 
 def test_prime_counts_frozen(knuth):
     for lam, count in ((14, 2717), (18, 31060)):
-        coords = whole_table(knuth, lam).coords
-        assert int(bulk.prime_mask(knuth, coords, bulk.norm_table(knuth, lam)).sum()) == count
+        assert int(pass_mask(knuth, lam).sum()) == count
+        assert int(oracle_mask(knuth, whole_table(knuth, lam).coords).sum()) == count
 
 
-def test_prime_mask_matches_scalar(knuth, five_a):
+def test_prime_mask_matches_scalar(knuth, five_a, each_row_block):
     for ns, lam in ((knuth, 8), (five_a, 4)):
         coords = whole_table(ns, lam).coords
-        mask = bulk.prime_mask(ns, coords, bulk.norm_table(ns, lam))
-        for row, hit in zip(coords, mask):
-            kind = analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
-            assert bool(hit) == (kind in analysis.PRIME_KINDS)
+        expected = [analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
+                    in analysis.PRIME_KINDS for row in coords]
+        for _ in each_row_block(1, 7, bulk.ROW_BLOCK):
+            assert pass_mask(ns, lam).tolist() == expected
 
 
 def test_prime_counts_at_lambda_22_and_24(knuth):
@@ -89,10 +151,11 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
         while ns.Q ** (lam + 1) <= 3000:
             lam += 1
         coords = whole_table(ns, lam).coords
-        mask = bulk.prime_mask(ns, coords, bulk.norm_table(ns, lam))
+        mask = oracle_mask(ns, coords)
+        low = len(bulk.split_tables(ns, lam)[0].coords)  # the rows of one high row
         blocks = bulk.prime_rows(ns, lam)
-        per_block = np.split(mask, range(100, len(mask), 100))  # blocks of 100 rows
-        assert [len(b) for b in blocks] == [int(m.sum()) for m in per_block]
+        per_high_row = np.split(mask, range(low, len(mask), low))
+        assert [len(b) for b in blocks] == [int(m.sum()) for m in per_high_row]
         assert np.array_equal(np.concatenate(blocks), coords[mask])
 
 
@@ -113,23 +176,26 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
 
 
 def test_sieve_size_at_lambda_22(knuth):
-    # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M
+    # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M, and the
+    # table holds one bit per norm up to the bound: 0.61 MB
     coords = whole_table(knuth, 22).coords
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
-    assert len(bulk.norm_table(knuth, 22)) == bulk._norm_bound(knuth, 22) + 1
+    table = bulk.norm_table(knuth, 22)
+    assert table.dtype == np.uint8 and len(table) == bulk._norm_bound(knuth, 22) // 8 + 1
+    assert 0.60e6 < table.nbytes < 0.62e6
 
 
 def test_prime_sieve_guards(knuth, monkeypatch):
     def refuse(*args):
         raise AssertionError("a sieve was allocated")
 
-    monkeypatch.setattr(bulk, "_prime_sieve", refuse)
+    monkeypatch.setattr(bulk, "_norm_bits", refuse)
     # coordinates near 2^31: a^2 - c1 ab + c0 b^2 passes 2^62 and wraps int64
     wide = NumberSystem(knuth.poly, ((0, 0), (2**31 + 1, 0)))
     with pytest.raises(DomainError, match="norms over lambda 2 can reach"):
         bulk.norm_table(wide, 2)
-    # the sieve's bytes are charged against the element cap, 64 * 16 here
+    # the sieve's packed bytes are charged against the element cap, 64 * 16 here
     monkeypatch.setenv("RADIXION_CAP", "64")
     with pytest.raises(CapExceeded, match="prime sieve of [0-9]+ bytes for lambda 14"):
         bulk.norm_table(knuth, 14)
@@ -137,63 +203,119 @@ def test_prime_sieve_guards(knuth, monkeypatch):
 
 def test_wide_digits_classify_rows_without_a_table(knuth, negabinary, five_a, monkeypatch):
     # digit 104 = 4 mod 5 widens the norms: a table over them would take
-    # 8.7 MB for the 50 KB of coordinates of N_5, so each row is tested alone
+    # 1.1 MB for the 50 KB of coordinates of N_5, so each norm is tested alone
     wide = NumberSystem(five_a.poly, ((0, 0), (1, 0), (2, 0), (3, 0), (104, 0)))
     coords = whole_table(wide, 5).coords
-    expected = coords[bulk.prime_mask(wide, coords, bulk.norm_table(wide, 5))]
+    expected = coords[oracle_mask(wide, coords)]
 
     def refuse(*args):
         raise AssertionError("a sieve was allocated")
 
-    monkeypatch.setattr(bulk, "_prime_sieve", refuse)
+    monkeypatch.setattr(bulk, "_norm_bits", refuse)
     got = np.concatenate(bulk.prime_rows(wide, 5))
     assert got.tolist() == expected.tolist() and len(got) == 440
     monkeypatch.undo()
-    # criterion 7's systems keep the table: no row is tested alone
-    monkeypatch.setattr(analysis, "is_prime_element", refuse)
+    # criterion 7's systems keep the table: no norm is tested alone
+    monkeypatch.setattr(analysis, "norm_verdict", refuse)
     assert len(np.concatenate(bulk.prime_rows(knuth, 12))) == 798
     for ns in (knuth, negabinary):
         bulk.prime_rows(ns, 14)
 
 
 def small_primes(limit):
-    return [p for p in range(2, limit) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+    return [p for p in range(2, limit) if trial_division_is_prime(p)]
 
 
 def test_norm_table_inert_marks_match_root_scan(request, random_systems):
     # every prime below 5000, including 2 and the primes dividing the
-    # discriminant, against the O(ell) root scan of is_prime_element
+    # discriminant: Euler's criterion against the O(ell) root scan
     primes = small_primes(5000)
-    sieve = bulk._prime_sieve(primes[-1] ** 2)
-    assert np.flatnonzero(sieve).tolist()[: len(primes)] == primes
     golden = [request.getfixturevalue(n) for n in ("knuth", "five_a", "five_b")]
     polys = {ns.poly.coeffs for ns in golden + list(random_systems)}
     ramified = set()
     for coeffs in sorted(polys):
         c0, c1 = coeffs[:2]
-        table = sieve.copy()
-        bulk._mark_inert(table, c0, c1)
         for ell in primes:
-            inert = not analysis._poly_has_root_mod(coeffs, ell)
-            assert (table[ell * ell] == bulk.INERT) == inert, (coeffs, ell)
+            assert analysis._is_inert(c0, c1, ell) == (not poly_has_root_mod(coeffs, ell)), \
+                (coeffs, ell)
             if (c1 * c1 - 4 * c0) % ell == 0:
                 ramified.add(ell)
-        assert np.array_equal(table == bulk.PRIME, sieve == bulk.PRIME)
     assert 2 in ramified and len(ramified) > 1
 
 
-def test_norm_table_marks_at_lambda(request, random_systems):
+def unpacked(table, top):
+    return np.unpackbits(table, count=top + 1, bitorder="little")
+
+
+def test_norm_table_marks_at_lambda(request, random_systems, monkeypatch):
+    # the packed table against the uint8 sieve at every table of lambda <= 14
+    # under 3000 rows, with segments of 16 and 48 integers and the default
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    for segment in (16, 48, bulk.SIEVE_SEGMENT):
+        monkeypatch.setattr(bulk, "SIEVE_SEGMENT", segment)
+        for ns in golden + list(random_systems):
+            lam = min(14, largest_lam(ns, 3000))
+            top = bulk._norm_top(ns, lam)
+            table = bulk.norm_table(ns, lam)
+            assert len(table) == top // 8 + 1
+            expected = uint8_norm_sieve(top, ns.poly.coeffs if ns.degree == 2 else None)
+            assert np.array_equal(unpacked(table, top), expected != 0), ns
+            assert not np.unpackbits(table, bitorder="little")[top + 1 :].any()
+
+
+def test_packed_sieve_at_small_tops(request, random_systems, monkeypatch):
+    golden = [request.getfixturevalue(n) for n in ("knuth", "five_a", "five_b")]
+    quadratics = sorted({ns.poly.coeffs for ns in golden + list(random_systems)})
+    for segment in (16, 48, bulk.SIEVE_SEGMENT):
+        monkeypatch.setattr(bulk, "SIEVE_SEGMENT", segment)
+        for top in [*range(18), 63, 64, 65]:
+            for coeffs in [None, *quadratics]:
+                table = bulk._norm_bits(top, None if coeffs is None else coeffs[:2])
+                assert len(table) == top // 8 + 1
+                assert np.array_equal(unpacked(table, top), uint8_norm_sieve(top, coeffs) != 0), \
+                    (segment, top, coeffs)
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the strong probable-prime test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def test_bounded_primality_matches_trial_division():
+    sieve = uint8_norm_sieve(200_000)
+    assert [analysis._is_prime(n) for n in range(200_001)] == (sieve == PRIME).tolist()
+    rng = np.random.default_rng(5)
+    for n in rng.integers(2**40, 2**41, 200).tolist():
+        assert analysis._is_prime(n) == trial_division_is_prime(n), n
+    # 3825123056546413051 = 149491 * 747451 * 34233211 passes every base but
+    # 37; 3215031751 passes 2..7; 561 * 1105 is a product of Carmichael numbers
+    pseudoprime = 3825123056546413051
+    assert [strong_probable_prime(pseudoprime, a) for a in analysis.SPRP_BASES] == [True] * 11 + [False]
+    for n in (pseudoprime, 3215031751, 561 * 1105, (2**31 - 1) * 1000003, 41 * 41):
+        assert not analysis._is_prime(n), n
+    for p in (2**61 - 1, 2**31 - 1, 10**18 + 9, 1000003, 41):
+        assert analysis._is_prime(p), p
+    # the limit is the least composite that passes all twelve bases
+    limit = analysis.SPRP_LIMIT
+    assert limit == 399165290221 * 798330580441
+    assert all(strong_probable_prime(limit, a) for a in analysis.SPRP_BASES)
+    with pytest.raises(CapExceeded, match="primality of the norm %d" % limit):
+        analysis._is_prime(limit)
+
+
+def test_norm_verdict_matches_the_oracles(request, random_systems):
+    # every norm up to 3000, signs included, in each golden and random ring
     golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     for ns in golden + list(random_systems):
-        table = bulk.norm_table(ns, largest_lam(ns, 3000))
-        primes = small_primes(len(table))
-        expected = np.zeros(len(table), np.uint8)
-        expected[primes] = bulk.PRIME
-        if ns.degree == 2:
-            for ell in primes:
-                if ell * ell < len(table) and not analysis._poly_has_root_mod(ns.poly.coeffs, ell):
-                    expected[ell * ell] = bulk.INERT
-        assert np.array_equal(table, expected), ns
+        sieve = uint8_norm_sieve(3000, ns.poly.coeffs if ns.degree == 2 else None)
+        for nm in range(-3000, 3001):
+            kind = analysis.norm_verdict(ns.poly, nm).kind
+            assert (kind in analysis.PRIME_KINDS) == (sieve[abs(nm)] != 0), (ns, nm)
+            assert (kind == "prime_inert") == (sieve[abs(nm)] == INERT)
 
 
 def test_prime_degree_limit(cubic):
@@ -203,7 +325,7 @@ def test_prime_degree_limit(cubic):
     with pytest.raises(UsageError):
         bulk.norm_table(cubic, 2)
     with pytest.raises(UsageError):
-        bulk.prime_mask(cubic, [[1, 0, 0]], np.ones(2, dtype=np.uint8))
+        bulk.prime_blocks(cubic, 2)
 
 
 # ------------------------------------------------------------ linear forms
@@ -340,7 +462,7 @@ def weyl_table_oracle(ns, fn, phase, h, lam, filter):
     table = whole_table(ns, lam)
     z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, table))
     if filter == "primes":
-        z = z[bulk.prime_mask(ns, table.coords, bulk.norm_table(ns, lam))]
+        z = z[oracle_mask(ns, table.coords)]
     return z
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from radixion import algebra, bulk, numeration
-from radixion.errors import CapExceeded, UsageError
+from radixion import algebra, analysis, bulk, numeration
+from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import Expansion
 
 
@@ -150,15 +152,24 @@ def test_blocks_carry_only_the_asked_columns(request, each_row_block):
                             assert np.array_equal(getattr(block, name), getattr(ref, name))
                         else:
                             assert getattr(block, name) is None
-            # the prime pass: views of buffers reused from block to block
+            # the prime pass: the split tables, carrying the asked columns only,
+            # and the mask of the low rows per high row, in order
             table = bulk.norm_table(ns, lam)
-            seen = 0
-            for (block, mask), ref in zip(bulk.prime_blocks(ns, lam, ("sod",)), full):
-                assert np.array_equal(block.coords, ref.coords)
-                assert np.array_equal(block.s_coords, ref.s_coords) and block.r is None
-                assert np.array_equal(mask, bulk.prime_mask(ns, ref.coords, table))
-                seen += 1
-            assert seen == len(full)
+            for stats, kept in carried.items():
+                low, high, offsets, masks = bulk.prime_blocks(ns, lam, stats)
+                split = bulk.split_tables(ns, lam, stats)
+                assert np.array_equal(offsets, split[2])
+                for got, ref in zip((low, high), split):
+                    for name in columns:
+                        assert np.array_equal(getattr(got, name), getattr(ref, name)) \
+                            if name in kept else getattr(got, name) is None
+                seen = []
+                for h, mask in masks:
+                    rows = (low.coords + offsets[h]).tolist()
+                    norms = np.array([abs(algebra.norm(ns.poly, tuple(v))) for v in rows])
+                    assert np.array_equal(mask, bulk.prime_mask(ns, norms, table))
+                    seen.append(h)
+                assert seen == list(range(len(offsets)))
 
 
 def test_coordinate_ranges_are_exact(request):
@@ -169,13 +180,117 @@ def test_coordinate_ranges_are_exact(request):
             assert lo == pts.min(axis=0).tolist() and hi == pts.max(axis=0).tolist()
 
 
-def test_count_rows_matches_enumeration(request, monkeypatch):
-    monkeypatch.setattr(bulk, "ROW_BLOCK", 100)
+def test_count_rows_matches_enumeration(request, each_row_block, monkeypatch):
     for ns in golden_and_random(request):
         lam = oracle_depth(ns, 2000)
         stream = list(numeration.enumerate_N(ns, lam))
-        assert bulk.count_rows(ns, lam) == (len(stream), len(set(stream)))
+        monkeypatch.setattr(bulk, "row_blocks", refuse)  # the keys come from the split
+        for _ in each_row_block(7, 100, bulk.ROW_BLOCK):
+            assert bulk.count_rows(ns, lam) == (len(stream), len(set(stream)))
+        monkeypatch.undo()
     assert bulk.count_rows(request.getfixturevalue("knuth"), 0) == (1, 1)
+
+
+# ----------------------------------------------------------- the prime pass
+
+
+def prime_systems(request):
+    """The golden and random systems, the CNS systems of degree <= 2, and
+    two more bases in Z: -3 with digits {0, 1, 2}, 3 with digits {0, 1, -1}."""
+    cns = [ns for ns, _ in request.getfixturevalue("cns_systems") if ns.degree <= 2]
+    return golden_and_random(request) + cns + [numeration.NumberSystem.parse("3,1", "0;1;2"),
+                                               numeration.NumberSystem.parse("-3,1", "0;1;-1")]
+
+
+def per_row_oracle(ns, lam):
+    """(rows, primes, s, r) over enumerate_N(ns, lam), scalar per row:
+    analysis.is_prime_element, numeration.sum_of_digits and
+    numeration.rudin_shapiro, each on the row's own expansion."""
+    rows = list(numeration.enumerate_N(ns, lam))
+    prime = [analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pair counting warns on Q > 2
+        r = [numeration.rudin_shapiro(ns, n) for n in rows]
+    return rows, prime, [numeration.sum_of_digits(ns, n) for n in rows], r
+
+
+def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
+    """prime_rows and both prime histograms, dense and sparse, against the
+    per-row oracle at lambda 0, 1 and the largest with Q^lambda <= 4096 (1024
+    for the CNS systems), under low tables of Q^2 rows and of the most rows
+    within 100 and within ROW_BLOCK; and prime_rows without the norm table,
+    each norm tested alone."""
+    cns = request.getfixturevalue("cns_systems")
+    for ns in prime_systems(request):
+        top = oracle_depth(ns, 1024 if any(ns is c for c, _ in cns) else 4096)
+        for lam in sorted({0, 1, top}):
+            rows, prime, s, r = per_row_oracle(ns, lam)
+            primes = [n for n, p in zip(rows, prime) if p]
+            expected = {"sod": collections.Counter(v for v, p in zip(s, prime) if p),
+                        "rs": collections.Counter(v for v, p in zip(r, prime) if p)}
+            lo = tuple(lam * min(b[i] for b in ns.digits) for i in range(ns.degree))
+            dims = tuple(lam * (max(b[i] for b in ns.digits) - min(b[i] for b in ns.digits)) + 1
+                         for i in range(ns.degree))
+            boxes = [("sod", lo, dims), ("sod", lo, (dims[0] + ns.Q**lam,) + dims[1:]),  # sparse
+                     ("rs", (0,), (max(lam, 1),))]
+            for size in (ns.Q**2, 100, bulk.ROW_BLOCK):
+                monkeypatch.setattr(bulk, "ROW_BLOCK", size)
+                got = np.concatenate(bulk.prime_rows(ns, lam)).tolist()
+                assert list(map(tuple, got)) == primes, (ns, lam, size)
+                for fn, low, box in boxes:
+                    hist = bulk.prime_histogram(ns, fn, lam, low, box)
+                    assert list(hist) == sorted(hist)
+                    assert hist == dict(expected[fn]), (ns, lam, fn, box, size)
+            # a table past any budget: none is built, and each norm is tested alone
+            monkeypatch.setattr(bulk, "_norm_top", lambda ns, lam: 1 << 62)
+            monkeypatch.setattr(bulk, "_norm_bits", refuse)
+            got = np.concatenate(bulk.prime_rows(ns, lam)).tolist()
+            assert list(map(tuple, got)) == primes, (ns, lam)
+            monkeypatch.undo()
+
+
+
+def test_split_norms_are_exact_at_the_guard_edge(knuth, five_a, each_row_block):
+    """At the widest digit the int64 guard admits, every norm of the split
+    pass is exact, and every partial sum of N(l) + alpha a + beta b + N(o)
+    stays within six times the widest form, below 2^63; one step wider, the
+    guard raises."""
+    real = [numeration.NumberSystem.parse(poly, ";".join("%d,0" % r for r in range(q)))
+            for poly, q in (("5,-5,1", 5), ("-6,4,1", 6))]  # indefinite norm forms
+    for base in (knuth, five_a, *real):
+        c0, c1 = base.poly.coeffs[:2]
+        lam = 3
+
+        def widened(k):  # the digit 1 moved to 1 + k Q, the same residue class
+            digits = tuple((1 + k * base.Q, 0) if b == (1, 0) else b for b in base.digits)
+            return numeration.NumberSystem(base.poly, digits)
+
+        def widest(ns):
+            lo, hi = bulk.coordinate_ranges(ns, lam)
+            a, b = max(-lo[0], hi[0]), max(-lo[1], hi[1])
+            return a * a + abs(c1) * a * b + abs(c0) * b * b
+
+        k, step = 0, 1 << 40  # the largest k the guard admits, by bisection
+        while step:
+            if widest(widened(k + step)) < bulk.INT64_GUARD:
+                k += step
+            step //= 2
+        ns, bound = widened(k), widest(widened(k))
+        assert bound < bulk.INT64_GUARD <= widest(widened(k + 1))
+        with pytest.raises(DomainError, match="norms over lambda 3 can reach"):
+            bulk._norm_top(widened(k + 1), lam)
+        bulk._norm_top(ns, lam)
+        for _ in each_row_block(1, ns.Q, bulk.ROW_BLOCK):
+            low, _, offsets = bulk.split_tables(ns, lam, ())
+            got = [norm.copy() for _, norm in bulk._split_norms(ns, low, offsets)]
+            for (a_o, b_o), norms in zip(offsets.tolist(), got):
+                alpha, beta = 2 * a_o - c1 * b_o, 2 * c0 * b_o - c1 * a_o
+                for (a, b), norm in zip(low.coords.tolist(), norms.tolist()):
+                    terms = (a * a - c1 * a * b + c0 * b * b, alpha * a, beta * b,
+                             a_o * a_o - c1 * a_o * b_o + c0 * b_o * b_o)
+                    partial = [sum(terms[:i + 1]) for i in range(4)]
+                    assert max(map(abs, partial)) <= 6 * bound < 2**63
+                    assert norm == abs(algebra.norm(ns.poly, (a + a_o, b + b_o)))
 
 
 def refuse(*args, **kwargs):
@@ -198,6 +313,6 @@ def test_count_rows_key_guard(knuth, monkeypatch):
     # both coordinates of N_2 span 2^40 + 2 values: a key over their box
     # needs about 2^80 values and would wrap int64
     wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**40 + 1, 0)))
-    monkeypatch.setattr(bulk, "row_blocks", refuse)
+    monkeypatch.setattr(bulk, "split_tables", refuse)
     with pytest.raises(CapExceeded, match="row keys of N_2 span"):
         bulk.count_rows(wide, 2)

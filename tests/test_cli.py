@@ -401,12 +401,18 @@ def test_out_writes_artifact_and_manifest(capsysbinary, tmp_path):
 
 
 # one run per streamed artifact: the tile in both spaces and every format,
-# prime-filtered weyl sums of both digit functions, primes, the N_lambda count
+# prime-filtered weyl sums of both digit functions (five-B's digit sums in a
+# sparse box at lambda 1 and 2, a dense one at 4), primes with the norm table
+# and without it (a wide digit), the N_lambda count
 BLOCK_RUNS = [("tile", *EISENSTEIN, "--depth", "6", "--resolution", "64", "--space", space,
                "--format", fmt) for space in tile.SPACE_TAGS for fmt in ("json", "csv", "pgm")] + [
     ("weyl", *KNUTH, "--fn", fn, "--alpha", "0.6180339887", "--lambda", "4,8,11",
      "--filter", "primes") for fn in ("sod", "rs")] + [
+    ("weyl", "--poly", "5,4,1", "--digits", "0,0;-4,-2;2,0;3,0;4,0", "--fn", "sod",
+     "--form", "1/3,0.25", "--lambda", "1,2,4", "--filter", "primes"),
     ("primes", *KNUTH, "--lambda", "11", "--format", "csv"),
+    ("primes", "--poly", "5,4,1", "--digits", "0,0;1,0;2,0;3,0;104,0", "--lambda", "4",
+     "--format", "csv"),
     ("expand", *KNUTH, "--enumerate", "11"),
 ]
 

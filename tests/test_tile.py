@@ -496,6 +496,20 @@ def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch, each_row_b
             assert all(entry[1:] == (m, binned) for entry in marks)
 
 
+def test_pool_matches_the_block_reduction():
+    # strided halving against the one-step reduction over k^d blocks of cells
+    rng = np.random.default_rng(17)
+    for d, side in ((1, 512), (2, 64), (3, 16)):
+        for density in (0.02, 0.5):
+            fine = rng.random((side,) * d) < density
+            for k in (2, 4, 8):
+                res = side // k
+                blocks = fine.reshape((res, k) * d).any(axis=tuple(range(1, 2 * d, 2)))
+                pooled = tile._pool(fine, res)
+                assert pooled.shape == (res,) * d and np.array_equal(pooled, blocks), (d, k)
+    assert tile._pool(fine, side) is fine  # factor 1: nothing to pool
+
+
 def test_streamed_raster_of_depth_zero(knuth, negabinary):
     for ns in (knuth, negabinary):
         for space in tile.SPACE_TAGS:
