@@ -2,20 +2,20 @@
 
 Row i of N_lambda holds the element whose digit index in position j is
 (i // Q^j) % Q, so a fixed block of top digits is one contiguous row
-range.  row_blocks is the one enumeration: it yields the rows in blocks
-of ROW_BLOCK from one low table of the bottom positions (at most
-ROW_BLOCK rows) plus q^low times the rows of the top positions.  That is
-exact integer arithmetic, so every split gives the same rows; the tile
-cloud walks the same split (split_tables, row_segments).  ROW_BLOCK is the
-one block size of every streamed stage, and no artifact depends on it.
-The two tables are built by a meet-in-the-middle merge of shorter tables,
-which also carries the digit statistics a caller asks for (digit sum,
-adjacent nonzero pairs) without re-expanding any element.  The prime
-pass (prime_blocks) reads the split itself and builds no row: per high
-row, the norms of its rows are a binary quadratic form over vectors
-derived once from the low table, each verdict is one bit of norm_table
-(or, when that table would outweigh the rows, the norm's own primality
-test), and the digit statistics add over the split.
+range.  split_tables is the one enumeration: row h * |low| + l is low row
+l, an element of the bottom positions (at most ROW_BLOCK rows), plus
+offsets[h], q^low times high row h, an element of the top positions.
+That is exact integer arithmetic, so every split gives the same rows.
+Every streamed stage walks it one high row at a time: the prime pass,
+count_rows, numeration.enumerate_N and the tile cloud.  The two tables
+are built by a meet-in-the-middle merge of shorter whole tables, which
+also carries the digit statistics a caller asks for (digit sum, adjacent
+nonzero pairs) without re-expanding any element.  The prime pass
+(prime_blocks) builds no row: per high row, the norms of its rows are a
+binary quadratic form over vectors derived once from the low table, each
+verdict is one bit of norm_table (or, when that table would outweigh the
+rows, the norm's own primality test), and the digit statistics add over
+the split.
 strip_columns is backward division on whole int64 coordinate columns.
 """
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
     from .numeration import NumberSystem
 
 INT64_GUARD = 1 << 60
-ROW_BLOCK = 1 << 16  # rows per streamed block, and most rows in the low table
+ROW_BLOCK = 1 << 16  # most rows in the low table, so in a streamed chunk of one high row
 
 
 def q_power_matrix(m: algebra.MinimalPolynomial, k: int) -> np.ndarray:
@@ -83,14 +83,6 @@ def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
     return lo, hi
 
 
-def block_ranges(total: int, size: int) -> list:
-    """[start, stop) ranges of at most `size` rows covering range(total)."""
-    return [(start, min(start + size, total)) for start in range(0, total, size)]
-
-
-STATS = ("sod", "rs")  # the digit statistics a table can carry
-
-
 @dataclass(frozen=True)
 class DigitTable:
     """Digit-string statistics for rows of N_lam, row-aligned.  Only the
@@ -104,20 +96,13 @@ class DigitTable:
     top_nz: np.ndarray | None  # (rows,) digit in position lam-1 is nonzero ('rs')
 
 
-def row_blocks(ns: NumberSystem, lam: int, stats=STATS):
-    """The rows of N_lam in order, in blocks of ROW_BLOCK rows (the last may
-    be shorter), as a generator of DigitTables carrying `stats`.  The cap (in
-    elements) and the int64 range of the coordinates are checked first."""
-    low, high, offsets = split_tables(ns, lam, stats)
-    return (_combine(low, high, offsets, start, stop)
-            for start, stop in block_ranges(ns.Q**lam, ROW_BLOCK))
-
-
-def split_tables(ns: NumberSystem, lam: int, stats=STATS) -> tuple:
-    """(low, high, offsets) behind row_blocks: row h * |low| + l of N_lam is
-    low row l plus offsets[h], the value of high row h shifted up by low.lam
-    positions (see row_segments).  The cap (in elements) and the int64 range
-    of the coordinates are checked before either table is built."""
+def split_tables(ns: NumberSystem, lam: int, stats) -> tuple:
+    """(low, high, offsets), the tables carrying `stats` (of "sod", "rs"):
+    row h * |low| + l of N_lam is low row l plus offsets[h], the value of
+    high row h shifted up by low.lam positions.  The low table has the most
+    bottom positions whose rows fit in ROW_BLOCK.  The cap (in elements) and
+    the int64 range of the coordinates are checked before either table is
+    built."""
     if lam < 0:
         raise UsageError("expansion length must be nonnegative")
     total = ns.Q**lam
@@ -136,64 +121,41 @@ def split_tables(ns: NumberSystem, lam: int, stats=STATS) -> tuple:
     return low, high, high.coords @ q_power_matrix(ns.poly, low.lam).T
 
 
-def row_segments(n_low: int, start: int, stop: int):
-    """(h, src, dst) per high row h met by the rows [start, stop) of a split
-    with n_low low rows: the rows h * n_low + l, l in the slice src, go to
-    the slice dst of a [start, stop) block."""
-    pos = 0
-    for h in range(start // n_low, -(-stop // n_low)):
-        a, b = max(start - h * n_low, 0), min(stop - h * n_low, n_low)
-        yield h, slice(a, b), slice(pos, pos + b - a)
-        pos += b - a
-
-
-def _empty_table(lam: int, rows: int, d: int, stats) -> DigitTable:
-    sod, rs = "sod" in stats, "rs" in stats
-    return DigitTable(lam, np.empty((rows, d), np.int64),
-                      np.empty((rows, d), np.int64) if sod else None,
-                      np.empty(rows, np.int64) if rs else None,
-                      np.empty(rows, bool) if rs else None,
-                      np.empty(rows, bool) if rs else None)
-
-
 def _base_table(ns: NumberSystem, lam: int, stats) -> DigitTable:
-    table = _empty_table(lam, ns.Q**lam, ns.degree, stats)
-    table.coords[:] = ns.digits if lam else 0
-    if table.s_coords is not None:
-        table.s_coords[:] = table.coords
-    if table.r is not None:
-        table.r[:] = 0
-        table.low_nz[:] = table.top_nz[:] = table.coords.any(axis=1)
-    return table
+    """The table of N_0 (the row 0) or of N_1 (the digits)."""
+    coords = np.array(ns.digits if lam else [(0,) * ns.degree], dtype=np.int64)
+    rs = "rs" in stats
+    return DigitTable(lam, coords, coords.copy() if "sod" in stats else None,
+                      np.zeros(len(coords), np.int64) if rs else None,
+                      coords.any(axis=1) if rs else None, coords.any(axis=1) if rs else None)
 
 
 def _build_table(ns: NumberSystem, lam: int, stats) -> DigitTable:
+    """The whole table of N_lam carrying `stats`, unchecked (split_tables
+    checks): row h * |low| + l merges row l of the table of the bottom
+    lam - lam // 2 positions with row h of the top lam // 2, one outer sum
+    per column.  Digit sums add, and the pair count gains the one pair that
+    straddles the seam; both halves hold a position, so low_nz comes from
+    the low row and top_nz from the high row."""
     if lam <= 1:
         return _base_table(ns, lam, stats)
     low, high = _build_table(ns, lam - lam // 2, stats), _build_table(ns, lam // 2, stats)
     offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
-    return _combine(low, high, offsets, 0, len(low.coords) * len(high.coords))
 
+    def outer(top, bottom):  # row h * len(bottom) + l is top[h] + bottom[l]
+        out = np.empty((len(top), len(bottom), top.shape[1]), np.int64)
+        for k in range(top.shape[1]):
+            np.add.outer(top[:, k], bottom[:, k], out=out[:, :, k])
+        return out.reshape(-1, top.shape[1])
 
-def _combine(low: DigitTable, high: DigitTable, offsets, start: int, stop: int) -> DigitTable:
-    """Rows [start, stop) of high over low (row_segments), with the columns
-    low carries."""
-    stats = [k for k, col in (("sod", low.s_coords), ("rs", low.r)) if col is not None]
-    out = _empty_table(low.lam + high.lam, max(stop - start, 0), low.coords.shape[1], stats)
-    coords, s_coords, r, low_nz, top_nz = (out.coords, out.s_coords, out.r, out.low_nz,
-                                           out.top_nz)
-    for h, src, dst in row_segments(len(low.coords), start, stop):
-        for k in range(coords.shape[1]):  # column by column: a short row broadcasts slowly
-            np.add(low.coords[src, k], offsets[h, k], out=coords[dst, k])
-            if s_coords is not None:
-                np.add(low.s_coords[src, k], high.s_coords[h, k], out=s_coords[dst, k])
-        if r is not None:
-            np.add(low.r[src], high.r[h], out=r[dst])
-            if high.low_nz[h]:  # the only new adjacent pair straddles the seam
-                r[dst] += low.top_nz[src]
-            low_nz[dst] = low.low_nz[src] if low.lam else high.low_nz[h]
-            top_nz[dst] = high.top_nz[h] if high.lam else low.top_nz[src]
-    return out
+    s_coords = None if low.s_coords is None else outer(high.s_coords, low.s_coords)
+    r = low_nz = top_nz = None
+    if low.r is not None:
+        r = np.add.outer(high.r, low.r)
+        r += np.logical_and.outer(high.low_nz, low.top_nz)
+        r = r.ravel()
+        low_nz, top_nz = np.tile(low.low_nz, len(high.r)), np.repeat(high.top_nz, len(low.r))
+    return DigitTable(lam, outer(offsets, low.coords), s_coords, r, low_nz, top_nz)
 
 
 def count_rows(ns: NumberSystem, lam: int) -> tuple:

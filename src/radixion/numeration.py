@@ -275,13 +275,14 @@ def is_fns(ns: NumberSystem) -> FnsVerdict:
 
 
 def enumerate_N(ns: NumberSystem, lam: int):
-    """Stream the Q^lam values with expansions of length <= lam, read from
-    bulk.row_blocks: element i carries digit index (i // Q^j) % Q in
-    position j, so a fixed top digit is one contiguous block of indices.
-    The length and the cap are checked when called."""
+    """Stream the Q^lam values with expansions of length <= lam: element i
+    carries digit index (i // Q^j) % Q in position j, so a fixed top digit
+    is one contiguous block of indices.  Read from bulk.split_tables, the
+    low table plus one offset at a time.  The length and the cap are
+    checked when called."""
     from . import bulk
-    blocks = bulk.row_blocks(ns, lam, ())
-    return (tuple(row) for block in blocks for row in block.coords.tolist())
+    low, _, offsets = bulk.split_tables(ns, lam, ())
+    return (tuple(row) for offset in offsets for row in (low.coords + offset).tolist())
 
 
 def sum_of_digits(ns: NumberSystem, x: FieldElement) -> FieldElement:

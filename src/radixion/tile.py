@@ -13,13 +13,14 @@ The depth-k point of the digit string b_1 ... b_k is q^{-k} n, n the
 element of N_k with top digit b_1.  Over the split of N_k into low rows
 and offsets (bulk.split_tables) that is (low_num[l] + off_num[h]) / c_0^k,
 from two numerator tables built once and checked below 2^53: the add is
-exact and the division the one rounding (cloud_chunks); the chart adds its
-terms in a fixed order (_charted), so no point depends on its chunk of
-bulk.ROW_BLOCK points.  tile_rasters bins the cloud in one pass, over a
-bounding box per space taken from the digits, through buffers allocated
-once per pass.  A space's grids whose resolutions differ by powers of two
-form a chain: only the finest grid of each chain is binned, and the
-coarser grids are OR-pooled from it after the pass, exactly.
+exact and the division the one rounding (cloud_chunks).  The cloud streams
+one chunk per high row, its len(low_num) points (at most bulk.ROW_BLOCK),
+and the chart adds its terms in a fixed order (_charted), so no point
+depends on the split or its chunk.  tile_rasters bins the cloud in one
+pass, over a bounding box per space taken from the digits, through buffers
+allocated once per pass.  A space's grids whose resolutions differ by
+powers of two form a chain: only the finest grid of each chain is binned,
+and the coarser grids are OR-pooled from it after the pass, exactly.
 
 In coordinate space the pass streams the Q^(k-m) corners of a coarse
 cloud, not the Q^k points (T_k = T_{k-m} + q^{-(k-m)} T_m).  A point's
@@ -165,16 +166,12 @@ def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
 
 
 def _sums(low_num: np.ndarray, off_num: np.ndarray):
-    """low_num[l] + off_num[h] over the rows h * len(low_num) + l in order
-    (bulk.row_segments), in chunks of bulk.ROW_BLOCK rows (the last may be
-    shorter), each written over the last in one buffer."""
-    buf = np.empty((bulk.ROW_BLOCK, low_num.shape[1]), order="F")
-    for start, stop in bulk.block_ranges(len(low_num) * len(off_num), len(buf)):
-        out = buf[: stop - start]
-        for h, src, dst in bulk.row_segments(len(low_num), start, stop):
-            for k in range(out.shape[1]):  # column by column: a short row broadcasts slowly
-                np.add(low_num[src, k], off_num[h, k], out=out[dst, k])
-        yield out
+    """low_num[l] + off_num[h] over the rows h * len(low_num) + l in order,
+    one chunk of len(low_num) rows (at most bulk.ROW_BLOCK) per high row h,
+    each written over the last in one buffer."""
+    buf = np.empty(low_num.shape, order="F")
+    for offset in off_num:
+        yield np.add(low_num, offset, out=buf)
 
 
 def _charted(points: np.ndarray, chart: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -317,7 +314,7 @@ def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, resoluti
     if m == 0:
         return _Fine()
     sign = 1 if ns.poly.coeffs[0] ** depth > 0 else -1
-    rows = np.concatenate([block.coords for block in bulk.row_blocks(ns, m, ())])
+    rows = bulk._build_table(ns, m, ()).coords  # N_m, within N_depth's checked range
     cloud = rows @ (sign * np.array(power, dtype=np.float64)).T  # exact, as in _cloud_numerators
     lo = cloud.min(axis=0)
     cloud -= lo  # exact: F spans less than a cell
@@ -450,7 +447,7 @@ def _binned(ns: NumberSystem, depth: int, charts: dict, keys) -> tuple:
         off_num *= scale
     if fine.depth:
         low_num += fine.lo  # a numerator of a depth-k point on each axis: exact
-    buffers = _bin_buffers(bulk.ROW_BLOCK, ns.degree)
+    buffers = _bin_buffers(len(low_num), ns.degree)
     for corners in _sums(low_num, off_num):
         for space, chart in charts.items():
             _mark(corners, abs(denom), chart, bboxes[space],

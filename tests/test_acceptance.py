@@ -18,8 +18,9 @@ import time
 
 import numpy as np
 import pytest
+from oracles import whole_table
 
-from radixion import bulk, numeration
+from radixion import numeration
 from radixion.numeration import NumberSystem
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
@@ -220,8 +221,8 @@ def coprime_average(lam, alpha):
     q - 1 divides n exactly when a + b = 0 mod 5, since q = 1 in
     Z[q]/(q-1) = Z/5.
     """
-    blocks = list(bulk.row_blocks(NumberSystem.parse("2,2,1", "0,0;1,0"), lam))
-    coords, s = (np.concatenate([getattr(b, f) for b in blocks]) for f in ("coords", "s_coords"))
+    table = whole_table(NumberSystem.parse("2,2,1", "0,0;1,0"), lam, ("sod",))
+    coords, s = table.coords, table.s_coords
     a, b = coords[:, 0], coords[:, 1]
     keep = (a % 2 == 1) & ((a + b) % 5 != 0)
     return complex(np.exp(2j * math.pi * alpha * s[keep, 0]).mean())

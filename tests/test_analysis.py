@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import cmath
 import collections
-import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import whole_table
 
 from radixion import algebra, analysis, bulk, numeration
 from radixion.analysis import LinearForm
@@ -17,13 +17,6 @@ from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
 
 GOLDEN_RATIO = 0.6180339887
-
-
-def whole_table(ns, lam):
-    """All rows of N_lam in one DigitTable: the row blocks, concatenated."""
-    blocks = list(bulk.row_blocks(ns, lam))
-    return bulk.DigitTable(lam, *(np.concatenate([getattr(b, f.name) for b in blocks])
-                                  for f in dataclasses.fields(bulk.DigitTable)[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -127,12 +120,12 @@ def test_prime_enumeration_small(knuth):
 def test_prime_counts_frozen(knuth):
     for lam, count in ((14, 2717), (18, 31060)):
         assert int(pass_mask(knuth, lam).sum()) == count
-        assert int(oracle_mask(knuth, whole_table(knuth, lam).coords).sum()) == count
+        assert int(oracle_mask(knuth, whole_table(knuth, lam, ()).coords).sum()) == count
 
 
 def test_prime_mask_matches_scalar(knuth, five_a, each_row_block):
     for ns, lam in ((knuth, 8), (five_a, 4)):
-        coords = whole_table(ns, lam).coords
+        coords = whole_table(ns, lam, ()).coords
         expected = [analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
                     in analysis.PRIME_KINDS for row in coords]
         for _ in each_row_block(1, 7, bulk.ROW_BLOCK):
@@ -150,9 +143,9 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
         lam = 1
         while ns.Q ** (lam + 1) <= 3000:
             lam += 1
-        coords = whole_table(ns, lam).coords
+        coords = whole_table(ns, lam, ()).coords
         mask = oracle_mask(ns, coords)
-        low = len(bulk.split_tables(ns, lam)[0].coords)  # the rows of one high row
+        low = len(bulk.split_tables(ns, lam, ())[0].coords)  # the rows of one high row
         blocks = bulk.prime_rows(ns, lam)
         per_high_row = np.split(mask, range(low, len(mask), low))
         assert [len(b) for b in blocks] == [int(m.sum()) for m in per_high_row]
@@ -160,7 +153,7 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
 
 
 def max_abs_norm(ns, lam):
-    coords = whole_table(ns, lam).coords.astype(object)
+    coords = whole_table(ns, lam, ()).coords.astype(object)
     return max(abs(algebra.norm(ns.poly, tuple(row))) for row in coords.tolist())
 
 
@@ -178,7 +171,7 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
 def test_sieve_size_at_lambda_22(knuth):
     # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M, and the
     # table holds one bit per norm up to the bound: 0.61 MB
-    coords = whole_table(knuth, 22).coords
+    coords = whole_table(knuth, 22, ()).coords
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
     table = bulk.norm_table(knuth, 22)
@@ -205,7 +198,7 @@ def test_wide_digits_classify_rows_without_a_table(knuth, negabinary, five_a, mo
     # digit 104 = 4 mod 5 widens the norms: a table over them would take
     # 1.1 MB for the 50 KB of coordinates of N_5, so each norm is tested alone
     wide = NumberSystem(five_a.poly, ((0, 0), (1, 0), (2, 0), (3, 0), (104, 0)))
-    coords = whole_table(wide, 5).coords
+    coords = whole_table(wide, 5, ()).coords
     expected = coords[oracle_mask(wide, coords)]
 
     def refuse(*args):
@@ -544,10 +537,8 @@ def test_digit_histogram_matches_scalar_counter(request):
 
 def enumerated_histogram(ns, fn, lam):
     """Counter of s(n) ('sod') or r(n) ('rs') over every row of N_lam."""
-    counts = collections.Counter()
-    for block in bulk.row_blocks(ns, lam):
-        counts.update(map(tuple, block.s_coords.tolist()) if fn == "sod" else block.r.tolist())
-    return counts
+    table = whole_table(ns, lam, (fn,))
+    return collections.Counter(map(tuple, table.s_coords.tolist()) if fn == "sod" else table.r.tolist())
 
 
 def test_closed_histogram_matches_enumeration(request):

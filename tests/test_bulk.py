@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
-import warnings
 
 import numpy as np
 import pytest
+from oracles import per_row_oracle, whole_table
 
-from radixion import algebra, analysis, bulk, numeration
+from radixion import algebra, bulk, numeration
 from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import Expansion
 
@@ -30,13 +29,6 @@ def scalar_row(ns, index, lam):
     low_nz = lam > 0 and ns.digit_is_nonzero[indices[0]]
     top_nz = lam > 0 and ns.digit_is_nonzero[indices[-1]]
     return value, s, r, low_nz, top_nz
-
-
-def whole_table(ns, lam):
-    """All rows of N_lam in one DigitTable: the row blocks, concatenated."""
-    blocks = list(bulk.row_blocks(ns, lam))
-    return bulk.DigitTable(lam, *(np.concatenate([getattr(b, f.name) for b in blocks])
-                                  for f in dataclasses.fields(bulk.DigitTable)[1:]))
 
 
 @pytest.mark.parametrize("lam", [0, 1, 2, 5])
@@ -91,7 +83,7 @@ def test_u_matrix_is_multiplication(knuth_poly):
 
 
 
-# ------------------------------------------------------------- row blocks
+# -------------------------------------------------------------- the split
 
 
 def golden_and_random(request):
@@ -109,30 +101,43 @@ def oracle_depth(ns, rows=600):
     return lam
 
 
-def test_row_blocks_are_slices_of_the_enumeration(request, each_row_block):
+def split_rows(split, h):
+    """The DigitTable of the rows h * |low| + l of N_lam over the split
+    (low, high, offsets), from the columns the split carries: digit sums
+    add, and the pair count gains the pair across the seam."""
+    low, high, offsets = split
+    rs = low.r is not None
+    return bulk.DigitTable(
+        low.lam + high.lam, low.coords + offsets[h],
+        None if low.s_coords is None else low.s_coords + high.s_coords[h],
+        low.r + high.r[h] + (high.low_nz[h] & low.top_nz) if rs else None,
+        (low.low_nz if low.lam else np.full(len(low.r), high.low_nz[h])) if rs else None,
+        (np.full(len(low.r), high.top_nz[h]) if high.lam else low.top_nz) if rs else None)
+
+
+def test_split_rows_are_the_enumeration(request, each_row_block):
     for ns in golden_and_random(request):
         Q = ns.Q
         for lam in (0, 1, oracle_depth(ns)):
             total = Q**lam
             stream = list(numeration.enumerate_N(ns, lam))
             rows = [scalar_row(ns, i, lam) for i in range(total)]
-            # low tables of 1, Q and Q^2 rows under blocks of 1, Q, Q + 1,
-            # Q^2 + 1, 7, 37 and 100 rows: blocks ragged and across seams
+            # low tables of 1, Q and Q^2 rows, and of the most within 7, 37 and 100
             for size in each_row_block(1, Q, Q + 1, Q * Q + 1, 7, 37, 100, bulk.ROW_BLOCK):
-                n_low = len(bulk.split_tables(ns, lam)[0].r)  # the most Q^j rows within size
+                split = bulk.split_tables(ns, lam, ("sod", "rs"))
+                low, high, offsets = split
+                n_low = len(low.r)  # the most Q^j rows within size
                 assert n_low <= size and (n_low == total or n_low * Q > size)
-                starts = range(0, total, size)
-                blocks = list(bulk.row_blocks(ns, lam))
-                assert [len(b.r) for b in blocks] == [min(size, total - a) for a in starts]
-                for a, block in zip(starts, blocks):
-                    ref = rows[a : a + size]
-                    assert block.lam == lam
-                    assert [tuple(v) for v in block.coords.tolist()] == stream[a : a + size]
-                    assert [tuple(v) for v in block.coords.tolist()] == [w[0] for w in ref]
-                    assert [tuple(v) for v in block.s_coords.tolist()] == [w[1] for w in ref]
-                    assert block.r.tolist() == [w[2] for w in ref]
-                    assert block.low_nz.tolist() == [w[3] for w in ref]
-                    assert block.top_nz.tolist() == [w[4] for w in ref]
+                assert (low.lam + high.lam, len(high.r) * n_low) == (lam, total)
+                assert list(numeration.enumerate_N(ns, lam)) == stream
+                for h in range(len(offsets)):
+                    got, ref = split_rows(split, h), rows[h * n_low : (h + 1) * n_low]
+                    assert [tuple(v) for v in got.coords.tolist()] == stream[h * n_low : (h + 1) * n_low]
+                    assert [tuple(v) for v in got.coords.tolist()] == [w[0] for w in ref]
+                    assert [tuple(v) for v in got.s_coords.tolist()] == [w[1] for w in ref]
+                    assert got.r.tolist() == [w[2] for w in ref]
+                    assert got.low_nz.tolist() == [w[3] for w in ref]
+                    assert got.top_nz.tolist() == [w[4] for w in ref]
 
 
 def test_blocks_carry_only_the_asked_columns(request, each_row_block):
@@ -141,17 +146,21 @@ def test_blocks_carry_only_the_asked_columns(request, each_row_block):
                ("rs",): ("coords", "r", "low_nz", "top_nz")}
     for ns in golden_and_random(request):
         lam = oracle_depth(ns)
+        full = whole_table(ns, lam)
+        for stats, kept in carried.items():
+            table = whole_table(ns, lam, stats)
+            for name in columns:
+                assert np.array_equal(getattr(table, name), getattr(full, name)) \
+                    if name in kept else getattr(table, name) is None
         for _ in each_row_block(7, bulk.ROW_BLOCK):
-            full = list(bulk.row_blocks(ns, lam))
+            full = bulk.split_tables(ns, lam, ("sod", "rs"))
             for stats, kept in carried.items():
-                blocks = list(bulk.row_blocks(ns, lam, stats))
-                assert len(blocks) == len(full)
-                for block, ref in zip(blocks, full):
+                split = bulk.split_tables(ns, lam, stats)
+                assert np.array_equal(split[2], full[2])
+                for got, ref in zip(split[:2], full[:2]):
                     for name in columns:
-                        if name in kept:
-                            assert np.array_equal(getattr(block, name), getattr(ref, name))
-                        else:
-                            assert getattr(block, name) is None
+                        assert np.array_equal(getattr(got, name), getattr(ref, name)) \
+                            if name in kept else getattr(got, name) is None
             # the prime pass: the split tables, carrying the asked columns only,
             # and the mask of the low rows per high row, in order
             table = bulk.norm_table(ns, lam)
@@ -180,14 +189,12 @@ def test_coordinate_ranges_are_exact(request):
             assert lo == pts.min(axis=0).tolist() and hi == pts.max(axis=0).tolist()
 
 
-def test_count_rows_matches_enumeration(request, each_row_block, monkeypatch):
+def test_count_rows_matches_enumeration(request, each_row_block):
     for ns in golden_and_random(request):
         lam = oracle_depth(ns, 2000)
         stream = list(numeration.enumerate_N(ns, lam))
-        monkeypatch.setattr(bulk, "row_blocks", refuse)  # the keys come from the split
         for _ in each_row_block(7, 100, bulk.ROW_BLOCK):
             assert bulk.count_rows(ns, lam) == (len(stream), len(set(stream)))
-        monkeypatch.undo()
     assert bulk.count_rows(request.getfixturevalue("knuth"), 0) == (1, 1)
 
 
@@ -200,18 +207,6 @@ def prime_systems(request):
     cns = [ns for ns, _ in request.getfixturevalue("cns_systems") if ns.degree <= 2]
     return golden_and_random(request) + cns + [numeration.NumberSystem.parse("3,1", "0;1;2"),
                                                numeration.NumberSystem.parse("-3,1", "0;1;-1")]
-
-
-def per_row_oracle(ns, lam):
-    """(rows, primes, s, r) over enumerate_N(ns, lam), scalar per row:
-    analysis.is_prime_element, numeration.sum_of_digits and
-    numeration.rudin_shapiro, each on the row's own expansion."""
-    rows = list(numeration.enumerate_N(ns, lam))
-    prime = [analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # pair counting warns on Q > 2
-        r = [numeration.rudin_shapiro(ns, n) for n in rows]
-    return rows, prime, [numeration.sum_of_digits(ns, n) for n in rows], r
 
 
 def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
@@ -297,16 +292,19 @@ def refuse(*args, **kwargs):
     raise AssertionError("built before the guard")
 
 
-def test_row_blocks_guard_before_building(knuth, monkeypatch):
+def test_split_guard_before_building(knuth, monkeypatch):
+    # split_tables checks, and enumerate_N through it when called, not when iterated
     monkeypatch.setattr(bulk, "_build_table", refuse)
-    with pytest.raises(CapExceeded, match="table of 1073741824 elements"):
-        bulk.row_blocks(knuth, 30)
-    with pytest.raises(UsageError):
-        bulk.row_blocks(knuth, -1)
-    # a digit near 2^61: rows of N_1 would pass the int64 budget
     wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**61 + 1, 0)))
-    with pytest.raises(CapExceeded, match="coordinates of N_1 reach"):
-        bulk.row_blocks(wide, 1)
+    for route in (lambda ns, lam: bulk.split_tables(ns, lam, ("sod", "rs")),
+                  numeration.enumerate_N):
+        with pytest.raises(CapExceeded, match="table of 1073741824 elements"):
+            route(knuth, 30)
+        with pytest.raises(UsageError):
+            route(knuth, -1)
+        # a digit near 2^61: rows of N_1 would pass the int64 budget
+        with pytest.raises(CapExceeded, match="coordinates of N_1 reach"):
+            route(wide, 1)
 
 
 def test_count_rows_key_guard(knuth, monkeypatch):

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import whole_table
 
-from radixion import bulk, tile
+from radixion import algebra, bulk, tile
 from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
 from radixion.tile import Raster
@@ -318,17 +319,43 @@ def stream_depth(ns, points=10**4):
     return depth
 
 
-@pytest.mark.parametrize("name,depth", [("knuth", 10), ("negabinary", 12)])
+def rounded_cloud(ns, depth, space_tag="coordinate"):
+    """The float nearest each exact point q^-k n, n a row of N_k (whole_table),
+    from exact integers: u^k n / c_0^k with q u = c_0; charted as doubling_cloud."""
+    uk = (1,) + (0,) * (ns.degree - 1)
+    for _ in range(depth):
+        uk = algebra.mul(ns.poly, uk, algebra.u_element(ns.poly))
+    denom = ns.poly.coeffs[0] ** depth
+    pts = np.array([[float(Fraction(v, denom)) for v in algebra.mul(ns.poly, uk, tuple(n))]
+                    for n in whole_table(ns, depth, ()).coords.tolist()])
+    if space_tag == "embedding":
+        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
+    return pts
+
+
+def low_rows(ns, depth, size):
+    """Rows of the low table of N_depth when bulk.ROW_BLOCK is `size`: the most
+    Q^j, j <= depth, within size.  A streamed chunk is one high row of them."""
+    j = 0
+    while j < depth and ns.Q ** (j + 1) <= size:
+        j += 1
+    return ns.Q**j
+
+
+@pytest.mark.parametrize("name,depth", [("knuth", 10), ("negabinary", 12), ("five_a", 7)])
 @pytest.mark.parametrize("space", tile.SPACE_TAGS)
 def test_chunks_are_bit_identical_to_doubling(request, each_row_block, name, depth, space):
-    # c0 = +-2: the doubling loop is exact, so the integer-row route must match it
+    # c0 = +-2: the doubling loop is exact, so the integer-row route must match
+    # it; for five-A (c0 = 5) each exact point, rounded, is the reference
     ns = request.getfixturevalue(name)
-    whole = doubling_cloud(ns, depth, space)
+    whole = doubling_cloud(ns, depth, space) if ns.Q == 2 else rounded_cloud(ns, depth, space)
     for size in each_row_block():
         chunks = list(tile.cloud_chunks(ns, depth, space))
-        starts = range(0, len(whole), size)
-        assert [len(c) for c in chunks] == [min(size, len(whole) - a) for a in starts]
+        low = low_rows(ns, depth, size)
+        assert [len(c) for c in chunks] == [low] * (len(whole) // low)
         assert np.array_equal(np.concatenate(chunks), whole)
+    # under the default ROW_BLOCK: one chunk for Q = 2, high rows of 5^6 for five-A
+    assert [len(c) for c in chunks] == {"five_a": [5**6] * 5}.get(name, [len(whole)])
 
 
 def assert_correctly_rounded(ns, depth, each_row_block):
@@ -481,19 +508,24 @@ def recorded_marks(monkeypatch):
     return marks
 
 
-def test_power_of_two_grids_are_pooled_not_binned(knuth, monkeypatch, each_row_block):
+def test_power_of_two_grids_are_pooled_not_binned(knuth, five_a, monkeypatch, each_row_block):
     marks = recorded_marks(monkeypatch)
-    # (raster, box-counting grids, binned grids, m): the criterion-5 request,
-    # the same request at 64 (4 points a corner), and two grids binned alike
-    cases = [(1024, (256, 512, 1024), [1024], 0), (64, (16, 32, 64), [64], 2),
-             (100, (300,), [100, 300], 0)]
+    # (system, depth, raster, box-counting grids, binned grids, m): the
+    # criterion-5 request, the same request at 64 (4 points a corner), two
+    # grids binned alike, and five-A at depth 10, whose 5^7 corners stream in
+    # high rows of 5^6 under the default ROW_BLOCK
+    cases = [(knuth, 12, 1024, (256, 512, 1024), [1024], 0),
+             (knuth, 12, 64, (16, 32, 64), [64], 2),
+             (knuth, 12, 100, (300,), [100, 300], 0),
+             (five_a, 10, 256, (64, 128, 256), [256], 3)]
     for size in each_row_block(7, 1000, bulk.ROW_BLOCK):
-        for raster, boxdim, binned, m in cases:
+        for ns, depth, raster, boxdim, binned, m in cases:
             marks.clear()
-            tile.tile_rasters(knuth, 12, [("coordinate", raster)] + [("coordinate", r) for r in boxdim])
-            corners = knuth.Q ** (12 - m)  # one call per chunk of corners
-            assert [n for n, _, _ in marks] == [min(size, corners - a) for a in range(0, corners, size)]
+            tile.tile_rasters(ns, depth, [("coordinate", raster)] + [("coordinate", r) for r in boxdim])
+            corners, low = ns.Q ** (depth - m), low_rows(ns, depth - m, size)  # one call per high row
+            assert [n for n, _, _ in marks] == [low] * (corners // low)
             assert all(entry[1:] == (m, binned) for entry in marks)
+    assert [n for n, _, _ in marks] == [5**6] * 5
 
 
 def test_pool_matches_the_block_reduction():
