@@ -28,8 +28,9 @@ _EXPORTS = {
               "cns_subset_graph", "gaussian_family"),
     "errors": ("CapExceeded", "ConvergenceError", "CycleDetected", "DomainError",
                "RadixionError", "UsageError"),
-    "numeration": ("Expansion", "FnsVerdict", "NumberSystem", "digit_slice", "enumerate_N",
-                   "evaluate", "expand", "is_fns", "rudin_shapiro", "sum_of_digits"),
+    "numeration": ("DigitStatistic", "Expansion", "FnsVerdict", "NumberSystem", "digit_slice",
+                   "digit_sum", "enumerate_N", "evaluate", "expand", "is_fns", "pair_count",
+                   "rudin_shapiro", "sum_of_digits"),
     "tile": ("BoxDimReport", "Raster", "boundary_boxdim", "cloud_chunks", "cover_fraction",
              "tile_radii", "tile_rasters"),
 }

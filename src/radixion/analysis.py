@@ -1,34 +1,40 @@
 """Prime elements, Weyl sums, and empirical Fourier decay over N_lambda.
 
 Exponential sums S = sum e(h * value(n)) are taken over the full
-length-bounded set N_lambda or its prime elements; value(n) is either a
-linear form in the traces of the digit-sum element or a scalar multiple
-of the adjacent-nonzero-pair count.  Decay of |S|/count as lambda grows
-is the finite-scale signature of equidistribution modulo 1.
+length-bounded set N_lambda or its prime elements, value(n) = <w, v(n)>
+pairing the weights w of a phase with the value vector v(n) of a digit
+statistic (numeration.DigitStatistic), an automaton over the digits: the
+digit sum s(n) of Thue-Morse, one state, twisted by a linear form in its
+traces or, for digits in Z, by a scalar; the adjacent-nonzero-pair count
+r(n) of Rudin-Shapiro, two states, twisted by a scalar.  Decay of
+|S|/count as lambda grows is the finite-scale signature of
+equidistribution modulo 1.
 
-Both statistics take few values: s(n) lies in a box of prod_i
-(lambda * w_i + 1) points (w_i the digit spread in coordinate i), and r(n)
-in 0..lambda-1.  So weyl_sum counts the rows per value in an exact integer
-histogram and takes one exponential per occupied value; the counted sum is
-added exactly and rounded once, so it equals the math.fsum of the per-row
-summands.  Over all of N_lambda the histogram has a closed form (the
-lambda-fold convolution of the digit multiset for s(n), Gelfond; a
-two-state recursion on the last digit for r(n)); over the primes it is
-counted from the one streamed pass of bulk.prime_blocks.  This module
-imports no numpy: only that prime pass builds arrays.
+A statistic takes few values: v(n) lies in the box lambda * [min, max] of
+its increments, coordinate by coordinate.  So weyl_sum counts the rows per
+value in an exact integer histogram and takes one exponential per occupied
+value; the counted sum is added exactly and rounded once, so it equals the
+math.fsum of the per-row summands.  Over all of N_lambda the histogram has
+a closed form, one DP over (state, value): the lambda-fold convolution of
+the digit multiset for s(n) (Gelfond), the recursion on the last digit for
+r(n); over the primes it is counted from the one streamed pass of
+bulk.prime_blocks.  fourier_decay is a transfer product over the same
+states.  This module imports no numpy: only that prime pass builds arrays.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
+import functools
 import math
 from typing import NamedTuple
 
 from . import algebra
 from .algebra import MinimalPolynomial
-from .caps import ENUM_CAP, effective_cap
+from .caps import ENUM_CAP, check_samples, effective_cap
 from .errors import CapExceeded, UsageError
-from .numeration import NumberSystem
+from .numeration import DigitStatistic, NumberSystem
 
 TWO_PI = 2.0 * math.pi
 LOG_FLOOR = 1e-300
@@ -238,104 +244,84 @@ class WeylRow(NamedTuple):
 
 def _integer_digit_values(ns: NumberSystem):
     if any(any(b[1:]) for b in ns.digits):
-        raise UsageError(
-            "a scalar coefficient on digit sums needs digits in Z; pass a linear form"
-        )
+        raise UsageError("a scalar coefficient on digit sums needs digits in Z; pass a linear form")
     return [b[0] for b in ns.digits]
 
 
-def _digit_twist(ns: NumberSystem, fn: str, phase):
-    """(c, pair) with value(n) = <c, s(n)> + pair * r(n); s(n) is the
-    digit-sum element, r(n) the count of adjacent nonzero digit pairs."""
-    if fn == "rs":
-        if isinstance(phase, LinearForm):
-            raise UsageError("pair counting takes a scalar coefficient, not a form")
-        return (0.0,) * ns.degree, float(phase)
-    if fn == "sod":
-        if isinstance(phase, LinearForm):
-            return phase_weights(phase, ns.poly), 0.0
-        _integer_digit_values(ns)
-        return (float(phase),) + (0.0,) * (ns.degree - 1), 0.0
-    raise UsageError("fn must be 'sod' or 'rs'")
+def _digit_twist(stat: DigitStatistic, m: MinimalPolynomial, phase) -> tuple:
+    """Weights w with value(n) = <w, v(n)>, v(n) the value vector of the
+    digit statistic: a trace linear form needs a statistic valued in Z[q]
+    (phase_weights), a scalar coefficient one whose increments all lie on
+    the first coordinate."""
+    if isinstance(phase, LinearForm):
+        if not stat.element:
+            raise UsageError("a statistic counted in Z takes a scalar coefficient, not a form")
+        return phase_weights(phase, m)
+    if any(any(inc[1:]) for row in stat.step for _, inc in row):
+        raise UsageError("a scalar coefficient needs a statistic in Z; pass a linear form")
+    return (float(phase),) + (0.0,) * (stat.width - 1)
 
 
-def _digit_histogram(ns: NumberSystem, fn: str, lam: int, filter: str = "all") -> dict:
-    """Exact row counts of the statistic an fn-twist reads over N_lam or its
-    primes, {value: count} over the occupied values in ascending order: the
-    digit-sum element s(n), a tuple, for 'sod'; the adjacent nonzero-pair
-    count r(n) for 'rs'.
+def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lam: int,
+                     filter: str = "all") -> dict:
+    """Exact row counts of the digit statistic's value v(n) over N_lam or
+    its primes, {value tuple: count} over the occupied values in ascending
+    order.
 
-    s(n) lies in a box, coordinate i spanning lam * [min_b b_i, max_b b_i],
-    and r(n) in 0..lam-1; the bins, at most min(box, Q^lam), are checked
-    against the element cap before any work.  Over all of N_lam the counts
-    come in closed form (_closed_histogram), and the Q^lam rows they count
-    are still held to the element cap; over the primes they are counted
-    from the streamed pass (bulk.prime_histogram).
+    v(n) lies in the box lam * [min, max] of the increments, coordinate by
+    coordinate; the bins, at most min(box, Q^lam), are checked against the
+    element cap before any work.  Over all of N_lam the counts come in
+    closed form (_closed_histogram), and the Q^lam rows they count are
+    still held to the element cap; over the primes they are counted from
+    the streamed pass (bulk.prime_histogram).
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
-    span = max(lam, 0)  # the enumeration rejects lam < 0
-    if fn == "sod":
-        lo = tuple(span * min(b[i] for b in ns.digits) for i in range(ns.degree))
-        dims = tuple(span * (max(b[i] for b in ns.digits) - min(b[i] for b in ns.digits)) + 1
-                     for i in range(ns.degree))
-    elif fn == "rs":
-        lo, dims = (0,), (max(span, 1),)
-    else:
-        raise UsageError("fn must be 'sod' or 'rs'")
-    bins = min(math.prod(dims), ns.Q**span)
+    if lam < 0:
+        raise UsageError("expansion length must be nonnegative")
+    columns = list(zip(*(inc for row in stat.step for _, inc in row)))
+    lo = tuple(lam * min(c) for c in columns)
+    dims = tuple(lam * (max(c) - min(c)) + 1 for c in columns)
+    bins = min(math.prod(dims), ns.Q**lam)
     if bins > effective_cap(ENUM_CAP):
         raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
                           % (bins, lam, effective_cap(ENUM_CAP)))
     if filter == "primes":
         from . import bulk
-        return bulk.prime_histogram(ns, fn, lam, lo, dims)
-    if lam < 0:
-        raise UsageError("expansion length must be nonnegative")
+        return bulk.prime_histogram(ns, stat, lam, lo, dims)
     if ns.Q**lam > effective_cap(ENUM_CAP):
         raise CapExceeded("table of %d elements exceeds cap %d"
                           % (ns.Q**lam, effective_cap(ENUM_CAP)))
-    return _closed_histogram(ns, fn, lam)
+    return _closed_histogram(stat, lam)
 
 
-def _closed_histogram(ns: NumberSystem, fn: str, lam: int) -> dict:
-    """The row counts of _digit_histogram over all of N_lam, in O(lam * Q *
-    bins).  A row is a digit string of length lam.  Its digit sum is a sum
-    of lam independent digits, so the counts of s(n) are the lam-fold
-    convolution of the digit multiset (Gelfond's factorization).  Its pair
-    count grows by one exactly when a nonzero digit follows a nonzero one,
-    so the counts of r(n) follow from the counts of the strings ending in a
-    zero and in a nonzero digit, by r (Mauduit-Rivat's transfer product)."""
-    if fn == "sod":
-        counts = {ns.zero: 1}
-        for _ in range(lam):
-            step = {}
-            for s, n in counts.items():
-                for b in ns.digits:
-                    key = tuple(x + y for x, y in zip(s, b))
-                    step[key] = step.get(key, 0) + n
-            counts = step
-        return dict(sorted(counts.items()))
-    nonzero = sum(ns.digit_is_nonzero)
-    zero = ns.Q - nonzero
-    ends_zero, ends_nonzero = [1], [0]  # the empty string, by pair count
+def _closed_histogram(stat: DigitStatistic, lam: int) -> dict:
+    """The row counts of _digit_histogram over all of N_lam: one DP over
+    (state, value) counts the digit strings of each length by the state
+    they leave and their value, a state's digits that move alike counted as
+    one move.  With the one state of the digit sum it is the lam-fold
+    convolution of the digit multiset (Gelfond's factorization); with the
+    two of the pair count, the recursion on whether the last digit is zero
+    (Mauduit-Rivat's transfer product)."""
+    moves = [collections.Counter(row).items() for row in stat.step]
+    counts = [{} for _ in stat.states]
+    counts[stat.start] = {(0,) * stat.width: 1}
     for _ in range(lam):
-        ends_zero, ends_nonzero = (
-            [zero * (a + b) for a, b in zip(ends_zero + [0], ends_nonzero + [0])],
-            [nonzero * (a + b) for a, b in zip(ends_zero + [0], [0] + ends_nonzero)])
-    return {r: a + b for r, (a, b) in enumerate(zip(ends_zero, ends_nonzero)) if a + b}
+        step = [{} for _ in stat.states]
+        for state, table in enumerate(counts):
+            for value, n in table.items():
+                for (nxt, inc), k in moves[state]:
+                    key = tuple(x + y for x, y in zip(value, inc))
+                    step[nxt][key] = step[nxt].get(key, 0) + n * k
+        counts = step
+    return dict(sorted(sum(map(collections.Counter, counts), collections.Counter()).items()))
 
 
-def weyl_sum(
-    ns: NumberSystem,
-    fn: str,
-    phases,
-    h: int,
-    lam: int,
-    filter: str = "all",
-) -> list:
+def weyl_sum(ns: NumberSystem, stat: DigitStatistic, phases, h: int, lam: int,
+             filter: str = "all") -> list:
     """S = sum of e(h * value) over N_lambda or its primes, one WeylRow per
-    phase, in order.
+    phase, in order; value(n) = <w, v(n)> with the weights w of the phase
+    (_digit_twist) and the value vector v(n) of the digit statistic.
 
     The rows are counted per value of the digit statistic exactly
     (_digit_histogram); each phase then takes one exponential per occupied
@@ -345,17 +331,14 @@ def weyl_sum(
     prime pass blocks the rows, and a row does not depend on the other
     phases.
     """
-    twists = [_digit_twist(ns, fn, phase) for phase in phases]
-    hist = _digit_histogram(ns, fn, lam, filter)
+    weights = [_digit_twist(stat, ns.poly, phase) for phase in phases]
+    hist = _digit_histogram(ns, stat, lam, filter)
     counts = list(hist.values())
     count = sum(counts)
     scale = TWO_PI * h
     rows = []
-    for c, pair in twists:
-        if fn == "sod":
-            values = [sum(x * w for x, w in zip(s, c)) for s in hist]
-        else:
-            values = [pair * r for r in hist]
+    for weight in weights:
+        values = [sum(x * c for x, c in zip(v, weight)) for v in hist]
         z = [cmath.exp(complex(0.0, scale * v)) for v in values]
         total = complex(_exact_sum(counts, [w.real for w in z]),
                         _exact_sum(counts, [w.imag for w in z]))
@@ -392,71 +375,93 @@ class FourierDecayRow(NamedTuple):
 
 
 class FourierDecayReport(NamedTuple):
-    fn: str
     lam_max: int
     t_samples: int
     seed: int
     kappa: int
     mu_q: int
     big_m_q: int
-    digit_norm_sum: float | None
-    rs_bound_slope: float | None
     rows: tuple
 
 
-def rs_bound_slope(alpha: float) -> float:
-    """Per-lambda decay slope (lambda/2) log2(2/(1+|cos pi alpha|)) / lambda."""
+def digit_norm_sum(ns: NumberSystem, phase) -> float:
+    """sum over the digits b of ||phi(mu_q b)||^2, with phi the linear form
+    (sumdigit_fourier_constants) or a scalar times the digit in Z."""
+    if isinstance(phase, LinearForm):
+        return sumdigit_fourier_constants(ns, phase).digit_norm_sum
+    mu_q = sum(ns.poly.coeffs)
+    total = 0.0
+    for v in _integer_digit_values(ns):
+        x = float(phase) * mu_q * v
+        total += (x - round(x)) ** 2
+    return total
+
+
+def rs_bound_slope(ns: NumberSystem, alpha: float) -> float:
+    """Per-lambda decay slope (lambda/2) log2(2/(1+|cos pi alpha|)) / lambda
+    of the binary pair-count twist by alpha, reported for any system ns."""
     return 0.5 * math.log2(2.0 / (1.0 + abs(math.cos(math.pi * alpha))))
 
 
-def fourier_decay(
-    ns: NumberSystem,
-    fn: str,
-    phase,
-    lam_max: int,
-    t_samples: int,
-    seed: int,
-) -> FourierDecayReport:
+def _vector_sum(vectors: list) -> list:
+    """The elementwise sum of lists, left to right; one list is itself."""
+    return functools.reduce(lambda x, y: [a + b for a, b in zip(x, y)], vectors)
+
+
+def fourier_decay(ns: NumberSystem, stat: DigitStatistic, phase, lam_max: int, t_samples: int,
+                  seed: int) -> FourierDecayReport:
     """Empirical decay of sup_t |S(t)| with S(t) = sum f(v) e(<t, v>).
 
     t is sampled uniformly in [0,1)^d (t = 0 is always forced in) and
-    paired with v through the trace form; f twists by the chosen digit
-    function.  Reported gamma_emp = lambda - max_t log_Q|S(t)| is a
-    lower bound for the true decay exponent, so only bounds of the form
-    "every sample stays below ..." are sound to check against it.
+    paired with v through the trace form; f twists by the digit statistic,
+    f(n) = e(<w, v(n)>) with the weights of _digit_twist.  Reported
+    gamma_emp = lambda - max_t log_Q|S(t)| is a lower bound for the true
+    decay exponent, so only bounds of the form "every sample stays below
+    ..." are sound to check against it.
 
-    S is a product of per-position 2x2 transfer matrices (Gelfond; Mauduit-
-    Rivat for the pair count): per t, one pass over the positions carries the
-    sums over digit prefixes ending in a zero and in a nonzero digit.  Every
-    t_k is m_k / 2^53 and the digit twist <c, b> of a float c is a dyadic
+    S is a product of per-position transfer matrices over the statistic's
+    states (Gelfond; Mauduit-Rivat for the pair count): per t, one pass over
+    the positions carries the sums over digit prefixes by the state they
+    leave.  Every t_k is m_k / 2^53 and a twist <w, inc> is a dyadic
     rational, so the phase of digit b at position j, sum_k t_k Tr(q^(k+j) b)
-    + <c, b> mod 1, is one integer mod 2^E, exact at every lambda and
-    rounded once to a float.
+    plus b's twist when it is the same from every state, is one integer mod
+    2^E, exact at every lambda and rounded once.  A twist that depends on
+    the state multiplies that state's sum over the digits that move alike.
     """
     if lam_max < 1:
         raise UsageError("lam_max must be at least 1")
     if t_samples < 0:
         raise UsageError("t_samples must be nonnegative")
-    c, pair = _digit_twist(ns, fn, phase)
+    weights = _digit_twist(stat, ns.poly, phase)
     if ns.Q**lam_max > effective_cap(ENUM_CAP):
         raise CapExceeded("lam_max %d spans %d elements, above cap %d"
                           % (lam_max, ns.Q**lam_max, effective_cap(ENUM_CAP)))
     d, m = ns.degree, ns.poly
+    check_samples(t_samples, d, "t samples")
     draws = algebra.dyadic_samples(seed, t_samples * d)  # t_k = m_k / 2^53, row by row
     samples = [(0,) * d] + [tuple(draws[i : i + d]) for i in range(0, len(draws), d)]
-    # <c, b> = twist[b] / 2^bits exactly, with bits >= 53, the bits of each t_k
-    ratios = [w.as_integer_ratio() for w in c]
+    # <w, inc> = exact(inc) / 2^bits exactly, with bits >= 53, the bits of each t_k
+    ratios = [w.as_integer_ratio() for w in weights]
     bits = max([algebra.SAMPLE_BITS] + [den.bit_length() - 1 for _, den in ratios])
     modulus = 1 << bits
-    twist = [sum(num * (modulus // den) * x for (num, den), x in zip(ratios, b))
-             for b in ns.digits]
+
+    def exact(inc):
+        return sum(num * (modulus // den) * x for (num, den), x in zip(ratios, inc))
+
+    twist, classes = [], {}  # digits alike from every state: (next state, factor) per state
+    for t in range(ns.Q):
+        moves = [row[t] for row in stat.step]
+        shared = {exact(inc) for _, inc in moves}
+        twist.append(shared.pop() if len(shared) == 1 else 0)
+        key = tuple((nxt, None if twist[t] or not exact(inc) else
+                     cmath.exp(TWO_PI * 1j * sum(x * c for x, c in zip(inc, weights))))
+                    for nxt, inc in moves)
+        classes.setdefault(key, []).append(t)
     lift = 1 << (bits - algebra.SAMPLE_BITS)  # t_k = m_k * lift / 2^bits
     power = algebra.power_sums(m, 2 * d - 2)
-    zero_digits = [i for i, nz in enumerate(ns.digit_is_nonzero) if not nz]
-    nonzero_digits = [i for i, nz in enumerate(ns.digit_is_nonzero) if nz]
-    pair_factor = cmath.exp(TWO_PI * 1j * pair)
     columns = list(zip(*samples))  # m_k over the samples, per k
-    ends_zero, ends_nonzero = [1.0 + 0j] * len(samples), [0j] * len(samples)
+    # the sums over the digit prefixes, by the state they leave
+    ends = [[1.0 + 0j if s == stat.start else 0j] * len(samples) for s in range(len(stat.states))]
     log_q = math.log(ns.Q)
     shifted = list(ns.digits)  # q^j b per digit b, exact
     rows = []
@@ -469,39 +474,17 @@ def fourier_decay(
                 tr = sum(x[i] * power[k + i] for i in range(d)) * lift % modulus
                 acc = [a + mk * tr for a, mk in zip(acc, columns[k])]
             factors.append([cmath.rect(1.0, a % modulus / modulus * TWO_PI) for a in acc])
-        into_zero = [sum(f) for f in zip(*(factors[k] for k in zero_digits))]
-        into_nonzero = [sum(f) for f in zip(*(factors[k] for k in nonzero_digits))]
-        ends_zero, ends_nonzero = (
-            [(a + b) * f for a, b, f in zip(ends_zero, ends_nonzero, into_zero)],
-            [(a + pair_factor * b) * f for a, b, f in zip(ends_zero, ends_nonzero, into_nonzero)])
-        best = max(abs(a + b) for a, b in zip(ends_zero, ends_nonzero))
+        into = [[] for _ in stat.states]  # the terms of the sum of each next state
+        for key, digits in classes.items():
+            total = [sum(f) for f in zip(*(factors[t] for t in digits))]
+            for nxt in {n for n, _ in key}:
+                terms = _vector_sum([ends[s] if f is None else [f * v for v in ends[s]]
+                                     for s, (n, f) in enumerate(key) if n == nxt])
+                into[nxt].append([a * f for a, f in zip(terms, total)])
+        ends = [_vector_sum(terms) if terms else [0j] * len(samples) for terms in into]
+        best = max(map(abs, _vector_sum(ends)))
         max_logq = math.log(max(best, LOG_FLOOR)) / log_q
         rows.append(FourierDecayRow(lam, len(samples), max_logq, lam - max_logq))
         shifted = [algebra.mul_by_q(m, x) for x in shifted]
-    mu_q = sum(ns.poly.coeffs)
-    big_m_q = sum(cf * cf for cf in ns.poly.coeffs)
-    digit_norm_sum = None
-    slope = None
-    if fn == "sod":
-        if isinstance(phase, LinearForm):
-            digit_norm_sum = sumdigit_fourier_constants(ns, phase).digit_norm_sum
-        else:
-            ints = _integer_digit_values(ns)
-            digit_norm_sum = 0.0
-            for v in ints:
-                x = float(phase) * mu_q * v
-                digit_norm_sum += (x - round(x)) ** 2
-    elif fn == "rs" and not isinstance(phase, LinearForm):
-        slope = rs_bound_slope(float(phase))
-    return FourierDecayReport(
-        fn,
-        lam_max,
-        t_samples,
-        seed,
-        0,
-        mu_q,
-        big_m_q,
-        digit_norm_sum,
-        slope,
-        tuple(rows),
-    )
+    return FourierDecayReport(lam_max, t_samples, seed, 0, sum(m.coeffs),
+                              sum(cf * cf for cf in m.coeffs), tuple(rows))

@@ -9,13 +9,15 @@ That is exact integer arithmetic, so every split gives the same rows.
 Every streamed stage walks it one high row at a time: the prime pass,
 count_rows, numeration.enumerate_N and the tile cloud.  The two tables
 are built by a meet-in-the-middle merge of shorter whole tables, which
-also carries the digit statistics a caller asks for (digit sum, adjacent
-nonzero pairs) without re-expanding any element.  The prime pass
+also carries the value of the digit statistic a caller asks for (the
+digit sum or the adjacent-nonzero-pair count, numeration.DigitStatistic)
+without re-expanding any element, by one rule: the low half's value plus
+the high half's from the state the low half leaves.  The prime pass
 (prime_blocks) builds no row: per high row, the norms of its rows are a
 binary quadratic form over vectors derived once from the low table, each
 verdict is one bit of norm_table (or, when that table would outweigh the
-rows, the norm's own primality test), and the digit statistics add over
-the split.
+rows, the norm's own primality test), and the statistic adds over the
+split by the same rule.
 strip_columns is backward division on whole int64 coordinate columns.
 """
 
@@ -85,21 +87,19 @@ def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
 
 @dataclass(frozen=True)
 class DigitTable:
-    """Digit-string statistics for rows of N_lam, row-aligned.  Only the
-    columns of the statistics asked for are built; the others are None."""
+    """Rows of N_lam, row-aligned, and when a caller asks for a digit
+    statistic, each row's value and exit state from each entry state."""
 
     lam: int
     coords: np.ndarray  # (rows, d) element values
-    s_coords: np.ndarray | None  # (rows, d) digit-sum elements ('sod')
-    r: np.ndarray | None  # (rows,) adjacent nonzero-digit pair counts ('rs')
-    low_nz: np.ndarray | None  # (rows,) digit in position 0 is nonzero ('rs')
-    top_nz: np.ndarray | None  # (rows,) digit in position lam-1 is nonzero ('rs')
+    values: np.ndarray | None  # (states, rows, width) value per entry state
+    exits: np.ndarray | None  # (states, rows) int8 exit state per entry state
 
 
-def split_tables(ns: NumberSystem, lam: int, stats) -> tuple:
-    """(low, high, offsets), the tables carrying `stats` (of "sod", "rs"):
-    row h * |low| + l of N_lam is low row l plus offsets[h], the value of
-    high row h shifted up by low.lam positions.  The low table has the most
+def split_tables(ns: NumberSystem, lam: int, stat=None) -> tuple:
+    """(low, high, offsets), the tables carrying the statistic `stat`: row
+    h * |low| + l of N_lam is low row l plus offsets[h], the value of high
+    row h shifted up by low.lam positions.  The low table has the most
     bottom positions whose rows fit in ROW_BLOCK.  The cap (in elements) and
     the int64 range of the coordinates are checked before either table is
     built."""
@@ -116,46 +116,46 @@ def split_tables(ns: NumberSystem, lam: int, stats) -> tuple:
     positions = 0  # in the low table: the most, up to lam, within ROW_BLOCK rows
     while positions < lam and ns.Q ** (positions + 1) <= ROW_BLOCK:
         positions += 1
-    low = _build_table(ns, positions, stats)
-    high = _build_table(ns, lam - low.lam, stats)
+    low = _build_table(ns, positions, stat)
+    high = _build_table(ns, lam - low.lam, stat)
     return low, high, high.coords @ q_power_matrix(ns.poly, low.lam).T
 
 
-def _base_table(ns: NumberSystem, lam: int, stats) -> DigitTable:
-    """The table of N_0 (the row 0) or of N_1 (the digits)."""
+def _base_table(ns: NumberSystem, lam: int, stat) -> DigitTable:
+    """The table of N_0 (the empty string, which adds nothing and leaves
+    the state it is read in) or of N_1 (the digits, one step each)."""
     coords = np.array(ns.digits if lam else [(0,) * ns.degree], dtype=np.int64)
-    rs = "rs" in stats
-    return DigitTable(lam, coords, coords.copy() if "sod" in stats else None,
-                      np.zeros(len(coords), np.int64) if rs else None,
-                      coords.any(axis=1) if rs else None, coords.any(axis=1) if rs else None)
+    if stat is None:
+        return DigitTable(lam, coords, None, None)
+    moves = stat.step if lam else [[(s, (0,) * stat.width)] for s in range(len(stat.states))]
+    return DigitTable(lam, coords, np.array([[inc for _, inc in row] for row in moves], np.int64),
+                      np.array([[nxt for nxt, _ in row] for row in moves], np.int8))
 
 
-def _build_table(ns: NumberSystem, lam: int, stats) -> DigitTable:
-    """The whole table of N_lam carrying `stats`, unchecked (split_tables
+def _build_table(ns: NumberSystem, lam: int, stat) -> DigitTable:
+    """The whole table of N_lam carrying `stat`, unchecked (split_tables
     checks): row h * |low| + l merges row l of the table of the bottom
     lam - lam // 2 positions with row h of the top lam // 2, one outer sum
-    per column.  Digit sums add, and the pair count gains the one pair that
-    straddles the seam; both halves hold a position, so low_nz comes from
-    the low row and top_nz from the high row."""
+    per coordinate.  The one merge rule of the statistic: from each entry
+    state, the value is the low row's plus the high row's from the state
+    the low row leaves, and the exit state is the high row's."""
     if lam <= 1:
-        return _base_table(ns, lam, stats)
-    low, high = _build_table(ns, lam - lam // 2, stats), _build_table(ns, lam // 2, stats)
+        return _base_table(ns, lam, stat)
+    low, high = _build_table(ns, lam - lam // 2, stat), _build_table(ns, lam // 2, stat)
     offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
-
-    def outer(top, bottom):  # row h * len(bottom) + l is top[h] + bottom[l]
-        out = np.empty((len(top), len(bottom), top.shape[1]), np.int64)
-        for k in range(top.shape[1]):
-            np.add.outer(top[:, k], bottom[:, k], out=out[:, :, k])
-        return out.reshape(-1, top.shape[1])
-
-    s_coords = None if low.s_coords is None else outer(high.s_coords, low.s_coords)
-    r = low_nz = top_nz = None
-    if low.r is not None:
-        r = np.add.outer(high.r, low.r)
-        r += np.logical_and.outer(high.low_nz, low.top_nz)
-        r = r.ravel()
-        low_nz, top_nz = np.tile(low.low_nz, len(high.r)), np.repeat(high.top_nz, len(low.r))
-    return DigitTable(lam, outer(offsets, low.coords), s_coords, r, low_nz, top_nz)
+    coords = np.empty((len(offsets), len(low.coords), ns.degree), np.int64)
+    for k in range(ns.degree):  # row h * len(low) + l is offsets[h] + low.coords[l]
+        np.add.outer(offsets[:, k], low.coords[:, k], out=coords[:, :, k])
+    coords = coords.reshape(-1, ns.degree)
+    if stat is None:
+        return DigitTable(lam, coords, None, None)
+    # [state, h, l]: high row h read in the state that low row l leaves
+    into, rows = low.exits[:, None, :], np.arange(len(offsets))[None, :, None]
+    values = high.values[into, rows]
+    values += low.values[:, None]
+    states = len(stat.states)
+    return DigitTable(lam, coords, values.reshape(states, -1, stat.width),
+                      high.exits[into, rows].reshape(states, -1))
 
 
 def count_rows(ns: NumberSystem, lam: int) -> tuple:
@@ -171,7 +171,7 @@ def count_rows(ns: NumberSystem, lam: int) -> tuple:
     span = place[0] * (hi[0] - lo[0] + 1)
     if span >= INT64_GUARD:
         raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
-    low, _, offsets = split_tables(ns, lam, ())
+    low, _, offsets = split_tables(ns, lam)
     shifts = [sum(v * p for v, p in zip(row, place)) for row in offsets.tolist()]  # exact
     keys = np.add.outer(np.array(shifts, dtype=np.int64), (low.coords - lo) @ place).ravel()
     keys.sort()
@@ -315,16 +315,16 @@ def _split_norms(ns: NumberSystem, low: DigitTable, offsets: np.ndarray):
         yield h, norm if definite else np.abs(norm, out=norm)
 
 
-def prime_blocks(ns: NumberSystem, lam: int, stats=()) -> tuple:
+def prime_blocks(ns: NumberSystem, lam: int, stat=None) -> tuple:
     """(low, high, offsets, masks): the split of N_lam (split_tables), whose
-    tables carry `stats`, and a generator of (h, mask) per high row h, in
-    order, mask marking the low rows l at which the row l + offsets[h] is
-    prime.  The element cap, the coordinate range and the norm bound are
-    checked when called.  Each norm comes from _split_norms and its verdict
-    from prime_mask; a norm table that would take more bytes than the 8 * d
-    of each row's coordinates is not built, and each norm is then tested
-    alone."""
-    low, high, offsets = split_tables(ns, lam, stats)
+    tables carry the statistic `stat`, and a generator of (h, mask) per high
+    row h, in order, mask marking the low rows l at which the row l +
+    offsets[h] is prime.  The element cap, the coordinate range and the norm
+    bound are checked when called.  Each norm comes from _split_norms and
+    its verdict from prime_mask; a norm table that would take more bytes
+    than the 8 * d of each row's coordinates is not built, and each norm is
+    then tested alone."""
+    low, high, offsets = split_tables(ns, lam, stat)
     table = None
     if _norm_top(ns, lam) // 8 + 1 <= 8 * ns.degree * ns.Q**lam:
         table = norm_table(ns, lam)
@@ -338,50 +338,45 @@ def prime_rows(ns: NumberSystem, lam: int) -> list:
     return [low.coords[mask] + offsets[h] for h, mask in masks]
 
 
-def prime_histogram(ns: NumberSystem, fn: str, lam: int, lo: tuple, dims: tuple) -> dict:
-    """Exact counts of the prime rows of N_lam per value of the statistic of
-    fn, {value: count} in ascending order: s(n) as a tuple ('sod') or r(n)
-    ('rs').  Both add over the split: s(l + o_h) = s(l) + s(h), and r(l +
-    o_h) = r(l) + r(h) + 1 when the top digit of l and the lowest of h are
-    nonzero.  So each high row adds the counts of the statistic over its
-    prime low rows, shifted by its own.  The values lie in the box of `dims`
-    values from `lo`; when it holds more values than N_lam has rows, they
-    are kept as the sorted distinct values of the low table plus those of
-    each high row, merged, else counted in a dense histogram over the box."""
-    low, high, _, masks = prime_blocks(ns, lam, (fn,))
-    size, found = math.prod(dims), []
-    sparse = fn == "sod" and size > ns.Q**lam
-    if fn == "rs":  # r(l) with the seam pair, or without it, by the lowest digit of h
-        keys = low.r + low.top_nz
-        slices = [(r, keys if nz else low.r)
-                  for r, nz in zip(high.r.tolist(), high.low_nz.tolist())]
-    elif sparse:
-        values, keys = np.unique(low.s_coords, axis=0, return_inverse=True)
-        keys = keys.ravel()
-    else:
-        place = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))], dtype=np.int64)
-        keys = low.s_coords @ place
-        least = int(keys.min())
-        keys -= least
-        slices = [(shift, keys) for shift in ((high.s_coords - lo) @ place + least).tolist()]
-    width = int(keys.max()) + 1
-    hist = np.zeros(0 if sparse else size + width, np.int64)  # room for a whole last slice
-    for h, mask in masks:
-        if sparse:
-            counts = np.bincount(keys[mask], minlength=width)
+def prime_histogram(ns: NumberSystem, stat, lam: int, lo: tuple, dims: tuple) -> dict:
+    """Exact counts of the prime rows of N_lam per value of the digit
+    statistic `stat`, {value tuple: count} in ascending order.  The value
+    adds over the split (split_tables): v(l + o_h) is v(l) plus high row h's
+    value from the state e(l) that low row l leaves.  So each high row
+    counts its prime low rows by (e(l), v(l)) in one bincount and adds each
+    state's counts at that state's value of the row.  The values lie in the
+    box of `dims` values from `lo`; when it holds more values than N_lam has
+    rows, the low rows are keyed by their sorted distinct (e(l), v(l)) and
+    each high row's values are merged, else counted in a dense histogram
+    over the box, one slice per state."""
+    low, high, _, masks = prime_blocks(ns, lam, stat)
+    exits, values = low.exits[stat.start], low.values[stat.start]
+    size = math.prod(dims)
+    if size > ns.Q**lam:
+        pairs, keys = np.unique(np.column_stack([exits, values]), axis=0, return_inverse=True)
+        keys, found = keys.ravel(), []
+        for h, mask in masks:
+            counts = np.bincount(keys[mask], minlength=len(pairs))
             occupied = np.flatnonzero(counts)
-            found.append((values[occupied] + high.s_coords[h], counts[occupied]))
-        else:
-            shift, low_keys = slices[h]
-            hist[shift : shift + width] += np.bincount(low_keys[mask], minlength=width)
-    if sparse:
+            state, value = pairs[occupied, 0], pairs[occupied, 1:]
+            found.append((value + high.values[state, h], counts[occupied]))
         values, inverse = np.unique(np.concatenate([v for v, _ in found]), axis=0,
                                     return_inverse=True)
-        counts = np.zeros(len(values), np.int64)
-        np.add.at(counts, inverse.ravel(), np.concatenate([c for _, c in found]))
-        return dict(zip(map(tuple, values.tolist()), counts.tolist()))
+        # float sums of counts, exact: N_lam has fewer than 2^53 rows
+        counts = np.bincount(inverse.ravel(), np.concatenate([c for _, c in found]))
+        return dict(zip(map(tuple, values.tolist()), map(int, counts.tolist())))
+    place = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))], dtype=np.int64)
+    keys = values @ place
+    least = int(keys.min())
+    keys -= least
+    width = int(keys.max()) + 1
+    keys += exits * np.int64(width)  # (exit state, low key)
+    shifts = ((high.values - lo) @ place + least).tolist()  # per state, per high row
+    hist = np.zeros(size + width, np.int64)  # room for a whole last slice
+    for h, mask in masks:
+        counts = np.bincount(keys[mask], minlength=len(shifts) * width)
+        for state, shift in enumerate(shifts):
+            hist[shift[h] : shift[h] + width] += counts[state * width : (state + 1) * width]
     occupied = np.flatnonzero(hist[:size])
-    keys = occupied.tolist()
-    if fn == "sod":
-        keys = map(tuple, (np.stack(np.unravel_index(occupied, dims), axis=1) + lo).tolist())
-    return dict(zip(keys, hist[occupied].tolist()))
+    keys = (np.stack(np.unravel_index(occupied, dims), axis=1) + lo).tolist()
+    return dict(zip(map(tuple, keys), hist[occupied].tolist()))

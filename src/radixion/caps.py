@@ -1,7 +1,8 @@
 """Resource caps for unbounded enumerations.
 
 Each cap bounds the number of *elements* a routine may visit before it
-raises :class:`~radixion.errors.CapExceeded`.  The environment variable
+raises :class:`~radixion.errors.CapExceeded`; seeded sample counts are
+held to the element cap in drawn integers.  The environment variable
 ``RADIXION_CAP`` overrides every default with one global element count,
 which is the escape hatch for deliberately expensive runs.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import UsageError
+from .errors import CapExceeded, UsageError
 
 ENV_VAR = "RADIXION_CAP"
 
@@ -32,3 +33,11 @@ def effective_cap(default: int) -> int:
     if value <= 0:
         raise UsageError("%s must be positive, got %d" % (ENV_VAR, value))
     return value
+
+
+def check_samples(count: int, width: int, what: str) -> None:
+    """Refuse `count` seeded samples of `width` integers each when they pass
+    the element cap, before any is drawn."""
+    if count * width > effective_cap(ENUM_CAP):
+        raise CapExceeded("%d %s of %d integers each exceed cap %d"
+                          % (count, what, width, effective_cap(ENUM_CAP)))

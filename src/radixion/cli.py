@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, algebra, numeration
 from .algebra import SPACE_TAGS, MinimalPolynomial
-from .caps import FNS_BOX_CAP, effective_cap
+from .caps import FNS_BOX_CAP, check_samples, effective_cap
 from .errors import CapExceeded, CycleDetected, RadixionError, UsageError
 from .numeration import NumberSystem
 
@@ -226,6 +226,14 @@ def _parse_phase(args):
     return LinearForm.parse(args.form)
 
 
+# the --fn values of weyl and fourier-decay, Thue-Morse on the digit sum and
+# Rudin-Shapiro on the adjacent nonzero digits: the digit statistic each
+# twists by, and the analysis function of the one constant it fills in a
+# fourier-decay report (of the system and the phase)
+_FNS = {"sod": (numeration.digit_sum, "digit_norm_sum"),
+        "rs": (numeration.pair_count, "rs_bound_slope")}
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -367,9 +375,10 @@ def _cmd_tile(args) -> _Artifact:
     if args.cover_samples < 1:
         raise UsageError("--cover-samples takes a positive count")
     ns = _number_system(args)
-    # every usage check comes before the streamed pass
+    # every usage and sample check comes before the streamed pass
     if args.format == "pgm" and ns.degree > 2:
         raise UsageError("PGM output needs a 1- or 2-dimensional raster")
+    check_samples(args.cover_samples, ns.degree, "cover samples")
     boxdim = [] if args.boxdim is None else _parse_int_list(args.boxdim)
     if boxdim:
         tile.check_boxdim(boxdim)
@@ -425,12 +434,14 @@ def _cmd_weyl(args) -> _Artifact:
             raise UsageError("the factorization identity sums over all of N_lambda")
         if args.identity_alphas < 1:
             raise UsageError("--identity-alphas takes a positive count")
+        check_samples(args.identity_alphas, 1, "identity alphas")
         alphas = [m / 2**algebra.SAMPLE_BITS
                   for m in algebra.dyadic_samples(args.seed, args.identity_alphas)]
         worst = 0.0
         worst_scaled = 0.0
+        statistic = numeration.digit_sum(ns)
         for lam in range(1, max(lams) + 1):
-            rows = analysis.weyl_sum(ns, "sod", alphas, args.h, lam)
+            rows = analysis.weyl_sum(ns, statistic, alphas, args.h, lam)
             for a, row in zip(alphas, rows):
                 ref = analysis.sod_factorization_reference(ns, a, args.h, lam)
                 err = abs(complex(row.re_sum, row.im_sum) - ref)
@@ -459,57 +470,27 @@ def _cmd_weyl(args) -> _Artifact:
         payload["alpha"] = phase
     payload["h"] = args.h
     payload["filter"] = args.filter
-    rows = [analysis.weyl_sum(ns, args.fn, [phase], args.h, lam, args.filter)[0] for lam in lams]
-    payload["rows"] = [
-        {
-            "lambda": r.lam,
-            "h": r.h,
-            "filter": r.filter,
-            "count": r.count,
-            "re_sum": r.re_sum,
-            "im_sum": r.im_sum,
-            "normalized": r.normalized,
-        }
-        for r in rows
-    ]
-    csv = (
-        ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized"),
-        [[(r.lam, r.h, r.filter, r.count, r.re_sum, r.im_sum, r.normalized) for r in rows]],
-    )
-    return _Artifact(payload, csv=csv)
+    statistic = _FNS[args.fn][0](ns)
+    rows = [analysis.weyl_sum(ns, statistic, [phase], args.h, lam, args.filter)[0]
+            for lam in lams]
+    header = ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized")  # WeylRow's
+    payload["rows"] = [dict(zip(header, r)) for r in rows]
+    return _Artifact(payload, csv=(header, [rows]))
 
 
 def _cmd_fourier_decay(args) -> _Artifact:
     from . import analysis
     ns = _number_system(args)
     phase = _parse_phase(args)
-    report = analysis.fourier_decay(ns, args.fn, phase, args.lam_max, args.t_samples, args.seed)
-    payload = {
-        "system": ns.encode(),
-        "fn": report.fn,
-        "lam_max": report.lam_max,
-        "t_samples": report.t_samples,
-        "seed": report.seed,
-        "kappa": report.kappa,
-        "mu_q": report.mu_q,
-        "big_m_q": report.big_m_q,
-        "digit_norm_sum": report.digit_norm_sum,
-        "rs_bound_slope": report.rs_bound_slope,
-        "rows": [
-            {
-                "lambda": r.lam,
-                "samples": r.samples,
-                "max_logq": r.max_logq,
-                "gamma_emp": r.gamma_emp,
-            }
-            for r in report.rows
-        ],
-    }
-    csv = (
-        ("lambda", "samples", "max_logq", "gamma_emp"),
-        [[(r.lam, r.samples, r.max_logq, r.gamma_emp) for r in report.rows]],
-    )
-    return _Artifact(payload, csv=csv)
+    statistic, constant = _FNS[args.fn]
+    report = analysis.fourier_decay(ns, statistic(ns), phase, args.lam_max, args.t_samples,
+                                    args.seed)._asdict()
+    rows = report.pop("rows")
+    header = ("lambda", "samples", "max_logq", "gamma_emp")  # FourierDecayRow's
+    payload = {"system": ns.encode(), "fn": args.fn, **report, "digit_norm_sum": None,
+               "rs_bound_slope": None, "rows": [dict(zip(header, r)) for r in rows]}
+    payload[constant] = getattr(analysis, constant)(ns, phase)
+    return _Artifact(payload, csv=(header, [rows]))
 
 
 def _cmd_primes(args) -> _Artifact:
@@ -582,7 +563,7 @@ def _conf_tile(p):
 
 def _conf_weyl(p):
     _add_system_flags(p)
-    p.add_argument("--fn", choices=("sod", "rs"), required=True)
+    p.add_argument("--fn", choices=tuple(_FNS), required=True)
     p.add_argument("--alpha", type=float, help="scalar coefficient")
     p.add_argument("--form", help="linear form t0,...,t{d-1}; p/q and integers are rational-tagged")
     p.add_argument("--h", type=int, default=1, help="integer harmonic")
@@ -594,7 +575,7 @@ def _conf_weyl(p):
 
 def _conf_fourier_decay(p):
     _add_system_flags(p)
-    p.add_argument("--fn", choices=("sod", "rs"), required=True)
+    p.add_argument("--fn", choices=tuple(_FNS), required=True)
     p.add_argument("--alpha", type=float, help="scalar coefficient")
     p.add_argument("--form", help="linear form t0,...,t{d-1}")
     p.add_argument("--lam-max", type=int, required=True, help="largest digit length")

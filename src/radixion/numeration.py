@@ -281,8 +281,38 @@ def enumerate_N(ns: NumberSystem, lam: int):
     low table plus one offset at a time.  The length and the cap are
     checked when called."""
     from . import bulk
-    low, _, offsets = bulk.split_tables(ns, lam, ())
+    low, _, offsets = bulk.split_tables(ns, lam)
     return (tuple(row) for offset in offsets for row in (low.coords + offset).tolist())
+
+
+class DigitStatistic(NamedTuple):
+    """A digit automaton read from the lowest position up: from `start`,
+    digit index t in state s moves to step[s][t][0] and adds the integer
+    vector step[s][t][1] to the value of the string.  `element`: the value
+    is an element of Z[q], so a trace linear form applies to it."""
+
+    states: tuple  # a label per state
+    start: int
+    step: tuple  # step[state][digit index] = (next state, increment tuple)
+    element: bool
+
+    @property
+    def width(self) -> int:
+        """The coordinates of a value."""
+        return len(self.step[0][0][1])
+
+
+def digit_sum(ns: NumberSystem) -> DigitStatistic:
+    """s(n), the Thue-Morse statistic: one state, each digit adds itself."""
+    return DigitStatistic(("any",), 0, (tuple((0, b) for b in ns.digits),), True)
+
+
+def pair_count(ns: NumberSystem) -> DigitStatistic:
+    """r(n), the Rudin-Shapiro statistic: the state is whether the last
+    digit read is nonzero, and a nonzero digit read after one adds 1."""
+    step = tuple(tuple((int(nz), (int(nz and after),)) for nz in ns.digit_is_nonzero)
+                 for after in (False, True))
+    return DigitStatistic(("last zero", "last nonzero"), 0, step, False)
 
 
 def sum_of_digits(ns: NumberSystem, x: FieldElement) -> FieldElement:

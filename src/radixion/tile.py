@@ -160,7 +160,7 @@ def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
     Low rows and offsets lie in N_depth too (0 is a digit), so every
     numerator, and the sum of two, is exact (_cloud_power)."""
     power, denom = _cloud_power(ns, depth)
-    low, _, offsets = bulk.split_tables(ns, depth, ())
+    low, _, offsets = bulk.split_tables(ns, depth)
     scale_t = np.array(power, dtype=np.float64).T
     return np.asfortranarray(low.coords @ scale_t), offsets @ scale_t, denom
 
@@ -314,7 +314,7 @@ def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, resoluti
     if m == 0:
         return _Fine()
     sign = 1 if ns.poly.coeffs[0] ** depth > 0 else -1
-    rows = bulk._build_table(ns, m, ()).coords  # N_m, within N_depth's checked range
+    rows = bulk._build_table(ns, m, None).coords  # N_m, within N_depth's checked range
     cloud = rows @ (sign * np.array(power, dtype=np.float64)).T  # exact, as in _cloud_numerators
     lo = cloud.min(axis=0)
     cloud -= lo  # exact: F spans less than a cell

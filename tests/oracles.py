@@ -2,27 +2,120 @@
 
 from __future__ import annotations
 
+import collections
+import math
 import warnings
 
-from radixion import analysis, bulk, numeration
+import numpy as np
+
+from radixion import algebra, analysis, bulk, numeration
+
+# the digit statistic of each --fn name
+STATISTICS = {"sod": numeration.digit_sum, "rs": numeration.pair_count}
 
 
-def whole_table(ns, lam, stats=("sod", "rs")):
-    """All rows of N_lam in one DigitTable carrying `stats`, in enumeration
+def whole_table(ns, lam, stat=None):
+    """All rows of N_lam in one DigitTable carrying `stat`, in enumeration
     order: the meet-in-the-middle merge of bulk._build_table, with no split
     and no streaming.  It checks no cap and no int64 range."""
-    return bulk._build_table(ns, lam, stats)
+    return bulk._build_table(ns, lam, stat)
+
+
+def automaton_value(stat, indices):
+    """The value of a digit string (indices, lowest first) under the digit
+    statistic `stat`, one step per digit from its start state.  The
+    reference for the statistic's own step table."""
+    state, value = stat.start, (0,) * stat.width
+    for t in indices:
+        state, inc = stat.step[state][t]
+        value = tuple(a + b for a, b in zip(value, inc))
+    return value
+
+
+def scalar_values(ns, fn, rows):
+    """The value vector of fn at each element of `rows`, from its own
+    expansion: s(n) by numeration.sum_of_digits for 'sod', (r(n),) by
+    numeration.rudin_shapiro for 'rs'."""
+    if fn == "sod":
+        return [numeration.sum_of_digits(ns, n) for n in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pair counting warns on Q > 2
+        return [(numeration.rudin_shapiro(ns, n),) for n in rows]
 
 
 def per_row_oracle(ns, lam):
     """(rows, primes, s, r) over enumerate_N(ns, lam), scalar per row:
-    analysis.is_prime_element, numeration.sum_of_digits and
-    numeration.rudin_shapiro, each on the row's own expansion.  The
-    reference for the prime pass of bulk: prime_rows and both
-    prime_histogram statistics."""
+    analysis.is_prime_element, and the value vectors of 'sod' and 'rs'
+    (scalar_values), each on the row's own expansion.  The reference for
+    the prime pass of bulk: prime_rows and prime_histogram of both
+    statistics."""
     rows = list(numeration.enumerate_N(ns, lam))
     prime = [analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # pair counting warns on Q > 2
-        r = [numeration.rudin_shapiro(ns, n) for n in rows]
-    return rows, prime, [numeration.sum_of_digits(ns, n) for n in rows], r
+    return rows, prime, scalar_values(ns, "sod", rows), scalar_values(ns, "rs", rows)
+
+
+def row_values(ns, fn, lam):
+    """(Q^lam, width) int64: the value vector of fn on each row of N_lam, by
+    its definition on the row's digit string, row i holding digit index
+    (i // Q^j) % Q in position j: the sum of its digits for 'sod', its count
+    of adjacent nonzero digits for 'rs'.  Vectorized over the rows, so it
+    reaches tables too large for scalar_values; the automaton test checks
+    the two against each other."""
+    index = np.arange(ns.Q**lam, dtype=np.int64)[:, None]
+    strings = index // ns.Q ** np.arange(lam, dtype=np.int64) % ns.Q
+    if fn == "sod":
+        return np.array(ns.digits, dtype=np.int64)[strings].sum(axis=1)
+    nonzero = np.array(ns.digit_is_nonzero)[strings]
+    return (nonzero[:, 1:] & nonzero[:, :-1]).sum(axis=1, dtype=np.int64)[:, None]
+
+
+def enumerated_histogram(ns, fn, lam):
+    """Counter of the value vector of fn over every row of N_lam (row_values),
+    the reference for analysis._closed_histogram."""
+    return collections.Counter(map(tuple, row_values(ns, fn, lam).tolist()))
+
+
+def scalar_histogram(ns, fn, lam, filter):
+    """Counter of the value vector of fn over N_lam or its primes, one
+    expansion per element (scalar_values) and analysis.is_prime_element:
+    the reference for analysis._digit_histogram, both filters."""
+    rows = list(numeration.enumerate_N(ns, lam))
+    if filter == "primes":
+        rows = [n for n in rows if analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS]
+    return collections.Counter(scalar_values(ns, fn, rows))
+
+
+def _phase_values(ns, fn, phase, lam):
+    """Real phase value per row of N_lam, <w, v(n)> with the weights of
+    analysis._digit_twist and the row's value vector (row_values), summed
+    in Python floats as one row of analysis.weyl_sum would be; e(h * value)
+    is the summand."""
+    weights = analysis._digit_twist(STATISTICS[fn](ns), ns.poly, phase)
+    return np.array([sum(x * c for x, c in zip(v, weights))
+                     for v in row_values(ns, fn, lam).tolist()], dtype=np.float64)
+
+
+def weyl_table_oracle(ns, fn, phase, h, lam, filter):
+    """The summands of analysis.weyl_sum, one per row of N_lam or of its
+    primes by analysis.is_prime_element: the reference for its exact sums."""
+    z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, lam))
+    if filter == "primes":
+        rows = whole_table(ns, lam).coords.tolist()
+        z = z[[analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]]
+    return z
+
+
+def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
+    """max_t |S_lam(t)| for lam = 1..lam_max, summed over every row of N_lam,
+    at t = 0 and the t_samples draws t = m / 2^53 of algebra.dyadic_samples:
+    the reference for the transfer product of analysis.fourier_decay."""
+    d = ns.degree
+    draws = np.array(algebra.dyadic_samples(seed, t_samples * d), dtype=np.float64)
+    t_rows = np.concatenate([np.zeros((1, d)), draws.reshape(t_samples, d) / 2.0**53], axis=0)
+    weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
+    best = []
+    for lam in range(1, lam_max + 1):
+        coords = whole_table(ns, lam).coords
+        angles = coords.astype(np.float64) @ weights.T + _phase_values(ns, fn, phase, lam)[:, None]
+        best.append(float(np.abs(np.exp(2j * math.pi * angles).sum(axis=0)).max()))
+    return best

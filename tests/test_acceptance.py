@@ -21,7 +21,7 @@ import pytest
 from oracles import whole_table
 
 from radixion import numeration
-from radixion.numeration import NumberSystem
+from radixion.numeration import NumberSystem, digit_sum
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
 NEGABINARY = ("--poly", "2,1", "--digits", "0;1")
@@ -221,8 +221,9 @@ def coprime_average(lam, alpha):
     q - 1 divides n exactly when a + b = 0 mod 5, since q = 1 in
     Z[q]/(q-1) = Z/5.
     """
-    table = whole_table(NumberSystem.parse("2,2,1", "0,0;1,0"), lam, ("sod",))
-    coords, s = table.coords, table.s_coords
+    ns = NumberSystem.parse("2,2,1", "0,0;1,0")
+    table = whole_table(ns, lam, digit_sum(ns))
+    coords, s = table.coords, table.values[0]
     a, b = coords[:, 0], coords[:, 1]
     keep = (a % 2 == 1) & ((a + b) % 5 != 0)
     return complex(np.exp(2j * math.pi * alpha * s[keep, 0]).mean())

@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import cmath
-import collections
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import whole_table
+from oracles import (STATISTICS, enumerated_histogram, fourier_table_oracle, scalar_histogram,
+                     weyl_table_oracle, whole_table)
 
 from radixion import algebra, analysis, bulk, numeration
 from radixion.analysis import LinearForm
 from radixion.errors import CapExceeded, DomainError, UsageError
-from radixion.numeration import NumberSystem
+from radixion.numeration import NumberSystem, digit_sum, pair_count
 
 GOLDEN_RATIO = 0.6180339887
 
@@ -120,12 +120,12 @@ def test_prime_enumeration_small(knuth):
 def test_prime_counts_frozen(knuth):
     for lam, count in ((14, 2717), (18, 31060)):
         assert int(pass_mask(knuth, lam).sum()) == count
-        assert int(oracle_mask(knuth, whole_table(knuth, lam, ()).coords).sum()) == count
+        assert int(oracle_mask(knuth, whole_table(knuth, lam).coords).sum()) == count
 
 
 def test_prime_mask_matches_scalar(knuth, five_a, each_row_block):
     for ns, lam in ((knuth, 8), (five_a, 4)):
-        coords = whole_table(ns, lam, ()).coords
+        coords = whole_table(ns, lam).coords
         expected = [analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
                     in analysis.PRIME_KINDS for row in coords]
         for _ in each_row_block(1, 7, bulk.ROW_BLOCK):
@@ -143,9 +143,9 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
         lam = 1
         while ns.Q ** (lam + 1) <= 3000:
             lam += 1
-        coords = whole_table(ns, lam, ()).coords
+        coords = whole_table(ns, lam).coords
         mask = oracle_mask(ns, coords)
-        low = len(bulk.split_tables(ns, lam, ())[0].coords)  # the rows of one high row
+        low = len(bulk.split_tables(ns, lam)[0].coords)  # the rows of one high row
         blocks = bulk.prime_rows(ns, lam)
         per_high_row = np.split(mask, range(low, len(mask), low))
         assert [len(b) for b in blocks] == [int(m.sum()) for m in per_high_row]
@@ -153,7 +153,7 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
 
 
 def max_abs_norm(ns, lam):
-    coords = whole_table(ns, lam, ()).coords.astype(object)
+    coords = whole_table(ns, lam).coords.astype(object)
     return max(abs(algebra.norm(ns.poly, tuple(row))) for row in coords.tolist())
 
 
@@ -171,7 +171,7 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
 def test_sieve_size_at_lambda_22(knuth):
     # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M, and the
     # table holds one bit per norm up to the bound: 0.61 MB
-    coords = whole_table(knuth, 22, ()).coords
+    coords = whole_table(knuth, 22).coords
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
     table = bulk.norm_table(knuth, 22)
@@ -198,7 +198,7 @@ def test_wide_digits_classify_rows_without_a_table(knuth, negabinary, five_a, mo
     # digit 104 = 4 mod 5 widens the norms: a table over them would take
     # 1.1 MB for the 50 KB of coordinates of N_5, so each norm is tested alone
     wide = NumberSystem(five_a.poly, ((0, 0), (1, 0), (2, 0), (3, 0), (104, 0)))
-    coords = whole_table(wide, 5, ()).coords
+    coords = whole_table(wide, 5).coords
     expected = coords[oracle_mask(wide, coords)]
 
     def refuse(*args):
@@ -389,14 +389,14 @@ def test_sumdigit_constants(knuth, negabinary):
 
 def test_weyl_matches_factorization(negabinary):
     for lam in (1, 5, 10):
-        [row] = analysis.weyl_sum(negabinary, "sod", [GOLDEN_RATIO], 1, lam)
+        [row] = analysis.weyl_sum(negabinary, digit_sum(negabinary), [GOLDEN_RATIO], 1, lam)
         ref = analysis.sod_factorization_reference(negabinary, GOLDEN_RATIO, 1, lam)
         assert abs(complex(row.re_sum, row.im_sum) - ref) <= 1e-9 * 2**lam
         assert row.count == 2**lam
 
 
 def test_weyl_exact_cancellation_and_trivial_phase(knuth):
-    half, zero = analysis.weyl_sum(knuth, "sod", [0.5, 0.0], 1, 6)
+    half, zero = analysis.weyl_sum(knuth, digit_sum(knuth), [0.5, 0.0], 1, 6)
     assert abs(complex(half.re_sum, half.im_sum)) < 1e-9
     assert zero.re_sum == 64.0 and zero.im_sum == 0.0
     assert zero.normalized == 1.0
@@ -404,7 +404,7 @@ def test_weyl_exact_cancellation_and_trivial_phase(knuth):
 
 def test_weyl_prime_filter_matches_scalar_loop(knuth):
     lam, alpha = 8, GOLDEN_RATIO
-    [row] = analysis.weyl_sum(knuth, "sod", [alpha], 1, lam, filter="primes")
+    [row] = analysis.weyl_sum(knuth, digit_sum(knuth), [alpha], 1, lam, filter="primes")
     total, count = 0j, 0
     for n in numeration.enumerate_N(knuth, lam):
         if analysis.is_prime_element(knuth, n).kind in analysis.PRIME_KINDS:
@@ -417,7 +417,7 @@ def test_weyl_prime_filter_matches_scalar_loop(knuth):
 
 def test_weyl_rs_matches_scalar_loop(knuth):
     lam = 8
-    [row] = analysis.weyl_sum(knuth, "rs", [0.5], 1, lam)
+    [row] = analysis.weyl_sum(knuth, pair_count(knuth), [0.5], 1, lam)
     total = sum(
         cmath.exp(1j * math.pi * numeration.rudin_shapiro(knuth, n))
         for n in numeration.enumerate_N(knuth, lam)
@@ -427,36 +427,19 @@ def test_weyl_rs_matches_scalar_loop(knuth):
 
 def test_weyl_validation(knuth, five_b):
     with pytest.raises(UsageError):
-        analysis.weyl_sum(five_b, "sod", [0.5], 1, 4)  # digits not in Z
+        analysis.weyl_sum(five_b, digit_sum(five_b), [0.5], 1, 4)  # digits not in Z
     with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, "rs", [LinearForm.parse("1/2,0")], 1, 4)
+        analysis.weyl_sum(knuth, pair_count(knuth), [LinearForm.parse("1/2,0")], 1, 4)
     with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, "sod", [0.5], 1, 4, filter="composite")
-    with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, "pair", [0.5], 1, 4)
+        analysis.weyl_sum(knuth, digit_sum(knuth), [0.5], 1, 4, filter="composite")
 
 
 def test_weyl_thread_and_table_invariance(knuth):
     phases = [GOLDEN_RATIO, 0.5, 0.0, GOLDEN_RATIO]
-    rows = analysis.weyl_sum(knuth, "rs", phases, 1, 10)
-    assert rows == [analysis.weyl_sum(knuth, "rs", [p], 1, 10)[0] for p in phases]
+    rows = analysis.weyl_sum(knuth, pair_count(knuth), phases, 1, 10)
+    assert rows == [analysis.weyl_sum(knuth, pair_count(knuth), [p], 1, 10)[0] for p in phases]
     assert rows[0] == rows[3]
-    assert analysis.weyl_sum(knuth, "rs", [], 1, 10) == []
-
-
-def _phase_values(ns, fn, phase, table):
-    """Real phase value per table row; e(h * value) is the summand."""
-    c, pair = analysis._digit_twist(ns, fn, phase)
-    return table.s_coords.astype(np.float64) @ c + pair * table.r
-
-
-def weyl_table_oracle(ns, fn, phase, h, lam, filter):
-    """The whole-table route: one table, one mask, one summand per row."""
-    table = whole_table(ns, lam)
-    z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, table))
-    if filter == "primes":
-        z = z[oracle_mask(ns, table.coords)]
-    return z
+    assert analysis.weyl_sum(knuth, pair_count(knuth), [], 1, 10) == []
 
 
 def weyl_cases(request):
@@ -477,12 +460,12 @@ def largest_lam(ns, rows):
 def test_weyl_rows_do_not_depend_on_blocks(request, each_row_block):
     for ns, fn, phase, lam in weyl_cases(request):
         for filter in ("all", "primes"):
-            first = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter)
+            first = analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, lam, filter)
             for _ in each_row_block():
-                assert analysis.weyl_sum(ns, fn, [phase], 3, lam, filter) == first
+                assert analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, lam, filter) == first
     knuth = request.getfixturevalue("knuth")
     with pytest.raises(UsageError, match="nonnegative"):
-        analysis.weyl_sum(knuth, "rs", [0.5], 1, -1, "primes")
+        analysis.weyl_sum(knuth, pair_count(knuth), [0.5], 1, -1, "primes")
 
 
 def test_weyl_sum_is_fsum_of_row_summands(request):
@@ -491,7 +474,7 @@ def test_weyl_sum_is_fsum_of_row_summands(request):
     # sum of the row summands, rounded once like math.fsum
     for ns, fn, phase, lam in weyl_cases(request):
         for filter in ("all", "primes"):
-            [row] = analysis.weyl_sum(ns, fn, [phase], 3, lam, filter)
+            [row] = analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, lam, filter)
             z = weyl_table_oracle(ns, fn, phase, 3, lam, filter)
             assert row.count == len(z)
             assert (row.re_sum, row.im_sum) == (math.fsum(z.real), math.fsum(z.imag)), (ns, fn)
@@ -508,37 +491,15 @@ def test_exact_sum_rounds_once():
     assert math.isnan(analysis._exact_sum([1, 2], np.array([0.5, math.nan])))
 
 
-def scalar_histogram(ns, fn, lam, filter):
-    """Counter of s(n) ('sod') or of the adjacent nonzero-pair count ('rs'),
-    one expansion per element of N_lam."""
-    counts = collections.Counter()
-    nonzero = ns.digit_is_nonzero
-    for n in numeration.enumerate_N(ns, lam):
-        if filter == "primes" and analysis.is_prime_element(ns, n).kind not in analysis.PRIME_KINDS:
-            continue
-        if fn == "sod":
-            counts[numeration.sum_of_digits(ns, n)] += 1
-        else:
-            idx = numeration.expand(ns, n).digit_indices
-            counts[sum(nonzero[a] and nonzero[b] for a, b in zip(idx, idx[1:]))] += 1
-    return counts
-
-
 def test_digit_histogram_matches_scalar_counter(request):
     systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     for ns in systems + list(request.getfixturevalue("random_systems")):
         lam = largest_lam(ns, 1500)
         for fn in ("sod", "rs"):
             for filter in ("all", "primes"):
-                hist = analysis._digit_histogram(ns, fn, lam, filter)
+                hist = analysis._digit_histogram(ns, STATISTICS[fn](ns), lam, filter)
                 assert list(hist) == sorted(hist)  # ascending keys
                 assert hist == dict(scalar_histogram(ns, fn, lam, filter))
-
-
-def enumerated_histogram(ns, fn, lam):
-    """Counter of s(n) ('sod') or r(n) ('rs') over every row of N_lam."""
-    table = whole_table(ns, lam, (fn,))
-    return collections.Counter(map(tuple, table.s_coords.tolist()) if fn == "sod" else table.r.tolist())
 
 
 def test_closed_histogram_matches_enumeration(request):
@@ -550,7 +511,7 @@ def test_closed_histogram_matches_enumeration(request):
         top = largest_lam(ns, 2**16)
         for lam in sorted({0, 1, 2, top}):
             for fn in ("sod", "rs"):
-                hist = analysis._closed_histogram(ns, fn, lam)
+                hist = analysis._closed_histogram(STATISTICS[fn](ns), lam)
                 assert list(hist) == sorted(hist), (ns, fn, lam)
                 assert hist == dict(enumerated_histogram(ns, fn, lam)), (ns, fn, lam)
 
@@ -565,9 +526,9 @@ def test_digit_histogram_does_not_depend_on_blocks(request, each_row_block):
               (NumberSystem.parse("2,2,1", "0,0;16777217,0"), "sod", 9, ("all",))]
     for ns, fn, lam, filters in cases:
         for filter in filters:
-            first = analysis._digit_histogram(ns, fn, lam, filter)
+            first = analysis._digit_histogram(ns, STATISTICS[fn](ns), lam, filter)
             for _ in each_row_block():
-                again = analysis._digit_histogram(ns, fn, lam, filter)
+                again = analysis._digit_histogram(ns, STATISTICS[fn](ns), lam, filter)
                 assert list(again.items()) == list(first.items()), (ns, fn, filter)
 
 
@@ -581,12 +542,12 @@ def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch, e
         assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # sparse
         expected = dict(scalar_histogram(ns, "sod", lam, filter))
         for _ in each_row_block():
-            hist = analysis._digit_histogram(ns, "sod", lam, filter)
+            hist = analysis._digit_histogram(ns, digit_sum(ns), lam, filter)
             keys = list(hist)
             assert keys == sorted(keys)  # ascending, as the dense keys are
             assert hist == expected
     monkeypatch.setenv("RADIXION_CAP", "5")  # 27 values of s(n) over the 5 rows of N_1 fit
-    hist = analysis._digit_histogram(five_b, "sod", 1)
+    hist = analysis._digit_histogram(five_b, digit_sum(five_b), 1)
     assert len(hist) == 5 and list(hist.values()) == [1] * 5
 
 
@@ -608,8 +569,8 @@ def test_multi_phase_rows_equal_one_phase_rows(request, each_row_block):
             phases = mixed_phases(ns, fn)
             for filter in ("all", "primes"):
                 for _ in each_row_block():
-                    rows = analysis.weyl_sum(ns, fn, phases, 2, lam, filter)
-                    assert rows == [analysis.weyl_sum(ns, fn, [p], 2, lam, filter)[0]
+                    rows = analysis.weyl_sum(ns, STATISTICS[fn](ns), phases, 2, lam, filter)
+                    assert rows == [analysis.weyl_sum(ns, STATISTICS[fn](ns), [p], 2, lam, filter)[0]
                                     for p in phases]
 
 
@@ -629,7 +590,7 @@ def test_bad_phase_fails_before_any_block(knuth, five_b, monkeypatch):
     for ns, fn, phases in cases:
         for filter in ("all", "primes"):
             with pytest.raises(UsageError):
-                analysis.weyl_sum(ns, fn, phases, 1, 6, filter)
+                analysis.weyl_sum(ns, STATISTICS[fn](ns), phases, 1, 6, filter)
 
 
 def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
@@ -648,12 +609,12 @@ def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
         monkeypatch.setenv("RADIXION_CAP", str(cap))
         for filter in ("all", "primes"):
             with pytest.raises(CapExceeded, match="histogram of %d bins for lambda %d" % (bins, lam)):
-                analysis.weyl_sum(five_b, "sod", [form], 1, lam, filter)
+                analysis.weyl_sum(five_b, digit_sum(five_b), [form], 1, lam, filter)
 
 
 def test_weyl_normalized_bounded(knuth):
     for lam in (2, 5, 9):
-        [row] = analysis.weyl_sum(knuth, "sod", [GOLDEN_RATIO], 1, lam)
+        [row] = analysis.weyl_sum(knuth, digit_sum(knuth), [GOLDEN_RATIO], 1, lam)
         assert 0.0 <= row.normalized <= 1.0 + 1e-9
 
 
@@ -662,8 +623,8 @@ def test_weyl_normalized_bounded(knuth):
 
 def test_fourier_decay_degenerate_character(knuth):
     form = LinearForm.parse("1,0")
-    report = analysis.fourier_decay(knuth, "sod", form, 4, 50, seed=3)
-    assert report.digit_norm_sum == 0.0
+    report = analysis.fourier_decay(knuth, digit_sum(knuth), form, 4, 50, seed=3)
+    assert analysis.digit_norm_sum(knuth, form) == 0.0
     for row in report.rows:
         assert row.samples == 51
         assert abs(row.gamma_emp) < 1e-9
@@ -671,37 +632,21 @@ def test_fourier_decay_degenerate_character(knuth):
 
 
 def test_fourier_decay_seed_reproducible(knuth):
-    a = analysis.fourier_decay(knuth, "rs", GOLDEN_RATIO, 5, 40, seed=7)
-    b = analysis.fourier_decay(knuth, "rs", GOLDEN_RATIO, 5, 40, seed=7)
+    a = analysis.fourier_decay(knuth, pair_count(knuth), GOLDEN_RATIO, 5, 40, seed=7)
+    b = analysis.fourier_decay(knuth, pair_count(knuth), GOLDEN_RATIO, 5, 40, seed=7)
     assert a.rows == b.rows
-    assert a.rs_bound_slope == b.rs_bound_slope
+    assert a == b
 
 
 def test_fourier_decay_validation(knuth):
     with pytest.raises(UsageError):
-        analysis.fourier_decay(knuth, "rs", 0.5, 0, 10, seed=0)
+        analysis.fourier_decay(knuth, pair_count(knuth), 0.5, 0, 10, seed=0)
     with pytest.raises(UsageError):
-        analysis.fourier_decay(knuth, "rs", 0.5, 3, -1, seed=0)
-
-
-def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
-    """max_t |S_lam(t)| for lam = 1..lam_max, summed over every row of N_lam,
-    at t = 0 and the t_samples draws t = m / 2^53 of algebra.dyadic_samples."""
-    d = ns.degree
-    draws = np.array(algebra.dyadic_samples(seed, t_samples * d), dtype=np.float64)
-    t_rows = np.concatenate([np.zeros((1, d)), draws.reshape(t_samples, d) / 2.0**53], axis=0)
-    weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
-    best = []
-    for lam in range(1, lam_max + 1):
-        table = whole_table(ns, lam)
-        values = _phase_values(ns, fn, phase, table)
-        angles = table.coords.astype(np.float64) @ weights.T + values[:, None]
-        best.append(float(np.abs(np.exp(2j * math.pi * angles).sum(axis=0)).max()))
-    return best
+        analysis.fourier_decay(knuth, pair_count(knuth), 0.5, 3, -1, seed=0)
 
 
 def assert_matches_table_route(ns, fn, phase, lam_max):
-    report = analysis.fourier_decay(ns, fn, phase, lam_max, 16, seed=11)
+    report = analysis.fourier_decay(ns, STATISTICS[fn](ns), phase, lam_max, 16, seed=11)
     oracle = fourier_table_oracle(ns, fn, phase, lam_max, 16, seed=11)
     assert len(report.rows) == lam_max
     for row, ref in zip(report.rows, oracle):
@@ -722,19 +667,24 @@ def test_fourier_decay_matches_table_route_golden(knuth, negabinary, five_a, fiv
             assert_matches_table_route(ns, "sod", GOLDEN_RATIO, table_lam_max(ns))
 
 
-def test_fourier_decay_matches_table_route_random(random_systems):
-    form = LinearForm.parse("0.3,1/7")
+def test_fourier_decay_matches_table_route_random(random_systems, cns_systems):
+    # the CNS digits 0..c0-1 lie in Z, so scalar digit sums apply to them too
     for ns in random_systems:
         assert_matches_table_route(ns, "rs", 0.5, table_lam_max(ns))
+        assert_matches_table_route(ns, "sod", LinearForm.parse("0.3,1/7"), table_lam_max(ns))
+    for ns, _ in cns_systems:
+        form = LinearForm.parse(",".join(["0.3", "1/7", "2", "-0.45"][: ns.degree]))
+        assert_matches_table_route(ns, "rs", 0.3, table_lam_max(ns))
         assert_matches_table_route(ns, "sod", form, table_lam_max(ns))
+        assert_matches_table_route(ns, "sod", GOLDEN_RATIO, table_lam_max(ns))
 
 
 def test_fourier_decay_guards(knuth):
     with pytest.raises(CapExceeded, match="lam_max 25"):
-        analysis.fourier_decay(knuth, "rs", 0.5, 25, 4, seed=0)
+        analysis.fourier_decay(knuth, pair_count(knuth), 0.5, 25, 4, seed=0)
 
 
-def test_rs_bound_slope_values():
-    assert analysis.rs_bound_slope(0.5) == 0.5
-    assert analysis.rs_bound_slope(0.0) == 0.0
-    assert 0.0 < analysis.rs_bound_slope(0.25) < 0.5
+def test_rs_bound_slope_values(knuth):
+    assert analysis.rs_bound_slope(knuth, 0.5) == 0.5
+    assert analysis.rs_bound_slope(knuth, 0.0) == 0.0
+    assert 0.0 < analysis.rs_bound_slope(knuth, 0.25) < 0.5

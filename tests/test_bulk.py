@@ -6,11 +6,11 @@ import collections
 
 import numpy as np
 import pytest
-from oracles import per_row_oracle, whole_table
+from oracles import STATISTICS, per_row_oracle, whole_table
 
 from radixion import algebra, bulk, numeration
 from radixion.errors import CapExceeded, DomainError, UsageError
-from radixion.numeration import Expansion
+from radixion.numeration import Expansion, digit_sum, pair_count
 
 
 def scalar_row(ns, index, lam):
@@ -31,27 +31,36 @@ def scalar_row(ns, index, lam):
     return value, s, r, low_nz, top_nz
 
 
+def assert_row_statistics(sums, pairs, i, lam, row):
+    """Row i of the digit-sum table `sums` and of the pair-count table
+    `pairs` against the scalar route's row (scalar_row): the digit sum from
+    its one state; the pair count from the state after a zero digit and
+    after a nonzero one, which gains the pair of a nonzero lowest digit,
+    leaving the state of the top digit (the entry state when lam is 0)."""
+    value, s, r, low_nz, top_nz = row
+    assert tuple(sums.values[0, i]) == s and sums.exits[0, i] == 0
+    for entry in (0, 1):
+        assert tuple(pairs.values[entry, i]) == (r + (entry and low_nz),)
+        assert pairs.exits[entry, i] == (top_nz if lam else entry)
+
+
 @pytest.mark.parametrize("lam", [0, 1, 2, 5])
 def test_digit_table_matches_scalar_route(knuth, lam):
-    table = whole_table(knuth, lam)
-    assert len(table.coords) == 2**lam
+    sums, pairs = whole_table(knuth, lam, digit_sum(knuth)), whole_table(knuth, lam, pair_count(knuth))
+    assert len(sums.coords) == 2**lam
     for i in range(2**lam):
-        value, s, r, low_nz, top_nz = scalar_row(knuth, i, lam)
-        assert tuple(table.coords[i]) == value
-        assert tuple(table.s_coords[i]) == s
-        assert table.r[i] == r
-        assert bool(table.low_nz[i]) == low_nz
-        assert bool(table.top_nz[i]) == top_nz
+        row = scalar_row(knuth, i, lam)
+        assert tuple(sums.coords[i]) == row[0]
+        assert_row_statistics(sums, pairs, i, lam, row)
 
 
 def test_digit_table_matches_scalar_route_nonbinary(five_b):
     lam = 3
-    table = whole_table(five_b, lam)
+    sums, pairs = whole_table(five_b, lam, digit_sum(five_b)), whole_table(five_b, lam, pair_count(five_b))
     for i in range(5**lam):
-        value, s, r, low_nz, top_nz = scalar_row(five_b, i, lam)
-        assert tuple(table.coords[i]) == value
-        assert tuple(table.s_coords[i]) == s
-        assert table.r[i] == r
+        row = scalar_row(five_b, i, lam)
+        assert tuple(pairs.coords[i]) == row[0]
+        assert_row_statistics(sums, pairs, i, lam, row)
 
 
 def test_digit_table_agrees_with_enumerate(knuth):
@@ -103,16 +112,11 @@ def oracle_depth(ns, rows=600):
 
 def split_rows(split, h):
     """The DigitTable of the rows h * |low| + l of N_lam over the split
-    (low, high, offsets), from the columns the split carries: digit sums
-    add, and the pair count gains the pair across the seam."""
+    (low, high, offsets): from each entry state, the low row's value plus
+    high row h's from the state the low row leaves, whose exit it takes."""
     low, high, offsets = split
-    rs = low.r is not None
-    return bulk.DigitTable(
-        low.lam + high.lam, low.coords + offsets[h],
-        None if low.s_coords is None else low.s_coords + high.s_coords[h],
-        low.r + high.r[h] + (high.low_nz[h] & low.top_nz) if rs else None,
-        (low.low_nz if low.lam else np.full(len(low.r), high.low_nz[h])) if rs else None,
-        (np.full(len(low.r), high.top_nz[h]) if high.lam else low.top_nz) if rs else None)
+    return bulk.DigitTable(low.lam + high.lam, low.coords + offsets[h],
+                           low.values + high.values[low.exits, h], high.exits[low.exits, h])
 
 
 def test_split_rows_are_the_enumeration(request, each_row_block):
@@ -124,54 +128,60 @@ def test_split_rows_are_the_enumeration(request, each_row_block):
             rows = [scalar_row(ns, i, lam) for i in range(total)]
             # low tables of 1, Q and Q^2 rows, and of the most within 7, 37 and 100
             for size in each_row_block(1, Q, Q + 1, Q * Q + 1, 7, 37, 100, bulk.ROW_BLOCK):
-                split = bulk.split_tables(ns, lam, ("sod", "rs"))
-                low, high, offsets = split
-                n_low = len(low.r)  # the most Q^j rows within size
+                sum_split = bulk.split_tables(ns, lam, digit_sum(ns))
+                pair_split = bulk.split_tables(ns, lam, pair_count(ns))
+                low, high, offsets = sum_split
+                n_low = len(low.coords)  # the most Q^j rows within size
                 assert n_low <= size and (n_low == total or n_low * Q > size)
-                assert (low.lam + high.lam, len(high.r) * n_low) == (lam, total)
+                assert (low.lam + high.lam, len(high.coords) * n_low) == (lam, total)
                 assert list(numeration.enumerate_N(ns, lam)) == stream
                 for h in range(len(offsets)):
-                    got, ref = split_rows(split, h), rows[h * n_low : (h + 1) * n_low]
-                    assert [tuple(v) for v in got.coords.tolist()] == stream[h * n_low : (h + 1) * n_low]
-                    assert [tuple(v) for v in got.coords.tolist()] == [w[0] for w in ref]
-                    assert [tuple(v) for v in got.s_coords.tolist()] == [w[1] for w in ref]
-                    assert got.r.tolist() == [w[2] for w in ref]
-                    assert got.low_nz.tolist() == [w[3] for w in ref]
-                    assert got.top_nz.tolist() == [w[4] for w in ref]
+                    sums, pairs = split_rows(sum_split, h), split_rows(pair_split, h)
+                    ref = rows[h * n_low : (h + 1) * n_low]
+                    assert [tuple(v) for v in sums.coords.tolist()] == stream[h * n_low : (h + 1) * n_low]
+                    assert [tuple(v) for v in pairs.coords.tolist()] == [w[0] for w in ref]
+                    for i, row in enumerate(ref):
+                        assert_row_statistics(sums, pairs, i, lam, row)
+
+
+def same_table(a, b):
+    """Whether two DigitTables hold the same positions and equal columns,
+    dtypes included, a column absent from one being absent from both."""
+    pairs = ((a.coords, b.coords), (a.values, b.values), (a.exits, b.exits))
+    return a.lam == b.lam and all(
+        x is None and y is None or x is not None and y is not None
+        and x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
 
 
 def test_blocks_carry_only_the_asked_columns(request, each_row_block):
-    columns = ("coords", "s_coords", "r", "low_nz", "top_nz")
-    carried = {(): ("coords",), ("sod",): ("coords", "s_coords"),
-               ("rs",): ("coords", "r", "low_nz", "top_nz")}
     for ns in golden_and_random(request):
         lam = oracle_depth(ns)
-        full = whole_table(ns, lam)
-        for stats, kept in carried.items():
-            table = whole_table(ns, lam, stats)
-            for name in columns:
-                assert np.array_equal(getattr(table, name), getattr(full, name)) \
-                    if name in kept else getattr(table, name) is None
+        stats = (None, digit_sum(ns), pair_count(ns))
+        for stat in stats:
+            table = whole_table(ns, lam, stat)
+            assert np.array_equal(table.coords, whole_table(ns, lam).coords)
+            if stat is None:
+                assert table.values is None and table.exits is None
+            else:
+                states, rows = len(stat.states), ns.Q**lam
+                assert table.values.shape == (states, rows, stat.width)
+                assert table.exits.shape == (states, rows) and table.exits.dtype == np.int8
         for _ in each_row_block(7, bulk.ROW_BLOCK):
-            full = bulk.split_tables(ns, lam, ("sod", "rs"))
-            for stats, kept in carried.items():
-                split = bulk.split_tables(ns, lam, stats)
-                assert np.array_equal(split[2], full[2])
-                for got, ref in zip(split[:2], full[:2]):
-                    for name in columns:
-                        assert np.array_equal(getattr(got, name), getattr(ref, name)) \
-                            if name in kept else getattr(got, name) is None
-            # the prime pass: the split tables, carrying the asked columns only,
+            bare = bulk.split_tables(ns, lam)
+            for stat in stats:  # the split's tables are the whole tables of their positions
+                split = bulk.split_tables(ns, lam, stat)
+                assert np.array_equal(split[2], bare[2])
+                for got in split[:2]:
+                    assert same_table(got, whole_table(ns, got.lam, stat))
+            # the prime pass: the split tables, carrying the asked statistic only,
             # and the mask of the low rows per high row, in order
             table = bulk.norm_table(ns, lam)
-            for stats, kept in carried.items():
-                low, high, offsets, masks = bulk.prime_blocks(ns, lam, stats)
-                split = bulk.split_tables(ns, lam, stats)
+            for stat in stats:
+                low, high, offsets, masks = bulk.prime_blocks(ns, lam, stat)
+                split = bulk.split_tables(ns, lam, stat)
                 assert np.array_equal(offsets, split[2])
                 for got, ref in zip((low, high), split):
-                    for name in columns:
-                        assert np.array_equal(getattr(got, name), getattr(ref, name)) \
-                            if name in kept else getattr(got, name) is None
+                    assert same_table(got, ref)
                 seen = []
                 for h, mask in masks:
                     rows = (low.coords + offsets[h]).tolist()
@@ -210,7 +220,8 @@ def prime_systems(request):
 
 
 def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
-    """prime_rows and both prime histograms, dense and sparse, against the
+    """prime_rows and the prime histograms of both statistics, dense and
+    sparse, against the
     per-row oracle at lambda 0, 1 and the largest with Q^lambda <= 4096 (1024
     for the CNS systems), under low tables of Q^2 rows and of the most rows
     within 100 and within ROW_BLOCK; and prime_rows without the norm table,
@@ -227,13 +238,13 @@ def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
             dims = tuple(lam * (max(b[i] for b in ns.digits) - min(b[i] for b in ns.digits)) + 1
                          for i in range(ns.degree))
             boxes = [("sod", lo, dims), ("sod", lo, (dims[0] + ns.Q**lam,) + dims[1:]),  # sparse
-                     ("rs", (0,), (max(lam, 1),))]
+                     ("rs", (0,), (max(lam, 1),)), ("rs", (0,), (ns.Q**lam + 1,))]
             for size in (ns.Q**2, 100, bulk.ROW_BLOCK):
                 monkeypatch.setattr(bulk, "ROW_BLOCK", size)
                 got = np.concatenate(bulk.prime_rows(ns, lam)).tolist()
                 assert list(map(tuple, got)) == primes, (ns, lam, size)
                 for fn, low, box in boxes:
-                    hist = bulk.prime_histogram(ns, fn, lam, low, box)
+                    hist = bulk.prime_histogram(ns, STATISTICS[fn](ns), lam, low, box)
                     assert list(hist) == sorted(hist)
                     assert hist == dict(expected[fn]), (ns, lam, fn, box, size)
             # a table past any budget: none is built, and each norm is tested alone
@@ -276,7 +287,7 @@ def test_split_norms_are_exact_at_the_guard_edge(knuth, five_a, each_row_block):
             bulk._norm_top(widened(k + 1), lam)
         bulk._norm_top(ns, lam)
         for _ in each_row_block(1, ns.Q, bulk.ROW_BLOCK):
-            low, _, offsets = bulk.split_tables(ns, lam, ())
+            low, _, offsets = bulk.split_tables(ns, lam)
             got = [norm.copy() for _, norm in bulk._split_norms(ns, low, offsets)]
             for (a_o, b_o), norms in zip(offsets.tolist(), got):
                 alpha, beta = 2 * a_o - c1 * b_o, 2 * c0 * b_o - c1 * a_o
@@ -296,7 +307,7 @@ def test_split_guard_before_building(knuth, monkeypatch):
     # split_tables checks, and enumerate_N through it when called, not when iterated
     monkeypatch.setattr(bulk, "_build_table", refuse)
     wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**61 + 1, 0)))
-    for route in (lambda ns, lam: bulk.split_tables(ns, lam, ("sod", "rs")),
+    for route in (lambda ns, lam: bulk.split_tables(ns, lam, pair_count(ns)),
                   numeration.enumerate_N):
         with pytest.raises(CapExceeded, match="table of 1073741824 elements"):
             route(knuth, 30)

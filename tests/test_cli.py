@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import radixion
-from radixion import analysis, bulk, cli, numeration, tile
+from radixion import algebra, analysis, bulk, cli, numeration, tile
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
 NEGABINARY = ("--poly", "2,1", "--digits", "0;1")
@@ -76,6 +76,10 @@ def test_usage_errors_exit_two(capsysbinary):
                "--boxdim", "32,32,64")[0] == 2  # two distinct resolutions
     assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "2",
                "--lambda", "3", "--filter", "primes")[0] == 2  # the identity sums all of N_lambda
+    # --fn names one of the digit statistics of the CLI's table
+    assert run(capsysbinary, "weyl", *KNUTH, "--fn", "pair", "--alpha", "0.5", "--lambda", "4")[0] == 2
+    assert run(capsysbinary, "fourier-decay", *KNUTH, "--fn", "pair", "--alpha", "0.5",
+               "--lam-max", "4")[0] == 2
     for count in ("-1", "0"):  # 0: an identity checked at no alpha, a cover of no samples
         assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", count,
                    "--lambda", "3")[0] == 2
@@ -160,15 +164,34 @@ def test_tile_cap_exits_three_before_streaming(capsysbinary, monkeypatch):
 
     monkeypatch.setattr(tile, "cloud_chunks", no_chunks)
     monkeypatch.setenv("RADIXION_CAP", "1000")  # the cap stays in points
-    code, _, err = run(capsysbinary, "tile", *KNUTH, "--depth", "10")
+    code, _, err = run(capsysbinary, "tile", *KNUTH, "--depth", "10", "--cover-samples", "100")
     assert code == 3
     assert b"cloud of 1024 points exceeds cap 1000" in err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lam-max", "3",
+      "--t-samples", "8388609"), b"8388609 t samples of 2 integers each"),
+    (("weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "16777217", "--lambda", "2"),
+     b"16777217 identity alphas of 1 integers each"),
+    (("tile", *KNUTH, "--depth", "4", "--cover-samples", "8388609"),
+     b"8388609 cover samples of 2 integers each"),
+])
+def test_sample_counts_exit_three_before_any_draw(capsysbinary, monkeypatch, argv, count):
+    # each count times its integers per sample passes the 2^24 element cap
+    def refuse(*args):
+        raise AssertionError("a sample was drawn or the cloud streamed")
+
+    monkeypatch.setattr(algebra, "dyadic_samples", refuse)
+    monkeypatch.setattr(tile, "tile_rasters", refuse)
+    code, _, err = run(capsysbinary, *argv)
+    assert code == 3 and count + b" exceed cap 16777216" in err
+
+
 def test_capped_fns_decision_keeps_tile_exit_zero(capsysbinary, monkeypatch):
     monkeypatch.setenv("RADIXION_CAP", "8")  # 8 points; Knuth's carry closure holds 15 states
-    code, payload, _ = run_json(
-        capsysbinary, "tile", *KNUTH, "--depth", "3", "--resolution", "64"
+    code, payload, _ = run_json(  # 4 cover samples of 2 integers fit the cap too
+        capsysbinary, "tile", *KNUTH, "--depth", "3", "--resolution", "64", "--cover-samples", "4"
     )
     assert code == 0
     assert payload["area_method"] == "occupancy"
@@ -494,6 +517,8 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "da
     ],
     [
         ["fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lam-max", "6",
+         "--t-samples", "20"],
+        ["fourier-decay", *KNUTH, "--fn", "sod", "--form", "1/3,0.25", "--lam-max", "6",
          "--t-samples", "20"],
         ["weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", "3", "--lambda", "1,2,8"],
         ["weyl", *FIVE_A, "--fn", "rs", "--alpha", "0.3", "--lambda", "3,6", "--filter", "all"],

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import automaton_value, row_values, scalar_values
 
 from radixion import algebra, bulk, numeration, tile
 from radixion.algebra import MinimalPolynomial
@@ -378,3 +379,24 @@ def test_rudin_shapiro_goldens(knuth):
 def test_rudin_shapiro_warns_outside_binary(five_a):
     with pytest.warns(UserWarning):
         numeration.rudin_shapiro(five_a, (3, 0))
+
+
+def test_digit_statistics_step_over_each_expansion(request):
+    """Each statistic's step table, run over every row's own expansion,
+    gives numeration.sum_of_digits and numeration.rudin_shapiro, on the
+    golden, random and CNS systems at the largest lambda with Q^lambda <=
+    4096 (1024 for the CNS systems); so does the vectorized definition
+    that the table oracles read (row_values)."""
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    cns = [ns for ns, _ in request.getfixturevalue("cns_systems")]
+    for ns in golden + list(request.getfixturevalue("random_systems")) + cns:
+        lam = 0
+        while ns.Q ** (lam + 1) <= (1024 if any(ns is c for c in cns) else 4096):
+            lam += 1
+        rows = list(numeration.enumerate_N(ns, lam))
+        strings = [numeration.expand(ns, n).digit_indices for n in rows]
+        for fn, stat in (("sod", numeration.digit_sum(ns)), ("rs", numeration.pair_count(ns))):
+            expected = scalar_values(ns, fn, rows)
+            assert [automaton_value(stat, t) for t in strings] == expected, (ns, fn)
+            assert list(map(tuple, row_values(ns, fn, lam).tolist())) == expected, (ns, fn)
+

@@ -327,7 +327,7 @@ def rounded_cloud(ns, depth, space_tag="coordinate"):
         uk = algebra.mul(ns.poly, uk, algebra.u_element(ns.poly))
     denom = ns.poly.coeffs[0] ** depth
     pts = np.array([[float(Fraction(v, denom)) for v in algebra.mul(ns.poly, uk, tuple(n))]
-                    for n in whole_table(ns, depth, ()).coords.tolist()])
+                    for n in whole_table(ns, depth).coords.tolist()])
     if space_tag == "embedding":
         pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
     return pts
