@@ -397,9 +397,12 @@ def digit_norm_sum(ns: NumberSystem, phase) -> float:
     return total
 
 
-def rs_bound_slope(ns: NumberSystem, alpha: float) -> float:
+def rs_bound_slope(ns: NumberSystem, alpha: float) -> float | None:
     """Per-lambda decay slope (lambda/2) log2(2/(1+|cos pi alpha|)) / lambda
-    of the binary pair-count twist by alpha, reported for any system ns."""
+    of the binary pair-count twist by alpha, or None when ns is not binary
+    (Q != 2), whose sums the binary bound does not bound."""
+    if ns.Q != 2:
+        return None
     return 0.5 * math.log2(2.0 / (1.0 + abs(math.cos(math.pi * alpha))))
 
 

@@ -19,6 +19,10 @@ verdict is one bit of norm_table (or, when that table would outweigh the
 rows, the norm's own primality test), and the statistic adds over the
 split by the same rule.
 strip_columns is backward division on whole int64 coordinate columns.
+Coordinates and counts are int64.  The statistic's values, the norms of
+the split pass and the row and histogram keys take the width _int_type
+gives the bound already computed for them (int32 when it is below 2^31),
+so a narrow width never wraps.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ if TYPE_CHECKING:
 
 INT64_GUARD = 1 << 60
 ROW_BLOCK = 1 << 16  # most rows in the low table, so in a streamed chunk of one high row
+
+
+def _int_type(bound: int) -> type:
+    """The integer dtype of an array whose entries are at most `bound` in
+    absolute value: int32 when the bound is below 2^31, else int64."""
+    return np.int32 if bound < 1 << 31 else np.int64
 
 
 def q_power_matrix(m: algebra.MinimalPolynomial, k: int) -> np.ndarray:
@@ -88,10 +98,12 @@ def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
 @dataclass(frozen=True)
 class DigitTable:
     """Rows of N_lam, row-aligned, and when a caller asks for a digit
-    statistic, each row's value and exit state from each entry state."""
+    statistic, each row's value and exit state from each entry state.  The
+    values take the width of the statistic's value box over the length the
+    table was split from (split_tables), int32 unless that box passes 2^31."""
 
     lam: int
-    coords: np.ndarray  # (rows, d) element values
+    coords: np.ndarray  # (rows, d) int64 element values
     values: np.ndarray | None  # (states, rows, width) value per entry state
     exits: np.ndarray | None  # (states, rows) int8 exit state per entry state
 
@@ -102,7 +114,9 @@ def split_tables(ns: NumberSystem, lam: int, stat=None) -> tuple:
     row h shifted up by low.lam positions.  The low table has the most
     bottom positions whose rows fit in ROW_BLOCK.  The cap (in elements) and
     the int64 range of the coordinates are checked before either table is
-    built."""
+    built.  Both tables hold the statistic's values in the one width of its
+    value box over N_lam, lam * [min, max] of the increments, which holds
+    every value of either half and of each merge."""
     if lam < 0:
         raise UsageError("expansion length must be nonnegative")
     total = ns.Q**lam
@@ -116,32 +130,36 @@ def split_tables(ns: NumberSystem, lam: int, stat=None) -> tuple:
     positions = 0  # in the low table: the most, up to lam, within ROW_BLOCK rows
     while positions < lam and ns.Q ** (positions + 1) <= ROW_BLOCK:
         positions += 1
-    low = _build_table(ns, positions, stat)
-    high = _build_table(ns, lam - low.lam, stat)
+    dtype = None if stat is None else _int_type(
+        lam * max(abs(x) for row in stat.step for _, inc in row for x in inc))
+    low = _build_table(ns, positions, stat, dtype)
+    high = _build_table(ns, lam - low.lam, stat, dtype)
     return low, high, high.coords @ q_power_matrix(ns.poly, low.lam).T
 
 
-def _base_table(ns: NumberSystem, lam: int, stat) -> DigitTable:
+def _base_table(ns: NumberSystem, lam: int, stat, dtype) -> DigitTable:
     """The table of N_0 (the empty string, which adds nothing and leaves
     the state it is read in) or of N_1 (the digits, one step each)."""
     coords = np.array(ns.digits if lam else [(0,) * ns.degree], dtype=np.int64)
     if stat is None:
         return DigitTable(lam, coords, None, None)
     moves = stat.step if lam else [[(s, (0,) * stat.width)] for s in range(len(stat.states))]
-    return DigitTable(lam, coords, np.array([[inc for _, inc in row] for row in moves], np.int64),
+    return DigitTable(lam, coords, np.array([[inc for _, inc in row] for row in moves], dtype),
                       np.array([[nxt for nxt, _ in row] for row in moves], np.int8))
 
 
-def _build_table(ns: NumberSystem, lam: int, stat) -> DigitTable:
-    """The whole table of N_lam carrying `stat`, unchecked (split_tables
-    checks): row h * |low| + l merges row l of the table of the bottom
-    lam - lam // 2 positions with row h of the top lam // 2, one outer sum
-    per coordinate.  The one merge rule of the statistic: from each entry
-    state, the value is the low row's plus the high row's from the state
-    the low row leaves, and the exit state is the high row's."""
+def _build_table(ns: NumberSystem, lam: int, stat, dtype=np.int64) -> DigitTable:
+    """The whole table of N_lam carrying `stat` in values of type `dtype`,
+    unchecked (split_tables checks): row h * |low| + l merges row l of the
+    table of the bottom lam - lam // 2 positions with row h of the top
+    lam // 2, one outer sum per coordinate.  The one merge rule of the
+    statistic: from each entry state, the value is the low row's plus the
+    high row's from the state the low row leaves, and the exit state is the
+    high row's."""
     if lam <= 1:
-        return _base_table(ns, lam, stat)
-    low, high = _build_table(ns, lam - lam // 2, stat), _build_table(ns, lam // 2, stat)
+        return _base_table(ns, lam, stat, dtype)
+    low = _build_table(ns, lam - lam // 2, stat, dtype)
+    high = _build_table(ns, lam // 2, stat, dtype)
     offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
     coords = np.empty((len(offsets), len(low.coords), ns.degree), np.int64)
     for k in range(ns.degree):  # row h * len(low) + l is offsets[h] + low.coords[l]
@@ -159,11 +177,13 @@ def _build_table(ns: NumberSystem, lam: int, stat) -> DigitTable:
 
 
 def count_rows(ns: NumberSystem, lam: int) -> tuple:
-    """(rows, distinct elements) of N_lam: each row is encoded as one int64
-    key over the box of its exact coordinate ranges, and the keys sorted.
-    The key is linear, so the key of l + offsets[h] over the split is that
-    of the low row l plus that of the offset, the key of the row offsets[h]
-    minus that of the zero row (each row lies in the box, zero among them)."""
+    """(rows, distinct elements) of N_lam: each row is encoded as one key
+    over the box of its exact coordinate ranges, and the keys sorted.  The
+    key is linear, so the key of l + offsets[h] over the split is that of
+    the low row l plus that of the offset, the key of the row offsets[h]
+    minus that of the zero row (each row lies in the box, zero among them).
+    So every key and every addend is below the box's span in absolute value,
+    and the keys take the width of the span."""
     lo, hi = coordinate_ranges(ns, lam)
     place = [1]
     for a, b in zip(lo[:0:-1], hi[:0:-1]):
@@ -173,7 +193,9 @@ def count_rows(ns: NumberSystem, lam: int) -> tuple:
         raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
     low, _, offsets = split_tables(ns, lam)
     shifts = [sum(v * p for v, p in zip(row, place)) for row in offsets.tolist()]  # exact
-    keys = np.add.outer(np.array(shifts, dtype=np.int64), (low.coords - lo) @ place).ravel()
+    dtype = _int_type(span)
+    low_keys = ((low.coords - lo) @ place).astype(dtype)
+    keys = np.add.outer(np.array(shifts, dtype), low_keys).ravel()
     keys.sort()
     return len(keys), int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
@@ -200,14 +222,15 @@ def _norm_bound(ns: NumberSystem, lam: int) -> int:
     return int(bound * (1 + 1e-9)) + 1
 
 
-def _norm_top(ns: NumberSystem, lam: int) -> int:
-    """The top of norm_table, a bound on |N(n)| over N_lam, once the degree
-    is supported and no int64 norm of the split pass can wrap: with A and B
-    the widest |a| and |b| over N_lam (which holds every low row and every
-    offset), each term of N(l) + alpha a_l + beta b_l + N(o) (_split_norms)
+def _split_bound(ns: NumberSystem, lam: int) -> int:
+    """A bound on every integer of the split pass over N_lam (_split_norms),
+    once the degree is supported and no int64 norm of that pass can wrap:
+    with A and B the widest |a| and |b| over N_lam (which holds every low
+    row and every offset), each term of N(l) + alpha a_l + beta b_l + N(o)
     is at most twice the widest form A^2 + |c1| A B + |c0| B^2, so every
-    partial sum is at most six times it: the guard keeps the form below 2^60
-    and every sum below 2^63."""
+    partial sum is at most six times it, and so is each of alpha, beta and
+    N(o): the guard keeps the form below 2^60 and every sum below 2^63.  In
+    degree 1 the widest form is A, and the norm |a + a_o| is at most A."""
     if ns.degree > 2:
         raise UsageError("prime enumeration supports degree <= 2 only")
     lo, hi = coordinate_ranges(ns, lam)
@@ -218,6 +241,13 @@ def _norm_top(ns: NumberSystem, lam: int) -> int:
     if widest >= INT64_GUARD:
         raise DomainError("norms over lambda %d can reach %d, beyond the int64 budget"
                           % (lam, widest))
+    return 6 * widest
+
+
+def _norm_top(ns: NumberSystem, lam: int) -> int:
+    """The top of norm_table, a bound on |N(n)| over N_lam, once
+    _split_bound has checked the degree and the int64 norm."""
+    _split_bound(ns, lam)
     return _norm_bound(ns, lam)
 
 
@@ -273,28 +303,33 @@ def _norm_bits(top: int, quadratic=None) -> np.ndarray:
 
 
 def prime_mask(ns: NumberSystem, norms: np.ndarray, table: np.ndarray | None) -> np.ndarray:
-    """Prime verdicts for elements of absolute norms `norms` (int64): bit
-    |N| of `table` (norm_table), which must reach every norm, or with table
-    None the scalar analysis.norm_verdict of each."""
+    """Prime verdicts for elements of absolute norms `norms` (an integer
+    array of any width, shifted and masked in it): bit |N| of `table`
+    (norm_table), which must reach every norm, or with table None the
+    scalar analysis.norm_verdict of each."""
     if table is None:
         from .analysis import PRIME_KINDS, norm_verdict
         return np.array([norm_verdict(ns.poly, v).kind in PRIME_KINDS for v in norms.tolist()],
                         dtype=bool)
-    bits = np.take(table, norms >> 3)
-    bits >>= (norms & 7).astype(np.uint8)
+    bits = np.take(table, np.right_shift(norms, 3, dtype=np.intp))  # take's own index type
+    shift = norms.astype(np.uint8)  # the low byte, whose low 3 bits are those of the norm
+    shift &= 7
+    bits >>= shift
     bits &= 1
     return bits.view(bool)
 
 
-def _split_norms(ns: NumberSystem, low: DigitTable, offsets: np.ndarray):
+def _split_norms(ns: NumberSystem, columns: np.ndarray, offsets: np.ndarray):
     """(h, |N(l + offsets[h])| over the low rows l) per high row h, in order,
-    the norms an int64 buffer overwritten by the next row.  With l = a + b q
-    and o = a_o + b_o q, the norm a^2 - c1 ab + c0 b^2 is a binary quadratic
-    form, so N(l + o) = N(l) + alpha a + beta b + N(o) with alpha = 2 a_o -
-    c1 b_o and beta = 2 c0 b_o - c1 a_o: five vector operations over vectors
-    derived once from the low table (_norm_top bounds every partial sum).  In
-    degree 1 the norm is |a + a_o|."""
-    a = np.ascontiguousarray(low.coords[:, 0])
+    the norms a buffer overwritten by the next row.  `columns` holds the
+    low table's coordinate columns, contiguous, in a width that holds every
+    partial sum (_split_bound); every buffer takes that width.  With l = a +
+    b q and o = a_o + b_o q, the norm a^2 - c1 ab + c0 b^2 is a binary
+    quadratic form, so N(l + o) = N(l) + alpha a + beta b + N(o) with alpha
+    = 2 a_o - c1 b_o and beta = 2 c0 b_o - c1 a_o: five vector operations
+    over vectors derived once from the low table.  In degree 1 the norm is
+    |a + a_o|."""
+    a = columns[0]
     norm = np.empty_like(a)
     if ns.degree == 1:
         for h, (a_o,) in enumerate(offsets.tolist()):
@@ -302,7 +337,7 @@ def _split_norms(ns: NumberSystem, low: DigitTable, offsets: np.ndarray):
             yield h, np.abs(norm, out=norm)
         return
     c0, c1 = ns.poly.coeffs[:2]
-    b = np.ascontiguousarray(low.coords[:, 1])
+    b = columns[1]
     n_low = a * a - c1 * a * b + c0 * b * b
     term = np.empty_like(a)
     definite = c1 * c1 < 4 * c0  # a complex quadratic ring: no norm is negative
@@ -325,10 +360,12 @@ def prime_blocks(ns: NumberSystem, lam: int, stat=None) -> tuple:
     than the 8 * d of each row's coordinates is not built, and each norm is
     then tested alone."""
     low, high, offsets = split_tables(ns, lam, stat)
+    bound = _split_bound(ns, lam)
     table = None
     if _norm_top(ns, lam) // 8 + 1 <= 8 * ns.degree * ns.Q**lam:
         table = norm_table(ns, lam)
-    masks = ((h, prime_mask(ns, norm, table)) for h, norm in _split_norms(ns, low, offsets))
+    columns = low.coords.T.astype(_int_type(bound), order="C")
+    masks = ((h, prime_mask(ns, norm, table)) for h, norm in _split_norms(ns, columns, offsets))
     return low, high, offsets, masks
 
 
@@ -348,9 +385,11 @@ def prime_histogram(ns: NumberSystem, stat, lam: int, lo: tuple, dims: tuple) ->
     box of `dims` values from `lo`; when it holds more values than N_lam has
     rows, the low rows are keyed by their sorted distinct (e(l), v(l)) and
     each high row's values are merged, else counted in a dense histogram
-    over the box, one slice per state."""
+    over the box, one slice per state, by keys of the width of the states
+    times the span of the low keys."""
     low, high, _, masks = prime_blocks(ns, lam, stat)
     exits, values = low.exits[stat.start], low.values[stat.start]
+    del low  # its coordinates, a quarter of the pass's memory, are not read here
     size = math.prod(dims)
     if size > ns.Q**lam:
         pairs, keys = np.unique(np.column_stack([exits, values]), axis=0, return_inverse=True)
@@ -371,7 +410,8 @@ def prime_histogram(ns: NumberSystem, stat, lam: int, lo: tuple, dims: tuple) ->
     keys -= least
     width = int(keys.max()) + 1
     keys += exits * np.int64(width)  # (exit state, low key)
-    shifts = ((high.values - lo) @ place + least).tolist()  # per state, per high row
+    keys = keys.astype(_int_type(len(stat.states) * width))
+    shifts = ((high.values - np.array(lo)) @ place + least).tolist()  # per state, per high row
     hist = np.zeros(size + width, np.int64)  # room for a whole last slice
     for h, mask in masks:
         counts = np.bincount(keys[mask], minlength=len(shifts) * width)

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -26,6 +25,14 @@ from .algebra import SPACE_TAGS, MinimalPolynomial
 from .caps import FNS_BOX_CAP, check_samples, effective_cap
 from .errors import CapExceeded, CycleDetected, RadixionError, UsageError
 from .numeration import NumberSystem
+
+try:  # the interpreter's own sha256, which loads no OpenSSL as hashlib does
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from . import carry, tile
@@ -720,7 +727,7 @@ def main(argv=None) -> int:
     except RadixionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     manifest = _manifest(args, time.monotonic() - start, digest)
     if args.out:
         with open(args.out, "wb") as fh:

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import algebra, bulk, numeration
 from .algebra import SPACE_TAGS
-from .caps import ENUM_CAP, effective_cap
+from .caps import ENUM_CAP, check_samples, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, embedding_radii
 
@@ -599,9 +599,11 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
 
     Full tiling means almost every point of [0,1)^d belongs to exactly
     one integer translate of the tile; the raster stands in for the tile.
+    The samples' integers are held to the element cap before any is drawn.
     """
     occ = raster.occupancy
     d = occ.ndim
+    check_samples(samples, d, "cover samples")
     res = raster.resolution
     lo = np.array([b[0] for b in raster.bbox])
     hi = np.array([b[1] for b in raster.bbox])

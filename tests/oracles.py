@@ -14,11 +14,12 @@ from radixion import algebra, analysis, bulk, numeration
 STATISTICS = {"sod": numeration.digit_sum, "rs": numeration.pair_count}
 
 
-def whole_table(ns, lam, stat=None):
-    """All rows of N_lam in one DigitTable carrying `stat`, in enumeration
-    order: the meet-in-the-middle merge of bulk._build_table, with no split
-    and no streaming.  It checks no cap and no int64 range."""
-    return bulk._build_table(ns, lam, stat)
+def whole_table(ns, lam, stat=None, dtype=np.int64):
+    """All rows of N_lam in one DigitTable carrying `stat`, its values of
+    type `dtype`, in enumeration order: the meet-in-the-middle merge of
+    bulk._build_table, with no split and no streaming.  It checks no cap, no
+    int64 range and no value width."""
+    return bulk._build_table(ns, lam, stat, dtype)
 
 
 def automaton_value(stat, indices):

@@ -684,7 +684,8 @@ def test_fourier_decay_guards(knuth):
         analysis.fourier_decay(knuth, pair_count(knuth), 0.5, 25, 4, seed=0)
 
 
-def test_rs_bound_slope_values(knuth):
+def test_rs_bound_slope_values(knuth, five_a):
     assert analysis.rs_bound_slope(knuth, 0.5) == 0.5
     assert analysis.rs_bound_slope(knuth, 0.0) == 0.0
     assert 0.0 < analysis.rs_bound_slope(knuth, 0.25) < 0.5
+    assert analysis.rs_bound_slope(five_a, 0.3) is None  # Q = 5: the binary bound says nothing

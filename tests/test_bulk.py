@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,8 +172,8 @@ def test_blocks_carry_only_the_asked_columns(request, each_row_block):
             for stat in stats:  # the split's tables are the whole tables of their positions
                 split = bulk.split_tables(ns, lam, stat)
                 assert np.array_equal(split[2], bare[2])
-                for got in split[:2]:
-                    assert same_table(got, whole_table(ns, got.lam, stat))
+                for got in split[:2]:  # in int32: each value box is far below 2^31
+                    assert same_table(got, whole_table(ns, got.lam, stat, np.int32))
             # the prime pass: the split tables, carrying the asked statistic only,
             # and the mask of the low rows per high row, in order
             table = bulk.norm_table(ns, lam)
@@ -189,6 +190,22 @@ def test_blocks_carry_only_the_asked_columns(request, each_row_block):
                     assert np.array_equal(mask, bulk.prime_mask(ns, norms, table))
                     seen.append(h)
                 assert seen == list(range(len(offsets)))
+
+
+def test_digit_table_width_follows_the_value_box(knuth, each_row_block):
+    """The split's values take int32 while the digit sum's box
+    lambda * [0, 2^30 + 1] stays below 2^31, and int64 from lambda 2 on,
+    where the sum 2^31 + 2 of two top digits would wrap int32; both halves
+    share the width, and their values are the oracle table's."""
+    wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**30 + 1, 0)))
+    stat = digit_sum(wide)
+    for _ in each_row_block(1, 2, bulk.ROW_BLOCK):
+        for lam, width in ((1, np.int32), (2, np.int64), (3, np.int64)):
+            low, high, _ = bulk.split_tables(wide, lam, stat)
+            for got in (low, high):
+                assert same_table(got, whole_table(wide, got.lam, stat, width)), (lam, got.lam)
+            top = low.values[0, -1, 0] + high.values[0, -1, 0]
+            assert int(top) == lam * (2**30 + 1)
 
 
 def test_coordinate_ranges_are_exact(request):
@@ -256,11 +273,62 @@ def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
 
 
 
+def test_prime_pass_in_both_widths(knuth, monkeypatch):
+    """prime_rows and the prime histograms of both statistics against the
+    per-row oracle in each width of the split pass: int32 norms on Knuth's
+    system, int64 on two wide digit sets, 16777217 = 97 * 257 * 673 (every
+    element composite) and a five-digit set whose digit 20004 puts six times
+    the widest norm form past 2^31 from lambda 1 on, with primes."""
+    wide = [numeration.NumberSystem(knuth.poly, ((0, 0), (16777217, 0))),
+            numeration.NumberSystem.parse("5,4,1", "0,0;1,0;2,0;3,0;20004,0")]
+    seen = []
+
+    def spy(ns, norms, table):
+        seen.append(norms.dtype)
+        return mask(ns, norms, table)
+
+    mask = bulk.prime_mask
+    monkeypatch.setattr(bulk, "prime_mask", spy)
+    for ns, lam, width in ((knuth, 10, np.int32), (wide[0], 8, np.int64), (wide[1], 4, np.int64)):
+        assert bulk._int_type(bulk._split_bound(ns, lam)) == width
+        rows, prime, s, r = per_row_oracle(ns, lam)
+        assert any(prime) != (ns is wide[0])  # only 16777217's multiples are all composite
+        seen.clear()
+        got = np.concatenate(bulk.prime_rows(ns, lam)).tolist()
+        assert list(map(tuple, got)) == [n for n, p in zip(rows, prime) if p], ns
+        assert set(seen) == {np.dtype(width)}
+        for fn, values in (("sod", s), ("rs", r)):
+            stat = STATISTICS[fn](ns)
+            columns = list(zip(*(inc for row in stat.step for _, inc in row)))
+            lo = tuple(lam * min(c) for c in columns)
+            dims = tuple(lam * (max(c) - min(c)) + 1 for c in columns)
+            expected = collections.Counter(v for v, p in zip(values, prime) if p)
+            assert bulk.prime_histogram(ns, stat, lam, lo, dims) == dict(expected), (ns, fn)
+
+
+def test_prime_histogram_memory_fence(knuth):
+    """Criterion 7's largest run, the lambda-22 rs prime histogram of Knuth's
+    system, peaks at most 4.5 MB of traced allocations: the low table's
+    values, the norms and the keys in int32, and the low coordinates freed
+    once the norm vectors are taken from them."""
+    stat = pair_count(knuth)
+    bulk.prime_histogram(knuth, stat, 4, (0,), (5,))  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        hist = bulk.prime_histogram(knuth, stat, 22, (0,), (23,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(hist.values()) == 399222
+    assert peak <= 4.5e6, peak
+
+
 def test_split_norms_are_exact_at_the_guard_edge(knuth, five_a, each_row_block):
     """At the widest digit the int64 guard admits, every norm of the split
     pass is exact, and every partial sum of N(l) + alpha a + beta b + N(o)
-    stays within six times the widest form, below 2^63; one step wider, the
-    guard raises."""
+    stays within six times the widest form, below 2^63, the bound whose
+    width (int64 here, int32 for the unwidened system) the pass takes; one
+    step wider, the guard raises."""
     real = [numeration.NumberSystem.parse(poly, ";".join("%d,0" % r for r in range(q)))
             for poly, q in (("5,-5,1", 5), ("-6,4,1", 6))]  # indefinite norm forms
     for base in (knuth, five_a, *real):
@@ -285,10 +353,14 @@ def test_split_norms_are_exact_at_the_guard_edge(knuth, five_a, each_row_block):
         assert bound < bulk.INT64_GUARD <= widest(widened(k + 1))
         with pytest.raises(DomainError, match="norms over lambda 3 can reach"):
             bulk._norm_top(widened(k + 1), lam)
+        assert bulk._split_bound(ns, lam) == 6 * bound
+        width = bulk._int_type(6 * bound)
+        assert width == np.int64 and bulk._int_type(bulk._split_bound(base, lam)) == np.int32
         bulk._norm_top(ns, lam)
         for _ in each_row_block(1, ns.Q, bulk.ROW_BLOCK):
             low, _, offsets = bulk.split_tables(ns, lam)
-            got = [norm.copy() for _, norm in bulk._split_norms(ns, low, offsets)]
+            columns = low.coords.T.astype(width, order="C")
+            got = [norm.copy() for _, norm in bulk._split_norms(ns, columns, offsets)]
             for (a_o, b_o), norms in zip(offsets.tolist(), got):
                 alpha, beta = 2 * a_o - c1 * b_o, 2 * c0 * b_o - c1 * a_o
                 for (a, b), norm in zip(low.coords.tolist(), norms.tolist()):

@@ -508,7 +508,8 @@ for group in %r:
         assert "radixion.carry" not in sys.modules, "check-fns or expand imported carry"
 cli.main(["census", "--help"])
 NumberSystem.parse("5,4,1", "0,0;1,0;2,0;3,0;4,0")
-print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "dataclasses")))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("numpy", "dataclasses", "_hashlib")))
 """ % ([
     [
         ["check-fns", *KNUTH],

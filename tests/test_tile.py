@@ -121,6 +121,18 @@ def test_negabinary_cover_is_full(negabinary):
     assert tile.cover_fraction(raster_of(negabinary, 18, 1024)) >= 0.98
 
 
+def test_cover_samples_are_capped_before_drawing(knuth, monkeypatch):
+    # a library call, with no CLI check before it: 2 integers per sample
+    def refuse(*args):
+        raise AssertionError("samples drawn past the cap")
+
+    raster = raster_of(knuth, 6, 64)
+    monkeypatch.setattr(algebra, "dyadic_samples", refuse)
+    monkeypatch.setenv("RADIXION_CAP", "1000")
+    with pytest.raises(CapExceeded, match="501 cover samples of 2 integers each exceed cap"):
+        tile.cover_fraction(raster, samples=501)
+
+
 # ------------------------------------------------------------------ knuth
 
 
