@@ -7,12 +7,17 @@ l, an element of the bottom positions (at most ROW_BLOCK rows), plus
 offsets[h], q^low times high row h, an element of the top positions.
 That is exact integer arithmetic, so every split gives the same rows.
 Every streamed stage walks it one high row at a time: the prime pass,
-count_rows, numeration.enumerate_N and the tile cloud.  The two tables
-are built by a meet-in-the-middle merge of shorter whole tables, which
-also carries the value of the digit statistic a caller asks for (the
-digit sum or the adjacent-nonzero-pair count, numeration.DigitStatistic)
-without re-expanding any element, by one rule: the low half's value plus
-the high half's from the state the low half leaves.  The prime pass
+count_rows, numeration.enumerate_N and the tile cloud.  Its temporaries
+scale with the low table, so ROW_BLOCK is 2^14 rows: the traced peak of
+the lambda-22 prime histogram is 1.5 MB, against 3.5 MB at 2^16.  When
+Q^lam fits in ROW_BLOCK the low table is all of N_lam, the table that
+tile.lattice_area looks stripped centres up in, keyed by box_places.
+The two tables are built by a meet-in-the-middle merge of shorter whole
+tables, which also carries the value of the digit statistic a caller asks
+for (the digit sum or the adjacent-nonzero-pair count,
+numeration.DigitStatistic) without re-expanding any element, by one rule:
+the low half's value plus the high half's from the state the low half
+leaves.  The prime pass
 (prime_blocks) builds no row: per high row, the norms of its rows are a
 binary quadratic form over vectors derived once from the low table, each
 verdict is one bit of norm_table (or, when that table would outweigh the
@@ -41,7 +46,13 @@ if TYPE_CHECKING:
     from .numeration import NumberSystem
 
 INT64_GUARD = 1 << 60
-ROW_BLOCK = 1 << 16  # most rows in the low table, so in a streamed chunk of one high row
+# Most rows in the low table, so in the streamed chunk of one high row, and
+# about the most lattice centres per step.  A chunk's arrays are temporaries
+# of its stage: at 2^14 rows (1 MB for eight int64 columns) they stay small
+# beside the long-lived tables while each numpy call still covers thousands
+# of rows; 2^16 rows ran the prime pass and the tile rasters no faster, at
+# more than twice their traced peak.
+ROW_BLOCK = 1 << 14
 
 
 def _int_type(bound: int) -> type:
@@ -63,23 +74,29 @@ def u_matrix(m: algebra.MinimalPolynomial) -> np.ndarray:
     return np.array(algebra.mult_matrix(m, algebra.u_element(m)), dtype=np.int64)
 
 
-def strip_columns(ns: NumberSystem, cols) -> list:
-    """Array form of numeration._strip_one: the d int64 columns of (n - b)/q
-    from those of n.  With n_0 = Q s + r and b the digit of class r, y_0 / c_0
-    is sign(c_0) (s + (r - b_0)/Q); digits (r, 0, ..., 0) need no residue."""
+def strip_columns(ns: NumberSystem, cols, times: int = 1) -> list:
+    """Array form of numeration._strip_one, applied `times` times: the d
+    int64 columns of (n - b)/q from those of n.  With n_0 = Q s + r and b
+    the digit of class r, y_0 / c_0 is sign(c_0) (s + (r - b_0)/Q); digits
+    (r, 0, ..., 0) need no residue.  The digit tables are built once for
+    all the strips."""
     c, sign = ns.poly.coeffs, (1 if ns.poly.coeffs[0] > 0 else -1)
     digits = np.array([ns.digits[t] for t in ns.residue_digit], dtype=np.int64)
     offset = (np.arange(ns.Q) - digits[:, 0]) // ns.Q
-    s = cols[0] // ns.Q
-    if offset.any() or digits[:, 1:].any():
-        r = cols[0] - ns.Q * s  # np.divmod is many times slower than the two steps
-        s += offset[r]  # y_0 / Q
-    out = []
-    for i in range(1, ns.degree):
-        col = cols[i] - sign * c[i] * s if c[i] else cols[i]
-        out.append(col - digits[r, i] if digits[:, i].any() else col)
-    out.append(s if sign < 0 else -s)
-    return out
+    residue = bool(offset.any() or digits[:, 1:].any())
+    shifted = [bool(digits[:, i].any()) for i in range(ns.degree)]
+    for _ in range(times):
+        s = cols[0] // ns.Q
+        if residue:
+            r = cols[0] - ns.Q * s  # np.divmod is many times slower than the two steps
+            s += offset[r]  # y_0 / Q
+        out = []
+        for i in range(1, ns.degree):
+            col = cols[i] - sign * c[i] * s if c[i] else cols[i]
+            out.append(col - digits[r, i] if shifted[i] else col)
+        out.append(s if sign < 0 else -s)
+        cols = out
+    return list(cols)
 
 
 def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
@@ -176,19 +193,26 @@ def _build_table(ns: NumberSystem, lam: int, stat, dtype=np.int64) -> DigitTable
                       high.exits[into, rows].reshape(states, -1))
 
 
-def count_rows(ns: NumberSystem, lam: int) -> tuple:
-    """(rows, distinct elements) of N_lam: each row is encoded as one key
-    over the box of its exact coordinate ranges, and the keys sorted.  The
-    key is linear, so the key of l + offsets[h] over the split is that of
-    the low row l plus that of the offset, the key of the row offsets[h]
-    minus that of the zero row (each row lies in the box, zero among them).
-    So every key and every addend is below the box's span in absolute value,
-    and the keys take the width of the span."""
-    lo, hi = coordinate_ranges(ns, lam)
+def box_places(lo: list, hi: list) -> tuple:
+    """(place, span) of the box lo..hi (inclusive, per coordinate): the key
+    (n - lo) @ place of an integer point n of the box is its C-order cell
+    index, a mixed-radix number below span, the box's count of points."""
     place = [1]
     for a, b in zip(lo[:0:-1], hi[:0:-1]):
         place.insert(0, place[0] * (b - a + 1))
-    span = place[0] * (hi[0] - lo[0] + 1)
+    return place, place[0] * (hi[0] - lo[0] + 1)
+
+
+def count_rows(ns: NumberSystem, lam: int) -> tuple:
+    """(rows, distinct elements) of N_lam: each row is encoded as one key
+    over the box of its exact coordinate ranges (box_places), and the keys
+    sorted.  The key is linear, so the key of l + offsets[h] over the split
+    is that of the low row l plus that of the offset, the key of the row
+    offsets[h] minus that of the zero row (each row lies in the box, zero
+    among them).  So every key and every addend is below the box's span in
+    absolute value, and the keys take the width of the span."""
+    lo, hi = coordinate_ranges(ns, lam)
+    place, span = box_places(lo, hi)
     if span >= INT64_GUARD:
         raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
     low, _, offsets = split_tables(ns, lam)
@@ -244,19 +268,12 @@ def _split_bound(ns: NumberSystem, lam: int) -> int:
     return 6 * widest
 
 
-def _norm_top(ns: NumberSystem, lam: int) -> int:
-    """The top of norm_table, a bound on |N(n)| over N_lam, once
-    _split_bound has checked the degree and the int64 norm."""
-    _split_bound(ns, lam)
-    return _norm_bound(ns, lam)
-
-
-def norm_table(ns: NumberSystem, lam: int) -> np.ndarray:
+def norm_table(ns: NumberSystem, lam: int, top: int) -> np.ndarray:
     """The prime verdict of every norm of N_lam, one bit per integer
-    0.._norm_top (_norm_bits).  Checked before allocation: the int64 norm
-    (_norm_top), and the table's bytes, against the cap at the 8 * d bytes
-    of a table row's coordinates."""
-    top = _norm_top(ns, lam)
+    0..top (_norm_bits), top the caller's bound on |N(n)| over N_lam
+    (_norm_bound, once _split_bound has checked the degree and the int64
+    norm).  The table's bytes are checked against the cap at the 8 * d
+    bytes of a table row's coordinates before allocation."""
     if top // 8 + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
         raise CapExceeded("prime sieve of %d bytes for lambda %d exceeds the memory of a %d-element"
                           " table" % (top // 8 + 1, lam, effective_cap(ENUM_CAP)))
@@ -358,12 +375,11 @@ def prime_blocks(ns: NumberSystem, lam: int, stat=None) -> tuple:
     bound are checked when called.  Each norm comes from _split_norms and
     its verdict from prime_mask; a norm table that would take more bytes
     than the 8 * d of each row's coordinates is not built, and each norm is
-    then tested alone."""
+    then tested alone.  Each bound is evaluated once."""
     low, high, offsets = split_tables(ns, lam, stat)
     bound = _split_bound(ns, lam)
-    table = None
-    if _norm_top(ns, lam) // 8 + 1 <= 8 * ns.degree * ns.Q**lam:
-        table = norm_table(ns, lam)
+    top = _norm_bound(ns, lam)
+    table = norm_table(ns, lam, top) if top // 8 + 1 <= 8 * ns.degree * ns.Q**lam else None
     columns = low.coords.T.astype(_int_type(bound), order="C")
     masks = ((h, prime_mask(ns, norm, table)) for h, norm in _split_norms(ns, columns, offsets))
     return low, high, offsets, masks

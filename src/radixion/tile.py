@@ -37,8 +37,12 @@ embedding-space grid, or fewer points than the finest grid has cells, has
 m = 0 and bins each point, by its flat cell index.
 
 The lattice area decides membership in N_k by backward division
-(bulk.strip_columns): n lies in N_k exactly when k strips take it to 0,
-since 0 is the digit of its own residue class.
+(bulk.strip_columns): n lies in N_k exactly when one strip takes it into
+N_(k-1), since its last digit can only be the digit of its residue class,
+and N_0 = {0}.  So n is in N_k exactly when k - m strips take it into
+N_m.  With Q^m <= bulk.ROW_BLOCK, N_m is the low table of the split, and
+one boolean table over its exact coordinate box answers the last step: a
+centre is stripped k - m times and looked up, not stripped k times to 0.
 """
 
 from __future__ import annotations
@@ -527,9 +531,12 @@ def area_of(raster: Raster) -> float:
 def lattice_area(ns: NumberSystem, raster: Raster) -> float:
     """Area of the cells whose centre c has rint(q^k c) in N_k, k = depth.
 
-    Centres outside the exact coordinate box of N_k are dropped; the rest
-    are in N_k when k strips take them to 0.  The work is done in blocks
-    of about bulk.ROW_BLOCK centres, so memory does not grow with N_k.
+    Centres outside the exact coordinate box of N_k are dropped.  The rest
+    are in N_k exactly when k - m strips take them into N_m (_lattice_depth
+    picks m), looked up in one boolean table over N_m's exact coordinate
+    box, keyed by bulk.box_places; at m = 0 the table holds 0 alone.  The
+    work is done in blocks of about bulk.ROW_BLOCK centres, so memory does
+    not grow with N_k.
     The cells sample the union of the footprints q^{-k}(z + [-1/2,1/2)^d)
     over z in N_k: disjoint sets of total measure |N_k| / Q^k = 1.  When
     the integer translates of the tile tile the space, the union
@@ -551,6 +558,12 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
             % (k, error, k)
         )
     box_lo, box_hi = bulk.coordinate_ranges(ns, k)
+    m = _lattice_depth(ns, k)
+    low_lo, low_hi = bulk.coordinate_ranges(ns, m)
+    place, span = bulk.box_places(low_lo, low_hi)
+    table = np.zeros(span, dtype=bool)  # N_m over its box
+    low, _, _ = bulk.split_tables(ns, m)  # Q^m <= ROW_BLOCK: the low table is all of N_m
+    table[(low.coords - low_lo) @ place] = True
     cell = (hi - lo) / res
     # the term of q^k c from axis a is the centre coordinate times column a
     terms = [np.outer(lo[a] + (np.arange(res) + 0.5) * cell[a], power[:, a]) for a in range(d)]
@@ -564,15 +577,30 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
                 for i in range(d)]
         inside = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(cols, box_lo, box_hi)])
         cols = [col[inside] for col in cols]
-        # A rounded centre lies in N_k exactly when k strips take it to 0.
-        # They cannot wrap int64: the guard above keeps its coordinates
-        # below 2^52, and a strip never moves an embedding away from the
-        # attractor, so the coordinates stay within a system-dependent
-        # multiple of the larger of their start and the attractor's bound.
-        for _ in range(k):
-            cols = bulk.strip_columns(ns, cols)
-        hits += int(np.count_nonzero(~np.any(cols, axis=0)))
+        # A rounded centre lies in N_k exactly when k - m strips take it
+        # into N_m.  They cannot wrap int64: the guard above keeps its
+        # coordinates below 2^52, and a strip never moves an embedding away
+        # from the attractor, so the coordinates stay within a
+        # system-dependent multiple of the larger of their start and the
+        # attractor's bound.
+        cols = bulk.strip_columns(ns, cols, k - m)
+        inside = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(cols, low_lo, low_hi)])
+        key = sum((c[inside] - a) * p for c, a, p in zip(cols, low_lo, place))
+        hits += int(np.count_nonzero(table[key]))
     return hits * cell_area(raster)
+
+
+def _lattice_depth(ns: NumberSystem, k: int) -> int:
+    """m of lattice_area: the largest m <= k with Q^m <= bulk.ROW_BLOCK whose
+    exact coordinate box of N_m holds at most 16 * bulk.ROW_BLOCK points, so
+    the table of N_m stays within a small multiple of a block.  The box
+    grows with m (0 is a digit), so the first m past either bound ends the
+    search; a wide digit set or a cubic box can leave m = 0."""
+    m = 0
+    while (m < k and ns.Q ** (m + 1) <= bulk.ROW_BLOCK
+           and bulk.box_places(*bulk.coordinate_ranges(ns, m + 1))[1] <= 16 * bulk.ROW_BLOCK):
+        m += 1
+    return m
 
 
 def measure_area(ns: NumberSystem, raster: Raster) -> AreaReport:

@@ -120,3 +120,29 @@ def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
         angles = coords.astype(np.float64) @ weights.T + _phase_values(ns, fn, phase, lam)[:, None]
         best.append(float(np.abs(np.exp(2j * math.pi * angles).sum(axis=0)).max()))
     return best
+
+
+def stripped_to_zero(ns, raster):
+    """The count of the raster's cells whose centre c has rint(q^k c) in
+    N_k, k the raster's depth, by membership as k strips to 0: every
+    rounded centre within the exact coordinate box of N_k is stripped k
+    times by bulk.strip_columns, one strip per call, and counted when it
+    reaches 0.  One pass over all the centres, no blocks and no table of
+    N_m, with the float sums of tile.lattice_area term for term: the
+    reference for tile.lattice_area, whose area is this count times the
+    cell area."""
+    res, k, d = raster.resolution, raster.depth, raster.occupancy.ndim
+    power = bulk.q_power_matrix(ns.poly, k).astype(np.float64)
+    lo = np.array([b[0] for b in raster.bbox])
+    cell = (np.array([b[1] for b in raster.bbox]) - lo) / res
+    terms = [np.outer(lo[a] + (np.arange(res) + 0.5) * cell[a], power[:, a]) for a in range(d)]
+    tail = np.zeros((1, d))
+    for t in terms[1:]:
+        tail = (tail[:, None, :] + t[None, :, :]).reshape(-1, d)
+    cols = [np.rint(terms[0][:, i, None] + tail[:, i]).astype(np.int64).ravel() for i in range(d)]
+    box_lo, box_hi = bulk.coordinate_ranges(ns, k)
+    inside = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(cols, box_lo, box_hi)])
+    cols = [col[inside] for col in cols]
+    for _ in range(k):
+        cols = bulk.strip_columns(ns, cols)
+    return int(np.count_nonzero(~np.any(cols, axis=0)))

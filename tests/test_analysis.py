@@ -174,7 +174,7 @@ def test_sieve_size_at_lambda_22(knuth):
     coords = whole_table(knuth, 22).coords
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
-    table = bulk.norm_table(knuth, 22)
+    table = bulk.norm_table(knuth, 22, bulk._norm_bound(knuth, 22))
     assert table.dtype == np.uint8 and len(table) == bulk._norm_bound(knuth, 22) // 8 + 1
     assert 0.60e6 < table.nbytes < 0.62e6
 
@@ -187,11 +187,11 @@ def test_prime_sieve_guards(knuth, monkeypatch):
     # coordinates near 2^31: a^2 - c1 ab + c0 b^2 passes 2^62 and wraps int64
     wide = NumberSystem(knuth.poly, ((0, 0), (2**31 + 1, 0)))
     with pytest.raises(DomainError, match="norms over lambda 2 can reach"):
-        bulk.norm_table(wide, 2)
+        bulk.prime_blocks(wide, 2)
     # the sieve's packed bytes are charged against the element cap, 64 * 16 here
     monkeypatch.setenv("RADIXION_CAP", "64")
     with pytest.raises(CapExceeded, match="prime sieve of [0-9]+ bytes for lambda 14"):
-        bulk.norm_table(knuth, 14)
+        bulk.norm_table(knuth, 14, bulk._norm_bound(knuth, 14))
 
 
 def test_wide_digits_classify_rows_without_a_table(knuth, negabinary, five_a, monkeypatch):
@@ -248,8 +248,8 @@ def test_norm_table_marks_at_lambda(request, random_systems, monkeypatch):
         monkeypatch.setattr(bulk, "SIEVE_SEGMENT", segment)
         for ns in golden + list(random_systems):
             lam = min(14, largest_lam(ns, 3000))
-            top = bulk._norm_top(ns, lam)
-            table = bulk.norm_table(ns, lam)
+            top = bulk._norm_bound(ns, lam)
+            table = bulk.norm_table(ns, lam, top)
             assert len(table) == top // 8 + 1
             expected = uint8_norm_sieve(top, ns.poly.coeffs if ns.degree == 2 else None)
             assert np.array_equal(unpacked(table, top), expected != 0), ns
@@ -316,7 +316,7 @@ def test_prime_degree_limit(cubic):
     with pytest.raises(UsageError):
         bulk.prime_rows(cubic, 2)
     with pytest.raises(UsageError):
-        bulk.norm_table(cubic, 2)
+        bulk._split_bound(cubic, 2)
     with pytest.raises(UsageError):
         bulk.prime_blocks(cubic, 2)
 

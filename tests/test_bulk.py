@@ -176,7 +176,7 @@ def test_blocks_carry_only_the_asked_columns(request, each_row_block):
                     assert same_table(got, whole_table(ns, got.lam, stat, np.int32))
             # the prime pass: the split tables, carrying the asked statistic only,
             # and the mask of the low rows per high row, in order
-            table = bulk.norm_table(ns, lam)
+            table = bulk.norm_table(ns, lam, bulk._norm_bound(ns, lam))
             for stat in stats:
                 low, high, offsets, masks = bulk.prime_blocks(ns, lam, stat)
                 split = bulk.split_tables(ns, lam, stat)
@@ -265,7 +265,7 @@ def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
                     assert list(hist) == sorted(hist)
                     assert hist == dict(expected[fn]), (ns, lam, fn, box, size)
             # a table past any budget: none is built, and each norm is tested alone
-            monkeypatch.setattr(bulk, "_norm_top", lambda ns, lam: 1 << 62)
+            monkeypatch.setattr(bulk, "_norm_bound", lambda ns, lam: 1 << 62)
             monkeypatch.setattr(bulk, "_norm_bits", refuse)
             got = np.concatenate(bulk.prime_rows(ns, lam)).tolist()
             assert list(map(tuple, got)) == primes, (ns, lam)
@@ -323,6 +323,22 @@ def test_prime_histogram_memory_fence(knuth):
     assert peak <= 4.5e6, peak
 
 
+def test_prime_histogram_streams_small_chunks(knuth):
+    """The lambda-22 rs prime histogram of Knuth's system peaks at most
+    2.0 MB of traced allocations: its per-high-row norms, masks and counts
+    span one low table of at most ROW_BLOCK (2^14) rows."""
+    stat = pair_count(knuth)
+    bulk.prime_histogram(knuth, stat, 4, (0,), (5,))  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        hist = bulk.prime_histogram(knuth, stat, 22, (0,), (23,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(hist.values()) == 399222
+    assert peak <= 2.0e6, peak
+
+
 def test_split_norms_are_exact_at_the_guard_edge(knuth, five_a, each_row_block):
     """At the widest digit the int64 guard admits, every norm of the split
     pass is exact, and every partial sum of N(l) + alpha a + beta b + N(o)
@@ -352,11 +368,10 @@ def test_split_norms_are_exact_at_the_guard_edge(knuth, five_a, each_row_block):
         ns, bound = widened(k), widest(widened(k))
         assert bound < bulk.INT64_GUARD <= widest(widened(k + 1))
         with pytest.raises(DomainError, match="norms over lambda 3 can reach"):
-            bulk._norm_top(widened(k + 1), lam)
+            bulk._split_bound(widened(k + 1), lam)
         assert bulk._split_bound(ns, lam) == 6 * bound
         width = bulk._int_type(6 * bound)
         assert width == np.int64 and bulk._int_type(bulk._split_bound(base, lam)) == np.int32
-        bulk._norm_top(ns, lam)
         for _ in each_row_block(1, ns.Q, bulk.ROW_BLOCK):
             low, _, offsets = bulk.split_tables(ns, lam)
             columns = low.coords.T.astype(width, order="C")

@@ -131,7 +131,8 @@ def test_strip_columns_matches_strip_one(knuth, negabinary, five_a, five_b, rand
 
 def test_strips_to_zero_is_membership(knuth, negabinary, five_a, five_b, one_plus_i,
                                       random_systems):
-    # n is in N_depth exactly when depth strips take it to 0
+    # n is in N_depth exactly when depth strips take it to 0, in single
+    # strips or in one call of depth strips
     extra = [NumberSystem.parse(*spec) for spec in EXTRA_STRIP_SYSTEMS]
     for ns in (knuth, negabinary, five_a, five_b, one_plus_i, *random_systems, *extra):
         depth = max(lam for lam in range(12) if ns.Q**lam <= 600)
@@ -139,6 +140,9 @@ def test_strips_to_zero_is_membership(knuth, negabinary, five_a, five_b, one_plu
         cols = box
         for _ in range(depth):
             cols = bulk.strip_columns(ns, cols)
+        for times in (0, depth):  # the repeated strip is the loop of single strips
+            repeated = bulk.strip_columns(ns, box, times)
+            assert all(np.array_equal(a, b) for a, b in zip(repeated, box if times == 0 else cols))
         reached = ~np.any(cols, axis=0)
         members = {n for n, hit in zip(rows_of(box), reached) if hit}
         assert members == set(numeration.enumerate_N(ns, depth))

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import whole_table
+from oracles import stripped_to_zero, whole_table
 
 from radixion import algebra, bulk, tile
 from radixion.errors import CapExceeded, DomainError, UsageError
@@ -217,6 +218,37 @@ def test_embedding_raster_keeps_occupancy_area(knuth):
         tile.lattice_area(knuth, raster)
 
 
+def depth_within(ns, points):
+    """The deepest cloud of ns with at most `points` points."""
+    return max(k for k in range(64) if ns.Q**k <= points)
+
+
+def test_lattice_area_matches_strips_to_zero(request, each_row_block):
+    """The hit count of lattice_area, so its area float, is that of the
+    k-strip oracle bit for bit under each ROW_BLOCK, over m = 0 (one-row
+    blocks), 0 < m < k and m = k; the boxes of five-B and of the cubic
+    3,3,3,1 hold m below the largest with Q^m <= ROW_BLOCK."""
+    cubic = NumberSystem.parse("3,3,3,1", "0,0,0;1,0,0;2,0,0")
+    cases = [(request.getfixturevalue("knuth"), 18, 1024),
+             (request.getfixturevalue("negabinary"), 18, 1024),
+             (request.getfixturevalue("five_a"), 8, 256),
+             (request.getfixturevalue("five_b"), 8, 256), (cubic, 9, 32)]
+    cases += [(ns, depth_within(ns, 4096), 128) for ns in request.getfixturevalue("random_systems")]
+    cases += [(ns, depth_within(ns, 4096), 64 if ns.degree == 2 else 16)
+              for ns, _ in request.getfixturevalue("cns_systems")[:10]]
+    rasters = [raster_of(ns, depth, res) for ns, depth, res in cases]
+    hits = [stripped_to_zero(ns, raster) for (ns, _, _), raster in zip(cases, rasters)]
+    assert hits[0] > 0
+    seen = set()
+    for size in each_row_block(1, 7, 100, bulk.ROW_BLOCK):
+        for (ns, depth, _), raster, count in zip(cases, rasters, hits):
+            m = tile._lattice_depth(ns, depth)
+            seen.add((m > 0) + (m == depth))  # 0: m = 0, 1: 0 < m < k, 2: m = k
+            assert tile.lattice_area(ns, raster) == count * tile.cell_area(raster), (ns, size)
+    assert seen == {0, 1, 2}
+    assert [tile._lattice_depth(ns, k) for ns, k, _ in cases[3:5]] == [5, 6]  # Q^m <= ROW_BLOCK alone: 6 and 8
+
+
 def test_lattice_area_guards(knuth):
     window = ((-1.0, 1.0), (-1.0, 1.0))
     deep = Raster(4, window, np.ones((4, 4), dtype=bool), 100, "coordinate")
@@ -233,6 +265,22 @@ def test_rasterize_blocks_match_one_pass(knuth, each_row_block):
         blocked = raster_of(knuth, 10, 64)
         assert blocked.bbox == whole.bbox
         assert np.array_equal(blocked.occupancy, whole.occupancy)
+
+
+def test_tile_rasters_memory_fence(knuth):
+    """The depth-22 Knuth raster at resolution 1024 peaks at most 3.0 MB of
+    traced allocations: the 1 MB grid, and the corner pass's tables and
+    per-chunk buffers of at most ROW_BLOCK (2^14) corners."""
+    key = ("coordinate", 1024)
+    tile.tile_rasters(knuth, 6, [key])  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        raster = tile.tile_rasters(knuth, 22, [key])[key]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raster.occupancy.shape == (1024, 1024)
+    assert peak <= 3.0e6, peak
 
 
 def test_boxdim_needs_three_resolutions(knuth):
