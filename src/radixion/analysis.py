@@ -33,7 +33,7 @@ from typing import NamedTuple
 from . import algebra
 from .algebra import MinimalPolynomial
 from .caps import ENUM_CAP, check_samples, effective_cap
-from .errors import CapExceeded, UsageError
+from .errors import CapExceeded, DomainError, UsageError
 from .numeration import DigitStatistic, NumberSystem
 
 TWO_PI = 2.0 * math.pi
@@ -215,7 +215,7 @@ def sumdigit_fourier_constants(ns: NumberSystem, form: LinearForm) -> SumDigitCo
             fracpart = exact - math.floor(exact)
             dist = float(min(fracpart, 1 - fracpart))
         else:
-            v = phi_float(form, m, scaled)
+            v = _finite(phi_float(form, m, scaled), "phi(mu_q b) at b = %s", b)
             dist = abs(v - round(v))
         norms.append(dist * dist)
     total = float(sum(norms))
@@ -252,14 +252,26 @@ def _digit_twist(stat: DigitStatistic, m: MinimalPolynomial, phase) -> tuple:
     """Weights w with value(n) = <w, v(n)>, v(n) the value vector of the
     digit statistic: a trace linear form needs a statistic valued in Z[q]
     (phase_weights), a scalar coefficient one whose increments all lie on
-    the first coordinate."""
+    the first coordinate.  Every weight must be finite."""
     if isinstance(phase, LinearForm):
         if not stat.element:
             raise UsageError("a statistic counted in Z takes a scalar coefficient, not a form")
-        return phase_weights(phase, m)
-    if any(any(inc[1:]) for row in stat.step for _, inc in row):
+        weights = phase_weights(phase, m)
+    elif any(any(inc[1:]) for row in stat.step for _, inc in row):
         raise UsageError("a scalar coefficient needs a statistic in Z; pass a linear form")
-    return (float(phase),) + (0.0,) * (stat.width - 1)
+    else:
+        weights = (float(phase),) + (0.0,) * (stat.width - 1)
+    if not all(map(math.isfinite, weights)):
+        raise UsageError("phase weights must be finite, got %s" % (weights,))
+    return weights
+
+
+def _finite(phase: float, name: str, *args) -> float:
+    """phase, or DomainError naming it (name % args) when it left the float
+    range, so no exponential or rounding is taken of it."""
+    if not math.isfinite(phase):
+        raise DomainError(("phase " + name + " leaves the float range") % args)
+    return phase
 
 
 def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lam: int,
@@ -338,8 +350,9 @@ def weyl_sum(ns: NumberSystem, stat: DigitStatistic, phases, h: int, lam: int,
     scale = TWO_PI * h
     rows = []
     for weight in weights:
-        values = [sum(x * c for x, c in zip(v, weight)) for v in hist]
-        z = [cmath.exp(complex(0.0, scale * v)) for v in values]
+        angles = [_finite(scale * sum(x * c for x, c in zip(v, weight)),
+                          "2 pi h <w, v> at h = %d, w = %s, v = %s", h, weight, v) for v in hist]
+        z = [cmath.exp(complex(0.0, a)) for a in angles]
         total = complex(_exact_sum(counts, [w.real for w in z]),
                         _exact_sum(counts, [w.imag for w in z]))
         rows.append(WeylRow(lam, h, filter, count, total.real, total.imag,
@@ -350,10 +363,7 @@ def weyl_sum(ns: NumberSystem, stat: DigitStatistic, phases, h: int, lam: int,
 def _exact_sum(counts: list, x) -> float:
     """sum(counts[i] * x[i]) rounded once: each float is num / 2^k, so the
     sum is one integer over the largest 2^k, and int / int rounds correctly."""
-    x = [float(v) for v in x]
-    if not all(map(math.isfinite, x)):  # a phase value past the float range
-        return math.nan
-    ratios = [v.as_integer_ratio() for v in x]
+    ratios = [float(v).as_integer_ratio() for v in x]
     scale = max((den for _, den in ratios), default=1)
     return sum(n * num * (scale // den) for n, (num, den) in zip(counts, ratios)) / scale
 
@@ -392,7 +402,7 @@ def digit_norm_sum(ns: NumberSystem, phase) -> float:
     mu_q = sum(ns.poly.coeffs)
     total = 0.0
     for v in _integer_digit_values(ns):
-        x = float(phase) * mu_q * v
+        x = _finite(float(phase) * mu_q * v, "alpha mu_q b at alpha = %r, b = %d", phase, v)
         total += (x - round(x)) ** 2
     return total
 
@@ -451,14 +461,16 @@ def fourier_decay(ns: NumberSystem, stat: DigitStatistic, phase, lam_max: int, t
     def exact(inc):
         return sum(num * (modulus // den) * x for (num, den), x in zip(ratios, inc))
 
+    def factor(inc):  # e(<w, inc>)
+        angle = TWO_PI * sum(x * c for x, c in zip(inc, weights))
+        return cmath.exp(complex(0.0, _finite(angle, "2 pi <w, inc> at w = %s, inc = %s", weights, inc)))
+
     twist, classes = [], {}  # digits alike from every state: (next state, factor) per state
     for t in range(ns.Q):
         moves = [row[t] for row in stat.step]
         shared = {exact(inc) for _, inc in moves}
         twist.append(shared.pop() if len(shared) == 1 else 0)
-        key = tuple((nxt, None if twist[t] or not exact(inc) else
-                     cmath.exp(TWO_PI * 1j * sum(x * c for x, c in zip(inc, weights))))
-                    for nxt, inc in moves)
+        key = tuple((nxt, None if twist[t] or not exact(inc) else factor(inc)) for nxt, inc in moves)
         classes.setdefault(key, []).append(t)
     lift = 1 << (bits - algebra.SAMPLE_BITS)  # t_k = m_k * lift / 2^bits
     power = algebra.power_sums(m, 2 * d - 2)

@@ -389,7 +389,7 @@ def _cmd_tile(args) -> _Artifact:
     boxdim = [] if args.boxdim is None else _parse_int_list(args.boxdim)
     if boxdim:
         tile.check_boxdim(boxdim)
-    # one streamed pass; the box dimension is always fitted in coordinate space
+    # the box dimension is always fitted in coordinate space
     rasters = tile.tile_rasters(
         ns, args.depth, [(args.space, args.resolution)] + [("coordinate", r) for r in boxdim]
     )

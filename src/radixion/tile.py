@@ -16,25 +16,25 @@ from two numerator tables built once and checked below 2^53: the add is
 exact and the division the one rounding (cloud_chunks).  The cloud streams
 one chunk per high row, its len(low_num) points (at most bulk.ROW_BLOCK),
 and the chart adds its terms in a fixed order (_charted), so no point
-depends on the split or its chunk.  tile_rasters bins the cloud in one
-pass, over a bounding box per space taken from the digits, through buffers
-allocated once per pass.  A space's grids whose resolutions differ by
-powers of two form a chain: only the finest grid of each chain is binned,
-and the coarser grids are OR-pooled from it after the pass, exactly.
+depends on the split or its chunk.  tile_rasters bins each grid in a
+streamed pass of its own, over a bounding box of its space taken from the
+digits, through buffers allocated once per pass.  A space's grids whose
+resolutions differ by powers of two form a chain: only the finest grid of
+each chain is binned, and the coarser grids are OR-pooled from it, exactly.
 
 In coordinate space the pass streams the Q^(k-m) corners of a coarse
 cloud, not the Q^k points (T_k = T_{k-m} + q^{-(k-m)} T_m).  A point's
 cell on an axis is a monotone step function of its integer numerator N,
-so each binned grid has integer cell edges (breakpoints) B[c], found by
-the binning's own float arithmetic.  m is the largest depth at which each
+so the grid has integer cell edges (breakpoints) B[c], found by the
+binning's own float arithmetic.  m is the largest depth at which each
 axis of the fine cloud F spans fewer integers than the narrowest interior
 cell, so each translate of F crosses at most one edge per axis.  A corner
 (the coarse point plus the least numerator of F) is binned, the distance
 to its next edge ranked among F's sorted numerators, and the crossing
 patterns that F realises at those ranks, precomputed once, give the cells
-of its Q^m points: the same bits as binning each point.  A pass with an
-embedding-space grid, or fewer points than the finest grid has cells, has
-m = 0 and bins each point, by its flat cell index.
+of its Q^m points: the same bits as binning each point.  A pass in
+embedding space, or with fewer points than its grid has cells, has m = 0
+and bins each point, by its flat cell index.
 
 The lattice area decides membership in N_k by backward division
 (bulk.strip_columns): n lies in N_k exactly when one strip takes it into
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,12 +231,13 @@ def _to_window(ys: np.ndarray, bbox: tuple, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _cells(v: np.ndarray, res: int, scaled: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """The cell clip(floor(v * res), 0, res - 1) of every entry, in intp.
-    Clipping before the truncation picks the same cell and is cheaper."""
-    np.multiply(v, res, out=scaled)
-    np.clip(scaled, 0, res - 1, out=scaled)
-    np.copyto(cells, scaled, casting="unsafe")  # truncation toward zero
+def _cells(v: np.ndarray, res: int, cells: np.ndarray) -> np.ndarray:
+    """The cell clip(floor(v * res), 0, res - 1) of every entry, in intp;
+    v is scaled in place.  Clipping before the truncation picks the same
+    cell and is cheaper."""
+    np.multiply(v, res, out=v)
+    np.clip(v, 0, res - 1, out=v)
+    np.copyto(cells, v, casting="unsafe")  # truncation toward zero
     return cells
 
 
@@ -259,54 +260,43 @@ class _Fine:
     lo: tuple = ()  # per axis: least numerator of F
     values: tuple = ()  # per axis: sorted distinct numerators of F less lo, float64
     patterns: tuple = ()  # (delta, table): table[key] when a point of F crosses on the axes of delta
-    edges: dict = field(default_factory=dict)  # res -> per axis: B[c + 1] at cell c, inf at the last
+    edges: tuple = ()  # per axis: B[c + 1] at cell c, inf at the last
 
 
 def _edges(denom: int, window: tuple, res: int) -> np.ndarray:
     """B[c] for c = 1 .. res - 1: the least integer numerator N whose point
     N / denom lands in cell c or above of the axis window (lo, hi) at res
     cells, by the arithmetic of _mark itself.  Each step of it is monotone,
-    so the cell is a step function of N: a guess from the window is
-    corrected by a bracket and a bisection on that step function."""
+    so the cell is a step function of N: a guess from the window, within a
+    few units of B, is walked to B one unit at a time."""
     lo, hi = window
     c = np.arange(1, res)
 
     def cell(n):  # _mark's chain on one axis
         v = _to_window((n / denom)[:, None], (window,), np.empty((len(n), 1)))
-        return _cells(v, res, np.empty_like(v), np.empty(v.shape, np.intp))[:, 0]
+        return _cells(v, res, np.empty(v.shape, np.intp))[:, 0]
 
-    up = np.ceil(denom * (lo + c * ((hi - lo) / res)))  # within a few units of B
-    low = up - 1
-    step = 1.0
-    while (short := cell(up) < c).any():  # widen to low < B <= up
-        up[short] += step
-        step *= 2
-    step = 1.0
-    while (far := cell(low) >= c).any():
-        low[far] -= step
-        step *= 2
-    while (wide := up - low > 1).any():
-        mid = low + np.floor((up - low) / 2)
-        above = cell(mid) >= c
-        up[wide & above] = mid[wide & above]
-        low[wide & ~above] = mid[wide & ~above]
+    up = np.ceil(denom * (lo + c * ((hi - lo) / res)))
+    while (short := cell(up) < c).any():
+        up[short] += 1
+    while (far := cell(up - 1) >= c).any():
+        up[far] -= 1
     return up
 
 
-def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, resolutions) -> _Fine:
-    """The fine cloud of a coordinate-space pass binning the grids of
-    `resolutions` over bbox: the largest depth m at which each axis of F
-    spans fewer integers than every interior cell of every grid, and whose
-    pattern tables stay within PATTERN_CAP.  m = 0 (no fine cloud) when
-    the cloud has fewer points than the finest grid has cells, or when an
-    edge near the window may not be an exact float64 integer."""
+def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, res: int) -> _Fine:
+    """The fine cloud of a coordinate-space pass binning the grid of res
+    cells per axis over bbox: the largest depth m at which each axis of F
+    spans fewer integers than every interior cell, and whose pattern tables
+    stay within PATTERN_CAP.  m = 0 (no fine cloud) when the cloud has
+    fewer points than the grid has cells, or when an edge near the window
+    may not be an exact float64 integer."""
     d, denom = ns.degree, abs(ns.poly.coeffs[0] ** depth)
-    if (ns.Q**depth < max(resolutions) ** d
+    if (ns.Q**depth < res**d
             or any(denom * (max(-lo, hi) + 1) >= FLOAT_EXACT / 2 for lo, hi in bbox)):
         return _Fine()
-    edges = {res: [_edges(denom, window, res) for window in bbox] for res in resolutions}
-    gaps = [min(float(np.diff(edges[res][a]).min()) if res > 2 else math.inf for res in resolutions)
-            for a in range(d)]
+    edges = [_edges(denom, window, res) for window in bbox]
+    gaps = [float(np.diff(e).min()) if res > 2 else math.inf for e in edges]
     m, spans, layer = 0, [0] * d, ns.digits  # layer: q^m times the digits
     while m < depth and 2**d * (ns.Q ** (m + 1) + 1) ** d <= PATTERN_CAP:
         terms = [[sum(u * x for u, x in zip(row, b)) for b in layer] for row in power]
@@ -337,52 +327,49 @@ def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, resoluti
                      else np.logical_or.accumulate(table, axis=a))
         if table.any():
             patterns.append((delta, table.ravel()))
-    nexts = {res: [np.append(e, math.inf) for e in axes] for res, axes in edges.items()}
+    nexts = tuple(np.append(e, math.inf) for e in edges)
     return _Fine(m, tuple(lo.tolist()), values, tuple(patterns), nexts)
 
 
 def _bin_buffers(rows: int, d: int) -> tuple:
-    """_mark's buffers for up to `rows` corners: v, scaled, index (d intp
+    """_mark's buffers for up to `rows` corners: v, charted, index (d intp
     columns, at least 2) and select."""
     return (np.empty((rows, d), order="F"), np.empty((rows, d), order="F"),
             np.empty((rows, max(d, 2)), np.intp, order="F"), np.empty(rows, bool))
 
 
-def _mark(corners: np.ndarray, denom: int, chart, bbox: tuple, grids, fine: _Fine,
-          buffers: tuple) -> None:
-    """Mark in each grid the cells of the points that the corner numerators
+def _mark(corners: np.ndarray, denom: int, chart, bbox: tuple, occupancy: np.ndarray,
+          fine: _Fine, buffers: tuple) -> None:
+    """Mark in occupancy the cells of the points that the corner numerators
     stand for.  With fine.depth 0 each corner is one point, N / denom
     through the chart, marked at its cell (_cells) over bbox by its flat
     (C-order) index.  Else the translate of the fine cloud at each corner is
     marked at the corner's cell plus each crossing pattern of its key
     (_Fine).  The temporaries live in reused _bin_buffers arrays: fresh
     chunk-sized ones are page-faulted in anew each time."""
-    v, scaled, index, select = (buf[: len(corners)] for buf in buffers)
-    d = corners.shape[1]
+    v, charted, index, select = (buf[: len(corners)] for buf in buffers)
+    res, d = occupancy.shape[0], corners.shape[1]
     cells, flat, key = index[:, :d], index[:, 0], index[:, 1]  # views
     points = np.divide(corners, denom, out=v)
-    _to_window(points if chart is None else _charted(points, chart, scaled), bbox, v)
-    for i, occupancy in enumerate(grids):
-        res = occupancy.shape[0]
-        work = scaled if i + 1 < len(grids) else v  # the last grid scales v in place
-        _cells(v, res, work, cells)
-        for axis, nexts in enumerate(fine.edges.get(res, ())):
-            gap = np.take(nexts, cells[:, axis], out=work[:, axis])
-            gap -= corners[:, axis]  # integers from the corner to the next cell edge
-        for axis in range(1, d):  # the cells become the flat index in column 0
-            flat *= res
-            flat += cells[:, axis]
-        if not fine.depth:
-            occupancy.reshape(-1)[flat] = True
-            continue
-        key[:] = np.searchsorted(fine.values[0], work[:, 0])  # column 1 is free now
-        for axis in range(1, d):
-            key *= len(fine.values[axis]) + 1
-            key += np.searchsorted(fine.values[axis], work[:, axis])
-        for delta, table in fine.patterns:
-            marked = flat[np.take(table, key, out=select)]
-            marked += sum(s * res**a for a, s in enumerate(delta[::-1]))
-            occupancy.reshape(-1)[marked] = True
+    _to_window(points if chart is None else _charted(points, chart, charted), bbox, v)
+    _cells(v, res, cells)
+    for axis, nexts in enumerate(fine.edges):
+        gap = np.take(nexts, cells[:, axis], out=v[:, axis])
+        gap -= corners[:, axis]  # integers from the corner to the next cell edge
+    for axis in range(1, d):  # the cells become the flat index in column 0
+        flat *= res
+        flat += cells[:, axis]
+    if not fine.depth:
+        occupancy.reshape(-1)[flat] = True
+        return
+    key[:] = np.searchsorted(fine.values[0], v[:, 0])  # column 1 is free now
+    for axis in range(1, d):
+        key *= len(fine.values[axis]) + 1
+        key += np.searchsorted(fine.values[axis], v[:, axis])
+    for delta, table in fine.patterns:
+        marked = flat[np.take(table, key, out=select)]
+        marked += sum(s * res**a for a, s in enumerate(delta[::-1]))
+        occupancy.reshape(-1)[marked] = True
 
 
 def _pool(fine: np.ndarray, res: int) -> np.ndarray:
@@ -410,38 +397,36 @@ def _pool_source(res: int, resolutions) -> int:
 
 def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
     """Rasters of the depth-`depth` cloud for each (space_tag, resolution) in
-    `requests`, keyed by that pair: one streamed pass, bboxes from _cloud_window.
+    `requests`, keyed by that pair, bboxes from _cloud_window.
 
-    The points are those of cloud_chunks, bit for bit, but go through
-    buffers allocated once, after the cap and exactness checks.  A space's
-    grids share its bbox, so a grid whose resolution is a power-of-two
-    fraction of another's is pooled from the finer one after the pass
-    (_pool, exact); only the rest are binned, from the corners of the
-    coarse cloud in coordinate space (_binned)."""
+    Every space and resolution is checked before any work.  A space's grids
+    share its bbox, so a grid whose resolution is a power-of-two fraction
+    of another's is pooled from the finer one (_pool, exact); each of the
+    rest is binned by a streamed pass of its own (_binned)."""
     requests = list(dict.fromkeys(requests))
     charts = {space: _chart(ns, space) for space, _ in requests}
     if any(res < 1 for _, res in requests):
         raise UsageError("resolution must be positive")
     sources = {(space, res): (space, _pool_source(res, [r for s, r in requests if s == space]))
                for space, res in requests}
-    bboxes, grids = _binned(ns, depth, charts, dict.fromkeys(sources.values()))
-    for key, source in sources.items():
-        if key != source:
-            grids[key] = _pool(grids[source], key[1])
-    return {key: Raster(key[1], bboxes[key[0]], grids[key], depth, key[0]) for key in requests}
+    binned = {source: _binned(ns, depth, charts[source[0]], source[1])
+              for source in dict.fromkeys(sources.values())}
+    return {key: Raster(key[1], binned[source][0], _pool(binned[source][1], key[1]), depth, key[0])
+            for key, source in sources.items()}
 
 
-def _binned(ns: NumberSystem, depth: int, charts: dict, keys) -> tuple:
-    """(bboxes, grids): tile_rasters' streamed pass into one grid per (space,
-    resolution) key.  A pass in coordinate space alone streams the corners
-    of its fine cloud (_fine_cloud), any other pass every point.  Its
-    buffers are freed on return, before any grid is pooled, so no long-lived
-    pooled grid is allocated above them on the heap."""
+def _binned(ns: NumberSystem, depth: int, chart, res: int) -> tuple:
+    """(bbox, grid): the grid of res cells per axis over the bbox of the
+    chart's space, binned by one streamed pass.  The points are those of
+    cloud_chunks, bit for bit, but go through buffers allocated once, after
+    the cap and exactness checks.  In coordinate space (chart None) the
+    pass streams the corners of its fine cloud (_fine_cloud), in embedding
+    space every point.  The buffers are freed on return, before any grid is
+    pooled, so no long-lived pooled grid is allocated above them on the heap."""
     power, denom = _cloud_power(ns, depth)
-    bboxes = {space: _cloud_window(ns, depth, chart) for space, chart in charts.items()}
-    grids = {key: np.zeros((key[1],) * ns.degree, dtype=bool) for key in keys}
-    fine = (_fine_cloud(ns, depth, power, bboxes["coordinate"], [res for _, res in grids])
-            if list(charts) == ["coordinate"] else _Fine())
+    bbox = _cloud_window(ns, depth, chart)
+    grid = np.zeros((res,) * ns.degree, dtype=bool)
+    fine = _fine_cloud(ns, depth, power, bbox, res) if chart is None else _Fine()
     low_num, off_num, _ = _cloud_numerators(ns, depth - fine.depth)
     # the coarse numerators over c_0^k are c_0^m times those over c_0^(k-m),
     # signed to leave the denominator |c_0^k|: N / c_0^k is (-N) / |c_0^k| exactly
@@ -453,10 +438,8 @@ def _binned(ns: NumberSystem, depth: int, charts: dict, keys) -> tuple:
         low_num += fine.lo  # a numerator of a depth-k point on each axis: exact
     buffers = _bin_buffers(len(low_num), ns.degree)
     for corners in _sums(low_num, off_num):
-        for space, chart in charts.items():
-            _mark(corners, abs(denom), chart, bboxes[space],
-                  [grid for key, grid in grids.items() if key[0] == space], fine, buffers)
-    return bboxes, grids
+        _mark(corners, abs(denom), chart, bbox, grid, fine, buffers)
+    return bbox, grid
 
 
 def coordinate_bound(ns: NumberSystem) -> list:
@@ -627,7 +610,8 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
 
     Full tiling means almost every point of [0,1)^d belongs to exactly
     one integer translate of the tile; the raster stands in for the tile.
-    The samples' integers are held to the element cap before any is drawn.
+    The samples' integers, and the samples times the translates that can
+    claim them, are held to the element cap before any sample is drawn.
     """
     occ = raster.occupancy
     d = occ.ndim
@@ -636,12 +620,14 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
     lo = np.array([b[0] for b in raster.bbox])
     hi = np.array([b[1] for b in raster.bbox])
     cell = (hi - lo) / res
+    ranges = [range(math.ceil(-hi[k]), math.floor(1.0 - lo[k]) + 1) for k in range(d)]
+    translates = math.prod(map(len, ranges))
+    if samples * translates > effective_cap(ENUM_CAP):
+        raise CapExceeded("cover of %d samples over %d translates exceeds cap %d"
+                          % (samples, translates, effective_cap(ENUM_CAP)))
     draws = algebra.dyadic_samples(seed, samples * d)  # a sample is m / 2^53
     pts = np.array(draws, dtype=np.float64).reshape(samples, d) / 2.0**algebra.SAMPLE_BITS
     claims = np.zeros(samples, dtype=np.int64)
-    ranges = [
-        range(math.ceil(-hi[k]), math.floor(1.0 - lo[k]) + 1) for k in range(d)
-    ]
     for a in itertools.product(*ranges):
         idx = np.floor((pts - np.array(a) - lo) / cell).astype(np.int64)
         inside = ((idx >= 0) & (idx < res)).all(axis=1)

@@ -134,6 +134,25 @@ def test_caps_exit_three(capsysbinary, monkeypatch):
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("weyl", *KNUTH, "--fn", "sod", "--alpha", "1e308", "--lambda", "3"), 1,
+     b"phase 2 pi h <w, v> at h = 1, w = (1e+308, 0.0), v = (1, 0)"),
+    (("weyl", *KNUTH, "--fn", "sod", "--alpha", "inf", "--lambda", "3"), 2, b"(inf, 0.0)"),
+    (("fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "inf", "--lam-max", "4"), 2, b"(inf,)"),
+    (("fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "nan", "--lam-max", "4"), 2, b"(nan,)"),
+    (("fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "1e308", "--lam-max", "4"), 1,
+     b"phase 2 pi <w, inc> at w = (1e+308,), inc = (1,)"),
+    (("fourier-decay", *KNUTH, "--fn", "sod", "--alpha", "1e308", "--lam-max", "4"), 1,
+     b"phase alpha mu_q b at alpha = 1e+308, b = 0"),
+])
+def test_phase_past_the_float_range_is_an_error(capsysbinary, argv, code, message):
+    # a non-finite weight is a usage error; a finite one whose phase
+    # overflows is a domain error, raised before any exponential
+    got, out, err = run(capsysbinary, *argv)
+    assert (got, out) == (code, b"") and err.count(b"error:") == 1 and message in err
+    assert b"Traceback" not in err
+
+
 def test_box_cap_exits_three_before_expanding(capsysbinary, monkeypatch):
     def no_expansion(*args):
         raise AssertionError("an element was expanded")
@@ -190,8 +209,8 @@ def test_sample_counts_exit_three_before_any_draw(capsysbinary, monkeypatch, arg
 
 def test_capped_fns_decision_keeps_tile_exit_zero(capsysbinary, monkeypatch):
     monkeypatch.setenv("RADIXION_CAP", "8")  # 8 points; Knuth's carry closure holds 15 states
-    code, payload, _ = run_json(  # 4 cover samples of 2 integers fit the cap too
-        capsysbinary, "tile", *KNUTH, "--depth", "3", "--resolution", "64", "--cover-samples", "4"
+    code, payload, _ = run_json(  # 1 cover sample of 2 integers, over 6 translates, fits the cap too
+        capsysbinary, "tile", *KNUTH, "--depth", "3", "--resolution", "64", "--cover-samples", "1"
     )
     assert code == 0
     assert payload["area_method"] == "occupancy"

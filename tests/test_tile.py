@@ -134,6 +134,21 @@ def test_cover_samples_are_capped_before_drawing(knuth, monkeypatch):
         tile.cover_fraction(raster, samples=501)
 
 
+def test_cover_translates_are_capped_before_drawing(monkeypatch):
+    # digits {0, 4097}: a tile 4097 times the negabinary one, whose 4034
+    # translates times the 10^4 default samples pass the 2^24 element cap
+    def refuse(*args):
+        raise AssertionError("samples drawn")
+
+    raster = raster_of(NumberSystem.parse("2,1", "0;4097"), 6, 64)
+    monkeypatch.setattr(algebra, "dyadic_samples", refuse)
+    with pytest.raises(CapExceeded, match="cover of 10000 samples over 4034 translates exceeds cap 16777216"):
+        tile.cover_fraction(raster)
+    monkeypatch.setenv("RADIXION_CAP", str(10**4 * 4034))  # the escape hatch lifts it
+    with pytest.raises(AssertionError, match="samples drawn"):
+        tile.cover_fraction(raster)
+
+
 # ------------------------------------------------------------------ knuth
 
 
@@ -556,13 +571,13 @@ def test_streamed_rasters_match_cloud_rasters(request, monkeypatch, block, case)
 
 
 def recorded_marks(monkeypatch):
-    """A list that gets (corners, m, binned resolutions) for every tile._mark call."""
+    """A list that gets (corners, m, resolution) for every tile._mark call."""
     real_mark = tile._mark
     marks = []
 
-    def recording_mark(corners, denom, chart, bbox, grids, fine, buffers):
-        marks.append((len(corners), fine.depth, sorted(grid.shape[0] for grid in grids)))
-        real_mark(corners, denom, chart, bbox, grids, fine, buffers)
+    def recording_mark(corners, denom, chart, bbox, occupancy, fine, buffers):
+        marks.append((len(corners), fine.depth, occupancy.shape[0]))
+        real_mark(corners, denom, chart, bbox, occupancy, fine, buffers)
 
     monkeypatch.setattr(tile, "_mark", recording_mark)
     return marks
@@ -570,21 +585,23 @@ def recorded_marks(monkeypatch):
 
 def test_power_of_two_grids_are_pooled_not_binned(knuth, five_a, monkeypatch, each_row_block):
     marks = recorded_marks(monkeypatch)
-    # (system, depth, raster, box-counting grids, binned grids, m): the
-    # criterion-5 request, the same request at 64 (4 points a corner), two
-    # grids binned alike, and five-A at depth 10, whose 5^7 corners stream in
-    # high rows of 5^6 under the default ROW_BLOCK
-    cases = [(knuth, 12, 1024, (256, 512, 1024), [1024], 0),
-             (knuth, 12, 64, (16, 32, 64), [64], 2),
-             (knuth, 12, 100, (300,), [100, 300], 0),
-             (five_a, 10, 256, (64, 128, 256), [256], 3)]
+    # (system, depth, raster, box-counting grids, (binned grid, m) per pass):
+    # the criterion-5 request, the same request at 64 (4 points a corner),
+    # two grids binned by a pass each, and five-A at depth 10, whose 5^7
+    # corners stream in high rows of 5^6 under the default ROW_BLOCK
+    cases = [(knuth, 12, 1024, (256, 512, 1024), [(1024, 0)]),
+             (knuth, 12, 64, (16, 32, 64), [(64, 2)]),
+             (knuth, 12, 100, (300,), [(100, 0), (300, 0)]),
+             (five_a, 10, 256, (64, 128, 256), [(256, 3)])]
     for size in each_row_block(7, 1000, bulk.ROW_BLOCK):
-        for ns, depth, raster, boxdim, binned, m in cases:
+        for ns, depth, raster, boxdim, passes in cases:
             marks.clear()
             tile.tile_rasters(ns, depth, [("coordinate", raster)] + [("coordinate", r) for r in boxdim])
-            corners, low = ns.Q ** (depth - m), low_rows(ns, depth - m, size)  # one call per high row
-            assert [n for n, _, _ in marks] == [low] * (corners // low)
-            assert all(entry[1:] == (m, binned) for entry in marks)
+            expected = []
+            for res, m in passes:  # one call per high row of the pass's coarse cloud
+                low = low_rows(ns, depth - m, size)
+                expected += [(low, m, res)] * (ns.Q ** (depth - m) // low)
+            assert marks == expected
     assert [n for n, _, _ in marks] == [5**6] * 5
 
 
@@ -710,15 +727,19 @@ def test_one_crossing_rule_sets_the_fine_depth(knuth, monkeypatch):
     assert depths == {64: 4, 100: 3}
     marks.clear()
     both = tile.tile_rasters(knuth, 16, [("coordinate", 64), ("coordinate", 100)])
-    assert {m for _, m, _ in marks} == {3}  # the finer cells set m for the pass
+    assert {(r, m) for _, m, r in marks} == set(depths.items())  # a pass per grid, each its own m
     power, _ = tile._cloud_power(knuth, 16)
     for r, m in depths.items():
         assert np.array_equal(both["coordinate", r].occupancy, raster_of(knuth, 16, r).occupancy)
-        fine = tile._fine_cloud(knuth, 16, power, both["coordinate", r].bbox, [r])
+        fine = tile._fine_cloud(knuth, 16, power, both["coordinate", r].bbox, r)
         assert fine.depth == m < 16 and 4 * (2 ** (m + 1) + 1) ** 2 <= tile.PATTERN_CAP
         # F spans fewer integers than the narrowest interior cell on each axis
-        for values, nexts in zip(fine.values, fine.edges[r]):
+        for values, nexts in zip(fine.values, fine.edges):
             assert values[-1] < np.diff(nexts[:-1]).min()
+    marks.clear()
+    tile.tile_rasters(knuth, 16, [("embedding", 64), ("coordinate", 64)])
+    # the embedding grid's pass bins each point, the coordinate grid's streams corners
+    assert (marks[0][1:], marks[-1][1:]) == ((0, 64), (4, 64)) and {m for _, m, _ in marks} == {0, 4}
 
 
 def test_corner_raster_window_overshoot(request, monkeypatch, each_row_block):
