@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import algebra
 from .algebra import MinimalPolynomial
-from .caps import ENUM_CAP, check_samples, effective_cap
+from .caps import ENUM_CAP, check_power, check_samples, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
 from .numeration import DigitStatistic, NumberSystem
 
@@ -294,16 +294,16 @@ def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lam: int,
     columns = list(zip(*(inc for row in stat.step for _, inc in row)))
     lo = tuple(lam * min(c) for c in columns)
     dims = tuple(lam * (max(c) - min(c)) + 1 for c in columns)
-    bins = min(math.prod(dims), ns.Q**lam)
+    bins = math.prod(dims)
+    if lam < bins.bit_length():  # else Q^lam >= 2^lam > bins
+        bins = min(bins, ns.Q**lam)
     if bins > effective_cap(ENUM_CAP):
         raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
                           % (bins, lam, effective_cap(ENUM_CAP)))
     if filter == "primes":
         from . import bulk
         return bulk.prime_histogram(ns, stat, lam, lo, dims)
-    if ns.Q**lam > effective_cap(ENUM_CAP):
-        raise CapExceeded("table of %d elements exceeds cap %d"
-                          % (ns.Q**lam, effective_cap(ENUM_CAP)))
+    check_power(ns.Q, lam, "table of %s elements", effective_cap(ENUM_CAP))
     return _closed_histogram(stat, lam)
 
 
@@ -446,9 +446,7 @@ def fourier_decay(ns: NumberSystem, stat: DigitStatistic, phase, lam_max: int, t
     if t_samples < 0:
         raise UsageError("t_samples must be nonnegative")
     weights = _digit_twist(stat, ns.poly, phase)
-    if ns.Q**lam_max > effective_cap(ENUM_CAP):
-        raise CapExceeded("lam_max %d spans %d elements, above cap %d"
-                          % (lam_max, ns.Q**lam_max, effective_cap(ENUM_CAP)))
+    check_power(ns.Q, lam_max, "lam_max %d: a set of %%s elements" % lam_max, effective_cap(ENUM_CAP))
     d, m = ns.degree, ns.poly
     check_samples(t_samples, d, "t samples")
     draws = algebra.dyadic_samples(seed, t_samples * d)  # t_k = m_k / 2^53, row by row

@@ -7,7 +7,7 @@ l, an element of the bottom positions (at most ROW_BLOCK rows), plus
 offsets[h], q^low times high row h, an element of the top positions.
 That is exact integer arithmetic, so every split gives the same rows.
 Every streamed stage walks it one high row at a time: the prime pass,
-count_rows, numeration.enumerate_N and the tile cloud.  Its temporaries
+numeration.enumerate_N and the tile cloud.  Its temporaries
 scale with the low table, so ROW_BLOCK is 2^14 rows: the traced peak of
 the lambda-22 prime histogram is 1.5 MB, against 3.5 MB at 2^16.  When
 Q^lam fits in ROW_BLOCK the low table is all of N_lam, the table that
@@ -25,7 +25,7 @@ rows, the norm's own primality test), and the statistic adds over the
 split by the same rule.
 strip_columns is backward division on whole int64 coordinate columns.
 Coordinates and counts are int64.  The statistic's values, the norms of
-the split pass and the row and histogram keys take the width _int_type
+the split pass and the histogram keys take the width _int_type
 gives the bound already computed for them (int32 when it is below 2^31),
 so a narrow width never wraps.
 """
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import algebra
-from .caps import ENUM_CAP, effective_cap
+from .caps import ENUM_CAP, check_power, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
 
 if TYPE_CHECKING:
@@ -134,13 +134,7 @@ def split_tables(ns: NumberSystem, lam: int, stat=None) -> tuple:
     built.  Both tables hold the statistic's values in the one width of its
     value box over N_lam, lam * [min, max] of the increments, which holds
     every value of either half and of each merge."""
-    if lam < 0:
-        raise UsageError("expansion length must be nonnegative")
-    total = ns.Q**lam
-    if total > effective_cap(ENUM_CAP):
-        raise CapExceeded(
-            "table of %d elements exceeds cap %d" % (total, effective_cap(ENUM_CAP))
-        )
+    check_power(ns.Q, lam, "table of %s elements", effective_cap(ENUM_CAP))
     widest = max(max(-a, b) for a, b in zip(*coordinate_ranges(ns, lam)))
     if widest >= INT64_GUARD:
         raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
@@ -201,27 +195,6 @@ def box_places(lo: list, hi: list) -> tuple:
     for a, b in zip(lo[:0:-1], hi[:0:-1]):
         place.insert(0, place[0] * (b - a + 1))
     return place, place[0] * (hi[0] - lo[0] + 1)
-
-
-def count_rows(ns: NumberSystem, lam: int) -> tuple:
-    """(rows, distinct elements) of N_lam: each row is encoded as one key
-    over the box of its exact coordinate ranges (box_places), and the keys
-    sorted.  The key is linear, so the key of l + offsets[h] over the split
-    is that of the low row l plus that of the offset, the key of the row
-    offsets[h] minus that of the zero row (each row lies in the box, zero
-    among them).  So every key and every addend is below the box's span in
-    absolute value, and the keys take the width of the span."""
-    lo, hi = coordinate_ranges(ns, lam)
-    place, span = box_places(lo, hi)
-    if span >= INT64_GUARD:
-        raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
-    low, _, offsets = split_tables(ns, lam)
-    shifts = [sum(v * p for v, p in zip(row, place)) for row in offsets.tolist()]  # exact
-    dtype = _int_type(span)
-    low_keys = ((low.coords - lo) @ place).astype(dtype)
-    keys = np.add.outer(np.array(shifts, dtype), low_keys).ravel()
-    keys.sort()
-    return len(keys), int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 # ------------------------------------------------------------ the prime pass

@@ -41,3 +41,19 @@ def check_samples(count: int, width: int, what: str) -> None:
     if count * width > effective_cap(ENUM_CAP):
         raise CapExceeded("%d %s of %d integers each exceed cap %d"
                           % (count, what, width, effective_cap(ENUM_CAP)))
+
+
+def check_power(base: int, exp: int, what: str, cap: int) -> int:
+    """Return base^exp, the size of a set a caller names as `what` % size,
+    when it is at most `cap`; refuse a negative exp as a usage error and a
+    larger size with CapExceeded, naming it as base^exp from 2^64 on.  With
+    base >= 2, base^exp >= 2^exp passes the cap once exp >= cap.bit_length(),
+    so that is refused without building the power, which takes seconds past
+    exp = 10^7."""
+    if exp < 0:
+        raise UsageError("%s has a negative exponent" % (what % ("%d^%d" % (base, exp))))
+    size = base**exp if exp < max(cap.bit_length(), 64) else None
+    if size is not None and size <= cap:
+        return size
+    name = "%d" % size if size is not None and size < 1 << 64 else "%d^%d" % (base, exp)
+    raise CapExceeded("%s exceeds cap %d" % (what % name, cap))

@@ -16,8 +16,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from .algebra import MinimalPolynomial
-from .caps import PAIR_CAP, effective_cap
-from .errors import CapExceeded, ConvergenceError, DomainError, UsageError
+from .caps import PAIR_CAP, check_power, effective_cap
+from .errors import ConvergenceError, DomainError, UsageError
 from .numeration import NumberSystem, _carry_closure
 
 POWER_MAX_ITER = 10**5
@@ -171,10 +171,7 @@ def carry_census(ns: NumberSystem, mu: int, nu: int, rho: int) -> int:
     """
     if not 0 <= rho <= nu <= mu:
         raise UsageError("census needs 0 <= rho <= nu <= mu")
-    pairs = ns.Q**mu * ns.Q ** (nu - rho)
-    cap = effective_cap(PAIR_CAP)
-    if pairs > cap:
-        raise CapExceeded("census over %d pairs exceeds cap %d" % (pairs, cap))
+    check_power(ns.Q, mu + nu - rho, "census over %s pairs", effective_cap(PAIR_CAP))
     _, table = _carry_closure(ns)
     zero = ns.digits.index(ns.zero)
     # successor masks per state and digit a: over every b, or b = 0 only

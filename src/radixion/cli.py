@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, algebra, numeration
 from .algebra import SPACE_TAGS, MinimalPolynomial
-from .caps import FNS_BOX_CAP, check_samples, effective_cap
+from .caps import ENUM_CAP, FNS_BOX_CAP, check_power, check_samples, effective_cap
 from .errors import CapExceeded, CycleDetected, RadixionError, UsageError
 from .numeration import NumberSystem
 
@@ -250,6 +250,9 @@ def _cmd_expand(args) -> _Artifact:
         raise UsageError("--slice needs --element")
     # every flag is checked before an element is expanded: a cycle exits 1
     window = None if args.slice is None else _parse_slice(args.slice)
+    # N_lambda is a complete residue system mod q^lambda: Q^lambda distinct elements
+    count = None if args.enumerate is None else check_power(
+        ns.Q, args.enumerate, "table of %s elements", effective_cap(ENUM_CAP))
     payload = {"system": ns.encode()}
     acted = False
     if args.element is not None:
@@ -299,11 +302,9 @@ def _cmd_expand(args) -> _Artifact:
             "cycles": cycles,
             "roundtrip_failures": bad,
         }
-    if args.enumerate is not None:
-        from . import bulk
+    if count is not None:
         acted = True
-        count, distinct = bulk.count_rows(ns, args.enumerate)
-        payload["enumeration"] = {"lambda": args.enumerate, "count": count, "distinct": distinct}
+        payload["enumeration"] = {"lambda": args.enumerate, "count": count, "distinct": count}
     if not acted:
         raise UsageError("expand needs --element, --box, or --enumerate")
     return _Artifact(payload)
@@ -533,7 +534,7 @@ def _conf_expand(p):
     p.add_argument("--element", help="element to expand, d comma-separated coordinates")
     p.add_argument("--slice", help="nu,mu digit window of --element (mu may be 'inf')")
     p.add_argument("--box", type=_nonnegative_int, help="round-trip every element with coordinates in [-B,B]")
-    p.add_argument("--enumerate", type=int, help="enumerate N_lambda and count distinct elements")
+    p.add_argument("--enumerate", type=int, help="count the elements of N_lambda, all distinct: Q^lambda")
 
 
 def _conf_check_fns(p):

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import algebra, bulk, numeration
 from .algebra import SPACE_TAGS
-from .caps import ENUM_CAP, check_samples, effective_cap
+from .caps import ENUM_CAP, check_power, check_samples, effective_cap
 from .errors import CapExceeded, DomainError, UsageError
 from .numeration import NumberSystem, embedding_radii
 
@@ -140,11 +140,7 @@ def _cloud_power(ns: NumberSystem, depth: int) -> tuple:
     Every numerator of N_k, and every partial sum of one, is within
     `widest`: below 2^53 all are exact.
     """
-    if depth < 0:
-        raise UsageError("depth must be nonnegative")
-    if ns.Q**depth > effective_cap(ENUM_CAP):
-        raise CapExceeded("cloud of %d points exceeds cap %d"
-                          % (ns.Q**depth, effective_cap(ENUM_CAP)))
+    check_power(ns.Q, depth, "cloud of %s points", effective_cap(ENUM_CAP))
     uk = algebra.q_power(ns.poly, 0)
     for _ in range(depth):
         uk = algebra.mul(ns.poly, uk, algebra.u_element(ns.poly))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import warnings
 
 import numpy as np
 
-from radixion import algebra, analysis, bulk, numeration
+from radixion import algebra, analysis, bulk, numeration, tile
+from radixion.caps import FNS_BOX_CAP, effective_cap
+from radixion.errors import CapExceeded
 
 # the digit statistic of each --fn name
 STATISTICS = {"sod": numeration.digit_sum, "rs": numeration.pair_count}
@@ -20,6 +23,29 @@ def whole_table(ns, lam, stat=None, dtype=np.int64):
     bulk._build_table, with no split and no streaming.  It checks no cap, no
     int64 range and no value width."""
     return bulk._build_table(ns, lam, stat, dtype)
+
+
+def count_rows(ns, lam):
+    """(rows, distinct elements) of N_lam, counted: each row of the split
+    (bulk.split_tables) is encoded as one key over the box of its exact
+    coordinate ranges (bulk.box_places), and the keys sorted.  The key is
+    linear, so the key of l + offsets[h] is that of the low row l plus that
+    of the offset, the key of the row offsets[h] minus that of the zero
+    row; every key and addend is below the box's span.  The reference for
+    the count of `expand --enumerate`, Q^lam rows all distinct, which it
+    takes from the theorem that N_lam is a complete residue system mod
+    q^lam (Katai & Szabo 1975; Kovacs 1981)."""
+    lo, hi = bulk.coordinate_ranges(ns, lam)
+    place, span = bulk.box_places(lo, hi)
+    if span >= bulk.INT64_GUARD:
+        raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
+    low, _, offsets = bulk.split_tables(ns, lam)
+    shifts = [sum(v * p for v, p in zip(row, place)) for row in offsets.tolist()]  # exact
+    dtype = bulk._int_type(span)
+    low_keys = ((low.coords - lo) @ place).astype(dtype)
+    keys = np.add.outer(np.array(shifts, dtype), low_keys).ravel()
+    keys.sort()
+    return len(keys), int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def automaton_value(stat, indices):
@@ -146,3 +172,64 @@ def stripped_to_zero(ns, raster):
     for _ in range(k):
         cols = bulk.strip_columns(ns, cols)
     return int(np.count_nonzero(~np.any(cols, axis=0)))
+
+
+def divide_exact_by_q(m, x):
+    """x/q when q divides x in Z[q], else None, through the cofactor u with
+    q*u = c_0: x/q = (x*u)/c_0, which lies in Z[q] exactly when every
+    coordinate of x*u is divisible by c_0.  The division behind trial_strip;
+    its own tests check it against multiplication by q."""
+    w = algebra.mul(m, x, algebra.u_element(m))
+    c0 = m.coeffs[0]
+    if any(c % c0 for c in w):
+        return None
+    return tuple(c // c0 for c in w)
+
+
+def trial_strip(ns, n):
+    """(t, (n - b_t)/q), backward division by trying every digit b_t with
+    divide_exact_by_q: the reference for numeration._strip_one, which
+    finds the digit from the residue of n mod q instead."""
+    for t, b in enumerate(ns.digits):
+        quotient = divide_exact_by_q(ns.poly, algebra.sub(ns.poly, n, b))
+        if quotient is not None:
+            return t, quotient
+    raise AssertionError("no digit divides")
+
+
+FNS_BOX_SLACK = 1.5  # coordinate box inflation over the attractor ball
+
+
+def box_fns_oracle(ns):
+    """Decide whether every element of Z[q] has a finite expansion, by
+    brute force: finiteness only needs checking on the attractor ball of
+    the backward division map, so a covering coordinate box is enumerated
+    and each orbit followed until it reaches zero, a state already known
+    to be finite, or repeats (yielding a witness cycle).  The reference for
+    numeration.is_fns, which follows only 1, -1 and the carry closure's
+    states (Brunotte's criterion)."""
+    bounds = [int(math.floor(FNS_BOX_SLACK * b)) for b in tile.coordinate_bound(ns)]
+    total = 1
+    for b in bounds:
+        total *= 2 * b + 1
+    if total > effective_cap(FNS_BOX_CAP):
+        raise CapExceeded(
+            "finiteness search box holds %d candidates, cap is %d"
+            % (total, effective_cap(FNS_BOX_CAP))
+        )
+    known_finite = {ns.zero}
+    examined = 0
+    for cand in itertools.product(*[range(-b, b + 1) for b in bounds]):
+        examined += 1
+        position = {}
+        order = []
+        n = cand
+        while n not in known_finite:
+            if n in position:
+                cycle = tuple(order[position[n]:])
+                return numeration.FnsVerdict(False, cycle, examined)
+            position[n] = len(order)
+            order.append(n)
+            _, n = numeration._strip_one(ns, n)
+        known_finite.update(order)
+    return numeration.FnsVerdict(True, None, examined)

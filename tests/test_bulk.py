@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import collections
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from oracles import STATISTICS, per_row_oracle, whole_table
+from oracles import STATISTICS, count_rows, per_row_oracle, whole_table
 
-from radixion import algebra, bulk, numeration
+from radixion import algebra, bulk, cli, numeration
 from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import Expansion, digit_sum, pair_count
 
@@ -216,13 +218,29 @@ def test_coordinate_ranges_are_exact(request):
             assert lo == pts.min(axis=0).tolist() and hi == pts.max(axis=0).tolist()
 
 
-def test_count_rows_matches_enumeration(request, each_row_block):
-    for ns in golden_and_random(request):
+def enumerate_count(capsysbinary, ns, lam):
+    """(count, distinct) as printed by `expand --enumerate lam`."""
+    poly, digits = ns.encode().split("|")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quartic irreducibility is not checked
+        assert cli.main(["expand", "--poly", poly, "--digits", digits, "--enumerate", str(lam)]) == 0
+    enum = json.loads(capsysbinary.readouterr().out)["enumeration"]
+    return enum["count"], enum["distinct"]
+
+
+def test_count_rows_matches_enumeration(request, each_row_block, capsysbinary):
+    # expand --enumerate prints Q^lam twice, from the residue theorem; the
+    # oracle counts the distinct keys of the split; enumerate_N streams rows
+    cns = [ns for ns, _ in request.getfixturevalue("cns_systems")]
+    for ns in golden_and_random(request) + cns:
         lam = oracle_depth(ns, 2000)
         stream = list(numeration.enumerate_N(ns, lam))
+        counted = (len(stream), len(set(stream)))
+        assert enumerate_count(capsysbinary, ns, lam) == counted == (ns.Q**lam,) * 2, ns.encode()
         for _ in each_row_block(7, 100, bulk.ROW_BLOCK):
-            assert bulk.count_rows(ns, lam) == (len(stream), len(set(stream)))
-    assert bulk.count_rows(request.getfixturevalue("knuth"), 0) == (1, 1)
+            assert count_rows(ns, lam) == counted
+    knuth = request.getfixturevalue("knuth")
+    assert enumerate_count(capsysbinary, knuth, 0) == count_rows(knuth, 0) == (1, 1)
 
 
 # ----------------------------------------------------------- the prime pass
@@ -405,10 +423,12 @@ def test_split_guard_before_building(knuth, monkeypatch):
             route(wide, 1)
 
 
-def test_count_rows_key_guard(knuth, monkeypatch):
-    # both coordinates of N_2 span 2^40 + 2 values: a key over their box
-    # needs about 2^80 values and would wrap int64
+def test_count_rows_key_guard(knuth, monkeypatch, capsysbinary):
+    # both coordinates of N_2 span 2^40 + 2 values: a key of the oracle
+    # over their box needs about 2^80 values and would wrap int64; the count
+    # of expand --enumerate builds no key and no table
     wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**40 + 1, 0)))
     monkeypatch.setattr(bulk, "split_tables", refuse)
     with pytest.raises(CapExceeded, match="row keys of N_2 span"):
-        bulk.count_rows(wide, 2)
+        count_rows(wide, 2)
+    assert enumerate_count(capsysbinary, wide, 2) == (4, 4)

@@ -13,11 +13,14 @@ import pytest
 
 import radixion
 from radixion import algebra, analysis, bulk, cli, numeration, tile
+from radixion.caps import check_power
+from radixion.errors import CapExceeded, UsageError
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
 NEGABINARY = ("--poly", "2,1", "--digits", "0;1")
 ONE_PLUS_I = ("--poly", "2,-2,1", "--digits", "0,0;1,0")
 FIVE_A = ("--poly", "5,4,1", "--digits", "0,0;1,0;2,0;3,0;4,0")
+FIVE_B = ("--poly", "5,4,1", "--digits", "0,0;-4,-2;2,0;3,0;4,0")
 # base (-3 + i sqrt 3) / 2, digits {0, 1, 2}: its embedding chart is not integral
 EISENSTEIN = ("--poly", "3,3,1", "--digits", "0,0;1,0;2,0")
 
@@ -70,7 +73,7 @@ def test_usage_errors_exit_two(capsysbinary):
     assert run(capsysbinary, "expand", *KNUTH, "--element=1,0", "--slice", "a,b")[0] == 2
     assert run(capsysbinary, "expand", *KNUTH, "--box", "0", "--slice", "1,2")[0] == 2  # no element
     # flags are checked before the element is expanded, so no cycle (exit 1) hides them
-    for bad in (("--slice", "a,b"), ("--slice", "3,1"), ("--box", "-1")):
+    for bad in (("--slice", "a,b"), ("--slice", "3,1"), ("--box", "-1"), ("--enumerate", "-1")):
         assert run(capsysbinary, "expand", *ONE_PLUS_I, "--element=-1,1", *bad)[0] == 2
     assert run(capsysbinary, "tile", *KNUTH, "--depth", "10", "--resolution", "64",
                "--boxdim", "32,32,64")[0] == 2  # two distinct resolutions
@@ -132,6 +135,41 @@ def test_caps_exit_three(capsysbinary, monkeypatch):
     assert code == 3 and b"lam_max 120" in err
     monkeypatch.setenv("RADIXION_CAP", "10")
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
+
+
+# sizes far past 4300 decimal digits, which no %d may print
+@pytest.mark.parametrize("argv", [
+    ("weyl", *FIVE_A, "--fn", "rs", "--alpha", "0.3", "--lambda", "100000"),
+    ("weyl", *FIVE_A, "--fn", "rs", "--alpha", "0.3", "--lambda", "100000", "--filter", "primes"),
+    ("fourier-decay", *FIVE_A, "--fn", "rs", "--alpha", "0.3", "--lam-max", "100000"),
+    ("primes", *FIVE_A, "--lambda", "100000"),
+    ("tile", *FIVE_A, "--depth", "100000"),
+    ("expand", *FIVE_A, "--enumerate", "100000"),
+    ("census", *KNUTH, "--mu", "20000", "--nu", "0", "--rho", "0"),
+])
+def test_huge_sizes_are_refused_by_name(capsysbinary, argv):
+    code, out, err = run(capsysbinary, *argv)
+    assert code == 3 and out == b"" and b"Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith(b"error:")]
+    assert len(line) <= 200 and (b"5^100000 " in line or b"2^20000 " in line), line
+
+
+def test_huge_powers_are_never_built():
+    # building 5^(10^8) takes more than a minute
+    with pytest.raises(CapExceeded, match=r"table of 5\^100000000 elements exceeds cap 16777216"):
+        check_power(5, 10**8, "table of %s elements", 1 << 24)
+    assert check_power(5, 3, "table of %s elements", 125) == 125
+    with pytest.raises(CapExceeded, match="table of 625 elements exceeds cap 124"):
+        check_power(5, 4, "table of %s elements", 124)
+    # a size from 2^64 on is named as a power, built or not
+    with pytest.raises(CapExceeded, match=r"table of 2\^64 elements"):
+        check_power(2, 64, "table of %s elements", 1 << 62)
+    with pytest.raises(CapExceeded, match=r"table of 5\^100 elements"):
+        check_power(5, 100, "table of %s elements", 10**50)
+    with pytest.raises(CapExceeded, match="table of %d elements" % 2**63):
+        check_power(2, 63, "table of %s elements", 1 << 62)
+    with pytest.raises(UsageError, match="negative exponent"):
+        check_power(5, -1, "table of %s elements", 1 << 24)
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -534,6 +572,9 @@ print(sorted(name for name in sys.modules
         ["check-fns", *KNUTH],
         ["expand", *KNUTH, "--element", "7,3", "--slice", "1,inf"],
         ["expand", *FIVE_A, "--box", "2"],
+        ["expand", *KNUTH, "--enumerate", "12"],
+        ["expand", *FIVE_A, "--enumerate", "8"],
+        ["expand", *FIVE_B, "--enumerate", "8"],
     ],
     [
         ["fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lam-max", "6",

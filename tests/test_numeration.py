@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import automaton_value, row_values, scalar_values
+from oracles import (automaton_value, box_fns_oracle, divide_exact_by_q, row_values,
+                     scalar_values, trial_strip)
 
-from radixion import algebra, bulk, numeration, tile
+from radixion import algebra, bulk, numeration
 from radixion.algebra import MinimalPolynomial
-from radixion.caps import FNS_BOX_CAP, effective_cap
 from radixion.errors import CapExceeded, CycleDetected, DomainError, UsageError
 from radixion.numeration import Expansion, NumberSystem
 
@@ -54,19 +54,6 @@ def test_encode_round_trip(knuth):
 # -------------------------------------------------------------- expansion
 
 
-def divide_exact_by_q(m, x):
-    """x/q when q divides x in Z[q], else None.
-
-    Uses the cofactor u with q*u = c_0: x/q = (x*u)/c_0, which lies in
-    Z[q] exactly when every coordinate of x*u is divisible by c_0.
-    """
-    w = algebra.mul(m, x, algebra.u_element(m))
-    c0 = m.coeffs[0]
-    if any(c % c0 for c in w):
-        return None
-    return tuple(c // c0 for c in w)
-
-
 def test_divide_exact_by_q_examples(knuth_poly):
     assert divide_exact_by_q(knuth_poly, (2, 0)) == (-2, -1)
     assert divide_exact_by_q(knuth_poly, (-2, -2)) == (0, 1)
@@ -84,15 +71,6 @@ def test_divide_exact_with_negative_constant_term():
     m = MinimalPolynomial((-2, 1))
     assert divide_exact_by_q(m, (6,)) == (3,)
     assert divide_exact_by_q(m, (7,)) is None
-
-
-def trial_strip(ns, n):
-    """Backward division by trying every digit with divide_exact_by_q."""
-    for t, b in enumerate(ns.digits):
-        quotient = divide_exact_by_q(ns.poly, algebra.sub(ns.poly, n, b))
-        if quotient is not None:
-            return t, quotient
-    raise AssertionError("no digit divides")
 
 
 def test_strip_matches_trial_division(knuth, negabinary, five_a, five_b, random_systems):
@@ -220,44 +198,6 @@ def test_negabinary_search_box(negabinary):
     states, _ = numeration._carry_closure(negabinary)
     assert len(states) == 3
     assert numeration.is_fns(negabinary).candidates_examined == 2 + len(states)
-
-
-FNS_BOX_SLACK = 1.5  # coordinate box inflation over the attractor ball
-
-
-def box_fns_oracle(ns: NumberSystem) -> numeration.FnsVerdict:
-    """Decide whether every element of Z[q] has a finite expansion.
-
-    Finiteness only needs checking on the attractor ball of the backward
-    division map; a covering coordinate box is enumerated exhaustively
-    and each orbit is followed until it reaches zero, a state already
-    known to be finite, or repeats (yielding a witness cycle).
-    """
-    bounds = [int(math.floor(FNS_BOX_SLACK * b)) for b in tile.coordinate_bound(ns)]
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
-    if total > effective_cap(FNS_BOX_CAP):
-        raise CapExceeded(
-            "finiteness search box holds %d candidates, cap is %d"
-            % (total, effective_cap(FNS_BOX_CAP))
-        )
-    known_finite = {ns.zero}
-    examined = 0
-    for cand in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        examined += 1
-        position = {}
-        order = []
-        n = cand
-        while n not in known_finite:
-            if n in position:
-                cycle = tuple(order[position[n]:])
-                return numeration.FnsVerdict(False, cycle, examined)
-            position[n] = len(order)
-            order.append(n)
-            _, n = numeration._strip_one(ns, n)
-        known_finite.update(order)
-    return numeration.FnsVerdict(True, None, examined)
 
 
 def assert_witness_is_cycle(ns, cycle):
