@@ -191,14 +191,16 @@ class MinimalPolynomial:
         return EmbeddingSet(_embedding_roots(self.coeffs))
 
 
-def dyadic_samples(seed: int, count: int) -> list:
-    """`count` integers m in [0, 2^53) from random.Random(seed), the one
-    generator behind every seeded draw: m / 2^53 is a uniform sample in
-    [0, 1), an exact float and a dyadic rational.  For an integer seed the
-    stream is the same in every Python version."""
+def dyadic_samples(seed: int, count: int):
+    """A lazy stream of `count` integers m in [0, 2^53) from
+    random.Random(seed), the one generator behind every seeded draw: m / 2^53
+    is a uniform sample in [0, 1), an exact float and a dyadic rational.  No
+    integer is drawn before the stream is read, and none is held once read.
+    For an integer seed the stream is the same in every Python version."""
+    import itertools
     import random
     rng = random.Random(seed)
-    return [rng.getrandbits(SAMPLE_BITS) for _ in range(count)]
+    return map(rng.getrandbits, itertools.repeat(SAMPLE_BITS, count))
 
 
 def parse_element(text: str, degree: int) -> FieldElement:

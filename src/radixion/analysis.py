@@ -450,7 +450,7 @@ def fourier_decay(ns: NumberSystem, stat: DigitStatistic, phase, lam_max: int, t
     d, m = ns.degree, ns.poly
     check_samples(t_samples, d, "t samples")
     draws = algebra.dyadic_samples(seed, t_samples * d)  # t_k = m_k / 2^53, row by row
-    samples = [(0,) * d] + [tuple(draws[i : i + d]) for i in range(0, len(draws), d)]
+    samples = [(0,) * d] + list(zip(*[draws] * d))  # d draws per sample, in stream order
     # <w, inc> = exact(inc) / 2^bits exactly, with bits >= 53, the bits of each t_k
     ratios = [w.as_integer_ratio() for w in weights]
     bits = max([algebra.SAMPLE_BITS] + [den.bit_length() - 1 for _, den in ratios])

@@ -253,6 +253,11 @@ def _cmd_expand(args) -> _Artifact:
     # N_lambda is a complete residue system mod q^lambda: Q^lambda distinct elements
     count = None if args.enumerate is None else check_power(
         ns.Q, args.enumerate, "table of %s elements", effective_cap(ENUM_CAP))
+    if args.box is not None:
+        elements = (2 * args.box + 1) ** ns.degree
+        if elements > effective_cap(FNS_BOX_CAP):
+            raise CapExceeded("box of %d elements exceeds cap %d"
+                              % (elements, effective_cap(FNS_BOX_CAP)))
     payload = {"system": ns.encode()}
     acted = False
     if args.element is not None:
@@ -279,10 +284,6 @@ def _cmd_expand(args) -> _Artifact:
             }
     if args.box is not None:
         acted = True
-        elements = (2 * args.box + 1) ** ns.degree
-        if elements > effective_cap(FNS_BOX_CAP):
-            raise CapExceeded("box of %d elements exceeds cap %d"
-                              % (elements, effective_cap(FNS_BOX_CAP)))
         expanded = 0
         cycles = 0
         bad = 0

@@ -43,6 +43,13 @@ and N_0 = {0}.  So n is in N_k exactly when k - m strips take it into
 N_m.  With Q^m <= bulk.ROW_BLOCK, N_m is the low table of the split, and
 one boolean table over its exact coordinate box answers the last step: a
 centre is stripped k - m times and looked up, not stripped k times to 0.
+
+The stages after the pass never copy a whole grid: the boundary count and
+the inner radius read the grid one slab of about bulk.ROW_BLOCK cells at a
+time, and the cover's samples stream into one float64 array.  Nor do they
+call LAPACK: the inverse Vandermonde matrix of the outer radius comes from
+the Lagrange basis polynomials, and the box dimension is the closed-form
+least-squares line.
 """
 
 from __future__ import annotations
@@ -438,18 +445,32 @@ def _binned(ns: NumberSystem, depth: int, chart, res: int) -> tuple:
     return bbox, grid
 
 
+def _lagrange_columns(roots) -> list:
+    """The columns of V^-1, V[p][k] = z_p^k, in Python complex arithmetic:
+    column p holds the coefficients (lowest first) of the Lagrange basis
+    polynomial prod_{j != p} (x - z_j) / (z_p - z_j), which is 1 at z_p and
+    0 at every other root."""
+    columns = []
+    for p, zp in enumerate(roots):
+        coeffs, scale = [1 + 0j], 1 + 0j
+        for j, zj in enumerate(roots):
+            if j != p:
+                coeffs = [a - zj * b for a, b in zip([0j] + coeffs, coeffs + [0j])]  # times (x - z_j)
+                scale *= zp - zj
+        columns.append([c / scale for c in coeffs])
+    return columns
+
+
 def coordinate_bound(ns: NumberSystem) -> list:
     """Per-coordinate bound sum_p |V^-1[k, p]| r_p on the attractor.
 
     V is the Vandermonde matrix of the embeddings and r the embedding
     radii, so every coordinate k of an attractor point is at most this.
+    V^-1 comes from the Lagrange basis (_lagrange_columns), not LAPACK.
     """
     radii = embedding_radii(ns)
-    roots = ns.poly.embeddings().roots
-    d = ns.degree
-    vandermonde = np.array([[z**k for k in range(d)] for z in roots])
-    vinv = np.linalg.inv(vandermonde)
-    return [sum(abs(vinv[k, p]) * radii[p] for p in range(d)) for k in range(d)]
+    rows = zip(*_lagrange_columns(ns.poly.embeddings().roots))
+    return [sum(abs(v) * r for v, r in zip(row, radii)) for row in rows]
 
 
 def tile_radii(ns: NumberSystem, raster: Raster) -> RadiiReport:
@@ -458,8 +479,14 @@ def tile_radii(ns: NumberSystem, raster: Raster) -> RadiiReport:
         raise UsageError("radius estimation needs resolution >= 256")
     if raster.space_tag != "coordinate":
         raise UsageError("radius estimation needs a coordinate-space raster")
-    r_plus = float(np.linalg.norm(coordinate_bound(ns)))
+    r_plus = math.hypot(*coordinate_bound(ns))
     return RadiiReport(r_plus, _inner_radius(raster), embedding_radii(ns))
+
+
+def _slab_rows(grid: np.ndarray) -> int:
+    """Rows along the first axis of grid in one slab: about bulk.ROW_BLOCK
+    cells, at least one row."""
+    return max(1, bulk.ROW_BLOCK // max(1, grid[0].size))
 
 
 def _inner_radius(raster: Raster) -> float:
@@ -470,7 +497,8 @@ def _inner_radius(raster: Raster) -> float:
     addition is monotone, so over the empty cells of a row its least value
     is h plus the least b of an empty cell: taking the last axis in order
     of b, that is the row's first empty cell, and no per-cell distance grid
-    is built."""
+    is built.  The rows are permuted into that order one slab
+    (_slab_rows) at a time."""
     occ = raster.occupancy
     d = occ.ndim
     res = raster.resolution
@@ -490,12 +518,18 @@ def _inner_radius(raster: Raster) -> float:
         shape = [1] * (d - 1)
         shape[k] = res
         head = head + square.reshape(shape)
+    head = np.broadcast_to(head, occ.shape[:-1]).reshape(-1)  # per row, C order
     order = np.argsort(squares[-1], kind="stable")
-    permuted = occ[..., order]  # one byte per cell
-    first = permuted.argmin(axis=-1)  # a row's empty cell of least b, if it has one
-    dist2 = np.where(permuted.all(axis=-1), math.inf, head + squares[-1][order][first])
-    nearest = math.sqrt(float(dist2.min()))
-    return float(min(nearest, edge))
+    last = squares[-1][order]
+    rows = occ.reshape(-1, res)
+    step = _slab_rows(rows)
+    nearest2 = math.inf
+    for start in range(0, len(rows), step):
+        permuted = rows[start : start + step][:, order]  # one byte per cell of the slab
+        first = permuted.argmin(axis=1)  # a row's empty cell of least b, if it has one
+        dist2 = np.where(permuted.all(axis=1), math.inf, head[start : start + step] + last[first])
+        nearest2 = min(nearest2, float(dist2.min()))
+    return float(min(math.sqrt(nearest2), edge))
 
 
 def cell_area(raster: Raster) -> float:
@@ -621,8 +655,8 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
     if samples * translates > effective_cap(ENUM_CAP):
         raise CapExceeded("cover of %d samples over %d translates exceeds cap %d"
                           % (samples, translates, effective_cap(ENUM_CAP)))
-    draws = algebra.dyadic_samples(seed, samples * d)  # a sample is m / 2^53
-    pts = np.array(draws, dtype=np.float64).reshape(samples, d) / 2.0**algebra.SAMPLE_BITS
+    draws = algebra.dyadic_samples(seed, samples * d)  # a sample is m / 2^53, exact
+    pts = np.fromiter(draws, np.float64, samples * d).reshape(samples, d) / 2.0**algebra.SAMPLE_BITS
     claims = np.zeros(samples, dtype=np.int64)
     for a in itertools.product(*ranges):
         idx = np.floor((pts - np.array(a) - lo) / cell).astype(np.int64)
@@ -637,18 +671,33 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
 def boundary_cell_count(raster: Raster) -> int:
     """Occupied cells with an unoccupied 2d-neighbor (outside counts as empty):
     the occupied cells less the interior ones, whose 2d neighbours are all
-    occupied, found by one in-place AND over the shifted grids."""
+    occupied.  The interior is found one slab of rows (_slab_rows) at a
+    time: a cell on the grid's border is never interior, and every other
+    cell ANDs in its in-grid neighbours on each axis."""
     occ = raster.occupancy
-    d = occ.ndim
-    padded = np.pad(occ, 1, constant_values=False)
-    core = tuple(slice(1, -1) for _ in range(d))
-    interior = occ.copy()
-    for k in range(d):
-        for step in (1, -1):
-            sl = list(core)
-            sl[k] = slice(1 + step, padded.shape[k] - 1 + step)
-            interior &= padded[tuple(sl)]
-    return int(np.count_nonzero(occ)) - int(np.count_nonzero(interior))
+    n = occ.shape[0]
+    step = _slab_rows(occ)
+    interior = 0
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        rows = occ[start:stop]
+        slab = rows.copy()
+        if start == 0:
+            slab[0] = False
+        if stop == n:
+            slab[-1] = False
+        before = occ[max(start - 1, 0) : stop - 1]
+        slab[len(slab) - len(before):] &= before
+        after = occ[start + 1 : stop + 1]
+        slab[: len(after)] &= after
+        for k in range(1, occ.ndim):
+            head = (slice(None),) * k
+            slab[head + (0,)] = False
+            slab[head + (-1,)] = False
+            slab[head + (slice(1, None),)] &= rows[head + (slice(None, -1),)]
+            slab[head + (slice(None, -1),)] &= rows[head + (slice(1, None),)]
+        interior += int(np.count_nonzero(slab))
+    return int(np.count_nonzero(occ)) - interior
 
 
 def check_boxdim(resolutions) -> None:
@@ -663,8 +712,19 @@ def boundary_boxdim(rasters) -> BoxDimReport:
     resolutions = [r.resolution for r in rasters]
     check_boxdim(resolutions)
     counts = [boundary_cell_count(r) for r in rasters]
-    logs_r = np.log(np.array(resolutions, dtype=np.float64))
-    logs_c = np.log(np.array(counts, dtype=np.float64))
-    coeffs, residuals, *_ = np.polyfit(logs_r, logs_c, 1, full=True)
-    residual = float(residuals[0]) if len(residuals) else 0.0
-    return BoxDimReport(float(coeffs[0]), residual, tuple(resolutions), tuple(counts))
+    xs = np.log(np.array(resolutions, dtype=np.float64)).tolist()
+    ys = np.log(np.array(counts, dtype=np.float64)).tolist()
+    slope, residual = _line_fit(xs, ys)
+    return BoxDimReport(slope, residual, tuple(resolutions), tuple(counts))
+
+
+def _line_fit(xs: list, ys: list) -> tuple:
+    """(slope, residual sum of squares) of the least-squares line through
+    (xs, ys), xs holding two distinct values at least: the closed form over
+    the centred points, each sum by math.fsum.  The residual of a centred
+    point is (y - my) - slope (x - mx), the intercept never formed."""
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    return slope, math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))

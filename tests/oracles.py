@@ -137,7 +137,7 @@ def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
     at t = 0 and the t_samples draws t = m / 2^53 of algebra.dyadic_samples:
     the reference for the transfer product of analysis.fourier_decay."""
     d = ns.degree
-    draws = np.array(algebra.dyadic_samples(seed, t_samples * d), dtype=np.float64)
+    draws = np.array(list(algebra.dyadic_samples(seed, t_samples * d)), dtype=np.float64)
     t_rows = np.concatenate([np.zeros((1, d)), draws.reshape(t_samples, d) / 2.0**53], axis=0)
     weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
     best = []
@@ -233,3 +233,62 @@ def box_fns_oracle(ns):
             _, n = numeration._strip_one(ns, n)
         known_finite.update(order)
     return numeration.FnsVerdict(True, None, examined)
+
+
+def full_grid_inner_radius(raster):
+    """The inner radius from a float grid of every cell's squared distance:
+    the reference for tile._inner_radius, which takes each row's empty cell
+    nearest the origin, one slab of rows at a time."""
+    occ = raster.occupancy
+    d, res = occ.ndim, raster.resolution
+    lo, hi = np.array(raster.bbox).T
+    edge = min(min(-lo[k], hi[k]) for k in range(d))
+    if edge <= 0.0:
+        return 0.0
+    cell = (hi - lo) / res
+    dist2 = np.zeros((1,) * d)
+    for k in range(d):
+        starts = lo[k] + np.arange(res) * cell[k]
+        dk = np.maximum(np.maximum(starts, -(starts + cell[k])), 0.0)
+        shape = [1] * d
+        shape[k] = res
+        dist2 = dist2 + (dk * dk).reshape(shape)
+    dist2[occ] = math.inf
+    return float(min(math.sqrt(float(dist2.min())), edge))
+
+
+def padded_boundary_count(raster):
+    """Occupied cells with an unoccupied 2d-neighbour, from the whole grid
+    padded by one empty cell per side and ANDed with its 2d shifts: the
+    reference for tile.boundary_cell_count, which works in slabs of rows."""
+    occ = raster.occupancy
+    padded = np.pad(occ, 1, constant_values=False)
+    core = tuple(slice(1, -1) for _ in range(occ.ndim))
+    interior = occ.copy()
+    for k in range(occ.ndim):
+        for step in (1, -1):
+            shifted = list(core)
+            shifted[k] = slice(1 + step, padded.shape[k] - 1 + step)
+            interior &= padded[tuple(shifted)]
+    return int(np.count_nonzero(occ)) - int(np.count_nonzero(interior))
+
+
+def lapack_coordinate_bound(ns):
+    """sum_p |V^-1[k, p]| r_p with V^-1 from np.linalg.inv of the
+    Vandermonde matrix of the embeddings: the reference for
+    tile.coordinate_bound, which takes V^-1 from the Lagrange basis."""
+    radii = numeration.embedding_radii(ns)
+    roots = ns.poly.embeddings().roots
+    d = ns.degree
+    vinv = np.linalg.inv(np.array([[z**k for k in range(d)] for z in roots]))
+    return [sum(abs(vinv[k, p]) * radii[p] for p in range(d)) for k in range(d)]
+
+
+def polyfit_boxdim(resolutions, counts):
+    """(slope, residual) of the least-squares line through the points
+    (log r, log count) by np.polyfit: the reference for the closed-form fit
+    of tile.boundary_boxdim."""
+    logs_r = np.log(np.array(resolutions, dtype=np.float64))
+    logs_c = np.log(np.array(counts, dtype=np.float64))
+    coeffs, residuals, *_ = np.polyfit(logs_r, logs_c, 1, full=True)
+    return float(coeffs[0]), float(residuals[0]) if len(residuals) else 0.0

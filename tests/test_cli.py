@@ -201,6 +201,14 @@ def test_box_cap_exits_three_before_expanding(capsysbinary, monkeypatch):
     assert b"box of 16008001 elements exceeds cap" in err
 
 
+def test_box_cap_comes_before_the_element(capsysbinary):
+    # -1 + i has no finite expansion in base 1 + i: expanded first, it
+    # would exit 1 with a cycle witness
+    code, out, err = run(capsysbinary, "expand", *ONE_PLUS_I, "--element=-1,1", "--box", "5000")
+    assert (code, out) == (3, b"") and err.count(b"error:") == 1
+    assert b"box of 100020001 elements exceeds cap" in err
+
+
 def test_wide_digit_primes_classify_each_row(capsysbinary):
     # norms reach about 2.8e14 over the 2 rows of N_1 and 2e10 over the 16384
     # rows of N_14, tables far past the rows' own bytes: no table is built,

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import stripped_to_zero, whole_table
+from oracles import (full_grid_inner_radius, lapack_coordinate_bound, padded_boundary_count,
+                     polyfit_boxdim, stripped_to_zero, whole_table)
 
 from radixion import algebra, bulk, tile
 from radixion.errors import CapExceeded, DomainError, UsageError
@@ -306,24 +307,7 @@ def test_boxdim_needs_three_resolutions(knuth):
         tile.boundary_boxdim([rasters["coordinate", r] for r in (256, 256, 512)])
 
 
-def full_grid_inner_radius(raster):
-    """The inner radius from a float grid of every cell's squared distance."""
-    occ = raster.occupancy
-    d, res = occ.ndim, raster.resolution
-    lo, hi = np.array(raster.bbox).T
-    edge = min(min(-lo[k], hi[k]) for k in range(d))
-    if edge <= 0.0:
-        return 0.0
-    cell = (hi - lo) / res
-    dist2 = np.zeros((1,) * d)
-    for k in range(d):
-        starts = lo[k] + np.arange(res) * cell[k]
-        dk = np.maximum(np.maximum(starts, -(starts + cell[k])), 0.0)
-        shape = [1] * d
-        shape[k] = res
-        dist2 = dist2 + (dk * dk).reshape(shape)
-    dist2[occ] = math.inf
-    return float(min(math.sqrt(float(dist2.min())), edge))
+# ------------------------------------------------------ post-pass oracles
 
 
 @pytest.fixture(scope="session")
@@ -331,11 +315,11 @@ def cubic():
     return NumberSystem.parse("2,2,2,1", "0,0,0;1,0,0")
 
 
-def test_inner_radius_matches_full_grid_oracle(request, cubic):
-    rasters = [raster_of(request.getfixturevalue(n), depth, r)
-               for n, depth, r in (("knuth", 12, 256), ("negabinary", 12, 1024), ("five_a", 6, 300))]
-    rasters.append(raster_of(cubic, 12, 40))
-    rng = np.random.default_rng(29)
+def synthetic_rasters(rng):
+    """Grids with d = 1, 2, 3 over windows holding the origin, holding it
+    off centre and missing it: empty, full, one cell, cells along the
+    border, an origin ball, random fills and a ball with a random fill."""
+    rasters = []
     for d, res in ((1, 257), (2, 64), (3, 20)):
         windows = (((-1.0, 2.0),) * d, ((-2.5, 0.75),) * d,
                    ((0.25, 2.0),) + ((-1.0, 1.0),) * (d - 1))  # the origin outside
@@ -344,13 +328,134 @@ def test_inner_radius_matches_full_grid_oracle(request, cubic):
             axes = np.meshgrid(*[lo[k] + (np.arange(res) + 0.5) * (hi[k] - lo[k]) / res
                                  for k in range(d)], indexing="ij")
             centre = np.sqrt(sum(a * a for a in axes))
-            for ball, fill in ((0.0, 0.3), (0.6, 0.0), (0.6, 0.8), (9.0, 0.0)):  # 9: all occupied
-                occ = (centre < ball) | (rng.random(centre.shape) < fill)
-                rasters.append(Raster(res, bbox, occ, 0, "coordinate"))
-    radii = [tile._inner_radius(raster) for raster in rasters]
-    assert radii == [full_grid_inner_radius(raster) for raster in rasters]
+            grids = [(centre < ball) | (rng.random(centre.shape) < fill)
+                     for ball, fill in ((0.0, 0.0), (0.0, 0.3), (0.6, 0.0), (0.6, 0.8), (9.0, 0.0))]
+            one = np.zeros(centre.shape, dtype=bool)
+            one[(res // 2,) * d] = True
+            border = np.zeros(centre.shape, dtype=bool)
+            border[0] = border[-1] = border[..., 0] = True
+            grids += [one, border, border | (centre < 0.6)]
+            rasters += [Raster(res, bbox, occ, 0, "coordinate") for occ in grids]
+    return rasters
+
+
+@pytest.fixture(scope="module")
+def post_pass_rasters(request, cubic):
+    """Coordinate rasters of the golden systems, the random systems and ten
+    CNS systems, then the synthetic grids (synthetic_rasters)."""
+    cases = [(request.getfixturevalue(n), depth, r) for n, depth, r in
+             (("knuth", 12, 256), ("negabinary", 12, 1024), ("five_a", 6, 300), ("five_b", 6, 256))]
+    cases.append((cubic, 12, 40))
+    cases += [(ns, depth_within(ns, 4096), 128) for ns in request.getfixturevalue("random_systems")]
+    cases += [(ns, depth_within(ns, 4096), 64 if ns.degree == 2 else 16)
+              for ns, _ in request.getfixturevalue("cns_systems")[:10]]
+    return [raster_of(*case) for case in cases] + synthetic_rasters(np.random.default_rng(29))
+
+
+def test_boundary_count_matches_padded_oracle(post_pass_rasters, each_row_block):
+    counts = [padded_boundary_count(raster) for raster in post_pass_rasters]
+    assert 0 in counts and len(set(counts)) > 20
+    for size in each_row_block():  # one-row slabs, ragged slabs, the default
+        assert [tile.boundary_cell_count(r) for r in post_pass_rasters] == counts, size
+
+
+def test_inner_radius_matches_full_grid_oracle(post_pass_rasters, each_row_block):
+    radii = [full_grid_inner_radius(raster) for raster in post_pass_rasters]
     assert sum(0.0 < r < 0.25 for r in radii) and sum(r >= 0.5 for r in radii)
     assert radii[-1] == 0.0  # the origin outside the window
+    for size in each_row_block():
+        assert [tile._inner_radius(r) for r in post_pass_rasters] == radii, size
+
+
+def agree(a, b, floor=0.0):
+    """a within 1e-12 of b relative to |b|, or to floor when |b| is smaller."""
+    return abs(a - b) <= 1e-12 * max(abs(b), floor)
+
+
+def test_coordinate_bound_matches_lapack_oracle(request, cubic, random_systems, cns_systems):
+    systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    systems += [cubic, NumberSystem.parse("3,3,3,1", "0,0,0;1,0,0;2,0,0")]
+    systems += random_systems + [ns for ns, _ in cns_systems]
+    for ns in systems:
+        bound, oracle = tile.coordinate_bound(ns), lapack_coordinate_bound(ns)
+        assert all(agree(a, b) for a, b in zip(bound, oracle)), ns
+        assert agree(math.hypot(*bound), float(np.linalg.norm(oracle))), ns
+
+
+def test_boxdim_fit_matches_polyfit_oracle(request, random_systems, cns_systems):
+    cases = [(request.getfixturevalue(n), 12, (64, 128, 256, 512)) for n in ("knuth", "negabinary")]
+    cases += [(request.getfixturevalue(n), 6, (50, 100, 200)) for n in ("five_a", "five_b")]
+    cases += [(ns, depth_within(ns, 4096), (32, 64, 128)) for ns in random_systems]
+    cases += [(ns, depth_within(ns, 4096), (8, 16, 24) if ns.degree == 2 else (4, 8, 12))
+              for ns, _ in cns_systems[:10]]
+    reports = [tile.boundary_boxdim(tile.tile_rasters(ns, depth, [("coordinate", r) for r in res]).values())
+               for ns, depth, res in cases]
+    rng = np.random.default_rng(31)
+    for d, res in ((1, (20, 40, 80, 160)), (2, (20, 30, 40)), (3, (8, 12, 16))):
+        for fill in (0.2, 0.5, 0.9):
+            grids = [Raster(r, ((-1.0, 1.0),) * d, rng.random((r,) * d) < fill, 0, "coordinate")
+                     for r in res]
+            reports.append(tile.boundary_boxdim(grids))
+    for report in reports:
+        slope, residual = polyfit_boxdim(report.resolutions, report.counts)
+        # a dimension is O(1); a flat fit is exactly 0 here, ~1e-17 by polyfit
+        assert agree(report.dimension, slope, 1.0) and agree(report.residual, residual, 1e-3), report
+    assert reports[1].counts == (2,) * 4 and reports[1].dimension == reports[1].residual == 0.0
+
+
+def test_line_fit_matches_exact_rationals():
+    # the closed form against the exact least-squares line of the same
+    # float points, including nearly flat and nearly collinear ones
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        res = sorted(set(rng.integers(2, 5000, 5).tolist()))
+        xs = np.log(np.array(res, dtype=np.float64)).tolist()
+        ys = np.log(rng.integers(1, 10**6, len(res)).astype(np.float64)).tolist()
+        slope, residual = tile._line_fit(xs, ys)
+        fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+        mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+        exact = (sum((x - mx) * (y - my) for x, y in zip(fx, fy))
+                 / sum((x - mx) ** 2 for x in fx))
+        exact_residual = sum((y - my - exact * (x - mx)) ** 2 for x, y in zip(fx, fy))
+        assert agree(slope, float(exact)) and agree(residual, float(exact_residual))
+
+
+def test_post_pass_memory_fence(knuth):
+    """Over the depth-18 Knuth raster at 1024^2, each stage after the raster
+    pass traces at most 0.25 MB once warm: the 1 MB grid is read in slabs,
+    never copied whole.  cover_fraction traces at most 1.2 MB: its 2 x 10^4
+    draws go straight into one float64 array."""
+    rasters = tile.tile_rasters(knuth, 18, [("coordinate", r) for r in (256, 512, 1024)])
+    raster = rasters["coordinate", 1024]
+    stages = (("boundary_cell_count", lambda: tile.boundary_cell_count(raster), 0.25e6),
+              ("tile_radii", lambda: tile.tile_radii(knuth, raster), 0.25e6),
+              ("boundary_boxdim", lambda: tile.boundary_boxdim(rasters.values()), 0.25e6),
+              ("cover_fraction", lambda: tile.cover_fraction(raster), 1.2e6))
+    for name, stage, fence in stages:
+        stage()  # lazy imports and cached roots, outside the trace
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fence, (name, peak)
+
+
+def test_post_pass_calls_no_lapack(knuth, monkeypatch):
+    rasters = tile.tile_rasters(knuth, 12, [("coordinate", r) for r in (256, 512, 1024)])
+    raster = rasters["coordinate", 256]
+    expected = (tile.boundary_cell_count(raster), tile.tile_radii(knuth, raster),
+                tile.boundary_boxdim(rasters.values()), tile.cover_fraction(raster, samples=100))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("inv", "lstsq", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    assert (tile.boundary_cell_count(raster), tile.tile_radii(knuth, raster),
+            tile.boundary_boxdim(rasters.values()), tile.cover_fraction(raster, samples=100)) == expected
 
 
 # -------------------------------------------------------- streamed clouds
