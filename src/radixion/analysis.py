@@ -280,21 +280,20 @@ def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lam: int,
     its primes, {value tuple: count} over the occupied values in ascending
     order.
 
-    v(n) lies in the box lam * [min, max] of the increments, coordinate by
-    coordinate; the bins, at most min(box, Q^lam), are checked against the
-    element cap before any work.  Over all of N_lam the counts come in
-    closed form (_closed_histogram), and the Q^lam rows they count are
-    still held to the element cap; over the primes they are counted from
-    the streamed pass (bulk.prime_histogram).
+    v(n) lies in the value box lam * [min, max] of the increments,
+    coordinate by coordinate; the bins, at most min(box, Q^lam), are
+    checked against the element cap before any work, and nothing else
+    reads the box.  Over all of N_lam the counts come in closed form
+    (_closed_histogram), and the Q^lam rows they count are still held to
+    the element cap; over the primes they are counted from the streamed
+    pass (bulk.prime_histogram), keyed by the distinct values it meets.
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
     if lam < 0:
         raise UsageError("expansion length must be nonnegative")
-    columns = list(zip(*(inc for row in stat.step for _, inc in row)))
-    lo = tuple(lam * min(c) for c in columns)
-    dims = tuple(lam * (max(c) - min(c)) + 1 for c in columns)
-    bins = math.prod(dims)
+    columns = zip(*(inc for row in stat.step for _, inc in row))
+    bins = math.prod(lam * (max(c) - min(c)) + 1 for c in columns)
     if lam < bins.bit_length():  # else Q^lam >= 2^lam > bins
         bins = min(bins, ns.Q**lam)
     if bins > effective_cap(ENUM_CAP):
@@ -302,7 +301,7 @@ def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lam: int,
                           % (bins, lam, effective_cap(ENUM_CAP)))
     if filter == "primes":
         from . import bulk
-        return bulk.prime_histogram(ns, stat, lam, lo, dims)
+        return bulk.prime_histogram(ns, stat, lam)
     check_power(ns.Q, lam, "table of %s elements", effective_cap(ENUM_CAP))
     return _closed_histogram(stat, lam)
 

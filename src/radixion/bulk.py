@@ -9,7 +9,7 @@ That is exact integer arithmetic, so every split gives the same rows.
 Every streamed stage walks it one high row at a time: the prime pass,
 numeration.enumerate_N and the tile cloud.  Its temporaries
 scale with the low table, so ROW_BLOCK is 2^14 rows: the traced peak of
-the lambda-22 prime histogram is 1.5 MB, against 3.5 MB at 2^16.  When
+the lambda-22 prime histogram is 1.5 MB, against 3.2-3.4 MB at 2^16.  When
 Q^lam fits in ROW_BLOCK the low table is all of N_lam, the table that
 tile.lattice_area looks stripped centres up in, keyed by box_places.
 The two tables are built by a meet-in-the-middle merge of shorter whole
@@ -25,7 +25,7 @@ rows, the norm's own primality test), and the statistic adds over the
 split by the same rule.
 strip_columns is backward division on whole int64 coordinate columns.
 Coordinates and counts are int64.  The statistic's values, the norms of
-the split pass and the histogram keys take the width _int_type
+the split pass and the ranks of distinct rows take the width _int_type
 gives the bound already computed for them (int32 when it is below 2^31),
 so a narrow width never wraps.
 """
@@ -364,48 +364,45 @@ def prime_rows(ns: NumberSystem, lam: int) -> list:
     return [low.coords[mask] + offsets[h] for h, mask in masks]
 
 
-def prime_histogram(ns: NumberSystem, stat, lam: int, lo: tuple, dims: tuple) -> dict:
+def _distinct_rows(columns: list) -> tuple:
+    """(distinct, inverse) as numpy's unique by rows gives them for the rows
+    whose entries are `columns`, integer arrays of one length and any widths:
+    the distinct rows' columns in ascending order, the first column leading,
+    and each row's index among them, by one lexsort and no common dtype."""
+    order = np.lexsort(columns[::-1])
+    columns = [c[order] for c in columns]
+    new = np.zeros(len(order), dtype=bool)  # sorted row i differs from row i - 1
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
+    inverse = np.empty(len(order), _int_type(len(order)))
+    inverse[order] = np.cumsum(new, dtype=inverse.dtype)  # ranks from 0
+    new[:1] = True  # the first sorted row is distinct too
+    return [c[new] for c in columns], inverse
+
+
+def prime_histogram(ns: NumberSystem, stat, lam: int) -> dict:
     """Exact counts of the prime rows of N_lam per value of the digit
     statistic `stat`, {value tuple: count} in ascending order.  The value
     adds over the split (split_tables): v(l + o_h) is v(l) plus high row h's
-    value from the state e(l) that low row l leaves.  So each high row
-    counts its prime low rows by (e(l), v(l)) in one bincount and adds each
-    state's counts at that state's value of the row.  The values lie in the
-    box of `dims` values from `lo`; when it holds more values than N_lam has
-    rows, the low rows are keyed by their sorted distinct (e(l), v(l)) and
-    each high row's values are merged, else counted in a dense histogram
-    over the box, one slice per state, by keys of the width of the states
-    times the span of the low keys."""
+    value from the state e(l) that low row l leaves.  So the low rows are
+    keyed by their distinct pairs (e(l), v(l)) and the high rows by their
+    distinct vectors of values from each state (_distinct_rows); each high
+    row's prime low rows are counted by pair in one bincount, added into its
+    vector's line of a count matrix, and each occupied cell's value, v(l)
+    plus the vector's value from e(l), is merged by the same sort."""
     low, high, _, masks = prime_blocks(ns, lam, stat)
-    exits, values = low.exits[stat.start], low.values[stat.start]
+    pairs = [low.exits[stat.start], *low.values[stat.start].T]
     del low  # its coordinates, a quarter of the pass's memory, are not read here
-    size = math.prod(dims)
-    if size > ns.Q**lam:
-        pairs, keys = np.unique(np.column_stack([exits, values]), axis=0, return_inverse=True)
-        keys, found = keys.ravel(), []
-        for h, mask in masks:
-            counts = np.bincount(keys[mask], minlength=len(pairs))
-            occupied = np.flatnonzero(counts)
-            state, value = pairs[occupied, 0], pairs[occupied, 1:]
-            found.append((value + high.values[state, h], counts[occupied]))
-        values, inverse = np.unique(np.concatenate([v for v, _ in found]), axis=0,
-                                    return_inverse=True)
-        # float sums of counts, exact: N_lam has fewer than 2^53 rows
-        counts = np.bincount(inverse.ravel(), np.concatenate([c for _, c in found]))
-        return dict(zip(map(tuple, values.tolist()), map(int, counts.tolist())))
-    place = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))], dtype=np.int64)
-    keys = values @ place
-    least = int(keys.min())
-    keys -= least
-    width = int(keys.max()) + 1
-    keys += exits * np.int64(width)  # (exit state, low key)
-    keys = keys.astype(_int_type(len(stat.states) * width))
-    shifts = ((high.values - np.array(lo)) @ place + least).tolist()  # per state, per high row
-    hist = np.zeros(size + width, np.int64)  # room for a whole last slice
+    (exits, *values), keys = _distinct_rows(pairs)
+    states, rows, width = high.values.shape
+    vectors, lines = _distinct_rows(list(high.values.transpose(0, 2, 1).reshape(-1, rows)))
+    counts = np.zeros((len(vectors[0]), len(exits)), np.int64)
     for h, mask in masks:
-        counts = np.bincount(keys[mask], minlength=len(shifts) * width)
-        for state, shift in enumerate(shifts):
-            hist[shift[h] : shift[h] + width] += counts[state * width : (state + 1) * width]
-    occupied = np.flatnonzero(hist[:size])
-    keys = (np.stack(np.unravel_index(occupied, dims), axis=1) + lo).tolist()
-    return dict(zip(map(tuple, keys), hist[occupied].tolist()))
+        counts[lines[h]] += np.bincount(keys[mask], minlength=len(exits))
+    line, pair = np.nonzero(counts)
+    found = np.stack(vectors, axis=1).reshape(-1, states, width)[line, exits[pair]]
+    found += np.stack(values, axis=1)[pair]
+    values, inverse = _distinct_rows(list(found.T))
+    # float sums of counts, exact: N_lam has fewer than 2^53 rows
+    totals = np.bincount(inverse, counts[line, pair])
+    return dict(zip(zip(*(v.tolist() for v in values)), map(int, totals.tolist())))

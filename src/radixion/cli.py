@@ -724,6 +724,8 @@ def main(argv=None) -> int:
             raise UsageError("no directory to write %s into" % args.out)
         if args.out and os.path.isdir(args.out):
             raise UsageError("--out %s is a directory" % args.out)
+        if args.threads < 1:
+            raise UsageError("--threads must be at least 1, got %d" % args.threads)
         artifact = args.handler(args)
         data = _render(args.format, artifact)
     except RadixionError as exc:

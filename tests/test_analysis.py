@@ -505,7 +505,7 @@ def test_closed_histogram_matches_enumeration(request):
     golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     systems = golden + list(request.getfixturevalue("random_systems"))
     systems += [ns for ns, _ in request.getfixturevalue("cns_systems")]
-    systems.append(NumberSystem.parse("2,2,1", "0,0;16777217,0"))  # a sparse box of s(n)
+    systems.append(NumberSystem.parse("2,2,1", "0,0;16777217,0"))  # a box of s(n) past its rows
     for ns in systems:
         top = largest_lam(ns, 2**16)
         for lam in sorted({0, 1, 2, top}):
@@ -520,7 +520,7 @@ def test_digit_histogram_does_not_depend_on_blocks(request, each_row_block):
     cases = [(ns, fn, largest_lam(ns, 300), ("all", "primes"))
              for ns in systems + list(request.getfixturevalue("random_systems"))
              for fn in ("sod", "rs")]
-    # sparse keys: the box of s(n) holds more values than N_lambda has rows
+    # wide boxes: the box of s(n) holds more values than N_lambda has rows
     cases += [(systems[3], "sod", 3, ("all", "primes")),
               (NumberSystem.parse("2,2,1", "0,0;16777217,0"), "sod", 9, ("all",))]
     for ns, fn, lam, filters in cases:
@@ -532,18 +532,18 @@ def test_digit_histogram_does_not_depend_on_blocks(request, each_row_block):
 
 
 def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch, each_row_block):
-    # boxes of s(n) wider than N_lam: the rows are keyed by sorted distinct values
-    wide = NumberSystem.parse("2,2,1", "0,0;16777217,0")  # a dense box of 16777218 bins at lam 1
+    # boxes of s(n) wider than N_lam: the counts are keyed by the values met, not by the box
+    wide = NumberSystem.parse("2,2,1", "0,0;16777217,0")  # a box of 16777218 values at lam 1
     cases = [(wide, lam, "all") for lam in (1, 2, 6)]
     cases += [(five_b, lam, f) for lam in (1, 2, 3) for f in ("all", "primes")]
     cases += [(ns, 1, f) for ns in request.getfixturevalue("random_systems") for f in ("all", "primes")]
     for ns, lam, filter in cases:
-        assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # sparse
+        assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # a wide box
         expected = dict(scalar_histogram(ns, "sod", lam, filter))
         for _ in each_row_block():
             hist = analysis._digit_histogram(ns, digit_sum(ns), lam, filter)
             keys = list(hist)
-            assert keys == sorted(keys)  # ascending, as the dense keys are
+            assert keys == sorted(keys)  # ascending, as every histogram's keys are
             assert hist == expected
     monkeypatch.setenv("RADIXION_CAP", "5")  # 27 values of s(n) over the 5 rows of N_1 fit
     hist = analysis._digit_histogram(five_b, digit_sum(five_b), 1)
@@ -601,8 +601,8 @@ def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
     monkeypatch.setattr(bulk, "norm_table", refuse)
     form = LinearForm.parse("1/3,0.25")
     cases = (
-        (200, 4, 297),  # dense: s(n) spans (32 + 1) * (8 + 1) = 297 values over 625 rows
-        (4, 1, 5),  # sparse: s(n) spans (8 + 1) * (2 + 1) = 27 values over the 5 rows of N_1
+        (200, 4, 297),  # the box: s(n) spans (32 + 1) * (8 + 1) = 297 values over 625 rows
+        (4, 1, 5),  # the rows: s(n) spans (8 + 1) * (2 + 1) = 27 values over the 5 rows of N_1
     )
     for cap, lam, bins in cases:
         monkeypatch.setenv("RADIXION_CAP", str(cap))

@@ -255,8 +255,7 @@ def prime_systems(request):
 
 
 def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
-    """prime_rows and the prime histograms of both statistics, dense and
-    sparse, against the
+    """prime_rows and the prime histograms of both statistics against the
     per-row oracle at lambda 0, 1 and the largest with Q^lambda <= 4096 (1024
     for the CNS systems), under low tables of Q^2 rows and of the most rows
     within 100 and within ROW_BLOCK; and prime_rows without the norm table,
@@ -269,19 +268,14 @@ def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
             primes = [n for n, p in zip(rows, prime) if p]
             expected = {"sod": collections.Counter(v for v, p in zip(s, prime) if p),
                         "rs": collections.Counter(v for v, p in zip(r, prime) if p)}
-            lo = tuple(lam * min(b[i] for b in ns.digits) for i in range(ns.degree))
-            dims = tuple(lam * (max(b[i] for b in ns.digits) - min(b[i] for b in ns.digits)) + 1
-                         for i in range(ns.degree))
-            boxes = [("sod", lo, dims), ("sod", lo, (dims[0] + ns.Q**lam,) + dims[1:]),  # sparse
-                     ("rs", (0,), (max(lam, 1),)), ("rs", (0,), (ns.Q**lam + 1,))]
             for size in (ns.Q**2, 100, bulk.ROW_BLOCK):
                 monkeypatch.setattr(bulk, "ROW_BLOCK", size)
                 got = np.concatenate(bulk.prime_rows(ns, lam)).tolist()
                 assert list(map(tuple, got)) == primes, (ns, lam, size)
-                for fn, low, box in boxes:
-                    hist = bulk.prime_histogram(ns, STATISTICS[fn](ns), lam, low, box)
+                for fn in ("sod", "rs"):
+                    hist = bulk.prime_histogram(ns, STATISTICS[fn](ns), lam)
                     assert list(hist) == sorted(hist)
-                    assert hist == dict(expected[fn]), (ns, lam, fn, box, size)
+                    assert hist == dict(expected[fn]), (ns, lam, fn, size)
             # a table past any budget: none is built, and each norm is tested alone
             monkeypatch.setattr(bulk, "_norm_bound", lambda ns, lam: 1 << 62)
             monkeypatch.setattr(bulk, "_norm_bits", refuse)
@@ -316,12 +310,27 @@ def test_prime_pass_in_both_widths(knuth, monkeypatch):
         assert list(map(tuple, got)) == [n for n, p in zip(rows, prime) if p], ns
         assert set(seen) == {np.dtype(width)}
         for fn, values in (("sod", s), ("rs", r)):
-            stat = STATISTICS[fn](ns)
-            columns = list(zip(*(inc for row in stat.step for _, inc in row)))
-            lo = tuple(lam * min(c) for c in columns)
-            dims = tuple(lam * (max(c) - min(c)) + 1 for c in columns)
             expected = collections.Counter(v for v, p in zip(values, prime) if p)
-            assert bulk.prime_histogram(ns, stat, lam, lo, dims) == dict(expected), (ns, fn)
+            assert bulk.prime_histogram(ns, STATISTICS[fn](ns), lam) == dict(expected), (ns, fn)
+
+
+def test_distinct_rows_match_numpy_unique():
+    """_distinct_rows gives numpy's distinct rows (ascending, the first
+    column leading) and inverse, on random integer columns: no row, one row,
+    int8 beside int32 columns, negative values, few and many repeats."""
+    rng = np.random.default_rng(11)
+    cases = [[np.zeros(0, np.int8), np.zeros(0, np.int32)], [np.array([-3], np.int32)]]
+    for rows in (1, 2, 50, 3000):
+        for spread in (1, 3, 1 << 20):
+            exits = rng.integers(-2, 3, rows).astype(np.int8)
+            values = rng.integers(-spread, spread + 1, (2, rows)).astype(np.int32)
+            cases += [[exits, *values], [values[0]], [values[1], exits, values[0].astype(np.int64)]]
+    for columns in cases:
+        expected, inverse = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
+        distinct, index = bulk._distinct_rows(columns)
+        assert [c.dtype for c in distinct] == [c.dtype for c in columns]
+        assert np.array_equal(np.column_stack(distinct).reshape(-1, len(columns)), expected)
+        assert np.array_equal(index, inverse.ravel())
 
 
 def test_prime_histogram_memory_fence(knuth):
@@ -330,10 +339,10 @@ def test_prime_histogram_memory_fence(knuth):
     values, the norms and the keys in int32, and the low coordinates freed
     once the norm vectors are taken from them."""
     stat = pair_count(knuth)
-    bulk.prime_histogram(knuth, stat, 4, (0,), (5,))  # lazy imports, outside the trace
+    bulk.prime_histogram(knuth, stat, 4)  # lazy imports, outside the trace
     tracemalloc.start()
     try:
-        hist = bulk.prime_histogram(knuth, stat, 22, (0,), (23,))
+        hist = bulk.prime_histogram(knuth, stat, 22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,10 +355,10 @@ def test_prime_histogram_streams_small_chunks(knuth):
     2.0 MB of traced allocations: its per-high-row norms, masks and counts
     span one low table of at most ROW_BLOCK (2^14) rows."""
     stat = pair_count(knuth)
-    bulk.prime_histogram(knuth, stat, 4, (0,), (5,))  # lazy imports, outside the trace
+    bulk.prime_histogram(knuth, stat, 4)  # lazy imports, outside the trace
     tracemalloc.start()
     try:
-        hist = bulk.prime_histogram(knuth, stat, 22, (0,), (23,))
+        hist = bulk.prime_histogram(knuth, stat, 22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -87,6 +87,10 @@ def test_usage_errors_exit_two(capsysbinary):
         assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", count,
                    "--lambda", "3")[0] == 2
         assert run(capsysbinary, "tile", *KNUTH, "--depth", "4", "--cover-samples", count)[0] == 2
+    for count in ("0", "-3"):  # a thread count below 1: one error line, no artifact
+        code, out, err = run(capsysbinary, "weyl", *KNUTH, "--fn", "rs", "--alpha", "0.5",
+                             "--lambda", "2", "--threads", count)
+        assert (code, out, err.count(b"error:")) == (2, b"", 1), count
 
 
 def test_undeclared_format_exits_two_before_work(capsysbinary, monkeypatch):
@@ -490,8 +494,8 @@ def test_out_writes_artifact_and_manifest(capsysbinary, tmp_path):
 
 # one run per streamed artifact: the tile in both spaces and every format,
 # prime-filtered weyl sums of both digit functions (five-B's digit sums in a
-# sparse box at lambda 1 and 2, a dense one at 4), primes with the norm table
-# and without it (a wide digit), the N_lambda count
+# box wider than N_lambda at lambda 1 and 2, a narrower one at 4), primes
+# with the norm table and without it (a wide digit), the N_lambda count
 BLOCK_RUNS = [("tile", *EISENSTEIN, "--depth", "6", "--resolution", "64", "--space", space,
                "--format", fmt) for space in tile.SPACE_TAGS for fmt in ("json", "csv", "pgm")] + [
     ("weyl", *KNUTH, "--fn", fn, "--alpha", "0.6180339887", "--lambda", "4,8,11",
@@ -550,6 +554,7 @@ def test_bad_seed_or_out_exits_two_before_work(capsysbinary, monkeypatch, tmp_pa
         for bad, message in ((("--seed", "-1"), b"nonnegative integer"),
                              (("--seed=x",), b"nonnegative integer"),
                              (("--config", str(config)), b"nonnegative integer"),
+                             (("--threads", "0"), b"--threads must be at least 1"),
                              (("--out", missing), b"no directory"),
                              (("--out", str(tmp_path)), b"is a directory")):
             code, _, err = run(capsysbinary, *argv, *bad)
@@ -606,6 +611,33 @@ def test_integer_subcommands_start_without_numpy(tmp_path):
     done = subprocess.run([sys.executable, "-c", NUMPY_FREE, str(tmp_path / "out.json")],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# The criterion-5 tile and criterion-7 weyl runs of the README through
+# cli.main in one fresh interpreter: none may load numpy.ma, which costs
+# 13 ms and 1.3 MB to import and which np.unique loads for float arrays.
+MASKED_FREE = """
+import sys
+from radixion import cli
+for argv in %r:
+    assert cli.main([*argv, "--out", sys.argv[1]]) == 0, argv
+print("numpy.ma" in sys.modules)
+""" % ([
+    ["tile", *NEGABINARY, "--depth", "18", "--resolution", "1024"],
+    ["tile", *KNUTH, "--depth", "18", "--resolution", "1024"],
+    ["tile", *KNUTH, "--depth", "25", "--resolution", "1024", "--boxdim", "256,512,1024"],
+    *(["weyl", *KNUTH, "--fn", fn, "--alpha", "0.6180339887", "--lambda", "14,22",
+       "--filter", "primes", "--format", "csv"] for fn in ("sod", "rs")),
+],)
+
+
+def test_tile_and_prime_runs_leave_numpy_ma_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(radixion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               RADIXION_CAP="34000000")
+    done = subprocess.run([sys.executable, "-c", MASKED_FREE, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_fourier_decay_runs_to_lambda_60(tmp_path, monkeypatch):
