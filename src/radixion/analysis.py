@@ -18,7 +18,8 @@ math.fsum of the per-row summands.  Over all of N_lambda the histogram has
 a closed form, one DP over (state, value): the lambda-fold convolution of
 the digit multiset for s(n) (Gelfond), the recursion on the last digit for
 r(n); over the primes it is counted from the one streamed pass of
-bulk.prime_blocks.  fourier_decay is a transfer product over the same
+bulk.prime_blocks.  Either route counts every lambda of a request on its
+way to the largest.  fourier_decay is a transfer product over the same
 states.  This module imports no numpy: only that prime pass builds arrays.
 """
 
@@ -274,88 +275,109 @@ def _finite(phase: float, name: str, *args) -> float:
     return phase
 
 
-def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lam: int,
-                     filter: str = "all") -> dict:
+def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lams: list,
+                     filter: str = "all") -> list:
     """Exact row counts of the digit statistic's value v(n) over N_lam or
     its primes, {value tuple: count} over the occupied values in ascending
-    order.
+    order, one per lam of the nonempty list `lams`, in its order, repeats
+    included.
 
     v(n) lies in the value box lam * [min, max] of the increments,
     coordinate by coordinate; the bins, at most min(box, Q^lam), are
-    checked against the element cap before any work, and nothing else
-    reads the box.  Over all of N_lam the counts come in closed form
-    (_closed_histogram), and the Q^lam rows they count are still held to
-    the element cap; over the primes they are counted from the streamed
-    pass (bulk.prime_histogram), keyed by the distinct values it meets.
+    checked against the element cap, and nothing else reads the box.  Over
+    all of N_lam the Q^lam rows are held to the element cap too, and over
+    the primes every check of the prime pass is made (bulk.pass_bounds).
+    Every lam is checked, in order, before any work.  Then one closed-form
+    DP (_closed_histogram) or one streamed prime pass at the largest lam
+    (bulk.prime_histogram, keyed by the distinct values it meets) yields
+    every lam on its way.
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
-    if lam < 0:
-        raise UsageError("expansion length must be nonnegative")
-    columns = zip(*(inc for row in stat.step for _, inc in row))
-    bins = math.prod(lam * (max(c) - min(c)) + 1 for c in columns)
-    if lam < bins.bit_length():  # else Q^lam >= 2^lam > bins
-        bins = min(bins, ns.Q**lam)
-    if bins > effective_cap(ENUM_CAP):
-        raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
-                          % (bins, lam, effective_cap(ENUM_CAP)))
     if filter == "primes":
         from . import bulk
-        return bulk.prime_histogram(ns, stat, lam)
-    check_power(ns.Q, lam, "table of %s elements", effective_cap(ENUM_CAP))
-    return _closed_histogram(stat, lam)
+    columns = list(zip(*(inc for row in stat.step for _, inc in row)))
+    for lam in lams:
+        if lam < 0:
+            raise UsageError("expansion length must be nonnegative")
+        bins = math.prod(lam * (max(c) - min(c)) + 1 for c in columns)
+        if lam < bins.bit_length():  # else Q^lam >= 2^lam > bins
+            bins = min(bins, ns.Q**lam)
+        if bins > effective_cap(ENUM_CAP):
+            raise CapExceeded("histogram of %d bins for lambda %d exceeds cap %d"
+                              % (bins, lam, effective_cap(ENUM_CAP)))
+        if filter == "primes":
+            bulk.pass_bounds(ns, lam)
+        else:
+            check_power(ns.Q, lam, "table of %s elements", effective_cap(ENUM_CAP))
+    ascending = sorted(set(lams))
+    if filter == "primes":
+        hists = bulk.prime_histogram(ns, stat, ascending)
+    else:
+        hists = _closed_histogram(stat, ascending)
+    found = dict(zip(ascending, hists))
+    return [found[lam] for lam in lams]
 
 
-def _closed_histogram(stat: DigitStatistic, lam: int) -> dict:
-    """The row counts of _digit_histogram over all of N_lam: one DP over
-    (state, value) counts the digit strings of each length by the state
-    they leave and their value, a state's digits that move alike counted as
-    one move.  With the one state of the digit sum it is the lam-fold
-    convolution of the digit multiset (Gelfond's factorization); with the
-    two of the pair count, the recursion on whether the last digit is zero
-    (Mauduit-Rivat's transfer product)."""
+def _closed_histogram(stat: DigitStatistic, lams: list) -> list:
+    """The row counts of _digit_histogram over all of N_lam, one per lam of
+    the ascending list `lams`: one DP over (state, value) counts the digit
+    strings of each length by the state they leave and their value, a
+    state's digits that move alike counted as one move, and is read at each
+    lam on its way to the largest.  With the one state of the digit sum it
+    is the lam-fold convolution of the digit multiset (Gelfond's
+    factorization); with the two of the pair count, the recursion on
+    whether the last digit is zero (Mauduit-Rivat's transfer product)."""
     moves = [collections.Counter(row).items() for row in stat.step]
     counts = [{} for _ in stat.states]
     counts[stat.start] = {(0,) * stat.width: 1}
-    for _ in range(lam):
-        step = [{} for _ in stat.states]
-        for state, table in enumerate(counts):
-            for value, n in table.items():
-                for (nxt, inc), k in moves[state]:
-                    key = tuple(x + y for x, y in zip(value, inc))
-                    step[nxt][key] = step[nxt].get(key, 0) + n * k
-        counts = step
-    return dict(sorted(sum(map(collections.Counter, counts), collections.Counter()).items()))
+    hists = []
+    for lam in range(lams[-1] + 1):
+        if lam:
+            step = [{} for _ in stat.states]
+            for state, table in enumerate(counts):
+                for value, n in table.items():
+                    for (nxt, inc), k in moves[state]:
+                        key = tuple(x + y for x, y in zip(value, inc))
+                        step[nxt][key] = step[nxt].get(key, 0) + n * k
+            counts = step
+        if lam in lams:
+            hists.append(dict(sorted(sum(map(collections.Counter, counts),
+                                         collections.Counter()).items())))
+    return hists
 
 
-def weyl_sum(ns: NumberSystem, stat: DigitStatistic, phases, h: int, lam: int,
+def weyl_sum(ns: NumberSystem, stat: DigitStatistic, phases, h: int, lams: list,
              filter: str = "all") -> list:
     """S = sum of e(h * value) over N_lambda or its primes, one WeylRow per
-    phase, in order; value(n) = <w, v(n)> with the weights w of the phase
-    (_digit_twist) and the value vector v(n) of the digit statistic.
+    lambda of `lams` and phase, lambda by lambda in the order of `lams`
+    (repeats included) and each lambda's phases in order; value(n) = <w,
+    v(n)> with the weights w of the phase (_digit_twist) and the value
+    vector v(n) of the digit statistic.
 
-    The rows are counted per value of the digit statistic exactly
-    (_digit_histogram); each phase then takes one exponential per occupied
-    value, from the float expression a row would use, and adds
-    count * e(h * value) exactly, rounding once.  So re_sum and im_sum are
-    the math.fsum of the per-row summands, they do not depend on how the
-    prime pass blocks the rows, and a row does not depend on the other
-    phases.
+    The rows are counted per value of the digit statistic exactly, every
+    lambda from one DP or one prime pass (_digit_histogram); each phase then
+    takes one exponential per occupied value, from the float expression a
+    row would use, and adds count * e(h * value) exactly, rounding once.  So
+    re_sum and im_sum are the math.fsum of the per-row summands, they do not
+    depend on how the prime pass blocks the rows, and a row does not depend
+    on the other phases or the other lambdas.
     """
     weights = [_digit_twist(stat, ns.poly, phase) for phase in phases]
-    hist = _digit_histogram(ns, stat, lam, filter)
-    counts = list(hist.values())
-    count = sum(counts)
     scale = TWO_PI * h
     rows = []
-    for weight in weights:
-        angles = [_finite(scale * sum(x * c for x, c in zip(v, weight)),
-                          "2 pi h <w, v> at h = %d, w = %s, v = %s", h, weight, v) for v in hist]
-        z = [cmath.exp(complex(0.0, a)) for a in angles]
-        total = complex(_exact_sum(counts, [w.real for w in z]),
-                        _exact_sum(counts, [w.imag for w in z]))
-        rows.append(WeylRow(lam, h, filter, count, total.real, total.imag,
-                            float(abs(total) / count if count else 0.0)))
+    for lam, hist in zip(lams, _digit_histogram(ns, stat, lams, filter)):
+        counts = list(hist.values())
+        count = sum(counts)
+        for weight in weights:
+            angles = [_finite(scale * sum(x * c for x, c in zip(v, weight)),
+                              "2 pi h <w, v> at h = %d, w = %s, v = %s", h, weight, v)
+                      for v in hist]
+            z = [cmath.exp(complex(0.0, a)) for a in angles]
+            total = complex(_exact_sum(counts, [w.real for w in z]),
+                            _exact_sum(counts, [w.imag for w in z]))
+            rows.append(WeylRow(lam, h, filter, count, total.real, total.imag,
+                                float(abs(total) / count if count else 0.0)))
     return rows
 
 

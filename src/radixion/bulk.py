@@ -9,7 +9,7 @@ That is exact integer arithmetic, so every split gives the same rows.
 Every streamed stage walks it one high row at a time: the prime pass,
 numeration.enumerate_N and the tile cloud.  Its temporaries
 scale with the low table, so ROW_BLOCK is 2^14 rows: the traced peak of
-the lambda-22 prime histogram is 1.5 MB, against 3.2-3.4 MB at 2^16.  When
+the lambda-22 prime histogram is 1.2 MB, against 3.3-3.4 MB at 2^16.  When
 Q^lam fits in ROW_BLOCK the low table is all of N_lam, the table that
 tile.lattice_area looks stripped centres up in, keyed by box_places.
 The two tables are built by a meet-in-the-middle merge of shorter whole
@@ -20,9 +20,11 @@ the low half's value plus the high half's from the state the low half
 leaves.  The prime pass
 (prime_blocks) builds no row: per high row, the norms of its rows are a
 binary quadratic form over vectors derived once from the low table, each
-verdict is one bit of norm_table (or, when that table would outweigh the
-rows, the norm's own primality test), and the statistic adds over the
-split by the same rule.
+odd norm's verdict is one bit of norm_table (or, when that table would
+outweigh the rows, the norm's own primality test), and the statistic adds
+over the split by the same rule.  One pass counts the prime histograms of
+every lambda of a request (prime_histogram), since N_lambda is a block of
+the rows of N_top for lambda <= top.
 strip_columns is backward division on whole int64 coordinate columns.
 Coordinates and counts are int64.  The statistic's values, the norms of
 the split pass and the ranks of distinct rows take the width _int_type
@@ -134,10 +136,7 @@ def split_tables(ns: NumberSystem, lam: int, stat=None) -> tuple:
     built.  Both tables hold the statistic's values in the one width of its
     value box over N_lam, lam * [min, max] of the increments, which holds
     every value of either half and of each merge."""
-    check_power(ns.Q, lam, "table of %s elements", effective_cap(ENUM_CAP))
-    widest = max(max(-a, b) for a, b in zip(*coordinate_ranges(ns, lam)))
-    if widest >= INT64_GUARD:
-        raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
+    _check_rows(ns, lam)
     positions = 0  # in the low table: the most, up to lam, within ROW_BLOCK rows
     while positions < lam and ns.Q ** (positions + 1) <= ROW_BLOCK:
         positions += 1
@@ -146,6 +145,15 @@ def split_tables(ns: NumberSystem, lam: int, stat=None) -> tuple:
     low = _build_table(ns, positions, stat, dtype)
     high = _build_table(ns, lam - low.lam, stat, dtype)
     return low, high, high.coords @ q_power_matrix(ns.poly, low.lam).T
+
+
+def _check_rows(ns: NumberSystem, lam: int) -> None:
+    """The element cap on the Q^lam rows of N_lam and the int64 range of
+    their coordinates, checked before any table of them is built."""
+    check_power(ns.Q, lam, "table of %s elements", effective_cap(ENUM_CAP))
+    widest = max(max(-a, b) for a, b in zip(*coordinate_ranges(ns, lam)))
+    if widest >= INT64_GUARD:
+        raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
 
 
 def _base_table(ns: NumberSystem, lam: int, stat, dtype) -> DigitTable:
@@ -200,7 +208,7 @@ def box_places(lo: list, hi: list) -> tuple:
 # ------------------------------------------------------------ the prime pass
 
 NORM_DIRECTIONS = 64  # support directions behind the norm table's bound
-SIEVE_SEGMENT = 1 << 18  # integers per segment of the norm table's sieve (a multiple of 16)
+SIEVE_SEGMENT = 1 << 18  # odd integers per segment of the norm table's sieve (a multiple of 8)
 
 
 def _norm_bound(ns: NumberSystem, lam: int) -> int:
@@ -242,71 +250,105 @@ def _split_bound(ns: NumberSystem, lam: int) -> int:
 
 
 def norm_table(ns: NumberSystem, lam: int, top: int) -> np.ndarray:
-    """The prime verdict of every norm of N_lam, one bit per integer
-    0..top (_norm_bits), top the caller's bound on |N(n)| over N_lam
+    """The prime verdict of every odd norm of N_lam, one bit per odd integer
+    1..top (_norm_bits), top the caller's bound on |N(n)| over N_lam
     (_norm_bound, once _split_bound has checked the degree and the int64
-    norm).  The table's bytes are checked against the cap at the 8 * d
-    bytes of a table row's coordinates before allocation."""
-    if top // 8 + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
+    norm); prime_mask decides the even norms.  The table's top // 16 + 1
+    bytes are checked against the cap at the 8 * d bytes of a table row's
+    coordinates before allocation."""
+    if top // 16 + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
         raise CapExceeded("prime sieve of %d bytes for lambda %d exceeds the memory of a %d-element"
-                          " table" % (top // 8 + 1, lam, effective_cap(ENUM_CAP)))
+                          " table" % (top // 16 + 1, lam, effective_cap(ENUM_CAP)))
     return _norm_bits(top, ns.poly.coeffs[:2] if ns.degree == 2 else None)
 
 
 def _norm_bits(top: int, quadratic=None) -> np.ndarray:
-    """Bits over 0..top, packed little-endian (integer n is bit n & 7 of byte
-    n >> 3): set at the primes and, for the ring of x^2 + c1 x + c0 with
-    `quadratic` = (c0, c1), at ell^2 for each prime ell inert in it (an
+    """Bits over the odd integers 1..top, packed little-endian (n = 2k + 1 is
+    bit k & 7 of byte k >> 3, so n >> 4 names its byte and (n >> 1) & 7 its
+    bit): set at the odd primes and, for the ring of x^2 + c1 x + c0 with
+    `quadratic` = (c0, c1), at ell^2 for each odd prime ell inert in it (an
     element of norm ell^2 is then prime, analysis.norm_verdict), clear
-    elsewhere.  An odd-only sieve of Eratosthenes over segments of at most
-    SIEVE_SEGMENT integers, each packed straight into its bytes, by the
-    primes up to sqrt(top), which the same sieve finds first."""
+    elsewhere and past top.  The even prime norms, 2 and 4, have no bit.  A
+    sieve of Eratosthenes over segments of at most SIEVE_SEGMENT odd
+    integers, each packed straight into its bytes, by the odd primes up to
+    sqrt(top), which the same sieve finds first; odd multiples of p are p
+    apart in k, and each prime carries its next one from segment to
+    segment, starting at p^2."""
     from .analysis import _is_inert
+    table = np.zeros(top // 16 + 1, dtype=np.uint8)
     root = math.isqrt(top)
-    roots = [] if root < 2 else np.flatnonzero(
-        np.unpackbits(_norm_bits(root), count=root + 1, bitorder="little")).tolist()
-    table = np.zeros(top // 8 + 1, dtype=np.uint8)
-    span = min(SIEVE_SEGMENT, top // 16 * 16 + 16)
-    odd = np.empty(span // 2, dtype=bool)  # odd[i]: the integer start + 2i + 1
-    segment = np.zeros(span, dtype=bool)
-    for start in range(0, top + 1, span):
-        stop = min(start + span, top + 1)
-        odd[:] = True
-        odd[(stop - start) // 2 :] = False  # past top
-        for p in roots[1:]:
-            if p * p >= stop:
-                break
-            first = max(p * p, -(-start // p) * p)
-            first += p * (first % 2 == 0)  # the first odd multiple: odd ones are 2p apart
-            odd[(first - start - 1) // 2 :: p] = False
+    roots = np.zeros(0, np.int64) if root < 3 else 2 * np.flatnonzero(
+        np.unpackbits(_norm_bits(root), bitorder="little")) + 1
+    first = roots * roots // 2  # k of p^2, ascending
+    following = first.copy()  # k of each prime's next odd multiple to strike
+    odd = np.empty(min(SIEVE_SEGMENT, 8 * len(table)), dtype=bool)
+    for start in range(0, 8 * len(table), len(odd)):
+        stop = min(start + len(odd), 8 * len(table))
+        segment = odd[: stop - start]
+        segment[:] = True
+        segment[max((top + 1) // 2 - start, 0) :] = False  # past top
+        active = int(np.searchsorted(first, stop))  # the primes whose square is below stop
+        primes, next_k = roots[:active], following[:active]
+        for p, k in zip(primes.tolist(), next_k.tolist()):
+            segment[k - start :: p] = False
+        next_k -= np.minimum(next_k - stop, 0) // primes * primes  # on to the first at or past stop
         if start == 0:
-            odd[0] = False  # 1
-        segment[1::2] = odd
-        packed = np.packbits(segment, bitorder="little")
-        table[start // 8 : start // 8 + len(packed)] = packed[: len(table) - start // 8]
-    if top >= 2:
-        table[0] |= 1 << 2
-    for ell in roots if quadratic is not None else ():
+            segment[0] = False  # 1
+        table[start // 8 : stop // 8] = np.packbits(segment, bitorder="little")
+    for ell in roots.tolist() if quadratic is not None else ():
         if _is_inert(*quadratic, ell):
-            table[ell * ell >> 3] |= 1 << (ell * ell & 7)
+            table[ell * ell >> 4] |= 1 << (ell * ell >> 1 & 7)
     return table
 
 
-def prime_mask(ns: NumberSystem, norms: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+def prime_mask(ns: NumberSystem, norms: np.ndarray, table: np.ndarray | None,
+               small: bool = True) -> np.ndarray:
     """Prime verdicts for elements of absolute norms `norms` (an integer
-    array of any width, shifted and masked in it): bit |N| of `table`
-    (norm_table), which must reach every norm, or with table None the
-    scalar analysis.norm_verdict of each."""
+    array of any width, shifted and masked in it), or with table None the
+    scalar analysis.norm_verdict of each.  An odd norm takes its bit of
+    `table` (norm_table), which must reach every norm; the low byte of each
+    norm, read once, gives the bit's place and the parity that clears every
+    even norm.  The even prime norms are 2 and, when 2 is inert in a
+    quadratic ring, 4: they are compared for only when `small` says a norm
+    below 5 may occur."""
     if table is None:
         from .analysis import PRIME_KINDS, norm_verdict
         return np.array([norm_verdict(ns.poly, v).kind in PRIME_KINDS for v in norms.tolist()],
                         dtype=bool)
-    bits = np.take(table, np.right_shift(norms, 3, dtype=np.intp))  # take's own index type
-    shift = norms.astype(np.uint8)  # the low byte, whose low 3 bits are those of the norm
+    low = norms.astype(np.uint8)  # bit 0 the parity, bits 1-3 the place in the byte
+    bits = np.take(table, np.right_shift(norms, 4, dtype=np.intp))  # take's own index type
+    shift = low >> 1
     shift &= 7
     bits >>= shift
+    bits &= low
     bits &= 1
-    return bits.view(bool)
+    mask = bits.view(bool)
+    if small:
+        from .analysis import _is_inert
+        mask |= norms == 2
+        if ns.degree == 2 and _is_inert(*ns.poly.coeffs[:2], 2):
+            mask |= norms == 4
+    return mask
+
+
+def _small_norm_rows(ns: NumberSystem, columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per high row h, whether some low row l (of coordinate `columns`) may
+    have |N(l + offsets[h])| < 5, by the triangle inequality: in degree 1
+    |N| is |a|, so that needs |N(o)| <= M + 4, and in a complex quadratic
+    ring sqrt(N) is a length, |sigma(n)|, so it needs sqrt(N(o)) <= sqrt(M)
+    + 2, with M the largest |N(l)|.  A real quadratic ring has no such
+    bound: every row may."""
+    if ns.degree == 1:
+        return np.abs(offsets[:, 0]) <= int(np.abs(columns[0]).max()) + 4
+    c0, c1 = ns.poly.coeffs[:2]
+    if c1 * c1 >= 4 * c0:
+        return np.ones(len(offsets), dtype=bool)
+
+    def norm(a, b):
+        return a * a - c1 * a * b + c0 * b * b
+
+    reach = int(norm(*columns).max())
+    return norm(offsets[:, 0], offsets[:, 1]) <= reach + 4 * math.isqrt(reach) + 8
 
 
 def _split_norms(ns: NumberSystem, columns: np.ndarray, offsets: np.ndarray):
@@ -340,21 +382,33 @@ def _split_norms(ns: NumberSystem, columns: np.ndarray, offsets: np.ndarray):
         yield h, norm if definite else np.abs(norm, out=norm)
 
 
+def pass_bounds(ns: NumberSystem, lam: int) -> tuple:
+    """(bound, top, table) of the prime pass over N_lam: _split_bound,
+    _norm_bound, and whether the pass builds the norm table, whose top // 16
+    + 1 bytes must stay within the 8 * d bytes of coordinates of its Q^lam
+    rows (so norm_table's cap, 8 * d bytes per element of the cap, holds).
+    Every check of the pass is made here, in its order, before anything is
+    built: _check_rows, then _split_bound."""
+    _check_rows(ns, lam)
+    bound, top = _split_bound(ns, lam), _norm_bound(ns, lam)
+    return bound, top, top // 16 + 1 <= 8 * ns.degree * ns.Q**lam
+
+
 def prime_blocks(ns: NumberSystem, lam: int, stat=None) -> tuple:
     """(low, high, offsets, masks): the split of N_lam (split_tables), whose
     tables carry the statistic `stat`, and a generator of (h, mask) per high
     row h, in order, mask marking the low rows l at which the row l +
-    offsets[h] is prime.  The element cap, the coordinate range and the norm
-    bound are checked when called.  Each norm comes from _split_norms and
-    its verdict from prime_mask; a norm table that would take more bytes
-    than the 8 * d of each row's coordinates is not built, and each norm is
-    then tested alone.  Each bound is evaluated once."""
+    offsets[h] is prime.  Every check (pass_bounds) is made when called,
+    before anything is built.  Each norm comes from _split_norms and its
+    verdict from prime_mask, told which high rows may hold a norm below 5
+    (_small_norm_rows); without the norm table each norm is tested alone."""
+    bound, top, table = pass_bounds(ns, lam)
     low, high, offsets = split_tables(ns, lam, stat)
-    bound = _split_bound(ns, lam)
-    top = _norm_bound(ns, lam)
-    table = norm_table(ns, lam, top) if top // 8 + 1 <= 8 * ns.degree * ns.Q**lam else None
+    table = norm_table(ns, lam, top) if table else None
     columns = low.coords.T.astype(_int_type(bound), order="C")
-    masks = ((h, prime_mask(ns, norm, table)) for h, norm in _split_norms(ns, columns, offsets))
+    small = _small_norm_rows(ns, columns, offsets)
+    masks = ((h, prime_mask(ns, norm, table, small[h]))
+             for h, norm in _split_norms(ns, columns, offsets))
     return low, high, offsets, masks
 
 
@@ -380,29 +434,65 @@ def _distinct_rows(columns: list) -> tuple:
     return [c[new] for c in columns], inverse
 
 
-def prime_histogram(ns: NumberSystem, stat, lam: int) -> dict:
+def _zero_block(Q: int, zero: int, lam: int, top: int) -> tuple:
+    """(start, size) of the rows of N_lam among those of N_top (lam <= top):
+    the Q^lam rows whose digit indices from position lam up are all `zero`,
+    the index of the zero digit, a contiguous block."""
+    return zero * (Q ** (top - lam) - 1) // (Q - 1) * Q**lam, Q**lam
+
+
+def prime_histogram(ns: NumberSystem, stat, lams: list) -> list:
     """Exact counts of the prime rows of N_lam per value of the digit
-    statistic `stat`, {value tuple: count} in ascending order.  The value
-    adds over the split (split_tables): v(l + o_h) is v(l) plus high row h's
-    value from the state e(l) that low row l leaves.  So the low rows are
-    keyed by their distinct pairs (e(l), v(l)) and the high rows by their
-    distinct vectors of values from each state (_distinct_rows); each high
-    row's prime low rows are counted by pair in one bincount, added into its
-    vector's line of a count matrix, and each occupied cell's value, v(l)
-    plus the vector's value from e(l), is merged by the same sort."""
-    low, high, _, masks = prime_blocks(ns, lam, stat)
+    statistic `stat`, {value tuple: count} in ascending order, one per lam
+    of the ascending list `lams`, all from one pass over N_top, top the
+    largest (prime_blocks).  The value adds over the split (split_tables):
+    v(l + o_h) is v(l) plus high row h's value from the state e(l) that low
+    row l leaves.  So the low rows are keyed by their distinct pairs (e(l),
+    v(l)) and the high rows by their distinct vectors of values from each
+    state (_distinct_rows); each high row's prime low rows are counted by
+    pair in one bincount, added into its vector's line of a count matrix,
+    and each occupied cell's value, v(l) plus the vector's value from e(l),
+    is merged by the same sort.
+
+    N_lam is the block of rows of N_top whose digits from position lam up
+    are all the zero digit (_zero_block), a prefix when that digit is listed
+    first, and the statistic must add nothing when it reads the zero digit,
+    from any state, so those rows keep their values.  For lam at or past the
+    low table's positions the block is one of high rows, each counted into
+    the matrix of every lam whose block holds it; below, it is one of low
+    rows of the high row of zero digits, counted apart."""
+    top = lams[-1]
+    zero = ns.digits.index(ns.zero)
+    assert top == lams[0] or not any(any(row[zero][1]) for row in stat.step), \
+        "the zero digit adds to the statistic, so N_lam has other values within N_top"
+    low, high, _, masks = prime_blocks(ns, top, stat)
+    positions = low.lam
     pairs = [low.exits[stat.start], *low.values[stat.start].T]
     del low  # its coordinates, a quarter of the pass's memory, are not read here
     (exits, *values), keys = _distinct_rows(pairs)
     states, rows, width = high.values.shape
     vectors, lines = _distinct_rows(list(high.values.transpose(0, 2, 1).reshape(-1, rows)))
-    counts = np.zeros((len(vectors[0]), len(exits)), np.int64)
+    counts = np.zeros((len(lams), len(vectors[0]), len(exits)), np.int64)
+    below = [_zero_block(ns.Q, zero, lam, positions) for lam in lams if lam < positions]
+    first = np.empty(rows, np.intp)  # per high row, the first lam whose block holds it
+    for i in reversed(range(len(below), len(lams))):
+        start, size = _zero_block(ns.Q, zero, lams[i] - positions, top - positions)
+        first[start : start + size] = i
+    home = _zero_block(ns.Q, zero, 0, top - positions)[0]  # the high row of zero digits
     for h, mask in masks:
-        counts[lines[h]] += np.bincount(keys[mask], minlength=len(exits))
-    line, pair = np.nonzero(counts)
-    found = np.stack(vectors, axis=1).reshape(-1, states, width)[line, exits[pair]]
-    found += np.stack(values, axis=1)[pair]
-    values, inverse = _distinct_rows(list(found.T))
-    # float sums of counts, exact: N_lam has fewer than 2^53 rows
-    totals = np.bincount(inverse, counts[line, pair])
-    return dict(zip(zip(*(v.tolist() for v in values)), map(int, totals.tolist())))
+        counts[first[h]:, lines[h]] += np.bincount(keys[mask], minlength=len(exits))
+        for i, (start, size) in enumerate(below if h == home else ()):
+            part = slice(start, start + size)
+            counts[i, lines[h]] += np.bincount(keys[part][mask[part]], minlength=len(exits))
+    vectors = np.stack(vectors, axis=1).reshape(-1, states, width)
+    values = np.stack(values, axis=1)
+    hists = []
+    for count in counts:
+        line, pair = np.nonzero(count)
+        found = vectors[line, exits[pair]]
+        found += values[pair]
+        distinct, inverse = _distinct_rows(list(found.T))
+        # float sums of counts, exact: N_lam has fewer than 2^53 rows
+        totals = np.bincount(inverse, count[line, pair])
+        hists.append(dict(zip(zip(*(v.tolist() for v in distinct)), map(int, totals.tolist()))))
+    return hists

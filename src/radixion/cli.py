@@ -448,14 +448,13 @@ def _cmd_weyl(args) -> _Artifact:
                   for m in algebra.dyadic_samples(args.seed, args.identity_alphas)]
         worst = 0.0
         worst_scaled = 0.0
-        statistic = numeration.digit_sum(ns)
-        for lam in range(1, max(lams) + 1):
-            rows = analysis.weyl_sum(ns, statistic, alphas, args.h, lam)
-            for a, row in zip(alphas, rows):
-                ref = analysis.sod_factorization_reference(ns, a, args.h, lam)
-                err = abs(complex(row.re_sum, row.im_sum) - ref)
-                worst = max(worst, err)
-                worst_scaled = max(worst_scaled, err / float(ns.Q) ** lam)
+        rows = analysis.weyl_sum(ns, numeration.digit_sum(ns), alphas, args.h,
+                                 list(range(1, max(lams) + 1)))
+        for a, row in zip(itertools.cycle(alphas), rows):
+            ref = analysis.sod_factorization_reference(ns, a, args.h, row.lam)
+            err = abs(complex(row.re_sum, row.im_sum) - ref)
+            worst = max(worst, err)
+            worst_scaled = max(worst_scaled, err / float(ns.Q) ** row.lam)
         payload = {
             "system": ns.encode(),
             "identity": {
@@ -480,8 +479,7 @@ def _cmd_weyl(args) -> _Artifact:
     payload["h"] = args.h
     payload["filter"] = args.filter
     statistic = _FNS[args.fn][0](ns)
-    rows = [analysis.weyl_sum(ns, statistic, [phase], args.h, lam, args.filter)[0]
-            for lam in lams]
+    rows = analysis.weyl_sum(ns, statistic, [phase], args.h, lams, args.filter)
     header = ("lambda", "h", "filter", "count", "re_sum", "im_sum", "normalized")  # WeylRow's
     payload["rows"] = [dict(zip(header, r)) for r in rows]
     return _Artifact(payload, csv=(header, [rows]))

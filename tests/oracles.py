@@ -81,6 +81,78 @@ def per_row_oracle(ns, lam):
     return rows, prime, scalar_values(ns, "sod", rows), scalar_values(ns, "rs", rows)
 
 
+def trial_division_is_prime(n):
+    """Primality of n by trial division, unbounded: the reference for
+    analysis._is_prime, trial division by the primes to 37 and then strong
+    probable-prime tests to twelve bases."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the strong probable-prime test to base a,
+    one square at a time: the reference for the test that analysis._is_prime
+    runs per base, and the witness that its SPRP_LIMIT passes all twelve."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def poly_has_root_mod(coeffs, ell):
+    """Whether the polynomial of `coeffs` (c_0 first) has a root mod ell, by
+    scanning all residues: the reference for analysis._is_inert, Euler's
+    criterion on the discriminant."""
+    for r in range(ell):
+        acc = 0
+        for cf in reversed(coeffs):
+            acc = (acc * r + cf) % ell
+        if acc == 0:
+            return True
+    return False
+
+
+PRIME, INERT = 1, 2
+
+
+def uint8_norm_sieve(top, coeffs=None):
+    """One byte per integer 0..top: PRIME at the primes, INERT at ell^2 for
+    each prime ell at which the quadratic of `coeffs` has no root
+    (poly_has_root_mod), else 0.  An unsegmented sieve over every integer:
+    the reference for the odd bits of bulk._norm_bits and for the even
+    norms 2 and 4, which bulk.prime_mask decides with no bit."""
+    sieve = np.ones(top + 1, dtype=np.uint8)
+    sieve[: min(2, top + 1)] = 0
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = 0
+    if coeffs is not None:
+        for ell in np.flatnonzero(sieve[: math.isqrt(top) + 1]).tolist():
+            if not poly_has_root_mod(coeffs, ell):
+                sieve[ell * ell] = INERT
+    return sieve
+
+
+def abs_norms(ns, coords):
+    """|N(n)| per row of int64 coordinates in Python integers, a^2 - c1 ab
+    + c0 b^2 in degree 2: the norms of oracle_mask, with no split and no
+    fixed width, against those of bulk._split_norms."""
+    a = coords[:, 0].astype(object)
+    if ns.degree == 1:
+        return np.abs(a)
+    b, (c0, c1) = coords[:, 1].astype(object), ns.poly.coeffs[:2]
+    return np.abs(a * a - c1 * a * b + c0 * b * b)
+
+
+def oracle_mask(ns, coords):
+    """Prime rows by one lookup of |N| per row (abs_norms) in the uint8
+    sieve: the reference for the masks of bulk.prime_blocks, the bits of
+    its norm table read by bulk.prime_mask."""
+    norms = abs_norms(ns, coords).astype(np.int64)
+    sieve = uint8_norm_sieve(int(norms.max(initial=0)), ns.poly.coeffs if ns.degree == 2 else None)
+    return sieve[norms] != 0
+
+
 def row_values(ns, fn, lam):
     """(Q^lam, width) int64: the value vector of fn on each row of N_lam, by
     its definition on the row's digit string, row i holding digit index

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (STATISTICS, enumerated_histogram, fourier_table_oracle, scalar_histogram,
-                     weyl_table_oracle, whole_table)
+from oracles import (INERT, PRIME, STATISTICS, enumerated_histogram, fourier_table_oracle,
+                     oracle_mask, poly_has_root_mod, scalar_histogram, strong_probable_prime,
+                     trial_division_is_prime, uint8_norm_sieve, weyl_table_oracle, whole_table)
 
 from radixion import algebra, analysis, bulk, numeration
 from radixion.analysis import LinearForm
@@ -53,57 +54,7 @@ def test_prime_verdict_degree_cap(knuth):
         analysis.is_prime_element(knuth, (2**40 + 1, 0))
 
 
-# ----------------------------------------------------- oracles of the prime pass
-
-
-def trial_division_is_prime(n):
-    """Primality by trial division, unbounded."""
-    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
-
-
-def poly_has_root_mod(coeffs, ell):
-    """Whether the polynomial of `coeffs` (c_0 first) has a root mod ell, by scanning all residues."""
-    for r in range(ell):
-        acc = 0
-        for cf in reversed(coeffs):
-            acc = (acc * r + cf) % ell
-        if acc == 0:
-            return True
-    return False
-
-
-PRIME, INERT = 1, 2
-
-
-def uint8_norm_sieve(top, coeffs=None):
-    """One byte per integer 0..top: PRIME at the primes, INERT at ell^2 for
-    each prime ell at which the quadratic of `coeffs` has no root, else 0."""
-    sieve = np.ones(top + 1, dtype=np.uint8)
-    sieve[: min(2, top + 1)] = 0
-    for p in range(2, math.isqrt(top) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = 0
-    if coeffs is not None:
-        for ell in np.flatnonzero(sieve[: math.isqrt(top) + 1]).tolist():
-            if not poly_has_root_mod(coeffs, ell):
-                sieve[ell * ell] = INERT
-    return sieve
-
-
-def abs_norms(ns, coords):
-    """|N(n)| per row of int64 coordinates, a^2 - c1 ab + c0 b^2 in degree 2."""
-    a = coords[:, 0].astype(object)
-    if ns.degree == 1:
-        return np.abs(a)
-    b, (c0, c1) = coords[:, 1].astype(object), ns.poly.coeffs[:2]
-    return np.abs(a * a - c1 * a * b + c0 * b * b)
-
-
-def oracle_mask(ns, coords):
-    """Prime rows by one lookup of |N| per row in the uint8 sieve."""
-    norms = abs_norms(ns, coords).astype(np.int64)
-    sieve = uint8_norm_sieve(int(norms.max(initial=0)), ns.poly.coeffs if ns.degree == 2 else None)
-    return sieve[norms] != 0
+# ----------------------------------------------------- the prime pass
 
 
 def pass_mask(ns, lam):
@@ -170,13 +121,13 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
 
 def test_sieve_size_at_lambda_22(knuth):
     # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M, and the
-    # table holds one bit per norm up to the bound: 0.61 MB
+    # table holds one bit per odd integer up to the bound: 0.30 MB
     coords = whole_table(knuth, 22).coords
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
     table = bulk.norm_table(knuth, 22, bulk._norm_bound(knuth, 22))
-    assert table.dtype == np.uint8 and len(table) == bulk._norm_bound(knuth, 22) // 8 + 1
-    assert 0.60e6 < table.nbytes < 0.62e6
+    assert table.dtype == np.uint8 and len(table) == bulk._norm_bound(knuth, 22) // 16 + 1
+    assert 0.30e6 < table.nbytes < 0.31e6
 
 
 def test_prime_sieve_guards(knuth, monkeypatch):
@@ -236,46 +187,48 @@ def test_norm_table_inert_marks_match_root_scan(request, random_systems):
     assert 2 in ramified and len(ramified) > 1
 
 
-def unpacked(table, top):
-    return np.unpackbits(table, count=top + 1, bitorder="little")
+def assert_table_matches_sieve(ns, table, top):
+    """The odd bits of a norm table over 1..top against the uint8 sieve, the
+    bits past top clear, and prime_mask at every norm 0..top against the
+    sieve: the even norms have no bit, and 2 and (when 2 is inert) 4 are
+    prime unless the caller rules out norms below 5."""
+    expected = uint8_norm_sieve(top, ns.poly.coeffs if ns.degree == 2 else None) != 0
+    assert len(table) == top // 16 + 1
+    bits = np.unpackbits(table, bitorder="little")  # bit k: the odd integer 2k + 1
+    assert np.array_equal(bits[: (top + 1) // 2], expected[1::2]), (ns, top)
+    assert not bits[(top + 1) // 2 :].any()
+    norms = np.arange(top + 1)
+    assert np.array_equal(bulk.prime_mask(ns, norms, table), expected), (ns, top)
+    expected[::2] = False
+    assert np.array_equal(bulk.prime_mask(ns, norms, table, False), expected), (ns, top)
 
 
 def test_norm_table_marks_at_lambda(request, random_systems, monkeypatch):
     # the packed table against the uint8 sieve at every table of lambda <= 14
-    # under 3000 rows, with segments of 16 and 48 integers and the default
+    # under 3000 rows, with segments of 16 and 48 odd integers, whose sieving
+    # primes carry their multiples across many segments, and the default
     golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    inert_two = NumberSystem.parse("3,1,1", "0,0;1,0;2,0")  # 4 is a prime norm
     for segment in (16, 48, bulk.SIEVE_SEGMENT):
         monkeypatch.setattr(bulk, "SIEVE_SEGMENT", segment)
-        for ns in golden + list(random_systems):
+        for ns in golden + list(random_systems) + [inert_two]:
             lam = min(14, largest_lam(ns, 3000))
             top = bulk._norm_bound(ns, lam)
-            table = bulk.norm_table(ns, lam, top)
-            assert len(table) == top // 8 + 1
-            expected = uint8_norm_sieve(top, ns.poly.coeffs if ns.degree == 2 else None)
-            assert np.array_equal(unpacked(table, top), expected != 0), ns
-            assert not np.unpackbits(table, bitorder="little")[top + 1 :].any()
+            assert_table_matches_sieve(ns, bulk.norm_table(ns, lam, top), top)
 
 
 def test_packed_sieve_at_small_tops(request, random_systems, monkeypatch):
-    golden = [request.getfixturevalue(n) for n in ("knuth", "five_a", "five_b")]
-    quadratics = sorted({ns.poly.coeffs for ns in golden + list(random_systems)})
+    # the ring of each golden and random quadratic and inert-2 3,1,1, and
+    # negabinary for the sieve with no inert marks
+    names = ("negabinary", "knuth", "five_a", "five_b")
+    systems = [request.getfixturevalue(n) for n in names] + list(random_systems)
+    systems.append(NumberSystem.parse("3,1,1", "0,0;1,0;2,0"))
     for segment in (16, 48, bulk.SIEVE_SEGMENT):
         monkeypatch.setattr(bulk, "SIEVE_SEGMENT", segment)
-        for top in [*range(18), 63, 64, 65]:
-            for coeffs in [None, *quadratics]:
-                table = bulk._norm_bits(top, None if coeffs is None else coeffs[:2])
-                assert len(table) == top // 8 + 1
-                assert np.array_equal(unpacked(table, top), uint8_norm_sieve(top, coeffs) != 0), \
-                    (segment, top, coeffs)
-
-
-def strong_probable_prime(n, a):
-    """Whether odd n > 2 passes the strong probable-prime test to base a."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(a, d, n)
-    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+        for top in [*range(18), 63, 64, 65, 1000, 4099]:
+            for ns in systems:
+                table = bulk._norm_bits(top, ns.poly.coeffs[:2] if ns.degree == 2 else None)
+                assert_table_matches_sieve(ns, table, top)
 
 
 def test_bounded_primality_matches_trial_division():
@@ -389,14 +342,14 @@ def test_sumdigit_constants(knuth, negabinary):
 
 def test_weyl_matches_factorization(negabinary):
     for lam in (1, 5, 10):
-        [row] = analysis.weyl_sum(negabinary, digit_sum(negabinary), [GOLDEN_RATIO], 1, lam)
+        [row] = analysis.weyl_sum(negabinary, digit_sum(negabinary), [GOLDEN_RATIO], 1, [lam])
         ref = analysis.sod_factorization_reference(negabinary, GOLDEN_RATIO, 1, lam)
         assert abs(complex(row.re_sum, row.im_sum) - ref) <= 1e-9 * 2**lam
         assert row.count == 2**lam
 
 
 def test_weyl_exact_cancellation_and_trivial_phase(knuth):
-    half, zero = analysis.weyl_sum(knuth, digit_sum(knuth), [0.5, 0.0], 1, 6)
+    half, zero = analysis.weyl_sum(knuth, digit_sum(knuth), [0.5, 0.0], 1, [6])
     assert abs(complex(half.re_sum, half.im_sum)) < 1e-9
     assert zero.re_sum == 64.0 and zero.im_sum == 0.0
     assert zero.normalized == 1.0
@@ -404,7 +357,7 @@ def test_weyl_exact_cancellation_and_trivial_phase(knuth):
 
 def test_weyl_prime_filter_matches_scalar_loop(knuth):
     lam, alpha = 8, GOLDEN_RATIO
-    [row] = analysis.weyl_sum(knuth, digit_sum(knuth), [alpha], 1, lam, filter="primes")
+    [row] = analysis.weyl_sum(knuth, digit_sum(knuth), [alpha], 1, [lam], filter="primes")
     total, count = 0j, 0
     for n in numeration.enumerate_N(knuth, lam):
         if analysis.is_prime_element(knuth, n).kind in analysis.PRIME_KINDS:
@@ -417,7 +370,7 @@ def test_weyl_prime_filter_matches_scalar_loop(knuth):
 
 def test_weyl_rs_matches_scalar_loop(knuth):
     lam = 8
-    [row] = analysis.weyl_sum(knuth, pair_count(knuth), [0.5], 1, lam)
+    [row] = analysis.weyl_sum(knuth, pair_count(knuth), [0.5], 1, [lam])
     total = sum(
         cmath.exp(1j * math.pi * numeration.rudin_shapiro(knuth, n))
         for n in numeration.enumerate_N(knuth, lam)
@@ -427,19 +380,19 @@ def test_weyl_rs_matches_scalar_loop(knuth):
 
 def test_weyl_validation(knuth, five_b):
     with pytest.raises(UsageError):
-        analysis.weyl_sum(five_b, digit_sum(five_b), [0.5], 1, 4)  # digits not in Z
+        analysis.weyl_sum(five_b, digit_sum(five_b), [0.5], 1, [4])  # digits not in Z
     with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, pair_count(knuth), [LinearForm.parse("1/2,0")], 1, 4)
+        analysis.weyl_sum(knuth, pair_count(knuth), [LinearForm.parse("1/2,0")], 1, [4])
     with pytest.raises(UsageError):
-        analysis.weyl_sum(knuth, digit_sum(knuth), [0.5], 1, 4, filter="composite")
+        analysis.weyl_sum(knuth, digit_sum(knuth), [0.5], 1, [4], filter="composite")
 
 
 def test_weyl_thread_and_table_invariance(knuth):
     phases = [GOLDEN_RATIO, 0.5, 0.0, GOLDEN_RATIO]
-    rows = analysis.weyl_sum(knuth, pair_count(knuth), phases, 1, 10)
-    assert rows == [analysis.weyl_sum(knuth, pair_count(knuth), [p], 1, 10)[0] for p in phases]
+    rows = analysis.weyl_sum(knuth, pair_count(knuth), phases, 1, [10])
+    assert rows == [analysis.weyl_sum(knuth, pair_count(knuth), [p], 1, [10])[0] for p in phases]
     assert rows[0] == rows[3]
-    assert analysis.weyl_sum(knuth, pair_count(knuth), [], 1, 10) == []
+    assert analysis.weyl_sum(knuth, pair_count(knuth), [], 1, [10]) == []
 
 
 def weyl_cases(request):
@@ -460,12 +413,12 @@ def largest_lam(ns, rows):
 def test_weyl_rows_do_not_depend_on_blocks(request, each_row_block):
     for ns, fn, phase, lam in weyl_cases(request):
         for filter in ("all", "primes"):
-            first = analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, lam, filter)
+            first = analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, [lam], filter)
             for _ in each_row_block():
-                assert analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, lam, filter) == first
+                assert analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, [lam], filter) == first
     knuth = request.getfixturevalue("knuth")
     with pytest.raises(UsageError, match="nonnegative"):
-        analysis.weyl_sum(knuth, pair_count(knuth), [0.5], 1, -1, "primes")
+        analysis.weyl_sum(knuth, pair_count(knuth), [0.5], 1, [-1], "primes")
 
 
 def test_weyl_sum_is_fsum_of_row_summands(request):
@@ -474,7 +427,7 @@ def test_weyl_sum_is_fsum_of_row_summands(request):
     # sum of the row summands, rounded once like math.fsum
     for ns, fn, phase, lam in weyl_cases(request):
         for filter in ("all", "primes"):
-            [row] = analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, lam, filter)
+            [row] = analysis.weyl_sum(ns, STATISTICS[fn](ns), [phase], 3, [lam], filter)
             z = weyl_table_oracle(ns, fn, phase, 3, lam, filter)
             assert row.count == len(z)
             assert (row.re_sum, row.im_sum) == (math.fsum(z.real), math.fsum(z.imag)), (ns, fn)
@@ -496,7 +449,7 @@ def test_digit_histogram_matches_scalar_counter(request):
         lam = largest_lam(ns, 1500)
         for fn in ("sod", "rs"):
             for filter in ("all", "primes"):
-                hist = analysis._digit_histogram(ns, STATISTICS[fn](ns), lam, filter)
+                [hist] = analysis._digit_histogram(ns, STATISTICS[fn](ns), [lam], filter)
                 assert list(hist) == sorted(hist)  # ascending keys
                 assert hist == dict(scalar_histogram(ns, fn, lam, filter))
 
@@ -507,10 +460,11 @@ def test_closed_histogram_matches_enumeration(request):
     systems += [ns for ns, _ in request.getfixturevalue("cns_systems")]
     systems.append(NumberSystem.parse("2,2,1", "0,0;16777217,0"))  # a box of s(n) past its rows
     for ns in systems:
-        top = largest_lam(ns, 2**16)
-        for lam in sorted({0, 1, 2, top}):
-            for fn in ("sod", "rs"):
-                hist = analysis._closed_histogram(STATISTICS[fn](ns), lam)
+        lams = sorted({0, 1, 2, largest_lam(ns, 2**16)})  # one DP, read at each
+        for fn in ("sod", "rs"):
+            hists = analysis._closed_histogram(STATISTICS[fn](ns), lams)
+            assert len(hists) == len(lams)
+            for lam, hist in zip(lams, hists):
                 assert list(hist) == sorted(hist), (ns, fn, lam)
                 assert hist == dict(enumerated_histogram(ns, fn, lam)), (ns, fn, lam)
 
@@ -525,9 +479,9 @@ def test_digit_histogram_does_not_depend_on_blocks(request, each_row_block):
               (NumberSystem.parse("2,2,1", "0,0;16777217,0"), "sod", 9, ("all",))]
     for ns, fn, lam, filters in cases:
         for filter in filters:
-            first = analysis._digit_histogram(ns, STATISTICS[fn](ns), lam, filter)
+            [first] = analysis._digit_histogram(ns, STATISTICS[fn](ns), [lam], filter)
             for _ in each_row_block():
-                again = analysis._digit_histogram(ns, STATISTICS[fn](ns), lam, filter)
+                [again] = analysis._digit_histogram(ns, STATISTICS[fn](ns), [lam], filter)
                 assert list(again.items()) == list(first.items()), (ns, fn, filter)
 
 
@@ -541,12 +495,12 @@ def test_sparse_histogram_matches_scalar_counter(request, five_b, monkeypatch, e
         assert math.prod(lam * np.ptp(np.array(ns.digits), axis=0) + 1) > ns.Q**lam  # a wide box
         expected = dict(scalar_histogram(ns, "sod", lam, filter))
         for _ in each_row_block():
-            hist = analysis._digit_histogram(ns, digit_sum(ns), lam, filter)
+            [hist] = analysis._digit_histogram(ns, digit_sum(ns), [lam], filter)
             keys = list(hist)
             assert keys == sorted(keys)  # ascending, as every histogram's keys are
             assert hist == expected
     monkeypatch.setenv("RADIXION_CAP", "5")  # 27 values of s(n) over the 5 rows of N_1 fit
-    hist = analysis._digit_histogram(five_b, digit_sum(five_b), 1)
+    [hist] = analysis._digit_histogram(five_b, digit_sum(five_b), [1])
     assert len(hist) == 5 and list(hist.values()) == [1] * 5
 
 
@@ -568,9 +522,27 @@ def test_multi_phase_rows_equal_one_phase_rows(request, each_row_block):
             phases = mixed_phases(ns, fn)
             for filter in ("all", "primes"):
                 for _ in each_row_block():
-                    rows = analysis.weyl_sum(ns, STATISTICS[fn](ns), phases, 2, lam, filter)
-                    assert rows == [analysis.weyl_sum(ns, STATISTICS[fn](ns), [p], 2, lam, filter)[0]
+                    rows = analysis.weyl_sum(ns, STATISTICS[fn](ns), phases, 2, [lam], filter)
+                    assert rows == [analysis.weyl_sum(ns, STATISTICS[fn](ns), [p], 2, [lam], filter)[0]
                                     for p in phases]
+
+
+def test_lambda_list_rows_equal_one_lambda_rows(request):
+    # one DP or one prime pass for a request in no order, with repeats, gives
+    # the rows of one call per lambda, lambda by lambda, phases in order
+    systems = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    systems += list(request.getfixturevalue("random_systems"))
+    systems.append(NumberSystem.parse("2,2,1", "1,0;0,0"))  # the zero digit second
+    for ns in systems:
+        top = largest_lam(ns, 300)
+        lams = [top, 0, top - 1, 1, top]
+        for fn in ("sod", "rs"):
+            stat, phases = STATISTICS[fn](ns), mixed_phases(ns, fn)
+            for filter in ("all", "primes"):
+                rows = analysis.weyl_sum(ns, stat, phases, 2, lams, filter)
+                assert [row.lam for row in rows] == [lam for lam in lams for _ in phases]
+                assert rows == [row for lam in lams
+                                for row in analysis.weyl_sum(ns, stat, phases, 2, [lam], filter)]
 
 
 def test_bad_phase_fails_before_any_block(knuth, five_b, monkeypatch):
@@ -589,7 +561,7 @@ def test_bad_phase_fails_before_any_block(knuth, five_b, monkeypatch):
     for ns, fn, phases in cases:
         for filter in ("all", "primes"):
             with pytest.raises(UsageError):
-                analysis.weyl_sum(ns, STATISTICS[fn](ns), phases, 1, 6, filter)
+                analysis.weyl_sum(ns, STATISTICS[fn](ns), phases, 1, [6], filter)
 
 
 def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
@@ -608,12 +580,12 @@ def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
         monkeypatch.setenv("RADIXION_CAP", str(cap))
         for filter in ("all", "primes"):
             with pytest.raises(CapExceeded, match="histogram of %d bins for lambda %d" % (bins, lam)):
-                analysis.weyl_sum(five_b, digit_sum(five_b), [form], 1, lam, filter)
+                analysis.weyl_sum(five_b, digit_sum(five_b), [form], 1, [lam], filter)
 
 
 def test_weyl_normalized_bounded(knuth):
     for lam in (2, 5, 9):
-        [row] = analysis.weyl_sum(knuth, digit_sum(knuth), [GOLDEN_RATIO], 1, lam)
+        [row] = analysis.weyl_sum(knuth, digit_sum(knuth), [GOLDEN_RATIO], 1, [lam])
         assert 0.0 <= row.normalized <= 1.0 + 1e-9
 
 

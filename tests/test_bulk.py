@@ -273,7 +273,7 @@ def test_prime_pass_matches_per_row_oracle(request, monkeypatch):
                 got = np.concatenate(bulk.prime_rows(ns, lam)).tolist()
                 assert list(map(tuple, got)) == primes, (ns, lam, size)
                 for fn in ("sod", "rs"):
-                    hist = bulk.prime_histogram(ns, STATISTICS[fn](ns), lam)
+                    [hist] = bulk.prime_histogram(ns, STATISTICS[fn](ns), [lam])
                     assert list(hist) == sorted(hist)
                     assert hist == dict(expected[fn]), (ns, lam, fn, size)
             # a table past any budget: none is built, and each norm is tested alone
@@ -295,9 +295,9 @@ def test_prime_pass_in_both_widths(knuth, monkeypatch):
             numeration.NumberSystem.parse("5,4,1", "0,0;1,0;2,0;3,0;20004,0")]
     seen = []
 
-    def spy(ns, norms, table):
+    def spy(ns, norms, *args):
         seen.append(norms.dtype)
-        return mask(ns, norms, table)
+        return mask(ns, norms, *args)
 
     mask = bulk.prime_mask
     monkeypatch.setattr(bulk, "prime_mask", spy)
@@ -311,7 +311,43 @@ def test_prime_pass_in_both_widths(knuth, monkeypatch):
         assert set(seen) == {np.dtype(width)}
         for fn, values in (("sod", s), ("rs", r)):
             expected = collections.Counter(v for v, p in zip(values, prime) if p)
-            assert bulk.prime_histogram(ns, STATISTICS[fn](ns), lam) == dict(expected), (ns, fn)
+            assert bulk.prime_histogram(ns, STATISTICS[fn](ns), [lam]) == [dict(expected)], (ns, fn)
+
+
+def test_one_pass_counts_every_lambda(request, monkeypatch):
+    """prime_histogram over several lambda in one request: each histogram of
+    the one pass at the largest against a separate pass at that lambda and
+    against the per-row oracle, both statistics.  On the golden, random and
+    CNS systems of degree <= 2, Knuth's base with the zero digit listed
+    second (N_lam is then no prefix of N_top) and 3,1,1 (2 inert, so norm 4
+    is prime), at the largest lambda with Q^lambda <= 1024, under low tables
+    of Q^2 rows (lambda 0 and 1 below their positions, the rest above) and
+    of ROW_BLOCK rows (every lambda below or at them)."""
+    cns = [ns for ns, _ in request.getfixturevalue("cns_systems") if ns.degree <= 2]
+    systems = golden_and_random(request) + cns + [
+        numeration.NumberSystem.parse("2,2,1", "1,0;0,0"),
+        numeration.NumberSystem.parse("3,1,1", "0,0;1,0;2,0")]
+    for ns in systems:
+        top = oracle_depth(ns, 1024)
+        lams = sorted({0, 1, 2, top - 1, top})
+        expected = {}
+        for lam in lams:
+            rows, prime, s, r = per_row_oracle(ns, lam)
+            expected["sod", lam] = dict(collections.Counter(v for v, p in zip(s, prime) if p))
+            expected["rs", lam] = dict(collections.Counter(v for v, p in zip(r, prime) if p))
+        for size in (ns.Q**2, bulk.ROW_BLOCK):
+            monkeypatch.setattr(bulk, "ROW_BLOCK", size)
+            for fn in ("sod", "rs"):
+                hists = bulk.prime_histogram(ns, STATISTICS[fn](ns), lams)
+                assert len(hists) == len(lams)
+                for lam, hist in zip(lams, hists):
+                    assert list(hist) == sorted(hist)
+                    assert hist == expected[fn, lam], (ns, fn, lam, size)
+                    assert bulk.prime_histogram(ns, STATISTICS[fn](ns), [lam]) == [hist]
+    knuth = request.getfixturevalue("knuth")  # the criterion-7 request: N_14 is high row 0 of N_22
+    monkeypatch.undo()
+    assert [sum(h.values()) for h in bulk.prime_histogram(knuth, pair_count(knuth), [14, 22])] \
+        == [2717, 399222]
 
 
 def test_distinct_rows_match_numpy_unique():
@@ -339,10 +375,10 @@ def test_prime_histogram_memory_fence(knuth):
     values, the norms and the keys in int32, and the low coordinates freed
     once the norm vectors are taken from them."""
     stat = pair_count(knuth)
-    bulk.prime_histogram(knuth, stat, 4)  # lazy imports, outside the trace
+    bulk.prime_histogram(knuth, stat, [4])  # lazy imports, outside the trace
     tracemalloc.start()
     try:
-        hist = bulk.prime_histogram(knuth, stat, 22)
+        [hist] = bulk.prime_histogram(knuth, stat, [22])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,10 +391,10 @@ def test_prime_histogram_streams_small_chunks(knuth):
     2.0 MB of traced allocations: its per-high-row norms, masks and counts
     span one low table of at most ROW_BLOCK (2^14) rows."""
     stat = pair_count(knuth)
-    bulk.prime_histogram(knuth, stat, 4)  # lazy imports, outside the trace
+    bulk.prime_histogram(knuth, stat, [4])  # lazy imports, outside the trace
     tracemalloc.start()
     try:
-        hist = bulk.prime_histogram(knuth, stat, 22)
+        [hist] = bulk.prime_histogram(knuth, stat, [22])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -158,6 +158,39 @@ def test_huge_sizes_are_refused_by_name(capsysbinary, argv):
     assert len(line) <= 200 and (b"5^100000 " in line or b"2^20000 " in line), line
 
 
+def test_every_lambda_is_checked_before_any_pass(capsysbinary, monkeypatch):
+    # --lambda 14,60: lambda 60 exits 3 on the element cap, and no lambda-14
+    # work comes first, over the primes or over all of N_lambda
+    def no_work(*args):
+        raise AssertionError("work started before every lambda was checked")
+
+    monkeypatch.setattr(bulk, "split_tables", no_work)
+    monkeypatch.setattr(bulk, "norm_table", no_work)
+    monkeypatch.setattr(analysis, "_closed_histogram", no_work)
+    for filter in ("primes", "all"):
+        code, out, err = run(capsysbinary, "weyl", *KNUTH, "--fn", "rs", "--alpha", "0.5",
+                             "--lambda", "14,60", "--filter", filter)
+        assert (code, out) == (3, b"")
+        (line,) = [line for line in err.splitlines() if line.startswith(b"error:")]
+        assert line == b"error: table of %d elements exceeds cap %d" % (2**60, 2**24)
+
+
+def test_prime_request_builds_one_table_and_one_split(capsysbinary, monkeypatch):
+    # every lambda of a weyl --filter primes request, in any order and with
+    # repeats, is counted by one pass: one split, one norm table
+    calls = []
+    for name in ("split_tables", "norm_table"):
+        def spy(*args, name=name, real=getattr(bulk, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(bulk, name, spy)
+    for lams in ("14,22", "3,16,14,8,14"):
+        calls.clear()
+        code, _, _ = run(capsysbinary, "weyl", *KNUTH, "--fn", "rs", "--alpha", "0.6180339887",
+                         "--lambda", lams, "--filter", "primes")
+        assert code == 0 and sorted(calls) == ["norm_table", "split_tables"], lams
+
+
 def test_huge_powers_are_never_built():
     # building 5^(10^8) takes more than a minute
     with pytest.raises(CapExceeded, match=r"table of 5\^100000000 elements exceeds cap 16777216"):
