@@ -294,6 +294,8 @@ def _digit_histogram(ns: NumberSystem, stat: DigitStatistic, lams: list,
     """
     if filter not in ("all", "primes"):
         raise UsageError("filter must be 'all' or 'primes'")
+    if not lams:
+        raise UsageError("no expansion length given")
     if filter == "primes":
         from . import bulk
     columns = list(zip(*(inc for row in stat.step for _, inc in row)))

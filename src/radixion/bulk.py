@@ -9,22 +9,22 @@ That is exact integer arithmetic, so every split gives the same rows.
 Every streamed stage walks it one high row at a time: the prime pass,
 numeration.enumerate_N and the tile cloud.  Its temporaries
 scale with the low table, so ROW_BLOCK is 2^14 rows: the traced peak of
-the lambda-22 prime histogram is 1.2 MB, against 3.3-3.4 MB at 2^16.  When
+the lambda-22 prime histogram is 1.0-1.1 MB, against 2.9-3.4 MB at 2^16.  When
 Q^lam fits in ROW_BLOCK the low table is all of N_lam, the table that
 tile.lattice_area looks stripped centres up in, keyed by box_places.
-The two tables are built by a meet-in-the-middle merge of shorter whole
-tables, which also carries the value of the digit statistic a caller asks
-for (the digit sum or the adjacent-nonzero-pair count,
-numeration.DigitStatistic) without re-expanding any element, by one rule:
-the low half's value plus the high half's from the state the low half
-leaves.  The prime pass
+The two tables hold coordinates only, each built by a meet-in-the-middle
+merge of shorter whole tables (_build_table).  A digit statistic (the
+digit sum or the adjacent-nonzero-pair count, numeration.DigitStatistic)
+is read apart, off the digit indices that a row's index spells
+(statistic_rows), without expanding any element.  The prime pass
 (prime_blocks) builds no row: per high row, the norms of its rows are a
-binary quadratic form over vectors derived once from the low table, each
-odd norm's verdict is one bit of norm_table (or, when that table would
-outweigh the rows, the norm's own primality test), and the statistic adds
-over the split by the same rule.  One pass counts the prime histograms of
-every lambda of a request (prime_histogram), since N_lambda is a block of
-the rows of N_top for lambda <= top.
+binary quadratic form over vectors derived once from the low table, and
+each odd norm's verdict is one bit of norm_table (or, when that table
+would outweigh the rows, the norm's own primality test).  The statistic
+adds over the split: a row's value is its low row's plus its high row's
+read from the state the low row leaves.  One pass counts the prime
+histograms of every lambda of a request (prime_histogram), since N_lambda
+is a block of the rows of N_top for lambda <= top.
 strip_columns is backward division on whole int64 coordinate columns.
 Coordinates and counts are int64.  The statistic's values, the norms of
 the split pass and the ranks of distinct rows take the width _int_type
@@ -35,7 +35,6 @@ so a narrow width never wraps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,37 +113,26 @@ def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class DigitTable:
-    """Rows of N_lam, row-aligned, and when a caller asks for a digit
-    statistic, each row's value and exit state from each entry state.  The
-    values take the width of the statistic's value box over the length the
-    table was split from (split_tables), int32 unless that box passes 2^31."""
-
-    lam: int
-    coords: np.ndarray  # (rows, d) int64 element values
-    values: np.ndarray | None  # (states, rows, width) value per entry state
-    exits: np.ndarray | None  # (states, rows) int8 exit state per entry state
-
-
-def split_tables(ns: NumberSystem, lam: int, stat=None) -> tuple:
-    """(low, high, offsets), the tables carrying the statistic `stat`: row
-    h * |low| + l of N_lam is low row l plus offsets[h], the value of high
-    row h shifted up by low.lam positions.  The low table has the most
-    bottom positions whose rows fit in ROW_BLOCK.  The cap (in elements) and
-    the int64 range of the coordinates are checked before either table is
-    built.  Both tables hold the statistic's values in the one width of its
-    value box over N_lam, lam * [min, max] of the increments, which holds
-    every value of either half and of each merge."""
+def split_tables(ns: NumberSystem, lam: int) -> tuple:
+    """(low, offsets): row h * |low| + l of N_lam is low row l plus
+    offsets[h], the value of high row h shifted up by the low table's
+    positions, the most bottom positions whose rows fit in ROW_BLOCK
+    (_low_positions).  Both are (rows, d) int64 coordinates.  The cap (in
+    elements) and the int64 range of the coordinates are checked before
+    either table is built."""
     _check_rows(ns, lam)
-    positions = 0  # in the low table: the most, up to lam, within ROW_BLOCK rows
-    while positions < lam and ns.Q ** (positions + 1) <= ROW_BLOCK:
+    positions = _low_positions(ns.Q, lam)
+    return (_build_table(ns, positions),
+            _build_table(ns, lam - positions) @ q_power_matrix(ns.poly, positions).T)
+
+
+def _low_positions(Q: int, lam: int) -> int:
+    """The positions of the low table of N_lam's split: the most, up to lam,
+    whose Q^positions rows fit in ROW_BLOCK."""
+    positions = 0
+    while positions < lam and Q ** (positions + 1) <= ROW_BLOCK:
         positions += 1
-    dtype = None if stat is None else _int_type(
-        lam * max(abs(x) for row in stat.step for _, inc in row for x in inc))
-    low = _build_table(ns, positions, stat, dtype)
-    high = _build_table(ns, lam - low.lam, stat, dtype)
-    return low, high, high.coords @ q_power_matrix(ns.poly, low.lam).T
+    return positions
 
 
 def _check_rows(ns: NumberSystem, lam: int) -> None:
@@ -156,43 +144,39 @@ def _check_rows(ns: NumberSystem, lam: int) -> None:
         raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
 
 
-def _base_table(ns: NumberSystem, lam: int, stat, dtype) -> DigitTable:
-    """The table of N_0 (the empty string, which adds nothing and leaves
-    the state it is read in) or of N_1 (the digits, one step each)."""
-    coords = np.array(ns.digits if lam else [(0,) * ns.degree], dtype=np.int64)
-    if stat is None:
-        return DigitTable(lam, coords, None, None)
-    moves = stat.step if lam else [[(s, (0,) * stat.width)] for s in range(len(stat.states))]
-    return DigitTable(lam, coords, np.array([[inc for _, inc in row] for row in moves], dtype),
-                      np.array([[nxt for nxt, _ in row] for row in moves], np.int8))
-
-
-def _build_table(ns: NumberSystem, lam: int, stat, dtype=np.int64) -> DigitTable:
-    """The whole table of N_lam carrying `stat` in values of type `dtype`,
+def _build_table(ns: NumberSystem, lam: int) -> np.ndarray:
+    """The (Q^lam, d) int64 coordinates of the whole table of N_lam,
     unchecked (split_tables checks): row h * |low| + l merges row l of the
     table of the bottom lam - lam // 2 positions with row h of the top
-    lam // 2, one outer sum per coordinate.  The one merge rule of the
-    statistic: from each entry state, the value is the low row's plus the
-    high row's from the state the low row leaves, and the exit state is the
-    high row's."""
-    if lam <= 1:
-        return _base_table(ns, lam, stat, dtype)
-    low = _build_table(ns, lam - lam // 2, stat, dtype)
-    high = _build_table(ns, lam // 2, stat, dtype)
-    offsets = high.coords @ q_power_matrix(ns.poly, low.lam).T
-    coords = np.empty((len(offsets), len(low.coords), ns.degree), np.int64)
-    for k in range(ns.degree):  # row h * len(low) + l is offsets[h] + low.coords[l]
-        np.add.outer(offsets[:, k], low.coords[:, k], out=coords[:, :, k])
-    coords = coords.reshape(-1, ns.degree)
-    if stat is None:
-        return DigitTable(lam, coords, None, None)
-    # [state, h, l]: high row h read in the state that low row l leaves
-    into, rows = low.exits[:, None, :], np.arange(len(offsets))[None, :, None]
-    values = high.values[into, rows]
-    values += low.values[:, None]
-    states = len(stat.states)
-    return DigitTable(lam, coords, values.reshape(states, -1, stat.width),
-                      high.exits[into, rows].reshape(states, -1))
+    lam // 2, one outer sum per coordinate."""
+    if lam <= 1:  # N_0, the empty string, or N_1, the digits
+        return np.array(ns.digits if lam else [(0,) * ns.degree], dtype=np.int64)
+    low = _build_table(ns, lam - lam // 2)
+    offsets = _build_table(ns, lam // 2) @ q_power_matrix(ns.poly, lam - lam // 2).T
+    coords = np.empty((len(offsets), len(low), ns.degree), np.int64)
+    for k in range(ns.degree):  # row h * len(low) + l is offsets[h] + low[l]
+        np.add.outer(offsets[:, k], low[:, k], out=coords[:, :, k])
+    return coords.reshape(-1, ns.degree)
+
+
+def statistic_rows(stat, Q: int, lam: int, top: int, entry: int) -> tuple:
+    """(exits, values) of the digit statistic `stat` over the rows of N_lam
+    read from the entry state `entry`, by its definition: row i reads digit
+    index (i // Q^j) % Q at position j, lowest first, and the automaton
+    steps once per position.  So the rows of N_j+1 are Q blocks, one per
+    digit index t at position j, each the rows of N_j stepped on by t.
+    exits is (Q^lam,) int8, the state each row leaves; values is (Q^lam,
+    width) in the width of the statistic's value box over N_top (top >=
+    lam), top * max |increment|, which holds every value of a row of N_top,
+    so also the sum of a low and a high row's."""
+    width = _int_type(top * max(abs(x) for row in stat.step for _, inc in row for x in inc))
+    nxt = np.array([[row[t][0] for row in stat.step] for t in range(Q)], np.int8)
+    inc = np.array([[row[t][1] for row in stat.step] for t in range(Q)], width)
+    exits, values = np.array([entry], np.int8), np.zeros((1, stat.width), inc.dtype)
+    for _ in range(lam):  # [t, i]: digit index t read after the row i of N_j
+        values = (inc[:, exits] + values).reshape(-1, stat.width)
+        exits = nxt[:, exits].ravel()
+    return exits, values
 
 
 def box_places(lo: list, hi: list) -> tuple:
@@ -394,28 +378,28 @@ def pass_bounds(ns: NumberSystem, lam: int) -> tuple:
     return bound, top, top // 16 + 1 <= 8 * ns.degree * ns.Q**lam
 
 
-def prime_blocks(ns: NumberSystem, lam: int, stat=None) -> tuple:
-    """(low, high, offsets, masks): the split of N_lam (split_tables), whose
-    tables carry the statistic `stat`, and a generator of (h, mask) per high
-    row h, in order, mask marking the low rows l at which the row l +
-    offsets[h] is prime.  Every check (pass_bounds) is made when called,
-    before anything is built.  Each norm comes from _split_norms and its
-    verdict from prime_mask, told which high rows may hold a norm below 5
-    (_small_norm_rows); without the norm table each norm is tested alone."""
+def prime_blocks(ns: NumberSystem, lam: int) -> tuple:
+    """(low, offsets, masks): the split of N_lam (split_tables) and a
+    generator of (h, mask) per high row h, in order, mask marking the low
+    rows l at which the row l + offsets[h] is prime.  Every check
+    (pass_bounds) is made when called, before anything is built.  Each norm
+    comes from _split_norms and its verdict from prime_mask, told which high
+    rows may hold a norm below 5 (_small_norm_rows); without the norm table
+    each norm is tested alone."""
     bound, top, table = pass_bounds(ns, lam)
-    low, high, offsets = split_tables(ns, lam, stat)
+    low, offsets = split_tables(ns, lam)
     table = norm_table(ns, lam, top) if table else None
-    columns = low.coords.T.astype(_int_type(bound), order="C")
+    columns = low.T.astype(_int_type(bound), order="C")
     small = _small_norm_rows(ns, columns, offsets)
     masks = ((h, prime_mask(ns, norm, table, small[h]))
              for h, norm in _split_norms(ns, columns, offsets))
-    return low, high, offsets, masks
+    return low, offsets, masks
 
 
 def prime_rows(ns: NumberSystem, lam: int) -> list:
     """The prime elements of N_lam in enumeration order, one array per high row."""
-    low, _, offsets, masks = prime_blocks(ns, lam)
-    return [low.coords[mask] + offsets[h] for h, mask in masks]
+    low, offsets, masks = prime_blocks(ns, lam)
+    return [low[mask] + offsets[h] for h, mask in masks]
 
 
 def _distinct_rows(columns: list) -> tuple:
@@ -447,12 +431,13 @@ def prime_histogram(ns: NumberSystem, stat, lams: list) -> list:
     of the ascending list `lams`, all from one pass over N_top, top the
     largest (prime_blocks).  The value adds over the split (split_tables):
     v(l + o_h) is v(l) plus high row h's value from the state e(l) that low
-    row l leaves.  So the low rows are keyed by their distinct pairs (e(l),
-    v(l)) and the high rows by their distinct vectors of values from each
-    state (_distinct_rows); each high row's prime low rows are counted by
-    pair in one bincount, added into its vector's line of a count matrix,
-    and each occupied cell's value, v(l) plus the vector's value from e(l),
-    is merged by the same sort.
+    row l leaves.  So statistic_rows reads the low rows from the start state
+    only and the high rows from every state; the low rows are keyed by their
+    distinct pairs (e(l), v(l)) and the high rows by their distinct vectors
+    of values from each state (_distinct_rows); each high row's prime low
+    rows are counted by pair in one bincount, added into its vector's line
+    of a count matrix, and each occupied cell's value, v(l) plus the
+    vector's value from e(l), is merged by the same sort.
 
     N_lam is the block of rows of N_top whose digits from position lam up
     are all the zero digit (_zero_block), a prefix when that digit is listed
@@ -463,18 +448,19 @@ def prime_histogram(ns: NumberSystem, stat, lams: list) -> list:
     rows of the high row of zero digits, counted apart."""
     top = lams[-1]
     zero = ns.digits.index(ns.zero)
-    assert top == lams[0] or not any(any(row[zero][1]) for row in stat.step), \
-        "the zero digit adds to the statistic, so N_lam has other values within N_top"
-    low, high, _, masks = prime_blocks(ns, top, stat)
-    positions = low.lam
-    pairs = [low.exits[stat.start], *low.values[stat.start].T]
+    if top != lams[0] and any(any(row[zero][1]) for row in stat.step):
+        raise UsageError("the zero digit adds to the statistic, so N_lambda is not counted"
+                         " within N_%d" % top)
+    low, offsets, masks = prime_blocks(ns, top)
     del low  # its coordinates, a quarter of the pass's memory, are not read here
-    (exits, *values), keys = _distinct_rows(pairs)
-    states, rows, width = high.values.shape
-    vectors, lines = _distinct_rows(list(high.values.transpose(0, 2, 1).reshape(-1, rows)))
+    positions, states = _low_positions(ns.Q, top), len(stat.states)
+    exits, values = statistic_rows(stat, ns.Q, positions, top, stat.start)
+    (exits, *values), keys = _distinct_rows([exits, *values.T])
+    vectors, lines = _distinct_rows([column for state in range(states) for column in
+                                     statistic_rows(stat, ns.Q, top - positions, top, state)[1].T])
     counts = np.zeros((len(lams), len(vectors[0]), len(exits)), np.int64)
     below = [_zero_block(ns.Q, zero, lam, positions) for lam in lams if lam < positions]
-    first = np.empty(rows, np.intp)  # per high row, the first lam whose block holds it
+    first = np.empty(len(offsets), np.intp)  # per high row, the first lam whose block holds it
     for i in reversed(range(len(below), len(lams))):
         start, size = _zero_block(ns.Q, zero, lams[i] - positions, top - positions)
         first[start : start + size] = i
@@ -484,7 +470,7 @@ def prime_histogram(ns: NumberSystem, stat, lams: list) -> list:
         for i, (start, size) in enumerate(below if h == home else ()):
             part = slice(start, start + size)
             counts[i, lines[h]] += np.bincount(keys[part][mask[part]], minlength=len(exits))
-    vectors = np.stack(vectors, axis=1).reshape(-1, states, width)
+    vectors = np.stack(vectors, axis=1).reshape(-1, states, stat.width)
     values = np.stack(values, axis=1)
     hists = []
     for count in counts:

@@ -443,6 +443,10 @@ def _cmd_weyl(args) -> _Artifact:
             raise UsageError("the factorization identity sums over all of N_lambda")
         if args.identity_alphas < 1:
             raise UsageError("--identity-alphas takes a positive count")
+        if min(lams) < 0:
+            raise UsageError("expansion length must be nonnegative")
+        if max(lams) < 1:
+            raise UsageError("the identity check needs a lambda of at least 1")
         check_samples(args.identity_alphas, 1, "identity alphas")
         alphas = [m / 2**algebra.SAMPLE_BITS
                   for m in algebra.dyadic_samples(args.seed, args.identity_alphas)]

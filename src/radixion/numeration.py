@@ -277,12 +277,12 @@ def is_fns(ns: NumberSystem) -> FnsVerdict:
 def enumerate_N(ns: NumberSystem, lam: int):
     """Stream the Q^lam values with expansions of length <= lam: element i
     carries digit index (i // Q^j) % Q in position j, so a fixed top digit
-    is one contiguous block of indices.  Read from bulk.split_tables, the
-    low table plus one offset at a time.  The length and the cap are
-    checked when called."""
+    is one contiguous block of indices.  Read from bulk.split_tables, whose
+    tables hold coordinates only: the low table plus one offset at a time.
+    The length and the cap are checked when called."""
     from . import bulk
-    low, _, offsets = bulk.split_tables(ns, lam)
-    return (tuple(row) for offset in offsets for row in (low.coords + offset).tolist())
+    low, offsets = bulk.split_tables(ns, lam)
+    return (tuple(row) for offset in offsets for row in (low + offset).tolist())
 
 
 class DigitStatistic(NamedTuple):

@@ -167,9 +167,9 @@ def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
     Low rows and offsets lie in N_depth too (0 is a digit), so every
     numerator, and the sum of two, is exact (_cloud_power)."""
     power, denom = _cloud_power(ns, depth)
-    low, _, offsets = bulk.split_tables(ns, depth)
+    low, offsets = bulk.split_tables(ns, depth)
     scale_t = np.array(power, dtype=np.float64).T
-    return np.asfortranarray(low.coords @ scale_t), offsets @ scale_t, denom
+    return np.asfortranarray(low @ scale_t), offsets @ scale_t, denom
 
 
 def _sums(low_num: np.ndarray, off_num: np.ndarray):
@@ -311,7 +311,7 @@ def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, res: int
     if m == 0:
         return _Fine()
     sign = 1 if ns.poly.coeffs[0] ** depth > 0 else -1
-    rows = bulk._build_table(ns, m, None).coords  # N_m, within N_depth's checked range
+    rows = bulk._build_table(ns, m)  # N_m, within N_depth's checked range
     cloud = rows @ (sign * np.array(power, dtype=np.float64)).T  # exact, as in _cloud_numerators
     lo = cloud.min(axis=0)
     cloud -= lo  # exact: F spans less than a cell
@@ -575,8 +575,8 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
     low_lo, low_hi = bulk.coordinate_ranges(ns, m)
     place, span = bulk.box_places(low_lo, low_hi)
     table = np.zeros(span, dtype=bool)  # N_m over its box
-    low, _, _ = bulk.split_tables(ns, m)  # Q^m <= ROW_BLOCK: the low table is all of N_m
-    table[(low.coords - low_lo) @ place] = True
+    low, _ = bulk.split_tables(ns, m)  # Q^m <= ROW_BLOCK: the low table is all of N_m
+    table[(low - low_lo) @ place] = True
     cell = (hi - lo) / res
     # the term of q^k c from axis a is the centre coordinate times column a
     terms = [np.outer(lo[a] + (np.arange(res) + 0.5) * cell[a], power[:, a]) for a in range(d)]

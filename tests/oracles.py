@@ -6,6 +6,7 @@ import collections
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,12 +18,13 @@ from radixion.errors import CapExceeded
 STATISTICS = {"sod": numeration.digit_sum, "rs": numeration.pair_count}
 
 
-def whole_table(ns, lam, stat=None, dtype=np.int64):
-    """All rows of N_lam in one DigitTable carrying `stat`, its values of
-    type `dtype`, in enumeration order: the meet-in-the-middle merge of
-    bulk._build_table, with no split and no streaming.  It checks no cap, no
-    int64 range and no value width."""
-    return bulk._build_table(ns, lam, stat, dtype)
+def whole_table(ns, lam):
+    """All rows of N_lam as one (Q^lam, d) int64 coordinate array, in
+    enumeration order: the meet-in-the-middle merge of bulk._build_table,
+    with no split and no streaming.  It checks no cap and no int64 range.
+    The reference for the split of bulk.split_tables; a digit statistic over
+    the same rows is automaton_table's."""
+    return bulk._build_table(ns, lam)
 
 
 def count_rows(ns, lam):
@@ -39,24 +41,35 @@ def count_rows(ns, lam):
     place, span = bulk.box_places(lo, hi)
     if span >= bulk.INT64_GUARD:
         raise CapExceeded("row keys of N_%d span %d values, beyond the int64 budget" % (lam, span))
-    low, _, offsets = bulk.split_tables(ns, lam)
+    low, offsets = bulk.split_tables(ns, lam)
     shifts = [sum(v * p for v, p in zip(row, place)) for row in offsets.tolist()]  # exact
     dtype = bulk._int_type(span)
-    low_keys = ((low.coords - lo) @ place).astype(dtype)
+    low_keys = ((low - lo) @ place).astype(dtype)
     keys = np.add.outer(np.array(shifts, dtype), low_keys).ravel()
     keys.sort()
     return len(keys), int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
-def automaton_value(stat, indices):
-    """The value of a digit string (indices, lowest first) under the digit
-    statistic `stat`, one step per digit from its start state.  The
-    reference for the statistic's own step table."""
-    state, value = stat.start, (0,) * stat.width
+def automaton_value(stat, indices, state=None):
+    """(exit state, value) of a digit string (indices, lowest first) under
+    the digit statistic `stat`, one step per digit from `state` (default its
+    start state).  The reference for the statistic's own step table."""
+    state, value = stat.start if state is None else state, (0,) * stat.width
     for t in indices:
         state, inc = stat.step[state][t]
         value = tuple(a + b for a, b in zip(value, inc))
-    return value
+    return state, value
+
+
+def automaton_table(stat, Q, lam, state):
+    """(exits, values), lists over the rows of N_lam of automaton_value from
+    `state` on row i's digit indices (i // Q^j) % Q, lowest first, one row at
+    a time in Python integers: the reference for bulk.statistic_rows, and,
+    over the split, for the rule by which bulk.prime_histogram adds a low
+    row's value to its high row's."""
+    runs = [automaton_value(stat, [i // Q**j % Q for j in range(lam)], state)
+            for i in range(Q**lam)]
+    return [e for e, _ in runs], [v for _, v in runs]
 
 
 def scalar_values(ns, fn, rows):
@@ -199,7 +212,7 @@ def weyl_table_oracle(ns, fn, phase, h, lam, filter):
     primes by analysis.is_prime_element: the reference for its exact sums."""
     z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, lam))
     if filter == "primes":
-        rows = whole_table(ns, lam).coords.tolist()
+        rows = whole_table(ns, lam).tolist()
         z = z[[analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]]
     return z
 
@@ -214,7 +227,7 @@ def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
     weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
     best = []
     for lam in range(1, lam_max + 1):
-        coords = whole_table(ns, lam).coords
+        coords = whole_table(ns, lam)
         angles = coords.astype(np.float64) @ weights.T + _phase_values(ns, fn, phase, lam)[:, None]
         best.append(float(np.abs(np.exp(2j * math.pi * angles).sum(axis=0)).max()))
     return best
@@ -364,3 +377,116 @@ def polyfit_boxdim(resolutions, counts):
     logs_c = np.log(np.array(counts, dtype=np.float64))
     coeffs, residuals, *_ = np.polyfit(logs_r, logs_c, 1, full=True)
     return float(coeffs[0]), float(residuals[0]) if len(residuals) else 0.0
+
+
+def census_scalar_oracle(ns, mu, nu, rho):
+    """The count of the m in N_mu whose digits from position nu up change
+    when some nonzero n of N_nu-rho is added, by a literal double loop of
+    numeration.digit_slice on each sum's own expansion: the reference for
+    carry.carry_census, which counts through the carry automaton."""
+    changed = 0
+    shifts = [n for n in numeration.enumerate_N(ns, nu - rho) if n != ns.zero]
+    for m in numeration.enumerate_N(ns, mu):
+        base = numeration.digit_slice(ns, m, nu, math.inf)
+        for n in shifts:
+            moved = algebra.add(ns.poly, m, n)
+            if numeration.digit_slice(ns, moved, nu, math.inf) != base:
+                changed += 1
+                break
+    return changed
+
+
+def charpoly(successors) -> list:
+    """det(xI - A) of the graph of weighted successor lists, with integer
+    coefficients, leading first, by Faddeev-LeVerrier: M_1 = I, c_{n-k} =
+    -tr(A M_k)/k, M_{k+1} = A M_k + c_{n-k} I.  Its largest real root, found
+    on sturm_chain, is the exact reference for the Perron roots of
+    carry.carry_constant and carry.cns_subset_graph."""
+    n = len(successors)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a * m[j][col] for j, a in row) for col in range(n)] for row in successors]
+        trace = sum(m[i][i] for i in range(n))
+        assert trace % k == 0
+        coeffs.append(-trace // k)
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+    return coeffs
+
+
+def sturm_chain(p) -> list:
+    """p, p', then -rem(p_{k-1}, p_k) up to positive factors, each primitive:
+    the Sturm sequence whose sign changes count the real roots above a
+    point, exactly, for the bisection that checks the Perron roots of
+    carry.carry_constant, carry.cns_subset_graph and carry.cns_collapsed."""
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r, steps = list(a), 0
+        while len(r) >= len(b):  # pseudo-division: r <- lc(b) r - r_0 x^k b
+            r = [b[0] * x - r[0] * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
+            steps += 1
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            break
+        sign = -1 if b[0] > 0 or steps % 2 == 0 else 1  # -rem, times lc(b)^-steps
+        content = math.gcd(*r)
+        chain.append([sign * c // content for c in r])
+    return chain
+
+
+def fixed_order_chart(pts, chart):
+    """pts @ chart, each entry the sum of its terms in row order of chart:
+    the charting of tile._chart, term for term, for the cloud oracles."""
+    columns = [sum((pts[:, k] * chart[k, j] for k in range(1, len(chart))), pts[:, 0] * chart[0, j])
+               for j in range(chart.shape[1])]
+    return np.stack(columns, axis=1)
+
+
+def doubling_cloud(ns, depth, space_tag="coordinate"):
+    """The whole cloud in one array, level by level, (x + b) q^-1 per digit:
+    the one-pass route, exact when c_0 = +-2, and so the bit-for-bit
+    reference for the streamed chunks of tile.cloud_chunks and the rasters
+    of tile.tile_rasters on those systems."""
+    minv_t = tile._inverse_base_matrix(ns).T
+    digits = np.array(ns.digits, dtype=np.float64)
+    pts = np.zeros((1, ns.degree))
+    for _ in range(depth):
+        pts = np.concatenate([(pts + b) @ minv_t for b in digits])
+    if space_tag == "embedding":
+        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
+    return pts
+
+
+def rounded_cloud(ns, depth, space_tag="coordinate"):
+    """The float nearest each exact point q^-k n, n a row of N_k (whole_table),
+    from exact integers: u^k n / c_0^k with q u = c_0; charted as
+    doubling_cloud.  The reference for the points of tile.cloud_chunks when
+    c_0 is not +-2, whose levels do not double exactly."""
+    uk = (1,) + (0,) * (ns.degree - 1)
+    for _ in range(depth):
+        uk = algebra.mul(ns.poly, uk, algebra.u_element(ns.poly))
+    denom = ns.poly.coeffs[0] ** depth
+    pts = np.array([[float(Fraction(v, denom)) for v in algebra.mul(ns.poly, uk, tuple(n))]
+                    for n in whole_table(ns, depth).tolist()])
+    if space_tag == "embedding":
+        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
+    return pts
+
+
+def cells_of(pts, lo, hi, resolution):
+    """Cell of every point over the window [lo, hi], in plain arithmetic:
+    the reference for the binning of tile's rasters."""
+    idx = (pts - lo) / (hi - lo) * resolution
+    return np.clip(idx.astype(np.int64), 0, resolution - 1)
+
+
+def occupancy_of(pts, bbox, resolution):
+    """The grid marked at cells_of every point over the window bbox, in one
+    array: the reference for the occupancy of tile.tile_rasters, which bins
+    or pools the streamed cloud chunk by chunk."""
+    grid = np.zeros((resolution,) * pts.shape[1], dtype=bool)
+    grid[tuple(cells_of(pts, *np.array(bbox).T, resolution).T)] = True
+    return grid

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from oracles import whole_table
 
-from radixion import numeration
+from radixion import bulk, numeration
 from radixion.numeration import NumberSystem, digit_sum
 
 KNUTH = ("--poly", "2,2,1", "--digits", "0,0;1,0")
@@ -222,8 +222,7 @@ def coprime_average(lam, alpha):
     Z[q]/(q-1) = Z/5.
     """
     ns = NumberSystem.parse("2,2,1", "0,0;1,0")
-    table = whole_table(ns, lam, digit_sum(ns))
-    coords, s = table.coords, table.values[0]
+    coords, (_, s) = whole_table(ns, lam), bulk.statistic_rows(digit_sum(ns), ns.Q, lam, lam, 0)
     a, b = coords[:, 0], coords[:, 1]
     keep = (a % 2 == 1) & ((a + b) % 5 != 0)
     return complex(np.exp(2j * math.pi * alpha * s[keep, 0]).mean())

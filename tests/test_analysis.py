@@ -59,7 +59,7 @@ def test_prime_verdict_degree_cap(knuth):
 
 def pass_mask(ns, lam):
     """The prime pass's masks, concatenated in row order."""
-    _, _, _, masks = bulk.prime_blocks(ns, lam)
+    _, _, masks = bulk.prime_blocks(ns, lam)
     return np.concatenate([mask.copy() for _, mask in masks])
 
 
@@ -71,12 +71,12 @@ def test_prime_enumeration_small(knuth):
 def test_prime_counts_frozen(knuth):
     for lam, count in ((14, 2717), (18, 31060)):
         assert int(pass_mask(knuth, lam).sum()) == count
-        assert int(oracle_mask(knuth, whole_table(knuth, lam).coords).sum()) == count
+        assert int(oracle_mask(knuth, whole_table(knuth, lam)).sum()) == count
 
 
 def test_prime_mask_matches_scalar(knuth, five_a, each_row_block):
     for ns, lam in ((knuth, 8), (five_a, 4)):
-        coords = whole_table(ns, lam).coords
+        coords = whole_table(ns, lam)
         expected = [analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
                     in analysis.PRIME_KINDS for row in coords]
         for _ in each_row_block(1, 7, bulk.ROW_BLOCK):
@@ -94,9 +94,9 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
         lam = 1
         while ns.Q ** (lam + 1) <= 3000:
             lam += 1
-        coords = whole_table(ns, lam).coords
+        coords = whole_table(ns, lam)
         mask = oracle_mask(ns, coords)
-        low = len(bulk.split_tables(ns, lam)[0].coords)  # the rows of one high row
+        low = len(bulk.split_tables(ns, lam)[0])  # the rows of one high row
         blocks = bulk.prime_rows(ns, lam)
         per_high_row = np.split(mask, range(low, len(mask), low))
         assert [len(b) for b in blocks] == [int(m.sum()) for m in per_high_row]
@@ -104,7 +104,7 @@ def test_prime_rows_match_one_mask(request, monkeypatch):
 
 
 def max_abs_norm(ns, lam):
-    coords = whole_table(ns, lam).coords.astype(object)
+    coords = whole_table(ns, lam).astype(object)
     return max(abs(algebra.norm(ns.poly, tuple(row))) for row in coords.tolist())
 
 
@@ -122,7 +122,7 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
 def test_sieve_size_at_lambda_22(knuth):
     # the naive box bound is 16.7M; the largest norm on N_22 is 4.84M, and the
     # table holds one bit per odd integer up to the bound: 0.30 MB
-    coords = whole_table(knuth, 22).coords
+    coords = whole_table(knuth, 22)
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
     table = bulk.norm_table(knuth, 22, bulk._norm_bound(knuth, 22))
@@ -149,7 +149,7 @@ def test_wide_digits_classify_rows_without_a_table(knuth, negabinary, five_a, mo
     # digit 104 = 4 mod 5 widens the norms: a table over them would take
     # 1.1 MB for the 50 KB of coordinates of N_5, so each norm is tested alone
     wide = NumberSystem(five_a.poly, ((0, 0), (1, 0), (2, 0), (3, 0), (104, 0)))
-    coords = whole_table(wide, 5).coords
+    coords = whole_table(wide, 5)
     expected = coords[oracle_mask(wide, coords)]
 
     def refuse(*args):
@@ -385,6 +385,11 @@ def test_weyl_validation(knuth, five_b):
         analysis.weyl_sum(knuth, pair_count(knuth), [LinearForm.parse("1/2,0")], 1, [4])
     with pytest.raises(UsageError):
         analysis.weyl_sum(knuth, digit_sum(knuth), [0.5], 1, [4], filter="composite")
+    for filter in ("all", "primes"):  # no lambda: a usage error, not an IndexError
+        with pytest.raises(UsageError, match="no expansion length given"):
+            analysis._digit_histogram(knuth, digit_sum(knuth), [], filter)
+        with pytest.raises(UsageError, match="no expansion length given"):
+            analysis.weyl_sum(knuth, digit_sum(knuth), [0.5], 1, [], filter)
 
 
 def test_weyl_thread_and_table_invariance(knuth):

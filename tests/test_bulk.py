@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import STATISTICS, count_rows, per_row_oracle, whole_table
+from oracles import STATISTICS, automaton_table, count_rows, per_row_oracle, whole_table
 
 from radixion import algebra, bulk, cli, numeration
 from radixion.errors import CapExceeded, DomainError, UsageError
@@ -35,41 +35,49 @@ def scalar_row(ns, index, lam):
 
 
 def assert_row_statistics(sums, pairs, i, lam, row):
-    """Row i of the digit-sum table `sums` and of the pair-count table
-    `pairs` against the scalar route's row (scalar_row): the digit sum from
-    its one state; the pair count from the state after a zero digit and
-    after a nonzero one, which gains the pair of a nonzero lowest digit,
-    leaving the state of the top digit (the entry state when lam is 0)."""
+    """Row i of the digit sum's reads `sums` and of the pair count's reads
+    `pairs`, (exits, values) from each entry state, against the scalar
+    route's row (scalar_row): the digit sum from its one state; the pair
+    count from the state after a zero digit and after a nonzero one, which
+    gains the pair of a nonzero lowest digit, leaving the state of the top
+    digit (the entry state when lam is 0)."""
     value, s, r, low_nz, top_nz = row
-    assert tuple(sums.values[0, i]) == s and sums.exits[0, i] == 0
-    for entry in (0, 1):
-        assert tuple(pairs.values[entry, i]) == (r + (entry and low_nz),)
-        assert pairs.exits[entry, i] == (top_nz if lam else entry)
+    [(exits, values)] = sums
+    assert tuple(values[i]) == s and exits[i] == 0
+    for entry, (exits, values) in enumerate(pairs):
+        assert tuple(values[i]) == (r + (entry and low_nz),)
+        assert exits[i] == (top_nz if lam else entry)
+
+
+def entry_reads(stat, Q, lam):
+    """bulk.statistic_rows over N_lam from each entry state of `stat`."""
+    return [bulk.statistic_rows(stat, Q, lam, lam, entry) for entry in range(len(stat.states))]
 
 
 @pytest.mark.parametrize("lam", [0, 1, 2, 5])
 def test_digit_table_matches_scalar_route(knuth, lam):
-    sums, pairs = whole_table(knuth, lam, digit_sum(knuth)), whole_table(knuth, lam, pair_count(knuth))
-    assert len(sums.coords) == 2**lam
+    coords = whole_table(knuth, lam)
+    sums, pairs = entry_reads(digit_sum(knuth), 2, lam), entry_reads(pair_count(knuth), 2, lam)
+    assert len(coords) == 2**lam
     for i in range(2**lam):
         row = scalar_row(knuth, i, lam)
-        assert tuple(sums.coords[i]) == row[0]
+        assert tuple(coords[i]) == row[0]
         assert_row_statistics(sums, pairs, i, lam, row)
 
 
 def test_digit_table_matches_scalar_route_nonbinary(five_b):
     lam = 3
-    sums, pairs = whole_table(five_b, lam, digit_sum(five_b)), whole_table(five_b, lam, pair_count(five_b))
+    coords = whole_table(five_b, lam)
+    sums, pairs = entry_reads(digit_sum(five_b), 5, lam), entry_reads(pair_count(five_b), 5, lam)
     for i in range(5**lam):
         row = scalar_row(five_b, i, lam)
-        assert tuple(pairs.coords[i]) == row[0]
+        assert tuple(coords[i]) == row[0]
         assert_row_statistics(sums, pairs, i, lam, row)
 
 
 def test_digit_table_agrees_with_enumerate(knuth):
-    table = whole_table(knuth, 8)
     stream = list(numeration.enumerate_N(knuth, 8))
-    assert [tuple(row) for row in table.coords] == stream
+    assert [tuple(row) for row in whole_table(knuth, 8).tolist()] == stream
 
 
 def test_q_power_matrix_is_multiplication(knuth_poly):
@@ -113,13 +121,22 @@ def oracle_depth(ns, rows=600):
     return lam
 
 
-def split_rows(split, h):
-    """The DigitTable of the rows h * |low| + l of N_lam over the split
-    (low, high, offsets): from each entry state, the low row's value plus
-    high row h's from the state the low row leaves, whose exit it takes."""
-    low, high, offsets = split
-    return bulk.DigitTable(low.lam + high.lam, low.coords + offsets[h],
-                           low.values + high.values[low.exits, h], high.exits[low.exits, h])
+def split_statistic(stat, Q, lam):
+    """(exits, values) from each entry state over the rows of N_lam, in row
+    order, by the split of bulk.split_tables: bulk.statistic_rows over its
+    low positions (bulk._low_positions) and over its high ones; row h * |low|
+    + l takes low row l's value plus high row h's from the state low row l
+    leaves, and high row h's exit from that state."""
+    positions = bulk._low_positions(Q, lam)
+    states = range(len(stat.states))
+    high = [bulk.statistic_rows(stat, Q, lam - positions, lam, entry) for entry in states]
+    high_exits, high_values = np.stack([e for e, _ in high]), np.stack([v for _, v in high])
+    reads = []
+    for exits, values in (bulk.statistic_rows(stat, Q, positions, lam, entry) for entry in states):
+        into, rows = exits[None, :], np.arange(Q ** (lam - positions))[:, None]  # [h, l]
+        reads.append((high_exits[into, rows].ravel(),
+                      (high_values[into, rows] + values).reshape(-1, stat.width)))
+    return reads
 
 
 def test_split_rows_are_the_enumeration(request, each_row_block):
@@ -131,83 +148,113 @@ def test_split_rows_are_the_enumeration(request, each_row_block):
             rows = [scalar_row(ns, i, lam) for i in range(total)]
             # low tables of 1, Q and Q^2 rows, and of the most within 7, 37 and 100
             for size in each_row_block(1, Q, Q + 1, Q * Q + 1, 7, 37, 100, bulk.ROW_BLOCK):
-                sum_split = bulk.split_tables(ns, lam, digit_sum(ns))
-                pair_split = bulk.split_tables(ns, lam, pair_count(ns))
-                low, high, offsets = sum_split
-                n_low = len(low.coords)  # the most Q^j rows within size
+                low, offsets = bulk.split_tables(ns, lam)
+                n_low = len(low)  # the most Q^j rows within size
                 assert n_low <= size and (n_low == total or n_low * Q > size)
-                assert (low.lam + high.lam, len(high.coords) * n_low) == (lam, total)
+                assert (Q ** bulk._low_positions(Q, lam), len(offsets) * n_low) == (n_low, total)
                 assert list(numeration.enumerate_N(ns, lam)) == stream
                 for h in range(len(offsets)):
-                    sums, pairs = split_rows(sum_split, h), split_rows(pair_split, h)
                     ref = rows[h * n_low : (h + 1) * n_low]
-                    assert [tuple(v) for v in sums.coords.tolist()] == stream[h * n_low : (h + 1) * n_low]
-                    assert [tuple(v) for v in pairs.coords.tolist()] == [w[0] for w in ref]
-                    for i, row in enumerate(ref):
-                        assert_row_statistics(sums, pairs, i, lam, row)
-
-
-def same_table(a, b):
-    """Whether two DigitTables hold the same positions and equal columns,
-    dtypes included, a column absent from one being absent from both."""
-    pairs = ((a.coords, b.coords), (a.values, b.values), (a.exits, b.exits))
-    return a.lam == b.lam and all(
-        x is None and y is None or x is not None and y is not None
-        and x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
+                    got = [tuple(v) for v in (low + offsets[h]).tolist()]
+                    assert got == stream[h * n_low : (h + 1) * n_low] == [w[0] for w in ref]
+                sums = split_statistic(digit_sum(ns), Q, lam)
+                pairs = split_statistic(pair_count(ns), Q, lam)
+                for i, row in enumerate(rows):
+                    assert_row_statistics(sums, pairs, i, lam, row)
 
 
 def test_blocks_carry_only_the_asked_columns(request, each_row_block):
+    """The split's tables hold coordinates only, int64: the low table is the
+    whole table of its positions, and offset h is q^positions times high row
+    h.  A statistic is read apart (bulk.statistic_rows), int8 exits and int32
+    values of its width.  prime_blocks gives the same split, and the mask of
+    the low rows per high row, in order."""
     for ns in golden_and_random(request):
         lam = oracle_depth(ns)
-        stats = (None, digit_sum(ns), pair_count(ns))
-        for stat in stats:
-            table = whole_table(ns, lam, stat)
-            assert np.array_equal(table.coords, whole_table(ns, lam).coords)
-            if stat is None:
-                assert table.values is None and table.exits is None
-            else:
-                states, rows = len(stat.states), ns.Q**lam
-                assert table.values.shape == (states, rows, stat.width)
-                assert table.exits.shape == (states, rows) and table.exits.dtype == np.int8
+        for stat in (digit_sum(ns), pair_count(ns)):
+            for exits, values in entry_reads(stat, ns.Q, lam):
+                assert exits.shape == (ns.Q**lam,) and exits.dtype == np.int8
+                assert values.shape == (ns.Q**lam, stat.width) and values.dtype == np.int32
         for _ in each_row_block(7, bulk.ROW_BLOCK):
-            bare = bulk.split_tables(ns, lam)
-            for stat in stats:  # the split's tables are the whole tables of their positions
-                split = bulk.split_tables(ns, lam, stat)
-                assert np.array_equal(split[2], bare[2])
-                for got in split[:2]:  # in int32: each value box is far below 2^31
-                    assert same_table(got, whole_table(ns, got.lam, stat, np.int32))
-            # the prime pass: the split tables, carrying the asked statistic only,
-            # and the mask of the low rows per high row, in order
+            low, offsets = bulk.split_tables(ns, lam)
+            positions = bulk._low_positions(ns.Q, lam)
+            shift = algebra.q_power(ns.poly, positions)
+            assert low.dtype == offsets.dtype == np.int64
+            assert np.array_equal(low, whole_table(ns, positions))
+            assert [algebra.mul(ns.poly, shift, tuple(row)) for row in
+                    whole_table(ns, lam - positions).tolist()] == list(map(tuple, offsets.tolist()))
+            # the prime pass: the split, and the mask of the low rows per high row, in order
             table = bulk.norm_table(ns, lam, bulk._norm_bound(ns, lam))
-            for stat in stats:
-                low, high, offsets, masks = bulk.prime_blocks(ns, lam, stat)
-                split = bulk.split_tables(ns, lam, stat)
-                assert np.array_equal(offsets, split[2])
-                for got, ref in zip((low, high), split):
-                    assert same_table(got, ref)
-                seen = []
-                for h, mask in masks:
-                    rows = (low.coords + offsets[h]).tolist()
-                    norms = np.array([abs(algebra.norm(ns.poly, tuple(v))) for v in rows])
-                    assert np.array_equal(mask, bulk.prime_mask(ns, norms, table))
-                    seen.append(h)
-                assert seen == list(range(len(offsets)))
+            got_low, got_offsets, masks = bulk.prime_blocks(ns, lam)
+            assert np.array_equal(got_low, low) and np.array_equal(got_offsets, offsets)
+            seen = []
+            for h, mask in masks:
+                rows = (low + offsets[h]).tolist()
+                norms = np.array([abs(algebra.norm(ns.poly, tuple(v))) for v in rows])
+                assert np.array_equal(mask, bulk.prime_mask(ns, norms, table))
+                seen.append(h)
+            assert seen == list(range(len(offsets)))
 
 
 def test_digit_table_width_follows_the_value_box(knuth, each_row_block):
-    """The split's values take int32 while the digit sum's box
+    """The statistic's values take int32 while the digit sum's box
     lambda * [0, 2^30 + 1] stays below 2^31, and int64 from lambda 2 on,
-    where the sum 2^31 + 2 of two top digits would wrap int32; both halves
-    share the width, and their values are the oracle table's."""
+    where the sum 2^31 + 2 of two top digits would wrap int32; the reads of
+    both halves of the split share the width, their values are the
+    automaton's, and the top row's halves add up exactly."""
     wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**30 + 1, 0)))
     stat = digit_sum(wide)
     for _ in each_row_block(1, 2, bulk.ROW_BLOCK):
         for lam, width in ((1, np.int32), (2, np.int64), (3, np.int64)):
-            low, high, _ = bulk.split_tables(wide, lam, stat)
-            for got in (low, high):
-                assert same_table(got, whole_table(wide, got.lam, stat, width)), (lam, got.lam)
-            top = low.values[0, -1, 0] + high.values[0, -1, 0]
-            assert int(top) == lam * (2**30 + 1)
+            positions = bulk._low_positions(2, lam)
+            lengths = (positions, lam - positions)
+            halves = [bulk.statistic_rows(stat, 2, n, lam, 0)[1] for n in lengths]
+            for n, values in zip(lengths, halves):
+                assert values.dtype == width, (lam, n)
+                assert list(map(tuple, values.tolist())) == automaton_table(stat, 2, n, 0)[1]
+            assert int(halves[0][-1, 0] + halves[1][-1, 0]) == lam * (2**30 + 1)
+
+
+def test_statistic_rows_match_the_automaton(request, each_row_block):
+    """bulk.statistic_rows against the automaton run on every row's digit
+    indices (automaton_table), from each entry state, at lambda 0, 1 and the
+    largest with Q^lambda <= 4096; and so is each row's value and exit over
+    the split (split_statistic), under low tables of 1, 7, 100 and ROW_BLOCK
+    rows.  On the golden and random systems and the first 10 CNS systems,
+    for the digit sum and the pair count."""
+    cns = [ns for ns, _ in request.getfixturevalue("cns_systems")[:10]]
+    for ns in golden_and_random(request) + cns:
+        for lam in sorted({0, 1, oracle_depth(ns, 4096)}):
+            for stat in (digit_sum(ns), pair_count(ns)):
+                entries = range(len(stat.states))
+                oracle = [automaton_table(stat, ns.Q, lam, entry) for entry in entries]
+                for (exits, values), (want_exits, want_values) in zip(
+                        entry_reads(stat, ns.Q, lam), oracle):
+                    assert exits.tolist() == want_exits, (ns, lam, stat.states)
+                    assert list(map(tuple, values.tolist())) == want_values, (ns, lam, stat.states)
+                for _ in each_row_block(1, 7, 100, bulk.ROW_BLOCK):
+                    for (exits, values), (want_exits, want_values) in zip(
+                            split_statistic(stat, ns.Q, lam), oracle):
+                        assert exits.tolist() == want_exits
+                        assert list(map(tuple, values.tolist())) == want_values
+
+
+def test_zero_digit_statistic_refuses_several_lambda(knuth, monkeypatch):
+    """A statistic whose zero digit adds gives the rows of N_lam other
+    values within N_top, so prime_histogram refuses a request of several
+    lambda with UsageError, before any table is built, and counts one lambda
+    alone: on Knuth's system, one state counting the zero digits, whose
+    prime rows of N_3 are two with one zero digit and one with two."""
+    zeros = numeration.DigitStatistic(
+        ("any",), 0, (tuple((0, (int(b == knuth.zero),)) for b in knuth.digits),), False)
+    monkeypatch.setattr(bulk, "split_tables", refuse)
+    monkeypatch.setattr(bulk, "norm_table", refuse)
+    with pytest.raises(UsageError, match="the zero digit adds to the statistic"):
+        bulk.prime_histogram(knuth, zeros, [3, 5])
+    monkeypatch.undo()
+    assert bulk.prime_histogram(knuth, zeros, [3]) == [{(1,): 2, (2,): 1}]
+    assert bulk.prime_histogram(knuth, digit_sum(knuth), [3, 5])[0] \
+        == bulk.prime_histogram(knuth, digit_sum(knuth), [3])[0]
 
 
 def test_coordinate_ranges_are_exact(request):
@@ -436,12 +483,12 @@ def test_split_norms_are_exact_at_the_guard_edge(knuth, five_a, each_row_block):
         width = bulk._int_type(6 * bound)
         assert width == np.int64 and bulk._int_type(bulk._split_bound(base, lam)) == np.int32
         for _ in each_row_block(1, ns.Q, bulk.ROW_BLOCK):
-            low, _, offsets = bulk.split_tables(ns, lam)
-            columns = low.coords.T.astype(width, order="C")
+            low, offsets = bulk.split_tables(ns, lam)
+            columns = low.T.astype(width, order="C")
             got = [norm.copy() for _, norm in bulk._split_norms(ns, columns, offsets)]
             for (a_o, b_o), norms in zip(offsets.tolist(), got):
                 alpha, beta = 2 * a_o - c1 * b_o, 2 * c0 * b_o - c1 * a_o
-                for (a, b), norm in zip(low.coords.tolist(), norms.tolist()):
+                for (a, b), norm in zip(low.tolist(), norms.tolist()):
                     terms = (a * a - c1 * a * b + c0 * b * b, alpha * a, beta * b,
                              a_o * a_o - c1 * a_o * b_o + c0 * b_o * b_o)
                     partial = [sum(terms[:i + 1]) for i in range(4)]
@@ -457,8 +504,7 @@ def test_split_guard_before_building(knuth, monkeypatch):
     # split_tables checks, and enumerate_N through it when called, not when iterated
     monkeypatch.setattr(bulk, "_build_table", refuse)
     wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**61 + 1, 0)))
-    for route in (lambda ns, lam: bulk.split_tables(ns, lam, pair_count(ns)),
-                  numeration.enumerate_N):
+    for route in (bulk.split_tables, numeration.enumerate_N):
         with pytest.raises(CapExceeded, match="table of 1073741824 elements"):
             route(knuth, 30)
         with pytest.raises(UsageError):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import census_scalar_oracle, charpoly, sturm_chain
 
 from radixion import algebra, carry, numeration
 from radixion.algebra import MinimalPolynomial
@@ -143,20 +144,6 @@ def test_perron_radius_matches_numpy():
 # ------------------------------------------------------------------ census
 
 
-def census_scalar_oracle(ns, mu, nu, rho):
-    """Literal digit_slice double loop; independent of the vector route."""
-    changed = 0
-    shifts = [n for n in numeration.enumerate_N(ns, nu - rho) if n != ns.zero]
-    for m in numeration.enumerate_N(ns, mu):
-        base = numeration.digit_slice(ns, m, nu, math.inf)
-        for n in shifts:
-            moved = algebra.add(ns.poly, m, n)
-            if numeration.digit_slice(ns, moved, nu, math.inf) != base:
-                changed += 1
-                break
-    return changed
-
-
 def test_census_negabinary_golden(negabinary):
     assert carry.carry_census(negabinary, 2, 2, 0) == 3
     assert carry.carry_census(negabinary, 2, 2, 2) == 0
@@ -278,22 +265,6 @@ def test_subset_dominant_below_collapsed_root():
 # ------------------------------------------------------------ exact oracle
 
 
-def charpoly(successors) -> list:
-    """det(xI - A) with integer coefficients, leading first, by
-    Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k)/k, M_{k+1} = A M_k + c_{n-k} I."""
-    n = len(successors)
-    coeffs = [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        m = [[sum(a * m[j][col] for j, a in row) for col in range(n)] for row in successors]
-        trace = sum(m[i][i] for i in range(n))
-        assert trace % k == 0
-        coeffs.append(-trace // k)
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-    return coeffs
-
-
 def sign_at(p, x: Fraction) -> int:
     """Sign of p(x): the integer d^deg p(n/d) has it, as d > 0."""
     acc, scale = 0, 1
@@ -301,25 +272,6 @@ def sign_at(p, x: Fraction) -> int:
         acc = acc * x.numerator + c * scale
         scale *= x.denominator
     return (acc > 0) - (acc < 0)
-
-
-def sturm_chain(p) -> list:
-    """p, p', then -rem(p_{k-1}, p_k) up to positive factors, each primitive."""
-    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r, steps = list(a), 0
-        while len(r) >= len(b):  # pseudo-division: r <- lc(b) r - r_0 x^k b
-            r = [b[0] * x - r[0] * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
-            steps += 1
-        while r and r[0] == 0:
-            r.pop(0)
-        if not r:
-            break
-        sign = -1 if b[0] > 0 or steps % 2 == 0 else 1  # -rem, times lc(b)^-steps
-        content = math.gcd(*r)
-        chain.append([sign * c // content for c in r])
-    return chain
 
 
 def largest_real_root(p, rel=Fraction(1, 10**15)) -> Fraction:

@@ -83,6 +83,10 @@ def test_usage_errors_exit_two(capsysbinary):
     assert run(capsysbinary, "weyl", *KNUTH, "--fn", "pair", "--alpha", "0.5", "--lambda", "4")[0] == 2
     assert run(capsysbinary, "fourier-decay", *KNUTH, "--fn", "pair", "--alpha", "0.5",
                "--lam-max", "4")[0] == 2
+    for lam in ("0", "-2"):  # no lambda of at least 1 to check the identity at, before any draw
+        code, out, err = run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas",
+                             "3", "--lambda", lam)
+        assert (code, out, err.count(b"error:"), b"Traceback" in err) == (2, b"", 1, False), lam
     for count in ("-1", "0"):  # 0: an identity checked at no alpha, a cover of no samples
         assert run(capsysbinary, "weyl", *NEGABINARY, "--fn", "sod", "--identity-alphas", count,
                    "--lambda", "3")[0] == 2

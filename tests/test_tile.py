@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (full_grid_inner_radius, lapack_coordinate_bound, padded_boundary_count,
-                     polyfit_boxdim, stripped_to_zero, whole_table)
+from oracles import (cells_of, doubling_cloud, fixed_order_chart, full_grid_inner_radius,
+                     lapack_coordinate_bound, occupancy_of, padded_boundary_count, polyfit_boxdim,
+                     rounded_cloud, stripped_to_zero)
 
 from radixion import algebra, bulk, tile
 from radixion.errors import CapExceeded, DomainError, UsageError
@@ -461,31 +462,6 @@ def test_post_pass_calls_no_lapack(knuth, monkeypatch):
 # -------------------------------------------------------- streamed clouds
 
 
-def fixed_order_chart(pts, chart):
-    """pts @ chart, each entry the sum of its terms in row order of chart."""
-    columns = [sum((pts[:, k] * chart[k, j] for k in range(1, len(chart))), pts[:, 0] * chart[0, j])
-               for j in range(chart.shape[1])]
-    return np.stack(columns, axis=1)
-
-
-def doubling_cloud(ns, depth, space_tag="coordinate"):
-    """The whole cloud in one array, level by level: the one-pass route."""
-    minv_t = tile._inverse_base_matrix(ns).T
-    digits = np.array(ns.digits, dtype=np.float64)
-    pts = np.zeros((1, ns.degree))
-    for _ in range(depth):
-        pts = np.concatenate([(pts + b) @ minv_t for b in digits])
-    if space_tag == "embedding":
-        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
-    return pts
-
-
-def cells_of(pts, lo, hi, resolution):
-    """Cell of every point over the window [lo, hi], in plain arithmetic."""
-    idx = (pts - lo) / (hi - lo) * resolution
-    return np.clip(idx.astype(np.int64), 0, resolution - 1)
-
-
 def golden_and_random(request, names):
     systems = [request.getfixturevalue(n) for n in names]
     return systems + list(request.getfixturevalue("random_systems"))
@@ -497,20 +473,6 @@ def stream_depth(ns, points=10**4):
     while ns.Q**depth < points:
         depth += 1
     return depth
-
-
-def rounded_cloud(ns, depth, space_tag="coordinate"):
-    """The float nearest each exact point q^-k n, n a row of N_k (whole_table),
-    from exact integers: u^k n / c_0^k with q u = c_0; charted as doubling_cloud."""
-    uk = (1,) + (0,) * (ns.degree - 1)
-    for _ in range(depth):
-        uk = algebra.mul(ns.poly, uk, algebra.u_element(ns.poly))
-    denom = ns.poly.coeffs[0] ** depth
-    pts = np.array([[float(Fraction(v, denom)) for v in algebra.mul(ns.poly, uk, tuple(n))]
-                    for n in whole_table(ns, depth).coords.tolist()])
-    if space_tag == "embedding":
-        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
-    return pts
 
 
 def low_rows(ns, depth, size):
@@ -628,13 +590,6 @@ STREAM_CASES = {
     "quadratic": (("knuth", "negabinary", "five_a", "five_b"), (1, 64, 100, 128, 200, 257, 512)),
     "cubic": (("cubic",), (4, 12, 16, 32)),
 }
-
-
-def occupancy_of(pts, bbox, resolution):
-    """The grid marked at cells_of every point over the window bbox."""
-    grid = np.zeros((resolution,) * pts.shape[1], dtype=bool)
-    grid[tuple(cells_of(pts, *np.array(bbox).T, resolution).T)] = True
-    return grid
 
 
 @pytest.mark.parametrize("case,block", [  # the quadratic cases keep their plain block ids
