@@ -19,18 +19,16 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebra": ("Distortion", "EmbeddingSet", "MinimalPolynomial", "distortion", "norm",
-                "power_sums", "trace_matrix", "trace_pow"),
-    "analysis": ("FourierDecayReport", "LinearForm", "PrimeVerdict", "SumDigitConstants",
-                 "WeylRow", "equidist_condition", "fourier_decay", "is_prime_element",
-                 "sumdigit_fourier_constants", "weyl_sum"),
+                "power_sums", "trace_pow"),
+    "analysis": ("FourierDecayReport", "LinearForm", "PrimeVerdict", "WeylRow",
+                 "equidist_condition", "fourier_decay", "weyl_sum"),
     "carry": ("CarryAutomaton", "CarryConstantReport", "CnsCollapsedGraph", "CnsSubsetGraph",
               "build_automaton", "carry_census", "carry_constant", "cns_collapsed",
               "cns_subset_graph", "gaussian_family"),
     "errors": ("CapExceeded", "ConvergenceError", "CycleDetected", "DomainError",
                "RadixionError", "UsageError"),
-    "numeration": ("DigitStatistic", "Expansion", "FnsVerdict", "NumberSystem", "digit_slice",
-                   "digit_sum", "enumerate_N", "evaluate", "expand", "is_fns", "pair_count",
-                   "rudin_shapiro", "sum_of_digits"),
+    "numeration": ("DigitStatistic", "Expansion", "FnsVerdict", "NumberSystem", "digit_sum",
+                   "enumerate_N", "evaluate", "expand", "is_fns", "pair_count"),
     "tile": ("BoxDimReport", "Raster", "boundary_boxdim", "cloud_chunks", "cover_fraction",
              "tile_radii", "tile_rasters"),
 }

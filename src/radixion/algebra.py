@@ -91,6 +91,42 @@ def _embedding_roots(coeffs: tuple) -> tuple:
     return tuple(sorted(polished, key=lambda z: (z.real, z.imag)))
 
 
+def _integer_root(coeffs):
+    """An integer root of the monic quadratic or cubic c_0 + ... + x^d, or
+    None: the polynomial is reducible over Q exactly when it has one.  In
+    O(log |c_0|) exact steps.  Degree 2: the roots (-c_1 +- s)/2 are
+    integers exactly when the discriminant is a square s^2, as s and c_1
+    then share their parity.  Degree 3: an integer root divides c_0, and f
+    is monotone between the real roots (-c_2 +- sqrt(D))/3 of f', D = c_2^2
+    - 3 c_1; so [-|c_0|, |c_0|] is cut at an integer bracket of each, the
+    few integers of a bracket are tried and each piece between is bisected."""
+    def f(x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    c0, c1 = coeffs[:2]
+    if len(coeffs) == 3:
+        disc = c1 * c1 - 4 * c0
+        s = math.isqrt(max(disc, 0))
+        return (s - c1) // 2 if s * s == disc else None
+    c2, top = coeffs[2], abs(c0)
+    disc = c2 * c2 - 3 * c1
+    s = math.isqrt(max(disc, 0))  # sqrt(D) lies in [s, s + 1)
+    brackets = [((-c2 - s - 1) // 3, -((c2 + s) // 3)),
+                ((s - c2) // 3, -((c2 - s - 1) // 3))] if disc > 0 else []
+    cuts = [-top, *(x for bracket in brackets for x in bracket), top]
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        sign = 1 if f(hi) >= f(lo) else -1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sign * f(mid) < 0 else (lo, mid)
+        if lo == hi and f(lo) == 0:
+            return lo
+    return next((x for a, b in brackets for x in range(a, b + 1) if f(x) == 0), None)
+
+
 class EmbeddingSet(NamedTuple):
     """Complex embeddings q -> C, sorted by (real, imaginary) part."""
 
@@ -140,20 +176,9 @@ class MinimalPolynomial:
                 stacklevel=3,
             )
             return
-        # degree 2 or 3: reducible over Q iff there is an integer root,
-        # and any integer root divides c_0
-        c0 = abs(self.coeffs[0])
-        for r in range(1, math.isqrt(c0) + 1):
-            if c0 % r:
-                continue
-            for root in {r, -r, c0 // r, -(c0 // r)}:
-                acc = 0
-                for cf in reversed(self.coeffs):
-                    acc = acc * root + cf
-                if acc == 0:
-                    raise DomainError(
-                        "polynomial is reducible: x = %d is a root" % root
-                    )
+        root = _integer_root(self.coeffs)
+        if root is not None:
+            raise DomainError("polynomial is reducible: x = %d is a root" % root)
 
     @classmethod
     def parse(cls, text: str) -> "MinimalPolynomial":
@@ -338,13 +363,6 @@ def trace_pow(m: MinimalPolynomial, x: FieldElement, k: int) -> int:
         raise UsageError("trace power must be nonnegative")
     p = power_sums(m, k + m.degree - 1)
     return sum(x[j] * p[k + j] for j in range(m.degree))
-
-
-def trace_matrix(m: MinimalPolynomial, size: int | None = None) -> tuple:
-    """Symmetric table T[k][j] = Tr(q^{k+j}); defaults to size d."""
-    n = m.degree if size is None else size
-    p = power_sums(m, 2 * n - 2)
-    return tuple(tuple(p[k + j] for j in range(n)) for k in range(n))
 
 
 def distortion(m: MinimalPolynomial) -> Distortion:

@@ -90,7 +90,7 @@ def _is_inert(c0: int, c1: int, ell: int) -> bool:
 
 
 def norm_verdict(m: MinimalPolynomial, nm: int) -> PrimeVerdict:
-    """The verdict of is_prime_element for every element of norm nm.
+    """Classify every element of norm nm as zero, unit, prime or composite.
 
     A prime rational norm always means a prime element.  In a quadratic
     ring the other prime case is norm ell^2 with ell inert (the base
@@ -113,11 +113,6 @@ def norm_verdict(m: MinimalPolynomial, nm: int) -> PrimeVerdict:
     if m.degree == 1:
         return PrimeVerdict("composite", nm)
     return PrimeVerdict("unsupported_degree", nm)
-
-
-def is_prime_element(ns: NumberSystem, n) -> PrimeVerdict:
-    """Classify n as zero, unit, prime, or composite via its norm (norm_verdict)."""
-    return norm_verdict(ns.poly, algebra.norm(ns.poly, tuple(n)))
 
 
 # ------------------------------------------------------------ linear forms
@@ -190,44 +185,6 @@ def phi_float(form: LinearForm, m: MinimalPolynomial, x) -> float:
 def equidist_condition(ns: NumberSystem, form: LinearForm) -> bool:
     """True iff some digit b makes phi(b) irrational (by the tag rule)."""
     return any(phi_is_irrational(form, ns.poly, b) for b in ns.digits)
-
-
-# ------------------------------------------------- sum-of-digits constants
-
-
-class SumDigitConstants(NamedTuple):
-    mu_q: int
-    big_m_q: int
-    digit_trace_norms: tuple  # per digit: ||phi(mu_q b)||^2 mod 1
-    digit_norm_sum: float
-    decay_factor: float  # digit_norm_sum / (M_q (d+1)); true constant is this times delta_Q
-    scale_note: str
-
-
-def sumdigit_fourier_constants(ns: NumberSystem, form: LinearForm) -> SumDigitConstants:
-    m = ns.poly
-    mu_q = sum(m.coeffs)
-    big_m_q = sum(cf * cf for cf in m.coeffs)
-    norms = []
-    for b in ns.digits:
-        scaled = tuple(mu_q * t for t in b)
-        exact = phi_exact(form, m, scaled)
-        if exact is not None:
-            fracpart = exact - math.floor(exact)
-            dist = float(min(fracpart, 1 - fracpart))
-        else:
-            v = _finite(phi_float(form, m, scaled), "phi(mu_q b) at b = %s", b)
-            dist = abs(v - round(v))
-        norms.append(dist * dist)
-    total = float(sum(norms))
-    return SumDigitConstants(
-        mu_q,
-        big_m_q,
-        tuple(norms),
-        total,
-        total / (big_m_q * (m.degree + 1)),
-        "up to delta_Q",
-    )
 
 
 # -------------------------------------------------------------- Weyl sums
@@ -418,12 +375,24 @@ class FourierDecayReport(NamedTuple):
 
 
 def digit_norm_sum(ns: NumberSystem, phase) -> float:
-    """sum over the digits b of ||phi(mu_q b)||^2, with phi the linear form
-    (sumdigit_fourier_constants) or a scalar times the digit in Z."""
-    if isinstance(phase, LinearForm):
-        return sumdigit_fourier_constants(ns, phase).digit_norm_sum
-    mu_q = sum(ns.poly.coeffs)
+    """sum over the digits b of ||phi(mu_q b)||^2, mu_q = P(1), with phi the
+    linear form, exact where its tags allow (phi_exact), or a scalar times
+    the digit in Z."""
+    m = ns.poly
+    mu_q = sum(m.coeffs)
     total = 0.0
+    if isinstance(phase, LinearForm):
+        for b in ns.digits:
+            scaled = tuple(mu_q * t for t in b)
+            exact = phi_exact(phase, m, scaled)
+            if exact is not None:
+                fracpart = exact - math.floor(exact)
+                dist = float(min(fracpart, 1 - fracpart))
+            else:
+                v = _finite(phi_float(phase, m, scaled), "phi(mu_q b) at b = %s", b)
+                dist = abs(v - round(v))
+            total += dist * dist
+        return total
     for v in _integer_digit_values(ns):
         x = _finite(float(phase) * mu_q * v, "alpha mu_q b at alpha = %r, b = %d", phase, v)
         total += (x - round(x)) ** 2

@@ -18,7 +18,7 @@ ENV_VAR = "RADIXION_CAP"
 ENUM_CAP = 1 << 24  # elements in a bulk enumeration or tile cloud
 PAIR_CAP = 1 << 30  # (m, n) pairs in a carry census
 FNS_BOX_CAP = 10**7  # elements round-tripped by expand --box; bounds nothing else
-CARRY_SET_CAP = 10**6  # states in a carry-set closure
+CARRY_SET_CAP = 10**6  # states in a carry-set closure or a CNS subset graph, 2^(d+1) - 2
 
 
 def effective_cap(default: int) -> int:

@@ -16,8 +16,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from .algebra import MinimalPolynomial
-from .caps import PAIR_CAP, check_power, effective_cap
-from .errors import ConvergenceError, DomainError, UsageError
+from .caps import CARRY_SET_CAP, PAIR_CAP, check_power, effective_cap
+from .errors import CapExceeded, ConvergenceError, DomainError, UsageError
 from .numeration import NumberSystem, _carry_closure
 
 POWER_MAX_ITER = 10**5
@@ -223,6 +223,9 @@ def cns_subset_graph(m: MinimalPolynomial) -> CnsSubsetGraph:
             stacklevel=2,
         )
     full = (1 << (d + 1)) - 1
+    if full - 1 > effective_cap(CARRY_SET_CAP):
+        raise CapExceeded("subset graph of %d states exceeds cap %d"
+                          % (full - 1, effective_cap(CARRY_SET_CAP)))
     masks = [mask for mask in range(2, full + 1)]
     position = {mask: i for i, mask in enumerate(masks)}
     successors = []

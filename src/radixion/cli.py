@@ -270,13 +270,16 @@ def _cmd_expand(args) -> _Artifact:
             payload["error"] = "no finite expansion"
             payload["cycle"] = [list(s) for s in exc.cycle]
             return _Artifact(payload, exit_code=1, note="no finite expansion; cycle witness emitted")
-        payload["digits"] = list(exp.digit_indices)
-        payload["sum_of_digits"] = list(numeration.sum_of_digits(ns, x))
-        if ns.is_binary:
-            payload["adjacent_pairs"] = numeration.rudin_shapiro(ns, x)
+        digits = exp.digit_indices
+        payload["digits"] = list(digits)
+        payload["sum_of_digits"] = list(numeration.digit_sum(ns).read(digits)[1])
+        if ns.Q == 2:
+            payload["adjacent_pairs"] = numeration.pair_count(ns).read(digits)[1][0]
         if window is not None:
+            # digits past the expansion are the zero digit, so the window is cut to it
             nu, mu = window
-            val = numeration.digit_slice(ns, x, nu, mu)
+            val = numeration.evaluate(ns, numeration.Expansion(
+                digits[nu:] if mu == math.inf else digits[nu:mu]))
             payload["slice"] = {
                 "nu": nu,
                 "mu": "inf" if mu == math.inf else mu,

