@@ -3,7 +3,8 @@
 Elements are integer coordinate vectors over the power basis
 1, q, ..., q^{d-1}, where q is a root of a monic integer polynomial
 P(x) = c_0 + c_1 x + ... + c_{d-1} x^{d-1} + x^d.  All ring operations
-are exact; floating point only enters through the complex embeddings.
+are exact; floating point only enters through the complex embeddings,
+which are found in Python complex arithmetic, without numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ FieldElement = tuple
 
 RESIDUAL_TOL = 1e-10
 PRODUCT_TOL = 1e-9
+ABERTH_SWEEPS = 100  # sweeps of the root iteration; no tested base has taken more than 36
 
 # charts of the tile: power-basis coordinates, or the embeddings (re, im)
 SPACE_TAGS = ("coordinate", "embedding")
@@ -54,28 +56,88 @@ def _is_expanding(coeffs) -> bool:
     return True
 
 
+def _newton(coeffs, z: complex) -> complex:
+    """Newton's iteration on the base polynomial from z, to rounding level."""
+    for _ in range(50):
+        dp = _poly_eval_deriv(coeffs, z)
+        if dp == 0:
+            break
+        step = _poly_eval(coeffs, z) / dp
+        z -= step
+        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+            break
+    return z
+
+
+def _aberth(coeffs) -> list:
+    """All d roots of c_0 + ... + x^d, approximately, by the simultaneous
+    iteration of Aberth (Math. Comp. 27, 1973): in each sweep every z_k in
+    turn moves by p/(p' - p sum_{j != k} 1/(z_k - z_j)), at the others'
+    latest values.  The start is closed under conjugation: d points at the
+    angles (2k + 1)pi/d on a circle of Fujiwara's radius r = 2 max_k
+    |c_{d-k}|^(1/k), which holds every root.  Its centre, -c_{d-1}/d + r/4,
+    lies off the roots' centroid, about which a quadratic's roots are
+    symmetric: a start on that axis of symmetry would never leave it.  A
+    root is left alone once |p(z)| is at the rounding level of Horner's
+    rule, 4 d eps sum_i |c_i| |z|^i."""
+    d = len(coeffs) - 1
+    r = 2.0 * max(abs(coeffs[d - k]) ** (1.0 / k) for k in range(1, d + 1))
+    centre = -coeffs[d - 1] / d + r / 4
+    angles = [math.pi * (2 * k + 1) / d for k in range(d // 2)]
+    upper = [r * complex(math.cos(t), math.sin(t)) for t in angles]
+    zs = [centre + w for w in upper + [w.conjugate() for w in upper] + [-r] * (d % 2)]
+    left = set(range(d))
+    for _ in range(ABERTH_SWEEPS):
+        for k in sorted(left):
+            z = zs[k]
+            p, scale = _poly_eval(coeffs, z), 0.0
+            for c in reversed(coeffs):
+                scale = scale * abs(z) + abs(c)
+            if abs(p) <= 4 * d * 2.0**-53 * scale:
+                left.discard(k)
+                continue
+            s = sum(1.0 / (z - w) for j, w in enumerate(zs) if j != k)
+            zs[k] = z - p / (_poly_eval_deriv(coeffs, z) - p * s)
+        if not left:
+            break
+    return zs
+
+
 @functools.lru_cache(maxsize=None)
 def _embedding_roots(coeffs: tuple) -> tuple:
-    """Polished, validated, (re, im)-sorted roots of the base polynomial."""
-    import numpy as np  # the one float route, taken on first use of the embeddings
+    """Polished and validated roots of the base polynomial, in Python complex
+    arithmetic.  The Aberth approximations are matched to their conjugates,
+    nearest pairs first (a real root is its own).  A real root is polished
+    by Newton from its real part, so it stays real; a pair is polished from
+    its upper member, and its lower member is the exact conjugate of the
+    result, as LAPACK's eigenvalue routine emits a pair.  The roots are
+    sorted by (re, |im|, im), which is (re, im) order except that a pair
+    stays together where two pairs share their real part."""
     d = len(coeffs) - 1
-    raw = np.roots(coeffs[::-1])  # np.roots wants the leading coefficient first
+    try:
+        zs = _aberth(coeffs)
+    except ZeroDivisionError:
+        raise ConvergenceError(
+            "root iterates of %s collided" % ",".join(map(str, coeffs))) from None
+    gaps = sorted([(2.0 * abs(z.imag), k, k) for k, z in enumerate(zs)]
+                  + [(abs(zs[k].conjugate() - zs[j]), k, j)
+                     for k in range(d) for j in range(k + 1, d)])
+    unmatched = set(range(d))
     polished = []
-    for z0 in raw:
-        z = complex(z0)
-        for _ in range(50):
-            dp = _poly_eval_deriv(coeffs, z)
-            if dp == 0:
-                break
-            step = _poly_eval(coeffs, z) / dp
-            z -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(z)):
-                break
+    for _, k, j in gaps:
+        if k not in unmatched or j not in unmatched:
+            continue
+        unmatched -= {k, j}
+        if k == j:
+            polished.append(_newton(coeffs, complex(zs[k].real, 0.0)))
+        else:
+            z = _newton(coeffs, max(zs[k], zs[j], key=lambda w: w.imag))
+            polished += [z, z.conjugate()]
+    for z in polished:
         if abs(_poly_eval(coeffs, z)) > RESIDUAL_TOL * (1.0 + abs(z)) ** d:
             raise ConvergenceError(
                 "root refinement stalled for %s at %s" % (",".join(map(str, coeffs)), z)
             )
-        polished.append(z)
     big_q = abs(coeffs[0])
     product = 1.0
     for z in polished:
@@ -88,7 +150,7 @@ def _embedding_roots(coeffs: tuple) -> tuple:
         raise DomainError(
             "base is not expanding: some conjugate has modulus <= 1"
         )
-    return tuple(sorted(polished, key=lambda z: (z.real, z.imag)))
+    return tuple(sorted(polished, key=lambda z: (z.real, abs(z.imag), z.imag)))
 
 
 def _integer_root(coeffs):
@@ -128,7 +190,8 @@ def _integer_root(coeffs):
 
 
 class EmbeddingSet(NamedTuple):
-    """Complex embeddings q -> C, sorted by (real, imaginary) part."""
+    """Complex embeddings q -> C, sorted by real part, then by |imaginary
+    part|, lower member of a conjugate pair first."""
 
     roots: tuple
 

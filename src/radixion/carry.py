@@ -22,6 +22,7 @@ from .numeration import NumberSystem, _carry_closure
 
 POWER_MAX_ITER = 10**5
 BRACKET_WIDTH = 4e-16  # relative width at which a Collatz-Wielandt bracket is closed
+STALL_WIDTH = 2.0**-48  # relative width within which a stalled bracket is at float resolution
 
 
 class CarrySet(NamedTuple):
@@ -115,9 +116,14 @@ def perron_radius(successors) -> tuple:
     Each (Mv)_i is summed exactly rounded (fsum), so that rounding does
     not hold the bracket open.  A component closes when the bracket's
     relative width is at most BRACKET_WIDTH; its radius is the midpoint
-    minus 1.  Returns (radius, iterations of the component with the
-    largest radius); a graph without cycles has radius 0 after 0
-    iterations.
+    minus 1.  In exact arithmetic the bracket narrows at least once in
+    every n - 1 iterations on a component of n states, as M^(n-1) > 0.  So
+    a bracket that has not narrowed in n iterations has stopped at the
+    rounding of its ratios: it is closed all the same if its relative width
+    is at most STALL_WIDTH (the ratios carry a few roundings each, at 2^-53
+    apiece), and otherwise ConvergenceError is raised at once.  Returns
+    (radius, iterations of the component with the largest radius); a graph
+    without cycles has radius 0 after 0 iterations.
     """
     best = (0.0, 0)
     for component in _components(successors):
@@ -126,12 +132,22 @@ def perron_radius(successors) -> tuple:
         if not rows[0]:
             continue  # a lone state without a loop
         v = [1.0] * len(rows)
+        narrowest, narrowed = math.inf, 0
         for iterations in range(1, POWER_MAX_ITER + 1):
             w = [math.fsum([x, *(a * v[j] for j, a in row)]) for x, row in zip(v, rows)]
             ratios = [y / x for x, y in zip(v, w)]
             lo, hi = min(ratios), max(ratios)
             if hi - lo <= BRACKET_WIDTH * hi:
                 break
+            if hi - lo < narrowest:
+                narrowest, narrowed = hi - lo, iterations
+            elif iterations - narrowed >= len(rows):
+                if hi - lo <= STALL_WIDTH * hi:
+                    break
+                raise ConvergenceError(
+                    "Collatz-Wielandt bracket [%r, %r] stopped narrowing after %d iterations"
+                    % (lo - 1.0, hi - 1.0, iterations)
+                )
             top = max(w)
             v = [y / top for y in w]
         else:

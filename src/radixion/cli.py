@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -33,6 +32,8 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10-3.11
     except ImportError:
         from hashlib import sha256
+
+from _json import encode_basestring_ascii as _quote  # json.dumps of a str, without json
 
 if TYPE_CHECKING:
     from . import carry, tile
@@ -68,9 +69,9 @@ def _write_json(obj, parts, indent, level):
         parts.append(str(int(obj)))
     elif isinstance(obj, float):
         x = float(obj)
-        parts.append(_fmt_float(x) if math.isfinite(x) else json.dumps(_fmt_float(x)))
+        parts.append(_fmt_float(x) if math.isfinite(x) else _quote(_fmt_float(x)))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -81,7 +82,7 @@ def _write_json(obj, parts, indent, level):
                 parts.append(",")
             if indent:
                 parts.append("\n" + " " * (indent * (level + 1)))
-            parts.append(json.dumps(str(k)))
+            parts.append(_quote(str(k)))
             parts.append(": " if indent else ":")
             _write_json(v, parts, indent, level + 1)
         if indent:
@@ -620,7 +621,10 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser():
+def _build_parser(name=None):
+    """The parser, and the subparser of each subcommand it configures: only
+    `name`'s when that names a subcommand, else all of them, so that the
+    top-level help and usage errors list every one."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="accepted; every computation runs on one thread, so results"
@@ -632,12 +636,13 @@ def _build_parser():
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
     specs = {}
-    for name, help_text, formats, configure, handler in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text, parents=[parent], allow_abbrev=False)
+    chosen = [spec for spec in _SUBCOMMANDS if spec[0] == name] or _SUBCOMMANDS
+    for command, help_text, formats, configure, handler in chosen:
+        p = sub.add_parser(command, help=help_text, parents=[parent], allow_abbrev=False)
         p.add_argument("--format", choices=formats, default=formats[0])
         configure(p)
-        p.set_defaults(handler=handler, subcommand=name)
-        specs[name] = p
+        p.set_defaults(handler=handler, subcommand=command)
+        specs[command] = p
     return parser, specs
 
 
@@ -652,6 +657,7 @@ def _merge_config(argv, specs):
     if path is None or not argv or argv[0] not in specs:
         return argv
     spec = specs[argv[0]]
+    import json
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -719,7 +725,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     start = time.monotonic()
     try:
-        parser, specs = _build_parser()
+        parser, specs = _build_parser(argv[0] if argv else None)
         argv = _join_flag_values(_merge_config(argv, specs), specs)
         try:
             args = parser.parse_args(argv)

@@ -642,6 +642,9 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
     one integer translate of the tile; the raster stands in for the tile.
     The samples' integers, and the samples times the translates that can
     claim them, are held to the element cap before any sample is drawn.
+    Every translate reuses one float64 and one intp buffer of samples x d
+    and one mask, and runs the float operations of floor((p - a - lo) /
+    cell) in that order.
     """
     occ = raster.occupancy
     d = occ.ndim
@@ -656,14 +659,25 @@ def cover_fraction(raster: Raster, samples: int = 10**4, seed: int = 0) -> float
         raise CapExceeded("cover of %d samples over %d translates exceeds cap %d"
                           % (samples, translates, effective_cap(ENUM_CAP)))
     draws = algebra.dyadic_samples(seed, samples * d)  # a sample is m / 2^53, exact
-    pts = np.fromiter(draws, np.float64, samples * d).reshape(samples, d) / 2.0**algebra.SAMPLE_BITS
+    pts = np.fromiter(draws, np.float64, samples * d).reshape(samples, d)
+    pts /= 2.0**algebra.SAMPLE_BITS
     claims = np.zeros(samples, dtype=np.int64)
+    shifted = np.empty_like(pts)
+    idx = np.empty((samples, d), dtype=np.intp)
+    inside = np.empty(samples, dtype=bool)
     for a in itertools.product(*ranges):
-        idx = np.floor((pts - np.array(a) - lo) / cell).astype(np.int64)
-        inside = ((idx >= 0) & (idx < res)).all(axis=1)
-        hit = np.zeros(samples, dtype=bool)
-        sel = tuple(idx[inside].T)
-        hit[inside] = occ[sel]
+        np.subtract(pts, a, out=shifted)
+        np.subtract(shifted, lo, out=shifted)
+        np.divide(shifted, cell, out=shifted)
+        np.floor(shifted, out=shifted)
+        np.copyto(idx, shifted, casting="unsafe")
+        # a cell index lies in [0, res) exactly when it is below res as unsigned
+        np.less(idx[:, 0].view(np.uintp), res, out=inside)
+        for k in range(1, d):
+            inside &= idx[:, k].view(np.uintp) < res
+        np.clip(idx, 0, res - 1, out=idx)
+        hit = occ[tuple(idx.T)]
+        hit &= inside
         claims += hit
     return float((claims == 1).mean())
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from radixion import algebra, analysis, bulk, numeration, tile
 from radixion.caps import FNS_BOX_CAP, effective_cap
-from radixion.errors import CapExceeded, UsageError
+from radixion.errors import CapExceeded, ConvergenceError, DomainError, UsageError
 
 # the digit statistic of each --fn name
 STATISTICS = {"sod": numeration.digit_sum, "rs": numeration.pair_count}
@@ -411,6 +411,25 @@ def padded_boundary_count(raster):
             shifted[k] = slice(1 + step, padded.shape[k] - 1 + step)
             interior &= padded[tuple(shifted)]
     return int(np.count_nonzero(occ)) - int(np.count_nonzero(interior))
+
+
+def lapack_roots(coeffs):
+    """The roots of the base polynomial c_0 + ... + x^d from LAPACK: the
+    eigenvalues of its companion matrix (np.roots), each polished by
+    Newton's iteration, then checked and sorted as algebra._embedding_roots
+    checks and sorts its own.  The reference for that route's Aberth
+    iteration in Python complex arithmetic."""
+    d = len(coeffs) - 1
+    polished = [algebra._newton(coeffs, complex(z)) for z in np.roots(coeffs[::-1])]
+    for z in polished:
+        if abs(algebra._poly_eval(coeffs, z)) > algebra.RESIDUAL_TOL * (1.0 + abs(z)) ** d:
+            raise ConvergenceError("root refinement stalled at %s" % z)
+    product = math.prod(abs(z) for z in polished)
+    if abs(product - abs(coeffs[0])) > algebra.PRODUCT_TOL * abs(coeffs[0]):
+        raise ConvergenceError("root moduli multiply to %.12g" % product)
+    if any(abs(z) <= 1.0 for z in polished):
+        raise DomainError("base is not expanding: some conjugate has modulus <= 1")
+    return tuple(sorted(polished, key=lambda z: (z.real, abs(z.imag), z.imag)))
 
 
 def lapack_coordinate_bound(ns):

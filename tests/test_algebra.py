@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import trace_matrix
+from oracles import lapack_roots, trace_matrix
 
 from radixion import algebra
 from radixion.algebra import MinimalPolynomial
@@ -107,6 +107,45 @@ def test_exact_expanding_test_agrees_with_root_moduli(random_systems, cns_system
     for m in systems:
         assert algebra._is_expanding(m.coeffs)
         assert min(m.embeddings().moduli) > 1.0
+
+
+def test_embedding_roots_match_the_lapack_oracle(random_systems, cns_systems):
+    golden = ("2,2,1", "2,1", "2,-2,1", "5,4,1", "7,-6,1", "2,0,0,1", "3,3,3,1", "5,4,3,2,1",
+              "10,9,8,7,6,5,4,3,2,1")
+    bases = [tuple(int(c) for c in text.split(",")) for text in golden]
+    bases += [ns.poly.coeffs for ns in random_systems] + [ns.poly.coeffs for ns, _ in cns_systems]
+    for coeffs in bases:
+        roots = algebra._embedding_roots(coeffs)
+        expected = list(lapack_roots(coeffs))
+        for z in roots:  # the same multiset, root by root
+            w = min(expected, key=lambda w: abs(w - z))
+            assert abs(w - z) <= 1e-12 * abs(w), coeffs
+            expected.remove(w)
+        for k, z in enumerate(roots):  # exact conjugate pairs, lower member first
+            if z.imag < 0:
+                assert roots[k + 1] == z.conjugate(), coeffs
+            elif z.imag > 0:
+                assert roots[k - 1] == z.conjugate(), coeffs
+    # the same error class over the irreducible polynomials of degrees 1-3
+    # with |c_i| <= 6 and no root within 1e-9 of the unit circle, where the
+    # two could round apart
+    checked = refused = 0
+    for coeffs in ((c0, *rest, 1) for d in (1, 2, 3) for c0 in range(-6, 7) if abs(c0) >= 2
+                   for rest in itertools.product(range(-6, 7), repeat=d - 1)):
+        if len(coeffs) > 2 and has_integer_root(coeffs):
+            continue
+        if any(abs(abs(z) - 1.0) <= 1e-9 for z in np.roots(coeffs[::-1])):
+            continue
+        outcomes = []
+        for route in (algebra._embedding_roots, lapack_roots):
+            try:
+                outcomes.append(len(route(coeffs)))
+            except DomainError:
+                outcomes.append(DomainError)
+        assert outcomes[0] == outcomes[1], coeffs
+        checked += 1
+        refused += outcomes[0] is DomainError
+    assert checked > 1500 and refused > 900
 
 
 @pytest.mark.parametrize("text", ["2,0,3,0,1", "2,2,3,1,1"])

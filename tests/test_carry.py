@@ -132,6 +132,22 @@ def test_perron_radius_names_an_open_bracket(monkeypatch):
         carry.perron_radius(successor_lists([[1, 2], [3, 1]]))
 
 
+def test_perron_radius_closes_a_bracket_stalled_at_float_resolution(monkeypatch):
+    # at BRACKET_WIDTH 0 no bracket closes by its width; each stops narrowing
+    # a few ulp wide, within STALL_WIDTH, and is closed once 6 iterations
+    # (the states) pass without narrowing; at STALL_WIDTH 0 it raises at once
+    monkeypatch.setattr(carry, "BRACKET_WIDTH", 0.0)
+    rng = np.random.default_rng(41)
+    graphs = [rng.integers(0, 5, size=(6, 6)) for _ in range(5)]
+    for a in graphs:
+        rho, iterations = carry.perron_radius(successor_lists(a))
+        expected = max(abs(np.linalg.eigvals(a.astype(float))))
+        assert abs(rho - expected) < 1e-12 * (1 + expected) and iterations < 50
+    monkeypatch.setattr(carry, "STALL_WIDTH", 0.0)
+    with pytest.raises(ConvergenceError, match=r"\[.*, .*\] stopped narrowing after [1-4]\d "):
+        carry.perron_radius(successor_lists(graphs[0]))
+
+
 def test_perron_radius_matches_numpy():
     rng = np.random.default_rng(41)
     for _ in range(20):

@@ -85,6 +85,15 @@ def test_huge_constant_term_is_decided_at_once():
     assert json.loads(done.stdout)["embedding_moduli"] == [10**10, 10**10]
 
 
+def test_degree_nine_subset_graph_closes_its_stalled_bracket():
+    # its Collatz-Wielandt bracket stops narrowing at [9.641588010995367,
+    # 9.641588010995374], wider than BRACKET_WIDTH: closed, not iterated 10^5 times
+    done = cli_child("cns-carry", "--poly", "10,9,8,7,6,5,4,3,2,1", "--subset-graph")
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout)["rows"][0]
+    assert (row["subset_states"], row["subset_dominant"]) == (1022, 9.641588010995)
+
+
 def test_expand_strips_its_element_once(capsysbinary, monkeypatch):
     strips = []
     strip = numeration._strip_one
@@ -160,6 +169,22 @@ def test_usage_errors_exit_two(capsysbinary):
         code, out, err = run(capsysbinary, "weyl", *KNUTH, "--fn", "rs", "--alpha", "0.5",
                              "--lambda", "2", "--threads", count)
         assert (code, out, err.count(b"error:")) == (2, b"", 1), count
+
+
+def test_one_subparser_reads_as_all_ten(capsysbinary, monkeypatch):
+    # a named subcommand configures its own subparser only; help, usage
+    # errors and exit codes are those of the parser of all ten
+    assert list(cli._build_parser("census")[1]) == ["census"]
+    assert len(cli._build_parser("cens")[1]) == len(cli._SUBCOMMANDS) == 10
+    argvs = [["--help"], [], ["frobnicate", *KNUTH], ["--threads", "2", "carry", *KNUTH],
+             ["expand", *KNUTH, "--bogus"], ["tile", *KNUTH, "--depth", "4", "--space", "polar"],
+             ["census", *KNUTH], ["weyl", *KNUTH, "--fn", "rs", "--alpha"],
+             *([name, "--help"] for name, *_ in cli._SUBCOMMANDS)]
+    runs = [run(capsysbinary, *argv) for argv in argvs]
+    assert [code for code, _, _ in runs] == [0 if "--help" in argv else 2 for argv in argvs]
+    build_all = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda name=None: build_all())
+    assert [run(capsysbinary, *argv) for argv in argvs] == runs
 
 
 def test_undeclared_format_exits_two_before_work(capsysbinary, monkeypatch):
@@ -672,13 +697,17 @@ def test_bad_seed_or_out_exits_two_before_work(capsysbinary, monkeypatch, tmp_pa
 
 
 # Runs through cli.main in one fresh interpreter: the subcommands that build
-# no arrays (the carry automaton and its Perron root are pure Python), then
-# the benchmark's set-up probe (import radixion.cli, build the parser,
-# NumberSystem.parse); none of them may load numpy.
+# no arrays (the carry automaton and its Perron root are pure Python, and so
+# are the embeddings), then the benchmark's set-up probe (import radixion.cli,
+# build the parser, NumberSystem.parse) and the embeddings and distortion of
+# a degree-9 base; none of them may load numpy.
 NUMPY_FREE = """
 import sys
-from radixion import cli
+import warnings
+from radixion import algebra, cli
+from radixion.algebra import MinimalPolynomial
 from radixion.numeration import NumberSystem
+warnings.simplefilter("ignore")  # degree 9 is accepted unchecked
 out = sys.argv[1]
 for group in %r:
     for argv in group:
@@ -687,11 +716,15 @@ for group in %r:
         assert "radixion.carry" not in sys.modules, "check-fns or expand imported carry"
 cli.main(["census", "--help"])
 NumberSystem.parse("5,4,1", "0,0;1,0;2,0;3,0;4,0")
+base = MinimalPolynomial.parse("10,9,8,7,6,5,4,3,2,1")
+assert len(base.embeddings().roots) == 9 and algebra.distortion(base).theta_max > 1
 print(sorted(name for name in sys.modules
              if name.split(".")[0] in ("numpy", "dataclasses", "_hashlib")))
 """ % ([
     [
         ["check-fns", *KNUTH],
+        ["distortion", "--poly", "2,2,1"],
+        ["distortion", "--poly", "3,3,3,1"],
         ["expand", *KNUTH, "--element", "7,3", "--slice", "1,inf"],
         ["expand", *FIVE_A, "--box", "2"],
         ["expand", *KNUTH, "--enumerate", "12"],
