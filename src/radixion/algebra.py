@@ -189,6 +189,46 @@ def _integer_root(coeffs):
     return next((x for a, b in brackets for x in range(a, b + 1) if f(x) == 0), None)
 
 
+def _primitive(a: list) -> list:
+    """a (integer coefficients, lowest first) over the gcd of its entries,
+    its leading coefficient made positive; [] for zero."""
+    content = functools.reduce(math.gcd, a, 0)
+    return [x // content if a[-1] > 0 else -x // content for x in a]
+
+
+def _derivative_gcd(coeffs) -> list:
+    """gcd(p, p') of p = c_0 + ... + x^d over the integers, monic, lowest
+    coefficient first: [1] exactly when p has no repeated factor.  Euclid's
+    algorithm on primitive pseudo-remainders, each dividend scaled by the
+    divisor's leading coefficient before each step, so every step is exact
+    in the integers.  A monic factor of a monic integer polynomial has
+    integer coefficients (Gauss's lemma), so the primitive gcd with a
+    positive leading coefficient is the monic one."""
+    a, b = list(coeffs), _primitive([k * c for k, c in enumerate(coeffs)][1:])
+    while b:
+        while len(a) >= len(b):
+            lead, shift = a[-1], len(a) - len(b)
+            a = [b[-1] * x for x in a]
+            for i, y in enumerate(b):
+                a[i + shift] -= lead * y
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, _primitive(a)
+    return a
+
+
+def _poly_text(coeffs) -> str:
+    """c_0 + ... + c_d x^d as text, highest power first: "x^2 - x + 2"."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        if coeffs[k]:
+            power = "" if k == 0 else "x" if k == 1 else "x^%d" % k
+            size = str(abs(coeffs[k])) if abs(coeffs[k]) != 1 or k == 0 else ""
+            terms.append(("- " if coeffs[k] < 0 else "+ ") + size + power)
+    text = " ".join(terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 class EmbeddingSet(NamedTuple):
     """Complex embeddings q -> C, sorted by real part, then by |imaginary
     part|, lower member of a conjugate pair first."""
@@ -233,6 +273,10 @@ class MinimalPolynomial:
         if d == 1:
             return
         if d > 3:
+            shared = _derivative_gcd(self.coeffs)
+            if len(shared) > 1:
+                raise DomainError("polynomial has a repeated factor: %s divides it and its"
+                                  " derivative" % _poly_text(shared))
             warnings.warn(
                 "irreducibility is only verified up to degree 3; "
                 "degree %d polynomial is accepted unchecked" % d,

@@ -46,10 +46,14 @@ centre is stripped k - m times and looked up, not stripped k times to 0.
 
 The stages after the pass never copy a whole grid: the boundary count and
 the inner radius read the grid one slab of about bulk.ROW_BLOCK cells at a
-time, and the cover's samples stream into one float64 array.  Nor do they
-call LAPACK: the inverse Vandermonde matrix of the outer radius comes from
-the Lagrange basis polynomials, and the box dimension is the closed-form
-least-squares line.
+time, and the cover's samples stream into one float64 array.  No stage
+calls BLAS or LAPACK, whose code a child would otherwise page in for
+fixed-size d x d products: the numerator tables are exact int64 products
+converted to float64 once, the window adds its terms in the fixed order of
+_charted, the lattice area's rounding guard is an elementwise sum, the
+inverse Vandermonde matrix of the outer radius comes from the Lagrange
+basis polynomials, and the box dimension is the closed-form least-squares
+line.
 """
 
 from __future__ import annotations
@@ -165,11 +169,13 @@ def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
     """(low_num, off_num, c_0^depth), the point of row h * |low| + l of
     N_depth (bulk.split_tables) being (low_num[l] + off_num[h]) / c_0^depth.
     Low rows and offsets lie in N_depth too (0 is a digit), so every
-    numerator, and the sum of two, is exact (_cloud_power)."""
+    numerator, and the sum of two, is below 2^53 (_cloud_power): the int64
+    products are exact, and so is their one conversion to float64."""
     power, denom = _cloud_power(ns, depth)
     low, offsets = bulk.split_tables(ns, depth)
-    scale_t = np.array(power, dtype=np.float64).T
-    return np.asfortranarray(low @ scale_t), offsets @ scale_t, denom
+    power_t = np.array(power, dtype=np.int64).T
+    return (np.array(low @ power_t, dtype=np.float64, order="F"),
+            (offsets @ power_t).astype(np.float64), denom)
 
 
 def _sums(low_num: np.ndarray, off_num: np.ndarray):
@@ -220,8 +226,8 @@ def _cloud_window(ns: NumberSystem, depth: int, chart) -> tuple:
     terms = np.array(ns.digits, dtype=np.float64)
     lo = hi = np.zeros(ns.degree)
     for _ in range(depth):
-        terms = terms @ minv_t
-        axes = terms if chart is None else terms @ chart
+        terms = _charted(terms, minv_t, np.empty_like(terms))
+        axes = terms if chart is None else _charted(terms, chart, np.empty_like(terms))
         lo, hi = lo + axes.min(axis=0), hi + axes.max(axis=0)
     return _window(lo, hi)
 
@@ -312,7 +318,8 @@ def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, res: int
         return _Fine()
     sign = 1 if ns.poly.coeffs[0] ** depth > 0 else -1
     rows = bulk._build_table(ns, m)  # N_m, within N_depth's checked range
-    cloud = rows @ (sign * np.array(power, dtype=np.float64)).T  # exact, as in _cloud_numerators
+    # exact int64 products, converted once, as in _cloud_numerators
+    cloud = (rows @ (sign * np.array(power, dtype=np.int64)).T).astype(np.float64)
     lo = cloud.min(axis=0)
     cloud -= lo  # exact: F spans less than a cell
     values = tuple(np.array(sorted(set(col.tolist()))) for col in cloud.T)  # np.unique loads numpy.ma
@@ -564,7 +571,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
     hi = np.array([b[1] for b in raster.bbox])
     # Each coordinate of q^k c passes through at most d + 8 roundings of
     # relative size 2^-53, each bounded by |q^k| |c| over the window.
-    error = (d + 8) * 2.0**-53 * float((np.abs(power) @ np.maximum(-lo, hi)).max())
+    error = (d + 8) * 2.0**-53 * float((np.abs(power) * np.maximum(-lo, hi)).sum(axis=1).max())
     if error >= 0.5:
         raise DomainError(
             "rounding q^%d c can err by %.3g, not below 1/2; depth %d is too deep"

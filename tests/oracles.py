@@ -183,6 +183,23 @@ def poly_has_root_mod(coeffs, ell):
 PRIME, INERT = 1, 2
 
 
+def numpy_norm_bound(ns, lam):
+    """bulk._norm_bound by numpy's complex exp and multiply: the lam x Q
+    digit terms sigma(q^j b) of each embedding sigma, times the
+    NORM_DIRECTIONS unit directions, the best real part per position summed
+    into the support per direction.  The reference for the fast path, which
+    sums the same supports in Python complex arithmetic."""
+    k = bulk.NORM_DIRECTIONS
+    directions = np.exp(-2j * math.pi * np.arange(k) / k)
+    bound = 1.0
+    for z in ns.poly.embeddings().roots:
+        terms = np.array([[algebra._poly_eval(b, z) * z**j for b in ns.digits]
+                          for j in range(lam)])
+        support = (terms.reshape(lam, ns.Q, 1) * directions).real.max(axis=1).sum(axis=0)
+        bound *= max(float(support.max()), 0.0) / math.cos(math.pi / k)
+    return int(bound * (1 + 1e-9)) + 1
+
+
 def uint8_norm_sieve(top, coeffs=None):
     """One byte per integer 0..top: PRIME at the primes, INERT at ell^2 for
     each prime ell at which the quadratic of `coeffs` has no root
@@ -430,6 +447,24 @@ def lapack_roots(coeffs):
     if any(abs(z) <= 1.0 for z in polished):
         raise DomainError("base is not expanding: some conjugate has modulus <= 1")
     return tuple(sorted(polished, key=lambda z: (z.real, abs(z.imag), z.imag)))
+
+
+def rational_gcd(p, q):
+    """The monic gcd of two nonzero polynomials with integer coefficients,
+    lowest first, by Euclid's algorithm over Fraction coefficients: the
+    reference for algebra._derivative_gcd, which stays in the integers by
+    primitive pseudo-remainders."""
+    a, b = [Fraction(c) for c in p], [Fraction(c) for c in q]
+    while any(b):
+        while b[-1] == 0:
+            b.pop()
+        while len(a) >= len(b) and any(a):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[i + shift] -= factor * y
+            a.pop()
+        a, b = b, a or [Fraction(0)]
+    return [int(c / a[-1]) for c in a]
 
 
 def lapack_coordinate_bound(ns):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from oracles import lapack_roots, trace_matrix
+from oracles import lapack_roots, rational_gcd, trace_matrix
 
 from radixion import algebra
 from radixion.algebra import MinimalPolynomial
@@ -161,6 +163,41 @@ def test_degree_four_warns_and_is_accepted():
     with pytest.warns(UserWarning):
         m = MinimalPolynomial((2, 0, 0, 0, 1))
     assert m.degree == 4 and m.Q == 2
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_derivative_gcd_matches_the_rational_oracle():
+    # every monic quartic with |c_i| <= 3 and c_0 != 0, and products f^2 g
+    # and f^3 of small monic factors, of degrees 4 to 7
+    polys = [(*rest, 1) for rest in itertools.product(range(-3, 4), repeat=4) if rest[0]]
+    factors = [(c0, *rest, 1) for d in (1, 2) for c0 in (-3, -2, 2, 3)
+               for rest in itertools.product(range(-2, 3), repeat=d - 1)]
+    polys += [poly_mul(poly_mul(f, f), g) for f in factors for g in factors + [(1,)]]
+    polys += [poly_mul(poly_mul(f, f), f) for f in factors]
+    for coeffs in polys:
+        derivative = [k * c for k, c in enumerate(coeffs)][1:]
+        assert algebra._derivative_gcd(coeffs) == rational_gcd(coeffs, derivative), coeffs
+
+
+@pytest.mark.parametrize("text, factor", [("4,4,5,2,1", "x^2 + x + 2"),
+                                          ("9,6,7,2,1", "x^2 + x + 3"),
+                                          ("4,0,4,0,1", "x^2 + 2"),
+                                          ("8,12,18,13,9,3,1", "x^4 + 2x^3 + 5x^2 + 4x + 4")])
+def test_construction_rejects_a_repeated_factor(text, factor):
+    # (x^2 + x + 2)^2, (x^2 + x + 3)^2, (x^2 + 2)^2 and (x^2 + x + 2)^3: every
+    # root lies outside the unit circle, so only the exact test refuses them
+    assert algebra._is_expanding(tuple(int(c) for c in text.split(",")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the degree-4 warning
+        with pytest.raises(DomainError, match=r"repeated factor: %s divides" % re.escape(factor)):
+            MinimalPolynomial.parse(text)
 
 
 def test_parse_and_str_round_trip():

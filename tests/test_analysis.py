@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (INERT, PRIME, STATISTICS, enumerated_histogram, fourier_table_oracle,
-                     is_prime_element, oracle_mask, poly_has_root_mod, rudin_shapiro,
-                     scalar_histogram, strong_probable_prime, sum_of_digits,
+                     is_prime_element, numpy_norm_bound, oracle_mask, poly_has_root_mod,
+                     rudin_shapiro, scalar_histogram, strong_probable_prime, sum_of_digits,
                      trial_division_is_prime, uint8_norm_sieve, weyl_table_oracle, whole_table)
 
 from radixion import algebra, analysis, bulk, numeration
@@ -118,6 +118,21 @@ def test_norm_bound_covers_the_maximum(request, random_systems):
             assert true <= bound
             if ns.degree == 2 and ns.poly.coeffs[1] ** 2 < 4 * ns.poly.coeffs[0]:
                 assert bound <= 1.01 * true + 1  # complex base: near the true maximum
+
+
+def test_norm_bound_matches_the_numpy_oracle(request, random_systems, cns_systems):
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    for ns in golden + list(random_systems) + [ns for ns, _ in cns_systems]:
+        for lam in (0, 1, 2, 5, 14, 22):
+            fast, slow = bulk._norm_bound(ns, lam), numpy_norm_bound(ns, lam)
+            # numpy's complex multiply may fuse the real part's multiply-add
+            # (an FMA on AVX2 hosts), so a support may differ in its last
+            # bits: the same integer below 2^40, which holds every bound that
+            # sizes a norm table, and a few ulps apart past it
+            if slow < 1 << 40:
+                assert fast == slow, (ns.poly, lam)
+            else:
+                assert abs(fast - slow) <= slow * 2.0**-48, (ns.poly, lam)
 
 
 def test_sieve_size_at_lambda_22(knuth):

@@ -137,6 +137,19 @@ def test_cns_carry_negative_weight_exits_one(capsysbinary):
     assert b"w_1 = -6" in err
 
 
+@pytest.mark.parametrize("poly, factor", [("4,4,5,2,1", "x^2 + x + 2"),
+                                          ("9,6,7,2,1", "x^2 + x + 3"),
+                                          ("4,0,4,0,1", "x^2 + 2")])
+def test_repeated_factor_exits_one(capsysbinary, poly, factor):
+    # the base is refused by its exact square-free test, before any root is
+    # sought: one error line naming the factor, through every subcommand
+    digits = ";".join("%d,0,0,0" % r for r in range(int(poly.split(",")[0])))
+    line = "error: polynomial has a repeated factor: %s divides it and its derivative\n" % factor
+    for argv in (["distortion", "--poly", poly], ["carry", "--poly", poly, "--digits", digits],
+                 ["check-fns", "--poly", poly, "--digits", digits]):
+        assert run(capsysbinary, *argv) == (1, b"", line.encode()), argv
+
+
 def test_usage_errors_exit_two(capsysbinary):
     assert run(capsysbinary, "expand", *KNUTH, "--bogus")[0] == 2
     assert run(capsysbinary, "expand", "--element=1,0")[0] == 2  # missing system

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -813,3 +816,44 @@ def test_corner_raster_window_overshoot(request, monkeypatch, each_row_block):
             assert_corner_raster(ns, depth, 4, marks)
         overshoots += int((pts < lo).sum() + (pts > hi).sum())
     assert overshoots > 0  # points beyond the window, binned from corners into the edge cells
+
+
+# A tile pass, its lattice area and a prime histogram in one fresh
+# interpreter, each mapping's resident kB of the OpenBLAS library read from
+# /proc/self/smaps after `import numpy` and after the work: the pages that
+# BLAS brings in stay out when no stage calls it.  Prints "None" where numpy
+# maps no OpenBLAS library.
+BLAS_FREE = """
+def blas_kb():
+    total, inside = None, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()
+            if "-" in head[0]:  # a mapping's first line: range, perms, offset, dev, inode, path
+                inside = len(head) > 5 and "openblas" in head[5].lower()
+            elif inside and head[0] == "Rss:":
+                total = (total or 0) + int(head[1])
+    return total
+
+import numpy
+before = blas_kb()
+from radixion import bulk, numeration, tile
+knuth = numeration.NumberSystem.parse("2,2,1", "0,0;1,0")
+raster = tile.tile_rasters(knuth, 18, [("coordinate", 1024)])[("coordinate", 1024)]
+tile.measure_area(knuth, raster)
+bulk.prime_histogram(knuth, numeration.digit_sum(knuth), [14])
+print(before, blas_kb())
+"""
+
+
+def test_tile_and_prime_passes_call_no_blas():
+    if not os.path.exists("/proc/self/smaps"):
+        pytest.skip("no /proc/self/smaps")
+    src = os.path.dirname(os.path.dirname(tile.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", BLAS_FREE], env=env, capture_output=True,
+                          text=True, check=True)
+    before, after = done.stdout.split()
+    if before == "None":
+        pytest.skip("numpy maps no OpenBLAS library")
+    assert int(after) == int(before)
