@@ -4,27 +4,27 @@ Row i of N_lambda holds the element whose digit index in position j is
 (i // Q^j) % Q, so a fixed block of top digits is one contiguous row
 range.  split_tables is the one enumeration: row h * |low| + l is low row
 l, an element of the bottom positions (at most ROW_BLOCK rows), plus
-offsets[h], q^low times high row h, an element of the top positions.
-That is exact integer arithmetic, so every split gives the same rows.
-Every streamed stage walks it one high row at a time: the prime pass,
-numeration.enumerate_N and the tile cloud.  Its temporaries
+offsets[h], q^low times high row h.  Every exact table of N_lambda is a
+sum of digit layers, the terms q^j b in Python integers (digit_layers)
+added one position at a time into int64 rows (layer_table), so every
+split gives the same rows.  Every streamed stage walks it one high row
+at a time: the prime pass, numeration.enumerate_N and the tile cloud.  Its temporaries
 scale with the low table, so ROW_BLOCK is 2^14 rows: the traced peak of
 the lambda-22 prime histogram is 1.0-1.1 MB, against 2.9-3.4 MB at 2^16.  When
 Q^lam fits in ROW_BLOCK the low table is all of N_lam, the table that
 tile.lattice_area looks stripped centres up in, keyed by box_places.
-The two tables hold coordinates only, each built by a meet-in-the-middle
-merge of shorter whole tables (_build_table).  A digit statistic (the
-digit sum or the adjacent-nonzero-pair count, numeration.DigitStatistic)
-is read apart, off the digit indices that a row's index spells
-(statistic_rows), without expanding any element.  The prime pass
-(prime_blocks) builds no row: per high row, the norms of its rows are a
-binary quadratic form over vectors derived once from the low table, and
-each odd norm's verdict is one bit of norm_table (or, when that table
-would outweigh the rows, the norm's own primality test).  The statistic
-adds over the split: a row's value is its low row's plus its high row's
-read from the state the low row leaves.  One pass counts the prime
-histograms of every lambda of a request (prime_histogram), since N_lambda
-is a block of the rows of N_top for lambda <= top.
+The two tables hold coordinates only.  A digit statistic (the digit sum
+or the adjacent-nonzero-pair count, numeration.DigitStatistic) is read
+apart, off the digit indices that a row's index spells (statistic_rows),
+without expanding any element.  The prime pass (prime_blocks) builds no
+row: per high row, the norms of its rows are a binary quadratic form over
+vectors derived once from the low table, and each odd norm's verdict is
+one bit of a packed sieve (_norm_bits; or, when that table would outweigh
+the rows, the norm's own primality test).  The statistic adds over the
+split: a row's value is its low row's plus its high row's read from the
+state the low row leaves.  One pass counts the prime histograms of every
+lambda of a request (prime_histogram), since N_lambda is a block of the
+rows of N_top for lambda <= top.
 strip_columns is backward division on whole int64 coordinate columns.
 Coordinates and counts are int64.  The statistic's values, the norms of
 the split pass and the ranks of distinct rows take the width _int_type
@@ -64,19 +64,6 @@ def _int_type(bound: int) -> type:
     return np.int32 if bound < 1 << 31 else np.int64
 
 
-def q_power_matrix(m: algebra.MinimalPolynomial, k: int) -> np.ndarray:
-    """Exact int64 matrix of multiplication by q^k over the power basis."""
-    acc = algebra.mult_matrix(m, algebra.q_power(m, k))
-    if any(abs(v) >= INT64_GUARD for row in acc for v in row):
-        raise CapExceeded("power matrix q^%d overflows the int64 budget" % k)
-    return np.array(acc, dtype=np.int64)
-
-
-def u_matrix(m: algebra.MinimalPolynomial) -> np.ndarray:
-    """int64 matrix of multiplication by the cofactor u (q*u = c_0)."""
-    return np.array(algebra.mult_matrix(m, algebra.u_element(m)), dtype=np.int64)
-
-
 def strip_columns(ns: NumberSystem, cols, times: int = 1) -> list:
     """Array form of numeration._strip_one, applied `times` times: the d
     int64 columns of (n - b)/q from those of n.  With n_0 = Q s + r and b
@@ -102,17 +89,42 @@ def strip_columns(ns: NumberSystem, cols, times: int = 1) -> list:
     return list(cols)
 
 
+def digit_layers(ns: NumberSystem, start: int, count: int, rows=None) -> list:
+    """The digit terms of positions start .. start + count - 1, exact in
+    Python integers: layer j lists q^(start + j) b for each digit b, in
+    digit order, or, given integer row vectors `rows`, the products of
+    those rows with q^(start + j) b."""
+    layer, layers = list(ns.digits), []
+    for j in range(start + count):
+        if j >= start:
+            layers.append(layer if rows is None else [
+                tuple(sum(u * x for u, x in zip(row, b)) for row in rows) for b in layer])
+        layer = [algebra.mul_by_q(ns.poly, b) for b in layer]
+    return layers
+
+
+def layer_table(layers: list, width: int) -> np.ndarray:
+    """The (Q^len(layers), width) int64 table whose row i is the sum over
+    positions j of layers[j][(i // Q^j) % Q] (digit_layers), one position
+    at a time, the lowest first: the rows of j + 1 positions are Q blocks,
+    one per digit index t, each the rows of j positions plus term t of
+    layer j, the order statistic_rows reads.  Unchecked: 0 is a digit, so
+    every partial sum is a row of a shorter table, within the caller's
+    bound on the rows."""
+    table = np.zeros((1, width), np.int64)
+    for layer in layers:
+        table = (np.array(layer, np.int64)[:, None, :] + table).reshape(-1, width)
+    return table
+
+
 def coordinate_ranges(ns: NumberSystem, lam: int) -> tuple:
     """Exact (lo, hi) lists per coordinate over N_lam: each position takes
     every digit, so coordinate i spans the sum over positions j of
-    [min_b, max_b] of coordinate i of q^j b, both ends attained."""
-    lo, hi = [0] * ns.degree, [0] * ns.degree
-    layer = ns.digits
-    for _ in range(lam):
-        lo = [v + min(b[i] for b in layer) for i, v in enumerate(lo)]
-        hi = [v + max(b[i] for b in layer) for i, v in enumerate(hi)]
-        layer = [algebra.mul_by_q(ns.poly, b) for b in layer]
-    return lo, hi
+    [min_b, max_b] of coordinate i of q^j b (digit_layers), both ends
+    attained."""
+    layers = digit_layers(ns, 0, lam)
+    return ([sum(min(b[i] for b in layer) for layer in layers) for i in range(ns.degree)],
+            [sum(max(b[i] for b in layer) for layer in layers) for i in range(ns.degree)])
 
 
 def split_tables(ns: NumberSystem, lam: int) -> tuple:
@@ -124,8 +136,8 @@ def split_tables(ns: NumberSystem, lam: int) -> tuple:
     either table is built."""
     _check_rows(ns, lam)
     positions = _low_positions(ns.Q, lam)
-    return (_build_table(ns, positions),
-            _build_table(ns, lam - positions) @ q_power_matrix(ns.poly, positions).T)
+    return (layer_table(digit_layers(ns, 0, positions), ns.degree),
+            layer_table(digit_layers(ns, positions, lam - positions), ns.degree))
 
 
 def _low_positions(Q: int, lam: int) -> int:
@@ -144,21 +156,6 @@ def _check_rows(ns: NumberSystem, lam: int) -> None:
     widest = max(max(-a, b) for a, b in zip(*coordinate_ranges(ns, lam)))
     if widest >= INT64_GUARD:
         raise CapExceeded("coordinates of N_%d reach %d, beyond the int64 budget" % (lam, widest))
-
-
-def _build_table(ns: NumberSystem, lam: int) -> np.ndarray:
-    """The (Q^lam, d) int64 coordinates of the whole table of N_lam,
-    unchecked (split_tables checks): row h * |low| + l merges row l of the
-    table of the bottom lam - lam // 2 positions with row h of the top
-    lam // 2, one outer sum per coordinate."""
-    if lam <= 1:  # N_0, the empty string, or N_1, the digits
-        return np.array(ns.digits if lam else [(0,) * ns.degree], dtype=np.int64)
-    low = _build_table(ns, lam - lam // 2)
-    offsets = _build_table(ns, lam // 2) @ q_power_matrix(ns.poly, lam - lam // 2).T
-    coords = np.empty((len(offsets), len(low), ns.degree), np.int64)
-    for k in range(ns.degree):  # row h * len(low) + l is offsets[h] + low[l]
-        np.add.outer(offsets[:, k], low[:, k], out=coords[:, :, k])
-    return coords.reshape(-1, ns.degree)
 
 
 def statistic_rows(stat, Q: int, lam: int, top: int, entry: int) -> tuple:
@@ -243,19 +240,6 @@ def _split_bound(ns: NumberSystem, lam: int) -> int:
     return 6 * widest
 
 
-def norm_table(ns: NumberSystem, lam: int, top: int) -> np.ndarray:
-    """The prime verdict of every odd norm of N_lam, one bit per odd integer
-    1..top (_norm_bits), top the caller's bound on |N(n)| over N_lam
-    (_norm_bound, once _split_bound has checked the degree and the int64
-    norm); prime_mask decides the even norms.  The table's top // 16 + 1
-    bytes are checked against the cap at the 8 * d bytes of a table row's
-    coordinates before allocation."""
-    if top // 16 + 1 > effective_cap(ENUM_CAP) * 8 * ns.degree:
-        raise CapExceeded("prime sieve of %d bytes for lambda %d exceeds the memory of a %d-element"
-                          " table" % (top // 16 + 1, lam, effective_cap(ENUM_CAP)))
-    return _norm_bits(top, ns.poly.coeffs[:2] if ns.degree == 2 else None)
-
-
 def _norm_bits(top: int, quadratic=None) -> np.ndarray:
     """Bits over the odd integers 1..top, packed little-endian (n = 2k + 1 is
     bit k & 7 of byte k >> 3, so n >> 4 names its byte and (n >> 1) & 7 its
@@ -296,15 +280,14 @@ def _norm_bits(top: int, quadratic=None) -> np.ndarray:
 
 
 def prime_mask(ns: NumberSystem, norms: np.ndarray, table: np.ndarray | None,
-               small: bool = True) -> np.ndarray:
+               four: bool) -> np.ndarray:
     """Prime verdicts for elements of absolute norms `norms` (an integer
     array of any width, shifted and masked in it), or with table None the
     scalar analysis.norm_verdict of each.  An odd norm takes its bit of
-    `table` (norm_table), which must reach every norm; the low byte of each
+    `table` (_norm_bits), which must reach every norm; the low byte of each
     norm, read once, gives the bit's place and the parity that clears every
-    even norm.  The even prime norms are 2 and, when 2 is inert in a
-    quadratic ring, 4: they are compared for only when `small` says a norm
-    below 5 may occur."""
+    even norm.  The even prime norms have no bit and are compared for: 2,
+    and 4 when `four` says 2 is inert in a quadratic ring."""
     if table is None:
         from .analysis import PRIME_KINDS, norm_verdict
         return np.array([norm_verdict(ns.poly, v).kind in PRIME_KINDS for v in norms.tolist()],
@@ -317,32 +300,10 @@ def prime_mask(ns: NumberSystem, norms: np.ndarray, table: np.ndarray | None,
     bits &= low
     bits &= 1
     mask = bits.view(bool)
-    if small:
-        from .analysis import _is_inert
-        mask |= norms == 2
-        if ns.degree == 2 and _is_inert(*ns.poly.coeffs[:2], 2):
-            mask |= norms == 4
+    mask |= norms == 2
+    if four:
+        mask |= norms == 4
     return mask
-
-
-def _small_norm_rows(ns: NumberSystem, columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per high row h, whether some low row l (of coordinate `columns`) may
-    have |N(l + offsets[h])| < 5, by the triangle inequality: in degree 1
-    |N| is |a|, so that needs |N(o)| <= M + 4, and in a complex quadratic
-    ring sqrt(N) is a length, |sigma(n)|, so it needs sqrt(N(o)) <= sqrt(M)
-    + 2, with M the largest |N(l)|.  A real quadratic ring has no such
-    bound: every row may."""
-    if ns.degree == 1:
-        return np.abs(offsets[:, 0]) <= int(np.abs(columns[0]).max()) + 4
-    c0, c1 = ns.poly.coeffs[:2]
-    if c1 * c1 >= 4 * c0:
-        return np.ones(len(offsets), dtype=bool)
-
-    def norm(a, b):
-        return a * a - c1 * a * b + c0 * b * b
-
-    reach = int(norm(*columns).max())
-    return norm(offsets[:, 0], offsets[:, 1]) <= reach + 4 * math.isqrt(reach) + 8
 
 
 def _split_norms(ns: NumberSystem, columns: np.ndarray, offsets: np.ndarray):
@@ -378,11 +339,12 @@ def _split_norms(ns: NumberSystem, columns: np.ndarray, offsets: np.ndarray):
 
 def pass_bounds(ns: NumberSystem, lam: int) -> tuple:
     """(bound, top, table) of the prime pass over N_lam: _split_bound,
-    _norm_bound, and whether the pass builds the norm table, whose top // 16
-    + 1 bytes must stay within the 8 * d bytes of coordinates of its Q^lam
-    rows (so norm_table's cap, 8 * d bytes per element of the cap, holds).
-    Every check of the pass is made here, in its order, before anything is
-    built: _check_rows, then _split_bound."""
+    _norm_bound, and whether the pass builds the norm table (_norm_bits),
+    whose top // 16 + 1 bytes must stay within the 8 * d bytes of
+    coordinates of its Q^lam rows.  _check_rows holds Q^lam to the element
+    cap, so a table that is built takes at most 8 * d bytes per element of
+    the cap.  Every check of the pass is made here, in its order, before
+    anything is built: _check_rows, then _split_bound."""
     _check_rows(ns, lam)
     bound, top = _split_bound(ns, lam), _norm_bound(ns, lam)
     return bound, top, top // 16 + 1 <= 8 * ns.degree * ns.Q**lam
@@ -393,15 +355,17 @@ def prime_blocks(ns: NumberSystem, lam: int) -> tuple:
     generator of (h, mask) per high row h, in order, mask marking the low
     rows l at which the row l + offsets[h] is prime.  Every check
     (pass_bounds) is made when called, before anything is built.  Each norm
-    comes from _split_norms and its verdict from prime_mask, told which high
-    rows may hold a norm below 5 (_small_norm_rows); without the norm table
-    each norm is tested alone."""
+    comes from _split_norms and its verdict from prime_mask, told once
+    whether 4 is a prime norm; without the norm table each norm is tested
+    alone."""
+    from .analysis import _is_inert
     bound, top, table = pass_bounds(ns, lam)
     low, offsets = split_tables(ns, lam)
-    table = norm_table(ns, lam, top) if table else None
+    quadratic = ns.poly.coeffs[:2] if ns.degree == 2 else None
+    table = _norm_bits(top, quadratic) if table else None
     columns = low.T.astype(_int_type(bound), order="C")
-    small = _small_norm_rows(ns, columns, offsets)
-    masks = ((h, prime_mask(ns, norm, table, small[h]))
+    four = quadratic is not None and _is_inert(*quadratic, 2)
+    masks = ((h, prime_mask(ns, norm, table, four))
              for h, norm in _split_norms(ns, columns, offsets))
     return low, offsets, masks
 

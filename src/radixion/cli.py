@@ -4,7 +4,8 @@ Every invocation writes one artifact (JSON, CSV, PGM, or DOT) to stdout
 or --out, plus a run manifest (sidecar file with --out, single stderr
 line otherwise).  All floating output is fixed at 12 decimals and all
 key orders are fixed, so identical invocations with identical seeds are
-byte-identical.
+byte-identical.  A warning raised while a subcommand runs is printed to
+stderr as one line, "warning: <message>", before the manifest or error.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 resource cap.
 """
@@ -17,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, algebra, numeration
@@ -737,7 +739,12 @@ def main(argv=None) -> int:
             raise UsageError("--out %s is a directory" % args.out)
         if args.threads < 1:
             raise UsageError("--threads must be at least 1, got %d" % args.threads)
-        artifact = args.handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                artifact = args.handler(args)
+            finally:  # one line per warning, without the source location
+                for warning in caught:
+                    print("warning: %s" % warning.message, file=sys.stderr)
         data = _render(args.format, artifact)
     except RadixionError as exc:
         print("error: %s" % exc, file=sys.stderr)

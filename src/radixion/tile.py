@@ -12,9 +12,10 @@ digits {0, 4, 8} gives the interval [0, 4].
 The depth-k point of the digit string b_1 ... b_k is q^{-k} n, n the
 element of N_k with top digit b_1.  Over the split of N_k into low rows
 and offsets (bulk.split_tables) that is (low_num[l] + off_num[h]) / c_0^k,
-from two numerator tables built once and checked below 2^53: the add is
-exact and the division the one rounding (cloud_chunks).  The cloud streams
-one chunk per high row, its len(low_num) points (at most bulk.ROW_BLOCK),
+from two numerator tables built once from the digit layers of the rows
+of U^k (q u = c_0) and checked below 2^53: the add is exact and the
+division the one rounding (cloud_chunks).  The cloud streams one chunk
+per high row, its len(low_num) points (at most bulk.ROW_BLOCK),
 and the chart adds its terms in a fixed order (_charted), so no point
 depends on the split or its chunk.  tile_rasters bins each grid in a
 streamed pass of its own, over a bounding box of its space taken from the
@@ -48,12 +49,12 @@ The stages after the pass never copy a whole grid: the boundary count and
 the inner radius read the grid one slab of about bulk.ROW_BLOCK cells at a
 time, and the cover's samples stream into one float64 array.  No stage
 calls BLAS or LAPACK, whose code a child would otherwise page in for
-fixed-size d x d products: the numerator tables are exact int64 products
-converted to float64 once, the window adds its terms in the fixed order of
-_charted, the lattice area's rounding guard is an elementwise sum, the
-inverse Vandermonde matrix of the outer radius comes from the Lagrange
-basis polynomials, and the box dimension is the closed-form least-squares
-line.
+fixed-size d x d products: the numerator tables are exact int64 sums of
+digit layers (bulk.layer_table) converted to float64 once, the window
+adds its terms in the fixed order of _charted, the lattice area's
+rounding guard is an elementwise sum, the inverse Vandermonde matrix of
+the outer radius comes from the Lagrange basis polynomials, and the box
+dimension is the closed-form least-squares line.
 """
 
 from __future__ import annotations
@@ -104,33 +105,21 @@ class BoxDimReport:
     counts: tuple
 
 
-def _inverse_base_matrix(ns: NumberSystem) -> np.ndarray:
-    """Float matrix of multiplication by q^{-1} (exact entries over c_0)."""
-    return bulk.u_matrix(ns.poly) / float(ns.poly.coeffs[0])
-
-
 def _embedding_matrix(ns: NumberSystem) -> np.ndarray:
     """Linear map from power-basis coordinates to embedding coordinates.
 
     Real embeddings contribute one row; each conjugate pair contributes
-    (re, im) of the member encountered first in root order.
+    (re, im) of its lower member, the one with imag < 0, which
+    algebra._embedding_roots lists first, and whose real roots have imag
+    exactly 0.0.
     """
-    roots = ns.poly.embeddings().roots
-    d = ns.degree
-    used = [False] * d
     rows = []
-    for i, z in enumerate(roots):
-        if used[i]:
-            continue
-        used[i] = True
-        powers = [z**k for k in range(d)]
-        rows.append([w.real for w in powers])
-        if abs(z.imag) > 1e-12:
-            for j in range(i + 1, d):
-                if not used[j] and abs(roots[j] - z.conjugate()) <= 1e-9 * (1 + abs(z)):
-                    used[j] = True
-                    break
-            rows.append([w.imag for w in powers])
+    for z in ns.poly.embeddings().roots:
+        if z.imag <= 0.0:
+            powers = [z**k for k in range(ns.degree)]
+            rows.append([w.real for w in powers])
+            if z.imag:
+                rows.append([w.imag for w in powers])
     return np.array(rows)
 
 
@@ -165,17 +154,19 @@ def _cloud_power(ns: NumberSystem, depth: int) -> tuple:
     return power, denom
 
 
-def _cloud_numerators(ns: NumberSystem, depth: int) -> tuple:
+def _cloud_numerators(ns: NumberSystem, depth: int, scale: int) -> tuple:
     """(low_num, off_num, c_0^depth), the point of row h * |low| + l of
-    N_depth (bulk.split_tables) being (low_num[l] + off_num[h]) / c_0^depth.
-    Low rows and offsets lie in N_depth too (0 is a digit), so every
-    numerator, and the sum of two, is below 2^53 (_cloud_power): the int64
-    products are exact, and so is their one conversion to float64."""
+    N_depth (bulk.split_tables) being (low_num[l] + off_num[h]) / c_0^depth,
+    each numerator times `scale`: the layer tables of the rows of scale *
+    U^depth.  _cloud_power at the points' depth (the caller's, for a scale
+    other than 1) bounds every numerator by 2^53, and each partial sum is
+    one of a shorter row (0 is a digit): all exact in int64 and in float64."""
     power, denom = _cloud_power(ns, depth)
-    low, offsets = bulk.split_tables(ns, depth)
-    power_t = np.array(power, dtype=np.int64).T
-    return (np.array(low @ power_t, dtype=np.float64, order="F"),
-            (offsets @ power_t).astype(np.float64), denom)
+    rows = [[scale * u for u in row] for row in power]
+    positions = bulk._low_positions(ns.Q, depth)
+    low = bulk.layer_table(bulk.digit_layers(ns, 0, positions, rows), ns.degree)
+    offsets = bulk.layer_table(bulk.digit_layers(ns, positions, depth - positions, rows), ns.degree)
+    return np.array(low, dtype=np.float64, order="F"), offsets.astype(np.float64), denom
 
 
 def _sums(low_num: np.ndarray, off_num: np.ndarray):
@@ -202,7 +193,7 @@ def cloud_chunks(ns: NumberSystem, depth: int, space_tag: str = "coordinate"):
     A chunk is one exact add per column of the two numerator tables, one
     correctly rounded division by c_0^k and the chart (_sums, _charted)."""
     chart = _chart(ns, space_tag)
-    low_num, off_num, denom = _cloud_numerators(ns, depth)
+    low_num, off_num, denom = _cloud_numerators(ns, depth, 1)
     for chunk in _sums(low_num, off_num):
         chunk /= denom
         yield chunk.copy() if chart is None else _charted(chunk, chart, np.empty_like(chunk))
@@ -222,7 +213,8 @@ def _cloud_window(ns: NumberSystem, depth: int, chart) -> tuple:
     dyadic coordinates (c_0 = +-2), else within a few ulps of the cloud's
     min and max; _cells clips a point beyond it into the edge cell.
     """
-    minv_t = _inverse_base_matrix(ns).T
+    u = algebra.mult_matrix(ns.poly, algebra.u_element(ns.poly))
+    minv_t = np.array(u).T / float(ns.poly.coeffs[0])  # q^-1 = u / c_0
     terms = np.array(ns.digits, dtype=np.float64)
     lo = hi = np.zeros(ns.degree)
     for _ in range(depth):
@@ -306,20 +298,19 @@ def _fine_cloud(ns: NumberSystem, depth: int, power: list, bbox: tuple, res: int
         return _Fine()
     edges = [_edges(denom, window, res) for window in bbox]
     gaps = [float(np.diff(e).min()) if res > 2 else math.inf for e in edges]
-    m, spans, layer = 0, [0] * d, ns.digits  # layer: q^m times the digits
+    sign = 1 if ns.poly.coeffs[0] ** depth > 0 else -1
+    # the terms of the numerators over |c_0^depth|, per position, digit and axis
+    layers = bulk.digit_layers(ns, 0, depth, [[sign * u for u in row] for row in power])
+    m, spans = 0, [0] * d
     while m < depth and 2**d * (ns.Q ** (m + 1) + 1) ** d <= PATTERN_CAP:
-        terms = [[sum(u * x for u, x in zip(row, b)) for b in layer] for row in power]
-        spans = [w + max(t) - min(t) for w, t in zip(spans, terms)]
+        spans = [w + max(t) - min(t) for w, t in zip(spans, zip(*layers[m]))]
         if any(w >= g for w, g in zip(spans, gaps)):
             break
         m += 1
-        layer = [algebra.mul_by_q(ns.poly, b) for b in layer]
     if m == 0:
         return _Fine()
-    sign = 1 if ns.poly.coeffs[0] ** depth > 0 else -1
-    rows = bulk._build_table(ns, m)  # N_m, within N_depth's checked range
-    # exact int64 products, converted once, as in _cloud_numerators
-    cloud = (rows @ (sign * np.array(power, dtype=np.int64)).T).astype(np.float64)
+    # N_m's numerators, within N_depth's checked range: exact, converted once
+    cloud = bulk.layer_table(layers[:m], d).astype(np.float64)
     lo = cloud.min(axis=0)
     cloud -= lo  # exact: F spans less than a cell
     values = tuple(np.array(sorted(set(col.tolist()))) for col in cloud.T)  # np.unique loads numpy.ma
@@ -437,13 +428,10 @@ def _binned(ns: NumberSystem, depth: int, chart, res: int) -> tuple:
     bbox = _cloud_window(ns, depth, chart)
     grid = np.zeros((res,) * ns.degree, dtype=bool)
     fine = _fine_cloud(ns, depth, power, bbox, res) if chart is None else _Fine()
-    low_num, off_num, _ = _cloud_numerators(ns, depth - fine.depth)
     # the coarse numerators over c_0^k are c_0^m times those over c_0^(k-m),
     # signed to leave the denominator |c_0^k|: N / c_0^k is (-N) / |c_0^k| exactly
     scale = ns.poly.coeffs[0] ** fine.depth * (1 if denom > 0 else -1)
-    if scale != 1:
-        low_num *= scale
-        off_num *= scale
+    low_num, off_num, _ = _cloud_numerators(ns, depth - fine.depth, scale)
     if fine.depth:
         low_num += fine.lo  # a numerator of a depth-k point on each axis: exact
     buffers = _bin_buffers(len(low_num), ns.degree)
@@ -566,7 +554,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
         raise UsageError("the lattice area needs a coordinate-space raster")
     res, k = raster.resolution, raster.depth
     d = raster.occupancy.ndim
-    power = bulk.q_power_matrix(ns.poly, k).astype(np.float64)
+    power = np.array(algebra.mult_matrix(ns.poly, algebra.q_power(ns.poly, k)), dtype=np.float64)
     lo = np.array([b[0] for b in raster.bbox])
     hi = np.array([b[1] for b in raster.bbox])
     # Each coordinate of q^k c passes through at most d + 8 roundings of

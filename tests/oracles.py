@@ -17,13 +17,32 @@ from radixion.errors import CapExceeded, ConvergenceError, DomainError, UsageErr
 STATISTICS = {"sod": numeration.digit_sum, "rs": numeration.pair_count}
 
 
+def q_power_matrix(m, k):
+    """Exact int64 matrix of multiplication by q^k over the power basis,
+    refused with CapExceeded when an entry reaches 2^60."""
+    acc = algebra.mult_matrix(m, algebra.q_power(m, k))
+    if any(abs(v) >= bulk.INT64_GUARD for row in acc for v in row):
+        raise CapExceeded("power matrix q^%d overflows the int64 budget" % k)
+    return np.array(acc, dtype=np.int64)
+
+
 def whole_table(ns, lam):
     """All rows of N_lam as one (Q^lam, d) int64 coordinate array, in
-    enumeration order: the meet-in-the-middle merge of bulk._build_table,
-    with no split and no streaming.  It checks no cap and no int64 range.
-    The reference for the split of bulk.split_tables; a digit statistic over
-    the same rows is automaton_table's."""
-    return bulk._build_table(ns, lam)
+    enumeration order, by a meet-in-the-middle merge: row h * |low| + l is
+    row l of the table of the bottom lam - lam // 2 positions plus row h of
+    the table of the top lam // 2 times the int64 power matrix of q^(lam -
+    lam // 2), one outer sum per coordinate.  No digit layer, no split and
+    no streaming; it checks no cap and no int64 range.  The reference for
+    bulk.layer_table and the split of bulk.split_tables; a digit statistic
+    over the same rows is automaton_table's."""
+    if lam <= 1:  # N_0, the empty string, or N_1, the digits
+        return np.array(ns.digits if lam else [(0,) * ns.degree], dtype=np.int64)
+    low = whole_table(ns, lam - lam // 2)
+    offsets = whole_table(ns, lam // 2) @ q_power_matrix(ns.poly, lam - lam // 2).T
+    coords = np.empty((len(offsets), len(low), ns.degree), np.int64)
+    for k in range(ns.degree):  # row h * len(low) + l is offsets[h] + low[l]
+        np.add.outer(offsets[:, k], low[:, k], out=coords[:, :, k])
+    return coords.reshape(-1, ns.degree)
 
 
 def count_rows(ns, lam):
@@ -315,7 +334,7 @@ def stripped_to_zero(ns, raster):
     reference for tile.lattice_area, whose area is this count times the
     cell area."""
     res, k, d = raster.resolution, raster.depth, raster.occupancy.ndim
-    power = bulk.q_power_matrix(ns.poly, k).astype(np.float64)
+    power = q_power_matrix(ns.poly, k).astype(np.float64)
     lo = np.array([b[0] for b in raster.bbox])
     cell = (np.array([b[1] for b in raster.bbox]) - lo) / res
     terms = [np.outer(lo[a] + (np.arange(res) + 0.5) * cell[a], power[:, a]) for a in range(d)]
@@ -546,6 +565,31 @@ def sturm_chain(p) -> list:
     return chain
 
 
+def embedding_matrix(ns):
+    """Rows of the map from power-basis coordinates to embedding coordinates,
+    the conjugate pairs matched by distance: a real root gives one row, and
+    a complex root gives (re, im) of its powers and uses up the nearest
+    unused conjugate after it, within 1e-9.  The reference for
+    tile._embedding_matrix, which reads the pairs off the root order."""
+    roots = ns.poly.embeddings().roots
+    d = ns.degree
+    used = [False] * d
+    rows = []
+    for i, z in enumerate(roots):
+        if used[i]:
+            continue
+        used[i] = True
+        powers = [z**k for k in range(d)]
+        rows.append([w.real for w in powers])
+        if abs(z.imag) > 1e-12:
+            for j in range(i + 1, d):
+                if not used[j] and abs(roots[j] - z.conjugate()) <= 1e-9 * (1 + abs(z)):
+                    used[j] = True
+                    break
+            rows.append([w.imag for w in powers])
+    return np.array(rows)
+
+
 def fixed_order_chart(pts, chart):
     """pts @ chart, each entry the sum of its terms in row order of chart:
     the charting of tile._chart, term for term, for the cloud oracles."""
@@ -559,13 +603,14 @@ def doubling_cloud(ns, depth, space_tag="coordinate"):
     the one-pass route, exact when c_0 = +-2, and so the bit-for-bit
     reference for the streamed chunks of tile.cloud_chunks and the rasters
     of tile.tile_rasters on those systems."""
-    minv_t = tile._inverse_base_matrix(ns).T
+    u = np.array(algebra.mult_matrix(ns.poly, algebra.u_element(ns.poly)), dtype=np.int64)
+    minv_t = (u / float(ns.poly.coeffs[0])).T  # q^-1 = u / c_0, exact over c_0
     digits = np.array(ns.digits, dtype=np.float64)
     pts = np.zeros((1, ns.degree))
     for _ in range(depth):
         pts = np.concatenate([(pts + b) @ minv_t for b in digits])
     if space_tag == "embedding":
-        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
+        pts = fixed_order_chart(pts, embedding_matrix(ns).T)
     return pts
 
 
@@ -581,7 +626,7 @@ def rounded_cloud(ns, depth, space_tag="coordinate"):
     pts = np.array([[float(Fraction(v, denom)) for v in algebra.mul(ns.poly, uk, tuple(n))]
                     for n in whole_table(ns, depth).tolist()])
     if space_tag == "embedding":
-        pts = fixed_order_chart(pts, tile._embedding_matrix(ns).T)
+        pts = fixed_order_chart(pts, embedding_matrix(ns).T)
     return pts
 
 

@@ -141,7 +141,7 @@ def test_sieve_size_at_lambda_22(knuth):
     coords = whole_table(knuth, 22)
     true = int((coords[:, 0] ** 2 - 2 * coords[:, 0] * coords[:, 1] + 2 * coords[:, 1] ** 2).max())
     assert true <= bulk._norm_bound(knuth, 22) <= 1.01 * true
-    table = bulk.norm_table(knuth, 22, bulk._norm_bound(knuth, 22))
+    table = bulk._norm_bits(bulk._norm_bound(knuth, 22), knuth.poly.coeffs[:2])
     assert table.dtype == np.uint8 and len(table) == bulk._norm_bound(knuth, 22) // 16 + 1
     assert 0.30e6 < table.nbytes < 0.31e6
 
@@ -155,10 +155,14 @@ def test_prime_sieve_guards(knuth, monkeypatch):
     wide = NumberSystem(knuth.poly, ((0, 0), (2**31 + 1, 0)))
     with pytest.raises(DomainError, match="norms over lambda 2 can reach"):
         bulk.prime_blocks(wide, 2)
-    # the sieve's packed bytes are charged against the element cap, 64 * 16 here
+    # the element cap fires before the sieve, whose packed bytes a pass
+    # builds only within the 8 * d bytes of each of its Q^lam rows, so
+    # within 8 * d bytes per element of the cap: 64 * 16 here
     monkeypatch.setenv("RADIXION_CAP", "64")
-    with pytest.raises(CapExceeded, match="prime sieve of [0-9]+ bytes for lambda 14"):
-        bulk.norm_table(knuth, 14, bulk._norm_bound(knuth, 14))
+    with pytest.raises(CapExceeded, match="table of 16384 elements exceeds cap 64"):
+        bulk.prime_blocks(knuth, 14)
+    _, top, table = bulk.pass_bounds(knuth, 6)
+    assert table and top // 16 + 1 <= 64 * 16
 
 
 def test_wide_digits_classify_rows_without_a_table(knuth, negabinary, five_a, monkeypatch):
@@ -206,16 +210,19 @@ def test_norm_table_inert_marks_match_root_scan(request, random_systems):
 def assert_table_matches_sieve(ns, table, top):
     """The odd bits of a norm table over 1..top against the uint8 sieve, the
     bits past top clear, and prime_mask at every norm 0..top against the
-    sieve: the even norms have no bit, and 2 and (when 2 is inert) 4 are
-    prime unless the caller rules out norms below 5."""
-    expected = uint8_norm_sieve(top, ns.poly.coeffs if ns.degree == 2 else None) != 0
+    sieve: the even norms have no bit, 2 is prime, and 4 is prime when the
+    caller says 2 is inert (as the sieve has it), and not when it says
+    otherwise."""
+    coeffs = ns.poly.coeffs if ns.degree == 2 else None
+    expected = uint8_norm_sieve(top, coeffs) != 0
+    four = bool(uint8_norm_sieve(4, coeffs)[4])
     assert len(table) == top // 16 + 1
     bits = np.unpackbits(table, bitorder="little")  # bit k: the odd integer 2k + 1
     assert np.array_equal(bits[: (top + 1) // 2], expected[1::2]), (ns, top)
     assert not bits[(top + 1) // 2 :].any()
     norms = np.arange(top + 1)
-    assert np.array_equal(bulk.prime_mask(ns, norms, table), expected), (ns, top)
-    expected[::2] = False
+    assert np.array_equal(bulk.prime_mask(ns, norms, table, four), expected), (ns, top)
+    expected[4:5] = False
     assert np.array_equal(bulk.prime_mask(ns, norms, table, False), expected), (ns, top)
 
 
@@ -230,7 +237,8 @@ def test_norm_table_marks_at_lambda(request, random_systems, monkeypatch):
         for ns in golden + list(random_systems) + [inert_two]:
             lam = min(14, largest_lam(ns, 3000))
             top = bulk._norm_bound(ns, lam)
-            assert_table_matches_sieve(ns, bulk.norm_table(ns, lam, top), top)
+            table = bulk._norm_bits(top, ns.poly.coeffs[:2] if ns.degree == 2 else None)
+            assert_table_matches_sieve(ns, table, top)
 
 
 def test_packed_sieve_at_small_tops(request, random_systems, monkeypatch):
@@ -568,7 +576,7 @@ def test_bad_phase_fails_before_any_block(knuth, five_b, monkeypatch):
 
     monkeypatch.setattr(analysis, "_closed_histogram", refuse)
     monkeypatch.setattr(bulk, "split_tables", refuse)
-    monkeypatch.setattr(bulk, "norm_table", refuse)
+    monkeypatch.setattr(bulk, "_norm_bits", refuse)
     form = LinearForm.parse("1/3,0.25")
     cases = (
         (knuth, "rs", [0.5, 0.3, form]),  # pair counts take scalars only
@@ -587,7 +595,7 @@ def test_histogram_cap_fails_before_any_block(five_b, monkeypatch):
 
     monkeypatch.setattr(analysis, "_closed_histogram", refuse)
     monkeypatch.setattr(bulk, "split_tables", refuse)
-    monkeypatch.setattr(bulk, "norm_table", refuse)
+    monkeypatch.setattr(bulk, "_norm_bits", refuse)
     form = LinearForm.parse("1/3,0.25")
     cases = (
         (200, 4, 297),  # the box: s(n) spans (32 + 1) * (8 + 1) = 297 values over 625 rows

@@ -9,7 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import STATISTICS, automaton_table, count_rows, per_row_oracle, whole_table
+from oracles import (STATISTICS, automaton_table, count_rows, per_row_oracle, uint8_norm_sieve,
+                     whole_table)
 
 from radixion import algebra, bulk, cli, numeration
 from radixion.errors import CapExceeded, DomainError, UsageError
@@ -81,25 +82,81 @@ def test_digit_table_agrees_with_enumerate(knuth):
 
 
 def test_q_power_matrix_is_multiplication(knuth_poly):
+    """The digit layers are multiplication by powers of q: on random digit
+    sets {0, x} of Knuth's base (x = a + b q with a odd, the other residue
+    class), layer j of digit_layers(ns, k, 2) holds q^(k + j) times each
+    digit, and the matrix of q^k that tile.lattice_area takes from
+    algebra.mult_matrix maps x to q^k x."""
     rng = np.random.default_rng(37)
     for k in range(6):
-        mat = bulk.q_power_matrix(knuth_poly, k)
         qk = algebra.q_power(knuth_poly, k)
+        mat = np.array(algebra.mult_matrix(knuth_poly, qk), dtype=np.int64)
         for _ in range(50):
-            x = tuple(int(v) for v in rng.integers(-9, 10, 2))
+            x = (2 * int(rng.integers(-5, 5)) + 1, int(rng.integers(-9, 10)))
+            ns = numeration.NumberSystem(knuth_poly, ((0, 0), x))
+            assert bulk.digit_layers(ns, k, 2) == [
+                [(0, 0), algebra.mul(knuth_poly, algebra.q_power(knuth_poly, k + j), x)]
+                for j in range(2)]
             assert tuple(np.array(x) @ mat.T) == algebra.mul(knuth_poly, qk, x)
 
 
-def test_q_power_matrix_overflow_guard(knuth_poly):
-    with pytest.raises(CapExceeded):
-        bulk.q_power_matrix(knuth_poly, 130)
+def test_q_power_matrix_overflow_guard(knuth, monkeypatch):
+    """The int64 guard of the layer tables is _check_rows's on the
+    coordinates: with Knuth's digit 2^57 + 1 the coordinates of N_lam first
+    pass 2^60 at lam 7.  split_tables builds N_6 exactly, against the
+    oracle's merge, under low tables of 1, 8 and 64 rows, and refuses N_7
+    before any layer table is summed."""
+    wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**57 + 1, 0)))
+    widest = [max(max(-a, b) for a, b in zip(*bulk.coordinate_ranges(wide, lam)))
+              for lam in range(8)]
+    assert max(widest[:7]) < bulk.INT64_GUARD <= widest[7]
+    for size in (1, 8, bulk.ROW_BLOCK):
+        monkeypatch.setattr(bulk, "ROW_BLOCK", size)
+        low, offsets = bulk.split_tables(wide, 6)
+        assert np.array_equal((offsets[:, None] + low).reshape(-1, 2), whole_table(wide, 6))
+    monkeypatch.setattr(bulk, "layer_table", refuse)
+    with pytest.raises(CapExceeded, match="coordinates of N_7 reach"):
+        bulk.split_tables(wide, 7)
 
 
 def test_u_matrix_is_multiplication(knuth_poly):
-    mat = bulk.u_matrix(knuth_poly)
+    """The rows form of digit_layers applies integer rows to each digit
+    term: with the rows of the matrix of u (q u = c_0), from which tile's
+    cloud numerators are built, layer j holds u q^j b for each digit b; at
+    j = 1 the digit (1, 0) gives u times (0, 1)."""
     u = algebra.u_element(knuth_poly)
-    for x in ((1, 0), (0, 1), (3, -2)):
-        assert tuple(np.array(x) @ mat.T) == algebra.mul(knuth_poly, u, x)
+    rows = algebra.mult_matrix(knuth_poly, u)
+    for x in ((1, 0), (3, -2), (-5, 7)):
+        ns = numeration.NumberSystem(knuth_poly, ((0, 0), x))
+        for j, layer in enumerate(bulk.digit_layers(ns, 0, 3, rows)):
+            qj = algebra.q_power(knuth_poly, j)
+            assert layer == [algebra.mul(knuth_poly, u, algebra.mul(knuth_poly, qj, b))
+                             for b in ns.digits], (x, j)
+
+
+def test_layer_table_is_the_enumeration(request):
+    """layer_table over digit_layers against the oracle's meet-in-the-middle
+    merge (whole_table) and, row by row, against numeration.evaluate of the
+    digit indices the row's index spells; the rows form against whole_table
+    times the rows; and layer j of digit_layers(ns, s, c) against q^(s + j)
+    times each digit.  On the golden and random systems and the first 10
+    CNS systems, at the largest lambda with Q^lambda <= 4096."""
+    rng = np.random.default_rng(34)
+    cns = [ns for ns, _ in request.getfixturevalue("cns_systems")[:10]]
+    for ns in golden_and_random(request) + cns:
+        lam = oracle_depth(ns, 4096)
+        table = bulk.layer_table(bulk.digit_layers(ns, 0, lam), ns.degree)
+        assert table.dtype == np.int64 and np.array_equal(table, whole_table(ns, lam)), ns
+        for i, row in enumerate(table.tolist()):
+            indices = tuple(i // ns.Q**j % ns.Q for j in range(lam))
+            assert tuple(row) == numeration.evaluate(ns, Expansion(indices)), (ns, i)
+        rows = rng.integers(-9, 10, (3, ns.degree)).tolist()
+        got = bulk.layer_table(bulk.digit_layers(ns, 0, lam, rows), 3)
+        assert np.array_equal(got, whole_table(ns, lam) @ np.array(rows, np.int64).T), ns
+        for start, count in ((0, lam), (2, 3), (lam, 1)):
+            for j, layer in enumerate(bulk.digit_layers(ns, start, count)):
+                qj = algebra.q_power(ns.poly, start + j)
+                assert layer == [algebra.mul(ns.poly, qj, b) for b in ns.digits], (ns, start, j)
 
 
 
@@ -184,14 +241,16 @@ def test_blocks_carry_only_the_asked_columns(request, each_row_block):
             assert [algebra.mul(ns.poly, shift, tuple(row)) for row in
                     whole_table(ns, lam - positions).tolist()] == list(map(tuple, offsets.tolist()))
             # the prime pass: the split, and the mask of the low rows per high row, in order
-            table = bulk.norm_table(ns, lam, bulk._norm_bound(ns, lam))
+            quadratic = ns.poly.coeffs[:2] if ns.degree == 2 else None
+            table = bulk._norm_bits(bulk._norm_bound(ns, lam), quadratic)
+            four = bool(uint8_norm_sieve(4, ns.poly.coeffs if ns.degree == 2 else None)[4])
             got_low, got_offsets, masks = bulk.prime_blocks(ns, lam)
             assert np.array_equal(got_low, low) and np.array_equal(got_offsets, offsets)
             seen = []
             for h, mask in masks:
                 rows = (low + offsets[h]).tolist()
                 norms = np.array([abs(algebra.norm(ns.poly, tuple(v))) for v in rows])
-                assert np.array_equal(mask, bulk.prime_mask(ns, norms, table))
+                assert np.array_equal(mask, bulk.prime_mask(ns, norms, table, four))
                 seen.append(h)
             assert seen == list(range(len(offsets)))
 
@@ -248,7 +307,7 @@ def test_zero_digit_statistic_refuses_several_lambda(knuth, monkeypatch):
     zeros = numeration.DigitStatistic(
         ("any",), 0, (tuple((0, (int(b == knuth.zero),)) for b in knuth.digits),), False)
     monkeypatch.setattr(bulk, "split_tables", refuse)
-    monkeypatch.setattr(bulk, "norm_table", refuse)
+    monkeypatch.setattr(bulk, "_norm_bits", refuse)
     with pytest.raises(UsageError, match="the zero digit adds to the statistic"):
         bulk.prime_histogram(knuth, zeros, [3, 5])
     monkeypatch.undo()
@@ -502,7 +561,7 @@ def refuse(*args, **kwargs):
 
 def test_split_guard_before_building(knuth, monkeypatch):
     # split_tables checks, and enumerate_N through it when called, not when iterated
-    monkeypatch.setattr(bulk, "_build_table", refuse)
+    monkeypatch.setattr(bulk, "layer_table", refuse)
     wide = numeration.NumberSystem(knuth.poly, ((0, 0), (2**61 + 1, 0)))
     for route in (bulk.split_tables, numeration.enumerate_N):
         with pytest.raises(CapExceeded, match="table of 1073741824 elements"):

@@ -247,12 +247,35 @@ def test_caps_exit_three(capsysbinary, monkeypatch):
     monkeypatch.setenv("RADIXION_CAP", "10")
     assert run(capsysbinary, "expand", *KNUTH, "--enumerate", "5")[0] == 3
     # the 2^5 - 2 subset states of a quartic are counted before any is built
+    # (the degree-4 warning comes first, as one line)
     monkeypatch.setenv("RADIXION_CAP", "16")
-    with pytest.warns(UserWarning, match="degree 4"):
-        code, out, err = run(capsysbinary, "cns-carry", "--poly", "5,4,3,2,1", "--subset-graph")
+    code, out, err = run(capsysbinary, "cns-carry", "--poly", "5,4,3,2,1", "--subset-graph")
     assert (code, out) == (3, b"")
-    assert [line for line in err.splitlines() if line.startswith(b"error:")] == [
+    assert err.splitlines() == [
+        b"warning: irreducibility is only verified up to degree 3; degree 4 polynomial is"
+        b" accepted unchecked",
         b"error: subset graph of 30 states exceeds cap 16"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("distortion", "--poly", "5,4,3,2,1"),
+     b"irreducibility is only verified up to degree 3; degree 4 polynomial is accepted unchecked"),
+    (("cns-carry", "--poly", "3,3,3,1", "--subset-graph"),
+     b"coefficient condition c_d < ... < c_0 violated; transducer weights may be negative"),
+])
+def test_warnings_print_as_one_line(capsysbinary, argv, message):
+    # a warning raised in a subcommand is one "warning:" line on stderr, no
+    # source path or source line; stdout and the exit code are those of a
+    # run with warnings ignored, and stderr holds the warning and the manifest
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = run(capsysbinary, *argv)
+    code, out, err = run(capsysbinary, *argv)
+    assert (code, out) == quiet[:2] and code == 0
+    warning, manifest = err.splitlines()
+    assert warning == b"warning: " + message
+    assert manifest.startswith(b"manifest: ") and b".py:" not in err
+    assert quiet[2].splitlines()[0].startswith(b"manifest: ")
 
 
 # sizes far past 4300 decimal digits, which no %d may print
@@ -279,7 +302,7 @@ def test_every_lambda_is_checked_before_any_pass(capsysbinary, monkeypatch):
         raise AssertionError("work started before every lambda was checked")
 
     monkeypatch.setattr(bulk, "split_tables", no_work)
-    monkeypatch.setattr(bulk, "norm_table", no_work)
+    monkeypatch.setattr(bulk, "_norm_bits", no_work)
     monkeypatch.setattr(analysis, "_closed_histogram", no_work)
     for filter in ("primes", "all"):
         code, out, err = run(capsysbinary, "weyl", *KNUTH, "--fn", "rs", "--alpha", "0.5",
@@ -291,18 +314,20 @@ def test_every_lambda_is_checked_before_any_pass(capsysbinary, monkeypatch):
 
 def test_prime_request_builds_one_table_and_one_split(capsysbinary, monkeypatch):
     # every lambda of a weyl --filter primes request, in any order and with
-    # repeats, is counted by one pass: one split, one norm table
+    # repeats, is counted by one pass: one split, one norm table (the sieve
+    # of the ring's norms; the sieves of its sieving primes pass no ring)
     calls = []
-    for name in ("split_tables", "norm_table"):
+    for name in ("split_tables", "_norm_bits"):
         def spy(*args, name=name, real=getattr(bulk, name)):
-            calls.append(name)
+            if name == "split_tables" or len(args) > 1:
+                calls.append(name)
             return real(*args)
         monkeypatch.setattr(bulk, name, spy)
     for lams in ("14,22", "3,16,14,8,14"):
         calls.clear()
         code, _, _ = run(capsysbinary, "weyl", *KNUTH, "--fn", "rs", "--alpha", "0.6180339887",
                          "--lambda", lams, "--filter", "primes")
-        assert code == 0 and sorted(calls) == ["norm_table", "split_tables"], lams
+        assert code == 0 and sorted(calls) == ["_norm_bits", "split_tables"], lams
 
 
 def test_huge_powers_are_never_built():

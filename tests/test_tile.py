@@ -7,15 +7,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (cells_of, doubling_cloud, fixed_order_chart, full_grid_inner_radius,
-                     lapack_coordinate_bound, occupancy_of, padded_boundary_count, polyfit_boxdim,
-                     rounded_cloud, stripped_to_zero)
+from oracles import (cells_of, doubling_cloud, embedding_matrix, fixed_order_chart,
+                     full_grid_inner_radius, lapack_coordinate_bound, occupancy_of,
+                     padded_boundary_count, polyfit_boxdim, rounded_cloud, stripped_to_zero)
 
 from radixion import algebra, bulk, tile
+from radixion.algebra import MinimalPolynomial
 from radixion.errors import CapExceeded, DomainError, UsageError
 from radixion.numeration import NumberSystem
 from radixion.tile import Raster
@@ -99,6 +101,25 @@ def test_embedding_space_is_linear_image(knuth, negabinary):
     # degree one: the embedding chart is the coordinate chart
     assert np.allclose(whole_cloud(negabinary, 5, space_tag="embedding"),
                        whole_cloud(negabinary, 5))
+
+
+def test_embedding_matrix_matches_conjugate_matching(request, random_systems, cns_systems):
+    """tile._embedding_matrix reads each conjugate pair off the root order
+    (lower member first, real roots with imag 0.0): bit for bit the rows of
+    the oracle that matches each complex root to its nearest conjugate, on
+    the golden, random and CNS systems and on bases of degree 2 to 9 with
+    real roots, negative c_0 and several pairs."""
+    golden = [request.getfixturevalue(n) for n in ("knuth", "negabinary", "five_a", "five_b")]
+    systems = golden + list(random_systems) + [ns for ns, _ in cns_systems]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # irreducibility above degree 3 is not checked
+        for text in ("-5,0,1", "3,3,3,1", "5,0,5,0,1", "-3,0,0,1", "10,9,8,7,6,5,4,3,2,1"):
+            poly = MinimalPolynomial.parse(text)
+            digits = tuple((r,) + (0,) * (poly.degree - 1) for r in range(poly.Q))
+            systems.append(NumberSystem(poly, digits))
+    for ns in systems:
+        got, want = tile._embedding_matrix(ns), embedding_matrix(ns)
+        assert got.shape == (ns.degree, ns.degree) and got.tobytes() == want.tobytes(), ns
 
 
 # ------------------------------------------------------------- negabinary
@@ -540,7 +561,7 @@ def test_cloud_numerator_guard(knuth, five_a, monkeypatch):
         raise AssertionError("a numerator table was built")
 
     monkeypatch.setattr(tile.bulk, "split_tables", no_tables)
-    monkeypatch.setattr(tile.bulk, "_build_table", no_tables)
+    monkeypatch.setattr(tile.bulk, "layer_table", no_tables)
     routes = (lambda ns, depth: next(tile.cloud_chunks(ns, depth)),
               lambda ns, depth: tile.tile_rasters(ns, depth, [("coordinate", 8)]))
     for route in routes:
