@@ -25,7 +25,6 @@ split: a row's value is its low row's plus its high row's read from the
 state the low row leaves.  One pass counts the prime histograms of every
 lambda of a request (prime_histogram), since N_lambda is a block of the
 rows of N_top for lambda <= top.
-strip_columns is backward division on whole int64 coordinate columns.
 Coordinates and counts are int64.  The statistic's values, the norms of
 the split pass and the ranks of distinct rows take the width _int_type
 gives the bound already computed for them (int32 when it is below 2^31),
@@ -62,31 +61,6 @@ def _int_type(bound: int) -> type:
     """The integer dtype of an array whose entries are at most `bound` in
     absolute value: int32 when the bound is below 2^31, else int64."""
     return np.int32 if bound < 1 << 31 else np.int64
-
-
-def strip_columns(ns: NumberSystem, cols, times: int = 1) -> list:
-    """Array form of numeration._strip_one, applied `times` times: the d
-    int64 columns of (n - b)/q from those of n.  With n_0 = Q s + r and b
-    the digit of class r, y_0 / c_0 is sign(c_0) (s + (r - b_0)/Q); digits
-    (r, 0, ..., 0) need no residue.  The digit tables are built once for
-    all the strips."""
-    c, sign = ns.poly.coeffs, (1 if ns.poly.coeffs[0] > 0 else -1)
-    digits = np.array([ns.digits[t] for t in ns.residue_digit], dtype=np.int64)
-    offset = (np.arange(ns.Q) - digits[:, 0]) // ns.Q
-    residue = bool(offset.any() or digits[:, 1:].any())
-    shifted = [bool(digits[:, i].any()) for i in range(ns.degree)]
-    for _ in range(times):
-        s = cols[0] // ns.Q
-        if residue:
-            r = cols[0] - ns.Q * s  # np.divmod is many times slower than the two steps
-            s += offset[r]  # y_0 / Q
-        out = []
-        for i in range(1, ns.degree):
-            col = cols[i] - sign * c[i] * s if c[i] else cols[i]
-            out.append(col - digits[r, i] if shifted[i] else col)
-        out.append(s if sign < 0 else -s)
-        cols = out
-    return list(cols)
 
 
 def digit_layers(ns: NumberSystem, start: int, count: int, rows=None) -> list:

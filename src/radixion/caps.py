@@ -15,7 +15,7 @@ from .errors import CapExceeded, UsageError
 
 ENV_VAR = "RADIXION_CAP"
 
-ENUM_CAP = 1 << 24  # elements in a bulk enumeration or tile cloud
+ENUM_CAP = 1 << 24  # elements in a bulk enumeration or tile cloud, cells in a tile raster
 PAIR_CAP = 1 << 30  # (m, n) pairs in a carry census
 FNS_BOX_CAP = 10**7  # elements round-tripped by expand --box; bounds nothing else
 CARRY_SET_CAP = 10**6  # states in a carry-set closure or a CNS subset graph, 2^(d+1) - 2

@@ -533,9 +533,9 @@ def _cmd_distortion(args) -> _Artifact:
 # ------------------------------------------------------------ parser setup
 
 
-def _add_system_flags(p, required=True):
-    p.add_argument("--poly", required=required, help="base polynomial c0,c1,...,cd")
-    p.add_argument("--digits", required=required, help="digit set b;b;... (each b is d coordinates)")
+def _add_system_flags(p):
+    p.add_argument("--poly", required=True, help="base polynomial c0,c1,...,cd")
+    p.add_argument("--digits", required=True, help="digit set b;b;... (each b is d coordinates)")
 
 
 def _conf_expand(p):
@@ -544,14 +544,6 @@ def _conf_expand(p):
     p.add_argument("--slice", help="nu,mu digit window of --element (mu may be 'inf')")
     p.add_argument("--box", type=_nonnegative_int, help="round-trip every element with coordinates in [-B,B]")
     p.add_argument("--enumerate", type=int, help="count the elements of N_lambda, all distinct: Q^lambda")
-
-
-def _conf_check_fns(p):
-    _add_system_flags(p)
-
-
-def _conf_carry(p):
-    _add_system_flags(p)
 
 
 def _conf_census(p):
@@ -611,8 +603,8 @@ def _conf_distortion(p):
 # name, help, formats (the first is the default), flags, handler
 _SUBCOMMANDS = (
     ("expand", "digit expansions, round trips, and N_lambda counts", ("json",), _conf_expand, _cmd_expand),
-    ("check-fns", "decide the finiteness property", ("json",), _conf_check_fns, _cmd_check_fns),
-    ("carry", "carry automaton and carry constant eta2", ("json", "dot"), _conf_carry, _cmd_carry),
+    ("check-fns", "decide the finiteness property", ("json",), _add_system_flags, _cmd_check_fns),
+    ("carry", "carry automaton and carry constant eta2", ("json", "dot"), _add_system_flags, _cmd_carry),
     ("census", "count of carry-affected digit windows (automaton DP)", ("json", "csv"), _conf_census, _cmd_census),
     ("cns-carry", "collapsed/subset carry bounds for CNS polynomials", ("json",), _conf_cns_carry, _cmd_cns_carry),
     ("tile", "fundamental tile geometry: raster, area, radii, box dimension", ("json", "csv", "pgm"), _conf_tile, _cmd_tile),

@@ -5,6 +5,10 @@ polynomial) with a digit set D of Q = |N(q)| elements forming a
 complete residue system modulo q and containing zero.  Every element
 of Z[q] then has at most one expansion n = sum_j b_{i_j} q^j with
 digits read least significant first.
+
+Backward division (strip), n -> (n - b)/q with b the digit of n's residue
+class, is the one map behind expansions, the carry closure and the tile's
+lattice area: numpy-free, on one element or on int64 columns alike.
 """
 
 from __future__ import annotations
@@ -96,6 +100,16 @@ class NumberSystem:
             lookup[r] = t
         return tuple(lookup)
 
+    @cached_property
+    def strip_tables(self) -> tuple:
+        """The tables of strip, by residue class r = x[0] mod Q, in Python
+        integers: the offset (r - b_0) // Q, then b_1, ..., b_{d-1}, of the
+        digit b of class r; a table that is all zero is None."""
+        digits = [self.digits[t] for t in self.residue_digit]
+        tables = [tuple((r - b[0]) // self.Q for r, b in enumerate(digits))]
+        tables += [tuple(b[i] for b in digits) for i in range(1, self.degree)]
+        return tuple(t if any(t) else None for t in tables)
+
 
 def validate_system(ns: NumberSystem):
     """Reject digit sets that cannot define a number system."""
@@ -132,18 +146,31 @@ class FnsVerdict(NamedTuple):
     candidates_examined: int
 
 
-def _strip_one(ns: NumberSystem, n: FieldElement):
-    """One backward division step: the unique digit index t and (n - b_t)/q.
-
-    With y = n - b_t, y/q = (y0/c0)*u + (y1, ..., y_{d-1}, 0), where
-    u = c0/q = -(c1, ..., c_{d-1}, 1) is the cofactor of q.
-    """
-    t = ns.residue_digit[n[0] % ns.Q]
-    y = [a - b for a, b in zip(n, ns.digits[t])]
-    c = ns.poly.coeffs
-    k = y[0] // c[0]
-    y.append(0)
-    return t, tuple(y[i + 1] - k * c[i + 1] for i in range(ns.degree))
+def strip(ns: NumberSystem, cols, times: int = 1, tables=None) -> tuple:
+    """Backward division n -> (n - b)/q, b the digit of n's residue class,
+    `times` times, on the d coordinates of n: Python integers (one element)
+    or int64 arrays of one length (one element per entry).  With n_0 =
+    Q s + r, y = n - b has y_0 / c_0 = sign(c_0) (s + offset[r]), and y/q =
+    (y_0/c_0) u + (y_1, ..., y_{d-1}, 0), u = c_0/q = -(c_1, ..., c_{d-1}, 1)
+    the cofactor of q.  `tables` is ns.strip_tables (the default) in a form
+    the columns can index; a table that is None is zero and is skipped."""
+    tables = ns.strip_tables if tables is None else tables
+    c, Q = ns.poly.coeffs, ns.Q
+    sign = 1 if c[0] > 0 else -1
+    residue = any(t is not None for t in tables)
+    for _ in range(times):
+        s = cols[0] // Q
+        if residue:
+            r = cols[0] - Q * s  # np.divmod is many times slower than the two steps
+            if tables[0] is not None:
+                s += tables[0][r]  # y_0 / Q
+        out = []
+        for i in range(1, ns.degree):
+            col = cols[i] - sign * c[i] * s if c[i] else cols[i]
+            out.append(col if tables[i] is None else col - tables[i][r])
+        out.append(s if sign < 0 else -s)
+        cols = out
+    return tuple(cols)
 
 
 def _carry_closure(ns: NumberSystem):
@@ -165,7 +192,7 @@ def _carry_closure(ns: NumberSystem):
             partial = algebra.add(m, s, d1)
             row = []
             for d2 in ns.digits:
-                _, nxt = _strip_one(ns, algebra.add(m, partial, d2))
+                nxt = strip(ns, algebra.add(m, partial, d2))
                 if nxt not in index:
                     if len(states) >= cap:
                         raise CapExceeded("carry set exceeded the cap of %d states" % cap)
@@ -189,8 +216,8 @@ def expand(ns: NumberSystem, x: FieldElement) -> Expansion:
             raise CycleDetected(tuple(x), trajectory[seen[n]:])
         seen[n] = len(trajectory)
         trajectory.append(n)
-        t, n = _strip_one(ns, n)
-        indices.append(t)
+        indices.append(ns.residue_digit[n[0] % ns.Q])
+        n = strip(ns, n)
     return Expansion(tuple(indices))
 
 

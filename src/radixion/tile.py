@@ -38,12 +38,13 @@ embedding space, or with fewer points than its grid has cells, has m = 0
 and bins each point, by its flat cell index.
 
 The lattice area decides membership in N_k by backward division
-(bulk.strip_columns): n lies in N_k exactly when one strip takes it into
-N_(k-1), since its last digit can only be the digit of its residue class,
-and N_0 = {0}.  So n is in N_k exactly when k - m strips take it into
-N_m.  With Q^m <= bulk.ROW_BLOCK, N_m is the low table of the split, and
-one boolean table over its exact coordinate box answers the last step: a
-centre is stripped k - m times and looked up, not stripped k times to 0.
+(numeration.strip on int64 columns, its tables made int64 arrays once per
+call): n lies in N_k exactly when one strip takes it into N_(k-1), since
+its last digit can only be the digit of its residue class, and N_0 = {0}.
+So n is in N_k exactly when k - m strips take it into N_m.  With Q^m <=
+bulk.ROW_BLOCK, N_m is the low table of the split, and one boolean table
+over its exact coordinate box answers the last step: a centre is
+stripped k - m times and looked up, not stripped k times to 0.
 
 The stages after the pass never copy a whole grid: the boundary count and
 the inner radius read the grid one slab of about bulk.ROW_BLOCK cells at a
@@ -400,31 +401,36 @@ def tile_rasters(ns: NumberSystem, depth: int, requests) -> dict:
     """Rasters of the depth-`depth` cloud for each (space_tag, resolution) in
     `requests`, keyed by that pair, bboxes from _cloud_window.
 
-    Every space and resolution is checked before any work.  A space's grids
-    share its bbox, so a grid whose resolution is a power-of-two fraction
-    of another's is pooled from the finer one (_pool, exact); each of the
-    rest is binned by a streamed pass of its own (_binned)."""
+    Every space and resolution is checked before any work, the cloud's
+    points (_cloud_power) and then each grid's res^d cells against the
+    element cap.  A space's grids share its bbox, so a grid whose
+    resolution is a power-of-two fraction of another's is pooled from the
+    finer one (_pool, exact); each of the rest is binned by a streamed pass
+    of its own (_binned)."""
     requests = list(dict.fromkeys(requests))
     charts = {space: _chart(ns, space) for space, _ in requests}
     if any(res < 1 for _, res in requests):
         raise UsageError("resolution must be positive")
+    power, denom = _cloud_power(ns, depth)
+    for _, res in requests:
+        check_power(res, ns.degree, "raster of %s cells", effective_cap(ENUM_CAP))
     sources = {(space, res): (space, _pool_source(res, [r for s, r in requests if s == space]))
                for space, res in requests}
-    binned = {source: _binned(ns, depth, charts[source[0]], source[1])
+    binned = {source: _binned(ns, depth, power, denom, charts[source[0]], source[1])
               for source in dict.fromkeys(sources.values())}
     return {key: Raster(key[1], binned[source][0], _pool(binned[source][1], key[1]), depth, key[0])
             for key, source in sources.items()}
 
 
-def _binned(ns: NumberSystem, depth: int, chart, res: int) -> tuple:
+def _binned(ns: NumberSystem, depth: int, power, denom: int, chart, res: int) -> tuple:
     """(bbox, grid): the grid of res cells per axis over the bbox of the
     chart's space, binned by one streamed pass.  The points are those of
     cloud_chunks, bit for bit, but go through buffers allocated once, after
-    the cap and exactness checks.  In coordinate space (chart None) the
-    pass streams the corners of its fine cloud (_fine_cloud), in embedding
-    space every point.  The buffers are freed on return, before any grid is
-    pooled, so no long-lived pooled grid is allocated above them on the heap."""
-    power, denom = _cloud_power(ns, depth)
+    the cap and exactness checks of _cloud_power, whose (power, denom) it
+    takes.  In coordinate space (chart None) the pass streams the corners
+    of its fine cloud (_fine_cloud), in embedding space every point.  The
+    buffers are freed on return, before any grid is pooled, so no
+    long-lived pooled grid is allocated above them on the heap."""
     bbox = _cloud_window(ns, depth, chart)
     grid = np.zeros((res,) * ns.degree, dtype=bool)
     fine = _fine_cloud(ns, depth, power, bbox, res) if chart is None else _Fine()
@@ -572,6 +578,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
     table = np.zeros(span, dtype=bool)  # N_m over its box
     low, _ = bulk.split_tables(ns, m)  # Q^m <= ROW_BLOCK: the low table is all of N_m
     table[(low - low_lo) @ place] = True
+    tables = [t if t is None else np.array(t, np.int64) for t in ns.strip_tables]
     cell = (hi - lo) / res
     # the term of q^k c from axis a is the centre coordinate times column a
     terms = [np.outer(lo[a] + (np.arange(res) + 0.5) * cell[a], power[:, a]) for a in range(d)]
@@ -591,7 +598,7 @@ def lattice_area(ns: NumberSystem, raster: Raster) -> float:
         # from the attractor, so the coordinates stay within a
         # system-dependent multiple of the larger of their start and the
         # attractor's bound.
-        cols = bulk.strip_columns(ns, cols, k - m)
+        cols = numeration.strip(ns, cols, k - m, tables)
         inside = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(cols, low_lo, low_hi)])
         key = sum((c[inside] - a) * p for c, a, p in zip(cols, low_lo, place))
         hits += int(np.count_nonzero(table[key]))

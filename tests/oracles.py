@@ -121,14 +121,13 @@ def digit_slice(ns, x, nu, mu):
         raise UsageError("digit window needs 0 <= nu <= mu")
     algebra._check_arity(ns.poly, x)
     n = tuple(x)
-    for _ in range(nu):
-        _, n = numeration._strip_one(ns, n)
+    n = numeration.strip(ns, n, nu)
     if mu == math.inf:
         return n
     indices = []
     for _ in range(int(mu) - nu):
-        t, n = numeration._strip_one(ns, n)
-        indices.append(t)
+        indices.append(ns.residue_digit[n[0] % ns.Q])
+        n = numeration.strip(ns, n)
     return numeration.evaluate(ns, numeration.Expansion(tuple(indices)))
 
 
@@ -324,11 +323,16 @@ def fourier_table_oracle(ns, fn, phase, lam_max, t_samples, seed):
     return best
 
 
+def int64_tables(ns):
+    """ns.strip_tables in the form int64 columns index."""
+    return [t if t is None else np.array(t, np.int64) for t in ns.strip_tables]
+
+
 def stripped_to_zero(ns, raster):
     """The count of the raster's cells whose centre c has rint(q^k c) in
     N_k, k the raster's depth, by membership as k strips to 0: every
     rounded centre within the exact coordinate box of N_k is stripped k
-    times by bulk.strip_columns, one strip per call, and counted when it
+    times by numeration.strip, one strip per call, and counted when it
     reaches 0.  One pass over all the centres, no blocks and no table of
     N_m, with the float sums of tile.lattice_area term for term: the
     reference for tile.lattice_area, whose area is this count times the
@@ -345,8 +349,9 @@ def stripped_to_zero(ns, raster):
     box_lo, box_hi = bulk.coordinate_ranges(ns, k)
     inside = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(cols, box_lo, box_hi)])
     cols = [col[inside] for col in cols]
+    tables = int64_tables(ns)
     for _ in range(k):
-        cols = bulk.strip_columns(ns, cols)
+        cols = numeration.strip(ns, cols, tables=tables)
     return int(np.count_nonzero(~np.any(cols, axis=0)))
 
 
@@ -364,8 +369,8 @@ def divide_exact_by_q(m, x):
 
 def trial_strip(ns, n):
     """(t, (n - b_t)/q), backward division by trying every digit b_t with
-    divide_exact_by_q: the reference for numeration._strip_one, which
-    finds the digit from the residue of n mod q instead."""
+    divide_exact_by_q: the reference for numeration.strip, which finds the
+    digit from the residue of n mod q instead."""
     for t, b in enumerate(ns.digits):
         quotient = divide_exact_by_q(ns.poly, algebra.sub(ns.poly, n, b))
         if quotient is not None:
@@ -406,7 +411,7 @@ def box_fns_oracle(ns):
                 return numeration.FnsVerdict(False, cycle, examined)
             position[n] = len(order)
             order.append(n)
-            _, n = numeration._strip_one(ns, n)
+            n = numeration.strip(ns, n)
         known_finite.update(order)
     return numeration.FnsVerdict(True, None, examined)
 

@@ -96,8 +96,8 @@ def test_degree_nine_subset_graph_closes_its_stalled_bracket():
 
 def test_expand_strips_its_element_once(capsysbinary, monkeypatch):
     strips = []
-    strip = numeration._strip_one
-    monkeypatch.setattr(numeration, "_strip_one", lambda ns, n: strips.append(n) or strip(ns, n))
+    strip = numeration.strip
+    monkeypatch.setattr(numeration, "strip", lambda ns, n: strips.append(n) or strip(ns, n))
     for window in ("0,3", "2,inf", "1,100000", "9,12"):
         strips.clear()
         code, payload, _ = run_json(capsysbinary, "expand", *KNUTH, "--element", "7,3",
@@ -410,6 +410,18 @@ def test_tile_cap_exits_three_before_streaming(capsysbinary, monkeypatch):
     assert b"cloud of 1024 points exceeds cap 1000" in err
 
 
+def test_raster_cap_exits_three_before_any_grid(capsysbinary, monkeypatch):
+    # 400^3 cells exceed the 2^24 element cap; a cloud of 3^4 points does not
+    def no_grid(*args):
+        raise AssertionError("a grid was binned")
+
+    monkeypatch.setattr(tile, "_binned", no_grid)
+    code, out, err = run(capsysbinary, "tile", "--poly", "3,3,3,1", "--digits", "0,0,0;1,0,0;2,0,0",
+                         "--depth", "4", "--resolution", "400")
+    assert code == 3 and out == b""
+    assert err.splitlines() == [b"error: raster of 64000000 cells exceeds cap 16777216"]
+
+
 @pytest.mark.parametrize("argv, count", [
     (("fourier-decay", *KNUTH, "--fn", "rs", "--alpha", "0.5", "--lam-max", "3",
       "--t-samples", "8388609"), b"8388609 t samples of 2 integers each"),
@@ -431,8 +443,8 @@ def test_sample_counts_exit_three_before_any_draw(capsysbinary, monkeypatch, arg
 
 def test_capped_fns_decision_keeps_tile_exit_zero(capsysbinary, monkeypatch):
     monkeypatch.setenv("RADIXION_CAP", "8")  # 8 points; Knuth's carry closure holds 15 states
-    code, payload, _ = run_json(  # 1 cover sample of 2 integers, over 6 translates, fits the cap too
-        capsysbinary, "tile", *KNUTH, "--depth", "3", "--resolution", "64", "--cover-samples", "1"
+    code, payload, _ = run_json(  # 2 x 2 cells, and 1 cover sample of 2 integers over 6 translates, fit too
+        capsysbinary, "tile", *KNUTH, "--depth", "3", "--resolution", "2", "--cover-samples", "1"
     )
     assert code == 0
     assert payload["area_method"] == "occupancy"

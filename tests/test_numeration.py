@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import (automaton_value, box_fns_oracle, digit_slice, divide_exact_by_q,
+from oracles import (automaton_value, box_fns_oracle, digit_slice, divide_exact_by_q, int64_tables,
                      row_values, rudin_shapiro, scalar_values, sum_of_digits, trial_strip)
 
 from radixion import algebra, bulk, numeration
@@ -73,14 +73,6 @@ def test_divide_exact_with_negative_constant_term():
     assert divide_exact_by_q(m, (7,)) is None
 
 
-def test_strip_matches_trial_division(knuth, negabinary, five_a, five_b, random_systems):
-    rng = np.random.default_rng(43)
-    for ns in (knuth, negabinary, five_a, five_b, *random_systems):
-        for row in rng.integers(-10**6, 10**6, size=(500, ns.degree)):
-            x = tuple(int(v) for v in row)
-            assert numeration._strip_one(ns, x) == trial_strip(ns, x)
-
-
 # c0 < 0 in degree 1; a degree-3 base; a digit off the first axis whose
 # residue needs no offset
 EXTRA_STRIP_SYSTEMS = (("-3,1", "0;4;8"), ("2,2,2,1", "0,0,0;1,0,0"), ("2,2,1", "0,0;1,1"))
@@ -97,14 +89,23 @@ def rows_of(cols):
     return list(zip(*(c.tolist() for c in cols)))
 
 
-def test_strip_columns_matches_strip_one(knuth, negabinary, five_a, five_b, random_systems):
-    rng = np.random.default_rng(44)
+def test_strip_matches_trial_division(knuth, negabinary, five_a, five_b, random_systems):
+    # an element in Python integers, also past int64, and the same rows as
+    # int64 columns; the digit is the one of the element's residue class
+    rng = np.random.default_rng(43)
     extra = [NumberSystem.parse(*spec) for spec in EXTRA_STRIP_SYSTEMS]
     for ns in (knuth, negabinary, five_a, five_b, *random_systems, *extra):
+        near = rng.integers(-10**6, 10**6, size=(500, ns.degree)).tolist()
+        huge = [[sign * 10**30 + v for sign, v in zip(rng.choice((-1, 1), ns.degree).tolist(), row)]
+                for row in near[:50]]
+        for row in near + huge:
+            x = tuple(row)
+            assert (ns.residue_digit[x[0] % ns.Q], numeration.strip(ns, x)) == trial_strip(ns, x)
         far = rng.integers(-10**12, 10**12, size=(ns.degree, 500))
-        for cols in (box_columns(ns, 3, 2), list(far)):
-            stripped = rows_of(bulk.strip_columns(ns, cols))
-            assert stripped == [numeration._strip_one(ns, n)[1] for n in rows_of(cols)]
+        for cols in (box_columns(ns, 3, 2), list(np.array(near).T), list(far)):
+            stripped = numeration.strip(ns, cols, tables=int64_tables(ns))
+            assert all(col.dtype == np.int64 for col in stripped)
+            assert rows_of(stripped) == [trial_strip(ns, n)[1] for n in rows_of(cols)]
 
 
 def test_strips_to_zero_is_membership(knuth, negabinary, five_a, five_b, one_plus_i,
@@ -114,12 +115,12 @@ def test_strips_to_zero_is_membership(knuth, negabinary, five_a, five_b, one_plu
     extra = [NumberSystem.parse(*spec) for spec in EXTRA_STRIP_SYSTEMS]
     for ns in (knuth, negabinary, five_a, five_b, one_plus_i, *random_systems, *extra):
         depth = max(lam for lam in range(12) if ns.Q**lam <= 600)
-        box = box_columns(ns, depth, 2)
+        box, tables = box_columns(ns, depth, 2), int64_tables(ns)
         cols = box
         for _ in range(depth):
-            cols = bulk.strip_columns(ns, cols)
+            cols = numeration.strip(ns, cols, tables=tables)
         for times in (0, depth):  # the repeated strip is the loop of single strips
-            repeated = bulk.strip_columns(ns, box, times)
+            repeated = numeration.strip(ns, box, times, tables)
             assert all(np.array_equal(a, b) for a, b in zip(repeated, box if times == 0 else cols))
         reached = ~np.any(cols, axis=0)
         members = {n for n, hit in zip(rows_of(box), reached) if hit}
@@ -204,7 +205,7 @@ def assert_witness_is_cycle(ns, cycle):
     assert cycle and ns.zero not in cycle
     assert cycle[0] == min(cycle)
     for n, successor in zip(cycle, cycle[1:] + cycle[:1]):
-        assert numeration._strip_one(ns, n)[1] == successor
+        assert numeration.strip(ns, n) == successor
 
 
 def test_is_fns_matches_box_oracle(knuth, negabinary, one_plus_i, five_a, five_b,
